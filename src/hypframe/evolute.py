@@ -77,15 +77,13 @@ def _evolute_sample(model, t, side) -> EvoluteSample:
     data = model.frenet_data_at(t)
     if side == "h":
         _require_evolute_h(data, model)
-        chain = model.frenet.evolute_h_chain
+        program = model.frenet.evolute_h_program
     else:
         _require_evolute_d(data, model)
-        chain = model.frenet.evolute_d_chain
+        program = model.frenet.evolute_d_program
     f = model.frenet_frame_at(t)
-    vecs = []
-    for coeffs in chain:
-        c = np.array([eval_expr(e, t) for e in coeffs])
-        vecs.append(MinkVec.from_array(c @ f))
+    coeffs = eval_expr(program, t)
+    vecs = [MinkVec.from_array(np.array(coeffs[k:k + 4]) @ f) for k in range(0, 16, 4)]
     eps, eps1, fallback = _eps_values(model, t, side)
     s = _scale(data)
     if not is_zero(eps, s, model.tol.sing):
@@ -193,16 +191,15 @@ def _classify_dual(model, t0, side, theta0) -> DualSurfaceRecord:
     fe = model.frenet
     if side == "h":
         _require_evolute_h(data, model)
-        closed = fe.eps_h_closed
+        closed = fe.eps_h_closed_program
         lam = lambda_dual_h(model, t0, theta0)
         surface = "dual_eh"
     else:
         _require_evolute_d(data, model)
-        closed = fe.eps_d_closed
+        closed = fe.eps_d_closed_program
         lam = lambda_dual_d(model, t0, theta0)
         surface = "dual_ed"
-    eps = eval_expr(closed, t0)
-    eps1 = eval_expr(model._cache(f"eps_{side}_closed1", closed), t0)
+    eps, eps1 = eval_expr(closed, t0)
     s = _scale(data)
     if not is_zero(eps, s, model.tol.sing):
         ty = SingularityType.CUSPIDAL_EDGE

@@ -271,7 +271,8 @@ def singular_locus_d(model: FramedCurveModel, ts=None,
                 continue
             tm = 0.5 * (ta + tb)
             data_m = model.frenet_data_at(tm)
-            _require_d(data_m, model)
+            if data_m.disc_d <= model.tol.zero:
+                continue  # the pair straddles a gap where the surface is undefined
             thm = _norm_circle(math.atan2(data_m.W, data_m.Dd))
             refined.append((tm, thm, data_m, None))
             stack.append((ta, tha, tm, thm, depth + 1))
@@ -304,19 +305,16 @@ def _eps_values(model, t, side):
     """
     fe = model.frenet
     if side == "h":
-        path, closed = fe.eps_h_path, fe.eps_h_closed
+        path, closed = fe.eps_h_path_program, fe.eps_h_closed_program
     else:
-        path, closed = fe.eps_d_path, fe.eps_d_closed
-    fallback = False
+        path, closed = fe.eps_d_path_program, fe.eps_d_closed_program
     try:
-        eps = eval_expr(path, t)
-        eps1 = eval_expr(model._cache(f"eps_{side}_path1", path), t)
-        if not (math.isfinite(eps) and math.isfinite(eps1)):
-            raise ExprDomainError("non-finite epsilon", path)
+        eps, eps1 = eval_expr(path, t)
+        fallback = not (math.isfinite(eps) and math.isfinite(eps1))
     except ExprDomainError:
         fallback = True
-        eps = eval_expr(closed, t)
-        eps1 = eval_expr(model._cache(f"eps_{side}_closed1", closed), t)
+    if fallback:
+        eps, eps1 = eval_expr(closed, t)
     return eps, eps1, fallback
 
 

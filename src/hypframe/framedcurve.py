@@ -25,8 +25,8 @@ from . import propagation as _pure
 from .errors import (FrameDegenerateError, IntegrationFailureError,
                      InvalidInputError, NumericError)
 from .minkowski import METRIC, MinkVec, wedge3
-from .symexpr import (Expr, add, div, eval_expr, fun, mul, neg, parse_expr,
-                      pow_, sub, vectorized)
+from .symexpr import (ZERO, Expr, Program, add, compile, div, eval_expr, fun,
+                      mul, neg, parse_expr, pow_, sub, vectorized)
 from .symexpr import diff_expr as _d
 from .tolerances import DEFAULT, Tolerances
 
@@ -150,11 +150,25 @@ def _sq(e: Expr) -> Expr:
     return pow_(e, 2)
 
 
+def _derivative(name: str, order: int = 1) -> cached_property:
+    """Lazily built order-th derivative of the expression attribute `name`."""
+    return cached_property(lambda self: _d(getattr(self, name), order))
+
+
+def _program(*names: str) -> cached_property:
+    """Lazily compiled program of the expression attributes `names`, in order."""
+    return cached_property(lambda self: compile([getattr(self, n) for n in names]))
+
+
 class FrenetExprs:
-    """Expression trees of the Frenet quantities of a quartet, built lazily.
+    """Expressions of the Frenet quantities of a quartet, built lazily.
 
     W denotes the Wronskian-type combination M A' - M' A; Dh and Dd are
     A N sqrt(A^2 - M^2) and A N sqrt(M^2 - A^2).
+
+    Each `*_program` attribute compiles a group of roots that one query
+    reads together, in the order it reads them, so a domain error
+    surfaces at the same root and node as evaluating the roots one by one.
     """
 
     def __init__(self, quartet: CurvatureQuartet):
@@ -260,7 +274,7 @@ class FrenetExprs:
         return (div(mul(self.ab2, self.N), root),
                 neg(div(mul(mul(self.M, self.A), self.N), root)),
                 div(self.W, root),
-                self._zero())
+                ZERO)
 
     @cached_property
     def evolute_d_coeffs(self) -> tuple:
@@ -268,12 +282,7 @@ class FrenetExprs:
         return (div(mul(self.ab2, self.N), root),
                 neg(div(mul(mul(self.M, self.A), self.N), root)),
                 div(self.W, root),
-                self._zero())
-
-    @staticmethod
-    def _zero() -> Expr:
-        from .symexpr import ZERO
-        return ZERO
+                ZERO)
 
     @cached_property
     def evolute_h_chain(self) -> list:
@@ -289,6 +298,42 @@ class FrenetExprs:
         for _ in range(3):
             chain.append(self.frame_coeff_derivative(chain[-1]))
         return chain
+
+    # -- derivatives and the compiled groups -------------------------------
+
+    M1 = _derivative("M")
+    N1 = _derivative("N")
+    A1 = _derivative("A")
+    W1 = _derivative("W")
+    W2 = _derivative("W", 2)
+    Dh1 = _derivative("dh")
+    Dh2 = _derivative("dh", 2)
+    Dd1 = _derivative("dd")
+    Dd2 = _derivative("dd", 2)
+    eps_h_path1 = _derivative("eps_h_path")
+    eps_d_path1 = _derivative("eps_d_path")
+    eps_h_closed1 = _derivative("eps_h_closed")
+    eps_d_closed1 = _derivative("eps_d_closed")
+
+    # FrenetData columns, evaluated once a^2 + b^2 has passed its check
+    base_program = _program("disc_h", "M", "N", "M1", "N1", "A1",
+                            "W", "W1", "W2", "sigma_f")
+    dh_program = _program("dh", "Dh1", "Dh2")
+    dd_program = _program("dd", "Dd1", "Dd2")
+    # (epsilon, epsilon') along the theta branch and in closed form
+    eps_h_path_program = _program("eps_h_path", "eps_h_path1")
+    eps_d_path_program = _program("eps_d_path", "eps_d_path1")
+    eps_h_closed_program = _program("eps_h_closed", "eps_h_closed1")
+    eps_d_closed_program = _program("eps_d_closed", "eps_d_closed1")
+
+    @cached_property
+    def evolute_h_program(self) -> Program:
+        """The 16 frame coefficients of the evolute_h_chain, in order."""
+        return compile([c for coeffs in self.evolute_h_chain for c in coeffs])
+
+    @cached_property
+    def evolute_d_program(self) -> Program:
+        return compile([c for coeffs in self.evolute_d_chain for c in coeffs])
 
 
 @dataclass(frozen=True)
@@ -347,6 +392,7 @@ class FramedCurveModel:
         self.max_drift_t = stats[3]
         self.tol = tol
         self.frenet = FrenetExprs(quartet)
+        self._last_frenet = None  # (key of t, FrenetData) of the last query
 
     @property
     def t0(self) -> float:
@@ -410,40 +456,26 @@ class FramedCurveModel:
         return out
 
     def frenet_data_at(self, t: float) -> FrenetData:
+        # queries arrive in runs at the same t: keep the last answer
+        key = (type(t), t, math.copysign(1.0, t))
+        if self._last_frenet is not None and self._last_frenet[0] == key:
+            return self._last_frenet[1]
         fe = self.frenet
         ab2 = eval_expr(fe.ab2, t)
         if ab2 <= self.tol.zero:
             raise FrameDegenerateError(
                 f"a^2+b^2 = {ab2!r} at t={t!r}: Frenet type frame undefined")
-        disc_h = eval_expr(fe.disc_h, t)
+        disc_h, M, N, M1, N1, A1, W, W1, W2, sigma_f = eval_expr(fe.base_program, t)
         disc_d = -disc_h
-        data = dict(
-            t=t,
-            M=eval_expr(fe.M, t), N=eval_expr(fe.N, t), A=math.sqrt(ab2), B=0.0,
-            M1=eval_expr(self._cache("M1", fe.M), t),
-            N1=eval_expr(self._cache("N1", fe.N), t),
-            A1=eval_expr(self._cache("A1", fe.A), t),
-            W=eval_expr(fe.W, t),
-            W1=eval_expr(self._cache("W1", fe.W), t),
-            W2=eval_expr(self._cache("W2", fe.W, 2), t),
-            sigma_f=eval_expr(fe.sigma_f, t),
-            disc_h=disc_h, disc_d=disc_d,
-        )
+        data = dict(t=t, M=M, N=N, A=math.sqrt(ab2), B=0.0, M1=M1, N1=N1, A1=A1,
+                    W=W, W1=W1, W2=W2, sigma_f=sigma_f, disc_h=disc_h, disc_d=disc_d)
         if disc_h > self.tol.zero:
-            data.update(Dh=eval_expr(fe.dh, t),
-                        Dh1=eval_expr(self._cache("Dh1", fe.dh), t),
-                        Dh2=eval_expr(self._cache("Dh2", fe.dh, 2), t))
+            data.update(zip(("Dh", "Dh1", "Dh2"), eval_expr(fe.dh_program, t)))
         if disc_d > self.tol.zero:
-            data.update(Dd=eval_expr(fe.dd, t),
-                        Dd1=eval_expr(self._cache("Dd1", fe.dd), t),
-                        Dd2=eval_expr(self._cache("Dd2", fe.dd, 2), t))
-        return FrenetData(**data)
-
-    def _cache(self, key: str, base: Expr, order: int = 1) -> Expr:
-        store = self.__dict__.setdefault("_expr_cache", {})
-        if key not in store:
-            store[key] = _d(base, order)
-        return store[key]
+            data.update(zip(("Dd", "Dd1", "Dd2"), eval_expr(fe.dd_program, t)))
+        out = FrenetData(**data)
+        self._last_frenet = (key, out)
+        return out
 
 
 def frenet_convert(model: FramedCurveModel, t: float):

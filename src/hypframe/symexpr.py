@@ -11,14 +11,20 @@ then * /, then + -; same-precedence binary operators associate left):
     atom     := NUMBER | 't' | FUNC '(' expr ')' | '(' expr ')'
     FUNC     := sin cos tan sinh cosh tanh exp log sqrt atan artanh
 
-Only light simplification is applied when trees are built (constant
-folding plus 0/1 identities); evaluation follows IEEE semantics with
-domain violations reported against the offending sub-expression.
+Only light simplification is applied when expressions are built
+(constant folding plus 0/1 identities).  The smart constructors intern
+their results (hash-consing), so an expression is a graph in which each
+distinct sub-expression exists once.  `compile` turns a list of roots into
+one straight-line program with one op per distinct node; evaluation
+follows IEEE semantics with domain violations reported against the
+offending sub-expression.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +34,7 @@ from .errors import HypframeError, NumericError
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
     "parse_expr", "diff_expr", "eval_expr", "to_source", "vectorized",
+    "compile", "Program",
     "ExprSyntaxError", "UnknownIdentifierError", "NonIntegerExponentError",
     "ExprDomainError",
     "add", "sub", "mul", "div", "neg", "pow_", "fun", "num",
@@ -64,7 +71,9 @@ class ExprDomainError(NumericError):
 
 
 class Expr:
-    __slots__ = ()
+    # _d1 and _program memoize the derivative and the single-root program
+    # on the node itself, so they live exactly as long as the node does
+    __slots__ = ("__weakref__", "_d1", "_program")
 
     def __call__(self, t):
         return eval_expr(self, t)
@@ -124,20 +133,38 @@ class Fun(Expr):
     arg: Expr
 
 
-T = Var()
-ZERO = Num(0.0)
-ONE = Num(1.0)
-
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh",
              "exp", "log", "sqrt", "atan", "artanh")
 
 
 # ---------------------------------------------------------------------------
 # Smart constructors: constant folding and 0/1 identities only.
+#
+# Every constructor returns an interned node (hash-consing): the key is
+# the node class plus its children by identity, so structurally equal
+# expressions built from interned parts are one object, and the whole
+# graph has one node per distinct sub-expression.  Floats are keyed by
+# their bit pattern, keeping 0.0 and -0.0 apart.  The table holds nodes
+# weakly: an interned node lives as long as something else refers to it.
+
+_INTERNED = weakref.WeakValueDictionary()
+
+
+def _intern(key, cls, *fields):
+    node = _INTERNED.get(key)
+    if node is None:
+        node = _INTERNED[key] = cls(*fields)
+    return node
 
 
 def num(v) -> Num:
-    return Num(float(v))
+    v = float(v)
+    return _intern((Num, struct.pack("<d", v)), Num, v)
+
+
+T = Var()
+ZERO = num(0.0)
+ONE = num(1.0)
 
 
 def _is_const(e, v):
@@ -146,27 +173,27 @@ def _is_const(e, v):
 
 def add(x: Expr, y: Expr) -> Expr:
     if isinstance(x, Num) and isinstance(y, Num):
-        return Num(x.value + y.value)
+        return num(x.value + y.value)
     if _is_const(x, 0.0):
         return y
     if _is_const(y, 0.0):
         return x
-    return Add(x, y)
+    return _intern((Add, id(x), id(y)), Add, x, y)
 
 
 def sub(x: Expr, y: Expr) -> Expr:
     if isinstance(x, Num) and isinstance(y, Num):
-        return Num(x.value - y.value)
+        return num(x.value - y.value)
     if _is_const(y, 0.0):
         return x
     if _is_const(x, 0.0):
         return neg(y)
-    return Sub(x, y)
+    return _intern((Sub, id(x), id(y)), Sub, x, y)
 
 
 def mul(x: Expr, y: Expr) -> Expr:
     if isinstance(x, Num) and isinstance(y, Num):
-        return Num(x.value * y.value)
+        return num(x.value * y.value)
     if _is_const(x, 0.0) or _is_const(y, 0.0):
         return ZERO
     if _is_const(x, 1.0):
@@ -177,25 +204,25 @@ def mul(x: Expr, y: Expr) -> Expr:
         return neg(y)
     if _is_const(y, -1.0):
         return neg(x)
-    return Mul(x, y)
+    return _intern((Mul, id(x), id(y)), Mul, x, y)
 
 
 def div(x: Expr, y: Expr) -> Expr:
     if isinstance(x, Num) and isinstance(y, Num) and y.value != 0.0:
-        return Num(x.value / y.value)
+        return num(x.value / y.value)
     if _is_const(y, 1.0):
         return x
     if _is_const(x, 0.0) and not _is_const(y, 0.0):
         return ZERO
-    return Div(x, y)
+    return _intern((Div, id(x), id(y)), Div, x, y)
 
 
 def neg(x: Expr) -> Expr:
     if isinstance(x, Num):
-        return Num(-x.value)
+        return num(-x.value)
     if isinstance(x, Neg):
         return x.arg
-    return Neg(x)
+    return _intern((Neg, id(x)), Neg, x)
 
 
 def pow_(base: Expr, exponent: int) -> Expr:
@@ -205,8 +232,8 @@ def pow_(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Num) and not (base.value == 0.0 and exponent < 0):
-        return Num(float(base.value ** exponent))
-    return Pow(base, exponent)
+        return num(base.value ** exponent)
+    return _intern((Pow, id(base), exponent), Pow, base, exponent)
 
 
 def fun(name: str, arg: Expr) -> Expr:
@@ -214,10 +241,10 @@ def fun(name: str, arg: Expr) -> Expr:
         raise ValueError(f"unknown function {name!r}")
     if isinstance(arg, Num):
         try:
-            return Num(_apply(name, arg.value, arg))
+            return num(_apply(name, arg.value, arg))
         except ExprDomainError:
             pass  # keep the node; evaluation will report it
-    return Fun(name, arg)
+    return _intern((Fun, name, id(arg)), Fun, name, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +395,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(tok.value)
+            return num(tok.value)
         if tok.kind == "ident":
             self.advance()
             if tok.text == "t":
@@ -398,6 +425,14 @@ def parse_expr(source: str) -> Expr:
 
 
 def _diff1(e: Expr) -> Expr:
+    d = getattr(e, "_d1", None)
+    if d is None:
+        d = _diff_rule(e)
+        object.__setattr__(e, "_d1", d)
+    return d
+
+
+def _diff_rule(e: Expr) -> Expr:
     match e:
         case Num():
             return ZERO
@@ -456,7 +491,11 @@ def diff_expr(e: Expr, order: int = 1) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (scalar reference path, IEEE semantics, located domain errors)
+# Evaluation.  A list of roots compiles to one straight-line program with
+# one op per distinct node (plus a check before each division's
+# numerator).  The op list is replayed over a Python float, with IEEE
+# semantics and located domain errors, or over a NumPy array, where
+# domain violations surface as non-finite values.
 
 
 def _apply(name: str, x: float, node: Expr) -> float:
@@ -497,38 +536,167 @@ def _apply(name: str, x: float, node: Expr) -> float:
     raise ValueError(f"unknown function {name!r}")
 
 
-def eval_expr(e: Expr, t: float) -> float:
-    """Evaluate at the scalar t; deterministic for identical tree and t."""
-    match e:
-        case Num(value=v):
-            return v
-        case Var():
-            return float(t)
-        case Neg(arg=u):
-            return -eval_expr(u, t)
-        case Add(lhs=x, rhs=y):
-            return eval_expr(x, t) + eval_expr(y, t)
-        case Sub(lhs=x, rhs=y):
-            return eval_expr(x, t) - eval_expr(y, t)
-        case Mul(lhs=x, rhs=y):
-            return eval_expr(x, t) * eval_expr(y, t)
-        case Div(lhs=x, rhs=y):
-            den = eval_expr(y, t)
-            if den == 0.0:
-                raise ExprDomainError("division by zero", e)
-            return eval_expr(x, t) / den
-        case Pow(base=u, exponent=k):
-            b = eval_expr(u, t)
-            if b == 0.0 and k < 0:
-                raise ExprDomainError("zero raised to a negative power", e)
-            try:
-                return float(b ** k)
-            except OverflowError:
-                sign = -1.0 if (b < 0 and k % 2 == 1) else 1.0
-                return sign * math.inf
-        case Fun(name=name, arg=u):
-            return _apply(name, eval_expr(u, t), e)
-    raise TypeError(f"not an Expr: {e!r}")
+def _pow(b, k, node):
+    if b == 0.0 and k < 0:
+        raise ExprDomainError("zero raised to a negative power", node)
+    try:
+        return float(b ** k)
+    except OverflowError:
+        sign = -1.0 if (b < 0 and k % 2 == 1) else 1.0
+        return sign * math.inf
+
+
+_NP_FUNCS = {
+    "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
+    "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+    "atan": np.arctan, "artanh": np.arctanh,
+}
+
+# Python source of one op, per replay.  Op i stores its value in v{i};
+# {a} and {b} are operand op indices, except that {b} is the exponent of
+# a pow op and the function name of a fun op.  A den op checks the
+# denominator of the Div node it belongs to.
+_SCALAR_CODE = {
+    "num": "v{i} = O[{i}].value",
+    "var": "v{i} = float(t)",
+    "neg": "v{i} = -v{a}",
+    "add": "v{i} = v{a} + v{b}",
+    "sub": "v{i} = v{a} - v{b}",
+    "mul": "v{i} = v{a} * v{b}",
+    "den": "if v{a} == 0.0: raise ExprDomainError('division by zero', O[{i}])",
+    "div": "v{i} = v{a} / v{b}",
+    "pow": "v{i} = _pow(v{a}, {b!r}, O[{i}])",
+    "fun": "v{i} = _apply({b!r}, v{a}, O[{i}])",
+}
+_ARRAY_CODE = {
+    **_SCALAR_CODE,
+    "var": "v{i} = t",
+    "den": None,
+    "pow": "v{i} = v{a} ** {b!r}",
+    "fun": "v{i} = _NP_FUNCS[{b!r}](v{a})",
+}
+
+
+class Program:
+    """Straight-line code evaluating several roots together.
+
+    `ops` are (kind, node, a, b) in the order in which the recursive walk
+    of each root in turn first reaches a node: operands left to right,
+    except that a Div evaluates and checks its denominator before its
+    numerator.  Replaying them therefore raises at the same node, with
+    the same message, as that walk.  Each replay is rendered to Python
+    source once, on first use.
+    """
+
+    def __init__(self, ops, outputs):
+        self.ops = ops
+        self.outputs = outputs
+        self._scalar = None
+        self._array = None
+
+    def scalar(self, t) -> tuple:
+        """Values of the roots at the float t."""
+        if self._scalar is None:
+            self._scalar = self._render(_SCALAR_CODE)
+        return self._scalar(t)
+
+    def array(self, t) -> tuple:
+        """Values of the roots over the array t (NumPy broadcasting)."""
+        if self._array is None:
+            self._array = self._render(_ARRAY_CODE)
+        with np.errstate(all="ignore"):
+            return self._array(t)
+
+    def _render(self, code):
+        lines = ["def run(t):"]
+        for i, (kind, _, a, b) in enumerate(self.ops):
+            if code[kind] is not None:
+                lines.append("    " + code[kind].format(i=i, a=a, b=b))
+        lines.append("    return (" + "".join(f"v{i}, " for i in self.outputs) + ")")
+        namespace = {"O": tuple(op[1] for op in self.ops), "_pow": _pow,
+                     "_apply": _apply, "_NP_FUNCS": _NP_FUNCS,
+                     "ExprDomainError": ExprDomainError}
+        exec("\n".join(lines), namespace)
+        return namespace["run"]
+
+
+def compile(roots) -> Program:
+    """Compile the roots into one program: one op per distinct node."""
+    ops = []
+    index = {}  # id(node) -> index of the op computing it
+
+    def visit(e):
+        i = index.get(id(e))
+        if i is not None:
+            return i
+        match e:
+            case Num():
+                op = ("num", e, None, None)
+            case Var():
+                op = ("var", e, None, None)
+            case Neg(arg=u):
+                op = ("neg", e, visit(u), None)
+            case Add(lhs=x, rhs=y):
+                op = ("add", e, visit(x), visit(y))
+            case Sub(lhs=x, rhs=y):
+                op = ("sub", e, visit(x), visit(y))
+            case Mul(lhs=x, rhs=y):
+                op = ("mul", e, visit(x), visit(y))
+            case Div(lhs=x, rhs=y):
+                den = visit(y)
+                ops.append(("den", e, den, None))
+                op = ("div", e, visit(x), den)
+            case Pow(base=u, exponent=k):
+                op = ("pow", e, visit(u), k)
+            case Fun(name=name, arg=u):
+                op = ("fun", e, visit(u), name)
+            case _:
+                raise TypeError(f"not an Expr: {e!r}")
+        i = index[id(e)] = len(ops)
+        ops.append(op)
+        return i
+
+    outputs = [visit(root) for root in roots]
+    return Program(ops, outputs)
+
+
+def _single(e) -> Program:
+    """The program of e alone, kept on the node."""
+    program = getattr(e, "_program", None)
+    if program is None:
+        program = compile([e])
+        object.__setattr__(e, "_program", program)
+    return program
+
+
+def eval_expr(e, t: float):
+    """Evaluate at the scalar t; deterministic for identical expression and t.
+
+    An Expr gives a float; a compiled Program gives the tuple of its
+    roots' values.
+    """
+    if isinstance(e, Program):
+        return e.scalar(t)
+    return _single(e).scalar(t)[0]
+
+
+def vectorized(e: Expr):
+    """NumPy-backed callable over scalars or arrays.
+
+    Domain violations surface as non-finite values; callers that need a
+    located error re-evaluate the offending point through eval_expr.
+    """
+    program = _single(e)
+
+    def call(t):
+        arr = np.asarray(t, dtype=float)
+        out = np.asarray(program.array(arr)[0], dtype=float)
+        if out.shape != arr.shape:
+            out = np.broadcast_to(out, arr.shape).copy()
+        return out if arr.ndim else float(out)
+
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -587,63 +755,3 @@ def to_source(e: Expr) -> str:
         case Fun(name=name, arg=u):
             return f"{name}({to_source(u)})"
     raise TypeError(f"not an Expr: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Vectorized evaluation for bulk paths (integration nodes, grids, scans).
-# Domain violations surface as non-finite values; callers that need a
-# located error re-evaluate the offending point through eval_expr.
-
-_NP_FUNCS = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan,
-    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
-    "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
-    "atan": np.arctan, "artanh": np.arctanh,
-}
-
-
-def _vec(e: Expr):
-    match e:
-        case Num(value=v):
-            return lambda t: v
-        case Var():
-            return lambda t: t
-        case Neg(arg=u):
-            f = _vec(u)
-            return lambda t: -f(t)
-        case Add(lhs=x, rhs=y):
-            fx, fy = _vec(x), _vec(y)
-            return lambda t: fx(t) + fy(t)
-        case Sub(lhs=x, rhs=y):
-            fx, fy = _vec(x), _vec(y)
-            return lambda t: fx(t) - fy(t)
-        case Mul(lhs=x, rhs=y):
-            fx, fy = _vec(x), _vec(y)
-            return lambda t: fx(t) * fy(t)
-        case Div(lhs=x, rhs=y):
-            fx, fy = _vec(x), _vec(y)
-            return lambda t: fx(t) / fy(t)
-        case Pow(base=u, exponent=k):
-            f = _vec(u)
-            return lambda t: f(t) ** k
-        case Fun(name=name, arg=u):
-            f = _vec(u)
-            g = _NP_FUNCS[name]
-            return lambda t: g(f(t))
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def vectorized(e: Expr):
-    """Compile the tree to a NumPy-backed callable over scalars or arrays."""
-    f = _vec(e)
-
-    def call(t):
-        arr = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            out = f(arr)
-        out = np.asarray(out, dtype=float)
-        if out.shape != arr.shape:
-            out = np.broadcast_to(out, arr.shape).copy()
-        return out if arr.ndim else float(out)
-
-    return call

@@ -2,11 +2,85 @@
 
 These deliberately avoid the engine's own code paths: the determinant is
 a hand-rolled cofactor expansion, derivatives come from central
-differences, and reference integrations from half-step Richardson
-comparison or scipy.
+differences, reference integrations from half-step Richardson comparison
+or scipy, and expressions are evaluated by walking the tree recursively.
 """
 
+import math
+
 import numpy as np
+
+from hypframe.symexpr import (_NP_FUNCS, Add, Div, ExprDomainError, Fun, Mul,
+                              Neg, Num, Pow, Sub, Var, _apply)
+
+
+def tree_eval(e, t):
+    """Scalar value of e at t by a recursive walk of the tree (operands left
+    to right, a division's denominator first), with the engine's domain
+    checks and IEEE overflow rules."""
+    match e:
+        case Num(value=v):
+            return v
+        case Var():
+            return float(t)
+        case Neg(arg=u):
+            return -tree_eval(u, t)
+        case Add(lhs=x, rhs=y):
+            return tree_eval(x, t) + tree_eval(y, t)
+        case Sub(lhs=x, rhs=y):
+            return tree_eval(x, t) - tree_eval(y, t)
+        case Mul(lhs=x, rhs=y):
+            return tree_eval(x, t) * tree_eval(y, t)
+        case Div(lhs=x, rhs=y):
+            den = tree_eval(y, t)
+            if den == 0.0:
+                raise ExprDomainError("division by zero", e)
+            return tree_eval(x, t) / den
+        case Pow(base=u, exponent=k):
+            b = tree_eval(u, t)
+            if b == 0.0 and k < 0:
+                raise ExprDomainError("zero raised to a negative power", e)
+            try:
+                return float(b ** k)
+            except OverflowError:
+                sign = -1.0 if (b < 0 and k % 2 == 1) else 1.0
+                return sign * math.inf
+        case Fun(name=name, arg=u):
+            return _apply(name, tree_eval(u, t), e)
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def tree_vec(e):
+    """NumPy closure of e built by a recursive walk of the tree; call it
+    under np.errstate(all="ignore")."""
+    match e:
+        case Num(value=v):
+            return lambda t: v
+        case Var():
+            return lambda t: t
+        case Neg(arg=u):
+            f = tree_vec(u)
+            return lambda t: -f(t)
+        case Add(lhs=x, rhs=y):
+            fx, fy = tree_vec(x), tree_vec(y)
+            return lambda t: fx(t) + fy(t)
+        case Sub(lhs=x, rhs=y):
+            fx, fy = tree_vec(x), tree_vec(y)
+            return lambda t: fx(t) - fy(t)
+        case Mul(lhs=x, rhs=y):
+            fx, fy = tree_vec(x), tree_vec(y)
+            return lambda t: fx(t) * fy(t)
+        case Div(lhs=x, rhs=y):
+            fx, fy = tree_vec(x), tree_vec(y)
+            return lambda t: fx(t) / fy(t)
+        case Pow(base=u, exponent=k):
+            f = tree_vec(u)
+            return lambda t: f(t) ** k
+        case Fun(name=name, arg=u):
+            f = tree_vec(u)
+            g = _NP_FUNCS[name]
+            return lambda t: g(f(t))
+    raise TypeError(f"not an Expr: {e!r}")
 
 
 def cofactor_det4(rows):

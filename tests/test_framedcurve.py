@@ -8,6 +8,7 @@ from hypframe import (CurvatureQuartet, FrameSample, MinkVec,
                       frenet_convert, integrate_frame, scalar_invariants)
 from hypframe.errors import (FrameDegenerateError, InvalidInputError,
                              NumericError)
+from hypframe.framedcurve import FrenetExprs
 from hypframe.minkowski import METRIC
 from hypframe.symexpr import ExprDomainError
 
@@ -226,3 +227,15 @@ def test_model_metadata(model_ce_h):
     assert model_ce_h.max_drift <= 1e-9
     s = model_ce_h.sample(0)
     assert isinstance(s.gamma, MinkVec)
+
+
+def test_frenet_programs_share_subexpressions():
+    """Work-count guard: the Frenet expressions of this non-polynomial
+    quartet hold 1.3M tree nodes, but only about a thousand distinct ones."""
+    fe = FrenetExprs(CurvatureQuartet.from_strings(
+        "sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"))
+    programs = [getattr(fe, name) for name in dir(FrenetExprs)
+                if name.endswith("_program")]
+    assert len(programs) == 9
+    assert len({id(op[1]) for p in programs for op in p.ops}) < 2000  # 1,016
+    assert sum(len(p.ops) for p in programs) < 3000  # 2,555

@@ -251,3 +251,39 @@ def test_cli_subcommands_smoke(tmp_path, capsys):
     assert cli_main(["integrate", "--spec", spec_path,
                      "--tol", "bogus=1"]) == 1
     capsys.readouterr()
+
+
+def test_run_pipeline_non_polynomial_quartet(tmp_path):
+    doc = dict(MINIMAL, name="generic",
+               curvature={"m": "sin(t)", "n": "1+0.1*t^2", "a": "2+0.5*cos(t)",
+                          "b": "0.2*t"},
+               domain={"t0": -1.5, "t1": 1.5, "samples": 201})
+    data = run_pipeline(load_spec(_write_spec(tmp_path, doc))).data
+    leg = data["correspondence"]["hyperbolic"]
+    assert leg["status"] == "checked"
+    assert all(leg["agreements"].values())
+    assert [(e["focal_type"], e["evolute_type"], e["dual_type"]) for e in leg["events"]] \
+        == [("Swallowtail", "Cusp234", "CuspidalCrossCap")]
+    assert abs(leg["events"][0]["t"]) < 1e-6
+    checked = [p for p in data["duality"].values() if p["status"] == "checked"]
+    assert len(checked) == 2 and all(p["pass"] for p in checked)
+
+
+def test_cli_run_focal_d_on_two_intervals(tmp_path, capsys):
+    """The de Sitter focal surface is defined on two intervals; refining the
+    d-locus between them must not evaluate it inside the gap."""
+    doc = dict(MINIMAL, name="two_intervals",
+               curvature={"m": "2.5*t^2-1", "n": "1", "a": "2", "b": "0"},
+               domain={"t0": -1.6, "t1": 1.6, "samples": 161},
+               outputs=["report", "loci_csv", "focal_h_obj", "focal_d_obj",
+                        "dual_eh_obj", "dual_ed_obj"])
+    out = tmp_path / "out"
+    assert cli_main(["run", "--spec", _write_spec(tmp_path, doc), "--out", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads((out / "two_intervals_report.json").read_text())
+    assert len(data["surfaces"]["focal_d"]["defined_intervals"]) == 2
+    for leg in data["correspondence"].values():
+        assert leg["status"] == "checked"
+        assert all(leg["agreements"].values())
+    assert len(data["duality"]) == 4
+    assert all(p["status"] == "checked" and p["pass"] for p in data["duality"].values())

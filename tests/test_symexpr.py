@@ -1,14 +1,16 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from hypframe.symexpr import (Add, ExprDomainError, ExprSyntaxError, Fun,
-                              NonIntegerExponentError, Num, Pow,
-                              UnknownIdentifierError, Var, diff_expr,
-                              eval_expr, parse_expr, to_source, vectorized)
+from hypframe.symexpr import (FUNCTIONS, ONE, T, Add, ExprDomainError,
+                              ExprSyntaxError, Fun, NonIntegerExponentError,
+                              Num, Pow, UnknownIdentifierError, Var, add,
+                              compile, diff_expr, div, eval_expr, mul, num,
+                              parse_expr, to_source, vectorized)
 
-from oracles import central_diff
+from oracles import central_diff, tree_eval, tree_vec
 
 
 def test_parse_literal():
@@ -208,3 +210,110 @@ def test_vectorized_matches_eval():
             continue
         got = vectorized(e)(ts)
         assert np.allclose(got, expected, rtol=1e-13, atol=1e-300, equal_nan=True)
+
+
+# -- hash-consing ------------------------------------------------------------
+
+
+def test_equal_expressions_are_one_node():
+    src = "sin(t)*exp(t/2)+t^3"
+    e = parse_expr(src)
+    assert parse_expr(src) is e
+    assert diff_expr(parse_expr(src), 2) is diff_expr(e, 2)
+    assert add(mul(T, T), ONE) is parse_expr("t*t+1")
+    assert num(2) is parse_expr("2")
+
+
+def test_signed_zeros_stay_distinct():
+    assert num(0.0) is not num(-0.0)
+    assert num(-0.0) is parse_expr("-0")
+    # atan2 sees the sign of zero, so the two must never be merged
+    assert math.copysign(1.0, eval_expr(parse_expr("-0"), 1.0)) == -1.0
+    assert math.copysign(1.0, eval_expr(parse_expr("0"), 1.0)) == 1.0
+    assert div(T, num(-0.0)) is not div(T, num(0.0))
+
+
+def test_direct_constructors_still_compare_equal():
+    e = parse_expr("sinh(t)+t^2")
+    built = Add(Fun("sinh", Var()), Pow(Var(), 2))
+    assert built == e and built is not e
+    assert Num(0.5) == num(0.5)
+
+
+# -- the compiled evaluator against the recursive tree walk ----------------
+
+
+def _graph_source(rng, depth=0):
+    """Random source over the whole grammar with signed constants, negative
+    exponents and every function, so that domain errors, division by
+    zero and overflow all occur."""
+    choice = rng.integers(0, 9 if depth < 4 else 2)
+    if choice == 0:
+        c = ("0", "1", "2", "0.5", "3", "700", "1e-200")[rng.integers(0, 7)]
+        return f"(-{c})" if rng.random() < 0.3 else c
+    if choice == 1:
+        return "t"
+    a = _graph_source(rng, depth + 1)
+    if choice == 6:
+        return f"({a})^{(-2, -1, 2, 3)[rng.integers(0, 4)]}"
+    if choice == 7:
+        return f"(-{a})"
+    if choice == 8:
+        return f"{FUNCTIONS[rng.integers(0, len(FUNCTIONS))]}({a})"
+    b = _graph_source(rng, depth + 1)
+    return f"({a}{'+-*/'[choice - 2]}{b})"
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except Exception as exc:  # every exception type must match the oracle's
+        return None, exc
+
+
+def _same_bits(x, y):
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.shape == y.shape and x.tobytes() == y.tobytes()
+    return struct.pack("<d", x) == struct.pack("<d", y) or (math.isnan(x) and math.isnan(y))
+
+
+def test_compiled_replay_matches_tree_walk():
+    rng = np.random.default_rng(2024)
+    ts = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 1e-300, 800.0, -800.0,
+          math.inf, math.nan]
+    arr = np.array(ts)
+    seen, errors = set(), []
+    for _ in range(200):
+        src = _graph_source(rng)
+        seen.update(name for name in FUNCTIONS if name + "(" in src)
+        try:
+            e = parse_expr(src)
+            roots = [e, diff_expr(e), diff_expr(e, 2)]
+        except (ExprDomainError, OverflowError, ZeroDivisionError):
+            continue
+        program = compile(roots)
+
+        for t in ts:
+            want, want_exc = _outcome(lambda: [tree_eval(r, t) for r in roots])
+            got, got_exc = _outcome(lambda: program.scalar(t))
+            assert type(got_exc) is type(want_exc), (src, t)
+            if isinstance(want_exc, ExprDomainError):
+                assert got_exc.subexpr is want_exc.subexpr, (src, t)
+                assert str(got_exc) == str(want_exc)
+                errors.append(str(want_exc))
+            elif want_exc is None:
+                assert all(map(_same_bits, got, want)), (src, t)
+                assert _same_bits(eval_expr(e, t), want[0])
+
+        with np.errstate(all="ignore"):
+            want, want_exc = _outcome(lambda: [tree_vec(r)(arr) for r in roots])
+        got, got_exc = _outcome(lambda: program.array(arr))
+        assert type(got_exc) is type(want_exc), src
+        if want_exc is None:
+            assert all(map(_same_bits, got, want)), src
+
+    assert seen == set(FUNCTIONS)
+    assert any(m.startswith("division by zero") for m in errors)
+    assert any(m.startswith("sqrt of negative") for m in errors)
