@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import propagation as _pure
+from . import propagation as _kernel
 from .errors import (FrameDegenerateError, IntegrationFailureError,
                      InvalidInputError, NumericError)
 from .minkowski import METRIC, MinkVec, wedge3
@@ -30,15 +30,10 @@ from .symexpr import (ZERO, Expr, Program, add, compile, div, eval_expr, fun,
 from .symexpr import diff_expr as _d
 from .tolerances import DEFAULT, Tolerances
 
-try:
-    from . import _propagation as _kernel
-except ImportError:  # compiled extension absent: pure NumPy twin
-    _kernel = _pure
-
 
 def propagation_backend() -> str:
-    """Which propagation kernel is active: 'cython' or 'python'."""
-    return _kernel.BACKEND
+    """The propagation kernel in use: always the NumPy one, 'python'."""
+    return "python"
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +89,7 @@ def coefficient_matrix(q: CurvatureQuartet, t: float) -> np.ndarray:
     Satisfies C G + G C^T = 0 exactly with G = diag(-1, 1, 1, 1).
     """
     m, n, a, b = q.eval(t)
-    return _pure.coefficient_matrix_values(m, n, a, b)
+    return _kernel.coefficient_matrix_values(m, n, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +121,7 @@ class FrameSample:
 
     def pairing_residual(self) -> float:
         """max deviation of the ten pseudo-orthonormality pairings (absolute)."""
-        return _pure.gram_residual(self.matrix())
+        return _kernel.gram_residual(self.matrix())
 
     def wedge_residual(self) -> float:
         """Relative deviation of mu from -(gamma ^ v1 ^ v2).
@@ -433,7 +428,7 @@ class FramedCurveModel:
                 if j != k:
                     w *= (t - xs[j]) / (xs[k] - xs[j])
             f += w * self.frames[lo + k]
-        return _pure.pseudo_orthonormalize(f)
+        return _kernel.pseudo_orthonormalize(f)
 
     def sample_at(self, t: float) -> FrameSample:
         return FrameSample.from_matrix(t, self.frame_at(t))
@@ -506,7 +501,7 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
 
     Returns a model holding the frame at each of the `samples` grid
     points; each sample interval is covered by CF4 substeps no longer
-    than `step`.  Drift in F G F^T - G is monitored every substep and
+    than `step`.  Drift in F G F^T - G is monitored at every sample and
     re-orthonormalization applied above tol.frame / 10; drift surviving
     correction beyond tol.frame raises IntegrationFailureError.
     """
@@ -536,8 +531,8 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
     # curvature at the Gauss nodes of every substep, vectorized
     starts = (ts[:-1][:, None] + hs[:, None] * np.arange(nsub)[None, :]).ravel()
     node_ts = np.empty((len(starts), 2))
-    node_ts[:, 0] = starts + _pure.GAUSS_C1 * np.repeat(hs, nsub)
-    node_ts[:, 1] = starts + _pure.GAUSS_C2 * np.repeat(hs, nsub)
+    node_ts[:, 0] = starts + _kernel.GAUSS_C1 * np.repeat(hs, nsub)
+    node_ts[:, 1] = starts + _kernel.GAUSS_C2 * np.repeat(hs, nsub)
     node_vals = np.empty((len(starts), 2, 4))
     for j, e in enumerate(quartet):
         vals = vectorized(e)(node_ts)
@@ -551,7 +546,7 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
 
     frames, corrections, max_raw, max_final, worst = _kernel.propagate(
         node_vals, hs, substeps, initial.matrix(), tol.frame / 10.0)
-    worst_t = float(t0 + (worst + 1) * (dt / nsub))
+    worst_t = float(ts[(worst + 1) // nsub])
     if max_final > tol.frame:
         raise IntegrationFailureError(
             f"frame drift {max_final:.3e} survives re-orthonormalization "

@@ -190,15 +190,22 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def export_obj(grid, projection, path) -> None:
+def export_obj(grids, projection, path) -> None:
     """Write a row-major quad mesh of the projected grid points.
 
-    grid has shape (rows, cols, 4); projection maps a MinkVec to 3 chart
-    coordinates.  Byte output is deterministic for identical input.
+    grids is one array of shape (rows, cols, 4) or a sequence of them, one
+    patch each (a surface defined on several intervals); the faces of a
+    patch index only its own vertices.  projection maps a MinkVec to 3
+    chart coordinates.  Byte output is deterministic for identical input.
     """
-    grid = np.asarray(grid, dtype=float)
+    if isinstance(grids, np.ndarray):
+        grids = [grids]
     lines = ["# hypframe surface mesh"]
-    if grid.size:
+    offset = 0
+    for grid in grids:
+        grid = np.asarray(grid, dtype=float)
+        if not grid.size:
+            continue
         rows, cols = grid.shape[0], grid.shape[1]
         lines.append(f"# grid {rows} x {cols}")
         for i in range(rows):
@@ -207,8 +214,9 @@ def export_obj(grid, projection, path) -> None:
                 lines.append(f"v {_fmt(y[0])} {_fmt(y[1])} {_fmt(y[2])}")
         for i in range(rows - 1):
             for j in range(cols - 1):
-                a = i * cols + j + 1
+                a = offset + i * cols + j + 1
                 lines.append(f"f {a} {a + 1} {a + cols + 1} {a + cols}")
+        offset += rows * cols
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -403,14 +411,16 @@ def run_pipeline(spec: CurveSpec, out_dir=None, tol: Tolerances | None = None) -
                 runs = intervals[surface]
                 if not runs:
                     continue
-                lo, hi = runs[0]
-                sub = model.ts[(model.ts >= lo) & (model.ts <= hi)]
-                grid = np.empty((len(sub), len(thetas), 4))
-                for i, t in enumerate(sub):
-                    for j, th in enumerate(thetas):
-                        grid[i, j] = pointfn(model, float(t), float(th)).as_array()
+                grids = []
+                for lo, hi in runs:
+                    sub = model.ts[(model.ts >= lo) & (model.ts <= hi)]
+                    grid = np.empty((len(sub), len(thetas), 4))
+                    for i, t in enumerate(sub):
+                        for j, th in enumerate(thetas):
+                            grid[i, j] = pointfn(model, float(t), float(th)).as_array()
+                    grids.append(grid)
                 path = base + f"_{surface}.obj"
-                export_obj(grid, projection, path)
+                export_obj(grids, projection, path)
                 written.append(os.path.basename(path))
         if "report" in spec.outputs:
             written.append(_slug(spec.name) + "_report.json")

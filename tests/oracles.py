@@ -3,13 +3,17 @@
 These deliberately avoid the engine's own code paths: the determinant is
 a hand-rolled cofactor expansion, derivatives come from central
 differences, reference integrations from half-step Richardson comparison
-or scipy, and expressions are evaluated by walking the tree recursively.
+or scipy, expressions are evaluated by walking the tree recursively, and
+frames are propagated one substep at a time with a scalar exponential.
 """
 
 import math
 
 import numpy as np
 
+from hypframe.propagation import (_CF4_A, _CF4_B, coefficient_matrix_values,
+                                  gram_drift, gram_residual,
+                                  pseudo_orthonormalize)
 from hypframe.symexpr import (_NP_FUNCS, Add, Div, ExprDomainError, Fun, Mul,
                               Neg, Num, Pow, Sub, Var, _apply)
 
@@ -81,6 +85,63 @@ def tree_vec(e):
             g = _NP_FUNCS[name]
             return lambda t: g(f(t))
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def expm4(x):
+    """exp of one 4x4 matrix: scale below 1/32, 12-term Taylor, square back."""
+    nrm = float(np.abs(x).sum(axis=1).max())
+    s = 0
+    while nrm > 0.03125:
+        nrm *= 0.5
+        s += 1
+    y = x / (2.0 ** s)
+    e = np.eye(4)
+    term = np.eye(4)
+    for k in range(1, 13):
+        term = term @ y / k
+        e = e + term
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
+def propagate_loop(node_vals, hs, substeps, f0, tol_correct):
+    """The CF4 kernel one substep at a time, checking drift at each substep.
+
+    Same inputs and 5-tuple as `hypframe.propagation.propagate`, except that
+    corrections and drifts are counted per substep and the worst index is
+    the substep itself.
+    """
+    nint = len(hs)
+    frames = np.empty((nint + 1, 4, 4))
+    f = np.array(f0, dtype=float)
+    frames[0] = f
+    corrections = 0
+    max_raw = 0.0
+    max_final = 0.0
+    worst = 0
+    pos = 0
+    for i in range(nint):
+        h = hs[i]
+        for _ in range(int(substeps[i])):
+            a1 = coefficient_matrix_values(*node_vals[pos, 0])
+            a2 = coefficient_matrix_values(*node_vals[pos, 1])
+            e1 = expm4(h * (_CF4_A * a1 + _CF4_B * a2))
+            e2 = expm4(h * (_CF4_B * a1 + _CF4_A * a2))
+            f = e2 @ (e1 @ f)
+            drift = gram_drift(f)
+            if drift > max_raw:
+                max_raw = drift
+            if gram_residual(f) > tol_correct:
+                f = pseudo_orthonormalize(f)
+                corrections += 1
+                drift = gram_drift(f)
+            if drift > max_final:
+                max_final = drift
+                worst = pos
+            pos += 1
+        frames[i + 1] = f
+    return frames, corrections, max_raw, max_final, worst
 
 
 def cofactor_det4(rows):

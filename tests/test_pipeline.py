@@ -287,3 +287,18 @@ def test_cli_run_focal_d_on_two_intervals(tmp_path, capsys):
         assert all(leg["agreements"].values())
     assert len(data["duality"]) == 4
     assert all(p["status"] == "checked" and p["pass"] for p in data["duality"].values())
+
+    # the focal_d mesh holds one patch per defined interval, joined by no face
+    runs = data["surfaces"]["focal_d"]["defined_intervals"]
+    assert runs[0][0] == -1.6 and runs[-1][1] == 1.6
+    ts = -1.6 + (3.2 / 160) * np.arange(161)
+    ts[-1] = 1.6
+    rows = [int(((ts >= lo) & (ts <= hi)).sum()) for lo, hi in runs]
+    obj = (out / "two_intervals_focal_d.obj").read_text().splitlines()
+    assert [ln for ln in obj if ln.startswith("# grid")] == [f"# grid {r} x 5" for r in rows]
+    assert sum(ln.startswith("v ") for ln in obj) == 5 * sum(rows)
+    faces = [[int(v) for v in ln.split()[1:]] for ln in obj if ln.startswith("f ")]
+    assert len(faces) == 4 * sum(r - 1 for r in rows)
+    assert set().union(*faces) == set(range(1, 5 * sum(rows) + 1))
+    split = 5 * rows[0]
+    assert all(max(f) <= split or min(f) > split for f in faces)

@@ -1,18 +1,20 @@
-"""The compiled kernel and the pure NumPy twin must implement the same
-algorithm: same stepping, same exponential, same orthonormalization."""
+"""The batched propagation kernel against the substep-by-substep oracle:
+same exponential bit for bit, same frames within rounding, same result
+whatever the chunking."""
 
 import numpy as np
 import pytest
 
-from hypframe import propagation_backend
-from hypframe import propagation as pure
+from hypframe import propagation as kernel
+from hypframe.errors import InvalidInputError
 from hypframe.framedcurve import CurvatureQuartet, FrameSample, integrate_frame
 from hypframe.symexpr import vectorized
 
-try:
-    from hypframe import _propagation as compiled
-except ImportError:
-    compiled = None
+from oracles import expm4 as expm4_scalar
+from oracles import propagate_loop
+
+ROADMAP_QUARTET = ("sin(t)", "1", "2+0.5*cos(t)", "0.2*t")
+CONSTANT_QUARTET = ("0.2", "1", "2", "0")
 
 
 def _node_data(quartet_strings, t0, t1, nint, nsub):
@@ -22,54 +24,111 @@ def _node_data(quartet_strings, t0, t1, nint, nsub):
     substeps = np.full(nint, nsub, dtype=np.int64)
     starts = (t0 + dt * np.arange(nint)[:, None]
               + (dt / nsub) * np.arange(nsub)[None, :]).ravel()
-    node_ts = np.stack([starts + pure.GAUSS_C1 * dt / nsub,
-                        starts + pure.GAUSS_C2 * dt / nsub], axis=1)
+    node_ts = np.stack([starts + kernel.GAUSS_C1 * dt / nsub,
+                        starts + kernel.GAUSS_C2 * dt / nsub], axis=1)
     node_vals = np.empty((len(starts), 2, 4))
     for j, e in enumerate(q):
         node_vals[:, :, j] = vectorized(e)(node_ts)
     return node_vals, hs, substeps
 
 
+def _relative(frames, ref):
+    return np.abs(frames - ref).max() / np.abs(ref).max()
+
+
 def test_expm4_against_scipy():
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(71)
-    for _ in range(50):
-        x = rng.uniform(-2.0, 2.0, (4, 4))
+    xs = np.array([rng.uniform(-2.0, 2.0, (4, 4)) for _ in range(50)])
+    for x, e in zip(xs, kernel.expm4(xs)):
         ref = scipy_linalg.expm(x)
-        err = np.abs(pure.expm4(x) - ref).max()
+        err = np.abs(e - ref).max()
         # both sides accumulate ~1e-13 relative through the squaring phase
         assert err <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+def test_expm4_matches_scalar_oracle_bitwise():
+    rng = np.random.default_rng(79)
+    xs = rng.uniform(-1.0, 1.0, (500, 4, 4))
+    norms = np.exp(rng.uniform(np.log(1e-3), np.log(6.0), 500))
+    xs *= (norms / np.abs(xs).sum(axis=2).max(axis=1))[:, None, None]
+    # sign matrices scaled to row-sum norms exactly on the halving
+    # boundaries (and just off them), and the zero matrix
+    signs = rng.choice([-1.0, 1.0], (6, 4, 4))
+    edges = signs * (np.array([2.0 ** -5, 2.0 ** -4, 1.0, 4.0, 3 * 2.0 ** -5, 0.0]) / 4)[:, None, None]
+    xs = np.concatenate([xs, edges])
+    halvings = set()
+    for x, e in zip(xs, kernel.expm4(xs)):
+        assert np.array_equal(e, expm4_scalar(x))
+        halvings.add(int(np.ceil(np.log2(max(np.abs(x).sum(axis=1).max() * 32, 1.0)))))
+    assert len(halvings) >= 8  # the stack really mixes squaring counts
 
 
 def test_orthonormalize_restores_frame():
     rng = np.random.default_rng(73)
     for _ in range(20):
         f = np.eye(4) + rng.uniform(-1e-4, 1e-4, (4, 4))
-        g = pure.pseudo_orthonormalize(f)
-        assert pure.gram_residual(g) <= 1e-14
+        g = kernel.pseudo_orthonormalize(f)
+        assert kernel.gram_residual(g) <= 1e-14
         assert np.abs(g - f).max() <= 1e-3
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_backends_agree():
-    node_vals, hs, substeps = _node_data(
-        ("sin(t)", "1", "2+0.5*cos(t)", "0.2*t"), 0.0, 3.0, 60, 10)
+@pytest.mark.parametrize("quartet", [ROADMAP_QUARTET, CONSTANT_QUARTET],
+                         ids=["roadmap", "constant"])
+def test_propagate_matches_oracle_loop(quartet):
+    node_vals, hs, substeps = _node_data(quartet, 0.0, 40.0, 200, 100)
     f0 = FrameSample.standard(0.0).matrix()
-    out_pure = pure.propagate(node_vals, hs, substeps, f0, 1e-10)
-    out_comp = compiled.propagate(node_vals, hs, substeps, f0, 1e-10)
-    assert np.abs(out_pure[0] - out_comp[0]).max() <= 1e-12
-    assert out_pure[1] == out_comp[1]  # same correction count
+    frames = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)[0]
+    ref = propagate_loop(node_vals, hs, substeps, f0, 1e-10)[0]
+    assert _relative(frames, ref) <= 1e-10
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_backend_reported():
-    assert propagation_backend() == "cython"
+def test_constant_quartet_against_scipy_expm():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    q = CurvatureQuartet.from_strings(*CONSTANT_QUARTET)
+    model = integrate_frame(q, (0.0, 40.0, 201))
+    c = kernel.coefficient_matrix_values(0.2, 1.0, 2.0, 0.0)
+    ref = np.array([scipy_linalg.expm(t * c) for t in model.ts])
+    assert _relative(model.frames, ref) <= 1e-10
 
 
-def test_integrate_with_forced_pure_backend(monkeypatch):
-    import hypframe.framedcurve as fc
+@pytest.mark.parametrize("nsub", [1, 2, 7, 16])
+def test_chunking_is_bit_identical(monkeypatch, nsub):
+    node_vals, hs, substeps = _node_data(ROADMAP_QUARTET, 0.0, 3.0, 23, nsub)
+    f0 = FrameSample.standard(0.0).matrix()
+    whole = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)
+    for chunk in (nsub, 3 * nsub, 5 * nsub + 1):
+        monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", chunk)
+        out = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)
+        assert np.array_equal(out[0], whole[0])
+        assert out[1:] == whole[1:]
 
-    monkeypatch.setattr(fc, "_kernel", pure)
+
+def test_interval_longer_than_a_chunk(monkeypatch):
+    node_vals, hs, substeps = _node_data(ROADMAP_QUARTET, 0.0, 3.0, 4, 50)
+    f0 = FrameSample.standard(0.0).matrix()
+    monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", 16)  # 4 segments per interval
+    frames = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)[0]
+    ref = propagate_loop(node_vals, hs, substeps, f0, 1e-10)[0]
+    assert _relative(frames, ref) <= 1e-12
+
+
+def test_nonuniform_substeps_rejected():
+    node_vals, hs, substeps = _node_data(ROADMAP_QUARTET, 0.0, 1.0, 4, 5)
+    f0 = FrameSample.standard(0.0).matrix()
+    uneven = np.array([5, 4, 6, 5])
+    with pytest.raises(InvalidInputError):
+        kernel.propagate(node_vals, hs, uneven, f0, 1e-10)
+    with pytest.raises(InvalidInputError):
+        kernel.propagate(node_vals[:-1], hs, substeps, f0, 1e-10)
+
+
+def test_integrate_frame_matches_oracle_loop(monkeypatch):
     q = CurvatureQuartet.from_strings("1", "1", "2", "0")
-    m = integrate_frame(q, (0.0, 1.0, 11), step=1e-3)
-    assert max(s.pairing_residual() for s in m.samples()) <= 1e-9
+    model = integrate_frame(q, (0.0, 1.0, 11), step=1e-3)
+    assert max(s.pairing_residual() for s in model.samples()) <= 1e-9
+    assert model.max_drift <= model.tol.frame
+    assert model.max_drift_t in model.ts
+    monkeypatch.setattr(kernel, "propagate", propagate_loop)
+    ref = integrate_frame(q, (0.0, 1.0, 11), step=1e-3)
+    assert _relative(model.frames, ref.frames) <= 1e-12
