@@ -15,9 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import duality as _duality
 from . import evolute as _evolute
-from . import focal as _focal
 from . import pipeline as _pipe
 from .errors import InvalidInputError, NumericError
 from .framedcurve import FrameSample, integrate_frame, propagation_backend
@@ -112,11 +110,8 @@ def cmd_evolute(args) -> int:
 def cmd_dual(args) -> int:
     spec, tol = _load(args)
     model = _model(spec, tol)
-    _, masks = _pipe._definedness(model)
-    rng = np.random.default_rng(20240229)
-    summary = _pipe._duality_summary(model, masks, rng)
     bad = False
-    for pair, info in summary.items():
+    for pair, info in _pipe.duality_summary(model).items():
         if info["status"] == "skipped":
             print(f"{pair}: skipped ({info['reason']})")
             continue
@@ -164,9 +159,7 @@ def cmd_verify(args) -> int:
         for ev in leg.events:
             print(f"  epsilon crossing at t={ev['t']:.12g}: focal {ev['focal_type']}, "
                   f"evolute {ev['evolute_type']}, dual {ev['dual_type']}")
-    _, masks = _pipe._definedness(model)
-    rng = np.random.default_rng(20240229)
-    for pair, info in _pipe._duality_summary(model, masks, rng).items():
+    for pair, info in _pipe.duality_summary(model).items():
         if info["status"] == "skipped":
             print(f"duality[{pair}]: skipped ({info['reason']})")
             continue

@@ -18,14 +18,10 @@ import numpy as np
 from . import evolute as _evolute
 from . import focal as _focal
 from .errors import InvalidInputError
+from .focal import D, H, Fibration
 from .framedcurve import FramedCurveModel
 from .minkowski import MinkVec, Quadric, membership_residual, mink_dot
 from .tolerances import DEFAULT, Tolerances
-
-
-class Fibration(enum.Enum):
-    DELTA1 = "Delta1"  # H3 x S31
-    DELTA5 = "Delta5"  # S31 x S31
 
 
 class FrontVerdict(enum.Enum):
@@ -86,6 +82,16 @@ def front_verdict(samples, tol: Tolerances = DEFAULT,
 # Samples of the engine's four constructed pairs
 
 PAIR_NAMES = ("focal_h_mu", "focal_d_mu", "dual_eh_evolute_h", "dual_ed_evolute_d")
+# the side of each pair and its theta-surface: the focal surface, paired
+# with mu, or the dual of the evolute, paired with the evolute
+PAIR_SURFACES = dict(zip(PAIR_NAMES, ((H, H.focal), (D, D.focal),
+                                      (H, H.dual), (D, D.dual))))
+
+
+def _pair(pair: str):
+    if pair not in PAIR_SURFACES:
+        raise InvalidInputError(f"unknown pair {pair!r}; expected one of {PAIR_NAMES}")
+    return PAIR_SURFACES[pair]
 
 
 def pair_sample(model: FramedCurveModel, pair: str, t: float,
@@ -96,39 +102,35 @@ def pair_sample(model: FramedCurveModel, pair: str, t: float,
     the pairing identities after re-orthonormalization, so the residuals
     report transcription errors rather than interpolation noise.
     """
+    side, surface = _pair(pair)
+    # the public bindings, looked up per call so that a rebound module
+    # attribute (a profiler's wrapper) is the one called
+    point, partials, evolute = {
+        H.focal: (_focal.focal_h_point, _focal.focal_h_partials, None),
+        D.focal: (_focal.focal_d_point, _focal.focal_d_partials, None),
+        H.dual: (_evolute.dual_of_evolute_h, _evolute.dual_of_evolute_h_partials,
+                 _evolute.evolute_h),
+        D.dual: (_evolute.dual_of_evolute_d, _evolute.dual_of_evolute_d_partials,
+                 _evolute.evolute_d),
+    }[surface]
     frame = model.frenet_frame_at(t)
     data = model.frenet_data_at(t)
     zero = MinkVec(0.0, 0.0, 0.0, 0.0)
-    if pair == "focal_h_mu":
-        f = _focal.focal_h_point(model, t, theta)
-        ft, fth = _focal.focal_h_partials(model, t, theta)
+    p = point(model, t, theta)
+    pt, pth = partials(model, t, theta)
+    if evolute is None:
         g = MinkVec.from_array(frame[3])
         gt = MinkVec.from_array(data.M * frame[0] - data.A * frame[1])
-        return DualPairSample(f, g, ft, fth, gt, zero, Fibration.DELTA1)
-    if pair == "focal_d_mu":
-        f = _focal.focal_d_point(model, t, theta)
-        ft, fth = _focal.focal_d_partials(model, t, theta)
-        g = MinkVec.from_array(frame[3])
-        gt = MinkVec.from_array(data.M * frame[0] - data.A * frame[1])
-        return DualPairSample(f, g, ft, fth, gt, zero, Fibration.DELTA5)
-    if pair == "dual_eh_evolute_h":
-        # Delta1 orders the legs (H3, S31): the evolute is the H3 leg
-        g = _evolute.dual_of_evolute_h(model, t, theta)
-        gt, gth = _evolute.dual_of_evolute_h_partials(model, t, theta)
-        es = _evolute.evolute_h(model, t)
-        return DualPairSample(es.point, g, es.derivative1, zero, gt, gth,
-                              Fibration.DELTA1)
-    if pair == "dual_ed_evolute_d":
-        f = _evolute.dual_of_evolute_d(model, t, theta)
-        ft, fth = _evolute.dual_of_evolute_d_partials(model, t, theta)
-        es = _evolute.evolute_d(model, t)
-        return DualPairSample(f, es.point, ft, fth, es.derivative1, zero,
-                              Fibration.DELTA5)
-    raise InvalidInputError(f"unknown pair {pair!r}; expected one of {PAIR_NAMES}")
+        return DualPairSample(p, g, pt, pth, gt, zero, side.fibration)
+    es = evolute(model, t)
+    legs = ((es.point, es.derivative1, zero), (p, pt, pth))
+    (f, ft, fth), (g, gt, gth) = legs if side.evolute_first else legs[::-1]
+    return DualPairSample(f, g, ft, fth, gt, gth, side.fibration)
 
 
 def pair_theta_range(pair: str) -> tuple:
     """Natural fiber window for sampling: compact fibers get [0, 2pi)."""
-    if pair in ("focal_d_mu", "dual_eh_evolute_h"):
-        return (0.0, 2.0 * math.pi)
-    return (-3.0, 3.0)
+    side, surface = _pair(pair)
+    # the focal fiber is (cos, sin) when kappa < 0, the dual one when kappa > 0
+    compact = side.kappa < 0 if surface == side.focal else side.kappa > 0
+    return (0.0, 2.0 * math.pi) if compact else (-3.0, 3.0)

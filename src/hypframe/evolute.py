@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvoluteUndefinedError
-from .focal import (SingularityType, SingularPointRecord, SurfaceParam,
-                    _eps_values, _scale, classify_d, classify_h,
+from .errors import EvoluteUndefinedError, FrameDegenerateError
+from .focal import (D, H, Side, SingularityType, SingularPointRecord,
+                    SurfaceParam, _eps_values, _scale, classify_d, classify_h,
                     focal_d_point, focal_h_point)
 from .framedcurve import FramedCurveModel
 from .minkowski import MinkVec
@@ -55,34 +55,26 @@ def _sigma_scale(data):
     return (data.A * data.N) ** 2 * abs(data.disc_h) + data.W ** 2
 
 
-def _require_evolute_h(data, model):
-    if data.sigma_f <= model.tol.sing * (1.0 + _sigma_scale(data)):
+def _require_evolute(side: Side, data, model) -> float:
+    """The side's discriminant; raises where its evolute is undefined
+    (kappa sigma_F not positive, or the focal discriminant not positive)."""
+    if side.kappa * data.sigma_f <= model.tol.sing * (1.0 + _sigma_scale(data)):
         raise EvoluteUndefinedError(
-            f"sigma_F = {data.sigma_f!r} at t={data.t!r} is not positive: "
-            "hyperbolic evolute undefined")
-
-
-def _require_evolute_d(data, model):
-    if data.sigma_f >= -model.tol.sing * (1.0 + _sigma_scale(data)):
+            f"sigma_F = {data.sigma_f!r} at t={data.t!r} is not {side.sigma_text}: "
+            f"{side.label} evolute undefined")
+    disc = side.columns(data)[0]
+    if disc <= model.tol.zero:
         raise EvoluteUndefinedError(
-            f"sigma_F = {data.sigma_f!r} at t={data.t!r} is not negative: "
-            "de Sitter evolute undefined")
-    if data.disc_d <= model.tol.zero:
-        raise EvoluteUndefinedError(
-            f"M^2 - A^2 = {data.disc_d!r} at t={data.t!r}: "
-            "de Sitter evolute undefined")
+            f"{side.disc_text} = {disc!r} at t={data.t!r}: "
+            f"{side.label} evolute undefined")
+    return disc
 
 
-def _evolute_sample(model, t, side) -> EvoluteSample:
+def _evolute_sample(model, t, side: Side) -> EvoluteSample:
     data = model.frenet_data_at(t)
-    if side == "h":
-        _require_evolute_h(data, model)
-        program = model.frenet.evolute_h_program
-    else:
-        _require_evolute_d(data, model)
-        program = model.frenet.evolute_d_program
+    _require_evolute(side, data, model)
     f = model.frenet_frame_at(t)
-    coeffs = eval_expr(program, t)
+    coeffs = eval_expr(side.evolute_program(model.frenet), t)
     vecs = [MinkVec.from_array(np.array(coeffs[k:k + 4]) @ f) for k in range(0, 16, 4)]
     eps, eps1, fallback = _eps_values(model, t, side)
     s = _scale(data)
@@ -105,41 +97,58 @@ def _evolute_sample(model, t, side) -> EvoluteSample:
 
 def evolute_h(model: FramedCurveModel, t: float) -> EvoluteSample:
     """(A^2 N gamma - M A N n1 + W n2) / sqrt(sigma_F), on H3 (sigma_F > 0)."""
-    return _evolute_sample(model, t, "h")
+    return _evolute_sample(model, t, H)
 
 
 def evolute_d(model: FramedCurveModel, t: float) -> EvoluteSample:
     """(A^2 N gamma - M A N n1 + W n2) / sqrt(-sigma_F), on S31 (sigma_F < 0)."""
-    return _evolute_sample(model, t, "d")
+    return _evolute_sample(model, t, D)
 
 
 # ---------------------------------------------------------------------------
 # Dual surfaces of the evolutes
+#
+# The dual of the evolute is c mu + s (-M gamma + A n1) / sqrt(disc) over
+# the side's dual fiber pair (c, s), for which c' = -kappa s.
+
+
+def _dual_point(side: Side, model, t, theta) -> MinkVec:
+    data = model.frenet_data_at(t)
+    disc = _require_evolute(side, data, model)
+    f = model.frenet_frame_at(t)
+    r = math.sqrt(disc)
+    row = side.dual_c(theta) * f[3] \
+        + (side.dual_s(theta) / r) * (-data.M * f[0] + data.A * f[1])
+    return MinkVec.from_array(row)
+
+
+def _dual_partials(side: Side, model, t, theta):
+    data = model.frenet_data_at(t)
+    disc = _require_evolute(side, data, model)
+    f = model.frenet_frame_at(t)
+    r = math.sqrt(disc)
+    k, c, s = side.kappa, side.dual_c(theta), side.dual_s(theta)
+    ft = (c * data.M + k * s * data.A * data.W / r ** 3) * f[0] \
+        + (-c * data.A - k * s * data.M * data.W / r ** 3) * f[1] \
+        + (s * data.A * data.N / r) * f[2] \
+        + (k * s * r) * f[3]
+    fth = (c / r) * (-data.M * f[0] + data.A * f[1]) - k * s * f[3]
+    return MinkVec.from_array(ft), MinkVec.from_array(fth)
+
+
+def _lambda_dual(side: Side, model, t, theta) -> float:
+    data = model.frenet_data_at(t)
+    disc = _require_evolute(side, data, model)
+    return side.kappa * side.dual_s(theta) * math.sqrt(side.kappa * data.sigma_f) / disc
 
 
 def dual_of_evolute_h(model: FramedCurveModel, t: float, theta: float) -> MinkVec:
     """cos(theta) mu + sin(theta) (-M gamma + A n1)/sqrt(A^2-M^2), in S31."""
-    data = model.frenet_data_at(t)
-    _require_evolute_h(data, model)
-    f = model.frenet_frame_at(t)
-    r = math.sqrt(data.disc_h)
-    row = math.cos(theta) * f[3] \
-        + (math.sin(theta) / r) * (-data.M * f[0] + data.A * f[1])
-    return MinkVec.from_array(row)
+    return _dual_point(H, model, t, theta)
 
 
 def dual_of_evolute_h_partials(model, t, theta):
-    data = model.frenet_data_at(t)
-    _require_evolute_h(data, model)
-    f = model.frenet_frame_at(t)
-    r = math.sqrt(data.disc_h)
-    co, si = math.cos(theta), math.sin(theta)
-    ft = (co * data.M + si * data.A * data.W / r ** 3) * f[0] \
-        + (-co * data.A - si * data.M * data.W / r ** 3) * f[1] \
-        + (si * data.A * data.N / r) * f[2] \
-        + (si * r) * f[3]
-    fth = (co / r) * (-data.M * f[0] + data.A * f[1]) - si * f[3]
-    return MinkVec.from_array(ft), MinkVec.from_array(fth)
+    return _dual_partials(H, model, t, theta)
 
 
 def lambda_dual_h(model: FramedCurveModel, t: float, theta: float) -> float:
@@ -149,57 +158,28 @@ def lambda_dual_h(model: FramedCurveModel, t: float, theta: float) -> float:
     throughout; the sign is fixed by the determinant identity, which the
     three sibling discriminants also satisfy in this orientation.
     """
-    data = model.frenet_data_at(t)
-    _require_evolute_h(data, model)
-    return math.sin(theta) * math.sqrt(data.sigma_f) / data.disc_h
+    return _lambda_dual(H, model, t, theta)
 
 
 def dual_of_evolute_d(model: FramedCurveModel, t: float, theta: float) -> MinkVec:
     """cosh(theta) mu + sinh(theta) (-M gamma + A n1)/sqrt(M^2-A^2), in S31."""
-    data = model.frenet_data_at(t)
-    _require_evolute_d(data, model)
-    f = model.frenet_frame_at(t)
-    r = math.sqrt(data.disc_d)
-    row = math.cosh(theta) * f[3] \
-        + (math.sinh(theta) / r) * (-data.M * f[0] + data.A * f[1])
-    return MinkVec.from_array(row)
+    return _dual_point(D, model, t, theta)
 
 
 def dual_of_evolute_d_partials(model, t, theta):
-    data = model.frenet_data_at(t)
-    _require_evolute_d(data, model)
-    f = model.frenet_frame_at(t)
-    r = math.sqrt(data.disc_d)
-    ch, sh = math.cosh(theta), math.sinh(theta)
-    ft = (ch * data.M - sh * data.A * data.W / r ** 3) * f[0] \
-        + (-ch * data.A + sh * data.M * data.W / r ** 3) * f[1] \
-        + (sh * data.A * data.N / r) * f[2] \
-        + (-sh * r) * f[3]
-    fth = (ch / r) * (-data.M * f[0] + data.A * f[1]) - sh * f[3]
-    return MinkVec.from_array(ft), MinkVec.from_array(fth)
+    return _dual_partials(D, model, t, theta)
 
 
 def lambda_dual_d(model: FramedCurveModel, t: float, theta: float) -> float:
     """-sinh(theta) sqrt(-sigma_F) / (M^2 - A^2); zero set theta = 0."""
-    data = model.frenet_data_at(t)
-    _require_evolute_d(data, model)
-    return -math.sinh(theta) * math.sqrt(-data.sigma_f) / data.disc_d
+    return _lambda_dual(D, model, t, theta)
 
 
-def _classify_dual(model, t0, side, theta0) -> DualSurfaceRecord:
+def _classify_dual(model, t0, side: Side, theta0) -> DualSurfaceRecord:
     data = model.frenet_data_at(t0)
-    fe = model.frenet
-    if side == "h":
-        _require_evolute_h(data, model)
-        closed = fe.eps_h_closed_program
-        lam = lambda_dual_h(model, t0, theta0)
-        surface = "dual_eh"
-    else:
-        _require_evolute_d(data, model)
-        closed = fe.eps_d_closed_program
-        lam = lambda_dual_d(model, t0, theta0)
-        surface = "dual_ed"
-    eps, eps1 = eval_expr(closed, t0)
+    _require_evolute(side, data, model)
+    lam = _lambda_dual(side, model, t0, theta0)
+    eps, eps1 = eval_expr(side.eps_closed(model.frenet), t0)
     s = _scale(data)
     if not is_zero(eps, s, model.tol.sing):
         ty = SingularityType.CUSPIDAL_EDGE
@@ -208,7 +188,7 @@ def _classify_dual(model, t0, side, theta0) -> DualSurfaceRecord:
     else:
         ty = SingularityType.DEGENERATE_UNCLASSIFIED
     return DualSurfaceRecord(
-        surface=surface, param=SurfaceParam(t0, theta0), lam=lam,
+        surface=side.dual, param=SurfaceParam(t0, theta0), lam=lam,
         sigma_f=data.sigma_f, type=ty, nondegenerate=True,
         diagnostics={"epsilon": eps, "epsilon_prime": eps1, "scale": s})
 
@@ -222,13 +202,13 @@ def classify_dual_h(model: FramedCurveModel, t0: float,
     Cuspidal edge iff epsilon != 0, cuspidal cross cap iff epsilon = 0
     and epsilon' != 0, with epsilon in its closed quotient form.
     """
-    return _classify_dual(model, t0, "h", theta0)
+    return _classify_dual(model, t0, H, theta0)
 
 
 def classify_dual_d(model: FramedCurveModel, t0: float,
                     theta0: float = 0.0) -> DualSurfaceRecord:
     """De Sitter analogue of classify_dual_h; singular set is theta = 0."""
-    return _classify_dual(model, t0, "d", theta0)
+    return _classify_dual(model, t0, D, theta0)
 
 
 def psi_probe(model: FramedCurveModel, t0: float, side: str = "h",
@@ -237,8 +217,9 @@ def psi_probe(model: FramedCurveModel, t0: float, side: str = "h",
 
     Samples psi = -epsilon^2 / |epsilon| = -|epsilon| on both sides of t0
     and reports the one-sided values and slopes; psi tends to zero exactly
-    when epsilon does, with slope magnitude |epsilon'|.
+    when epsilon does, with slope magnitude |epsilon'|.  side is "h" or "d".
     """
+    side = {"h": H, "d": D}[side]
     left = [t0 - delta * (j + 1) / count for j in range(count)]
     right = [t0 + delta * (j + 1) / count for j in range(count)]
 
@@ -306,64 +287,43 @@ def _bisect_eps_zero(model, side, ta, tb, ea, eb, iters=80):
     return 0.5 * (ta + tb)
 
 
-def _leg(model, ts, side) -> LegReport:
-    tolz = model.tol.zero
-    usable = []
+def _leg(model, ts, side: Side, bindings) -> LegReport:
+    """Correspondence checks on one side; bindings are that side's public
+    (focal point, classify, evolute, classify_dual) functions, passed in
+    so that a rebound module attribute (a profiler's wrapper) is called."""
+    focal_point, classify, evolute, classify_dual = bindings
+    usable = []  # (grid index, t)
     skip_reason = None
-    from .errors import FrameDegenerateError
-
-    for t in ts:
+    for i, t in enumerate(ts):
         t = float(t)
         try:
-            data = model.frenet_data_at(t)
-        except FrameDegenerateError as exc:
+            _require_evolute(side, model.frenet_data_at(t), model)
+        except (FrameDegenerateError, EvoluteUndefinedError) as exc:
             skip_reason = str(exc)
             continue
-        try:
-            if side == "h":
-                _require_evolute_h(data, model)
-                if data.disc_h <= tolz:
-                    continue
-            else:
-                _require_evolute_d(data, model)
-                if data.disc_d <= tolz:
-                    continue
-        except EvoluteUndefinedError as exc:
-            skip_reason = str(exc)
-            continue
-        usable.append(t)
+        usable.append((i, t))
     if not usable:
         return LegReport(status="skipped",
                          reason=skip_reason or "evolute undefined on the whole grid")
 
+    def at(t):
+        """Focal record, evolute sample, dual record and the distance from
+        the focal point to the evolute point, on the singular curve at t."""
+        data = model.frenet_data_at(t)
+        theta = side.root(data.W, side.columns(data)[1])
+        rec = SingularPointRecord(surface=side.focal, param=SurfaceParam(t, theta),
+                                  lam=0.0, sigma_f=data.sigma_f)
+        classify(model, rec)
+        es = evolute(model, t)
+        dist = (focal_point(model, t, theta) - es.point).max_abs()
+        return rec, es, classify_dual(model, t), dist
+
     leg = LegReport(status="checked", points=len(usable))
-    names = ("focal_ce_iff_evolute_regular", "focal_sw_iff_evolute_cusp",
-             "dual_ce_iff_evolute_regular", "dual_ccr_iff_evolute_cusp",
-             "focal_sw_iff_dual_ccr")
-    agreements = {name: True for name in names}
+    agreements = {}
     max_dist = 0.0
     eps_trace = []
-    for t in usable:
-        data = model.frenet_data_at(t)
-        if side == "h":
-            theta = math.atanh(data.W / data.Dh)
-            fpoint = focal_h_point(model, t, theta)
-            es = evolute_h(model, t)
-            rec = SingularPointRecord(
-                surface="focal_h", param=SurfaceParam(t, theta),
-                lam=0.0, sigma_f=data.sigma_f)
-            classify_h(model, rec)
-            dual = classify_dual_h(model, t)
-        else:
-            theta = math.atan2(data.W, data.Dd)
-            fpoint = focal_d_point(model, t, theta)
-            es = evolute_d(model, t)
-            rec = SingularPointRecord(
-                surface="focal_d", param=SurfaceParam(t, theta),
-                lam=0.0, sigma_f=data.sigma_f)
-            classify_d(model, rec)
-            dual = classify_dual_d(model, t)
-        dist = (fpoint - es.point).max_abs()
+    for i, t in usable:
+        rec, es, dual, dist = at(t)
         max_dist = max(max_dist, dist)
         regular = es.point_type is EvolutePointType.REGULAR_POINT
         cusp = es.point_type is EvolutePointType.CUSP_234
@@ -381,41 +341,24 @@ def _leg(model, ts, side) -> LegReport:
                 == (dual.type is SingularityType.CUSPIDAL_CROSS_CAP),
         }
         for name, ok in checks.items():
+            agreements[name] = agreements.get(name, True) and ok
             if not ok:
-                agreements[name] = False
                 leg.failures.append({"t": t, "check": name,
                                      "focal": rec.type.value,
                                      "evolute": es.point_type.value,
                                      "dual": dual.type.value})
-        eps_trace.append((t, es.epsilon))
+        eps_trace.append((i, t, es.epsilon))
 
-    # epsilon sign changes: locate the crossing and classify there
-    crossing_ts = [t for t, e in eps_trace if e == 0.0]
-    for (ta, ea), (tb, eb) in zip(eps_trace, eps_trace[1:]):
-        if ea == 0.0 or eb == 0.0 or (ea < 0) == (eb < 0):
+    # epsilon sign changes between grid neighbours of one defined run:
+    # locate the crossing and classify there
+    crossing_ts = [t for _, t, e in eps_trace if e == 0.0]
+    for (ia, ta, ea), (ib, tb, eb) in zip(eps_trace, eps_trace[1:]):
+        if ib != ia + 1 or ea == 0.0 or eb == 0.0 or (ea < 0) == (eb < 0):
             continue
         crossing_ts.append(_bisect_eps_zero(model, side, ta, tb, ea, eb))
     for t_star in sorted(crossing_ts):
-        data = model.frenet_data_at(t_star)
-        if side == "h":
-            theta = math.atanh(data.W / data.Dh)
-            rec = SingularPointRecord(surface="focal_h",
-                                      param=SurfaceParam(t_star, theta),
-                                      lam=0.0, sigma_f=data.sigma_f)
-            classify_h(model, rec)
-            es = evolute_h(model, t_star)
-            dual = classify_dual_h(model, t_star)
-            fpoint = focal_h_point(model, t_star, theta)
-        else:
-            theta = math.atan2(data.W, data.Dd)
-            rec = SingularPointRecord(surface="focal_d",
-                                      param=SurfaceParam(t_star, theta),
-                                      lam=0.0, sigma_f=data.sigma_f)
-            classify_d(model, rec)
-            es = evolute_d(model, t_star)
-            dual = classify_dual_d(model, t_star)
-            fpoint = focal_d_point(model, t_star, theta)
-        max_dist = max(max_dist, (fpoint - es.point).max_abs())
+        rec, es, dual, dist = at(t_star)
+        max_dist = max(max_dist, dist)
         event = {
             "t": t_star,
             "focal_type": rec.type.value,
@@ -444,14 +387,18 @@ def correspondence_check(model: FramedCurveModel, ts=None) -> CorrespondenceRepo
     Per grid point on each defined leg: image-coincidence distance between
     the focal surface along its singular curve and the evolute, and the
     type agreements (cuspidal edge <-> regular, swallowtail <-> cusp <->
-    cuspidal cross cap).  Epsilon sign changes are located by bisection
-    and the three classifications compared at the crossing.  Undefined
-    legs are reported as skipped with the reason.
+    cuspidal cross cap).  Epsilon sign changes between grid neighbours
+    are located by bisection and the three classifications compared at
+    the crossing.  Undefined legs are reported as skipped with the reason.
     """
     if ts is None:
         ts = model.ts
-    return CorrespondenceReport(hyperbolic=_leg(model, ts, "h"),
-                                desitter=_leg(model, ts, "d"))
+    # each side's public bindings, looked up per call (see _leg)
+    return CorrespondenceReport(
+        hyperbolic=_leg(model, ts, H, (focal_h_point, classify_h, evolute_h,
+                                       classify_dual_h)),
+        desitter=_leg(model, ts, D, (focal_d_point, classify_d, evolute_d,
+                                     classify_dual_d)))
 
 
 __all__ = [

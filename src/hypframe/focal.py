@@ -6,6 +6,11 @@ lambda vanish exactly on the singular loci, which are extracted per grid
 point and classified by the explicit cuspidal-edge / swallowtail /
 cuspidal-beaks criteria.  Every quantity a decision compared against
 zero is exported in the record diagnostics.
+
+Both sides are one Legendrian-duality construction (the Delta1 and Delta5
+pairings): a `Side` record holds what tells them apart, each construction
+is written once against it, and the public `_h` / `_d` names bind it to
+`H` or `D`.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +38,73 @@ class SingularityType(enum.Enum):
     CUSPIDAL_LIPS = "CuspidalLips"
     CUSPIDAL_CROSS_CAP = "CuspidalCrossCap"
     DEGENERATE_UNCLASSIFIED = "DegenerateUnclassified"
+
+
+class Fibration(enum.Enum):
+    DELTA1 = "Delta1"  # H3 x S31
+    DELTA5 = "Delta5"  # S31 x S31
+
+
+@dataclass(frozen=True)
+class Side:
+    """What tells the hyperbolic constructions from the de Sitter ones.
+
+    The focal fiber pair (c, s) satisfies c' = kappa s and s' = c, so
+    kappa is +1.0 for (cosh, sinh) and -1.0 for (cos, sin); the dual of
+    the evolute runs on the other pair.  Every sign that differs between
+    the sides is a multiplication by kappa, which is exact.
+    """
+
+    kappa: float
+    c: Callable[[float], float]
+    s: Callable[[float], float]
+    dual_c: Callable[[float], float]
+    dual_s: Callable[[float], float]
+    dual_zeros: tuple               # zeros of dual_s on its fiber
+    root: Callable[[float, float], float]  # theta with lambda = 0, from (W, D)
+    columns: attrgetter             # FrenetData -> (disc, D, D', D'')
+    eps_path: attrgetter            # FrenetExprs -> the (epsilon, epsilon') programs
+    eps_closed: attrgetter
+    evolute_program: attrgetter
+    focal: str                      # surface names
+    evolute: str
+    dual: str
+    label: str                      # for error texts
+    disc_text: str
+    sigma_text: str
+    fibration: Fibration
+    evolute_first: bool             # the evolute is the first leg of its pair
+
+
+def _artanh_ratio(w: float, d: float) -> float:
+    return math.atanh(w / d)
+
+
+H = Side(kappa=1.0, c=math.cosh, s=math.sinh, dual_c=math.cos,
+         dual_s=math.sin, dual_zeros=(0.0, math.pi), root=_artanh_ratio,
+         columns=attrgetter("disc_h", "Dh", "Dh1", "Dh2"),
+         eps_path=attrgetter("eps_h_path_program"),
+         eps_closed=attrgetter("eps_h_closed_program"),
+         evolute_program=attrgetter("evolute_h_program"),
+         focal="focal_h", evolute="evolute_h", dual="dual_eh",
+         label="hyperbolic", disc_text="A^2 - M^2", sigma_text="positive",
+         fibration=Fibration.DELTA1, evolute_first=True)
+D = Side(kappa=-1.0, c=math.cos, s=math.sin, dual_c=math.cosh,
+         dual_s=math.sinh, dual_zeros=(0.0,), root=math.atan2,
+         columns=attrgetter("disc_d", "Dd", "Dd1", "Dd2"),
+         eps_path=attrgetter("eps_d_path_program"),
+         eps_closed=attrgetter("eps_d_closed_program"),
+         evolute_program=attrgetter("evolute_d_program"),
+         focal="focal_d", evolute="evolute_d", dual="dual_ed",
+         label="de Sitter", disc_text="M^2 - A^2", sigma_text="negative",
+         fibration=Fibration.DELTA5, evolute_first=False)
+
+
+def _focal_side(surface: str) -> Side:
+    for side in (H, D):
+        if surface == side.focal:
+            return side
+    raise InvalidInputError(f"unknown surface {surface!r}")
 
 
 @dataclass(frozen=True)
@@ -63,84 +137,78 @@ def _scale(data: FrenetData) -> float:
     return max(abs(v) for v in vals)
 
 
-def _require_h(data: FrenetData, model: FramedCurveModel) -> None:
-    if data.disc_h <= model.tol.zero:
+def _require(side: Side, data: FrenetData, model: FramedCurveModel) -> tuple:
+    """The side's (disc, D, D', D''); raises where its focal surface is undefined."""
+    cols = side.columns(data)
+    if cols[0] <= model.tol.zero:
         raise SurfaceUndefinedError(
-            f"A^2 - M^2 = {data.disc_h!r} at t={data.t!r}: "
-            "hyperbolic focal surface undefined")
-
-
-def _require_d(data: FrenetData, model: FramedCurveModel) -> None:
-    if data.disc_d <= model.tol.zero:
-        raise SurfaceUndefinedError(
-            f"M^2 - A^2 = {data.disc_d!r} at t={data.t!r}: "
-            "de Sitter focal surface undefined")
+            f"{side.disc_text} = {cols[0]!r} at t={data.t!r}: "
+            f"{side.label} focal surface undefined")
+    return cols
 
 
 # ---------------------------------------------------------------------------
 # Points, partials, discriminants
 
 
+def _point(side: Side, model: FramedCurveModel, t: float, theta: float) -> MinkVec:
+    data = model.frenet_data_at(t)
+    disc = _require(side, data, model)[0]
+    f = model.frenet_frame_at(t)
+    r = math.sqrt(disc)
+    row = (side.c(theta) / r) * (data.A * f[0] - data.M * f[1]) \
+        + side.s(theta) * f[2]
+    return MinkVec.from_array(row)
+
+
+def _partials(side: Side, model: FramedCurveModel, t: float, theta: float):
+    data = model.frenet_data_at(t)
+    disc = _require(side, data, model)[0]
+    f = model.frenet_frame_at(t)
+    r = math.sqrt(disc)
+    k, c, s = side.kappa, side.c(theta), side.s(theta)
+    ft = (-k * c * data.M * data.W / r ** 3) * f[0] \
+        + (k * c * data.A * data.W / r ** 3 - s * data.N) * f[1] \
+        + (-c * data.M * data.N / r) * f[2]
+    fth = (k * s * data.A / r) * f[0] + (-k * s * data.M / r) * f[1] + c * f[2]
+    return MinkVec.from_array(ft), MinkVec.from_array(fth)
+
+
+def _lam(side: Side, data: FrenetData, cols: tuple, theta: float) -> float:
+    return (side.c(theta) * data.W - side.s(theta) * cols[1]) / cols[0]
+
+
+def _lambda(side: Side, model: FramedCurveModel, t: float, theta: float) -> float:
+    data = model.frenet_data_at(t)
+    return _lam(side, data, _require(side, data, model), theta)
+
+
 def focal_h_point(model: FramedCurveModel, t: float, theta: float) -> MinkVec:
     """cosh(theta)/sqrt(A^2-M^2) * (A gamma - M n1) + sinh(theta) n2, in H3."""
-    data = model.frenet_data_at(t)
-    _require_h(data, model)
-    f = model.frenet_frame_at(t)
-    r = math.sqrt(data.disc_h)
-    row = (math.cosh(theta) / r) * (data.A * f[0] - data.M * f[1]) \
-        + math.sinh(theta) * f[2]
-    return MinkVec.from_array(row)
+    return _point(H, model, t, theta)
 
 
 def focal_h_partials(model: FramedCurveModel, t: float, theta: float):
     """(dF/dt, dF/dtheta) of the hyperbolic focal surface, frame-exact."""
-    data = model.frenet_data_at(t)
-    _require_h(data, model)
-    f = model.frenet_frame_at(t)
-    r = math.sqrt(data.disc_h)
-    ch, sh = math.cosh(theta), math.sinh(theta)
-    ft = (-ch * data.M * data.W / r ** 3) * f[0] \
-        + (ch * data.A * data.W / r ** 3 - sh * data.N) * f[1] \
-        + (-ch * data.M * data.N / r) * f[2]
-    fth = (sh * data.A / r) * f[0] + (-sh * data.M / r) * f[1] + ch * f[2]
-    return MinkVec.from_array(ft), MinkVec.from_array(fth)
+    return _partials(H, model, t, theta)
 
 
 def focal_d_point(model: FramedCurveModel, t: float, theta: float) -> MinkVec:
     """cos(theta)/sqrt(M^2-A^2) * (A gamma - M n1) + sin(theta) n2, in S31."""
-    data = model.frenet_data_at(t)
-    _require_d(data, model)
-    f = model.frenet_frame_at(t)
-    r = math.sqrt(data.disc_d)
-    row = (math.cos(theta) / r) * (data.A * f[0] - data.M * f[1]) \
-        + math.sin(theta) * f[2]
-    return MinkVec.from_array(row)
+    return _point(D, model, t, theta)
 
 
 def focal_d_partials(model: FramedCurveModel, t: float, theta: float):
-    data = model.frenet_data_at(t)
-    _require_d(data, model)
-    f = model.frenet_frame_at(t)
-    r = math.sqrt(data.disc_d)
-    co, si = math.cos(theta), math.sin(theta)
-    ft = (co * data.M * data.W / r ** 3) * f[0] \
-        + (-co * data.A * data.W / r ** 3 - si * data.N) * f[1] \
-        + (-co * data.M * data.N / r) * f[2]
-    fth = (-si * data.A / r) * f[0] + (si * data.M / r) * f[1] + co * f[2]
-    return MinkVec.from_array(ft), MinkVec.from_array(fth)
+    return _partials(D, model, t, theta)
 
 
 def lambda_h(model: FramedCurveModel, t: float, theta: float) -> float:
     """[cosh(theta) W - sinh(theta) A N sqrt(A^2-M^2)] / (A^2-M^2)."""
-    data = model.frenet_data_at(t)
-    _require_h(data, model)
-    return (math.cosh(theta) * data.W - math.sinh(theta) * data.Dh) / data.disc_h
+    return _lambda(H, model, t, theta)
 
 
 def lambda_d(model: FramedCurveModel, t: float, theta: float) -> float:
-    data = model.frenet_data_at(t)
-    _require_d(data, model)
-    return (math.cos(theta) * data.W - math.sin(theta) * data.Dd) / data.disc_d
+    return _lambda(D, model, t, theta)
 
 
 def constraint_residuals(model: FramedCurveModel, t: float, point: MinkVec,
@@ -158,12 +226,7 @@ def constraint_residuals(model: FramedCurveModel, t: float, point: MinkVec,
     u3 = float(np.dot(p * np.array([-1.0, 1, 1, 1]), f[2]))
     u4 = float(np.dot(p * np.array([-1.0, 1, 1, 1]), f[3]))
     m, _, a, b = model.quartet.eval(t)
-    if surface == "focal_h":
-        quadric = u1 * u1 - u2 * u2 - u3 * u3 - 1.0
-    elif surface == "focal_d":
-        quadric = -u1 * u1 + u2 * u2 + u3 * u3 - 1.0
-    else:
-        raise InvalidInputError(f"unknown surface {surface!r}")
+    quadric = _focal_side(surface).kappa * (u1 * u1 - u2 * u2 - u3 * u3) - 1.0
     return {"linear": m * u1 + a * u2 + b * u3, "quadric": quadric,
             "mu_component": u4}
 
@@ -172,18 +235,15 @@ def constraint_residuals(model: FramedCurveModel, t: float, point: MinkVec,
 # Singular loci
 
 
-def _whole_fiber_records(model, data, surface, thetas):
-    recs = []
-    for theta in thetas:
-        if surface == "focal_h":
-            lam = (math.cosh(theta) * data.W - math.sinh(theta) * data.Dh) / data.disc_h
-        else:
-            lam = (math.cos(theta) * data.W - math.sin(theta) * data.Dd) / data.disc_d
-        recs.append(SingularPointRecord(
-            surface=surface, param=SurfaceParam(data.t, float(theta)),
-            lam=lam, sigma_f=data.sigma_f, whole_fiber=True,
-            diagnostics={"lambda_at_root": lam}))
-    return recs
+def _root_record(side: Side, t: float, data: FrenetData, theta: float,
+                 whole_fiber: bool = False) -> SingularPointRecord:
+    lam = _lam(side, data, side.columns(data), theta)
+    diag = {"lambda_at_root": lam}
+    if not whole_fiber:
+        diag["sigma_f"] = data.sigma_f
+    return SingularPointRecord(
+        surface=side.focal, param=SurfaceParam(t, theta), lam=lam,
+        sigma_f=data.sigma_f, whole_fiber=whole_fiber, diagnostics=diag)
 
 
 def singular_locus_h(model: FramedCurveModel, ts=None,
@@ -199,20 +259,15 @@ def singular_locus_h(model: FramedCurveModel, ts=None,
     for t in ts:
         t = float(t)
         data = model.frenet_data_at(t)
-        _require_h(data, model)
+        _require(H, data, model)
         s = _scale(data)
         if is_zero(data.W, s, model.tol.sing) and is_zero(data.Dh, s, model.tol.sing):
             thetas = np.linspace(fiber_window[0], fiber_window[1], fiber_count)
-            records.extend(_whole_fiber_records(model, data, "focal_h", thetas))
+            records.extend(_root_record(H, t, data, float(th), whole_fiber=True) for th in thetas)
             continue
         sigma_scale = abs(data.A * data.N) ** 2 * abs(data.disc_h) + data.W ** 2
         if data.sigma_f > model.tol.sing * (1.0 + sigma_scale):
-            theta = math.atanh(data.W / data.Dh)
-            lam = (math.cosh(theta) * data.W - math.sinh(theta) * data.Dh) / data.disc_h
-            records.append(SingularPointRecord(
-                surface="focal_h", param=SurfaceParam(t, theta),
-                lam=lam, sigma_f=data.sigma_f,
-                diagnostics={"lambda_at_root": lam, "sigma_f": data.sigma_f}))
+            records.append(_root_record(H, t, data, math.atanh(data.W / data.Dh)))
     return records
 
 
@@ -244,7 +299,7 @@ def singular_locus_d(model: FramedCurveModel, ts=None,
     for t in ts:
         t = float(t)
         data = model.frenet_data_at(t)
-        _require_d(data, model)
+        _require(D, data, model)
         s = _scale(data)
         if is_zero(data.W, s, model.tol.sing) and is_zero(data.Dd, s, model.tol.sing):
             thetas = np.linspace(0.0, 2.0 * math.pi, fiber_count, endpoint=False)
@@ -282,14 +337,10 @@ def singular_locus_d(model: FramedCurveModel, ts=None,
     records = []
     for t, theta, data, fiber in refined:
         if fiber is not None:
-            records.extend(_whole_fiber_records(model, data, "focal_d", fiber))
+            records.extend(_root_record(D, t, data, float(th), whole_fiber=True) for th in fiber)
             continue
         for th in sorted((theta, _norm_circle(theta + math.pi))):
-            lam = (math.cos(th) * data.W - math.sin(th) * data.Dd) / data.disc_d
-            records.append(SingularPointRecord(
-                surface="focal_d", param=SurfaceParam(t, th),
-                lam=lam, sigma_f=data.sigma_f,
-                diagnostics={"lambda_at_root": lam, "sigma_f": data.sigma_f}))
+            records.append(_root_record(D, t, data, th))
     return records
 
 
@@ -297,45 +348,30 @@ def singular_locus_d(model: FramedCurveModel, ts=None,
 # Classification
 
 
-def _eps_values(model, t, side):
+def _eps_values(model, t, side: Side):
     """(epsilon, epsilon') via the symbolically differentiated theta branch.
 
     Falls back to the algebraically equivalent closed form where the
     branch expression hits an exact pole (Dh or Dd exactly zero).
     """
-    fe = model.frenet
-    if side == "h":
-        path, closed = fe.eps_h_path_program, fe.eps_h_closed_program
-    else:
-        path, closed = fe.eps_d_path_program, fe.eps_d_closed_program
     try:
-        eps, eps1 = eval_expr(path, t)
+        eps, eps1 = eval_expr(side.eps_path(model.frenet), t)
         fallback = not (math.isfinite(eps) and math.isfinite(eps1))
     except ExprDomainError:
         fallback = True
     if fallback:
-        eps, eps1 = eval_expr(closed, t)
+        eps, eps1 = eval_expr(side.eps_closed(model.frenet), t)
     return eps, eps1, fallback
 
 
-def _classify_generic(model, record, side) -> SingularityType:
+def _classify_generic(model, record, side: Side) -> SingularityType:
     t0 = record.param.t
     theta0 = record.param.theta
     data = model.frenet_data_at(t0)
-    if side == "h":
-        _require_h(data, model)
-        root = math.sqrt(data.disc_h)
-        cs, sn = math.cosh(theta0), math.sinh(theta0)
-        d1, d2 = data.Dh1, data.Dh2
-        c3_sign = 1.0
-        c2 = sn * data.W1 - cs * d1
-    else:
-        _require_d(data, model)
-        root = math.sqrt(data.disc_d)
-        cs, sn = math.cos(theta0), math.sin(theta0)
-        d1, d2 = data.Dd1, data.Dd2
-        c3_sign = -1.0
-        c2 = sn * data.W1 + cs * d1
+    disc, _, d1, d2 = _require(side, data, model)
+    root = math.sqrt(disc)
+    k, cs, sn = side.kappa, side.c(theta0), side.s(theta0)
+    c2 = sn * data.W1 - k * cs * d1
     s = _scale(data)
     tol = model.tol.sing
     diag = record.diagnostics
@@ -361,7 +397,7 @@ def _classify_generic(model, record, side) -> SingularityType:
 
     c1 = cs * data.W1 - sn * d1
     c3 = (cs * data.W2 - sn * d2) * root \
-        + c3_sign * 2.0 * data.M * data.N * c2
+        + k * 2.0 * data.M * data.N * c2
     diag["c1_nondegeneracy"] = c1
     diag["c2_mixed_derivative"] = c2
     diag["c3_second_order"] = c3
@@ -372,17 +408,15 @@ def _classify_generic(model, record, side) -> SingularityType:
     return SingularityType.DEGENERATE_UNCLASSIFIED
 
 
-def _finalize(model, record, side) -> SingularityType:
+def _finalize(model, record, side: Side) -> SingularityType:
     ty = _classify_generic(model, record, side)
     record.type = ty
     data = model.frenet_data_at(record.param.t)
     theta0 = record.param.theta
-    if side == "h":
-        lam_t = (math.cosh(theta0) * data.W1 - math.sinh(theta0) * data.Dh1) / data.disc_h
-        lam_th = (math.sinh(theta0) * data.W - math.cosh(theta0) * data.Dh) / data.disc_h
-    else:
-        lam_t = (math.cos(theta0) * data.W1 - math.sin(theta0) * data.Dd1) / data.disc_d
-        lam_th = (-math.sin(theta0) * data.W - math.cos(theta0) * data.Dd) / data.disc_d
+    disc, d0, d1, _ = side.columns(data)
+    cs, sn = side.c(theta0), side.s(theta0)
+    lam_t = (cs * data.W1 - sn * d1) / disc
+    lam_th = (side.kappa * sn * data.W - cs * d0) / disc
     record.diagnostics["lambda_t"] = lam_t
     record.diagnostics["lambda_theta"] = lam_th
     record.nondegenerate = not is_zero(
@@ -398,12 +432,12 @@ def classify_h(model: FramedCurveModel, record: SingularPointRecord) -> Singular
     (b) cuspidal edge versus cuspidal beaks through the derivative data of
     (W, Dh).  Cross caps and lips never occur on this surface.
     """
-    return _finalize(model, record, "h")
+    return _finalize(model, record, H)
 
 
 def classify_d(model: FramedCurveModel, record: SingularPointRecord) -> SingularityType:
     """De Sitter analogue of classify_h (cos/sin in place of cosh/sinh)."""
-    return _finalize(model, record, "d")
+    return _finalize(model, record, D)
 
 
 def classify_point(model: FramedCurveModel, surface: str, t: float,
@@ -412,23 +446,16 @@ def classify_point(model: FramedCurveModel, surface: str, t: float,
 
     Returns a REGULAR-typed record when lambda is away from zero.
     """
+    side = _focal_side(surface)
     data = model.frenet_data_at(t)
-    if surface == "focal_h":
-        lam = lambda_h(model, t, theta)
-    elif surface == "focal_d":
-        lam = lambda_d(model, t, theta)
-    else:
-        raise InvalidInputError(f"unknown surface {surface!r}")
+    lam = _lambda(side, model, t, theta)
     rec = SingularPointRecord(surface=surface, param=SurfaceParam(t, theta),
                               lam=lam, sigma_f=data.sigma_f)
     if not is_zero(lam, _scale(data), model.tol.sing):
         rec.type = SingularityType.REGULAR
         rec.diagnostics["lambda"] = lam
         return rec
-    if surface == "focal_h":
-        classify_h(model, rec)
-    else:
-        classify_d(model, rec)
+    _finalize(model, rec, side)
     return rec
 
 
@@ -437,12 +464,17 @@ def classify_point(model: FramedCurveModel, surface: str, t: float,
 
 
 def surface_grid(model: FramedCurveModel, which: str, ts, thetas) -> np.ndarray:
-    """Row-major grid of surface points, shape (len(ts), len(thetas), 4)."""
-    if which == "focal_h":
-        pointfn = focal_h_point
-    elif which == "focal_d":
-        pointfn = focal_d_point
-    else:
+    """Row-major grid of surface points, shape (len(ts), len(thetas), 4).
+
+    which names a focal surface ("focal_h", "focal_d") or the dual of an
+    evolute ("dual_eh", "dual_ed").
+    """
+    from . import evolute  # evolute imports this module
+
+    pointfn = {H.focal: focal_h_point, D.focal: focal_d_point,
+               H.dual: evolute.dual_of_evolute_h,
+               D.dual: evolute.dual_of_evolute_d}.get(which)
+    if pointfn is None:
         raise InvalidInputError(f"unknown surface {which!r}")
     ts = np.asarray(ts, dtype=float)
     thetas = np.asarray(thetas, dtype=float)

@@ -25,7 +25,7 @@ from . import propagation as _kernel
 from .errors import (FrameDegenerateError, IntegrationFailureError,
                      InvalidInputError, NumericError)
 from .minkowski import METRIC, MinkVec, wedge3
-from .symexpr import (ZERO, Expr, Program, add, compile, div, eval_expr, fun,
+from .symexpr import (ZERO, Expr, add, compile, div, eval_expr, fun,
                       mul, neg, parse_expr, pow_, sub, vectorized)
 from .symexpr import diff_expr as _d
 from .tolerances import DEFAULT, Tolerances
@@ -224,31 +224,22 @@ class FrenetExprs:
     def theta_d(self) -> Expr:
         return fun("atan", div(self.W, self.dd))
 
-    @cached_property
-    def eps_h_path(self) -> Expr:
-        # theta' - M N / sqrt(A^2 - M^2), theta differentiated symbolically
-        return sub(_d(self.theta_h),
-                   div(mul(self.M, self.N), fun("sqrt", self.disc_h)))
+    def _eps_path(self, theta: Expr, disc: Expr) -> Expr:
+        # theta' - M N / sqrt(disc), theta differentiated symbolically
+        return sub(_d(theta), div(mul(self.M, self.N), fun("sqrt", disc)))
 
-    @cached_property
-    def eps_d_path(self) -> Expr:
-        return sub(_d(self.theta_d),
-                   div(mul(self.M, self.N), fun("sqrt", self.disc_d)))
-
-    @cached_property
-    def eps_h_closed(self) -> Expr:
+    def _eps_closed(self, d: Expr, den: Expr, disc: Expr) -> Expr:
         # quotient form of the cuspidal edge test for the dual of the
-        # hyperbolic evolute; denominator is sigma_F
-        numer = sub(mul(self.dh, _d(self.W)), mul(_d(self.dh), self.W))
-        return sub(div(numer, self.sigma_f),
-                   div(mul(self.M, self.N), fun("sqrt", self.disc_h)))
+        # evolute; den is sigma_F, or -sigma_F written from M^2 - A^2
+        numer = sub(mul(d, _d(self.W)), mul(_d(d), self.W))
+        return sub(div(numer, den), div(mul(self.M, self.N), fun("sqrt", disc)))
 
-    @cached_property
-    def eps_d_closed(self) -> Expr:
-        numer = sub(mul(self.dd, _d(self.W)), mul(_d(self.dd), self.W))
-        den = add(_sq(self.W), mul(mul(self.ab2, _sq(self.N)), self.disc_d))
-        return sub(div(numer, den),
-                   div(mul(self.M, self.N), fun("sqrt", self.disc_d)))
+    eps_h_path = cached_property(lambda self: self._eps_path(self.theta_h, self.disc_h))
+    eps_d_path = cached_property(lambda self: self._eps_path(self.theta_d, self.disc_d))
+    eps_h_closed = cached_property(
+        lambda self: self._eps_closed(self.dh, self.sigma_f, self.disc_h))
+    eps_d_closed = cached_property(lambda self: self._eps_closed(
+        self.dd, add(_sq(self.W), mul(mul(self.ab2, _sq(self.N)), self.disc_d)), self.disc_d))
 
     # -- evolute coefficients in the Frenet frame basis ---------------------
 
@@ -263,36 +254,21 @@ class FrenetExprs:
             add(_d(c3), add(mul(m, c0), mul(a, c1))),
         )
 
-    @cached_property
-    def evolute_h_coeffs(self) -> tuple:
-        root = fun("sqrt", self.sigma_f)
-        return (div(mul(self.ab2, self.N), root),
-                neg(div(mul(mul(self.M, self.A), self.N), root)),
-                div(self.W, root),
-                ZERO)
-
-    @cached_property
-    def evolute_d_coeffs(self) -> tuple:
-        root = fun("sqrt", neg(self.sigma_f))
-        return (div(mul(self.ab2, self.N), root),
-                neg(div(mul(mul(self.M, self.A), self.N), root)),
-                div(self.W, root),
-                ZERO)
-
-    @cached_property
-    def evolute_h_chain(self) -> list:
-        """(coeffs of E, E', E'', E''') on the hyperbolic side."""
-        chain = [self.evolute_h_coeffs]
+    def _evolute_chain(self, sigma: Expr) -> list:
+        """(coeffs of E, E', E'', E''') of the evolute
+        (A^2 N gamma - M A N n1 + W n2) / sqrt(sigma)."""
+        root = fun("sqrt", sigma)
+        chain = [(div(mul(self.ab2, self.N), root),
+                  neg(div(mul(mul(self.M, self.A), self.N), root)),
+                  div(self.W, root),
+                  ZERO)]
         for _ in range(3):
             chain.append(self.frame_coeff_derivative(chain[-1]))
         return chain
 
-    @cached_property
-    def evolute_d_chain(self) -> list:
-        chain = [self.evolute_d_coeffs]
-        for _ in range(3):
-            chain.append(self.frame_coeff_derivative(chain[-1]))
-        return chain
+    # sigma_F > 0 on the hyperbolic side, -sigma_F > 0 on the de Sitter one
+    evolute_h_chain = cached_property(lambda self: self._evolute_chain(self.sigma_f))
+    evolute_d_chain = cached_property(lambda self: self._evolute_chain(neg(self.sigma_f)))
 
     # -- derivatives and the compiled groups -------------------------------
 
@@ -321,14 +297,11 @@ class FrenetExprs:
     eps_h_closed_program = _program("eps_h_closed", "eps_h_closed1")
     eps_d_closed_program = _program("eps_d_closed", "eps_d_closed1")
 
-    @cached_property
-    def evolute_h_program(self) -> Program:
-        """The 16 frame coefficients of the evolute_h_chain, in order."""
-        return compile([c for coeffs in self.evolute_h_chain for c in coeffs])
-
-    @cached_property
-    def evolute_d_program(self) -> Program:
-        return compile([c for coeffs in self.evolute_d_chain for c in coeffs])
+    # the 16 frame coefficients of each evolute chain, in order
+    evolute_h_program = cached_property(
+        lambda self: compile([c for coeffs in self.evolute_h_chain for c in coeffs]))
+    evolute_d_program = cached_property(
+        lambda self: compile([c for coeffs in self.evolute_d_chain for c in coeffs]))
 
 
 @dataclass(frozen=True)

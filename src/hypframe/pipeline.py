@@ -43,6 +43,9 @@ class SpecValidationError(SpecError):
         self.field = field_name
 
 
+# seed of the duality sampling: a run samples the same points every time
+DUALITY_SEED = 20240229
+
 OUTPUT_PRODUCTS = ("report", "loci_csv", "focal_h_obj", "focal_d_obj",
                    "dual_eh_obj", "dual_ed_obj")
 
@@ -269,16 +272,20 @@ def _definedness(model: FramedCurveModel):
             disc_h[i] = np.nan
             sigma[i] = np.nan
     tolz = model.tol.zero
-    ok = ~degenerate
-    masks = {
-        "focal_h": ok & (disc_h > tolz),
-        "focal_d": ok & (-disc_h > tolz),
-        "evolute_h": ok & (sigma > tolz),
-        "evolute_d": ok & (sigma < -tolz) & (-disc_h > tolz),
-    }
-    masks["dual_eh"] = masks["evolute_h"]
-    masks["dual_ed"] = masks["evolute_d"]
-    return {name: _intervals(ts, mask) for name, mask in masks.items()}, masks
+    masks = {}
+    for side in (_focal.H, _focal.D):
+        masks[side.focal] = ~degenerate & (side.kappa * disc_h > tolz)
+        masks[side.evolute] = masks[side.focal] & (side.kappa * sigma > tolz)
+        masks[side.dual] = masks[side.evolute]
+    order = ("focal_h", "focal_d", "evolute_h", "evolute_d", "dual_eh", "dual_ed")
+    return {name: _intervals(ts, masks[name]) for name in order}, masks
+
+
+# mesh product -> (surface, chart of its quadric)
+_MESHES = {"focal_h_obj": ("focal_h", project_poincare),
+           "focal_d_obj": ("focal_d", project_hollow_ball),
+           "dual_eh_obj": ("dual_eh", project_hollow_ball),
+           "dual_ed_obj": ("dual_ed", project_hollow_ball)}
 
 
 def _theta_grid(spec: CurveSpec):
@@ -286,23 +293,31 @@ def _theta_grid(spec: CurveSpec):
     return np.linspace(tmin, tmax, n)
 
 
-def _duality_summary(model, masks, rng, per_pair=200):
-    ts = model.ts
+def duality_summary(model: FramedCurveModel, intervals=None, per_pair=200) -> dict:
+    """Isotropy residuals and front verdict of each dual pair at per_pair
+    seeded random points inside the pair's defined runs (`intervals`, from
+    the definedness scan, which runs here when they are not given)."""
+    if intervals is None:
+        intervals = _definedness(model)[0]
+    rng = np.random.default_rng(DUALITY_SEED)
     out = {}
-    pair_masks = {"focal_h_mu": masks["focal_h"], "focal_d_mu": masks["focal_d"],
-                  "dual_eh_evolute_h": masks["dual_eh"],
-                  "dual_ed_evolute_d": masks["dual_ed"]}
     for pair in _duality.PAIR_NAMES:
-        usable = ts[pair_masks[pair]]
-        if len(usable) < 2:
+        runs = intervals[_duality.PAIR_SURFACES[pair][1]]
+        total = sum(hi - lo for lo, hi in runs)
+        if total <= 0.0:
             out[pair] = {"status": "skipped", "reason": "surface not defined"}
             continue
-        lo, hi = float(usable[0]), float(usable[-1])
         th_lo, th_hi = _duality.pair_theta_range(pair)
         samples = []
         worst = 0.0
         for _ in range(per_pair):
-            t = lo + (hi - lo) * rng.random()
+            # t uniform on the union of the runs
+            x = total * rng.random()
+            for lo, hi in runs:
+                if x <= hi - lo:
+                    break
+                x -= hi - lo
+            t = lo + x
             th = th_lo + (th_hi - th_lo) * rng.random()
             try:
                 s = _duality.pair_sample(model, pair, t, th)
@@ -324,21 +339,18 @@ def _duality_summary(model, masks, rng, per_pair=200):
 def _classified_loci(model, masks):
     ts = model.ts
     records = []
-    if masks["focal_h"].any():
-        recs = _focal.singular_locus_h(model, ts[masks["focal_h"]])
-        for r in recs:
-            _focal.classify_h(model, r)
-        records.extend(recs)
-    if masks["focal_d"].any():
-        recs = _focal.singular_locus_d(model, ts[masks["focal_d"]])
-        for r in recs:
-            _focal.classify_d(model, r)
-        records.extend(recs)
-    for t in ts[masks["dual_eh"]]:
-        records.append(_evolute.classify_dual_h(model, float(t), 0.0))
-        records.append(_evolute.classify_dual_h(model, float(t), math.pi))
-    for t in ts[masks["dual_ed"]]:
-        records.append(_evolute.classify_dual_d(model, float(t), 0.0))
+    # each side's public bindings, looked up per call so that a rebound
+    # module attribute (a profiler's wrapper) is the one called
+    for side, locus, classify, classify_dual in (
+            (_focal.H, _focal.singular_locus_h, _focal.classify_h, _evolute.classify_dual_h),
+            (_focal.D, _focal.singular_locus_d, _focal.classify_d, _evolute.classify_dual_d)):
+        if masks[side.focal].any():
+            recs = locus(model, ts[masks[side.focal]])
+            for r in recs:
+                classify(model, r)
+            records.extend(recs)
+        for t in ts[masks[side.dual]]:
+            records.extend(classify_dual(model, float(t), theta) for theta in side.dual_zeros)
     return records
 
 
@@ -385,8 +397,7 @@ def run_pipeline(spec: CurveSpec, out_dir=None, tol: Tolerances | None = None) -
     intervals, masks = _definedness(model)
     records = _classified_loci(model, masks)
     corr = _evolute.correspondence_check(model)
-    rng = np.random.default_rng(20240229)
-    dual = _duality_summary(model, masks, rng)
+    dual = duality_summary(model, intervals)
 
     written = []
     if out_dir is not None:
@@ -395,30 +406,19 @@ def run_pipeline(spec: CurveSpec, out_dir=None, tol: Tolerances | None = None) -
         os.makedirs(out_dir, exist_ok=True)
         base = os.path.join(out_dir, _slug(spec.name))
         thetas = _theta_grid(spec)
-        mesh_specs = {
-            "focal_h_obj": ("focal_h", _focal.focal_h_point, project_poincare),
-            "focal_d_obj": ("focal_d", _focal.focal_d_point, project_hollow_ball),
-            "dual_eh_obj": ("dual_eh", _evolute.dual_of_evolute_h, project_hollow_ball),
-            "dual_ed_obj": ("dual_ed", _evolute.dual_of_evolute_d, project_hollow_ball),
-        }
         for product in spec.outputs:
             if product == "loci_csv":
                 path = base + "_loci.csv"
                 export_loci_csv(records, path)
                 written.append(os.path.basename(path))
-            elif product in mesh_specs:
-                surface, pointfn, projection = mesh_specs[product]
+            elif product in _MESHES:
+                surface, projection = _MESHES[product]
                 runs = intervals[surface]
                 if not runs:
                     continue
-                grids = []
-                for lo, hi in runs:
-                    sub = model.ts[(model.ts >= lo) & (model.ts <= hi)]
-                    grid = np.empty((len(sub), len(thetas), 4))
-                    for i, t in enumerate(sub):
-                        for j, th in enumerate(thetas):
-                            grid[i, j] = pointfn(model, float(t), float(th)).as_array()
-                    grids.append(grid)
+                grids = [_focal.surface_grid(
+                    model, surface, model.ts[(model.ts >= lo) & (model.ts <= hi)], thetas)
+                    for lo, hi in runs]
                 path = base + f"_{surface}.obj"
                 export_obj(grids, projection, path)
                 written.append(os.path.basename(path))

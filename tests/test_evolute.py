@@ -12,7 +12,8 @@ from hypframe import (CurvatureQuartet, EvolutePointType, Quadric,
 from hypframe.errors import EvoluteUndefinedError
 from hypframe.evolute import (dual_of_evolute_d_partials,
                               dual_of_evolute_h_partials)
-from hypframe.focal import _eps_values
+from hypframe.focal import (D, H, _eps_values, focal_d_partials, focal_d_point,
+                            focal_h_partials, focal_h_point)
 
 from oracles import bisect_sign_change, cofactor_det4, central_diff, fd_partials
 
@@ -141,6 +142,22 @@ def test_dual_of_evolute_d_isotropy(model_ce_d):
             assert abs(mink_dot(v, e)) <= 1e-8
 
 
+@pytest.mark.parametrize("pointfn, partfn, fixture", [
+    (focal_h_point, focal_h_partials, "model_ce_h_dense"),
+    (focal_d_point, focal_d_partials, "model_ce_d_dense"),
+    (dual_of_evolute_h, dual_of_evolute_h_partials, "model_ce_h_dense"),
+    (dual_of_evolute_d, dual_of_evolute_d_partials, "model_ce_d_dense"),
+], ids=["focal_h", "focal_d", "dual_eh", "dual_ed"])
+def test_partials_match_finite_differences(pointfn, partfn, fixture, request):
+    # the isotropy tests pair the partials with mu or E, blind to an error
+    # along a vector orthogonal to it (mu itself, for the duals of evolutes)
+    model = request.getfixturevalue(fixture)
+    for t, th in ((1.0, 0.4), (1.0, -0.7), (0.5, 1.3), (1.5, 2.6)):
+        fd = fd_partials(lambda a, b: pointfn(model, a, b).as_array(), t, th)
+        for exact, approx in zip(partfn(model, t, th), fd):
+            assert np.abs(exact.as_array() - approx).max() <= 1e-6
+
+
 def test_lambda_dual_values(model_ce_h, model_ce_d):
     assert lambda_dual_h(model_ce_h, 1.0, 0.0) == 0.0
     # determinant-consistent sign: + sin(theta) sqrt(sigma_F) / (A^2 - M^2)
@@ -185,7 +202,7 @@ def test_classify_dual_h_cuspidal_edge(model_ce_h):
 
 def test_classify_dual_h_cross_cap(model_sw):
     # epsilon of the swept family changes sign at t = 0
-    t0 = bisect_sign_change(lambda t: _eps_values(model_sw, t, "h")[0],
+    t0 = bisect_sign_change(lambda t: _eps_values(model_sw, t, H)[0],
                             -0.2, 0.3)
     rec = classify_dual_h(model_sw, t0)
     assert rec.type is SingularityType.CUSPIDAL_CROSS_CAP
@@ -202,7 +219,7 @@ def test_classify_dual_d_cuspidal_edge(model_ce_d):
 
 
 def test_classify_dual_d_cross_cap(model_sw_d):
-    eps = lambda t: _eps_values(model_sw_d, t, "d")[0]
+    eps = lambda t: _eps_values(model_sw_d, t, D)[0]
     ts = np.linspace(0.1, 1.9, 50)
     vals = [eps(float(t)) for t in ts]
     bracket = next((i for i in range(len(ts) - 1)

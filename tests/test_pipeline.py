@@ -287,6 +287,8 @@ def test_cli_run_focal_d_on_two_intervals(tmp_path, capsys):
         assert all(leg["agreements"].values())
     assert len(data["duality"]) == 4
     assert all(p["status"] == "checked" and p["pass"] for p in data["duality"].values())
+    # every draw falls inside a defined run, none in the gap
+    assert all(p["samples"] == 200 for p in data["duality"].values())
 
     # the focal_d mesh holds one patch per defined interval, joined by no face
     runs = data["surfaces"]["focal_d"]["defined_intervals"]
@@ -302,3 +304,18 @@ def test_cli_run_focal_d_on_two_intervals(tmp_path, capsys):
     assert set().union(*faces) == set(range(1, 5 * sum(rows) + 1))
     split = 5 * rows[0]
     assert all(max(f) <= split or min(f) > split for f in faces)
+
+
+@pytest.mark.parametrize("m, n", [("3*sin(t)", "1"), ("3*t^3-t", "0.5")])
+def test_cli_run_evolute_on_two_intervals(tmp_path, capsys, m, n):
+    """The evolute is defined on two intervals; an epsilon sign change
+    between them must not be bisected across the gap."""
+    doc = dict(MINIMAL, name="evolute_gap", curvature={"m": m, "n": n, "a": "1.5", "b": "0"},
+               domain={"t0": -1.6, "t1": 1.6, "samples": 161})
+    out = tmp_path / "out"
+    assert cli_main(["run", "--spec", _write_spec(tmp_path, doc), "--out", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads((out / "evolute_gap_report.json").read_text())
+    assert len(data["surfaces"]["evolute_d"]["defined_intervals"]) == 2
+    checked = [leg for leg in data["correspondence"].values() if leg["status"] == "checked"]
+    assert checked and all(all(leg["agreements"].values()) for leg in checked)
