@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from . import evolute as _evolute
+from . import focal as _focal
 from . import pipeline as _pipe
 from .errors import InvalidInputError, NumericError
 from .framedcurve import FrameSample, integrate_frame, propagation_backend
@@ -125,8 +126,7 @@ def cmd_dual(args) -> int:
 def cmd_classify(args) -> int:
     spec, tol = _load(args)
     model = _model(spec, tol)
-    _, masks = _pipe._definedness(model)
-    records = _pipe._classified_loci(model, masks)
+    records = _pipe._classified_loci(model, _focal.defined_runs(model))
     counts = {}
     for r in records:
         counts[(r.surface, r.type.value)] = counts.get((r.surface, r.type.value), 0) + 1

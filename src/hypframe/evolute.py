@@ -15,13 +15,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .errors import EvoluteUndefinedError, FrameDegenerateError
 from .focal import (D, H, Side, SingularityType, SingularPointRecord,
-                    SurfaceParam, _eps_values, _scale, classify_d, classify_h,
-                    focal_d_point, focal_h_point)
+                    SurfaceParam, _eps_values, _require, _scale, _undefined_at,
+                    classify_d, classify_h, defined_runs, focal_d_point,
+                    focal_h_point)
 from .framedcurve import FramedCurveModel
 from .minkowski import MinkVec
 from .symexpr import eval_expr
@@ -51,28 +52,9 @@ class EvoluteSample:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sigma_scale(data):
-    return (data.A * data.N) ** 2 * abs(data.disc_h) + data.W ** 2
-
-
-def _require_evolute(side: Side, data, model) -> float:
-    """The side's discriminant; raises where its evolute is undefined
-    (kappa sigma_F not positive, or the focal discriminant not positive)."""
-    if side.kappa * data.sigma_f <= model.tol.sing * (1.0 + _sigma_scale(data)):
-        raise EvoluteUndefinedError(
-            f"sigma_F = {data.sigma_f!r} at t={data.t!r} is not {side.sigma_text}: "
-            f"{side.label} evolute undefined")
-    disc = side.columns(data)[0]
-    if disc <= model.tol.zero:
-        raise EvoluteUndefinedError(
-            f"{side.disc_text} = {disc!r} at t={data.t!r}: "
-            f"{side.label} evolute undefined")
-    return disc
-
-
 def _evolute_sample(model, t, side: Side) -> EvoluteSample:
     data = model.frenet_data_at(t)
-    _require_evolute(side, data, model)
+    _require(side, data, model, evolute=True)
     f = model.frenet_frame_at(t)
     coeffs = eval_expr(side.evolute_program(model.frenet), t)
     vecs = [MinkVec.from_array(np.array(coeffs[k:k + 4]) @ f) for k in range(0, 16, 4)]
@@ -114,7 +96,7 @@ def evolute_d(model: FramedCurveModel, t: float) -> EvoluteSample:
 
 def _dual_point(side: Side, model, t, theta) -> MinkVec:
     data = model.frenet_data_at(t)
-    disc = _require_evolute(side, data, model)
+    disc = _require(side, data, model, evolute=True)[0]
     f = model.frenet_frame_at(t)
     r = math.sqrt(disc)
     row = side.dual_c(theta) * f[3] \
@@ -124,7 +106,7 @@ def _dual_point(side: Side, model, t, theta) -> MinkVec:
 
 def _dual_partials(side: Side, model, t, theta):
     data = model.frenet_data_at(t)
-    disc = _require_evolute(side, data, model)
+    disc = _require(side, data, model, evolute=True)[0]
     f = model.frenet_frame_at(t)
     r = math.sqrt(disc)
     k, c, s = side.kappa, side.dual_c(theta), side.dual_s(theta)
@@ -138,7 +120,7 @@ def _dual_partials(side: Side, model, t, theta):
 
 def _lambda_dual(side: Side, model, t, theta) -> float:
     data = model.frenet_data_at(t)
-    disc = _require_evolute(side, data, model)
+    disc = _require(side, data, model, evolute=True)[0]
     return side.kappa * side.dual_s(theta) * math.sqrt(side.kappa * data.sigma_f) / disc
 
 
@@ -177,7 +159,7 @@ def lambda_dual_d(model: FramedCurveModel, t: float, theta: float) -> float:
 
 def _classify_dual(model, t0, side: Side, theta0) -> DualSurfaceRecord:
     data = model.frenet_data_at(t0)
-    _require_evolute(side, data, model)
+    _require(side, data, model, evolute=True)
     lam = _lambda_dual(side, model, t0, theta0)
     eps, eps1 = eval_expr(side.eps_closed(model.frenet), t0)
     s = _scale(data)
@@ -272,8 +254,11 @@ class CorrespondenceReport:
         return out
 
 
-def _bisect_eps_zero(model, side, ta, tb, ea, eb, iters=80):
-    for _ in range(iters):
+BISECT_ITERS = 80
+
+
+def _bisect_eps_zero(model, side, ta, tb, ea, eb):
+    for _ in range(BISECT_ITERS):
         tm = 0.5 * (ta + tb)
         em = _eps_values(model, tm, side)[0]
         if em == 0.0:
@@ -287,24 +272,16 @@ def _bisect_eps_zero(model, side, ta, tb, ea, eb, iters=80):
     return 0.5 * (ta + tb)
 
 
-def _leg(model, ts, side: Side, bindings) -> LegReport:
-    """Correspondence checks on one side; bindings are that side's public
-    (focal point, classify, evolute, classify_dual) functions, passed in
-    so that a rebound module attribute (a profiler's wrapper) is called."""
+def _leg(model, ts, runs, side: Side, bindings) -> LegReport:
+    """Correspondence checks on one side, over the index runs of ts where
+    its evolute is defined; bindings are that side's public (focal point,
+    classify, evolute, classify_dual) functions, passed in so that a
+    rebound module attribute (a profiler's wrapper) is called."""
     focal_point, classify, evolute, classify_dual = bindings
-    usable = []  # (grid index, t)
-    skip_reason = None
-    for i, t in enumerate(ts):
-        t = float(t)
-        try:
-            _require_evolute(side, model.frenet_data_at(t), model)
-        except (FrameDegenerateError, EvoluteUndefinedError) as exc:
-            skip_reason = str(exc)
-            continue
-        usable.append((i, t))
-    if not usable:
+    if not runs:
+        reason = _undefined_at(model, float(ts[-1]), side, evolute=True) if len(ts) else None
         return LegReport(status="skipped",
-                         reason=skip_reason or "evolute undefined on the whole grid")
+                         reason=reason or "evolute undefined on the whole grid")
 
     def at(t):
         """Focal record, evolute sample, dual record and the distance from
@@ -318,11 +295,12 @@ def _leg(model, ts, side: Side, bindings) -> LegReport:
         dist = (focal_point(model, t, theta) - es.point).max_abs()
         return rec, es, classify_dual(model, t), dist
 
-    leg = LegReport(status="checked", points=len(usable))
+    leg = LegReport(status="checked", points=sum(map(len, runs)))
     agreements = {}
     max_dist = 0.0
-    eps_trace = []
-    for i, t in usable:
+    eps = {}  # grid index -> epsilon
+    for i in chain.from_iterable(runs):
+        t = float(ts[i])
         rec, es, dual, dist = at(t)
         max_dist = max(max_dist, dist)
         regular = es.point_type is EvolutePointType.REGULAR_POINT
@@ -347,15 +325,17 @@ def _leg(model, ts, side: Side, bindings) -> LegReport:
                                      "focal": rec.type.value,
                                      "evolute": es.point_type.value,
                                      "dual": dual.type.value})
-        eps_trace.append((i, t, es.epsilon))
+        eps[i] = es.epsilon
 
     # epsilon sign changes between grid neighbours of one defined run:
     # locate the crossing and classify there
-    crossing_ts = [t for _, t, e in eps_trace if e == 0.0]
-    for (ia, ta, ea), (ib, tb, eb) in zip(eps_trace, eps_trace[1:]):
-        if ib != ia + 1 or ea == 0.0 or eb == 0.0 or (ea < 0) == (eb < 0):
-            continue
-        crossing_ts.append(_bisect_eps_zero(model, side, ta, tb, ea, eb))
+    crossing_ts = [float(ts[i]) for i, e in eps.items() if e == 0.0]
+    for run in runs:
+        for ia, ib in zip(run, run[1:]):
+            ea, eb = eps[ia], eps[ib]
+            if ea != 0.0 and eb != 0.0 and (ea < 0) != (eb < 0):
+                crossing_ts.append(_bisect_eps_zero(model, side, float(ts[ia]),
+                                                    float(ts[ib]), ea, eb))
     for t_star in sorted(crossing_ts):
         rec, es, dual, dist = at(t_star)
         max_dist = max(max_dist, dist)
@@ -387,18 +367,19 @@ def correspondence_check(model: FramedCurveModel, ts=None) -> CorrespondenceRepo
     Per grid point on each defined leg: image-coincidence distance between
     the focal surface along its singular curve and the evolute, and the
     type agreements (cuspidal edge <-> regular, swallowtail <-> cusp <->
-    cuspidal cross cap).  Epsilon sign changes between grid neighbours
-    are located by bisection and the three classifications compared at
-    the crossing.  Undefined legs are reported as skipped with the reason.
+    cuspidal cross cap).  Epsilon sign changes between grid neighbours of
+    one defined run are located by bisection and the three classifications
+    compared there.  Undefined legs are reported as skipped with the reason.
     """
     if ts is None:
         ts = model.ts
+    runs = defined_runs(model, ts)
     # each side's public bindings, looked up per call (see _leg)
     return CorrespondenceReport(
-        hyperbolic=_leg(model, ts, H, (focal_h_point, classify_h, evolute_h,
-                                       classify_dual_h)),
-        desitter=_leg(model, ts, D, (focal_d_point, classify_d, evolute_d,
-                                     classify_dual_d)))
+        hyperbolic=_leg(model, ts, runs[H.evolute], H,
+                        (focal_h_point, classify_h, evolute_h, classify_dual_h)),
+        desitter=_leg(model, ts, runs[D.evolute], D,
+                      (focal_d_point, classify_d, evolute_d, classify_dual_d)))
 
 
 __all__ = [

@@ -23,7 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, SurfaceUndefinedError
+from .errors import (EvoluteUndefinedError, FrameDegenerateError, InvalidInputError,
+                     SurfaceUndefinedError)
 from .framedcurve import FramedCurveModel, FrenetData
 from .minkowski import MinkVec
 from .symexpr import ExprDomainError, eval_expr
@@ -137,14 +138,63 @@ def _scale(data: FrenetData) -> float:
     return max(abs(v) for v in vals)
 
 
-def _require(side: Side, data: FrenetData, model: FramedCurveModel) -> tuple:
-    """The side's (disc, D, D', D''); raises where its focal surface is undefined."""
-    cols = side.columns(data)
-    if cols[0] <= model.tol.zero:
-        raise SurfaceUndefinedError(
-            f"{side.disc_text} = {cols[0]!r} at t={data.t!r}: "
-            f"{side.label} focal surface undefined")
-    return cols
+# ---------------------------------------------------------------------------
+# Where each surface is defined
+
+
+def _undefined(side: Side, data: FrenetData, tol, evolute: bool = False):
+    """The definedness rule: why the side's focal surface (with `evolute`,
+    its evolute and the dual of that) is undefined at data.t; None where it
+    is defined.  frenet_data_at has already required a^2 + b^2 > tol.zero."""
+    if evolute:
+        sigma_scale = (data.A * data.N) ** 2 * abs(data.disc_h) + data.W ** 2
+        if side.kappa * data.sigma_f <= tol.sing * (1.0 + sigma_scale):
+            return (f"sigma_F = {data.sigma_f!r} at t={data.t!r} is not "
+                    f"{side.sigma_text}: {side.label} evolute undefined")
+    disc = side.columns(data)[0]
+    if disc <= tol.zero:
+        what = "evolute" if evolute else "focal surface"
+        return f"{side.disc_text} = {disc!r} at t={data.t!r}: {side.label} {what} undefined"
+    return None
+
+
+def _undefined_at(model: FramedCurveModel, t: float, side: Side, evolute: bool = False):
+    """_undefined at t, where a^2 + b^2 may vanish too."""
+    try:
+        data = model.frenet_data_at(t)
+    except FrameDegenerateError as exc:
+        return str(exc)
+    return _undefined(side, data, model.tol, evolute)
+
+
+def _require(side: Side, data: FrenetData, model: FramedCurveModel,
+             evolute: bool = False) -> tuple:
+    """The side's (disc, D, D', D''); raises where _undefined gives a reason."""
+    why = _undefined(side, data, model.tol, evolute)
+    if why:
+        raise (EvoluteUndefinedError if evolute else SurfaceUndefinedError)(why)
+    return side.columns(data)
+
+
+# surface name -> (its side, whether the evolute's condition applies), in report order
+SURFACES = {H.focal: (H, False), D.focal: (D, False), H.evolute: (H, True),
+            D.evolute: (D, True), H.dual: (H, True), D.dual: (D, True)}
+
+
+def defined_runs(model: FramedCurveModel, ts=None) -> dict:
+    """Each name of SURFACES -> the maximal index ranges of the grid ts (the
+    model's samples by default) on which that surface is defined."""
+    if ts is None:
+        ts = model.ts
+    # t outermost: frenet_data_at keeps only the last t's answer
+    ok = [[_undefined_at(model, float(t), *rule) is None for rule in SURFACES.values()]
+          for t in ts]
+    runs = {}
+    for k, name in enumerate(SURFACES):
+        # a run starts, and the next stops, where the column changes value
+        edges = np.flatnonzero(np.diff([False, *(row[k] for row in ok), False])).tolist()
+        runs[name] = [range(a, b) for a, b in zip(edges[::2], edges[1::2])]
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +296,17 @@ def _root_record(side: Side, t: float, data: FrenetData, theta: float,
         sigma_f=data.sigma_f, whole_fiber=whole_fiber, diagnostics=diag)
 
 
-def singular_locus_h(model: FramedCurveModel, ts=None,
-                     fiber_window=(-3.0, 3.0), fiber_count=13):
+# a whole-fiber record holds FIBER_COUNT thetas, over FIBER_WINDOW on a line fiber
+FIBER_WINDOW = (-3.0, 3.0)
+FIBER_COUNT = 13
+REFINE_DEPTH = 6  # halvings of a grid step where the d-locus branch jumps
+
+
+def singular_locus_h(model: FramedCurveModel, ts=None):
     """Singular points of the hyperbolic focal surface over the grid.
 
     Per grid t: a whole-fiber family when (W, Dh) vanishes, the unique
-    root theta = artanh(W / Dh) when sigma_F > 0, nothing otherwise.
+    root theta = artanh(W / Dh) where the evolute is defined, nothing else.
     """
     if ts is None:
         ts = model.ts
@@ -262,11 +317,10 @@ def singular_locus_h(model: FramedCurveModel, ts=None,
         _require(H, data, model)
         s = _scale(data)
         if is_zero(data.W, s, model.tol.sing) and is_zero(data.Dh, s, model.tol.sing):
-            thetas = np.linspace(fiber_window[0], fiber_window[1], fiber_count)
+            thetas = np.linspace(FIBER_WINDOW[0], FIBER_WINDOW[1], FIBER_COUNT)
             records.extend(_root_record(H, t, data, float(th), whole_fiber=True) for th in thetas)
             continue
-        sigma_scale = abs(data.A * data.N) ** 2 * abs(data.disc_h) + data.W ** 2
-        if data.sigma_f > model.tol.sing * (1.0 + sigma_scale):
+        if not _undefined(H, data, model.tol, evolute=True):
             records.append(_root_record(H, t, data, math.atanh(data.W / data.Dh)))
     return records
 
@@ -284,14 +338,14 @@ def _norm_circle(x):
     return y
 
 
-def singular_locus_d(model: FramedCurveModel, ts=None,
-                     fiber_count=13, _depth=6):
+def singular_locus_d(model: FramedCurveModel, ts=None):
     """Singular points of the de Sitter focal surface over the grid.
 
     The circle fiber always meets the singular set when (W, Dd) does not
     vanish: the two roots of tan(theta) = W / Dd, normalized to [0, 2pi).
     Neighboring roots jumping by more than pi/2 trigger grid refinement,
-    keeping the reported branch continuous in t.
+    keeping the reported branch continuous in t; a midpoint where the
+    surface is undefined is skipped.
     """
     if ts is None:
         ts = model.ts
@@ -302,32 +356,26 @@ def singular_locus_d(model: FramedCurveModel, ts=None,
         _require(D, data, model)
         s = _scale(data)
         if is_zero(data.W, s, model.tol.sing) and is_zero(data.Dd, s, model.tol.sing):
-            thetas = np.linspace(0.0, 2.0 * math.pi, fiber_count, endpoint=False)
+            thetas = np.linspace(0.0, 2.0 * math.pi, FIBER_COUNT, endpoint=False)
             entries.append((t, None, data, thetas))
         else:
             theta = _norm_circle(math.atan2(data.W, data.Dd))
             entries.append((t, theta, data, None))
 
     # refine where the principal branch jumps
-    refined = []
-    for i, entry in enumerate(entries):
-        refined.append(entry)
-        if i + 1 >= len(entries):
-            continue
-        t_a, th_a = entry[0], entry[1]
-        t_b, th_b = entries[i + 1][0], entries[i + 1][1]
+    refined = list(entries)
+    for (t_a, th_a, *_), (t_b, th_b, *_) in zip(entries, entries[1:]):
         if th_a is None or th_b is None:
             continue
-        depth = 0
-        stack = [(t_a, th_a, t_b, th_b, depth)]
+        stack = [(t_a, th_a, t_b, th_b, 0)]
         while stack:
             ta, tha, tb, thb, depth = stack.pop()
-            if _circ_gap(tha, thb) <= 0.5 * math.pi or depth >= _depth:
+            if _circ_gap(tha, thb) <= 0.5 * math.pi or depth >= REFINE_DEPTH:
                 continue
             tm = 0.5 * (ta + tb)
+            if _undefined_at(model, tm, D):
+                continue
             data_m = model.frenet_data_at(tm)
-            if data_m.disc_d <= model.tol.zero:
-                continue  # the pair straddles a gap where the surface is undefined
             thm = _norm_circle(math.atan2(data_m.W, data_m.Dd))
             refined.append((tm, thm, data_m, None))
             stack.append((ta, tha, tm, thm, depth + 1))

@@ -437,9 +437,9 @@ class FramedCurveModel:
         disc_d = -disc_h
         data = dict(t=t, M=M, N=N, A=math.sqrt(ab2), B=0.0, M1=M1, N1=N1, A1=A1,
                     W=W, W1=W1, W2=W2, sigma_f=sigma_f, disc_h=disc_h, disc_d=disc_d)
-        if disc_h > self.tol.zero:
+        if disc_h > 0.0:
             data.update(zip(("Dh", "Dh1", "Dh2"), eval_expr(fe.dh_program, t)))
-        if disc_d > self.tol.zero:
+        if disc_d > 0.0:
             data.update(zip(("Dd", "Dd1", "Dd2"), eval_expr(fe.dd_program, t)))
         out = FrenetData(**data)
         self._last_frenet = (key, out)
@@ -457,12 +457,16 @@ def frenet_convert(model: FramedCurveModel, t: float):
 # Integration driver
 
 
-def _validate_initial(initial: FrameSample, tol_abs=1e-12):
-    if initial.pairing_residual() > tol_abs:
+# the pairing and orientation residuals an initial frame may carry
+INITIAL_FRAME_TOL = 1e-12
+
+
+def _validate_initial(initial: FrameSample):
+    if initial.pairing_residual() > INITIAL_FRAME_TOL:
         raise InvalidInputError(
             f"initial frame pairing residual {initial.pairing_residual():.3e} "
-            f"exceeds {tol_abs:g}")
-    if initial.wedge_residual() > tol_abs:
+            f"exceeds {INITIAL_FRAME_TOL:g}")
+    if initial.wedge_residual() > INITIAL_FRAME_TOL:
         raise InvalidInputError(
             "initial frame orientation must satisfy mu = -(gamma ^ v1 ^ v2) "
             "(det = +1, the orientation of the standard frame)")

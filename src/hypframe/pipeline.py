@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import duality as _duality
 from . import evolute as _evolute
 from . import focal as _focal
 from .errors import (FrameDegenerateError, HypframeError, InvalidInputError,
-                     NumericError, SurfaceUndefinedError)
+                     SurfaceUndefinedError)
 from .framedcurve import (CurvatureQuartet, FrameSample, FramedCurveModel,
                           integrate_frame, propagation_backend)
 from .minkowski import MinkVec, Quadric, membership_residual
@@ -45,6 +46,7 @@ class SpecValidationError(SpecError):
 
 # seed of the duality sampling: a run samples the same points every time
 DUALITY_SEED = 20240229
+DUALITY_SAMPLES = 200
 
 OUTPUT_PRODUCTS = ("report", "loci_csv", "focal_h_obj", "focal_d_obj",
                    "dual_eh_obj", "dual_ed_obj")
@@ -241,44 +243,9 @@ def export_loci_csv(records, path) -> None:
 # Full pipeline
 
 
-def _intervals(ts, mask):
-    """Contiguous [t_lo, t_hi] runs where mask holds."""
-    out = []
-    start = None
-    for i, ok in enumerate(mask):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            out.append([float(ts[start]), float(ts[i - 1])])
-            start = None
-    if start is not None:
-        out.append([float(ts[start]), float(ts[-1])])
-    return out
-
-
-def _definedness(model: FramedCurveModel):
-    """Per-surface defined intervals scanned on the sample grid."""
-    ts = model.ts
-    disc_h = np.empty(len(ts))
-    sigma = np.empty(len(ts))
-    degenerate = np.zeros(len(ts), dtype=bool)
-    for i, t in enumerate(ts):
-        try:
-            data = model.frenet_data_at(float(t))
-            disc_h[i] = data.disc_h
-            sigma[i] = data.sigma_f
-        except FrameDegenerateError:
-            degenerate[i] = True
-            disc_h[i] = np.nan
-            sigma[i] = np.nan
-    tolz = model.tol.zero
-    masks = {}
-    for side in (_focal.H, _focal.D):
-        masks[side.focal] = ~degenerate & (side.kappa * disc_h > tolz)
-        masks[side.evolute] = masks[side.focal] & (side.kappa * sigma > tolz)
-        masks[side.dual] = masks[side.evolute]
-    order = ("focal_h", "focal_d", "evolute_h", "evolute_d", "dual_eh", "dual_ed")
-    return {name: _intervals(ts, masks[name]) for name in order}, masks
+def _spans(ts, runs) -> list:
+    """The [t_lo, t_hi] span of each index run of ts."""
+    return [[float(ts[run[0]]), float(ts[run[-1]])] for run in runs]
 
 
 # mesh product -> (surface, chart of its quadric)
@@ -293,27 +260,28 @@ def _theta_grid(spec: CurveSpec):
     return np.linspace(tmin, tmax, n)
 
 
-def duality_summary(model: FramedCurveModel, intervals=None, per_pair=200) -> dict:
-    """Isotropy residuals and front verdict of each dual pair at per_pair
-    seeded random points inside the pair's defined runs (`intervals`, from
-    the definedness scan, which runs here when they are not given)."""
-    if intervals is None:
-        intervals = _definedness(model)[0]
+def duality_summary(model: FramedCurveModel, runs=None) -> dict:
+    """Isotropy residuals and front verdict of each dual pair at
+    DUALITY_SAMPLES seeded random points inside the t spans of the pair's
+    defined runs (`runs`, from the definedness scan, which runs here when
+    they are not given)."""
+    if runs is None:
+        runs = _focal.defined_runs(model)
     rng = np.random.default_rng(DUALITY_SEED)
     out = {}
     for pair in _duality.PAIR_NAMES:
-        runs = intervals[_duality.PAIR_SURFACES[pair][1]]
-        total = sum(hi - lo for lo, hi in runs)
+        spans = _spans(model.ts, runs[_duality.PAIR_SURFACES[pair][1]])
+        total = sum(hi - lo for lo, hi in spans)
         if total <= 0.0:
             out[pair] = {"status": "skipped", "reason": "surface not defined"}
             continue
         th_lo, th_hi = _duality.pair_theta_range(pair)
         samples = []
         worst = 0.0
-        for _ in range(per_pair):
-            # t uniform on the union of the runs
+        for _ in range(DUALITY_SAMPLES):
+            # t uniform on the union of the spans
             x = total * rng.random()
-            for lo, hi in runs:
+            for lo, hi in spans:
                 if x <= hi - lo:
                     break
                 x -= hi - lo
@@ -336,7 +304,7 @@ def duality_summary(model: FramedCurveModel, intervals=None, per_pair=200) -> di
     return out
 
 
-def _classified_loci(model, masks):
+def _classified_loci(model, runs):
     ts = model.ts
     records = []
     # each side's public bindings, looked up per call so that a rebound
@@ -344,13 +312,13 @@ def _classified_loci(model, masks):
     for side, locus, classify, classify_dual in (
             (_focal.H, _focal.singular_locus_h, _focal.classify_h, _evolute.classify_dual_h),
             (_focal.D, _focal.singular_locus_d, _focal.classify_d, _evolute.classify_dual_d)):
-        if masks[side.focal].any():
-            recs = locus(model, ts[masks[side.focal]])
+        for run in runs[side.focal]:
+            recs = locus(model, ts[run.start:run.stop])
             for r in recs:
                 classify(model, r)
             records.extend(recs)
-        for t in ts[masks[side.dual]]:
-            records.extend(classify_dual(model, float(t), theta) for theta in side.dual_zeros)
+        for i in chain.from_iterable(runs[side.dual]):
+            records.extend(classify_dual(model, float(ts[i]), theta) for theta in side.dual_zeros)
     return records
 
 
@@ -394,10 +362,10 @@ def run_pipeline(spec: CurveSpec, out_dir=None, tol: Tolerances | None = None) -
             spec.domain[0], np.array(spec.initial_frame).reshape(4, 4))
     model = integrate_frame(quartet, spec.domain, initial=initial, tol=tol)
 
-    intervals, masks = _definedness(model)
-    records = _classified_loci(model, masks)
+    runs = _focal.defined_runs(model)
+    records = _classified_loci(model, runs)
     corr = _evolute.correspondence_check(model)
-    dual = duality_summary(model, intervals)
+    dual = duality_summary(model, runs)
 
     written = []
     if out_dir is not None:
@@ -413,12 +381,11 @@ def run_pipeline(spec: CurveSpec, out_dir=None, tol: Tolerances | None = None) -
                 written.append(os.path.basename(path))
             elif product in _MESHES:
                 surface, projection = _MESHES[product]
-                runs = intervals[surface]
-                if not runs:
+                if not runs[surface]:
                     continue
                 grids = [_focal.surface_grid(
-                    model, surface, model.ts[(model.ts >= lo) & (model.ts <= hi)], thetas)
-                    for lo, hi in runs]
+                    model, surface, model.ts[run.start:run.stop], thetas)
+                    for run in runs[surface]]
                 path = base + f"_{surface}.obj"
                 export_obj(grids, projection, path)
                 written.append(os.path.basename(path))
@@ -439,8 +406,8 @@ def run_pipeline(spec: CurveSpec, out_dir=None, tol: Tolerances | None = None) -
             "max_drift": model.max_drift,
             "max_drift_t": model.max_drift_t,
         },
-        "surfaces": {name: {"defined_intervals": runs}
-                     for name, runs in intervals.items()},
+        "surfaces": {name: {"defined_intervals": _spans(model.ts, rs)}
+                     for name, rs in runs.items()},
         "loci": [{
             "surface": r.surface, "t": r.param.t, "theta": r.param.theta,
             "lambda": r.lam, "sigma_F": r.sigma_f, "type": r.type.value,

@@ -319,3 +319,44 @@ def test_cli_run_evolute_on_two_intervals(tmp_path, capsys, m, n):
     assert len(data["surfaces"]["evolute_d"]["defined_intervals"]) == 2
     checked = [leg for leg in data["correspondence"].values() if leg["status"] == "checked"]
     assert checked and all(all(leg["agreements"].values()) for leg in checked)
+
+
+# Valid specs that exited 2.  The scan and the evolute tested sigma_F
+# against different thresholds, so the last grid point of the first spec
+# was classified on a hyperbolic evolute that is undefined there.  In the
+# second, a^2 + b^2 = 0 at t = 0 splits the de Sitter surfaces into two
+# runs, and the d-locus was refined across the gap between them.
+@pytest.mark.parametrize("curvature, domain, runs, events", [
+    ({"m": "t", "n": "1", "a": "2", "b": "0"}, (0.0, 1.7320508074, 11),
+     {"focal_h": [(0, 11)], "evolute_h": [(0, 10)], "dual_eh": [(0, 10)]},
+     [("Swallowtail", "Cusp234", "CuspidalCrossCap")]),
+    ({"m": "2", "n": "1", "a": "t", "b": "0"}, (-1.0, 1.0, 21),
+     {"focal_d": [(0, 10), (11, 21)], "evolute_d": [(0, 10), (11, 21)],
+      "dual_ed": [(0, 10), (11, 21)]}, []),
+], ids=["sigma_threshold", "frame_gap"])
+def test_every_subcommand_on_split_runs(tmp_path, capsys, curvature, domain, runs, events):
+    t0, t1, samples = domain
+    doc = dict(MINIMAL, name="split", curvature=curvature,
+               domain={"t0": t0, "t1": t1, "samples": samples},
+               outputs=["report", "loci_csv", "focal_h_obj", "focal_d_obj",
+                        "dual_eh_obj", "dual_ed_obj"])
+    spec = _write_spec(tmp_path, doc)
+    for sub in ("integrate", "focal", "evolute", "dual", "classify", "verify", "run"):
+        assert cli_main([sub, "--spec", spec, "--out", str(tmp_path / sub)]) == 0, sub
+    capsys.readouterr()
+    data = json.loads((tmp_path / "run" / "split_report.json").read_text())
+
+    ts = t0 + (t1 - t0) / (samples - 1) * np.arange(samples)
+    ts[-1] = t1
+    for name, surface in data["surfaces"].items():
+        expect = [[float(ts[a]), float(ts[b - 1])] for a, b in runs.get(name, [])]
+        assert surface["defined_intervals"] == expect, name
+    # every record lies inside a run of its surface, none in a gap
+    for rec in data["loci"]:
+        spans = data["surfaces"][rec["surface"]]["defined_intervals"]
+        assert any(lo <= rec["t"] <= hi for lo, hi in spans)
+    legs = [leg for leg in data["correspondence"].values() if leg["status"] == "checked"]
+    assert legs and all(all(leg["agreements"].values()) for leg in legs)
+    assert [(e["focal_type"], e["evolute_type"], e["dual_type"])
+            for leg in legs for e in leg["events"]] == events
+    assert all(p["pass"] for p in data["duality"].values() if p["status"] == "checked")
