@@ -20,9 +20,9 @@ from itertools import chain
 import numpy as np
 
 from .focal import (D, H, Side, SingularityType, SingularPointRecord,
-                    SurfaceParam, _eps_values, _require, _scale, _undefined_at,
-                    classify_d, classify_h, defined_runs, focal_d_point,
-                    focal_h_point)
+                    SurfaceParam, _eps_values, _frame_data, _point, _require,
+                    _scale, _undefined_at, classify_d, classify_h, defined_runs,
+                    focal_d_point, focal_h_point)
 from .framedcurve import FramedCurveModel
 from .minkowski import MinkVec
 from .symexpr import eval_expr
@@ -94,21 +94,8 @@ def evolute_d(model: FramedCurveModel, t: float) -> EvoluteSample:
 # the side's dual fiber pair (c, s), for which c' = -kappa s.
 
 
-def _dual_point(side: Side, model, t, theta) -> MinkVec:
-    data = model.frenet_data_at(t)
-    disc = _require(side, data, model, evolute=True)[0]
-    f = model.frenet_frame_at(t)
-    r = math.sqrt(disc)
-    row = side.dual_c(theta) * f[3] \
-        + (side.dual_s(theta) / r) * (-data.M * f[0] + data.A * f[1])
-    return MinkVec.from_array(row)
-
-
 def _dual_partials(side: Side, model, t, theta):
-    data = model.frenet_data_at(t)
-    disc = _require(side, data, model, evolute=True)[0]
-    f = model.frenet_frame_at(t)
-    r = math.sqrt(disc)
+    data, f, r = _frame_data(side, model, t, dual=True)
     k, c, s = side.kappa, side.dual_c(theta), side.dual_s(theta)
     ft = (c * data.M + k * s * data.A * data.W / r ** 3) * f[0] \
         + (-c * data.A - k * s * data.M * data.W / r ** 3) * f[1] \
@@ -126,7 +113,7 @@ def _lambda_dual(side: Side, model, t, theta) -> float:
 
 def dual_of_evolute_h(model: FramedCurveModel, t: float, theta: float) -> MinkVec:
     """cos(theta) mu + sin(theta) (-M gamma + A n1)/sqrt(A^2-M^2), in S31."""
-    return _dual_point(H, model, t, theta)
+    return _point(H, model, t, theta, dual=True)
 
 
 def dual_of_evolute_h_partials(model, t, theta):
@@ -145,7 +132,7 @@ def lambda_dual_h(model: FramedCurveModel, t: float, theta: float) -> float:
 
 def dual_of_evolute_d(model: FramedCurveModel, t: float, theta: float) -> MinkVec:
     """cosh(theta) mu + sinh(theta) (-M gamma + A n1)/sqrt(M^2-A^2), in S31."""
-    return _dual_point(D, model, t, theta)
+    return _point(D, model, t, theta, dual=True)
 
 
 def dual_of_evolute_d_partials(model, t, theta):

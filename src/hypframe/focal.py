@@ -186,7 +186,7 @@ def defined_runs(model: FramedCurveModel, ts=None) -> dict:
     model's samples by default) on which that surface is defined."""
     if ts is None:
         ts = model.ts
-    # t outermost: frenet_data_at keeps only the last t's answer
+    # t outermost: frenet_data_at and frenet_frame_at keep only the last t's answer
     ok = [[_undefined_at(model, float(t), *rule) is None for rule in SURFACES.values()]
           for t in ts]
     runs = {}
@@ -201,21 +201,36 @@ def defined_runs(model: FramedCurveModel, ts=None) -> dict:
 # Points, partials, discriminants
 
 
-def _point(side: Side, model: FramedCurveModel, t: float, theta: float) -> MinkVec:
+def _frame_data(side: Side, model: FramedCurveModel, t: float, dual: bool = False):
+    """(data, Frenet frame, sqrt(disc)) at t; raises where _undefined gives a reason."""
     data = model.frenet_data_at(t)
-    disc = _require(side, data, model)[0]
-    f = model.frenet_frame_at(t)
-    r = math.sqrt(disc)
-    row = (side.c(theta) / r) * (data.A * f[0] - data.M * f[1]) \
-        + side.s(theta) * f[2]
-    return MinkVec.from_array(row)
+    r = math.sqrt(_require(side, data, model, evolute=dual)[0])
+    return data, model.frenet_frame_at(t), r
+
+
+def _fiber_points(side: Side, model, t: float, c, s, dual: bool = False) -> np.ndarray:
+    """The side's focal surface (with `dual`, the dual of its evolute) at t,
+    one row per entry of the fiber arrays c and s."""
+    data, f, r = _frame_data(side, model, t, dual)
+    outer = np.multiply.outer
+    if dual:
+        return outer(c, f[3]) + outer(s / r, -data.M * f[0] + data.A * f[1])
+    return outer(c / r, data.A * f[0] - data.M * f[1]) + outer(s, f[2])
+
+
+def _fiber(side: Side, thetas, dual: bool = False):
+    """The fiber pair (c, s) of the focal surface (with `dual`, of the dual of
+    the evolute) at each of thetas, as arrays of the side's libm values."""
+    fns = (side.dual_c, side.dual_s) if dual else (side.c, side.s)
+    return [np.array([fn(th) for th in thetas]) for fn in fns]
+
+
+def _point(side: Side, model, t: float, theta: float, dual: bool = False) -> MinkVec:
+    return MinkVec.from_array(_fiber_points(side, model, t, *_fiber(side, [theta], dual), dual))
 
 
 def _partials(side: Side, model: FramedCurveModel, t: float, theta: float):
-    data = model.frenet_data_at(t)
-    disc = _require(side, data, model)[0]
-    f = model.frenet_frame_at(t)
-    r = math.sqrt(disc)
+    data, f, r = _frame_data(side, model, t)
     k, c, s = side.kappa, side.c(theta), side.s(theta)
     ft = (-k * c * data.M * data.W / r ** 3) * f[0] \
         + (k * c * data.A * data.W / r ** 3 - s * data.N) * f[1] \
@@ -515,23 +530,23 @@ def surface_grid(model: FramedCurveModel, which: str, ts, thetas) -> np.ndarray:
     """Row-major grid of surface points, shape (len(ts), len(thetas), 4).
 
     which names a focal surface ("focal_h", "focal_d") or the dual of an
-    evolute ("dual_eh", "dual_ed").
+    evolute ("dual_eh", "dual_ed").  Each row is one _fiber_points call.
     """
-    from . import evolute  # evolute imports this module
-
-    pointfn = {H.focal: focal_h_point, D.focal: focal_d_point,
-               H.dual: evolute.dual_of_evolute_h,
-               D.dual: evolute.dual_of_evolute_d}.get(which)
-    if pointfn is None:
+    if which not in (H.focal, D.focal, H.dual, D.dual):
         raise InvalidInputError(f"unknown surface {which!r}")
-    ts = np.asarray(ts, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
+    side, dual = SURFACES[which]
+    ts = np.asarray(ts, dtype=float).tolist()
+    thetas = np.asarray(thetas, dtype=float).tolist()
     out = np.empty((len(ts), len(thetas), 4))
+    if not thetas:
+        return out
+    c, s = _fiber(side, thetas, dual)
     for i, t in enumerate(ts):
-        for j, th in enumerate(thetas):
-            try:
-                out[i, j] = pointfn(model, float(t), float(th)).as_array()
-            except SurfaceUndefinedError as exc:
-                raise SurfaceUndefinedError(
-                    f"grid point (i={i}, j={j}): {exc}") from exc
+        try:
+            out[i] = _fiber_points(side, model, t, c, s, dual)
+        except SurfaceUndefinedError as exc:
+            raise SurfaceUndefinedError(f"grid point (i={i}, j=0): {exc}") from exc
+    if not np.isfinite(out).all():
+        raise InvalidInputError(
+            f"non-finite component in MinkVec: {float(out[~np.isfinite(out)][0])!r}")
     return out

@@ -338,12 +338,18 @@ class FrenetData:
 # The integrated model
 
 
+def _memo_key(t) -> tuple:
+    return type(t), t, math.copysign(1.0, t)  # 0.0 == -0.0, but their answers differ
+
+
 class FramedCurveModel:
     """Integrated frame samples plus the symbolic Frenet cache.
 
-    Immutable once constructed; per-parameter queries are pure.  Dense
-    output between stored samples is cubic interpolation of the frame
-    entries followed by re-orthonormalization (approximate, but any
+    Per-parameter queries are pure.  They arrive in runs at one t, so
+    frenet_data_at and frenet_frame_at each keep their last t's answer
+    (the frame is handed out as a fresh copy every call).  Dense output
+    between stored samples is cubic interpolation of the frame entries
+    followed by re-orthonormalization (approximate, but any
     re-orthonormalized frame satisfies the pairing identities exactly,
     so isotropy and duality residuals are insensitive to it).
     """
@@ -361,6 +367,7 @@ class FramedCurveModel:
         self.tol = tol
         self.frenet = FrenetExprs(quartet)
         self._last_frenet = None  # (key of t, FrenetData) of the last query
+        self._last_frame = None   # (key of t, Frenet frame) of the last query
 
     @property
     def t0(self) -> float:
@@ -408,6 +415,9 @@ class FramedCurveModel:
 
     def frenet_frame_at(self, t: float) -> np.ndarray:
         """Rows (gamma, n1, n2, mu): the normals rotated to the Frenet pair."""
+        key = _memo_key(t)
+        if self._last_frame is not None and self._last_frame[0] == key:
+            return self._last_frame[1].copy()
         a = eval_expr(self.quartet.a, t)
         b = eval_expr(self.quartet.b, t)
         r2 = a * a + b * b
@@ -421,11 +431,11 @@ class FramedCurveModel:
         out[1] = (a * f[1] + b * f[2]) / r
         out[2] = (-b * f[1] + a * f[2]) / r
         out[3] = f[3]
-        return out
+        self._last_frame = (key, out)
+        return out.copy()
 
     def frenet_data_at(self, t: float) -> FrenetData:
-        # queries arrive in runs at the same t: keep the last answer
-        key = (type(t), t, math.copysign(1.0, t))
+        key = _memo_key(t)
         if self._last_frenet is not None and self._last_frenet[0] == key:
             return self._last_frenet[1]
         fe = self.frenet

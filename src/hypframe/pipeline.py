@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -174,20 +174,50 @@ def load_spec(path) -> CurveSpec:
 # Chart projections for meshing
 
 
+# MinkVec's fields as columns, so that mink_dot and membership_residual run on arrays
+_Columns = namedtuple("_Columns", "x0 x1 x2 x3")
+
+
+def _chart(points, quadric: Quadric, den) -> np.ndarray:
+    """(x1, x2, x3) / den(x0) for each row x of an (n, 4) array on quadric.
+
+    The first row that is non-finite, off the quadric or has a zero
+    denominator raises as the one-point chart always has: MinkVec's
+    non-finite text, "point ... is not on H3" (or S31), or float division.
+    """
+    rows = _Columns(*points.T)
+    with np.errstate(all="ignore"):
+        off = np.abs(membership_residual(rows, quadric)) > 1e-6
+        d = den(rows.x0)
+    bad = ~np.isfinite(points).all(axis=1) | off | (d == 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        x = MinkVec.from_array(points[i])  # raises on a non-finite row
+        if off[i]:
+            raise InvalidInputError(f"point {x} is not on {quadric.value}")
+        raise ZeroDivisionError("float division by zero")
+    return points[:, 1:] / d[:, None]
+
+
+def _poincare(points) -> np.ndarray:
+    return _chart(points, Quadric.H3, lambda x0: 1.0 + x0)
+
+
+def _hollow_ball(points) -> np.ndarray:
+    return _chart(points, Quadric.S31, lambda x0: 1.0 + np.sqrt(1.0 + x0 * x0))
+
+
 def project_poincare(x: MinkVec):
     """Poincare-ball chart of H3: (x1, x2, x3) / (1 + x0)."""
-    if abs(membership_residual(x, Quadric.H3)) > 1e-6:
-        raise InvalidInputError(f"point {x} is not on H3")
-    d = 1.0 + x.x0
-    return (x.x1 / d, x.x2 / d, x.x3 / d)
+    return tuple(_poincare(x.as_array()[None])[0].tolist())
 
 
 def project_hollow_ball(x: MinkVec):
     """Hollow-ball chart of S31: (x1, x2, x3) / (1 + sqrt(1 + x0^2))."""
-    if abs(membership_residual(x, Quadric.S31)) > 1e-6:
-        raise InvalidInputError(f"point {x} is not on S31")
-    d = 1.0 + math.sqrt(1.0 + x.x0 * x.x0)
-    return (x.x1 / d, x.x2 / d, x.x3 / d)
+    return tuple(_hollow_ball(x.as_array()[None])[0].tolist())
+
+
+_CHARTS = {project_poincare: _poincare, project_hollow_ball: _hollow_ball}
 
 
 def _fmt(v) -> str:
@@ -200,9 +230,13 @@ def export_obj(grids, projection, path) -> None:
 
     grids is one array of shape (rows, cols, 4) or a sequence of them, one
     patch each (a surface defined on several intervals); the faces of a
-    patch index only its own vertices.  projection maps a MinkVec to 3
-    chart coordinates.  Byte output is deterministic for identical input.
+    patch index only its own vertices.  projection is project_poincare or
+    project_hollow_ball; each patch is charted as one array.  Byte output is
+    deterministic for identical input.
     """
+    chart = _CHARTS.get(projection)
+    if chart is None:
+        raise InvalidInputError(f"unknown projection {projection!r}")
     if isinstance(grids, np.ndarray):
         grids = [grids]
     lines = ["# hypframe surface mesh"]
@@ -213,14 +247,13 @@ def export_obj(grids, projection, path) -> None:
             continue
         rows, cols = grid.shape[0], grid.shape[1]
         lines.append(f"# grid {rows} x {cols}")
-        for i in range(rows):
-            for j in range(cols):
-                y = projection(MinkVec.from_array(grid[i, j]))
-                lines.append(f"v {_fmt(y[0])} {_fmt(y[1])} {_fmt(y[2])}")
-        for i in range(rows - 1):
-            for j in range(cols - 1):
-                a = offset + i * cols + j + 1
-                lines.append(f"f {a} {a + 1} {a + cols + 1} {a + cols}")
+        # repr of Python floats, one grid row at a time so the float lists stay short
+        lines.extend(f"v {y0!r} {y1!r} {y2!r}"
+                     for row in chart(grid.reshape(-1, 4)).reshape(rows, cols, 3)
+                     for y0, y1, y2 in row.tolist())
+        lines.extend(f"f {a} {a + 1} {a + cols + 1} {a + cols}"
+                     for i in range(offset + 1, offset + (rows - 1) * cols + 1, cols)
+                     for a in range(i, i + cols - 1))
         offset += rows * cols
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))

@@ -3,14 +3,19 @@
 These deliberately avoid the engine's own code paths: the determinant is
 a hand-rolled cofactor expansion, derivatives come from central
 differences, reference integrations from half-step Richardson comparison
-or scipy, expressions are evaluated by walking the tree recursively, and
-frames are propagated one substep at a time with a scalar exponential.
+or scipy, expressions are evaluated by walking the tree recursively,
+frames are propagated one substep at a time with a scalar exponential,
+and surface meshes are evaluated and written one point at a time.
 """
 
 import math
 
 import numpy as np
 
+from hypframe.errors import InvalidInputError, SurfaceUndefinedError
+from hypframe.focal import D, H, _require
+from hypframe.minkowski import MinkVec, Quadric, membership_residual
+from hypframe.pipeline import project_hollow_ball, project_poincare
 from hypframe.propagation import (_CF4_A, _CF4_B, coefficient_matrix_values,
                                   gram_drift, gram_residual,
                                   pseudo_orthonormalize)
@@ -193,3 +198,101 @@ def bisect_sign_change(f, a, b, iters=80):
 def random_mink_vectors(rng, n, scale=2.0):
     """Deterministic batch of random 4-vectors."""
     return rng.uniform(-scale, scale, size=(n, 4))
+
+
+# ---------------------------------------------------------------------------
+# Surface meshes one point at a time
+
+
+def frenet_frame(model, t):
+    """The Frenet-type frame at t computed afresh, with no memo: the model's
+    frame with its normals rotated by (a, b) / sqrt(a^2 + b^2)."""
+    a, b = tree_eval(model.quartet.a, t), tree_eval(model.quartet.b, t)
+    r = math.sqrt(a * a + b * b)
+    f = model.frame_at(t)
+    return np.array([f[0], (a * f[1] + b * f[2]) / r, (-b * f[1] + a * f[2]) / r, f[3]])
+
+
+# mesh surface -> (its side, whether it is the dual of the side's evolute)
+MESH_SURFACES = {H.focal: (H, False), D.focal: (D, False), H.dual: (H, True), D.dual: (D, True)}
+
+
+def surface_point(model, which, t, theta):
+    """One point of a focal surface, (c/r)(A f0 - M f1) + s f2, or of the
+    dual of an evolute, c f3 + (s/r)(-M f0 + A f1), as scalar arithmetic."""
+    side, dual = MESH_SURFACES[which]
+    data = model.frenet_data_at(t)
+    disc = _require(side, data, model, evolute=dual)[0]
+    f = frenet_frame(model, t)
+    r = math.sqrt(disc)
+    if dual:
+        row = side.dual_c(theta) * f[3] \
+            + (side.dual_s(theta) / r) * (-data.M * f[0] + data.A * f[1])
+    else:
+        row = (side.c(theta) / r) * (data.A * f[0] - data.M * f[1]) \
+            + side.s(theta) * f[2]
+    return MinkVec.from_array(row)
+
+
+def surface_grid_loop(model, which, ts, thetas):
+    """`hypframe.focal.surface_grid` one point at a time, each point checked
+    for finiteness as it is built."""
+    if which not in MESH_SURFACES:
+        raise InvalidInputError(f"unknown surface {which!r}")
+    ts = np.asarray(ts, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    out = np.empty((len(ts), len(thetas), 4))
+    for i, t in enumerate(ts):
+        for j, th in enumerate(thetas):
+            try:
+                out[i, j] = surface_point(model, which, float(t), float(th)).as_array()
+            except SurfaceUndefinedError as exc:
+                raise SurfaceUndefinedError(
+                    f"grid point (i={i}, j={j}): {exc}") from exc
+    return out
+
+
+def poincare_point(x):
+    """Poincare-ball chart of H3 at one point, in scalar arithmetic."""
+    if abs(membership_residual(x, Quadric.H3)) > 1e-6:
+        raise InvalidInputError(f"point {x} is not on H3")
+    d = 1.0 + x.x0
+    return (x.x1 / d, x.x2 / d, x.x3 / d)
+
+
+def hollow_ball_point(x):
+    """Hollow-ball chart of S31 at one point, in scalar arithmetic."""
+    if abs(membership_residual(x, Quadric.S31)) > 1e-6:
+        raise InvalidInputError(f"point {x} is not on S31")
+    d = 1.0 + math.sqrt(1.0 + x.x0 * x.x0)
+    return (x.x1 / d, x.x2 / d, x.x3 / d)
+
+
+POINT_CHARTS = {project_poincare: poincare_point, project_hollow_ball: hollow_ball_point}
+
+
+def export_obj_loop(grids, projection, path):
+    """`hypframe.pipeline.export_obj` one vertex and one face at a time, with
+    the scalar chart that stands for projection."""
+    projection = POINT_CHARTS[projection]
+    if isinstance(grids, np.ndarray):
+        grids = [grids]
+    lines = ["# hypframe surface mesh"]
+    offset = 0
+    for grid in grids:
+        grid = np.asarray(grid, dtype=float)
+        if not grid.size:
+            continue
+        rows, cols = grid.shape[0], grid.shape[1]
+        lines.append(f"# grid {rows} x {cols}")
+        for i in range(rows):
+            for j in range(cols):
+                y = projection(MinkVec.from_array(grid[i, j]))
+                lines.append(f"v {float(y[0])!r} {float(y[1])!r} {float(y[2])!r}")
+        for i in range(rows - 1):
+            for j in range(cols - 1):
+                a = offset + i * cols + j + 1
+                lines.append(f"f {a} {a + 1} {a + cols + 1} {a + cols}")
+        offset += rows * cols
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))

@@ -12,7 +12,7 @@ from hypframe.framedcurve import FrenetExprs
 from hypframe.minkowski import METRIC
 from hypframe.symexpr import ExprDomainError
 
-from oracles import central_diff
+from oracles import central_diff, frenet_frame
 
 Q_CE_H = CurvatureQuartet.from_strings("1", "1", "2", "0")
 Q_CE_D = CurvatureQuartet.from_strings("2", "1", "1", "0")
@@ -121,6 +121,47 @@ def test_frenet_degenerate_error():
     m = integrate_frame(Q_GEO, (0.0, 1.0, 11), step=1e-3)
     with pytest.raises(FrameDegenerateError):
         frenet_convert(m, 0.5)
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64).tolist()
+
+
+def test_frenet_frame_memo_hands_out_copies():
+    q = CurvatureQuartet.from_strings("1+0.3*sin(t)", "t", "2+0.5*cos(t)", "0.4")
+    model = integrate_frame(q, (0.0, 1.0, 11))
+    want = _bits(frenet_frame(model, 0.35))
+    for _ in range(3):  # the first call fills the memo, the others hit it
+        got = model.frenet_frame_at(0.35)
+        assert _bits(got) == want
+        got[:] = 7.0
+    # the same bits in the order a, b, a as afresh, on grid and off it
+    fresh = integrate_frame(q, (0.0, 1.0, 11))
+    for t in (0.35, 0.4, 0.35, 0.4, 0.4):
+        assert _bits(model.frenet_frame_at(t)) == _bits(frenet_frame(fresh, t))
+
+
+def test_frenet_memos_keep_signed_zeros_apart():
+    # a(t) = t: at t = -0.0 the rotated n2 starts with -0.0, at 0.0 with 0.0
+    q = CurvatureQuartet.from_strings("1", "1", "t", "1")
+    model = integrate_frame(q, (0.0, 1.0, 11))
+    for t in (0.0, -0.0, 0.0):
+        got = model.frenet_frame_at(t)
+        assert _bits(got) == _bits(frenet_frame(model, t))
+        assert math.copysign(1.0, got[2, 0]) == math.copysign(1.0, t)
+        assert math.copysign(1.0, model.frenet_data_at(t).t) == math.copysign(1.0, t)
+
+
+def test_frenet_frame_raises_on_every_degenerate_call():
+    # a^2 + b^2 = t^2 vanishes at t = 0
+    model = integrate_frame(CurvatureQuartet.from_strings("1", "1", "t", "0"),
+                            (-1.0, 1.0, 21))
+    for t in (0.0, 0.0, 0.5, 0.0):
+        if t == 0.0:
+            with pytest.raises(FrameDegenerateError, match="a\\^2\\+b\\^2 = 0.0"):
+                model.frenet_frame_at(t)
+        else:
+            model.frenet_frame_at(t)
 
 
 def test_converted_frame_reproduces_frenet_quartet(model_ce_h):

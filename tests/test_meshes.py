@@ -1,0 +1,184 @@
+"""Column meshes and the array OBJ writer against their one-point oracles.
+
+`surface_grid` evaluates a mesh row by row over whole theta arrays and
+`export_obj` writes whole arrays; `oracles.surface_grid_loop` and
+`oracles.export_obj_loop` do the same one point at a time.  Grids must
+agree bit for bit, OBJ files byte for byte, and errors word for word.
+"""
+
+import filecmp
+import json
+import os
+
+import numpy as np
+import pytest
+
+from hypframe import CurvatureQuartet, MinkVec, integrate_frame, load_spec, run_pipeline
+from hypframe import focal, pipeline
+from hypframe.errors import InvalidInputError, SurfaceUndefinedError
+from hypframe.focal import defined_runs, surface_grid
+from hypframe.pipeline import export_obj, project_hollow_ball, project_poincare
+
+from oracles import POINT_CHARTS, export_obj_loop, surface_grid_loop
+
+SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
+COMMITTED = ("cuspidal_edge_hyperbolic", "cuspidal_edge_desitter", "swallowtail_family")
+ALL_OUTPUTS = ["report", "loci_csv", "focal_h_obj", "focal_d_obj", "dual_eh_obj",
+               "dual_ed_obj"]
+CHARTS = {"focal_h": project_poincare, "focal_d": project_hollow_ball,
+          "dual_eh": project_hollow_ball, "dual_ed": project_hollow_ball}
+
+# name -> (m, n, a, b), (t0, t1, samples); theta on [-1, 1] at 5 samples.
+# The first five are the gap and split specs of test_pipeline.py: surfaces
+# on several runs, and frames that vanish between them.
+QUARTETS = {
+    "two_intervals": (("2.5*t^2-1", "1", "2", "0"), (-1.6, 1.6, 161)),
+    "frame_gap": (("2", "1", "t", "0"), (-1.0, 1.0, 21)),
+    "evolute_gap_sin": (("3*sin(t)", "1", "1.5", "0"), (-1.6, 1.6, 161)),
+    "evolute_gap_cubic": (("3*t^3-t", "0.5", "1.5", "0"), (-1.6, 1.6, 161)),
+    "sigma_threshold": (("t", "1", "2", "0"), (0.0, 1.7320508074, 11)),
+    "generic": (("sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), (-1.5, 1.5, 201)),
+}
+
+
+def _committed(name):
+    spec = load_spec(os.path.join(SPEC_DIR, name + ".json"))
+    model = integrate_frame(spec.quartet(), spec.domain)
+    return model, np.linspace(*spec.theta)
+
+
+def _quartet(name):
+    curvature, domain = QUARTETS[name]
+    return integrate_frame(CurvatureQuartet.from_strings(*curvature), domain), \
+        np.linspace(-1.0, 1.0, 5)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the two sides must fail alike
+        return type(exc), str(exc)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("case", [*COMMITTED, "two_intervals", "frame_gap", "generic"])
+def test_grids_and_obj_match_the_oracle(tmp_path, case):
+    model, thetas = _committed(case) if case in COMMITTED else _quartet(case)
+    runs = defined_runs(model)
+    for surface, chart in CHARTS.items():
+        grids = []
+        for run in runs[surface]:
+            ts = model.ts[run.start:run.stop]
+            # the grid rows, then the off-grid midpoints, where frames are interpolated
+            for rows in (ts, 0.5 * (ts[:-1] + ts[1:])):
+                got = _outcome(surface_grid, model, surface, rows, thetas)
+                want = _outcome(surface_grid_loop, model, surface, rows, thetas)
+                if isinstance(want, tuple):
+                    assert got == want, surface
+                    continue
+                assert _same_bits(got, want), surface
+                grids.append(want)
+        export_obj(grids, chart, tmp_path / "columns.obj")
+        export_obj_loop(grids, chart, tmp_path / "loop.obj")
+        assert (tmp_path / "columns.obj").read_bytes() \
+            == (tmp_path / "loop.obj").read_bytes(), surface
+
+
+def test_undefined_second_row_names_it(model_sigma_sign):
+    # sigma_F = 12 - 4 t^2: the dual of the hyperbolic evolute exists at 0, not at 1.9
+    args = (model_sigma_sign, "dual_eh", [0.0, 1.9], [-0.5, 0.5])
+    with pytest.raises(SurfaceUndefinedError) as err:
+        surface_grid(*args)
+    assert str(err.value).startswith("grid point (i=1, j=0): ")
+    assert _outcome(surface_grid_loop, *args) == (SurfaceUndefinedError, str(err.value))
+    # with no theta there is no point to be undefined, as in the one-point loop
+    assert surface_grid(*args[:3], []).shape == surface_grid_loop(*args[:3], []).shape == (2, 0, 4)
+
+
+def test_non_finite_frame_raises_as_the_oracle():
+    model = integrate_frame(CurvatureQuartet.from_strings("1", "1", "2", "0"), (0.0, 1.0, 11))
+    model.frames = model.frames.copy()
+    model.frames[4, 2, 1] = np.nan
+    args = (model, "focal_h", model.ts[2:7], [-0.5, 0.0, 0.5])
+    with pytest.raises(InvalidInputError, match="non-finite component") as err:
+        surface_grid(*args)
+    assert _outcome(surface_grid_loop, *args) == (InvalidInputError, str(err.value))
+
+
+@pytest.mark.parametrize("bad", [[0.5, 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0],
+                                 [-1.0, 0.0, 0.0, 0.0]], ids=["off", "nan", "pole"])
+def test_bad_vertex_among_valid_ones_raises_as_the_loop(tmp_path, bad):
+    # rows 0 and 2 are valid H3 points; the bad vertex is the second of row 1
+    grid = np.empty((3, 3, 4))
+    for i in range(3):
+        for j in range(3):
+            v = np.array([0.3 * i, 0.2 * j, 0.1])
+            grid[i, j] = [np.sqrt(1.0 + v @ v), *v]
+    grid[1, 1] = bad
+    grid[2, 2] = [0.5, 1.0, 0.0, 0.0]  # a later bad vertex must not be the one named
+    want = _outcome(export_obj_loop, [grid[:1], grid], project_poincare, tmp_path / "a.obj")
+    assert isinstance(want, tuple)
+    assert _outcome(export_obj, [grid[:1], grid], project_poincare, tmp_path / "b.obj") == want
+    assert not os.path.exists(tmp_path / "b.obj")
+
+
+@pytest.mark.parametrize("chart", [project_poincare, project_hollow_ball],
+                         ids=["poincare", "hollow_ball"])
+def test_one_point_charts_match_the_scalar_oracle(chart):
+    rng = np.random.default_rng(71)
+    points = []
+    for _ in range(200):
+        v = rng.normal(size=3) * 2.0
+        if chart is project_poincare:
+            points.append([np.sqrt(1.0 + v @ v), *v])
+        else:
+            x0 = rng.normal() * 2.0
+            points.append([x0, *(v / np.linalg.norm(v) * np.sqrt(1.0 + x0 * x0))])
+    points += [[0.5, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+               [0.0, 1.0, 0.0, 0.0], [1e200, 1e200, 0.0, 0.0]]
+    for p in points:
+        x = MinkVec(*p)
+        got, want = _outcome(chart, x), _outcome(POINT_CHARTS[chart], x)
+        assert repr(got) == repr(want), p
+        assert [type(y) for y in got] == [type(y) for y in want], p
+
+
+def test_export_obj_rejects_an_unknown_projection(tmp_path):
+    with pytest.raises(InvalidInputError, match="unknown projection"):
+        export_obj(np.zeros((2, 2, 4)), lambda x: (0.0, 0.0, 0.0), tmp_path / "a.obj")
+
+
+def _spec(tmp_path, name):
+    if name in COMMITTED:
+        with open(os.path.join(SPEC_DIR, name + ".json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+    else:
+        curvature, (t0, t1, samples) = QUARTETS[name]
+        doc = {"name": name, "curvature": dict(zip("mnab", curvature)),
+               "domain": {"t0": t0, "t1": t1, "samples": samples},
+               "theta": {"min": -1.0, "max": 1.0, "samples": 5}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(doc, outputs=ALL_OUTPUTS)), encoding="utf-8")
+    return load_spec(str(path))
+
+
+@pytest.mark.parametrize("name", [*COMMITTED, *list(QUARTETS)[:5]])
+def test_run_outputs_match_the_one_point_pipeline(tmp_path, monkeypatch, name):
+    """The end-to-end byte gate: every output file of a run is the same
+    whether meshes are evaluated and written by columns or one point at a
+    time."""
+    spec = _spec(tmp_path, name)
+    run_pipeline(spec, out_dir=str(tmp_path / "columns"))
+    with monkeypatch.context() as patch:
+        patch.setattr(focal, "surface_grid", surface_grid_loop)
+        patch.setattr(pipeline, "export_obj", export_obj_loop)
+        run_pipeline(spec, out_dir=str(tmp_path / "loop"))
+    names = sorted(os.listdir(tmp_path / "loop"))
+    assert sorted(os.listdir(tmp_path / "columns")) == names
+    assert sum(n.endswith(".obj") for n in names) >= 1
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "loop", tmp_path / "columns",
+                                               names, shallow=False)
+    assert (mismatch, errors) == ([], [])
