@@ -10,7 +10,10 @@ Exit codes: 0 success, 1 spec validation error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -29,10 +32,7 @@ def _parse_tols(pairs):
         if "=" not in item:
             raise _pipe.SpecValidationError("--tol", f"expected name=value, got {item!r}")
         name, value = item.split("=", 1)
-        try:
-            out[name] = float(value)
-        except ValueError as exc:
-            raise _pipe.SpecValidationError("--tol", f"bad value in {item!r}") from exc
+        out[name] = value  # Tolerances.with_overrides checks the value
     return out
 
 
@@ -65,37 +65,38 @@ def cmd_integrate(args) -> int:
 
 def cmd_focal(args) -> int:
     spec, tol = _load(args)
-    spec = _replace_outputs(spec, ("focal_h_obj", "focal_d_obj"))
-    report = _pipe.run_pipeline(spec, out_dir=args.out, tol=tol)
-    for name in ("focal_h", "focal_d"):
-        runs = report.data["surfaces"][name]["defined_intervals"]
-        print(f"{name}: defined on {runs if runs else 'nowhere'}")
+    model = _model(spec, tol)
+    runs = _focal.defined_runs(model)
+    written = []
     if args.out:
-        print("wrote:", ", ".join(report.data["outputs"]) or "(nothing)")
+        os.makedirs(args.out, exist_ok=True)
+        for product in ("focal_h_obj", "focal_d_obj"):
+            written += _pipe.write_mesh(model, runs, spec, product, args.out)
+    for name in ("focal_h", "focal_d"):
+        print(f"{name}: defined on {_pipe._spans(model.ts, runs[name]) or 'nowhere'}")
+    if args.out:
+        print("wrote:", ", ".join(written) or "(nothing)")
     return 0
 
 
 def cmd_evolute(args) -> int:
     spec, tol = _load(args)
     model = _model(spec, tol)
+    runs = _focal.defined_runs(model)
+    defined = {side: set(chain.from_iterable(runs["evolute_" + side])) for side in "hd"}
     rows = []
-    for t in model.ts:
+    for i, t in enumerate(model.ts):
         for side, fn in (("h", _evolute.evolute_h), ("d", _evolute.evolute_d)):
-            try:
+            if i in defined[side]:
                 es = fn(model, float(t))
-            except NumericError:
-                continue
-            rows.append((float(t), side, es.epsilon, es.epsilon_prime,
-                         es.point_type.value))
+                rows.append((float(t), side, es.epsilon, es.epsilon_prime,
+                             es.point_type.value))
     counts = {}
     for row in rows:
         counts[(row[1], row[4])] = counts.get((row[1], row[4]), 0) + 1
     for (side, ptype), k in sorted(counts.items()):
         print(f"evolute_{side}: {k} grid points {ptype}")
     if args.out:
-        import csv
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, _pipe._slug(spec.name) + "_evolute.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -133,8 +134,6 @@ def cmd_classify(args) -> int:
     for (surface, ty), k in sorted(counts.items()):
         print(f"{surface}: {k} records {ty}")
     if args.out:
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, _pipe._slug(spec.name) + "_loci.csv")
         _pipe.export_loci_csv(records, path)
@@ -145,7 +144,8 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     spec, tol = _load(args)
     model = _model(spec, tol)
-    corr = _evolute.correspondence_check(model)
+    runs = _focal.defined_runs(model)
+    corr = _evolute.correspondence_check(model, runs)
     ok = True
     for name, leg in (("hyperbolic", corr.hyperbolic), ("desitter", corr.desitter)):
         if leg.status == "skipped":
@@ -159,7 +159,7 @@ def cmd_verify(args) -> int:
         for ev in leg.events:
             print(f"  epsilon crossing at t={ev['t']:.12g}: focal {ev['focal_type']}, "
                   f"evolute {ev['evolute_type']}, dual {ev['dual_type']}")
-    for pair, info in _pipe.duality_summary(model).items():
+    for pair, info in _pipe.duality_summary(model, runs).items():
         if info["status"] == "skipped":
             print(f"duality[{pair}]: skipped ({info['reason']})")
             continue
@@ -184,12 +184,6 @@ def cmd_run(args) -> int:
             print(f"  {name}: skipped (never defined)")
     print("wrote:", ", ".join(data["outputs"]) or "(report only)")
     return 0
-
-
-def _replace_outputs(spec, outputs):
-    from dataclasses import replace
-
-    return replace(spec, outputs=tuple(outputs))
 
 
 def build_parser() -> argparse.ArgumentParser:

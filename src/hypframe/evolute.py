@@ -347,7 +347,7 @@ def _leg(model, ts, runs, side: Side, bindings) -> LegReport:
     return leg
 
 
-def correspondence_check(model: FramedCurveModel, ts=None) -> CorrespondenceReport:
+def correspondence_check(model: FramedCurveModel, runs=None) -> CorrespondenceReport:
     """Certify the singular correspondences between the focal surfaces,
     the evolutes, and the dual surfaces of the evolutes.
 
@@ -357,10 +357,11 @@ def correspondence_check(model: FramedCurveModel, ts=None) -> CorrespondenceRepo
     cuspidal cross cap).  Epsilon sign changes between grid neighbours of
     one defined run are located by bisection and the three classifications
     compared there.  Undefined legs are reported as skipped with the reason.
+    `runs` are defined_runs(model), which runs here when they are not given.
     """
-    if ts is None:
-        ts = model.ts
-    runs = defined_runs(model, ts)
+    if runs is None:
+        runs = defined_runs(model)
+    ts = model.ts
     # each side's public bindings, looked up per call (see _leg)
     return CorrespondenceReport(
         hyperbolic=_leg(model, ts, runs[H.evolute], H,

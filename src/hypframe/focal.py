@@ -181,14 +181,12 @@ SURFACES = {H.focal: (H, False), D.focal: (D, False), H.evolute: (H, True),
             D.evolute: (D, True), H.dual: (H, True), D.dual: (D, True)}
 
 
-def defined_runs(model: FramedCurveModel, ts=None) -> dict:
-    """Each name of SURFACES -> the maximal index ranges of the grid ts (the
-    model's samples by default) on which that surface is defined."""
-    if ts is None:
-        ts = model.ts
+def defined_runs(model: FramedCurveModel) -> dict:
+    """Each name of SURFACES -> the maximal index ranges of the model's
+    grid on which that surface is defined."""
     # t outermost: frenet_data_at and frenet_frame_at keep only the last t's answer
     ok = [[_undefined_at(model, float(t), *rule) is None for rule in SURFACES.values()]
-          for t in ts]
+          for t in model.ts]
     runs = {}
     for k, name in enumerate(SURFACES):
         # a run starts, and the next stops, where the column changes value

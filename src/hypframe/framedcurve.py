@@ -471,7 +471,8 @@ def frenet_convert(model: FramedCurveModel, t: float):
 INITIAL_FRAME_TOL = 1e-12
 
 
-def _validate_initial(initial: FrameSample):
+def validate_initial_frame(initial: FrameSample):
+    """Raise InvalidInputError unless the frame meets INITIAL_FRAME_TOL."""
     if initial.pairing_residual() > INITIAL_FRAME_TOL:
         raise InvalidInputError(
             f"initial frame pairing residual {initial.pairing_residual():.3e} "
@@ -501,7 +502,7 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
         initial = FrameSample.standard(t0)
     elif not isinstance(initial, FrameSample):
         initial = FrameSample.from_matrix(t0, initial)
-    _validate_initial(initial)
+    validate_initial_frame(initial)
     dt = (t1 - t0) / (nsamples - 1)
     if step is None:
         step = min(2e-3, dt)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain
@@ -24,7 +26,8 @@ from . import focal as _focal
 from .errors import (FrameDegenerateError, HypframeError, InvalidInputError,
                      SurfaceUndefinedError)
 from .framedcurve import (CurvatureQuartet, FrameSample, FramedCurveModel,
-                          integrate_frame, propagation_backend)
+                          integrate_frame, propagation_backend,
+                          validate_initial_frame)
 from .minkowski import MinkVec, Quadric, membership_residual
 from .symexpr import ExprSyntaxError, parse_expr
 from .tolerances import DEFAULT, Tolerances
@@ -74,6 +77,31 @@ def _require_keys(obj, allowed, where):
             raise SpecValidationError(where, f"unknown key {key!r}")
 
 
+def _object(doc, key, allowed):
+    """doc[key], which must be an object with no key outside `allowed`."""
+    obj = doc[key]
+    if not isinstance(obj, dict):
+        raise SpecValidationError(key, "must be an object with " + ", ".join(allowed))
+    _require_keys(obj, allowed, key)
+    return obj
+
+
+def _range(doc, key, lo, hi) -> tuple:
+    """(lo, hi, samples) of the object doc[key]: finite lo < hi, samples >= 2."""
+    obj = _object(doc, key, (lo, hi, "samples"))
+    try:
+        a, b, n = float(obj[lo]), float(obj[hi]), int(obj["samples"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SpecValidationError(key, f"needs numeric {lo}, {hi}, samples: {exc}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise SpecValidationError(key, f"{lo} and {hi} must be finite")
+    if n < 2:
+        raise SpecValidationError(f"{key}.samples", "must be >= 2")
+    if not b > a:
+        raise SpecValidationError(f"{key}.{hi}", f"must exceed {key}.{lo}")
+    return a, b, n
+
+
 def load_spec(path) -> CurveSpec:
     """Parse and validate a curve-spec JSON document."""
     try:
@@ -100,10 +128,7 @@ def load_spec(path) -> CurveSpec:
     if not isinstance(name, str) or not name:
         raise SpecValidationError("name", "must be a non-empty string")
 
-    curv = doc["curvature"]
-    if not isinstance(curv, dict):
-        raise SpecValidationError("curvature", "must be an object with m, n, a, b")
-    _require_keys(curv, ("m", "n", "a", "b"), "curvature")
+    curv = _object(doc, "curvature", ("m", "n", "a", "b"))
     for fn in ("m", "n", "a", "b"):
         if fn not in curv:
             raise SpecValidationError(f"curvature.{fn}", "missing")
@@ -112,39 +137,20 @@ def load_spec(path) -> CurveSpec:
         except ExprSyntaxError as exc:
             raise SpecValidationError(f"curvature.{fn}", str(exc)) from exc
 
-    dom = doc["domain"]
-    _require_keys(dom, ("t0", "t1", "samples"), "domain")
-    try:
-        t0, t1, nsamp = float(dom["t0"]), float(dom["t1"]), int(dom["samples"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecValidationError("domain", f"needs numeric t0, t1, samples: {exc}")
-    if nsamp < 2:
-        raise SpecValidationError("domain.samples", "must be >= 2")
-    if not t1 > t0:
-        raise SpecValidationError("domain.t1", "must exceed domain.t0")
-
-    th = doc["theta"]
-    _require_keys(th, ("min", "max", "samples"), "theta")
-    try:
-        tmin, tmax, tns = float(th["min"]), float(th["max"]), int(th["samples"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecValidationError("theta", f"needs numeric min, max, samples: {exc}")
-    if tns < 2:
-        raise SpecValidationError("theta.samples", "must be >= 2")
-    if not tmax > tmin:
-        raise SpecValidationError("theta.max", "must exceed theta.min")
+    t0, t1, nsamp = _range(doc, "domain", "t0", "t1")
+    tmin, tmax, tns = _range(doc, "theta", "min", "max")
 
     frame = None
     if doc.get("initial_frame") is not None:
         vals = doc["initial_frame"]
         if not isinstance(vals, list) or len(vals) != 16:
             raise SpecValidationError("initial_frame", "must be 16 reals, row-major")
-        frame = tuple(float(v) for v in vals)
-        sample = FrameSample.from_matrix(t0, np.array(frame).reshape(4, 4))
-        if sample.residual() > 1e-10:
-            raise SpecValidationError(
-                "initial_frame",
-                f"frame residual {sample.residual():.3e} exceeds 1e-10")
+        try:
+            frame = tuple(float(v) for v in vals)
+            # the rule integrate_frame applies; from_matrix rejects non-finite entries
+            validate_initial_frame(FrameSample.from_matrix(t0, np.array(frame).reshape(4, 4)))
+        except (TypeError, ValueError) as exc:
+            raise SpecValidationError("initial_frame", str(exc)) from exc
 
     tols = doc.get("tolerances") or {}
     if not isinstance(tols, dict):
@@ -288,9 +294,20 @@ _MESHES = {"focal_h_obj": ("focal_h", project_poincare),
            "dual_ed_obj": ("dual_ed", project_hollow_ball)}
 
 
-def _theta_grid(spec: CurveSpec):
-    tmin, tmax, n = spec.theta
-    return np.linspace(tmin, tmax, n)
+def write_mesh(model: FramedCurveModel, runs, spec: CurveSpec, product, out_dir) -> list:
+    """Write the mesh product (a key of _MESHES) of the spec's surface over
+    its defined runs (from defined_runs) and the spec's theta grid to
+    out_dir; the list of the file names written, empty where the surface
+    is defined nowhere."""
+    surface, projection = _MESHES[product]
+    if not runs[surface]:
+        return []
+    thetas = np.linspace(*spec.theta)
+    grids = [_focal.surface_grid(model, surface, model.ts[run.start:run.stop], thetas)
+             for run in runs[surface]]
+    name = f"{_slug(spec.name)}_{surface}.obj"
+    export_obj(grids, projection, os.path.join(out_dir, name))
+    return [name]
 
 
 def duality_summary(model: FramedCurveModel, runs=None) -> dict:
@@ -397,31 +414,20 @@ def run_pipeline(spec: CurveSpec, out_dir=None, tol: Tolerances | None = None) -
 
     runs = _focal.defined_runs(model)
     records = _classified_loci(model, runs)
-    corr = _evolute.correspondence_check(model)
+    corr = _evolute.correspondence_check(model, runs)
     dual = duality_summary(model, runs)
 
     written = []
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         base = os.path.join(out_dir, _slug(spec.name))
-        thetas = _theta_grid(spec)
         for product in spec.outputs:
             if product == "loci_csv":
                 path = base + "_loci.csv"
                 export_loci_csv(records, path)
                 written.append(os.path.basename(path))
             elif product in _MESHES:
-                surface, projection = _MESHES[product]
-                if not runs[surface]:
-                    continue
-                grids = [_focal.surface_grid(
-                    model, surface, model.ts[run.start:run.stop], thetas)
-                    for run in runs[surface]]
-                path = base + f"_{surface}.obj"
-                export_obj(grids, projection, path)
-                written.append(os.path.basename(path))
+                written += write_mesh(model, runs, spec, product, out_dir)
         if "report" in spec.outputs:
             written.append(_slug(spec.name) + "_report.json")
 
@@ -453,7 +459,5 @@ def run_pipeline(spec: CurveSpec, out_dir=None, tol: Tolerances | None = None) -
     }
     report = RunReport(report_data)
     if out_dir is not None and "report" in spec.outputs:
-        import os
-
         report.write(os.path.join(out_dir, _slug(spec.name) + "_report.json"))
     return report

@@ -9,7 +9,8 @@ then * /, then + -; same-precedence binary operators associate left):
     power    := atom ('^' exponent)*
     exponent := '-'? INTEGER | '(' expr ')'     (must fold to an integer)
     atom     := NUMBER | 't' | FUNC '(' expr ')' | '(' expr ')'
-    FUNC     := sin cos tan sinh cosh tanh exp log sqrt atan artanh
+    FUNC     := a name of FUNCTIONS
+    NUMBER and INTEGER are written with the ASCII digits 0-9 only
 
 Only light simplification is applied when expressions are built
 (constant folding plus 0/1 identities).  The smart constructors intern
@@ -25,6 +26,8 @@ from __future__ import annotations
 import math
 import struct
 import weakref
+from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,8 +136,39 @@ class Fun(Expr):
     arg: Expr
 
 
-FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh",
-             "exp", "log", "sqrt", "atan", "artanh")
+@dataclass(frozen=True)
+class _Function:
+    """One DSL function f.  `outside(x)` is true off f's domain, where
+    evaluation raises with `text` formatted with x; elsewhere the scalar
+    replay calls `libm` and falls back to `numpy`, the IEEE value, where
+    libm raises."""
+
+    libm: Callable[[float], float]
+    numpy: Callable              # a NumPy ufunc
+    derivative: Callable[[Expr], Expr]   # u -> d/du f(u)
+    outside: Callable[[float], bool] | None = None
+    text: str = ""
+
+
+# every DSL function, by name; the derivative rules build their
+# expressions with the smart constructors defined below
+_TABLE = {
+    "sin": _Function(math.sin, np.sin, lambda u: fun("cos", u)),
+    "cos": _Function(math.cos, np.cos, lambda u: neg(fun("sin", u))),
+    "tan": _Function(math.tan, np.tan, lambda u: add(ONE, pow_(fun("tan", u), 2))),
+    "sinh": _Function(math.sinh, np.sinh, lambda u: fun("cosh", u)),
+    "cosh": _Function(math.cosh, np.cosh, lambda u: fun("sinh", u)),
+    "tanh": _Function(math.tanh, np.tanh, lambda u: sub(ONE, pow_(fun("tanh", u), 2))),
+    "exp": _Function(math.exp, np.exp, lambda u: fun("exp", u)),
+    "log": _Function(math.log, np.log, lambda u: div(ONE, u),
+                     lambda x: x <= 0.0, "log of non-positive value {!r}"),
+    "sqrt": _Function(math.sqrt, np.sqrt, lambda u: div(ONE, mul(num(2), fun("sqrt", u))),
+                      lambda x: x < 0.0, "sqrt of negative value {!r}"),
+    "atan": _Function(math.atan, np.arctan, lambda u: div(ONE, add(ONE, pow_(u, 2)))),
+    "artanh": _Function(math.atanh, np.arctanh, lambda u: div(ONE, sub(ONE, pow_(u, 2))),
+                        lambda x: abs(x) >= 1.0, "artanh of value {!r} outside (-1, 1)"),
+}
+FUNCTIONS = tuple(_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +266,12 @@ def pow_(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Num) and not (base.value == 0.0 and exponent < 0):
-        return num(base.value ** exponent)
+        return num(_pow(base.value, exponent, base))
     return _intern((Pow, id(base), exponent), Pow, base, exponent)
 
 
 def fun(name: str, arg: Expr) -> Expr:
-    if name not in FUNCTIONS:
+    if name not in _TABLE:
         raise ValueError(f"unknown function {name!r}")
     if isinstance(arg, Num):
         try:
@@ -251,15 +285,10 @@ def fun(name: str, arg: Expr) -> Expr:
 # Tokenizer / parser
 
 
-class _Token:
-    __slots__ = ("kind", "text", "column", "value", "is_int")
+_Token = namedtuple("_Token", "kind text column value is_int", defaults=(None, False))
 
-    def __init__(self, kind, text, column, value=None, is_int=False):
-        self.kind = kind
-        self.text = text
-        self.column = column
-        self.value = value
-        self.is_int = is_int
+
+_DIGITS = "0123456789"  # str.isdigit would also accept '²' and '٣'
 
 
 def _tokenize(source: str):
@@ -275,24 +304,24 @@ def _tokenize(source: str):
             tokens.append(_Token(c, c, col))
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and source[i + 1] in _DIGITS):
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             is_int = True
             if j < n and source[j] == ".":
                 is_int = False
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k] in _DIGITS:
                     is_int = False
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j] in _DIGITS:
                         j += 1
             text = source[i:j]
             tokens.append(_Token("number", text, col, float(text), is_int=is_int))
@@ -400,7 +429,7 @@ class _Parser:
             self.advance()
             if tok.text == "t":
                 return T
-            if tok.text in FUNCTIONS:
+            if tok.text in _TABLE:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
@@ -451,34 +480,8 @@ def _diff_rule(e: Expr) -> Expr:
         case Pow(base=u, exponent=k):
             return mul(mul(num(k), pow_(u, k - 1)), _diff1(u))
         case Fun(name=name, arg=u):
-            return mul(_dfun(name, u), _diff1(u))
+            return mul(_TABLE[name].derivative(u), _diff1(u))
     raise TypeError(f"not an Expr: {e!r}")
-
-
-def _dfun(name: str, u: Expr) -> Expr:
-    if name == "sin":
-        return fun("cos", u)
-    if name == "cos":
-        return neg(fun("sin", u))
-    if name == "tan":
-        return add(ONE, pow_(fun("tan", u), 2))
-    if name == "sinh":
-        return fun("cosh", u)
-    if name == "cosh":
-        return fun("sinh", u)
-    if name == "tanh":
-        return sub(ONE, pow_(fun("tanh", u), 2))
-    if name == "exp":
-        return fun("exp", u)
-    if name == "log":
-        return div(ONE, u)
-    if name == "sqrt":
-        return div(ONE, mul(num(2), fun("sqrt", u)))
-    if name == "atan":
-        return div(ONE, add(ONE, pow_(u, 2)))
-    if name == "artanh":
-        return div(ONE, sub(ONE, pow_(u, 2)))
-    raise ValueError(f"unknown function {name!r}")
 
 
 def diff_expr(e: Expr, order: int = 1) -> Expr:
@@ -499,41 +502,15 @@ def diff_expr(e: Expr, order: int = 1) -> Expr:
 
 
 def _apply(name: str, x: float, node: Expr) -> float:
+    f = _TABLE[name]
+    if f.outside is not None and f.outside(x):
+        raise ExprDomainError(f.text.format(x), node)
     try:
-        if name == "sin":
-            return math.sin(x)
-        if name == "cos":
-            return math.cos(x)
-        if name == "tan":
-            return math.tan(x)
-        if name == "sinh":
-            return math.sinh(x)
-        if name == "cosh":
-            return math.cosh(x)
-        if name == "tanh":
-            return math.tanh(x)
-        if name == "exp":
-            return math.exp(x)
-        if name == "log":
-            if x <= 0.0:
-                raise ExprDomainError(f"log of non-positive value {x!r}", node)
-            return math.log(x)
-        if name == "sqrt":
-            if x < 0.0:
-                raise ExprDomainError(f"sqrt of negative value {x!r}", node)
-            return math.sqrt(x)
-        if name == "atan":
-            return math.atan(x)
-        if name == "artanh":
-            if abs(x) >= 1.0:
-                raise ExprDomainError(f"artanh of value {x!r} outside (-1, 1)", node)
-            return math.atanh(x)
-    except OverflowError:
-        # IEEE semantics: saturate instead of raising
-        if name == "sinh":
-            return math.copysign(math.inf, x)
-        return math.inf
-    raise ValueError(f"unknown function {name!r}")
+        return f.libm(x)
+    except (OverflowError, ValueError):
+        # IEEE semantics, as in the array replay: saturate, or NaN for sin(inf)
+        with np.errstate(all="ignore"):
+            return float(f.numpy(x))
 
 
 def _pow(b, k, node):
@@ -545,13 +522,6 @@ def _pow(b, k, node):
         sign = -1.0 if (b < 0 and k % 2 == 1) else 1.0
         return sign * math.inf
 
-
-_NP_FUNCS = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan,
-    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
-    "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
-    "atan": np.arctan, "artanh": np.arctanh,
-}
 
 # Python source of one op, per replay.  Op i stores its value in v{i};
 # {a} and {b} are operand op indices, except that {b} is the exponent of
@@ -574,7 +544,7 @@ _ARRAY_CODE = {
     "var": "v{i} = t",
     "den": None,
     "pow": "v{i} = v{a} ** {b!r}",
-    "fun": "v{i} = _NP_FUNCS[{b!r}](v{a})",
+    "fun": "v{i} = F[{b!r}].numpy(v{a})",
 }
 
 
@@ -615,7 +585,7 @@ class Program:
                 lines.append("    " + code[kind].format(i=i, a=a, b=b))
         lines.append("    return (" + "".join(f"v{i}, " for i in self.outputs) + ")")
         namespace = {"O": tuple(op[1] for op in self.ops), "_pow": _pow,
-                     "_apply": _apply, "_NP_FUNCS": _NP_FUNCS,
+                     "_apply": _apply, "F": _TABLE,
                      "ExprDomainError": ExprDomainError}
         exec("\n".join(lines), namespace)
         return namespace["run"]

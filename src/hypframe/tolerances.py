@@ -5,6 +5,7 @@ tolerance so a run can be re-decided with different thresholds.
 Magnitude-aware tests scale the threshold by (1 + local magnitudes).
 """
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -20,14 +21,24 @@ class Tolerances:
     def with_overrides(self, overrides):
         """Return a copy with the named fields replaced.
 
-        Unknown names raise InvalidInputError so CLI --tol typos surface.
+        Unknown names and values that are not finite numbers >= 0 raise
+        InvalidInputError, so CLI --tol typos surface.
         """
         from .errors import InvalidInputError
 
-        for name in overrides:
+        values = {}
+        for name, value in overrides.items():
             if name not in self.__dataclass_fields__:
                 raise InvalidInputError(f"unknown tolerance {name!r}")
-        return replace(self, **{k: float(v) for k, v in overrides.items()})
+            try:
+                x = float(value)
+            except (TypeError, ValueError):
+                x = math.nan  # rejected below with the others
+            if not (math.isfinite(x) and x >= 0.0):
+                raise InvalidInputError(
+                    f"tolerance {name!r} must be a finite number >= 0, got {value!r}")
+            values[name] = x
+        return replace(self, **values)
 
 
 DEFAULT = Tolerances()

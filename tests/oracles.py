@@ -19,8 +19,8 @@ from hypframe.pipeline import project_hollow_ball, project_poincare
 from hypframe.propagation import (_CF4_A, _CF4_B, coefficient_matrix_values,
                                   gram_drift, gram_residual,
                                   pseudo_orthonormalize)
-from hypframe.symexpr import (_NP_FUNCS, Add, Div, ExprDomainError, Fun, Mul,
-                              Neg, Num, Pow, Sub, Var, _apply)
+from hypframe.symexpr import (_TABLE, Add, Div, ExprDomainError, Fun, Mul, Neg,
+                              Num, Pow, Sub, Var, _apply)
 
 
 def tree_eval(e, t):
@@ -87,7 +87,7 @@ def tree_vec(e):
             return lambda t: f(t) ** k
         case Fun(name=name, arg=u):
             f = tree_vec(u)
-            g = _NP_FUNCS[name]
+            g = _TABLE[name].numpy
             return lambda t: g(f(t))
     raise TypeError(f"not an Expr: {e!r}")
 

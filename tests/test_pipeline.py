@@ -250,6 +250,8 @@ def test_cli_subcommands_smoke(tmp_path, capsys):
                      "--tol", "frame=1e-8"]) == 0
     assert cli_main(["integrate", "--spec", spec_path,
                      "--tol", "bogus=1"]) == 1
+    for bad in ("zero=nan", "zero=inf", "zero=abc", "zero=-1"):
+        assert cli_main(["integrate", "--spec", spec_path, "--tol", bad]) == 1
     capsys.readouterr()
 
 
@@ -360,3 +362,52 @@ def test_every_subcommand_on_split_runs(tmp_path, capsys, curvature, domain, run
     assert [(e["focal_type"], e["evolute_type"], e["dual_type"])
             for leg in legs for e in leg["events"]] == events
     assert all(p["pass"] for p in data["duality"].values() if p["status"] == "checked")
+
+
+_FRAME_5E_11 = [1, 0, 0, 0, 0, 1, 0, 0, 0, 5e-11, 1, 0, 0, 0, 0, 1]  # <v1, v2> = 5e-11
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"domain": 5}, "domain"),
+    ({"theta": None}, "theta"),
+    ({"domain": {"t0": 0, "t1": "inf", "samples": 11}}, "domain"),
+    ({"theta": {"min": -1, "max": "inf", "samples": 5}, "outputs": ["focal_h_obj"]}, "theta"),
+    ({"tolerances": {"zero": "abc"}}, "tolerances"),
+    ({"tolerances": {"zero": "nan"}}, "tolerances"),
+    ({"tolerances": {"sing": -1e-9}}, "tolerances"),
+    ({"initial_frame": ["x"] + [0] * 15}, "initial_frame"),
+    # within the old 1e-10 load check, outside integrate_frame's 1e-12
+    ({"initial_frame": _FRAME_5E_11}, "initial_frame"),
+], ids=["domain_int", "theta_null", "t1_inf", "theta_max_inf", "tol_text", "tol_nan",
+        "tol_negative", "frame_text", "frame_residual"])
+def test_load_spec_names_the_bad_field(tmp_path, capsys, change, field):
+    path = _write_spec(tmp_path, dict(MINIMAL, **change))
+    with pytest.raises(SpecValidationError) as err:
+        load_spec(path)
+    assert err.value.field == field
+    assert cli_main(["run", "--spec", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"spec error: {field}: ")
+
+
+def test_cli_non_finite_intermediate_exits_2(tmp_path, capsys):
+    """exp(t^3) overflows past t = 8.92, and sin of it is NaN: a numeric
+    failure located at that t, not a crash."""
+    doc = dict(MINIMAL, curvature={"m": "sin(exp(t^3))", "n": "1", "a": "2", "b": "0"},
+               domain={"t0": 0.0, "t1": 10.0, "samples": 11})
+    assert cli_main(["run", "--spec", _write_spec(tmp_path, doc)]) == 2
+    assert "curvature function 0 not finite at t=8.92" in capsys.readouterr().err
+
+
+def test_cli_focal_runs_only_the_focal_stages(tmp_path, capsys):
+    """On this spec sigma_F touches zero inside the hyperbolic evolute's
+    domain and the correspondence check fails; focal does not run it."""
+    doc = dict(MINIMAL, name="tangency",
+               curvature={"m": "1.13", "n": "0.68-0.76*sin(-2.78*t)", "a": "-1.23", "b": "0"},
+               domain={"t0": -1.6, "t1": 1.6, "samples": 41})
+    spec = _write_spec(tmp_path, doc)
+    assert cli_main(["focal", "--spec", spec, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "focal_h: defined on [[-1.6, 1.6]]", "focal_d: defined on nowhere",
+        "wrote: tangency_focal_h.obj"]
+    obj = (tmp_path / "out" / "tangency_focal_h.obj").read_text().splitlines()
+    assert obj[1] == "# grid 41 x 5"

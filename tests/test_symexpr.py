@@ -62,6 +62,12 @@ def test_syntax_error_columns():
     assert err.value.column == 6
     with pytest.raises(ExprSyntaxError):
         parse_expr("(1+2))")
+    # numbers are ASCII digits only: a superscript two or an Arabic-Indic
+    # three is an unexpected character, not a number
+    for source, column in (("t*\u00b2", 3), ("\u0663*t", 1)):
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+            parse_expr(source)
+        assert err.value.column == column
 
 
 def test_unknown_identifier():
@@ -191,6 +197,39 @@ def test_domain_error_names_subexpression():
 def test_eval_ieee_overflow_saturates():
     assert eval_expr(parse_expr("exp(t)"), 1e4) == math.inf
     assert eval_expr(parse_expr("sinh(t)"), -1e4) == -math.inf
+    # the periodic functions of an infinite argument are NaN, not an error
+    for name in ("sin", "cos", "tan"):
+        for t in (math.inf, -math.inf):
+            assert math.isnan(eval_expr(parse_expr(f"{name}(t)"), t)), (name, t)
+    # and so is a constant that folds to one
+    assert math.isnan(parse_expr("cos(1e400)").value)
+    assert parse_expr("1e200^2") is num(math.inf)
+    assert parse_expr("(-1e200)^3") is num(-math.inf)
+
+
+def _float_class(x):
+    return "nan" if math.isnan(x) else {math.inf: "+inf", -math.inf: "-inf"}.get(x, "finite")
+
+
+def test_scalar_and_array_replays_agree():
+    """For every DSL function, the scalar replay raises only where the array
+    replay is not finite; elsewhere both give the same class of value, and
+    finite values agree within 4 ulp."""
+    xs = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 710.0, -710.0, 800.0, -800.0,
+          1e300, -1e300, math.inf, -math.inf, math.nan]
+    mismatches = []
+    for name in FUNCTIONS:
+        program = compile([parse_expr(f"{name}(t)")])
+        for x, want in zip(xs, program.array(np.array(xs))[0].tolist()):
+            got, exc = _outcome(lambda: program.scalar(x)[0])
+            if isinstance(exc, ExprDomainError):
+                agree = not math.isfinite(want)
+            else:
+                agree = exc is None and _float_class(got) == _float_class(want) and (
+                    not math.isfinite(want) or abs(got - want) <= 4 * math.ulp(want))
+            if not agree:
+                mismatches.append((name, x, got, exc, want))
+    assert mismatches == []
 
 
 def test_eval_deterministic():
