@@ -17,10 +17,10 @@ import numpy as np
 
 from . import evolute as _evolute
 from . import focal as _focal
-from .errors import InvalidInputError
-from .focal import D, H, Fibration
+from .errors import FrameDegenerateError, InvalidInputError, SurfaceUndefinedError
+from .focal import D, H, Fibration, _require
 from .framedcurve import FramedCurveModel
-from .minkowski import MinkVec, Quadric, membership_residual, mink_dot
+from .minkowski import Columns, MinkVec, Quadric, membership_residual, mink_dot
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -32,12 +32,15 @@ class FrontVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class DualPairSample:
-    f: MinkVec
-    g: MinkVec
-    df_du: MinkVec
-    df_dv: MinkVec
-    dg_du: MinkVec
-    dg_dv: MinkVec
+    """One sample, its legs MinkVecs, or a batch of samples, its legs
+    (m, 4) arrays with one row per sample."""
+
+    f: MinkVec | np.ndarray
+    g: MinkVec | np.ndarray
+    df_du: MinkVec | np.ndarray
+    df_dv: MinkVec | np.ndarray
+    dg_du: MinkVec | np.ndarray
+    dg_dv: MinkVec | np.ndarray
     fibration: Fibration
 
     def membership_residuals(self):
@@ -46,36 +49,44 @@ class DualPairSample:
                 membership_residual(self.g, Quadric.S31))
 
 
+LEGS = ("f", "g", "df_du", "df_dv", "dg_du", "dg_dv")
+
+
 def isotropy_residuals(sample: DualPairSample):
-    """(r0, r1, r2, r3, r4): leg pairing and the four pullback coefficients."""
-    return (mink_dot(sample.f, sample.g),
-            mink_dot(sample.df_du, sample.g),
-            mink_dot(sample.df_dv, sample.g),
-            mink_dot(sample.f, sample.dg_du),
-            mink_dot(sample.f, sample.dg_dv))
+    """(r0, r1, r2, r3, r4): leg pairing and the four pullback coefficients,
+    as floats of one sample or arrays over a batch."""
+    f, g, f_u, f_v, g_u, g_v = (v if isinstance(v, MinkVec) else Columns(*v.T)
+                                for v in (getattr(sample, leg) for leg in LEGS))
+    return (mink_dot(f, g),
+            mink_dot(f_u, g),
+            mink_dot(f_v, g),
+            mink_dot(f, g_u),
+            mink_dot(f, g_v))
 
 
 def front_verdict(samples, tol: Tolerances = DEFAULT,
                   rank_rtol: float | None = None) -> FrontVerdict:
-    """Judge a sampled lift: NotIsotropic, Front, or Frontal.
+    """Judge a sampled lift, a batch or a list of samples: NotIsotropic,
+    Front, or Frontal.
 
     Front requires the 8x2 joint derivative matrix of (f, g) to have
     numeric rank 2 at every sample (sigma_min > rank_rtol * sigma_max).
     """
     if rank_rtol is None:
         rank_rtol = tol.rank_rtol
-    if not samples:
+    if not isinstance(samples, DualPairSample) and samples:
+        samples = DualPairSample(*(np.array([getattr(s, leg).as_array() for s in samples])
+                                   for leg in LEGS), samples[0].fibration)
+    if not samples or not len(samples.f):
         raise InvalidInputError("front_verdict needs at least one sample")
-    immersion = True
-    for s in samples:
-        if max(abs(r) for r in isotropy_residuals(s)) > tol.dual:
-            return FrontVerdict.NOT_ISOTROPIC
-        col_u = np.concatenate([s.df_du.as_array(), s.dg_du.as_array()])
-        col_v = np.concatenate([s.df_dv.as_array(), s.dg_dv.as_array()])
-        sv = np.linalg.svd(np.stack([col_u, col_v], axis=1), compute_uv=False)
-        if sv[1] <= rank_rtol * sv[0]:
-            immersion = False
-    return FrontVerdict.FRONT if immersion else FrontVerdict.FRONTAL
+    if (np.abs(isotropy_residuals(samples)).max(axis=0) > tol.dual).any():
+        return FrontVerdict.NOT_ISOTROPIC
+    cols = [np.concatenate([samples.df_du, samples.dg_du], axis=1),
+            np.concatenate([samples.df_dv, samples.dg_dv], axis=1)]
+    sv = np.linalg.svd(np.stack(cols, axis=2), compute_uv=False)
+    if (sv[:, 1] <= rank_rtol * sv[:, 0]).any():
+        return FrontVerdict.FRONTAL
+    return FrontVerdict.FRONT
 
 
 # ---------------------------------------------------------------------------
@@ -94,38 +105,73 @@ def _pair(pair: str):
     return PAIR_SURFACES[pair]
 
 
-def pair_sample(model: FramedCurveModel, pair: str, t: float,
-                theta: float) -> DualPairSample:
-    """Build the (f, g) sample of one named dual pair at (t, theta).
+def pair_sample(model: FramedCurveModel, pair: str, t, theta) -> DualPairSample:
+    """The (f, g) sample of one named dual pair at (t, theta); for arrays
+    t and theta, the batch of the samples at each (t[i], theta[i]) where
+    the pair and the Frenet frame are defined, in order.
 
     Partials are exact in frame coordinates: the frame vectors satisfy
     the pairing identities after re-orthonormalization, so the residuals
     report transcription errors rather than interpolation noise.
     """
     side, surface = _pair(pair)
-    # the public bindings, looked up per call so that a rebound module
-    # attribute (a profiler's wrapper) is the one called
-    point, partials, evolute = {
-        H.focal: (_focal.focal_h_point, _focal.focal_h_partials, None),
-        D.focal: (_focal.focal_d_point, _focal.focal_d_partials, None),
-        H.dual: (_evolute.dual_of_evolute_h, _evolute.dual_of_evolute_h_partials,
-                 _evolute.evolute_h),
-        D.dual: (_evolute.dual_of_evolute_d, _evolute.dual_of_evolute_d_partials,
-                 _evolute.evolute_d),
-    }[surface]
-    frame = model.frenet_frame_at(t)
-    data = model.frenet_data_at(t)
-    zero = MinkVec(0.0, 0.0, 0.0, 0.0)
-    p = point(model, t, theta)
-    pt, pth = partials(model, t, theta)
-    if evolute is None:
-        g = MinkVec.from_array(frame[3])
-        gt = MinkVec.from_array(data.M * frame[0] - data.A * frame[1])
-        return DualPairSample(p, g, pt, pth, gt, zero, side.fibration)
-    es = evolute(model, t)
-    legs = ((es.point, es.derivative1, zero), (p, pt, pth))
-    (f, ft, fth), (g, gt, gth) = legs if side.evolute_first else legs[::-1]
-    return DualPairSample(f, g, ft, fth, gt, gth, side.fibration)
+    dual = surface == side.dual
+    if np.ndim(t):
+        return _batch(model, side, dual, np.asarray(t, dtype=float),
+                      np.asarray(theta, dtype=float), (SurfaceUndefinedError, FrameDegenerateError))
+    batch = _batch(model, side, dual, np.array([t], dtype=float),
+                   np.array([theta], dtype=float), ())
+    return DualPairSample(*(MinkVec.from_array(getattr(batch, leg)) for leg in LEGS),
+                          side.fibration)
+
+
+def _batch(model, side, dual: bool, ts, thetas, skip: tuple) -> DualPairSample:
+    """The samples at each (ts[i], thetas[i]) as columns.  Where a value is
+    not finite, or the pair is undefined, the per-sample checks replay in
+    order of i, so a sample is left out, or raises, as it would alone;
+    they raise unless the error is one of `skip`, which leaves it out."""
+    frames, data, suspect = model.frenet_columns(ts)
+    c, s = (x[:, None] for x in _focal._fiber(side, thetas, dual))
+    with np.errstate(all="ignore"):
+        suspect |= np.logical_or(*_focal._failing(side, data, model.tol, dual))[:, 0]
+        r = np.sqrt(side.columns(data)[0])
+        p = _focal._points(data, frames, r, c, s, dual)
+        pt, pth = (_focal._dual_partials if dual else _focal._focal_partials)(
+            side, data, frames, r, c, s)
+        zero = np.zeros_like(p)
+        checked = [p, pt, pth]
+        if dual:
+            vecs, eps = _evolute._evolute_columns(side, model, data.t, frames)
+            legs = ((vecs[0], vecs[1], zero), (p, pt, pth))
+            (f, ft, fth), (g, gt, gth) = legs if side.evolute_first else legs[::-1]
+            extra = [*vecs, *eps]
+        else:
+            f, ft, fth, gth = p, pt, pth, zero
+            g, gt = frames[:, 3], data.M * frames[:, 0] - data.A * frames[:, 1]
+            checked += [g, gt]
+            extra = []
+        suspect |= ~np.isfinite(np.hstack(checked + extra)).all(axis=1)
+    keep = ~suspect
+    for i in np.flatnonzero(suspect):
+        try:
+            _replay(model, side, dual, float(ts[i]), [leg[i] for leg in checked])
+        except skip:
+            continue
+        keep[i] = True
+    return DualPairSample(f[keep], g[keep], ft[keep], fth[keep], gt[keep], gth[keep],
+                          side.fibration)
+
+
+def _replay(model, side, dual: bool, t: float, rows):
+    """Raise what the per-sample path raises at t, in its order: the Frenet
+    queries, the definedness rule, a leg row that is not finite, and for
+    the dual of an evolute, the evolute's own evaluations."""
+    model.frenet_frame_at(t)
+    _require(side, model.frenet_data_at(t), model, evolute=dual)
+    for row in rows:
+        MinkVec.from_array(row)
+    if dual:
+        (_evolute.evolute_h if side is H else _evolute.evolute_d)(model, t)
 
 
 def pair_theta_range(pair: str) -> tuple:

@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from .focal import (D, H, Side, SingularityType, SingularPointRecord,
-                    SurfaceParam, _eps_values, _frame_data, _point, _require,
+                    SurfaceParam, _eps_values, _partials, _point, _require,
                     _scale, _undefined_at, classify_d, classify_h, defined_runs,
                     focal_d_point, focal_h_point)
 from .framedcurve import FramedCurveModel
@@ -77,6 +77,16 @@ def _evolute_sample(model, t, side: Side) -> EvoluteSample:
                          diagnostics=diag)
 
 
+def _evolute_columns(side: Side, model, t, f) -> tuple:
+    """_evolute_sample's evaluations over the column t (m, 1) against the
+    Frenet frames f (m, 4, 4): the (m, 4) rows of E, E', E'', E''', and
+    the columns of epsilon and epsilon' along the theta branch."""
+    coeffs = side.evolute_program(model.frenet).array(t, exact=True)
+    # a stacked matmul rounds each row as the one-sample product does
+    vecs = [(np.hstack(coeffs[k:k + 4])[:, None, :] @ f)[:, 0] for k in range(0, 16, 4)]
+    return vecs, side.eps_path(model.frenet).array(t, exact=True)
+
+
 def evolute_h(model: FramedCurveModel, t: float) -> EvoluteSample:
     """(A^2 N gamma - M A N n1 + W n2) / sqrt(sigma_F), on H3 (sigma_F > 0)."""
     return _evolute_sample(model, t, H)
@@ -94,17 +104,6 @@ def evolute_d(model: FramedCurveModel, t: float) -> EvoluteSample:
 # the side's dual fiber pair (c, s), for which c' = -kappa s.
 
 
-def _dual_partials(side: Side, model, t, theta):
-    data, f, r = _frame_data(side, model, t, dual=True)
-    k, c, s = side.kappa, side.dual_c(theta), side.dual_s(theta)
-    ft = (c * data.M + k * s * data.A * data.W / r ** 3) * f[0] \
-        + (-c * data.A - k * s * data.M * data.W / r ** 3) * f[1] \
-        + (s * data.A * data.N / r) * f[2] \
-        + (k * s * r) * f[3]
-    fth = (c / r) * (-data.M * f[0] + data.A * f[1]) - k * s * f[3]
-    return MinkVec.from_array(ft), MinkVec.from_array(fth)
-
-
 def _lambda_dual(side: Side, model, t, theta) -> float:
     data = model.frenet_data_at(t)
     disc = _require(side, data, model, evolute=True)[0]
@@ -117,7 +116,7 @@ def dual_of_evolute_h(model: FramedCurveModel, t: float, theta: float) -> MinkVe
 
 
 def dual_of_evolute_h_partials(model, t, theta):
-    return _dual_partials(H, model, t, theta)
+    return _partials(H, model, t, theta, dual=True)
 
 
 def lambda_dual_h(model: FramedCurveModel, t: float, theta: float) -> float:
@@ -136,7 +135,7 @@ def dual_of_evolute_d(model: FramedCurveModel, t: float, theta: float) -> MinkVe
 
 
 def dual_of_evolute_d_partials(model, t, theta):
-    return _dual_partials(D, model, t, theta)
+    return _partials(D, model, t, theta, dual=True)
 
 
 def lambda_dual_d(model: FramedCurveModel, t: float, theta: float) -> float:

@@ -27,7 +27,7 @@ from .errors import (EvoluteUndefinedError, FrameDegenerateError, InvalidInputEr
                      SurfaceUndefinedError)
 from .framedcurve import FramedCurveModel, FrenetData
 from .minkowski import MinkVec
-from .symexpr import ExprDomainError, eval_expr
+from .symexpr import ExprDomainError, eval_expr, power
 from .tolerances import is_zero
 
 
@@ -142,19 +142,29 @@ def _scale(data: FrenetData) -> float:
 # Where each surface is defined
 
 
+def _failing(side: Side, data: FrenetData, tol, evolute: bool = False) -> tuple:
+    """The two tests of the definedness rule, (sigma_F fails, disc fails),
+    on one FrenetData or on the columns of a batch; the sigma_F test only
+    applies with `evolute`."""
+    sigma = False
+    if evolute:
+        sigma_scale = power(data.A * data.N, 2) * abs(data.disc_h) + power(data.W, 2)
+        sigma = side.kappa * data.sigma_f <= tol.sing * (1.0 + sigma_scale)
+    return sigma, side.columns(data)[0] <= tol.zero
+
+
 def _undefined(side: Side, data: FrenetData, tol, evolute: bool = False):
     """The definedness rule: why the side's focal surface (with `evolute`,
     its evolute and the dual of that) is undefined at data.t; None where it
     is defined.  frenet_data_at has already required a^2 + b^2 > tol.zero."""
-    if evolute:
-        sigma_scale = (data.A * data.N) ** 2 * abs(data.disc_h) + data.W ** 2
-        if side.kappa * data.sigma_f <= tol.sing * (1.0 + sigma_scale):
-            return (f"sigma_F = {data.sigma_f!r} at t={data.t!r} is not "
-                    f"{side.sigma_text}: {side.label} evolute undefined")
-    disc = side.columns(data)[0]
-    if disc <= tol.zero:
+    sigma, disc = _failing(side, data, tol, evolute)
+    if sigma:
+        return (f"sigma_F = {data.sigma_f!r} at t={data.t!r} is not "
+                f"{side.sigma_text}: {side.label} evolute undefined")
+    if disc:
         what = "evolute" if evolute else "focal surface"
-        return f"{side.disc_text} = {disc!r} at t={data.t!r}: {side.label} {what} undefined"
+        return (f"{side.disc_text} = {side.columns(data)[0]!r} at t={data.t!r}: "
+                f"{side.label} {what} undefined")
     return None
 
 
@@ -210,10 +220,43 @@ def _fiber_points(side: Side, model, t: float, c, s, dual: bool = False) -> np.n
     """The side's focal surface (with `dual`, the dual of its evolute) at t,
     one row per entry of the fiber arrays c and s."""
     data, f, r = _frame_data(side, model, t, dual)
-    outer = np.multiply.outer
+    return _points(data, f, r, c[:, None], s[:, None], dual)
+
+
+# The surfaces and their partials as array functions: the fiber values c
+# and s are (k, 1) columns, and either the frame f is one (4, 4) Frenet
+# frame with data and r = sqrt(disc) floats, or f is a (k, 4, 4) stack with
+# data and r (k, 1) columns.  One row per fiber value, in both cases.
+
+
+def _points(data, f, r, c, s, dual: bool = False) -> np.ndarray:
+    f0, f1, f2, f3 = np.moveaxis(f, -2, 0)
     if dual:
-        return outer(c, f[3]) + outer(s / r, -data.M * f[0] + data.A * f[1])
-    return outer(c / r, data.A * f[0] - data.M * f[1]) + outer(s, f[2])
+        return c * f3 + (s / r) * (-data.M * f0 + data.A * f1)
+    return (c / r) * (data.A * f0 - data.M * f1) + s * f2
+
+
+def _focal_partials(side: Side, data, f, r, c, s) -> tuple:
+    k, r3 = side.kappa, power(r, 3)
+    f0, f1, f2, _ = np.moveaxis(f, -2, 0)
+    ft = (-k * c * data.M * data.W / r3) * f0 \
+        + (k * c * data.A * data.W / r3 - s * data.N) * f1 \
+        + (-c * data.M * data.N / r) * f2
+    fth = (k * s * data.A / r) * f0 + (-k * s * data.M / r) * f1 + c * f2
+    return ft, fth
+
+
+def _dual_partials(side: Side, data, f, r, c, s) -> tuple:
+    """(dF/dt, dF/dtheta) of the dual of the side's evolute, frame-exact;
+    its fiber pair satisfies c' = -kappa s."""
+    k, r3 = side.kappa, power(r, 3)
+    f0, f1, f2, f3 = np.moveaxis(f, -2, 0)
+    ft = (c * data.M + k * s * data.A * data.W / r3) * f0 \
+        + (-c * data.A - k * s * data.M * data.W / r3) * f1 \
+        + (s * data.A * data.N / r) * f2 \
+        + (k * s * r) * f3
+    fth = (c / r) * (-data.M * f0 + data.A * f1) - k * s * f3
+    return ft, fth
 
 
 def _fiber(side: Side, thetas, dual: bool = False):
@@ -227,14 +270,12 @@ def _point(side: Side, model, t: float, theta: float, dual: bool = False) -> Min
     return MinkVec.from_array(_fiber_points(side, model, t, *_fiber(side, [theta], dual), dual))
 
 
-def _partials(side: Side, model: FramedCurveModel, t: float, theta: float):
-    data, f, r = _frame_data(side, model, t)
-    k, c, s = side.kappa, side.c(theta), side.s(theta)
-    ft = (-k * c * data.M * data.W / r ** 3) * f[0] \
-        + (k * c * data.A * data.W / r ** 3 - s * data.N) * f[1] \
-        + (-c * data.M * data.N / r) * f[2]
-    fth = (k * s * data.A / r) * f[0] + (-k * s * data.M / r) * f[1] + c * f[2]
-    return MinkVec.from_array(ft), MinkVec.from_array(fth)
+def _partials(side: Side, model: FramedCurveModel, t: float, theta: float, dual=False):
+    """_focal_partials (with `dual`, _dual_partials) at one (t, theta), as MinkVecs."""
+    data, f, r = _frame_data(side, model, t, dual)
+    c, s = (x[:, None] for x in _fiber(side, [theta], dual))
+    partials = _dual_partials if dual else _focal_partials
+    return tuple(MinkVec.from_array(v) for v in partials(side, data, f, r, c, s))
 
 
 def _lam(side: Side, data: FrenetData, cols: tuple, theta: float) -> float:

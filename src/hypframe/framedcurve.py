@@ -303,6 +303,11 @@ class FrenetExprs:
     evolute_d_program = cached_property(
         lambda self: compile([c for coeffs in self.evolute_d_chain for c in coeffs]))
 
+    # (a, b, a^2 + b^2) for frenet_columns, which finds where they raise
+    # without locating it
+    ab_columns = cached_property(
+        lambda self: compile([self.quartet.a, self.quartet.b, self.ab2]))
+
 
 @dataclass(frozen=True)
 class FrenetData:
@@ -387,28 +392,44 @@ class FramedCurveModel:
         return [self.sample(i) for i in range(len(self.ts))]
 
     def frame_at(self, t: float) -> np.ndarray:
-        """Frame matrix at t: stored sample or interpolated + re-orthonormalized."""
+        """frames_at of the one t; a stored sample is found without it."""
         ts = self.ts
         span = max(abs(self.t0), abs(self.t1), 1.0)
-        if t < self.t0 - 1e-12 * span or t > self.t1 + 1e-12 * span:
-            raise InvalidInputError(
-                f"t={t!r} outside the integrated domain [{self.t0}, {self.t1}]")
         i = int(np.searchsorted(ts, t))
-        if i < len(ts) and abs(ts[i] - t) <= 1e-13 * span:
-            return self.frames[i].copy()
-        if i > 0 and abs(ts[i - 1] - t) <= 1e-13 * span:
-            return self.frames[i - 1].copy()
-        lo = max(0, min(i - 2, len(ts) - 4))
-        hi = min(len(ts), lo + 4)
-        xs = ts[lo:hi]
-        f = np.zeros((4, 4))
-        for k in range(len(xs)):
-            w = 1.0
-            for j in range(len(xs)):
+        for j in (i, i - 1):
+            if 0 <= j < len(ts) and abs(ts[j] - t) <= 1e-13 * span:
+                return self.frames[j].copy()
+        return self.frames_at(np.array([t]))[0]
+
+    def frames_at(self, ts) -> np.ndarray:
+        """Frame matrices at each of the array ts, shape (len(ts), 4, 4).
+
+        Within 1e-13 * span of a grid point, its stored sample; elsewhere
+        the cubic Lagrange interpolant of the four nearest samples,
+        re-orthonormalized.
+        """
+        grid = self.ts
+        span = max(abs(self.t0), abs(self.t1), 1.0)
+        outside = (ts < self.t0 - 1e-12 * span) | (ts > self.t1 + 1e-12 * span)
+        if outside.any():
+            raise InvalidInputError(f"t={float(ts[outside][0])!r} outside the "
+                                    f"integrated domain [{self.t0}, {self.t1}]")
+        i = np.searchsorted(grid, ts)
+        lo = np.maximum(0, np.minimum(i - 2, len(grid) - 4))
+        xs = grid[lo[:, None] + np.arange(min(4, len(grid)))]
+        f = np.zeros((len(ts), 4, 4))
+        for k in range(xs.shape[1]):
+            w = np.ones(len(ts))
+            for j in range(xs.shape[1]):
                 if j != k:
-                    w *= (t - xs[j]) / (xs[k] - xs[j])
-            f += w * self.frames[lo + k]
-        return _kernel.pseudo_orthonormalize(f)
+                    w *= (ts - xs[:, j]) / (xs[:, k] - xs[:, j])
+            f += w[:, None, None] * self.frames[lo + k]
+        f = _kernel.pseudo_orthonormalize(f)
+        for j in (i - 1, i):  # a hit on grid[i] wins over one on grid[i - 1]
+            jc = np.clip(j, 0, len(grid) - 1)
+            hit = (j >= 0) & (j < len(grid)) & (np.abs(grid[jc] - ts) <= 1e-13 * span)
+            f[hit] = self.frames[jc[hit]]
+        return f
 
     def sample_at(self, t: float) -> FrameSample:
         return FrameSample.from_matrix(t, self.frame_at(t))
@@ -454,6 +475,29 @@ class FramedCurveModel:
         out = FrenetData(**data)
         self._last_frenet = (key, out)
         return out
+
+    def frenet_columns(self, ts) -> tuple:
+        """frenet_frame_at and frenet_data_at at each of the array ts, as
+        (frames, data, suspect): an (m, 4, 4) stack of Frenet frames, a
+        FrenetData whose fields are (m, 1) columns, and a mask that is true
+        where either query would raise or gives a value that is not finite.
+        Elsewhere each value is bitwise the query's."""
+        fe, t, zero = self.frenet, ts[:, None], self.tol.zero
+        a, b, ab2 = fe.ab_columns.array(t, exact=True)
+        base = fe.base_program.array(t, exact=True)
+        disc_h, M, N, *rest = base
+        dh, dd = fe.dh_program.array(t, exact=True), fe.dd_program.array(t, exact=True)
+        r2 = a * a + b * b
+        f = self.frames_at(ts)
+        with np.errstate(all="ignore"):
+            suspect = np.hstack([~((r2 > zero) & (ab2 > zero)),
+                                 ~np.isfinite(np.hstack([a, b, ab2, *base])),
+                                 (disc_h > 0.0) & ~np.isfinite(np.hstack(dh)),
+                                 (-disc_h > 0.0) & ~np.isfinite(np.hstack(dd))])
+            r = np.sqrt(r2)
+            f[:, 1], f[:, 2] = (a * f[:, 1] + b * f[:, 2]) / r, (-b * f[:, 1] + a * f[:, 2]) / r
+            data = FrenetData(t, M, N, np.sqrt(ab2), 0.0, *rest, disc_h, -disc_h, *dh, *dd)
+        return f, data, suspect.any(axis=1)
 
 
 def frenet_convert(model: FramedCurveModel, t: float):

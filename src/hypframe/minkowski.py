@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,10 @@ class MinkVec:
     def max_abs(self) -> float:
         return max(abs(self.x0), abs(self.x1), abs(self.x2), abs(self.x3))
 
+
+# MinkVec's fields as the columns of an (n, 4) array, so that mink_dot and
+# membership_residual run on every row at once, with the same operations
+Columns = namedtuple("Columns", "x0 x1 x2 x3")
 
 E0 = MinkVec(1.0, 0.0, 0.0, 0.0)
 E1 = MinkVec(0.0, 1.0, 0.0, 0.0)

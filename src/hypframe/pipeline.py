@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import os
-from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -23,12 +22,11 @@ from . import __version__
 from . import duality as _duality
 from . import evolute as _evolute
 from . import focal as _focal
-from .errors import (FrameDegenerateError, HypframeError, InvalidInputError,
-                     SurfaceUndefinedError)
+from .errors import HypframeError, InvalidInputError
 from .framedcurve import (CurvatureQuartet, FrameSample, FramedCurveModel,
                           integrate_frame, propagation_backend,
                           validate_initial_frame)
-from .minkowski import MinkVec, Quadric, membership_residual
+from .minkowski import Columns, MinkVec, Quadric, membership_residual
 from .symexpr import ExprSyntaxError, parse_expr
 from .tolerances import DEFAULT, Tolerances
 
@@ -180,10 +178,6 @@ def load_spec(path) -> CurveSpec:
 # Chart projections for meshing
 
 
-# MinkVec's fields as columns, so that mink_dot and membership_residual run on arrays
-_Columns = namedtuple("_Columns", "x0 x1 x2 x3")
-
-
 def _chart(points, quadric: Quadric, den) -> np.ndarray:
     """(x1, x2, x3) / den(x0) for each row x of an (n, 4) array on quadric.
 
@@ -191,7 +185,7 @@ def _chart(points, quadric: Quadric, den) -> np.ndarray:
     denominator raises as the one-point chart always has: MinkVec's
     non-finite text, "point ... is not on H3" (or S31), or float division.
     """
-    rows = _Columns(*points.T)
+    rows = Columns(*points.T)
     with np.errstate(all="ignore"):
         off = np.abs(membership_residual(rows, quadric)) > 1e-6
         d = den(rows.x0)
@@ -310,6 +304,25 @@ def write_mesh(model: FramedCurveModel, runs, spec: CurveSpec, product, out_dir)
     return [name]
 
 
+def _draws(rng, spans, theta_range) -> tuple:
+    """DUALITY_SAMPLES draws (ts, thetas) from rng, in its order: t uniform
+    on the union of the spans, theta uniform on theta_range."""
+    total = sum(hi - lo for lo, hi in spans)
+    th_lo, th_hi = theta_range
+    ts, thetas = np.empty(DUALITY_SAMPLES), np.empty(DUALITY_SAMPLES)
+    for k in range(DUALITY_SAMPLES):
+        # x lands in the first span it does not overrun after the lengths
+        # of the spans before it are taken off; past them all, in the last
+        x = total * rng.random()
+        for lo, hi in spans:
+            if x <= hi - lo:
+                break
+            x -= hi - lo
+        ts[k] = lo + x
+        thetas[k] = th_lo + (th_hi - th_lo) * rng.random()
+    return ts, thetas
+
+
 def duality_summary(model: FramedCurveModel, runs=None) -> dict:
     """Isotropy residuals and front verdict of each dual pair at
     DUALITY_SAMPLES seeded random points inside the t spans of the pair's
@@ -325,30 +338,15 @@ def duality_summary(model: FramedCurveModel, runs=None) -> dict:
         if total <= 0.0:
             out[pair] = {"status": "skipped", "reason": "surface not defined"}
             continue
-        th_lo, th_hi = _duality.pair_theta_range(pair)
-        samples = []
-        worst = 0.0
-        for _ in range(DUALITY_SAMPLES):
-            # t uniform on the union of the spans
-            x = total * rng.random()
-            for lo, hi in spans:
-                if x <= hi - lo:
-                    break
-                x -= hi - lo
-            t = lo + x
-            th = th_lo + (th_hi - th_lo) * rng.random()
-            try:
-                s = _duality.pair_sample(model, pair, t, th)
-            except (SurfaceUndefinedError, FrameDegenerateError):
-                continue
-            samples.append(s)
-            res = _duality.isotropy_residuals(s)
-            worst = max(worst, max(abs(r) for r in res))
-        if not samples:
+        ts, thetas = _draws(rng, spans, _duality.pair_theta_range(pair))
+        # the draws where the pair is undefined are left out of the batch
+        samples = _duality.pair_sample(model, pair, ts, thetas)
+        if not len(samples.f):
             out[pair] = {"status": "skipped", "reason": "no evaluable samples"}
             continue
+        worst = float(np.abs(_duality.isotropy_residuals(samples)).max())
         verdict = _duality.front_verdict(samples, model.tol)
-        out[pair] = {"status": "checked", "samples": len(samples),
+        out[pair] = {"status": "checked", "samples": len(samples.f),
                      "max_residual": worst, "verdict": verdict.value,
                      "pass": worst <= model.tol.dual}
     return out

@@ -158,16 +158,20 @@ def pseudo_orthonormalize(f: np.ndarray) -> np.ndarray:
     normalized, and mu is rebuilt as -(gamma ^ v1 ^ v2) (the orientation
     of the det=+1 standard frame) and then projected itself: the wedge
     alone carries an eps * |F|^3 rounding floor on boosted frames.
+    f is one (4, 4) frame or a (..., 4, 4) stack, each frame restored by
+    the same operations as alone.
     """
-    g = f[0] / np.sqrt(-_mdot(f[0], f[0]))
-    v1 = f[1] + _mdot(f[1], g) * g
+    # rows component first: (4,) for one frame, (4, ...) for a stack
+    f0, f1, f2 = (f[..., i, :].T for i in range(3))
+    g = f0 / np.sqrt(-_mdot(f0, f0))
+    v1 = f1 + _mdot(f1, g) * g
     v1 = v1 / np.sqrt(_mdot(v1, v1))
-    v2 = f[2] + _mdot(f[2], g) * g - _mdot(f[2], v1) * v1
+    v2 = f2 + _mdot(f2, g) * g - _mdot(f2, v1) * v1
     v2 = v2 / np.sqrt(_mdot(v2, v2))
     mu = -_wedge_rows(g, v1, v2)
     mu = mu + _mdot(mu, g) * g - _mdot(mu, v1) * v1 - _mdot(mu, v2) * v2
     mu = mu / np.sqrt(_mdot(mu, mu))
-    return np.array([g, v1, v2, mu])
+    return np.stack([g.T, v1.T, v2.T, mu.T], axis=-2)
 
 
 def propagate(node_vals: np.ndarray, hs: np.ndarray, substeps: np.ndarray,

@@ -37,7 +37,7 @@ from .errors import HypframeError, NumericError
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
     "parse_expr", "diff_expr", "eval_expr", "to_source", "vectorized",
-    "compile", "Program",
+    "compile", "Program", "power",
     "ExprSyntaxError", "UnknownIdentifierError", "NonIntegerExponentError",
     "ExprDomainError",
     "add", "sub", "mul", "div", "neg", "pow_", "fun", "num",
@@ -75,8 +75,9 @@ class ExprDomainError(NumericError):
 
 class Expr:
     # _d1 and _program memoize the derivative and the single-root program
-    # on the node itself, so they live exactly as long as the node does
-    __slots__ = ("__weakref__", "_d1", "_program")
+    # on the node itself, so they live exactly as long as the node does;
+    # _depth is the longest path to a leaf, in nodes
+    __slots__ = ("__weakref__", "_d1", "_program", "_depth")
 
     def __call__(self, t):
         return eval_expr(self, t)
@@ -188,7 +189,13 @@ def _intern(key, cls, *fields):
     node = _INTERNED.get(key)
     if node is None:
         node = _INTERNED[key] = cls(*fields)
+        depth = max((_depth(f) for f in fields if isinstance(f, Expr)), default=0)
+        object.__setattr__(node, "_depth", depth + 1)
     return node
+
+
+def _depth(e: Expr) -> int:
+    return getattr(e, "_depth", 1)
 
 
 def num(v) -> Num:
@@ -339,10 +346,19 @@ def _tokenize(source: str):
     return tokens
 
 
+# The deepest tree, and the deepest nesting of parentheses, that a source
+# may hold.  Differentiating, compiling and printing recurse through a
+# whole tree, and the Frenet expressions differentiate the input several
+# times: a nested quotient (t+3)/((t+3)/(...)) of depth 52 already passes
+# Python's recursion limit there, one of depth 40 runs.
+MAX_DEPTH = 40
+
+
 class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.level = 0  # parentheses and function calls open at pos
 
     def peek(self):
         return self.tokens[self.pos]
@@ -364,14 +380,21 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.column)
+        if _depth(e) > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression tree deeper than {MAX_DEPTH} levels", 1)
         return e
 
     def expr(self) -> Expr:
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_DEPTH} levels",
+                                  self.peek().column)
         e = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
             rhs = self.term()
             e = add(e, rhs) if op == "+" else sub(e, rhs)
+        self.level -= 1
         return e
 
     def term(self) -> Expr:
@@ -383,10 +406,14 @@ class _Parser:
         return e
 
     def unary(self) -> Expr:
-        if self.peek().kind == "-":
+        signs = 0
+        while self.peek().kind == "-":
             self.advance()
-            return neg(self.unary())
-        return self.power()
+            signs += 1
+        e = self.power()
+        for _ in range(signs):
+            e = neg(e)
+        return e
 
     def power(self) -> Expr:
         e = self.atom()
@@ -498,7 +525,8 @@ def diff_expr(e: Expr, order: int = 1) -> Expr:
 # one op per distinct node (plus a check before each division's
 # numerator).  The op list is replayed over a Python float, with IEEE
 # semantics and located domain errors, or over a NumPy array, where
-# domain violations surface as non-finite values.
+# domain violations surface as non-finite values (as NaN, and with the
+# float replay's rounding, in the exact array replay).
 
 
 def _apply(name: str, x: float, node: Expr) -> float:
@@ -513,6 +541,19 @@ def _apply(name: str, x: float, node: Expr) -> float:
             return float(f.numpy(x))
 
 
+def _fun_cols(name: str, x) -> np.ndarray:
+    """_apply over each element of x, NaN where it raises."""
+    f = _TABLE[name]
+    x = np.asarray(x)
+    outside = False if f.outside is None else f.outside(x)
+    xs = np.where(outside, 0.5, x).ravel().tolist()  # 0.5: inside every domain
+    try:
+        out = list(map(f.libm, xs))
+    except (OverflowError, ValueError):
+        out = [_apply(name, v, None) for v in xs]
+    return np.where(outside, math.nan, np.reshape(out, x.shape))
+
+
 def _pow(b, k, node):
     if b == 0.0 and k < 0:
         raise ExprDomainError("zero raised to a negative power", node)
@@ -523,7 +564,21 @@ def _pow(b, k, node):
         return sign * math.inf
 
 
-# Python source of one op, per replay.  Op i stores its value in v{i};
+def power(x, k: int):
+    """x ** k as Python's float power rounds it, for a float or for each
+    element of an array (NumPy's power rounds differently); over an array,
+    NaN where zero meets a negative k."""
+    if not isinstance(x, np.ndarray):
+        return x ** k
+    xs = x.ravel().tolist()
+    try:
+        out = [v ** k for v in xs]
+    except (ZeroDivisionError, OverflowError):
+        out = [math.nan if v == 0.0 and k < 0 else _pow(v, k, None) for v in xs]
+    return np.reshape(out, x.shape)
+
+
+# Python source of one op of the scalar replay.  Op i stores its value in v{i};
 # {a} and {b} are operand op indices, except that {b} is the exponent of
 # a pow op and the function name of a fun op.  A den op checks the
 # denominator of the Div node it belongs to.
@@ -539,12 +594,27 @@ _SCALAR_CODE = {
     "pow": "v{i} = _pow(v{a}, {b!r}, O[{i}])",
     "fun": "v{i} = _apply({b!r}, v{a}, O[{i}])",
 }
-_ARRAY_CODE = {
-    **_SCALAR_CODE,
-    "var": "v{i} = t",
-    "den": None,
-    "pow": "v{i} = v{a} ** {b!r}",
-    "fun": "v{i} = F[{b!r}].numpy(v{a})",
+# One op of the array replays, which run a program a few times, not
+# thousands, and so walk the ops instead of rendering them; v holds the
+# values of the ops before.
+_ARRAY_OPS = {
+    "num": lambda v, t, node, a, b: node.value,
+    "var": lambda v, t, node, a, b: t,
+    "neg": lambda v, t, node, a, b: -v[a],
+    "add": lambda v, t, node, a, b: v[a] + v[b],
+    "sub": lambda v, t, node, a, b: v[a] - v[b],
+    "mul": lambda v, t, node, a, b: v[a] * v[b],
+    "den": lambda v, t, node, a, b: None,
+    "div": lambda v, t, node, a, b: v[a] / v[b],
+    "pow": lambda v, t, node, a, b: v[a] ** b,
+    "fun": lambda v, t, node, a, b: _TABLE[b].numpy(v[a]),
+}
+# the scalar replay's rounding, and a NaN where that raises
+_EXACT_OPS = {
+    **_ARRAY_OPS,
+    "div": lambda v, t, node, a, b: np.where(v[b] == 0.0, math.nan, np.divide(v[a], v[b])),
+    "pow": lambda v, t, node, a, b: power(np.asarray(v[a]), b),
+    "fun": lambda v, t, node, a, b: _fun_cols(b, v[a]),
 }
 
 
@@ -555,38 +625,45 @@ class Program:
     of each root in turn first reaches a node: operands left to right,
     except that a Div evaluates and checks its denominator before its
     numerator.  Replaying them therefore raises at the same node, with
-    the same message, as that walk.  Each replay is rendered to Python
-    source once, on first use.
+    the same message, as that walk.  The scalar replay is rendered to
+    Python source once, on first use.
     """
 
     def __init__(self, ops, outputs):
         self.ops = ops
         self.outputs = outputs
         self._scalar = None
-        self._array = None
 
     def scalar(self, t) -> tuple:
         """Values of the roots at the float t."""
         if self._scalar is None:
-            self._scalar = self._render(_SCALAR_CODE)
+            self._scalar = self._render()
         return self._scalar(t)
 
-    def array(self, t) -> tuple:
-        """Values of the roots over the array t (NumPy broadcasting)."""
-        if self._array is None:
-            self._array = self._render(_ARRAY_CODE)
-        with np.errstate(all="ignore"):
-            return self._array(t)
+    def array(self, t, exact: bool = False) -> tuple:
+        """Values of the roots over the array t (NumPy broadcasting).
 
-    def _render(self, code):
+        With `exact`, every root has the shape of t, and each element is
+        the scalar replay's value at that t, bit for bit, or NaN where an
+        op that the root reads would raise there.  NumPy's power and
+        functions round differently from Python's, so this replay takes
+        them element by element.
+        """
+        replay, v = _EXACT_OPS if exact else _ARRAY_OPS, []
+        with np.errstate(all="ignore"):
+            for kind, node, a, b in self.ops:
+                v.append(replay[kind](v, t, node, a, b))
+        if exact:
+            return tuple(np.broadcast_to(v[i], np.shape(t)) for i in self.outputs)
+        return tuple(v[i] for i in self.outputs)
+
+    def _render(self):
         lines = ["def run(t):"]
         for i, (kind, _, a, b) in enumerate(self.ops):
-            if code[kind] is not None:
-                lines.append("    " + code[kind].format(i=i, a=a, b=b))
+            lines.append("    " + _SCALAR_CODE[kind].format(i=i, a=a, b=b))
         lines.append("    return (" + "".join(f"v{i}, " for i in self.outputs) + ")")
         namespace = {"O": tuple(op[1] for op in self.ops), "_pow": _pow,
-                     "_apply": _apply, "F": _TABLE,
-                     "ExprDomainError": ExprDomainError}
+                     "_apply": _apply, "ExprDomainError": ExprDomainError}
         exec("\n".join(lines), namespace)
         return namespace["run"]
 

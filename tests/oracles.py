@@ -5,22 +5,27 @@ a hand-rolled cofactor expansion, derivatives come from central
 differences, reference integrations from half-step Richardson comparison
 or scipy, expressions are evaluated by walking the tree recursively,
 frames are propagated one substep at a time with a scalar exponential,
-and surface meshes are evaluated and written one point at a time.
+interpolated one weight at a time, surface meshes are evaluated and
+written one point at a time, and duality samples are built and judged
+one at a time.
 """
 
 import math
 
 import numpy as np
 
-from hypframe.errors import InvalidInputError, SurfaceUndefinedError
-from hypframe.focal import D, H, _require
+from hypframe.duality import (PAIR_NAMES, PAIR_SURFACES, DualPairSample, FrontVerdict,
+                              isotropy_residuals, pair_theta_range)
+from hypframe.errors import FrameDegenerateError, InvalidInputError, SurfaceUndefinedError
+from hypframe.focal import D, H, _eps_values, _require
 from hypframe.minkowski import MinkVec, Quadric, membership_residual
-from hypframe.pipeline import project_hollow_ball, project_poincare
+from hypframe.pipeline import (DUALITY_SAMPLES, DUALITY_SEED, project_hollow_ball,
+                               project_poincare)
 from hypframe.propagation import (_CF4_A, _CF4_B, coefficient_matrix_values,
                                   gram_drift, gram_residual,
                                   pseudo_orthonormalize)
 from hypframe.symexpr import (_TABLE, Add, Div, ExprDomainError, Fun, Mul, Neg,
-                              Num, Pow, Sub, Var, _apply)
+                              Num, Pow, Sub, Var, _apply, eval_expr)
 
 
 def tree_eval(e, t):
@@ -204,12 +209,39 @@ def random_mink_vectors(rng, n, scale=2.0):
 # Surface meshes one point at a time
 
 
+def frame_at_loop(model, t):
+    """`FramedCurveModel.frame_at` one weight at a time: the stored sample
+    within 1e-13 * span of a grid point, else the Lagrange interpolant of
+    the four nearest samples, re-orthonormalized."""
+    ts = model.ts
+    span = max(abs(model.t0), abs(model.t1), 1.0)
+    if t < model.t0 - 1e-12 * span or t > model.t1 + 1e-12 * span:
+        raise InvalidInputError(
+            f"t={t!r} outside the integrated domain [{model.t0}, {model.t1}]")
+    i = int(np.searchsorted(ts, t))
+    if i < len(ts) and abs(ts[i] - t) <= 1e-13 * span:
+        return model.frames[i].copy()
+    if i > 0 and abs(ts[i - 1] - t) <= 1e-13 * span:
+        return model.frames[i - 1].copy()
+    lo = max(0, min(i - 2, len(ts) - 4))
+    hi = min(len(ts), lo + 4)
+    xs = ts[lo:hi]
+    f = np.zeros((4, 4))
+    for k in range(len(xs)):
+        w = 1.0
+        for j in range(len(xs)):
+            if j != k:
+                w *= (t - xs[j]) / (xs[k] - xs[j])
+        f += w * model.frames[lo + k]
+    return pseudo_orthonormalize(f)
+
+
 def frenet_frame(model, t):
     """The Frenet-type frame at t computed afresh, with no memo: the model's
-    frame with its normals rotated by (a, b) / sqrt(a^2 + b^2)."""
+    frame (frame_at_loop) with its normals rotated by (a, b) / sqrt(a^2 + b^2)."""
     a, b = tree_eval(model.quartet.a, t), tree_eval(model.quartet.b, t)
     r = math.sqrt(a * a + b * b)
-    f = model.frame_at(t)
+    f = frame_at_loop(model, t)
     return np.array([f[0], (a * f[1] + b * f[2]) / r, (-b * f[1] + a * f[2]) / r, f[3]])
 
 
@@ -296,3 +328,102 @@ def export_obj_loop(grids, projection, path):
         offset += rows * cols
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# Duality samples one at a time
+
+
+def pair_sample_loop(model, pair, t, theta):
+    """One sample of a dual pair as `hypframe.duality.pair_sample` built it
+    before it took batches: the Frenet queries, the definedness rule, then
+    each leg and partial in scalar arithmetic against frenet_frame, raising
+    where that path raised and in its order."""
+    side, surface = PAIR_SURFACES[pair]
+    dual = surface == side.dual
+    model.frenet_frame_at(t)
+    data = model.frenet_data_at(t)
+    r = math.sqrt(_require(side, data, model, evolute=dual)[0])
+    f = frenet_frame(model, t)
+    zero = MinkVec(0.0, 0.0, 0.0, 0.0)
+    p = surface_point(model, surface, t, theta)
+    k = side.kappa
+    if not dual:
+        c, s = side.c(theta), side.s(theta)
+        ft = (-k * c * data.M * data.W / r ** 3) * f[0] \
+            + (k * c * data.A * data.W / r ** 3 - s * data.N) * f[1] \
+            + (-c * data.M * data.N / r) * f[2]
+        fth = (k * s * data.A / r) * f[0] + (-k * s * data.M / r) * f[1] + c * f[2]
+        pt, pth = MinkVec.from_array(ft), MinkVec.from_array(fth)
+        g = MinkVec.from_array(f[3])
+        gt = MinkVec.from_array(data.M * f[0] - data.A * f[1])
+        return DualPairSample(p, g, pt, pth, gt, zero, side.fibration)
+    c, s = side.dual_c(theta), side.dual_s(theta)
+    ft = (c * data.M + k * s * data.A * data.W / r ** 3) * f[0] \
+        + (-c * data.A - k * s * data.M * data.W / r ** 3) * f[1] \
+        + (s * data.A * data.N / r) * f[2] \
+        + (k * s * r) * f[3]
+    fth = (c / r) * (-data.M * f[0] + data.A * f[1]) - k * s * f[3]
+    pt, pth = MinkVec.from_array(ft), MinkVec.from_array(fth)
+    coeffs = eval_expr(side.evolute_program(model.frenet), t)
+    e, e1, _, _ = [MinkVec.from_array(np.array(coeffs[j:j + 4]) @ f) for j in range(0, 16, 4)]
+    _eps_values(model, t, side)  # the evolute evaluated epsilon, and could raise there
+    legs = ((e, e1, zero), (p, pt, pth))
+    (f0, f0t, f0th), (g, gt, gth) = legs if side.evolute_first else legs[::-1]
+    return DualPairSample(f0, g, f0t, f0th, gt, gth, side.fibration)
+
+
+def front_verdict_loop(samples, tol):
+    """`hypframe.duality.front_verdict` one sample and one SVD at a time."""
+    immersion = True
+    for s in samples:
+        if max(abs(r) for r in isotropy_residuals(s)) > tol.dual:
+            return FrontVerdict.NOT_ISOTROPIC
+        col_u = np.concatenate([s.df_du.as_array(), s.dg_du.as_array()])
+        col_v = np.concatenate([s.df_dv.as_array(), s.dg_dv.as_array()])
+        sv = np.linalg.svd(np.stack([col_u, col_v], axis=1), compute_uv=False)
+        if sv[1] <= tol.rank_rtol * sv[0]:
+            immersion = False
+    return FrontVerdict.FRONT if immersion else FrontVerdict.FRONTAL
+
+
+def duality_draws(rng, spans, count, theta_range):
+    """(t, theta) draws of the duality summary, one at a time: t uniform on
+    the union of the spans, theta uniform on theta_range."""
+    total = sum(hi - lo for lo, hi in spans)
+    th_lo, th_hi = theta_range
+    draws = []
+    for _ in range(count):
+        x = total * rng.random()
+        for lo, hi in spans:
+            if x <= hi - lo:
+                break
+            x -= hi - lo
+        draws.append((lo + x, th_lo + (th_hi - th_lo) * rng.random()))
+    return draws
+
+
+def duality_summary_loop(model, runs):
+    """`hypframe.pipeline.duality_summary` one sample at a time."""
+    rng = np.random.default_rng(DUALITY_SEED)
+    out = {}
+    for pair in PAIR_NAMES:
+        spans = [[float(model.ts[run[0]]), float(model.ts[run[-1]])]
+                 for run in runs[PAIR_SURFACES[pair][1]]]
+        if sum(hi - lo for lo, hi in spans) <= 0.0:
+            out[pair] = {"status": "skipped", "reason": "surface not defined"}
+            continue
+        samples = []
+        for t, th in duality_draws(rng, spans, DUALITY_SAMPLES, pair_theta_range(pair)):
+            try:
+                samples.append(pair_sample_loop(model, pair, t, th))
+            except (SurfaceUndefinedError, FrameDegenerateError):
+                continue
+        if not samples:
+            out[pair] = {"status": "skipped", "reason": "no evaluable samples"}
+            continue
+        worst = max(max(abs(r) for r in isotropy_residuals(s)) for s in samples)
+        out[pair] = {"status": "checked", "samples": len(samples), "max_residual": worst,
+                     "verdict": front_verdict_loop(samples, model.tol).value,
+                     "pass": worst <= model.tol.dual}
+    return out

@@ -11,6 +11,7 @@ from hypframe.cli import main as cli_main
 from hypframe.errors import InvalidInputError
 from hypframe.focal import SingularPointRecord, SingularityType, SurfaceParam
 from hypframe.pipeline import SpecParseError, SpecValidationError
+from hypframe.symexpr import MAX_DEPTH
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
 
@@ -396,6 +397,35 @@ def test_cli_non_finite_intermediate_exits_2(tmp_path, capsys):
                domain={"t0": 0.0, "t1": 10.0, "samples": 11})
     assert cli_main(["run", "--spec", _write_spec(tmp_path, doc)]) == 2
     assert "curvature function 0 not finite at t=8.92" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, source, text", [
+    ("m", "(" * 200 + "t" + ")" * 200, f"nesting deeper than {MAX_DEPTH} levels"),
+    ("a", "+".join(["sin(t)"] * 1000), f"expression tree deeper than {MAX_DEPTH} levels"),
+], ids=["parentheses", "sum"])
+def test_cli_deep_expression_is_a_spec_error(tmp_path, capsys, field, source, text):
+    """Both used to die inside the parser or the compiler with an untyped
+    RecursionError."""
+    doc = dict(MINIMAL, curvature=dict(MINIMAL["curvature"], **{field: source}))
+    assert cli_main(["run", "--spec", _write_spec(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.startswith(f"spec error: curvature.{field}: {text}")
+
+
+# at the bound: the deepest quotient chain, sum and nesting that parse
+AT_BOUND = ["(t+3)/(" * (MAX_DEPTH - 2) + "t+3" + ")" * (MAX_DEPTH - 2),
+            "+".join(["sin(t)"] * (MAX_DEPTH - 1)),
+            "(" * (MAX_DEPTH - 1) + "2+0.1*t" + ")" * (MAX_DEPTH - 1)]
+
+
+@pytest.mark.parametrize("source", AT_BOUND, ids=["quotients", "sum", "parentheses"])
+def test_cli_runs_a_curvature_at_the_depth_bound(tmp_path, capsys, source):
+    """The Frenet expressions nest deeper than their input; a tree at the
+    bound still runs through differentiation, compilation and every stage."""
+    doc = dict(MINIMAL, curvature=dict(MINIMAL["curvature"], a=source),
+               outputs=["report", "loci_csv", "focal_h_obj", "dual_eh_obj"])
+    code = cli_main(["run", "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 0 or (code == 2 and err.startswith("numeric failure: ")), err
 
 
 def test_cli_focal_runs_only_the_focal_stages(tmp_path, capsys):

@@ -73,6 +73,21 @@ def test_orthonormalize_restores_frame():
         assert np.abs(g - f).max() <= 1e-3
 
 
+def test_orthonormalize_a_stack_as_each_frame_alone():
+    """One call on a stack restores every frame with the bits of a call on
+    it alone, boosted frames (|F| about 1e6) included."""
+    rng = np.random.default_rng(74)
+    c = kernel.coefficient_matrix_values(1.0, 1.0, 2.0, 0.0)
+    boosted = np.array([kernel.expm4((t * c)[None])[0] for t in (15.0, 25.0, 30.0)])
+    frames = np.concatenate([np.eye(4) + rng.uniform(-1e-4, 1e-4, (21, 4, 4)),
+                             boosted * (1.0 + rng.uniform(-1e-9, 1e-9, (3, 4, 4)))])
+    assert np.abs(frames).max() > 1e6
+    want = np.array([kernel.pseudo_orthonormalize(f) for f in frames])
+    for stack in (frames, frames.reshape(4, 6, 4, 4)):
+        got = kernel.pseudo_orthonormalize(stack).reshape(want.shape)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("quartet", [ROADMAP_QUARTET, CONSTANT_QUARTET],
                          ids=["roadmap", "constant"])
 def test_propagate_matches_oracle_loop(quartet):

@@ -9,6 +9,7 @@ from hypframe.symexpr import (FUNCTIONS, ONE, T, Add, ExprDomainError,
                               Num, Pow, UnknownIdentifierError, Var, add,
                               compile, diff_expr, div, eval_expr, mul, num,
                               parse_expr, to_source, vectorized)
+from hypframe.symexpr import MAX_DEPTH
 
 from oracles import central_diff, tree_eval, tree_vec
 
@@ -68,6 +69,22 @@ def test_syntax_error_columns():
         with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
             parse_expr(source)
         assert err.value.column == column
+
+
+def test_depth_bound():
+    """Trees deeper than MAX_DEPTH, and deeper nesting of parentheses, are
+    syntax errors; at the bound they parse."""
+    chain = "+".join(["t"] * MAX_DEPTH)  # MAX_DEPTH - 1 additions over a leaf
+    assert parse_expr(chain) == parse_expr(f"({chain})")
+    with pytest.raises(ExprSyntaxError, match="expression tree deeper than"):
+        parse_expr(chain + "+t+t")
+    nested = "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1)
+    assert parse_expr(nested) is T
+    with pytest.raises(ExprSyntaxError, match="nesting deeper than") as err:
+        parse_expr("sin" + nested.replace("t", "(t)"))
+    assert err.value.column == 4 + MAX_DEPTH  # the t inside the last parenthesis
+    # a run of unary minus signs is not nesting: it folds to its parity
+    assert parse_expr("-" * 1001 + "t") == parse_expr("-t")
 
 
 def test_unknown_identifier():
@@ -356,3 +373,31 @@ def test_compiled_replay_matches_tree_walk():
     assert seen == set(FUNCTIONS)
     assert any(m.startswith("division by zero") for m in errors)
     assert any(m.startswith("sqrt of negative") for m in errors)
+
+
+def test_exact_array_replay_matches_tree_walk():
+    """Each root of the exact array replay holds the tree walk's value at
+    every t, bit for bit, and NaN where the walk raises, even where the
+    IEEE value of the root would be finite, as 1/(1/t) at t = 0 is."""
+    rng = np.random.default_rng(2025)
+    ts = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 1e-300, 800.0, -800.0,
+          math.inf, math.nan]
+    arr = np.array(ts)
+    raised = 0
+    for src in ["1/(1/t)", "exp(log(t))", "t/(t-t)", *(_graph_source(rng) for _ in range(200))]:
+        try:
+            e = parse_expr(src)
+            roots = [e, diff_expr(e), diff_expr(e, 2)]
+        except (ExprDomainError, OverflowError, ZeroDivisionError):
+            continue
+        got = compile(roots).array(arr, exact=True)
+        for root, column in zip(roots, got):
+            assert column.shape == arr.shape
+            for t, value in zip(ts, column.tolist()):
+                want, exc = _outcome(lambda: tree_eval(root, t))
+                if isinstance(exc, ExprDomainError):
+                    assert math.isnan(value), (src, t)
+                    raised += 1
+                else:
+                    assert exc is None and _same_bits(value, want), (src, t)
+    assert raised > 100
