@@ -130,18 +130,16 @@ def _batch(model, side, dual: bool, ts, thetas, skip: tuple) -> DualPairSample:
     not finite, or the pair is undefined, the per-sample checks replay in
     order of i, so a sample is left out, or raises, as it would alone;
     they raise unless the error is one of `skip`, which leaves it out."""
-    frames, data, suspect = model.frenet_columns(ts)
+    frames, data, r, suspect = _focal._columns(side, model, ts, dual)
     c, s = (x[:, None] for x in _focal._fiber(side, thetas, dual))
     with np.errstate(all="ignore"):
-        suspect |= np.logical_or(*_focal._failing(side, data, model.tol, dual))[:, 0]
-        r = np.sqrt(side.columns(data)[0])
         p = _focal._points(data, frames, r, c, s, dual)
         pt, pth = (_focal._dual_partials if dual else _focal._focal_partials)(
             side, data, frames, r, c, s)
         zero = np.zeros_like(p)
         checked = [p, pt, pth]
         if dual:
-            vecs, eps = _evolute._evolute_columns(side, model, data.t, frames)
+            vecs, eps = _evolute._evolute_columns(side, model, ts, frames)
             legs = ((vecs[0], vecs[1], zero), (p, pt, pth))
             (f, ft, fth), (g, gt, gth) = legs if side.evolute_first else legs[::-1]
             extra = [*vecs, *eps]

@@ -19,10 +19,10 @@ from itertools import chain
 
 import numpy as np
 
-from .focal import (D, H, Side, SingularityType, SingularPointRecord,
-                    SurfaceParam, _eps_values, _partials, _point, _require,
-                    _scale, _undefined_at, classify_d, classify_h, defined_runs,
-                    focal_d_point, focal_h_point)
+from .focal import (D, H, Side, SingularityType, SingularPointRecord, SurfaceParam,
+                    _columns, _edge_or_beaks, _edge_or_swallowtail, _eps_values, _first,
+                    _nonzero, _partials, _point, _require, _scale, _undefined_at,
+                    classify_d, classify_h, defined_runs, focal_d_point, focal_h_point)
 from .framedcurve import FramedCurveModel
 from .minkowski import MinkVec
 from .symexpr import eval_expr
@@ -56,16 +56,11 @@ def _evolute_sample(model, t, side: Side) -> EvoluteSample:
     data = model.frenet_data_at(t)
     _require(side, data, model, evolute=True)
     f = model.frenet_frame_at(t)
-    coeffs = eval_expr(side.evolute_program(model.frenet), t)
+    program = side.evolute_program(model.frenet)
+    coeffs = model.grid_values(program, t) or eval_expr(program, t)
     vecs = [MinkVec.from_array(np.array(coeffs[k:k + 4]) @ f) for k in range(0, 16, 4)]
     eps, eps1, fallback = _eps_values(model, t, side)
-    s = _scale(data)
-    if not is_zero(eps, s, model.tol.sing):
-        ptype = EvolutePointType.REGULAR_POINT
-    elif not is_zero(eps1, s, model.tol.sing):
-        ptype = EvolutePointType.CUSP_234
-    else:
-        ptype = EvolutePointType.DEGENERATE_UNCLASSIFIED
+    ptype = _point_type(eps, eps1, _scale(data), model.tol.sing)
     d2, d3 = vecs[2].as_array(), vecs[3].as_array()
     sv = np.linalg.svd(np.array([d2, d3]), compute_uv=False)
     diag = {"sigma_f": data.sigma_f, "rank23_singular_values": (float(sv[0]), float(sv[1]))}
@@ -77,14 +72,30 @@ def _evolute_sample(model, t, side: Side) -> EvoluteSample:
                          diagnostics=diag)
 
 
-def _evolute_columns(side: Side, model, t, f) -> tuple:
-    """_evolute_sample's evaluations over the column t (m, 1) against the
+def _point_type(eps, eps1, s, tol) -> EvolutePointType:
+    """Regular point iff epsilon != 0, (2,3,4)-cusp iff epsilon = 0 and
+    epsilon' != 0: at one point, or per row of columns."""
+    return _first([(_nonzero(eps, s, tol), EvolutePointType.REGULAR_POINT),
+                   (_nonzero(eps1, s, tol), EvolutePointType.CUSP_234)],
+                  EvolutePointType.DEGENERATE_UNCLASSIFIED)
+
+
+def _dual_type(eps, eps1, s, tol) -> SingularityType:
+    """Cuspidal edge iff epsilon != 0, cuspidal cross cap iff epsilon = 0
+    and epsilon' != 0: at one point, or per row of columns."""
+    return _first([(_nonzero(eps, s, tol), SingularityType.CUSPIDAL_EDGE),
+                   (_nonzero(eps1, s, tol), SingularityType.CUSPIDAL_CROSS_CAP)],
+                  SingularityType.DEGENERATE_UNCLASSIFIED)
+
+
+def _evolute_columns(side: Side, model, ts, f) -> tuple:
+    """_evolute_sample's evaluations at each of the array ts against the
     Frenet frames f (m, 4, 4): the (m, 4) rows of E, E', E'', E''', and
-    the columns of epsilon and epsilon' along the theta branch."""
-    coeffs = side.evolute_program(model.frenet).array(t, exact=True)
+    the (m, 1) columns of epsilon and epsilon' along the theta branch."""
+    coeffs = model.program_columns(side.evolute_program(model.frenet), ts)
     # a stacked matmul rounds each row as the one-sample product does
     vecs = [(np.hstack(coeffs[k:k + 4])[:, None, :] @ f)[:, 0] for k in range(0, 16, 4)]
-    return vecs, side.eps_path(model.frenet).array(t, exact=True)
+    return vecs, model.program_columns(side.eps_path(model.frenet), ts)
 
 
 def evolute_h(model: FramedCurveModel, t: float) -> EvoluteSample:
@@ -147,14 +158,10 @@ def _classify_dual(model, t0, side: Side, theta0) -> DualSurfaceRecord:
     data = model.frenet_data_at(t0)
     _require(side, data, model, evolute=True)
     lam = _lambda_dual(side, model, t0, theta0)
-    eps, eps1 = eval_expr(side.eps_closed(model.frenet), t0)
+    program = side.eps_closed(model.frenet)
+    eps, eps1 = model.grid_values(program, t0) or eval_expr(program, t0)
     s = _scale(data)
-    if not is_zero(eps, s, model.tol.sing):
-        ty = SingularityType.CUSPIDAL_EDGE
-    elif not is_zero(eps1, s, model.tol.sing):
-        ty = SingularityType.CUSPIDAL_CROSS_CAP
-    else:
-        ty = SingularityType.DEGENERATE_UNCLASSIFIED
+    ty = _dual_type(eps, eps1, s, model.tol.sing)
     return DualSurfaceRecord(
         surface=side.dual, param=SurfaceParam(t0, theta0), lam=lam,
         sigma_f=data.sigma_f, type=ty, nondegenerate=True,
@@ -258,11 +265,52 @@ def _bisect_eps_zero(model, side, ta, tb, ea, eb):
     return 0.5 * (ta + tb)
 
 
+def _each(fn, *cols) -> np.ndarray:
+    """The (m, 1) column of fn over the rows of the (m, 1) columns, taken
+    through the scalar function; NaN where it raises."""
+    out = []
+    for args in zip(*(np.ravel(c).tolist() for c in cols)):
+        try:
+            out.append(fn(*args))
+        except (ArithmeticError, ValueError):
+            out.append(math.nan)
+    return np.array(out).reshape(-1, 1)
+
+
+def _leg_columns(model, ts, side: Side, focal_point) -> tuple:
+    """_leg's `at` at each of the grid points ts as columns: per row, the
+    focal, evolute and dual types, epsilon, the image distance, and whether
+    `at` must replay it, where a value is not finite or the evolute undefined."""
+    frames, data, root, replay = _columns(side, model, ts, dual=True)
+    tol, k = model.tol.sing, side.kappa
+    with np.errstate(all="ignore"):
+        _, d0, d1, d2 = side.columns(data)
+        theta = _each(side.root, data.W, d0)
+        cs, sn = _each(side.c, theta), _each(side.s, theta)
+        (e, *vecs), (eps, eps1) = _evolute_columns(side, model, ts, frames)
+        closed, closed1 = model.program_columns(side.eps_closed(model.frenet), ts)
+        dist = focal_point(model, ts, theta[:, 0]) - e
+        replay |= ~np.isfinite(np.hstack([theta, cs, sn, e, *vecs, eps, eps1, closed,
+                                          closed1, dist])).all(axis=1)
+        # as _classify_generic: branch (b) where (W, N) vanishes, else branch (a)
+        s, mn = _scale(data), data.M * data.N
+        c2 = sn * data.W1 - k * cs * d1
+        c3 = (cs * data.W2 - sn * d2) * root + k * 2.0 * data.M * data.N * c2
+        focal = np.where(is_zero(data.W, s, tol) & is_zero(data.N, s, tol),
+                         _edge_or_beaks(cs * data.W1 - sn * d1, c2, c3, s, root, mn, tol),
+                         _edge_or_swallowtail(eps, eps1, s + abs(mn / root), tol))
+        point, dual = _point_type(eps, eps1, s, tol), _dual_type(closed, closed1, s, tol)
+    types = zip(focal[:, 0].tolist(), point[:, 0].tolist(), dual[:, 0].tolist())
+    return list(types), eps[:, 0].tolist(), np.abs(dist).max(axis=1).tolist(), replay.tolist()
+
+
 def _leg(model, ts, runs, side: Side, bindings) -> LegReport:
     """Correspondence checks on one side, over the index runs of ts where
     its evolute is defined; bindings are that side's public (focal point,
     classify, evolute, classify_dual) functions, passed in so that a
-    rebound module attribute (a profiler's wrapper) is called."""
+    rebound module attribute (a profiler's wrapper) is called.  The grid
+    points are checked as columns (_leg_columns); each row it marks, and
+    each epsilon crossing, is checked by `at`, one point at a time."""
     focal_point, classify, evolute, classify_dual = bindings
     if not runs:
         reason = _undefined_at(model, float(ts[-1]), side, evolute=True) if len(ts) else None
@@ -285,33 +333,36 @@ def _leg(model, ts, runs, side: Side, bindings) -> LegReport:
     agreements = {}
     max_dist = 0.0
     eps = {}  # grid index -> epsilon
-    for i in chain.from_iterable(runs):
+    index = list(chain.from_iterable(runs))
+    for i, types, e, dist, replay in zip(index, *_leg_columns(model, ts[index], side,
+                                                             focal_point)):
         t = float(ts[i])
-        rec, es, dual, dist = at(t)
+        if replay:
+            rec, es, dual, dist = at(t)
+            types, e = (rec.type, es.point_type, dual.type), es.epsilon
+        focal, point, dual = types
         max_dist = max(max_dist, dist)
-        regular = es.point_type is EvolutePointType.REGULAR_POINT
-        cusp = es.point_type is EvolutePointType.CUSP_234
+        regular = point is EvolutePointType.REGULAR_POINT
+        cusp = point is EvolutePointType.CUSP_234
         checks = {
             "focal_ce_iff_evolute_regular":
-                (rec.type is SingularityType.CUSPIDAL_EDGE) == regular,
+                (focal is SingularityType.CUSPIDAL_EDGE) == regular,
             "focal_sw_iff_evolute_cusp":
-                (rec.type is SingularityType.SWALLOWTAIL) == cusp,
+                (focal is SingularityType.SWALLOWTAIL) == cusp,
             "dual_ce_iff_evolute_regular":
-                (dual.type is SingularityType.CUSPIDAL_EDGE) == regular,
+                (dual is SingularityType.CUSPIDAL_EDGE) == regular,
             "dual_ccr_iff_evolute_cusp":
-                (dual.type is SingularityType.CUSPIDAL_CROSS_CAP) == cusp,
+                (dual is SingularityType.CUSPIDAL_CROSS_CAP) == cusp,
             "focal_sw_iff_dual_ccr":
-                (rec.type is SingularityType.SWALLOWTAIL)
-                == (dual.type is SingularityType.CUSPIDAL_CROSS_CAP),
+                (focal is SingularityType.SWALLOWTAIL)
+                == (dual is SingularityType.CUSPIDAL_CROSS_CAP),
         }
         for name, ok in checks.items():
             agreements[name] = agreements.get(name, True) and ok
             if not ok:
-                leg.failures.append({"t": t, "check": name,
-                                     "focal": rec.type.value,
-                                     "evolute": es.point_type.value,
-                                     "dual": dual.type.value})
-        eps[i] = es.epsilon
+                leg.failures.append({"t": t, "check": name, "focal": focal.value,
+                                     "evolute": point.value, "dual": dual.value})
+        eps[i] = e
 
     # epsilon sign changes between grid neighbours of one defined run:
     # locate the crossing and classify there

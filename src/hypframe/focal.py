@@ -24,9 +24,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import (EvoluteUndefinedError, FrameDegenerateError, InvalidInputError,
-                     SurfaceUndefinedError)
+                     NumericError, SurfaceUndefinedError)
 from .framedcurve import FramedCurveModel, FrenetData
-from .minkowski import MinkVec
+from .minkowski import ON_QUADRIC, Columns, MinkVec, Quadric, membership_residual
 from .symexpr import ExprDomainError, eval_expr, power
 from .tolerances import is_zero
 
@@ -128,14 +128,17 @@ class SingularPointRecord:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _scale(data: FrenetData) -> float:
-    """Local magnitude entering every zero threshold at this t."""
-    vals = [data.M, data.N, data.A, data.M1, data.N1, data.A1,
-            data.W, data.W1, data.W2]
-    for v in (data.Dh, data.Dh1, data.Dh2, data.Dd, data.Dd1, data.Dd2):
-        if v is not None:
-            vals.append(v)
-    return max(abs(v) for v in vals)
+def _scale(data: FrenetData):
+    """Local magnitude entering every zero threshold at this t; over
+    FrenetData columns, the column of it, each D counted only where its
+    discriminant is positive, as frenet_data_at sets it only there."""
+    vals = (data.M, data.N, data.A, data.M1, data.N1, data.A1, data.W, data.W1, data.W2)
+    d = (data.Dh, data.Dh1, data.Dh2, data.Dd, data.Dd1, data.Dd2)
+    if isinstance(data.M, np.ndarray):
+        discs = [data.disc_h] * 3 + [data.disc_d] * 3
+        vals += tuple(np.where(disc > 0.0, v, 0.0) for disc, v in zip(discs, d))
+        return np.max(np.abs(vals), axis=0)
+    return max([abs(v) for v in (*vals, *d) if v is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +196,19 @@ SURFACES = {H.focal: (H, False), D.focal: (D, False), H.evolute: (H, True),
 
 def defined_runs(model: FramedCurveModel) -> dict:
     """Each name of SURFACES -> the maximal index ranges of the model's
-    grid on which that surface is defined."""
-    # t outermost: frenet_data_at and frenet_frame_at keep only the last t's answer
-    ok = [[_undefined_at(model, float(t), *rule) is None for rule in SURFACES.values()]
-          for t in model.ts]
+    grid on which that surface is defined: the rule on the columns of the
+    grid table, and on each of its suspect rows, in order, _undefined_at."""
+    grid = model.grid
+    with np.errstate(all="ignore"):
+        ok = np.hstack([~np.logical_or(*_failing(side, grid.data, model.tol, evolute))
+                        for side, evolute in SURFACES.values()])
+    for i in np.flatnonzero(grid.suspect):
+        ok[i] = [_undefined_at(model, float(model.ts[i]), *rule) is None
+                 for rule in SURFACES.values()]
     runs = {}
     for k, name in enumerate(SURFACES):
         # a run starts, and the next stops, where the column changes value
-        edges = np.flatnonzero(np.diff([False, *(row[k] for row in ok), False])).tolist()
+        edges = np.flatnonzero(np.diff([False, *ok[:, k].tolist(), False])).tolist()
         runs[name] = [range(a, b) for a, b in zip(edges[::2], edges[1::2])]
     return runs
 
@@ -266,7 +274,25 @@ def _fiber(side: Side, thetas, dual: bool = False):
     return [np.array([fn(th) for th in thetas]) for fn in fns]
 
 
-def _point(side: Side, model, t: float, theta: float, dual: bool = False) -> MinkVec:
+def _columns(side: Side, model, ts, dual: bool = False) -> tuple:
+    """(frames, data, r, replay) at the array ts: frenet_columns, r = sqrt(disc)
+    and the rows to replay one point at a time, where frenet_columns marks
+    them or the surface (with `dual`, the side's evolute) is undefined."""
+    frames, data, replay = model.frenet_columns(ts)
+    with np.errstate(all="ignore"):
+        replay |= np.logical_or(*_failing(side, data, model.tol, dual))[:, 0]
+        return frames, data, np.sqrt(side.columns(data)[0]), replay
+
+
+def _point(side: Side, model, t, theta, dual: bool = False):
+    """The point at (t, theta), a MinkVec; for arrays t and theta, the (m, 4)
+    rows of the points at each (t[i], theta[i]), unchecked: a row that is not
+    finite, or where the surface is undefined, is the caller's to replay."""
+    if np.ndim(t):
+        frames, data, r, _ = _columns(side, model, np.asarray(t, dtype=float), dual)
+        with np.errstate(all="ignore"):
+            return _points(data, frames, r, *(x[:, None] for x in _fiber(side, theta, dual)),
+                           dual)
     return MinkVec.from_array(_fiber_points(side, model, t, *_fiber(side, [theta], dual), dual))
 
 
@@ -287,8 +313,9 @@ def _lambda(side: Side, model: FramedCurveModel, t: float, theta: float) -> floa
     return _lam(side, data, _require(side, data, model), theta)
 
 
-def focal_h_point(model: FramedCurveModel, t: float, theta: float) -> MinkVec:
-    """cosh(theta)/sqrt(A^2-M^2) * (A gamma - M n1) + sinh(theta) n2, in H3."""
+def focal_h_point(model: FramedCurveModel, t, theta):
+    """cosh(theta)/sqrt(A^2-M^2) * (A gamma - M n1) + sinh(theta) n2, in H3;
+    for arrays t and theta, the unchecked rows of _point."""
     return _point(H, model, t, theta)
 
 
@@ -297,8 +324,9 @@ def focal_h_partials(model: FramedCurveModel, t: float, theta: float):
     return _partials(H, model, t, theta)
 
 
-def focal_d_point(model: FramedCurveModel, t: float, theta: float) -> MinkVec:
-    """cos(theta)/sqrt(M^2-A^2) * (A gamma - M n1) + sin(theta) n2, in S31."""
+def focal_d_point(model: FramedCurveModel, t, theta):
+    """cos(theta)/sqrt(M^2-A^2) * (A gamma - M n1) + sin(theta) n2, in S31;
+    for arrays t and theta, the unchecked rows of _point."""
     return _point(D, model, t, theta)
 
 
@@ -454,16 +482,50 @@ def _eps_values(model, t, side: Side):
     """(epsilon, epsilon') via the symbolically differentiated theta branch.
 
     Falls back to the algebraically equivalent closed form where the
-    branch expression hits an exact pole (Dh or Dd exactly zero).
+    branch expression hits an exact pole (Dh or Dd exactly zero).  At a
+    grid t, the values come from the grid table where they are finite.
     """
+    program = side.eps_path(model.frenet)
     try:
-        eps, eps1 = eval_expr(side.eps_path(model.frenet), t)
+        eps, eps1 = model.grid_values(program, t) or eval_expr(program, t)
         fallback = not (math.isfinite(eps) and math.isfinite(eps1))
     except ExprDomainError:
         fallback = True
     if fallback:
         eps, eps1 = eval_expr(side.eps_closed(model.frenet), t)
     return eps, eps1, fallback
+
+
+def _first(cases, default):
+    """The type of the first (condition, type) of the cases whose condition
+    holds, else `default`: at one point, or per row of columns."""
+    if isinstance(cases[0][0], np.ndarray):
+        return np.select([cond for cond, _ in cases], [ty for _, ty in cases], default)
+    for cond, ty in cases:
+        if cond:
+            return ty
+    return default
+
+
+def _nonzero(value, scale, tol):
+    """not is_zero, at one point or per row of columns (NaN is not zero)."""
+    zero = is_zero(value, scale, tol)
+    return ~zero if isinstance(zero, np.ndarray) else not zero
+
+
+def _edge_or_swallowtail(eps, eps1, scale, tol):
+    """Branch (a) of the classification, by epsilon and epsilon'."""
+    return _first([(_nonzero(eps, scale, tol), SingularityType.CUSPIDAL_EDGE),
+                   (_nonzero(eps1, scale, tol), SingularityType.SWALLOWTAIL)],
+                  SingularityType.DEGENERATE_UNCLASSIFIED)
+
+
+def _edge_or_beaks(c1, c2, c3, s, root, mn, tol):
+    """Branch (b) of the classification, by the derivative data of (W, D)."""
+    beaks = _nonzero(c2, s, tol) & _nonzero(c3, s * (1 + root + abs(mn)), tol)
+    return _first([(_nonzero(c1, s, tol), SingularityType.CUSPIDAL_EDGE),
+                   (beaks, SingularityType.CUSPIDAL_BEAKS)],
+                  SingularityType.DEGENERATE_UNCLASSIFIED)
 
 
 def _classify_generic(model, record, side: Side) -> SingularityType:
@@ -490,12 +552,7 @@ def _classify_generic(model, record, side: Side) -> SingularityType:
         diag["epsilon_prime"] = eps1
         if fallback:
             diag["epsilon_via_closed_form"] = True
-        eps_scale = s + abs(data.M * data.N / root)
-        if not is_zero(eps, eps_scale, tol):
-            return SingularityType.CUSPIDAL_EDGE
-        if not is_zero(eps1, eps_scale, tol):
-            return SingularityType.SWALLOWTAIL
-        return SingularityType.DEGENERATE_UNCLASSIFIED
+        return _edge_or_swallowtail(eps, eps1, s + abs(data.M * data.N / root), tol)
 
     c1 = cs * data.W1 - sn * d1
     c3 = (cs * data.W2 - sn * d2) * root \
@@ -503,11 +560,7 @@ def _classify_generic(model, record, side: Side) -> SingularityType:
     diag["c1_nondegeneracy"] = c1
     diag["c2_mixed_derivative"] = c2
     diag["c3_second_order"] = c3
-    if not is_zero(c1, s, tol):
-        return SingularityType.CUSPIDAL_EDGE
-    if not is_zero(c2, s, tol) and not is_zero(c3, s * (1 + root + abs(data.M * data.N)), tol):
-        return SingularityType.CUSPIDAL_BEAKS
-    return SingularityType.DEGENERATE_UNCLASSIFIED
+    return _edge_or_beaks(c1, c2, c3, s, root, data.M * data.N, tol)
 
 
 def _finalize(model, record, side: Side) -> SingularityType:
@@ -569,23 +622,38 @@ def surface_grid(model: FramedCurveModel, which: str, ts, thetas) -> np.ndarray:
     """Row-major grid of surface points, shape (len(ts), len(thetas), 4).
 
     which names a focal surface ("focal_h", "focal_d") or the dual of an
-    evolute ("dual_eh", "dual_ed").  Each row is one _fiber_points call.
+    evolute ("dual_eh", "dual_ed").  The grid is one broadcast of _points
+    over frenet_columns(ts) (rows of the grid table at grid ts) and the
+    theta row; a row that frenet_columns marks suspect, or where the
+    surface is undefined, is replayed by _fiber_points, in order.  A point
+    that is not finite, or is off its quadric, raises.
     """
     if which not in (H.focal, D.focal, H.dual, D.dual):
         raise InvalidInputError(f"unknown surface {which!r}")
     side, dual = SURFACES[which]
-    ts = np.asarray(ts, dtype=float).tolist()
+    ts = np.asarray(ts, dtype=float)
     thetas = np.asarray(thetas, dtype=float).tolist()
     out = np.empty((len(ts), len(thetas), 4))
-    if not thetas:
+    if not out.size:
         return out
     c, s = _fiber(side, thetas, dual)
-    for i, t in enumerate(ts):
+    frames, data, r, replay = _columns(side, model, ts, dual)
+    with np.errstate(all="ignore"):
+        out[:] = _points(data.rows(np.s_[:, :, None]), frames[:, None], r[:, :, None],
+                         c[:, None], s[:, None], dual)
+    for i in np.flatnonzero(replay):
         try:
-            out[i] = _fiber_points(side, model, t, c, s, dual)
+            out[i] = _fiber_points(side, model, float(ts[i]), c, s, dual)
         except SurfaceUndefinedError as exc:
             raise SurfaceUndefinedError(f"grid point (i={i}, j=0): {exc}") from exc
     if not np.isfinite(out).all():
         raise InvalidInputError(
             f"non-finite component in MinkVec: {float(out[~np.isfinite(out)][0])!r}")
+    quadric = Quadric.H3 if which == H.focal else Quadric.S31
+    with np.errstate(all="ignore"):
+        off = np.abs(membership_residual(Columns(*np.moveaxis(out, -1, 0)), quadric)) > ON_QUADRIC
+    if off.any():
+        i, j = np.argwhere(off)[0].tolist()
+        raise NumericError(f"grid point (i={i}, j={j}) at t={float(ts[i])!r}: {which} point "
+                           f"{MinkVec.from_array(out[i, j])} is not on {quadric.value}")
     return out

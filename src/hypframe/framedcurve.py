@@ -25,8 +25,8 @@ from . import propagation as _kernel
 from .errors import (FrameDegenerateError, IntegrationFailureError,
                      InvalidInputError, NumericError)
 from .minkowski import METRIC, MinkVec, wedge3
-from .symexpr import (ZERO, Expr, add, compile, div, eval_expr, fun,
-                      mul, neg, parse_expr, pow_, sub, vectorized)
+from .symexpr import (ZERO, Expr, ExprDomainError, add, compile, div, eval_expr,
+                      fun, mul, neg, parse_expr, pow_, sub, vectorized)
 from .symexpr import diff_expr as _d
 from .tolerances import DEFAULT, Tolerances
 
@@ -338,21 +338,79 @@ class FrenetData:
     Dd1: float | None = None
     Dd2: float | None = None
 
+    def rows(self, index) -> "FrenetData":
+        """Of FrenetData columns, each column indexed by `index`."""
+        return FrenetData(*(v[index] if isinstance(v, np.ndarray) else v
+                            for v in vars(self).values()))
+
 
 # ---------------------------------------------------------------------------
 # The integrated model
 
 
-def _memo_key(t) -> tuple:
-    return type(t), t, math.copysign(1.0, t)  # 0.0 == -0.0, but their answers differ
+class GridTable:
+    """The Frenet quantities of a model over its whole grid, evaluated once.
+
+    `frames`, `data` and `suspect` are frenet_columns of the grid, and
+    `program` evaluates a Frenet program over the grid on first use.  Each
+    value is the per-point query's at its grid t, bit for bit: on a row
+    that is not suspect, and for a program, wherever it is finite.
+    """
+
+    def __init__(self, model):
+        self.ts, self._ts = model.ts, model.ts.tolist()
+        self.frames, self.data, self.suspect = model.frenet_columns(model.ts)
+        self._rows = {t: i for i, t in reversed(list(enumerate(self._ts)))}
+        self._programs = {}
+
+    def row(self, t):
+        """The row of the grid point t: the same float, sign bit included
+        (0.0 == -0.0, but their answers differ); None off the grid."""
+        i = self._rows.get(t) if type(t) is float else None
+        if i is None or math.copysign(1.0, t) != math.copysign(1.0, self._ts[i]):
+            return None
+        return i
+
+    def index(self, ts):
+        """The row of each of the array ts by the rule of `row`; None unless
+        every t is a grid point."""
+        i = np.minimum(np.searchsorted(self.ts, ts), len(self.ts) - 1)
+        g = self.ts[i]
+        return i if ((g == ts) & (np.signbit(g) == np.signbit(ts))).all() else None
+
+    def program(self, program) -> tuple:
+        """(columns, rows): eval_expr of the program over the (n, 1) column
+        of the grid, and each row's values as floats, None where one is not
+        finite."""
+        out = self._programs.get(program)
+        if out is None:
+            cols = eval_expr(program, self.ts[:, None])
+            block = np.hstack(cols)
+            finite = np.isfinite(block).all(axis=1).tolist()
+            out = self._programs[program] = (
+                cols, [tuple(r) if ok else None for r, ok in zip(block.tolist(), finite)])
+        return out
+
+    @cached_property
+    def frenet_rows(self) -> list:
+        """The FrenetData of each row as frenet_data_at gives it; None where suspect."""
+        cols = {k: np.ravel(v).tolist() for k, v in vars(self.data).items()
+                if isinstance(v, np.ndarray)}
+        out = []
+        for i, bad in enumerate(self.suspect.tolist()):
+            row = {k: col[i] for k, col in cols.items()}
+            for disc, names in (("disc_h", ("Dh", "Dh1", "Dh2")), ("disc_d", ("Dd", "Dd1", "Dd2"))):
+                if not row[disc] > 0.0:
+                    row.update(dict.fromkeys(names))
+            out.append(None if bad else FrenetData(**row, B=0.0))
+        return out
 
 
 class FramedCurveModel:
     """Integrated frame samples plus the symbolic Frenet cache.
 
-    Per-parameter queries are pure.  They arrive in runs at one t, so
-    frenet_data_at and frenet_frame_at each keep their last t's answer
-    (the frame is handed out as a fresh copy every call).  Dense output
+    Per-parameter queries are pure.  Once the grid table (`grid`) is
+    built, the Frenet queries at a grid point read it.  Dense output
     between stored samples is cubic interpolation of the frame entries
     followed by re-orthonormalization (approximate, but any
     re-orthonormalized frame satisfies the pairing identities exactly,
@@ -371,8 +429,32 @@ class FramedCurveModel:
         self.max_drift_t = stats[3]
         self.tol = tol
         self.frenet = FrenetExprs(quartet)
-        self._last_frenet = None  # (key of t, FrenetData) of the last query
-        self._last_frame = None   # (key of t, Frenet frame) of the last query
+
+    @cached_property
+    def grid(self) -> GridTable:
+        """The grid table, built on first use."""
+        return GridTable(self)
+
+    def _table(self, t):
+        """(grid table, the row of the float t or the rows of the array t)
+        where the table is built and t is on its grid; else (None, None)."""
+        grid = self.__dict__.get("grid")
+        i = None if grid is None else grid.index(t) if isinstance(t, np.ndarray) else grid.row(t)
+        return (None, None) if i is None else (grid, i)
+
+    def grid_values(self, program, t):
+        """eval_expr(program, t) from the grid table where t is one of its
+        grid points and every value there is finite; None elsewhere."""
+        grid, i = self._table(t)
+        return None if grid is None else grid.program(program)[1][i]
+
+    def program_columns(self, program, ts) -> tuple:
+        """eval_expr(program) over the column ts[:, None]: rows of the grid
+        table where it is built and every t is one of its grid points."""
+        grid, rows = self._table(ts)
+        if grid is None:
+            return eval_expr(program, ts[:, None])
+        return tuple(c[rows] for c in grid.program(program)[0])
 
     @property
     def t0(self) -> float:
@@ -392,21 +474,15 @@ class FramedCurveModel:
         return [self.sample(i) for i in range(len(self.ts))]
 
     def frame_at(self, t: float) -> np.ndarray:
-        """frames_at of the one t; a stored sample is found without it."""
-        ts = self.ts
-        span = max(abs(self.t0), abs(self.t1), 1.0)
-        i = int(np.searchsorted(ts, t))
-        for j in (i, i - 1):
-            if 0 <= j < len(ts) and abs(ts[j] - t) <= 1e-13 * span:
-                return self.frames[j].copy()
-        return self.frames_at(np.array([t]))[0]
+        """frames_at of the one t."""
+        return self.frames_at(np.array([t], dtype=float))[0]
 
     def frames_at(self, ts) -> np.ndarray:
         """Frame matrices at each of the array ts, shape (len(ts), 4, 4).
 
         Within 1e-13 * span of a grid point, its stored sample; elsewhere
         the cubic Lagrange interpolant of the four nearest samples,
-        re-orthonormalized.
+        re-orthonormalized, which only the other t are run through.
         """
         grid = self.ts
         span = max(abs(self.t0), abs(self.t1), 1.0)
@@ -415,20 +491,24 @@ class FramedCurveModel:
             raise InvalidInputError(f"t={float(ts[outside][0])!r} outside the "
                                     f"integrated domain [{self.t0}, {self.t1}]")
         i = np.searchsorted(grid, ts)
+        f = np.empty((len(ts), 4, 4))
+        hit = np.zeros(len(ts), dtype=bool)
+        for j in (i, i - 1):  # a hit on grid[i] wins over one on grid[i - 1]
+            jc = np.clip(j, 0, len(grid) - 1)
+            new = ~hit & (j >= 0) & (j < len(grid)) & (np.abs(grid[jc] - ts) <= 1e-13 * span)
+            f[new] = self.frames[jc[new]]
+            hit |= new
+        ts, i = ts[~hit], i[~hit]
         lo = np.maximum(0, np.minimum(i - 2, len(grid) - 4))
         xs = grid[lo[:, None] + np.arange(min(4, len(grid)))]
-        f = np.zeros((len(ts), 4, 4))
+        g = np.zeros((len(ts), 4, 4))
         for k in range(xs.shape[1]):
             w = np.ones(len(ts))
             for j in range(xs.shape[1]):
                 if j != k:
                     w *= (ts - xs[:, j]) / (xs[:, k] - xs[:, j])
-            f += w[:, None, None] * self.frames[lo + k]
-        f = _kernel.pseudo_orthonormalize(f)
-        for j in (i - 1, i):  # a hit on grid[i] wins over one on grid[i - 1]
-            jc = np.clip(j, 0, len(grid) - 1)
-            hit = (j >= 0) & (j < len(grid)) & (np.abs(grid[jc] - ts) <= 1e-13 * span)
-            f[hit] = self.frames[jc[hit]]
+            g += w[:, None, None] * self.frames[lo + k]
+        f[~hit] = _kernel.pseudo_orthonormalize(g)
         return f
 
     def sample_at(self, t: float) -> FrameSample:
@@ -436,9 +516,9 @@ class FramedCurveModel:
 
     def frenet_frame_at(self, t: float) -> np.ndarray:
         """Rows (gamma, n1, n2, mu): the normals rotated to the Frenet pair."""
-        key = _memo_key(t)
-        if self._last_frame is not None and self._last_frame[0] == key:
-            return self._last_frame[1].copy()
+        grid, i = self._table(t)
+        if grid is not None and not grid.suspect[i]:
+            return grid.frames[i].copy()
         a = eval_expr(self.quartet.a, t)
         b = eval_expr(self.quartet.b, t)
         r2 = a * a + b * b
@@ -452,13 +532,12 @@ class FramedCurveModel:
         out[1] = (a * f[1] + b * f[2]) / r
         out[2] = (-b * f[1] + a * f[2]) / r
         out[3] = f[3]
-        self._last_frame = (key, out)
-        return out.copy()
+        return out
 
     def frenet_data_at(self, t: float) -> FrenetData:
-        key = _memo_key(t)
-        if self._last_frenet is not None and self._last_frenet[0] == key:
-            return self._last_frenet[1]
+        grid, i = self._table(t)
+        if grid is not None and grid.frenet_rows[i] is not None:
+            return grid.frenet_rows[i]
         fe = self.frenet
         ab2 = eval_expr(fe.ab2, t)
         if ab2 <= self.tol.zero:
@@ -472,30 +551,33 @@ class FramedCurveModel:
             data.update(zip(("Dh", "Dh1", "Dh2"), eval_expr(fe.dh_program, t)))
         if disc_d > 0.0:
             data.update(zip(("Dd", "Dd1", "Dd2"), eval_expr(fe.dd_program, t)))
-        out = FrenetData(**data)
-        self._last_frenet = (key, out)
-        return out
+        return FrenetData(**data)
 
     def frenet_columns(self, ts) -> tuple:
         """frenet_frame_at and frenet_data_at at each of the array ts, as
         (frames, data, suspect): an (m, 4, 4) stack of Frenet frames, a
         FrenetData whose fields are (m, 1) columns, and a mask that is true
         where either query would raise or gives a value that is not finite.
-        Elsewhere each value is bitwise the query's."""
+        Elsewhere each value is bitwise the query's.  Rows of the grid
+        table where it is built and every t is one of its grid points."""
+        grid, rows = self._table(ts)
+        if grid is not None:
+            return grid.frames[rows], grid.data.rows(rows), grid.suspect[rows]
         fe, t, zero = self.frenet, ts[:, None], self.tol.zero
-        a, b, ab2 = fe.ab_columns.array(t, exact=True)
-        base = fe.base_program.array(t, exact=True)
+        a, b, ab2 = eval_expr(fe.ab_columns, t)
+        base = eval_expr(fe.base_program, t)
         disc_h, M, N, *rest = base
-        dh, dd = fe.dh_program.array(t, exact=True), fe.dd_program.array(t, exact=True)
+        dh, dd = eval_expr(fe.dh_program, t), eval_expr(fe.dd_program, t)
         r2 = a * a + b * b
         f = self.frames_at(ts)
         with np.errstate(all="ignore"):
+            r = np.sqrt(r2)
+            f[:, 1], f[:, 2] = (a * f[:, 1] + b * f[:, 2]) / r, (-b * f[:, 1] + a * f[:, 2]) / r
             suspect = np.hstack([~((r2 > zero) & (ab2 > zero)),
                                  ~np.isfinite(np.hstack([a, b, ab2, *base])),
                                  (disc_h > 0.0) & ~np.isfinite(np.hstack(dh)),
-                                 (-disc_h > 0.0) & ~np.isfinite(np.hstack(dd))])
-            r = np.sqrt(r2)
-            f[:, 1], f[:, 2] = (a * f[:, 1] + b * f[:, 2]) / r, (-b * f[:, 1] + a * f[:, 2]) / r
+                                 (-disc_h > 0.0) & ~np.isfinite(np.hstack(dd)),
+                                 ~np.isfinite(f.reshape(len(ts), 16))])
             data = FrenetData(t, M, N, np.sqrt(ab2), 0.0, *rest, disc_h, -disc_h, *dh, *dd)
         return f, data, suspect.any(axis=1)
 
@@ -571,7 +653,10 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
         if not np.all(np.isfinite(vals)):
             bad = np.argwhere(~np.isfinite(vals))[0]
             t_bad = float(node_ts[bad[0], bad[1]])
-            eval_expr(e, t_bad)  # raises a located ExprDomainError if genuine
+            try:
+                eval_expr(e, t_bad)  # raises a located ExprDomainError if genuine
+            except ExprDomainError as exc:
+                raise NumericError(f"curvature function {j} at t={t_bad!r}: {exc}") from exc
             raise NumericError(
                 f"curvature function {j} not finite at t={t_bad!r}")
         node_vals[:, :, j] = vals

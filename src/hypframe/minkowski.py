@@ -134,6 +134,10 @@ def wedge3(x1: MinkVec, x2: MinkVec, x3: MinkVec) -> MinkVec:
     return MinkVec(w0, w1, w2, w3)
 
 
+# the largest |membership_residual| of a point taken to lie on its quadric
+ON_QUADRIC = 1e-6
+
+
 def membership_residual(x: MinkVec, target: Quadric) -> float:
     """<x,x> + 1 for H3, <x,x> - 1 for S31; zero iff on the quadric."""
     q = mink_dot(x, x)
@@ -143,7 +147,3 @@ def membership_residual(x: MinkVec, target: Quadric) -> float:
         return q - 1.0
     raise InvalidInputError(f"unknown quadric {target!r}")
 
-
-def det4(x0: MinkVec, x1: MinkVec, x2: MinkVec, x3: MinkVec) -> float:
-    """Determinant of the four vectors as rows (NumPy LU path)."""
-    return float(np.linalg.det(np.array([list(x0), list(x1), list(x2), list(x3)])))

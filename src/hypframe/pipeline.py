@@ -26,7 +26,7 @@ from .errors import HypframeError, InvalidInputError
 from .framedcurve import (CurvatureQuartet, FrameSample, FramedCurveModel,
                           integrate_frame, propagation_backend,
                           validate_initial_frame)
-from .minkowski import Columns, MinkVec, Quadric, membership_residual
+from .minkowski import ON_QUADRIC, Columns, MinkVec, Quadric, membership_residual
 from .symexpr import ExprSyntaxError, parse_expr
 from .tolerances import DEFAULT, Tolerances
 
@@ -187,7 +187,7 @@ def _chart(points, quadric: Quadric, den) -> np.ndarray:
     """
     rows = Columns(*points.T)
     with np.errstate(all="ignore"):
-        off = np.abs(membership_residual(rows, quadric)) > 1e-6
+        off = np.abs(membership_residual(rows, quadric)) > ON_QUADRIC
         d = den(rows.x0)
     bad = ~np.isfinite(points).all(axis=1) | off | (d == 0.0)
     if bad.any():

@@ -605,8 +605,10 @@ _ARRAY_OPS = {
     "sub": lambda v, t, node, a, b: v[a] - v[b],
     "mul": lambda v, t, node, a, b: v[a] * v[b],
     "den": lambda v, t, node, a, b: None,
-    "div": lambda v, t, node, a, b: v[a] / v[b],
-    "pow": lambda v, t, node, a, b: v[a] ** b,
+    # through NumPy: two constant operands are Python floats, whose / and **
+    # raise on a zero divisor where the array replay gives IEEE values
+    "div": lambda v, t, node, a, b: np.divide(v[a], v[b]),
+    "pow": lambda v, t, node, a, b: np.power(v[a], b),
     "fun": lambda v, t, node, a, b: _TABLE[b].numpy(v[a]),
 }
 # the scalar replay's rounding, and a NaN where that raises
@@ -717,15 +719,16 @@ def _single(e) -> Program:
     return program
 
 
-def eval_expr(e, t: float):
+def eval_expr(e, t):
     """Evaluate at the scalar t; deterministic for identical expression and t.
 
     An Expr gives a float; a compiled Program gives the tuple of its
-    roots' values.
+    roots' values.  At an ndarray t, each value is an array of t's shape:
+    Program.array(t, exact=True).
     """
-    if isinstance(e, Program):
-        return e.scalar(t)
-    return _single(e).scalar(t)[0]
+    program = e if isinstance(e, Program) else _single(e)
+    values = program.array(t, exact=True) if isinstance(t, np.ndarray) else program.scalar(t)
+    return values if isinstance(e, Program) else values[0]
 
 
 def vectorized(e: Expr):

@@ -6,18 +6,26 @@ differences, reference integrations from half-step Richardson comparison
 or scipy, expressions are evaluated by walking the tree recursively,
 frames are propagated one substep at a time with a scalar exponential,
 interpolated one weight at a time, surface meshes are evaluated and
-written one point at a time, and duality samples are built and judged
-one at a time.
+written one point (or one row) at a time, duality samples are built and
+judged one at a time, and the definedness scan and the correspondence
+check take one grid point at a time.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 
 from hypframe.duality import (PAIR_NAMES, PAIR_SURFACES, DualPairSample, FrontVerdict,
                               isotropy_residuals, pair_theta_range)
 from hypframe.errors import FrameDegenerateError, InvalidInputError, SurfaceUndefinedError
-from hypframe.focal import D, H, _eps_values, _require
+from hypframe.evolute import (CorrespondenceReport, EvolutePointType, LegReport,
+                              _bisect_eps_zero, classify_dual_d, classify_dual_h,
+                              evolute_d, evolute_h)
+from hypframe.focal import (SURFACES, D, H, SingularityType, SingularPointRecord,
+                            SurfaceParam, _eps_values, _fiber, _fiber_points, _require,
+                            _undefined_at, classify_d, classify_h, focal_d_point,
+                            focal_h_point)
 from hypframe.minkowski import MinkVec, Quadric, membership_residual
 from hypframe.pipeline import (DUALITY_SAMPLES, DUALITY_SEED, project_hollow_ball,
                                project_poincare)
@@ -66,7 +74,9 @@ def tree_eval(e, t):
 
 def tree_vec(e):
     """NumPy closure of e built by a recursive walk of the tree; call it
-    under np.errstate(all="ignore")."""
+    under np.errstate(all="ignore").  Quotients and powers go through
+    NumPy even where both operands are constants, so a zero divisor gives
+    IEEE values there too."""
     match e:
         case Num(value=v):
             return lambda t: v
@@ -86,10 +96,10 @@ def tree_vec(e):
             return lambda t: fx(t) * fy(t)
         case Div(lhs=x, rhs=y):
             fx, fy = tree_vec(x), tree_vec(y)
-            return lambda t: fx(t) / fy(t)
+            return lambda t: np.divide(fx(t), fy(t))
         case Pow(base=u, exponent=k):
             f = tree_vec(u)
-            return lambda t: f(t) ** k
+            return lambda t: np.power(f(t), k)
         case Fun(name=name, arg=u):
             f = tree_vec(u)
             g = _TABLE[name].numpy
@@ -427,3 +437,138 @@ def duality_summary_loop(model, runs):
                      "verdict": front_verdict_loop(samples, model.tol).value,
                      "pass": worst <= model.tol.dual}
     return out
+
+
+# ---------------------------------------------------------------------------
+# Grid stages one grid point at a time.  Run them on a model whose grid
+# table is never built, so that every query takes the per-point path.
+
+
+def defined_runs_loop(model):
+    """`hypframe.focal.defined_runs` one grid t at a time: the definedness
+    rule through `_undefined_at` at each t in order, then the index runs."""
+    ok = [[_undefined_at(model, float(t), *rule) is None for rule in SURFACES.values()]
+          for t in model.ts]
+    runs = {}
+    for k, name in enumerate(SURFACES):
+        edges = np.flatnonzero(np.diff([False, *(row[k] for row in ok), False])).tolist()
+        runs[name] = [range(a, b) for a, b in zip(edges[::2], edges[1::2])]
+    return runs
+
+
+def surface_grid_rows(model, which, ts, thetas):
+    """`hypframe.focal.surface_grid` one row at a time, as `_fiber_points`
+    over the whole theta row, before it became one broadcast (with no
+    quadric check)."""
+    if which not in MESH_SURFACES:
+        raise InvalidInputError(f"unknown surface {which!r}")
+    side, dual = MESH_SURFACES[which]
+    ts = np.asarray(ts, dtype=float).tolist()
+    thetas = np.asarray(thetas, dtype=float).tolist()
+    out = np.empty((len(ts), len(thetas), 4))
+    if not thetas:
+        return out
+    c, s = _fiber(side, thetas, dual)
+    for i, t in enumerate(ts):
+        try:
+            out[i] = _fiber_points(side, model, t, c, s, dual)
+        except SurfaceUndefinedError as exc:
+            raise SurfaceUndefinedError(f"grid point (i={i}, j=0): {exc}") from exc
+    if not np.isfinite(out).all():
+        raise InvalidInputError(
+            f"non-finite component in MinkVec: {float(out[~np.isfinite(out)][0])!r}")
+    return out
+
+
+def leg_loop(model, ts, runs, side):
+    """`hypframe.evolute._leg` one grid point at a time: at each grid point
+    of the runs, the focal record, the evolute sample and the dual record
+    through the public per-point functions, then the epsilon crossings."""
+    if side is H:
+        focal_point, classify, evolute, classify_dual = \
+            focal_h_point, classify_h, evolute_h, classify_dual_h
+    else:
+        focal_point, classify, evolute, classify_dual = \
+            focal_d_point, classify_d, evolute_d, classify_dual_d
+    if not runs:
+        reason = _undefined_at(model, float(ts[-1]), side, evolute=True) if len(ts) else None
+        return LegReport(status="skipped",
+                         reason=reason or "evolute undefined on the whole grid")
+
+    def at(t):
+        data = model.frenet_data_at(t)
+        theta = side.root(data.W, side.columns(data)[1])
+        rec = SingularPointRecord(surface=side.focal, param=SurfaceParam(t, theta),
+                                  lam=0.0, sigma_f=data.sigma_f)
+        classify(model, rec)
+        es = evolute(model, t)
+        dist = (focal_point(model, t, theta) - es.point).max_abs()
+        return rec, es, classify_dual(model, t), dist
+
+    leg = LegReport(status="checked", points=sum(map(len, runs)))
+    agreements = {}
+    max_dist = 0.0
+    eps = {}
+    for i in chain.from_iterable(runs):
+        t = float(ts[i])
+        rec, es, dual, dist = at(t)
+        max_dist = max(max_dist, dist)
+        regular = es.point_type is EvolutePointType.REGULAR_POINT
+        cusp = es.point_type is EvolutePointType.CUSP_234
+        checks = {
+            "focal_ce_iff_evolute_regular":
+                (rec.type is SingularityType.CUSPIDAL_EDGE) == regular,
+            "focal_sw_iff_evolute_cusp":
+                (rec.type is SingularityType.SWALLOWTAIL) == cusp,
+            "dual_ce_iff_evolute_regular":
+                (dual.type is SingularityType.CUSPIDAL_EDGE) == regular,
+            "dual_ccr_iff_evolute_cusp":
+                (dual.type is SingularityType.CUSPIDAL_CROSS_CAP) == cusp,
+            "focal_sw_iff_dual_ccr":
+                (rec.type is SingularityType.SWALLOWTAIL)
+                == (dual.type is SingularityType.CUSPIDAL_CROSS_CAP),
+        }
+        for name, ok in checks.items():
+            agreements[name] = agreements.get(name, True) and ok
+            if not ok:
+                leg.failures.append({"t": t, "check": name,
+                                     "focal": rec.type.value,
+                                     "evolute": es.point_type.value,
+                                     "dual": dual.type.value})
+        eps[i] = es.epsilon
+
+    crossing_ts = [float(ts[i]) for i, e in eps.items() if e == 0.0]
+    for run in runs:
+        for ia, ib in zip(run, run[1:]):
+            ea, eb = eps[ia], eps[ib]
+            if ea != 0.0 and eb != 0.0 and (ea < 0) != (eb < 0):
+                crossing_ts.append(_bisect_eps_zero(model, side, float(ts[ia]),
+                                                    float(ts[ib]), ea, eb))
+    for t_star in sorted(crossing_ts):
+        rec, es, dual, dist = at(t_star)
+        max_dist = max(max_dist, dist)
+        event = {
+            "t": t_star,
+            "focal_type": rec.type.value,
+            "evolute_type": es.point_type.value,
+            "dual_type": dual.type.value,
+            "sw_iff_cusp": (rec.type is SingularityType.SWALLOWTAIL)
+                           == (es.point_type is EvolutePointType.CUSP_234),
+            "sw_iff_ccr": (rec.type is SingularityType.SWALLOWTAIL)
+                          == (dual.type is SingularityType.CUSPIDAL_CROSS_CAP),
+        }
+        leg.events.append(event)
+        if not event["sw_iff_cusp"]:
+            agreements["focal_sw_iff_evolute_cusp"] = False
+        if not event["sw_iff_ccr"]:
+            agreements["focal_sw_iff_dual_ccr"] = False
+
+    leg.agreements = agreements
+    leg.max_image_distance = max_dist
+    return leg
+
+
+def correspondence_check_loop(model, runs):
+    """`hypframe.evolute.correspondence_check` one grid point at a time."""
+    return CorrespondenceReport(hyperbolic=leg_loop(model, model.ts, runs[H.evolute], H),
+                                desitter=leg_loop(model, model.ts, runs[D.evolute], D))

@@ -1,0 +1,268 @@
+"""The grid stages read one table of the model's whole grid.
+
+The definedness scan, the loci and their classification, the
+correspondence check and the meshes must give, bit for bit, what the
+one-grid-point-at-a-time oracles give on a model whose grid table is
+never built; where those raise, the stages raise the same error.
+"""
+
+import dataclasses
+import enum
+import math
+import os
+import struct
+
+import numpy as np
+import pytest
+
+from hypframe import CurvatureQuartet, integrate_frame, load_spec, run_pipeline
+from hypframe import pipeline
+from hypframe.errors import EvoluteUndefinedError, InvalidInputError, NumericError
+from hypframe.symexpr import ExprDomainError
+from hypframe.evolute import correspondence_check
+from hypframe.focal import defined_runs, surface_grid
+from hypframe.symexpr import Program, compile, parse_expr
+from hypframe.tolerances import DEFAULT
+
+from oracles import (correspondence_check_loop, defined_runs_loop, frenet_frame,
+                     surface_grid_rows)
+
+SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
+MESHES = ("focal_h", "focal_d", "dual_eh", "dual_ed")
+
+# name -> curvature quartet, domain and tolerance overrides; None reads
+# specs/<name>.json
+MODELS = {
+    "cuspidal_edge_hyperbolic": None,
+    "cuspidal_edge_desitter": None,
+    "swallowtail_family": None,
+    # surfaces on two intervals, an evolute on two intervals, the sigma_F
+    # threshold at the last grid point, and a^2 + b^2 = 0 at t = 0
+    "two_intervals": (("2.5*t^2-1", "1", "2", "0"), (-1.6, 1.6, 161)),
+    "evolute_gap_sin": (("3*sin(t)", "1", "1.5", "0"), (-1.6, 1.6, 161)),
+    "evolute_gap_cubic": (("3*t^3-t", "0.5", "1.5", "0"), (-1.6, 1.6, 161)),
+    "sigma_threshold": (("t", "1", "2", "0"), (0.0, 1.7320508074, 11)),
+    "frame_gap": (("2", "1", "t", "0"), (-1.0, 1.0, 21)),
+    "generic": (("sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), (-2.0, 2.0, 201)),
+    # N = n vanishes at t = 0, where the de Sitter epsilon branch has a pole
+    # and falls back to the closed form
+    "desitter_pole": (("2+0.5*t", "t", "1", "0"), (-1.0, 1.0, 21)),
+    # coarse zero tests: many points decided near a threshold, in every
+    # branch, and failed agreements
+    "swallowtail_coarse": (("0.5*t", "1", "2", "0"), (-1.5, 1.5, 201), {"sing": 0.05}),
+    "generic_coarse": (("sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), (-2.0, 2.0, 201),
+                       {"sing": 0.3}),
+    "desitter_coarse": (("2+0.5*t", "0.7*t", "1", "0"), (-1.0, 2.0, 31), {"sing": 0.1}),
+    # W = -0.4 and N = t, both zero at this tolerance: branch (b), with
+    # failed agreements that name the focal type
+    "branch_b_coarse": (("1+0.2*t", "t", "2", "0"), (-1.0, 1.0, 41), {"sing": 0.3}),
+}
+
+
+def _model(name):
+    """(model, theta grid) of a name of MODELS, integrated afresh."""
+    if MODELS[name] is None:
+        spec = load_spec(os.path.join(SPEC_DIR, name + ".json"))
+        return integrate_frame(spec.quartet(), spec.domain), np.linspace(*spec.theta)
+    quartet, domain, *tol = MODELS[name]
+    return integrate_frame(CurvatureQuartet.from_strings(*quartet), domain,
+                           tol=DEFAULT.with_overrides(*tol or [{}])), np.linspace(-1.0, 1.0, 5)
+
+
+def _bits(x):
+    """x with every float replaced by its bit pattern, recursively."""
+    if isinstance(x, float):
+        return ("float", struct.pack("<d", x))
+    if isinstance(x, np.ndarray):
+        return ("array", x.shape, np.ascontiguousarray(x, dtype=float).view(np.int64).tolist())
+    if isinstance(x, enum.Enum):
+        return x.value
+    if dataclasses.is_dataclass(x):
+        return _bits(vars(x))
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, range)):
+        return [_bits(v) for v in x]
+    return x
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the oracle's error is the expectation
+        return type(exc), str(exc)
+
+
+def _compare(model, fresh, thetas):
+    """Assert that every grid stage on model matches its oracle on fresh."""
+    runs = defined_runs(model)
+    assert _bits(runs) == _bits(defined_runs_loop(fresh))
+    assert _outcome(correspondence_check, model, runs) \
+        == _outcome(correspondence_check_loop, fresh, runs)
+    assert _outcome(pipeline._classified_loci, model, runs) \
+        == _outcome(pipeline._classified_loci, fresh, runs)
+    for surface in MESHES:
+        for run in runs[surface]:
+            ts = model.ts[run.start:run.stop]
+            assert _outcome(surface_grid, model, surface, ts, thetas) \
+                == _outcome(surface_grid_rows, fresh, surface, ts, thetas), surface
+    assert "grid" in vars(model) and "grid" not in vars(fresh)
+    return runs
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_grid_stages_match_the_per_point_oracles(name):
+    (model, thetas), (fresh, _) = _model(name), _model(name)
+    runs = _compare(model, fresh, thetas)
+    assert any(runs.values())
+
+
+def test_nan_frame_rows_replay_as_the_oracle():
+    models = []
+    for _ in range(2):
+        model = integrate_frame(CurvatureQuartet.from_strings("1", "1", "2", "0"),
+                                (0.0, 1.0, 11))
+        model.frames = model.frames.copy()
+        model.frames[6, 1, 2] = np.nan
+        models.append(model)
+    model, fresh = models
+    _compare(model, fresh, np.linspace(-1.0, 1.0, 5))
+    assert model.grid.suspect.tolist() == [i == 6 for i in range(11)]
+    with pytest.raises(InvalidInputError, match="non-finite component"):
+        correspondence_check(model)
+
+
+def test_vanishing_a2_b2_rows_replay_as_the_oracle():
+    # a^2 + b^2 = t^2: the Frenet frame is undefined at t = 0 only
+    (model, thetas), (fresh, _) = _model("frame_gap"), _model("frame_gap")
+    runs = _compare(model, fresh, thetas)
+    assert model.grid.suspect.tolist() == [i == 10 for i in range(21)]
+    assert [(r.start, r.stop) for r in runs["focal_d"]] == [(0, 10), (11, 21)]
+
+
+@pytest.mark.parametrize("name, source", [("eps_h_closed_program", "1/(t-0.5)^2"),
+                                          ("evolute_h_program", "1/(t-0.5)^2"),
+                                          ("eps_h_closed_program", "t-0.5")])
+def test_injected_program_reads_as_the_oracle(name, source):
+    """A program replaced by one that raises at the grid point t = 0.5, where
+    the table holds NaN, or by one that vanishes there: the stages that read
+    it raise, or classify, as the per-point path does."""
+    models = [integrate_frame(CurvatureQuartet.from_strings("1", "1", "2", "0"), (0.0, 1.0, 5))
+              for _ in range(2)]
+    for model in models:
+        width = len(getattr(model.frenet, name).outputs)
+        setattr(model.frenet, name, compile([parse_expr(source)] * width))
+    model, fresh = models
+    runs = defined_runs(model)
+    want = _outcome(correspondence_check_loop, fresh, runs)
+    if source.startswith("1/"):
+        assert want[0] is ExprDomainError and want[1].startswith("division by zero")
+    else:
+        assert not want["hyperbolic"]["agreements"]["dual_ce_iff_evolute_regular"]
+    assert _outcome(correspondence_check, model, runs) == want
+    assert _outcome(pipeline._classified_loci, model, runs) \
+        == _outcome(pipeline._classified_loci, fresh, runs)
+
+
+def test_tangency_raises_the_oracles_error():
+    """sigma_F touches zero between two grid points of the hyperbolic
+    evolute's run, where the epsilon crossing is then classified."""
+    models = [integrate_frame(CurvatureQuartet.from_strings(
+        "1.13", "0.68-0.76*sin(-2.78*t)", "-1.23", "0"), (-1.6, 1.6, 41)) for _ in range(2)]
+    model, fresh = models
+    runs = defined_runs(model)
+    assert _bits(runs) == _bits(defined_runs_loop(fresh))
+    with pytest.raises(EvoluteUndefinedError) as err:
+        correspondence_check(model, runs)
+    assert str(err.value).startswith("sigma_F = 2.3")
+    assert "is not positive: hyperbolic evolute undefined" in str(err.value)
+    assert _outcome(correspondence_check_loop, fresh, runs) == (EvoluteUndefinedError,
+                                                                str(err.value))
+
+
+def test_signed_zero_does_not_read_the_zero_row():
+    # a(t) = t: at t = -0.0 the rotated n2 starts with -0.0, at 0.0 with 0.0
+    model = integrate_frame(CurvatureQuartet.from_strings("1", "1", "t", "1"), (0.0, 1.0, 11))
+    fresh = integrate_frame(CurvatureQuartet.from_strings("1", "1", "t", "1"), (0.0, 1.0, 11))
+    grid = model.grid
+    assert grid.row(0.0) == 0 and grid.row(-0.0) is None
+    assert grid.index(np.array([0.0, -0.0])) is None
+    for t in (0.0, -0.0, 0.0):
+        got = model.frenet_frame_at(t)
+        assert _bits(got) == _bits(frenet_frame(fresh, t))
+        assert math.copysign(1.0, got[2, 0]) == math.copysign(1.0, t)
+        got[:] = 7.0  # a fresh copy each call: the table is left as it was
+        data = model.frenet_data_at(t)
+        assert _bits(data) == _bits(fresh.frenet_data_at(t))
+        assert math.copysign(1.0, data.t) == math.copysign(1.0, t)
+    program = model.frenet.base_program
+    assert model.grid_values(program, -0.0) is None
+    assert model.grid_values(program, 0.0) == grid.program(program)[1][0] is not None
+
+
+def test_frenet_columns_at_grid_points_are_table_rows():
+    (model, _), (fresh, _) = _model("generic"), _model("generic")
+    ts = model.ts[[0, 7, 7, 200, 100]]
+    model.grid  # noqa: B018 - build the table
+    got, want = model.frenet_columns(ts), fresh.frenet_columns(ts)
+    assert _bits(got[0]) == _bits(want[0]) and _bits(got[2]) == _bits(want[2])
+    assert _bits(vars(got[1])) == _bits(vars(want[1]))
+    program = model.frenet.evolute_h_program
+    assert _bits(model.program_columns(program, ts)) \
+        == _bits(fresh.program_columns(program, ts))
+
+
+def test_run_pipeline_evaluates_no_program_at_a_grid_point(monkeypatch):
+    """Work-count guard: once the grid table is built, no stage of a run
+    replays a program at a grid point one point at a time."""
+    spec = load_spec(os.path.join(SPEC_DIR, "swallowtail_family.json"))
+    grid = set()
+    calls = {"scalar": 0, "at_grid": 0}
+    integrate, scalar = pipeline.integrate_frame, Program.scalar
+
+    def integrated(*args, **kwargs):
+        model = integrate(*args, **kwargs)
+        grid.update(model.ts.tolist())
+        return model
+
+    def counted(self, t):
+        calls["scalar"] += 1
+        calls["at_grid"] += t in grid
+        return scalar(self, t)
+
+    monkeypatch.setattr(pipeline, "integrate_frame", integrated)
+    monkeypatch.setattr(Program, "scalar", counted)
+    report = run_pipeline(spec)
+    assert len(grid) == 201 and report.data["correspondence"]["hyperbolic"]["points"] > 0
+    assert calls["at_grid"] == 0
+
+
+def test_grid_stages_evaluate_each_program_once(monkeypatch):
+    """Work-count guard: the scan, the loci, the correspondence check and
+    the meshes evaluate each program over arrays once, for the table."""
+    spec = load_spec(os.path.join(SPEC_DIR, "swallowtail_family.json"))
+    model = integrate_frame(spec.quartet(), spec.domain)
+    evaluated, array = [], Program.array
+
+    def counted(self, t, exact=False):
+        evaluated.append(self)
+        return array(self, t, exact)
+
+    monkeypatch.setattr(Program, "array", counted)
+    runs = defined_runs(model)
+    pipeline._classified_loci(model, runs)
+    correspondence_check(model, runs)
+    surface_grid(model, "focal_h", model.ts, np.linspace(*spec.theta))
+    assert 7 <= len(evaluated) == len(set(evaluated))
+
+
+def test_off_quadric_mesh_vertex_is_a_numeric_failure():
+    """A frame whose gamma row is scaled puts the focal point of that grid
+    row off H3; the mesh names the grid point and its t."""
+    model = integrate_frame(CurvatureQuartet.from_strings("1", "1", "2", "0"), (0.0, 1.0, 11))
+    model.frames = model.frames.copy()
+    model.frames[4, 0] *= 1.001
+    with pytest.raises(NumericError) as err:
+        surface_grid(model, "focal_h", model.ts, [-0.5, 0.0, 0.5])
+    assert str(err.value).startswith("grid point (i=4, j=0) at t=0.4: focal_h point MinkVec(")
+    assert str(err.value).endswith(" is not on H3")

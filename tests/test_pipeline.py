@@ -1,14 +1,16 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from hypframe import (MinkVec, export_loci_csv, export_obj, load_spec,
-                      project_hollow_ball, project_poincare, run_pipeline)
+from hypframe import (CurvatureQuartet, MinkVec, export_loci_csv, export_obj,
+                      integrate_frame, load_spec, project_hollow_ball, project_poincare,
+                      run_pipeline)
 from hypframe.cli import main as cli_main
-from hypframe.errors import InvalidInputError
+from hypframe.errors import InvalidInputError, NumericError
 from hypframe.focal import SingularPointRecord, SingularityType, SurfaceParam
 from hypframe.pipeline import SpecParseError, SpecValidationError
 from hypframe.symexpr import MAX_DEPTH
@@ -397,6 +399,32 @@ def test_cli_non_finite_intermediate_exits_2(tmp_path, capsys):
                domain={"t0": 0.0, "t1": 10.0, "samples": 11})
     assert cli_main(["run", "--spec", _write_spec(tmp_path, doc)]) == 2
     assert "curvature function 0 not finite at t=8.92" in capsys.readouterr().err
+
+
+def test_cli_constant_zero_divisor_exits_2(tmp_path, capsys):
+    """1/0 has two constant operands; the array replay used to divide them
+    as Python floats and die with an untyped ZeroDivisionError."""
+    doc = dict(MINIMAL, curvature={"m": "1+t*(1/0)", "n": "1", "a": "2", "b": "0"},
+               domain={"t0": 0.5, "t1": 1.0, "samples": 11})
+    assert cli_main(["run", "--spec", _write_spec(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: curvature function 0 at t=0.50")
+    with pytest.raises(NumericError, match=r"at t=0\.50\d*: division by zero in '1/0'"):
+        integrate_frame(CurvatureQuartet.from_strings("1+t*(1/0)", "1", "2", "0"),
+                        (0.5, 1.0, 11))
+
+
+def test_cli_off_quadric_mesh_vertex_exits_2(tmp_path, capsys):
+    """On [0, 40] the frames of this constant quartet grow past 1e4 and leave
+    the group; a focal_h mesh vertex off H3 is a numeric failure that names
+    its grid point, not an invalid input."""
+    doc = dict(MINIMAL, curvature={"m": "1.000244", "n": "1.034341", "a": "1.976286", "b": "0"},
+               domain={"t0": 0.0, "t1": 40.0, "samples": 201})
+    code = cli_main(["focal", "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert re.match(r"numeric failure: grid point \(i=\d+, j=\d+\) at t=[0-9.]+: "
+                    r"focal_h point MinkVec\(.*\) is not on H3$", err.strip()), err
 
 
 @pytest.mark.parametrize("field, source, text", [
