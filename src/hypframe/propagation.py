@@ -121,15 +121,18 @@ def gram_residual(f: np.ndarray) -> float:
     return float(np.abs(g).max())
 
 
-def gram_drift(f: np.ndarray) -> float:
+def gram_drift(f: np.ndarray, residual: float | None = None) -> float:
     """Gram residual relative to the frame magnitude.
 
     Pairings of rows with Euclidean norm R carry a float64 rounding floor
     of order eps * R^2, so the drift the integrator controls is the
-    residual divided by (1 + max row norm^2).
+    residual divided by (1 + max row norm^2).  `residual`, if given, is
+    gram_residual(f), already taken.
     """
+    if residual is None:
+        residual = gram_residual(f)
     scale = 1.0 + float((f * f).sum(axis=1).max())
-    return gram_residual(f) / scale
+    return residual / scale
 
 
 def _mdot(x, y):
@@ -218,10 +221,11 @@ def propagate(node_vals: np.ndarray, hs: np.ndarray, substeps: np.ndarray,
             node_vals[first * nsub:last * nsub], hs[first:last], nsub)
         for i, p in enumerate(props, start=first):
             f = p @ f
-            drift = gram_drift(f)
+            residual = gram_residual(f)
+            drift = gram_drift(f, residual)
             if drift > max_raw:
                 max_raw = drift
-            if gram_residual(f) > tol_correct:
+            if residual > tol_correct:
                 f = pseudo_orthonormalize(f)
                 corrections += 1
                 drift = gram_drift(f)
