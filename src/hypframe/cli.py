@@ -13,6 +13,7 @@ import argparse
 import csv
 import os
 import sys
+from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -79,22 +80,37 @@ def cmd_focal(args) -> int:
     return 0
 
 
+def _evolute_rows(model, runs) -> list:
+    """(t, side, epsilon, epsilon', point type) at each grid point of the
+    evolute runs, in grid order, h before d, as evolute_h / evolute_d give
+    them: read from columns, and through them, in that order, on each row
+    that is suspect or not finite, so that they raise as there."""
+    found = {}
+    for k, (side, fn) in enumerate(((_focal.H, _evolute.evolute_h),
+                                    (_focal.D, _evolute.evolute_d))):
+        index = list(chain.from_iterable(runs[side.evolute]))
+        frames, data, replay = model.frenet_columns(model.ts[index])
+        with np.errstate(all="ignore"):
+            vecs, (eps, eps1) = _evolute._evolute_columns(side, model, model.ts[index], frames)
+            types = _evolute._point_type(eps, eps1, _focal._scale(data), model.tol.sing)
+        replay = replay | ~np.isfinite(np.hstack([*vecs, eps, eps1])).all(axis=1)
+        for i, *row in zip(index, replay.tolist(), eps[:, 0].tolist(), eps1[:, 0].tolist(),
+                           types[:, 0].tolist()):
+            found[i, k] = (fn, side.evolute[-1], *row)
+    rows = []
+    for (i, _), (fn, side, replay, *row) in sorted(found.items()):
+        if replay:
+            es = fn(model, float(model.ts[i]))
+            row = es.epsilon, es.epsilon_prime, es.point_type
+        rows.append((float(model.ts[i]), side, row[0], row[1], row[2].value))
+    return rows
+
+
 def cmd_evolute(args) -> int:
     spec, tol = _load(args)
     model = _model(spec, tol)
-    runs = _focal.defined_runs(model)
-    defined = {side: set(chain.from_iterable(runs["evolute_" + side])) for side in "hd"}
-    rows = []
-    for i, t in enumerate(model.ts):
-        for side, fn in (("h", _evolute.evolute_h), ("d", _evolute.evolute_d)):
-            if i in defined[side]:
-                es = fn(model, float(t))
-                rows.append((float(t), side, es.epsilon, es.epsilon_prime,
-                             es.point_type.value))
-    counts = {}
-    for row in rows:
-        counts[(row[1], row[4])] = counts.get((row[1], row[4]), 0) + 1
-    for (side, ptype), k in sorted(counts.items()):
+    rows = _evolute_rows(model, _focal.defined_runs(model))
+    for (side, ptype), k in sorted(Counter((row[1], row[4]) for row in rows).items()):
         print(f"evolute_{side}: {k} grid points {ptype}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -102,9 +118,8 @@ def cmd_evolute(args) -> int:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "side", "epsilon", "epsilon_prime", "point_type"])
-            for row in rows:
-                w.writerow([_pipe._fmt(row[0]), row[1], _pipe._fmt(row[2]),
-                            _pipe._fmt(row[3]), row[4]])
+            w.writerows([_pipe._fmt(t), side, _pipe._fmt(eps), _pipe._fmt(eps1), ptype]
+                        for t, side, eps, eps1, ptype in rows)
         print(f"wrote {path}")
     return 0
 
@@ -128,10 +143,7 @@ def cmd_classify(args) -> int:
     spec, tol = _load(args)
     model = _model(spec, tol)
     records = _pipe._classified_loci(model, _focal.defined_runs(model))
-    counts = {}
-    for r in records:
-        counts[(r.surface, r.type.value)] = counts.get((r.surface, r.type.value), 0) + 1
-    for (surface, ty), k in sorted(counts.items()):
+    for (surface, ty), k in sorted(Counter((r.surface, r.type.value) for r in records).items()):
         print(f"{surface}: {k} records {ty}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

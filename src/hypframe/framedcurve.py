@@ -423,10 +423,7 @@ class FramedCurveModel:
         self.frames = frames
         self.initial = initial
         self.step = step
-        self.corrections = stats[0]
-        self.max_drift_raw = stats[1]
-        self.max_drift = stats[2]
-        self.max_drift_t = stats[3]
+        self.corrections, self.max_drift_raw, self.max_drift, self.max_drift_t = stats
         self.tol = tol
         self.frenet = FrenetExprs(quartet)
 
@@ -519,20 +516,15 @@ class FramedCurveModel:
         grid, i = self._table(t)
         if grid is not None and not grid.suspect[i]:
             return grid.frames[i].copy()
-        a = eval_expr(self.quartet.a, t)
-        b = eval_expr(self.quartet.b, t)
+        a, b = eval_expr(self.quartet.a, t), eval_expr(self.quartet.b, t)
         r2 = a * a + b * b
         if r2 <= self.tol.zero:
             raise FrameDegenerateError(
                 f"a^2+b^2 = {r2!r} at t={t!r}: Frenet type frame undefined")
         r = math.sqrt(r2)
         f = self.frame_at(t)
-        out = np.empty((4, 4))
-        out[0] = f[0]
-        out[1] = (a * f[1] + b * f[2]) / r
-        out[2] = (-b * f[1] + a * f[2]) / r
-        out[3] = f[3]
-        return out
+        f[1], f[2] = (a * f[1] + b * f[2]) / r, (-b * f[1] + a * f[2]) / r
+        return f
 
     def frenet_data_at(self, t: float) -> FrenetData:
         grid, i = self._table(t)

@@ -112,26 +112,27 @@ def causal_character(x: MinkVec, tol: Tolerances = DEFAULT) -> CausalClass:
 
 
 def wedge3(x1: MinkVec, x2: MinkVec, x3: MinkVec) -> MinkVec:
-    """Triple wedge product: the unique w with <x0,w> = det(x0,x1,x2,x3).
+    """Triple wedge product: the unique w with <x0,w> = det(x0,x1,x2,x3)."""
+    return MinkVec(*wedge_rows(x1, x2, x3))
 
-    Explicit cofactor expansion of the determinant with first row
-    (-e0, e1, e2, e3); deterministic and branch-free.
-    """
-    a0, a1, a2, a3 = x1.x0, x1.x1, x1.x2, x1.x3
-    b0, b1, b2, b3 = x2.x0, x2.x1, x2.x2, x2.x3
-    c0, c1, c2, c3 = x3.x0, x3.x1, x3.x2, x3.x3
-    # 2x2 minors of rows (x2, x3)
-    m01 = b0 * c1 - b1 * c0
-    m02 = b0 * c2 - b2 * c0
-    m03 = b0 * c3 - b3 * c0
-    m12 = b1 * c2 - b2 * c1
-    m13 = b1 * c3 - b3 * c1
-    m23 = b2 * c3 - b3 * c2
-    w0 = -(a1 * m23 - a2 * m13 + a3 * m12)
-    w1 = -(a0 * m23 - a2 * m03 + a3 * m02)
-    w2 = a0 * m13 - a1 * m03 + a3 * m01
-    w3 = -(a0 * m12 - a1 * m02 + a2 * m01)
-    return MinkVec(w0, w1, w2, w3)
+
+def wedge_rows(a, b, c):
+    """wedge3 of the components a[i], b[i], c[i], floats or arrays of one
+    shape (a stack of triples): cofactor expansion of the determinant with
+    first row (-e0, e1, e2, e3), deterministic and branch-free."""
+    # 2x2 minors of rows (b, c)
+    m01 = b[0] * c[1] - b[1] * c[0]
+    m02 = b[0] * c[2] - b[2] * c[0]
+    m03 = b[0] * c[3] - b[3] * c[0]
+    m12 = b[1] * c[2] - b[2] * c[1]
+    m13 = b[1] * c[3] - b[3] * c[1]
+    m23 = b[2] * c[3] - b[3] * c[2]
+    return np.array([
+        -(a[1] * m23 - a[2] * m13 + a[3] * m12),
+        -(a[0] * m23 - a[2] * m03 + a[3] * m02),
+        a[0] * m13 - a[1] * m03 + a[3] * m01,
+        -(a[0] * m12 - a[1] * m02 + a[2] * m01),
+    ])
 
 
 # the largest |membership_residual| of a point taken to lie on its quadric

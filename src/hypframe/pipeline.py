@@ -371,16 +371,11 @@ def _classified_loci(model, runs):
 
 
 def _leg_dict(leg):
-    out = {"status": leg.status}
     if leg.status == "skipped":
-        out["reason"] = leg.reason
-        return out
-    out["points"] = leg.points
-    out["max_image_distance"] = leg.max_image_distance
-    out["agreements"] = dict(leg.agreements)
-    out["events"] = leg.events
-    out["failures"] = leg.failures
-    return out
+        return {"status": leg.status, "reason": leg.reason}
+    return {"status": leg.status, "points": leg.points,
+            "max_image_distance": leg.max_image_distance, "agreements": dict(leg.agreements),
+            "events": leg.events, "failures": leg.failures}
 
 
 def _slug(name: str) -> str:

@@ -6,9 +6,13 @@ Lie-group scheme (Celledoni, Marthinsen & Owren, FGCS 19, 2003):
 * one substep is F <- exp(h*(b*A1 + a*A2)) @ exp(h*(a*A1 + b*A2)) @ F
   with Gauss nodes c = 1/2 -+ sqrt(3)/6 and a = 1/4 + sqrt(3)/6,
   b = 1/4 - sqrt(3)/6,
-* the matrix exponential is scaling-and-squaring with a fixed-order
-  Taylor series (deterministic, the squaring count depends only on the
-  norm of each matrix).
+* each exponential is the 12-term Taylor sum of the generator Y = C(w),
+  halved until small and squared back (the squaring count depends only
+  on the norm).  Y^4 = p Y^2 + q I (Cayley-Hamilton), so every power of
+  Y, and with them the truncated sum, is exactly c0 I + c1 Y + c2 Y^2 +
+  c3 Y^3 with scalar coefficients: Y^2 and one product with Y are its only
+  matrix products (Moler & Van Loan, SIAM Review 45, 2003, "polynomial
+  methods").
 
 Both exponentials of a substep depend only on the curvature at its Gauss
 nodes, never on F.  So the kernel takes them for a whole chunk of
@@ -22,9 +26,12 @@ re-orthonormalization with mu rebuilt from the wedge product.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInputError
+from .minkowski import wedge_rows
 
 GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
 GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
@@ -55,22 +62,32 @@ def coefficient_matrix_values(m, n, a, b) -> np.ndarray:
     return c
 
 
-def expm4(x: np.ndarray) -> np.ndarray:
-    """exp of each 4x4 matrix of a (k, 4, 4) stack.
-
-    Each matrix is halved until its row-sum norm is at most 1/32, summed
-    to 12 Taylor terms, and squared back as often as it was halved.
+def expm_generator(w: np.ndarray) -> np.ndarray:
+    """exp(C(w)) for each row (m, n, a, b) of a (k, 4) array: C(w) halved
+    until its row-sum norm is at most 1/32, summed to 12 Taylor terms in
+    the basis {I, Y, Y^2, Y^3} of the halved Y = C(y), and squared back.
+    With p = m^2 - n^2 - a^2 - b^2 and q = (m n)^2 of y, Y^4 = p Y^2 + q I,
+    so Y^2j = u I + v Y^2 and Y^(2j+1) = u Y + v Y^3, (u, v) <- (q v, u + p v).
     """
-    nrm = np.abs(x).sum(axis=2).max(axis=1)
-    # the halving count: the least s >= 0 with nrm / 2**s <= 1/32
-    mant, ex = np.frexp(nrm)
+    m, n, a, b = np.abs(w).T  # the row sums of C(w): m, n + a, n + b, m + a + b
+    nrm = np.maximum(np.maximum(m, n + a), np.maximum(n + b, m + a + b))
+    mant, ex = np.frexp(nrm)  # the least s >= 0 with nrm / 2**s <= 1/32
     s = np.where(nrm > 0.03125, ex + 5 - (mant == 0.5), 0)
-    y = x / (2.0 ** s)[:, None, None]
-    e = np.broadcast_to(np.eye(4), x.shape).copy()
-    term = e.copy()
-    for k in range(1, 13):
-        term = term @ y / k
-        e = e + term
+    y = w / (2.0 ** s)[:, None]
+    p, q = y[:, 0] ** 2 - y[:, 1] ** 2 - y[:, 2] ** 2 - y[:, 3] ** 2, (y[:, 0] * y[:, 1]) ** 2
+    u, v = np.ones(len(w)), np.zeros(len(w))
+    c = [u, u, v, v]  # the coefficients of I, Y, Y^2, Y^3 after Y^0 and Y^1
+    for k in range(2, 13):
+        if k % 2 == 0:
+            u, v = q * v, u + p * v
+        c[k % 2] = c[k % 2] + u / math.factorial(k)
+        c[k % 2 + 2] = c[k % 2 + 2] + v / math.factorial(k)
+    y = coefficient_matrix_values(*y.T)
+    y2 = y @ y
+    odd = c[3][:, None, None] * y2
+    odd.reshape(-1, 16)[:, ::5] += c[1][:, None]  # + c1 I, on a view of the diagonals
+    e = y @ odd + c[2][:, None, None] * y2
+    e.reshape(-1, 16)[:, ::5] += c[0][:, None]
     for r in range(int(s.max(initial=0))):
         sel = s > r
         e[sel] = e[sel] @ e[sel]
@@ -79,12 +96,9 @@ def expm4(x: np.ndarray) -> np.ndarray:
 
 def _substep_propagators(node_vals: np.ndarray, h: np.ndarray) -> np.ndarray:
     """E2 @ E1 for each substep; node_vals (k, 2, 4), h (k,)."""
-    c = coefficient_matrix_values(*np.moveaxis(node_vals, -1, 0))
-    a1, a2 = c[:, 0], c[:, 1]
-    h = h[:, None, None]
-    e1 = expm4(h * (_CF4_A * a1 + _CF4_B * a2))
-    e2 = expm4(h * (_CF4_B * a1 + _CF4_A * a2))
-    return e2 @ e1
+    w1, w2, h = node_vals[:, 0], node_vals[:, 1], h[:, None]
+    return (expm_generator(h * (_CF4_B * w1 + _CF4_A * w2))
+            @ expm_generator(h * (_CF4_A * w1 + _CF4_B * w2)))
 
 
 def _tree_product(m: np.ndarray) -> np.ndarray:
@@ -126,32 +140,14 @@ def gram_drift(f: np.ndarray, residual: float | None = None) -> float:
 
     Pairings of rows with Euclidean norm R carry a float64 rounding floor
     of order eps * R^2, so the drift the integrator controls is the
-    residual divided by (1 + max row norm^2).  `residual`, if given, is
-    gram_residual(f), already taken.
+    residual (gram_residual(f) unless given) divided by (1 + max row norm^2).
     """
-    if residual is None:
-        residual = gram_residual(f)
     scale = 1.0 + float((f * f).sum(axis=1).max())
-    return residual / scale
+    return (gram_residual(f) if residual is None else residual) / scale
 
 
 def _mdot(x, y):
     return -x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
-
-
-def _wedge_rows(a, b, c):
-    m01 = b[0] * c[1] - b[1] * c[0]
-    m02 = b[0] * c[2] - b[2] * c[0]
-    m03 = b[0] * c[3] - b[3] * c[0]
-    m12 = b[1] * c[2] - b[2] * c[1]
-    m13 = b[1] * c[3] - b[3] * c[1]
-    m23 = b[2] * c[3] - b[3] * c[2]
-    return np.array([
-        -(a[1] * m23 - a[2] * m13 + a[3] * m12),
-        -(a[0] * m23 - a[2] * m03 + a[3] * m02),
-        a[0] * m13 - a[1] * m03 + a[3] * m01,
-        -(a[0] * m12 - a[1] * m02 + a[2] * m01),
-    ])
 
 
 def pseudo_orthonormalize(f: np.ndarray) -> np.ndarray:
@@ -171,7 +167,7 @@ def pseudo_orthonormalize(f: np.ndarray) -> np.ndarray:
     v1 = v1 / np.sqrt(_mdot(v1, v1))
     v2 = f2 + _mdot(f2, g) * g - _mdot(f2, v1) * v1
     v2 = v2 / np.sqrt(_mdot(v2, v2))
-    mu = -_wedge_rows(g, v1, v2)
+    mu = -wedge_rows(g, v1, v2)
     mu = mu + _mdot(mu, g) * g - _mdot(mu, v1) * v1 - _mdot(mu, v2) * v2
     mu = mu / np.sqrt(_mdot(mu, mu))
     return np.stack([g.T, v1.T, v2.T, mu.T], axis=-2)

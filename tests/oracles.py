@@ -572,3 +572,18 @@ def correspondence_check_loop(model, runs):
     """`hypframe.evolute.correspondence_check` one grid point at a time."""
     return CorrespondenceReport(hyperbolic=leg_loop(model, model.ts, runs[H.evolute], H),
                                 desitter=leg_loop(model, model.ts, runs[D.evolute], D))
+
+
+def evolute_rows_loop(model, runs):
+    """`hypframe.cli._evolute_rows` one grid point at a time: an
+    EvoluteSample at each grid point of the evolute runs, in grid order,
+    h before d."""
+    defined = {side: set(chain.from_iterable(runs["evolute_" + side])) for side in "hd"}
+    rows = []
+    for i, t in enumerate(model.ts):
+        for side, fn in (("h", evolute_h), ("d", evolute_d)):
+            if i in defined[side]:
+                es = fn(model, float(t))
+                rows.append((float(t), side, es.epsilon, es.epsilon_prime,
+                             es.point_type.value))
+    return rows

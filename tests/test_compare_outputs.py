@@ -1,0 +1,69 @@
+"""The --numeric mode of tools/compare_outputs.py: float tokens are bounded,
+everything else must be equal."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "compare_outputs.py")
+_spec = importlib.util.spec_from_file_location("compare_outputs", PATH)
+compare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare)
+
+
+def _result(code=0, stdout="", files=None):
+    return code, stdout, "", {k: v.encode("utf-8") for k, v in (files or {}).items()}
+
+
+def test_float_tokens_are_found_alone():
+    text = "v 0.1 -2.5e-3 3 sha256:3e41ab 0.1.0 t-0.5 x=nan [1.6, -1.6] inf"
+    assert compare.FLOAT.findall(text) == ["0.1", "-2.5e-3", "0.5", "nan", "1.6", "-1.6",
+                                           "inf"]
+
+
+def test_float_differences_are_bounded_per_place():
+    old = _result(stdout="drift 1.0e-12 near t=2.5, corrections 3\n",
+                  files={"a.obj": "v 1.0 2.0 3.0\nf 1 2 3 4\n"})
+    new = _result(stdout="drift 1.5e-12 near t=2.5, corrections 3\n",
+                  files={"a.obj": "v 1.0 2.0000000000000004 3.0\nf 1 2 3 4\n"})
+    floats, other = compare.numeric_differences(old, new)
+    assert other == []
+    assert floats.places["stdout"] == [1, pytest.approx(5e-13), pytest.approx(1 / 3)]
+    count, err, rel = floats.places["file a.obj"]
+    assert count == 1 and err == pytest.approx(4.4e-16) and rel == pytest.approx(2.2e-16)
+
+
+def test_integers_words_and_structure_are_other_differences():
+    old = _result(stdout="corrections 3 max 1.0\nok\n",
+                  files={"a.csv": "t,type\n0.5,Cusp\n", "b.obj": "v 1.0\n"})
+    new = _result(code=2, stdout="corrections 4 max 1.0\nok\n",
+                  files={"a.csv": "t,type\n0.5,Edge\n", "c.obj": "v 1.0\n"})
+    floats, other = compare.numeric_differences(old, new)
+    assert floats.places == {}
+    assert other == ["exit code: 0 -> 2",
+                     "stdout line 1: 'corrections 3 max 1.0' -> 'corrections 4 max 1.0'",
+                     "file a.csv line 2: '0.5,Cusp' -> '0.5,Edge'",
+                     "file b.obj: only old", "file c.obj: only new"]
+
+
+def test_reports_compare_by_key_path():
+    doc = {"integration": {"corrections": 1, "max_drift": 1e-12},
+           "loci": [{"t": 0.5, "type": "Cusp"}, {"t": 0.75, "type": "Edge"}],
+           "pass": True}
+    changed = json.loads(json.dumps(doc))
+    changed["integration"]["max_drift"] = 2e-12
+    changed["loci"][1]["t"] = 0.7500000000000001
+    changed["integration"]["corrections"] = 2
+    changed["pass"] = False
+    floats, other = compare.numeric_differences(
+        _result(files={"r.json": json.dumps(doc)}), _result(files={"r.json": json.dumps(changed)}))
+    assert set(floats.places) == {"file r.json .integration.max_drift", "file r.json .loci[].t"}
+    assert floats.places["file r.json .loci[].t"][0] == 1
+    assert other == ["file r.json .integration.corrections: 1 -> 2",
+                     "file r.json .pass: True -> False"]
+    changed["loci"].pop()
+    _, other = compare.numeric_differences(
+        _result(files={"r.json": json.dumps(doc)}), _result(files={"r.json": json.dumps(changed)}))
+    assert "file r.json .loci: 2 -> 1 items" in other

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from hypframe import CurvatureQuartet, integrate_frame, load_spec, run_pipeline
-from hypframe import pipeline
+from hypframe import cli, evolute, pipeline
 from hypframe.errors import EvoluteUndefinedError, InvalidInputError, NumericError
 from hypframe.symexpr import ExprDomainError
 from hypframe.evolute import correspondence_check
@@ -24,8 +24,8 @@ from hypframe.focal import defined_runs, surface_grid
 from hypframe.symexpr import Program, compile, parse_expr
 from hypframe.tolerances import DEFAULT
 
-from oracles import (correspondence_check_loop, defined_runs_loop, frenet_frame,
-                     surface_grid_rows)
+from oracles import (correspondence_check_loop, defined_runs_loop, evolute_rows_loop,
+                     frenet_frame, surface_grid_rows)
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
 MESHES = ("focal_h", "focal_d", "dual_eh", "dual_ed")
@@ -130,6 +130,40 @@ def test_nan_frame_rows_replay_as_the_oracle():
     assert model.grid.suspect.tolist() == [i == 6 for i in range(11)]
     with pytest.raises(InvalidInputError, match="non-finite component"):
         correspondence_check(model)
+
+
+@pytest.mark.parametrize("name", ["cuspidal_edge_hyperbolic", "cuspidal_edge_desitter",
+                                  "swallowtail_family", "two_intervals", "generic",
+                                  "desitter_pole"])
+def test_evolute_rows_match_the_per_point_loop(monkeypatch, name):
+    """`hypframe evolute` reads its rows from columns, bit for bit as the
+    EvoluteSample loop, and builds a sample only on a row it replays: at
+    the de Sitter epsilon pole, where the closed form takes over."""
+    (model, _), (fresh, _) = _model(name), _model(name)
+    runs = defined_runs(model)
+    want = evolute_rows_loop(fresh, runs)
+    assert want
+    calls = []
+    for fn in ("evolute_h", "evolute_d"):
+        real = getattr(evolute, fn)
+        monkeypatch.setattr(evolute, fn, lambda m, t, real=real: calls.append(t) or real(m, t))
+    assert _bits(cli._evolute_rows(model, runs)) == _bits(want)
+    assert calls == ([0.0] if name == "desitter_pole" else [])
+
+
+def test_evolute_rows_replay_a_nan_frame_as_the_loop():
+    models = []
+    for _ in range(2):
+        model = integrate_frame(CurvatureQuartet.from_strings("1", "1", "2", "0"),
+                                (0.0, 1.0, 11))
+        model.frames = model.frames.copy()
+        model.frames[6, 1, 2] = np.nan
+        models.append(model)
+    model, fresh = models
+    runs = defined_runs(model)
+    want = _outcome(evolute_rows_loop, fresh, runs)
+    assert want[0] is InvalidInputError
+    assert _outcome(cli._evolute_rows, model, runs) == want
 
 
 def test_vanishing_a2_b2_rows_replay_as_the_oracle():

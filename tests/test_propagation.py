@@ -1,6 +1,10 @@
-"""The batched propagation kernel against the substep-by-substep oracle:
-same exponential bit for bit, same frames within rounding, same result
-whatever the chunking."""
+"""The batched propagation kernel against the substep-by-substep oracle
+and against exact exponentials: the same exponential within rounding,
+the same frames within rounding, the same result whatever the chunking."""
+
+import importlib.util
+import json
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypframe import propagation as kernel
 from hypframe.errors import InvalidInputError
 from hypframe.framedcurve import CurvatureQuartet, FrameSample, integrate_frame
 from hypframe.symexpr import vectorized
+from hypframe.tolerances import DEFAULT
 
 from oracles import expm4 as expm4_scalar
 from oracles import propagate_loop
@@ -36,32 +41,109 @@ def _relative(frames, ref):
     return np.abs(frames - ref).max() / np.abs(ref).max()
 
 
-def test_expm4_against_scipy():
+def _generators(rng, count, lo, hi):
+    """count so(3,1) generators (m, n, a, b) with row-sum norms of C(w)
+    log-uniform in [lo, hi]."""
+    w = rng.uniform(-1.0, 1.0, (count, 4))
+    norms = np.exp(rng.uniform(np.log(lo), np.log(hi), count))
+    return w * (norms / _row_sum_norm(w))[:, None]
+
+
+def _row_sum_norm(w):
+    return np.abs(kernel.coefficient_matrix_values(*w.T)).sum(axis=2).max(axis=1)
+
+
+def _edge_generators(rng):
+    """Generators whose C(w) has row-sum norm exactly on the halving
+    boundaries (and just off them), null generators (n = 0, m^2 = a^2 + b^2:
+    C(w) nilpotent) and the zero generator."""
+    signs = rng.choice([-1.0, 1.0], (7, 4))
+    # |m| + |a| + |b| = norm is the largest row sum
+    edges = signs * np.array([0.25, 0.25, 0.25, 0.5]) * np.array(
+        [2.0 ** -5, 2.0 ** -4, 1.0, 4.0, 3 * 2.0 ** -5, 2.0 ** -5 * (1 + 2.0 ** -52),
+         2.0 ** -5 * (1 - 2.0 ** -53)])[:, None]
+    null = np.array([[5.0, 0.0, 3.0, 4.0], [-5.0, 0.0, 4.0, -3.0], [1.0, 0.0, 0.0, 1.0]])
+    null = null[:, None] * np.array([1e-4, 2.0 ** -7, 0.1, 0.7])[:, None]
+    return np.concatenate([edges, null.reshape(-1, 4), np.zeros((1, 4))])
+
+
+def test_expm_generator_against_scipy():
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(71)
-    xs = np.array([rng.uniform(-2.0, 2.0, (4, 4)) for _ in range(50)])
-    for x, e in zip(xs, kernel.expm4(xs)):
-        ref = scipy_linalg.expm(x)
+    ws = rng.uniform(-2.0, 2.0, (50, 4))
+    for w, e in zip(ws, kernel.expm_generator(ws)):
+        ref = scipy_linalg.expm(kernel.coefficient_matrix_values(*w))
         err = np.abs(e - ref).max()
         # both sides accumulate ~1e-13 relative through the squaring phase
         assert err <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
-def test_expm4_matches_scalar_oracle_bitwise():
+def test_expm_generator_matches_taylor_oracle():
+    """The basis form against the 12-term Taylor sum of the full matrix,
+    on the halving boundaries and across squaring counts."""
     rng = np.random.default_rng(79)
-    xs = rng.uniform(-1.0, 1.0, (500, 4, 4))
-    norms = np.exp(rng.uniform(np.log(1e-3), np.log(6.0), 500))
-    xs *= (norms / np.abs(xs).sum(axis=2).max(axis=1))[:, None, None]
-    # sign matrices scaled to row-sum norms exactly on the halving
-    # boundaries (and just off them), and the zero matrix
-    signs = rng.choice([-1.0, 1.0], (6, 4, 4))
-    edges = signs * (np.array([2.0 ** -5, 2.0 ** -4, 1.0, 4.0, 3 * 2.0 ** -5, 0.0]) / 4)[:, None, None]
-    xs = np.concatenate([xs, edges])
+    ws = np.concatenate([_generators(rng, 500, 1e-3, 6.0), _edge_generators(rng)])
     halvings = set()
-    for x, e in zip(xs, kernel.expm4(xs)):
-        assert np.array_equal(e, expm4_scalar(x))
+    for w, e in zip(ws, kernel.expm_generator(ws)):
+        x = kernel.coefficient_matrix_values(*w)
+        ref = expm4_scalar(x)
+        assert np.abs(e - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
         halvings.add(int(np.ceil(np.log2(max(np.abs(x).sum(axis=1).max() * 32, 1.0)))))
     assert len(halvings) >= 8  # the stack really mixes squaring counts
+
+
+def test_expm_generator_against_mpmath():
+    """Within rounding of the exact exponential (50 digits) where no halving
+    is needed, and within the squaring phase's growth where it is."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(83)
+    ws = np.concatenate([_generators(rng, 120, 1e-4, 6.0), _edge_generators(rng)])
+    got = kernel.expm_generator(ws)
+    assert np.array_equal(got[-1], np.eye(4))
+    with mpmath.workdps(50):
+        for w, e in zip(ws, got):
+            ref = mpmath.expm(mpmath.matrix(kernel.coefficient_matrix_values(*w).tolist()))
+            ref = np.array(ref.tolist(), dtype=float)
+            bound = 2.5e-16 if _row_sum_norm(w[None])[0] <= 2.0 ** -5 else 1e-12
+            assert np.abs(e - ref).max() <= bound * (1.0 + np.abs(ref).max()), w
+
+
+def test_expm_generator_stack_matches_each_alone():
+    rng = np.random.default_rng(89)
+    ws = np.concatenate([_generators(rng, 200, 1e-4, 6.0), _edge_generators(rng)])
+    stack = kernel.expm_generator(ws)
+    for w, e in zip(ws, stack):
+        assert np.array_equal(e.view(np.int64), kernel.expm_generator(w[None])[0].view(np.int64))
+
+
+def _perfbench_quartet(name, seed):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "specgen.py")
+    spec = importlib.util.spec_from_file_location("specgen", path)
+    specgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(specgen)
+    return json.loads(specgen.generate(name, seed))["curvature"]
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("name", ["bounded", "boosted"])
+def test_uncorrected_frames_match_mpmath_expm(name, seed):
+    """With corrections disabled, the frames of a long constant-quartet
+    integration are expm(t C) F0 within 1e-11 of max |F|."""
+    mpmath = pytest.importorskip("mpmath")
+    curvature = _perfbench_quartet(name, seed)
+    quartet = [curvature[k] for k in "mnab"]
+    model = integrate_frame(CurvatureQuartet.from_strings(*quartet), (0.0, 40.0, 201),
+                            tol=DEFAULT.with_overrides({"frame": 1e300}))
+    assert model.corrections == 0
+    c = kernel.coefficient_matrix_values(*map(float, quartet))
+    with mpmath.workdps(50):
+        step = mpmath.expm(mpmath.matrix((model.ts[1] * c).tolist()))
+        f = mpmath.matrix(model.frames[0].tolist())
+        ref = []
+        for _ in model.ts:
+            ref.append(np.array(f.tolist(), dtype=float))
+            f = step * f
+    assert _relative(model.frames, np.array(ref)) <= 1e-11
 
 
 def test_orthonormalize_restores_frame():
@@ -77,8 +159,7 @@ def test_orthonormalize_a_stack_as_each_frame_alone():
     """One call on a stack restores every frame with the bits of a call on
     it alone, boosted frames (|F| about 1e6) included."""
     rng = np.random.default_rng(74)
-    c = kernel.coefficient_matrix_values(1.0, 1.0, 2.0, 0.0)
-    boosted = np.array([kernel.expm4((t * c)[None])[0] for t in (15.0, 25.0, 30.0)])
+    boosted = kernel.expm_generator(np.array([15.0, 25.0, 30.0])[:, None] * [1.0, 1.0, 2.0, 0.0])
     frames = np.concatenate([np.eye(4) + rng.uniform(-1e-4, 1e-4, (21, 4, 4)),
                              boosted * (1.0 + rng.uniform(-1e-9, 1e-9, (3, 4, 4)))])
     assert np.abs(frames).max() > 1e6

@@ -1,6 +1,6 @@
 """Byte-identity check of two source trees of hypframe.
 
-    python3 tools/compare_outputs.py OLD_TREE NEW_TREE SPEC... [--all-outputs]
+    python3 tools/compare_outputs.py OLD_TREE NEW_TREE SPEC... [--all-outputs] [--numeric]
 
 Runs every subcommand of the `hypframe` command with `--out` on each spec,
 once with OLD_TREE/src and once with NEW_TREE/src on the import path, each
@@ -9,13 +9,23 @@ in a fresh working directory.  It compares the exit codes, stdout, stderr
 `--all-outputs`, each spec also runs a second time with all six output
 products.  Prints one line per difference and a summary; exits 1 if any
 run differs.
+
+With `--numeric`, a stream or file that differs is compared token by token
+instead: its float tokens (in a JSON report, its float values, per key
+path with list indices dropped) by their largest absolute and relative
+difference, and everything else, integers included, for equality.  Prints
+a FLOATS line per differing stream, file or key path, an OTHER line per
+non-numeric difference, and the largest float differences overall; exits 1
+only if some run differs in more than its floats.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -57,6 +67,85 @@ def differences(old, new):
     return out
 
 
+# a float token: a decimal point or an exponent, or nan / inf, standing alone
+# (not inside a word, a hex digest or a dotted version)
+FLOAT = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]?\d+)?"
+                   r"|nan|inf)(?![\w.])")
+
+
+class FloatDiffs:
+    """Largest absolute and relative difference of paired floats, per place."""
+
+    def __init__(self):
+        self.places = {}  # place -> [count differing, max abs, max rel]
+
+    def add(self, place, a, b):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return True
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return False
+        err = abs(a - b)
+        worst = self.places.setdefault(place, [0, 0.0, 0.0])
+        worst[0] += 1
+        worst[1] = max(worst[1], err)
+        worst[2] = max(worst[2], err / max(abs(a), abs(b)))
+        return True
+
+
+def _text_diffs(where, old, new, floats, other):
+    """Float and other differences of two texts, line by line."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        other.append(f"{where}: {len(old_lines)} -> {len(new_lines)} lines")
+        return
+    for k, (a, b) in enumerate(zip(old_lines, new_lines), start=1):
+        if a == b:
+            continue
+        xs, ys = FLOAT.findall(a), FLOAT.findall(b)
+        if FLOAT.sub("#", a) != FLOAT.sub("#", b) or len(xs) != len(ys) or not all(
+                floats.add(where, float(x), float(y)) for x, y in zip(xs, ys)):
+            other.append(f"{where} line {k}: {a!r} -> {b!r}"[:2000])
+
+
+def _json_diffs(where, path, old, new, floats, other):
+    """Float and other differences of two JSON values, per key path."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in [*old, *(k for k in new if k not in old)]:
+            if key not in old or key not in new:
+                other.append(f"{where} {path}.{key}: only {'old' if key in old else 'new'}")
+            else:
+                _json_diffs(where, f"{path}.{key}", old[key], new[key], floats, other)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            other.append(f"{where} {path}: {len(old)} -> {len(new)} items")
+            return
+        for a, b in zip(old, new):
+            _json_diffs(where, path + "[]", a, b, floats, other)
+    elif type(old) is float and type(new) is float:
+        if not floats.add(f"{where} {path}", old, new):
+            other.append(f"{where} {path}: {old!r} -> {new!r}")
+    elif old != new or type(old) is not type(new):
+        other.append(f"{where} {path}: {old!r} -> {new!r}"[:2000])
+
+
+def numeric_differences(old, new):
+    """(FloatDiffs, other differences) of the two results of run_one."""
+    floats, other = FloatDiffs(), []
+    if old[0] != new[0]:
+        other.append(f"exit code: {old[0]!r} -> {new[0]!r}")
+    for k, what in ((1, "stdout"), (2, "stderr")):
+        _text_diffs(what, old[k], new[k], floats, other)
+    for name in sorted(set(old[3]) | set(new[3])):
+        a, b = old[3].get(name), new[3].get(name)
+        if a is None or b is None:
+            other.append(f"file {name}: only {'old' if b is None else 'new'}")
+        elif a != b and name.endswith(".json"):
+            _json_diffs(f"file {name}", "", json.loads(a), json.loads(b), floats, other)
+        elif a != b:
+            _text_diffs(f"file {name}", a.decode("utf-8"), b.decode("utf-8"), floats, other)
+    return floats, other
+
+
 def variants(specs, all_outputs, scratch):
     """(label, path) of each spec run: as given, and with all six outputs."""
     for path in specs:
@@ -79,8 +168,11 @@ def main(argv=None) -> int:
     parser.add_argument("specs", nargs="+")
     parser.add_argument("--all-outputs", action="store_true",
                         help="also run each spec with all six output products")
+    parser.add_argument("--numeric", action="store_true",
+                        help="bound float differences; fail only on other differences")
     args = parser.parse_args(argv)
-    runs = differing = 0
+    runs = differing = in_floats = 0
+    worst = {"abs": (0.0, None), "rel": (0.0, None)}
     with tempfile.TemporaryDirectory() as scratch:
         for label, spec in variants(args.specs, args.all_outputs, scratch):
             for sub in SUBCOMMANDS:
@@ -88,13 +180,33 @@ def main(argv=None) -> int:
                 old = run_one(args.old_tree, spec, sub, os.path.join(work, "old"))
                 new = run_one(args.new_tree, spec, sub, os.path.join(work, "new"))
                 runs += 1
-                found = differences(old, new)
-                differing += bool(found)
-                for line in found:
-                    print(f"DIFF {label} {sub}: {line}")
-                print(f"{'same' if not found else 'DIFFERS'} {label} {sub} (exit {new[0]})",
-                      flush=True)
-    print(f"{runs} runs, {differing} differ")
+                if not args.numeric:
+                    found = differences(old, new)
+                    differing += bool(found)
+                    for line in found:
+                        print(f"DIFF {label} {sub}: {line}")
+                    print(f"{'same' if not found else 'DIFFERS'} {label} {sub} "
+                          f"(exit {new[0]})", flush=True)
+                    continue
+                floats, other = numeric_differences(old, new)
+                differing += bool(other)
+                in_floats += bool(floats.places) and not other
+                for place, (count, err, rel) in floats.places.items():
+                    print(f"FLOATS {label} {sub}: {place}: {count} differ, "
+                          f"max abs {err:.3e}, max rel {rel:.3e}")
+                    for key, value in (("abs", err), ("rel", rel)):
+                        if value > worst[key][0]:
+                            worst[key] = (value, f"{label} {sub}: {place}")
+                for line in other:
+                    print(f"OTHER {label} {sub}: {line}")
+                state = "DIFFERS" if other else "floats" if floats.places else "same"
+                print(f"{state} {label} {sub} (exit {new[0]})", flush=True)
+    if args.numeric:
+        print(f"{runs} runs, {in_floats} differ in floats only, {differing} otherwise")
+        for key, (value, place) in worst.items():
+            print(f"largest {key} float difference {value:.3e}" + (f" ({place})" if place else ""))
+    else:
+        print(f"{runs} runs, {differing} differ")
     return 1 if differing else 0
 
 
