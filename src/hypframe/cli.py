@@ -23,7 +23,7 @@ from . import evolute as _evolute
 from . import focal as _focal
 from . import pipeline as _pipe
 from .errors import InvalidInputError, NumericError
-from .framedcurve import FrameSample, integrate_frame, propagation_backend
+from .framedcurve import integrate_frame, propagation_backend
 from .tolerances import DEFAULT
 
 
@@ -43,17 +43,15 @@ def _load(args):
     return spec, tol
 
 
-def _model(spec, tol):
-    initial = None
-    if spec.initial_frame is not None:
-        initial = FrameSample.from_matrix(
-            spec.domain[0], np.array(spec.initial_frame).reshape(4, 4))
-    return integrate_frame(spec.quartet(), spec.domain, initial=initial, tol=tol)
+def _model(args):
+    """(spec, integrated model) of the --spec and --tol arguments."""
+    spec, tol = _load(args)
+    return spec, integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_sample(),
+                                 tol=tol)
 
 
 def cmd_integrate(args) -> int:
-    spec, tol = _load(args)
-    model = _model(spec, tol)
+    spec, model = _model(args)
     print(f"integrated {spec.name!r}: {len(model.ts)} samples on "
           f"[{model.t0}, {model.t1}], substep {model.step}")
     print(f"backend {propagation_backend()}, corrections {model.corrections}, "
@@ -65,8 +63,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_focal(args) -> int:
-    spec, tol = _load(args)
-    model = _model(spec, tol)
+    spec, model = _model(args)
     runs = _focal.defined_runs(model)
     written = []
     if args.out:
@@ -107,8 +104,7 @@ def _evolute_rows(model, runs) -> list:
 
 
 def cmd_evolute(args) -> int:
-    spec, tol = _load(args)
-    model = _model(spec, tol)
+    spec, model = _model(args)
     rows = _evolute_rows(model, _focal.defined_runs(model))
     for (side, ptype), k in sorted(Counter((row[1], row[4]) for row in rows).items()):
         print(f"evolute_{side}: {k} grid points {ptype}")
@@ -125,8 +121,7 @@ def cmd_evolute(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    spec, tol = _load(args)
-    model = _model(spec, tol)
+    spec, model = _model(args)
     bad = False
     for pair, info in _pipe.duality_summary(model).items():
         if info["status"] == "skipped":
@@ -140,8 +135,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    spec, tol = _load(args)
-    model = _model(spec, tol)
+    spec, model = _model(args)
     records = _pipe._classified_loci(model, _focal.defined_runs(model))
     for (surface, ty), k in sorted(Counter((r.surface, r.type.value) for r in records).items()):
         print(f"{surface}: {k} records {ty}")
@@ -154,8 +148,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec, tol = _load(args)
-    model = _model(spec, tol)
+    spec, model = _model(args)
     runs = _focal.defined_runs(model)
     corr = _evolute.correspondence_check(model, runs)
     ok = True

@@ -20,8 +20,8 @@ from itertools import chain
 import numpy as np
 
 from .focal import (D, H, Side, SingularityType, SingularPointRecord, SurfaceParam,
-                    _columns, _edge_or_beaks, _edge_or_swallowtail, _eps_values, _first,
-                    _nonzero, _partials, _point, _require, _scale, _undefined_at,
+                    _batch, _by_epsilon, _columns, _decide, _eps_values, _fiber, _partials,
+                    _point, _require, _scale, _undefined_at,
                     classify_d, classify_h, defined_runs, focal_d_point, focal_h_point)
 from .framedcurve import FramedCurveModel
 from .minkowski import MinkVec
@@ -61,31 +61,21 @@ def _evolute_sample(model, t, side: Side) -> EvoluteSample:
     vecs = [MinkVec.from_array(np.array(coeffs[k:k + 4]) @ f) for k in range(0, 16, 4)]
     eps, eps1, fallback = _eps_values(model, t, side)
     ptype = _point_type(eps, eps1, _scale(data), model.tol.sing)
-    d2, d3 = vecs[2].as_array(), vecs[3].as_array()
-    sv = np.linalg.svd(np.array([d2, d3]), compute_uv=False)
+    sv = np.linalg.svd(np.array([vecs[2].as_array(), vecs[3].as_array()]), compute_uv=False)
     diag = {"sigma_f": data.sigma_f, "rank23_singular_values": (float(sv[0]), float(sv[1]))}
     if fallback:
         diag["epsilon_via_closed_form"] = True
-    return EvoluteSample(t=t, point=vecs[0], derivative1=vecs[1],
-                         derivative2=vecs[2], derivative3=vecs[3],
-                         point_type=ptype, epsilon=eps, epsilon_prime=eps1,
-                         diagnostics=diag)
+    return EvoluteSample(t=t, point=vecs[0], derivative1=vecs[1], derivative2=vecs[2],
+                         derivative3=vecs[3], point_type=ptype, epsilon=eps,
+                         epsilon_prime=eps1, diagnostics=diag)
 
 
-def _point_type(eps, eps1, s, tol) -> EvolutePointType:
-    """Regular point iff epsilon != 0, (2,3,4)-cusp iff epsilon = 0 and
-    epsilon' != 0: at one point, or per row of columns."""
-    return _first([(_nonzero(eps, s, tol), EvolutePointType.REGULAR_POINT),
-                   (_nonzero(eps1, s, tol), EvolutePointType.CUSP_234)],
-                  EvolutePointType.DEGENERATE_UNCLASSIFIED)
-
-
-def _dual_type(eps, eps1, s, tol) -> SingularityType:
-    """Cuspidal edge iff epsilon != 0, cuspidal cross cap iff epsilon = 0
-    and epsilon' != 0: at one point, or per row of columns."""
-    return _first([(_nonzero(eps, s, tol), SingularityType.CUSPIDAL_EDGE),
-                   (_nonzero(eps1, s, tol), SingularityType.CUSPIDAL_CROSS_CAP)],
-                  SingularityType.DEGENERATE_UNCLASSIFIED)
+# regular point iff epsilon != 0, (2,3,4)-cusp iff epsilon = 0 and epsilon' != 0
+_point_type = _by_epsilon((EvolutePointType.REGULAR_POINT, EvolutePointType.CUSP_234,
+                           EvolutePointType.DEGENERATE_UNCLASSIFIED))
+# cuspidal edge iff epsilon != 0, cuspidal cross cap iff epsilon = 0 and epsilon' != 0
+_dual_type = _by_epsilon((SingularityType.CUSPIDAL_EDGE, SingularityType.CUSPIDAL_CROSS_CAP,
+                          SingularityType.DEGENERATE_UNCLASSIFIED))
 
 
 def _evolute_columns(side: Side, model, ts, f) -> tuple:
@@ -154,18 +144,25 @@ def lambda_dual_d(model: FramedCurveModel, t: float, theta: float) -> float:
     return _lambda_dual(D, model, t, theta)
 
 
-def _classify_dual(model, t0, side: Side, theta0) -> DualSurfaceRecord:
-    data = model.frenet_data_at(t0)
-    _require(side, data, model, evolute=True)
-    lam = _lambda_dual(side, model, t0, theta0)
+def _classify_dual(model, t0, side: Side, theta0):
+    """classify_dual_h/_d on the side; a non-finite closed epsilon replays eval_expr."""
+    one = not np.ndim(t0)
+    tl = [t0] if one else np.asarray(t0, dtype=float).tolist()
+    thetas = [theta0] if one else np.broadcast_to(theta0, len(tl)).tolist()
     program = side.eps_closed(model.frenet)
-    eps, eps1 = model.grid_values(program, t0) or eval_expr(program, t0)
-    s = _scale(data)
-    ty = _dual_type(eps, eps1, s, model.tol.sing)
-    return DualSurfaceRecord(
-        surface=side.dual, param=SurfaceParam(t0, theta0), lam=lam,
-        sigma_f=data.sigma_f, type=ty, nondegenerate=True,
-        diagnostics={"epsilon": eps, "epsilon_prime": eps1, "scale": s})
+    data, (eps, eps1) = _batch(side, model, tl, True, program,
+                               lambda _, i: eval_expr(program, tl[i]))
+    k, s = side.kappa, _fiber(side, thetas, dual=True)[1][:, None]
+    with np.errstate(all="ignore"):
+        scale = _scale(data)
+        cols = (k * s * np.sqrt(k * data.sigma_f) / side.columns(data)[0], data.sigma_f,
+                _dual_type(eps, eps1, scale, model.tol.sing), eps, eps1, scale)
+    records = [DualSurfaceRecord(
+        surface=side.dual, param=SurfaceParam(t, th), lam=lm, sigma_f=sg, type=ty,
+        nondegenerate=True, diagnostics={"epsilon": e, "epsilon_prime": e1, "scale": sc})
+        for t, th, (lm, sg, ty, e, e1, sc) in zip(tl, thetas, zip(*(
+            c[:, 0].tolist() for c in cols)))]
+    return records[0] if one else records
 
 
 def classify_dual_h(model: FramedCurveModel, t0: float,
@@ -174,8 +171,9 @@ def classify_dual_h(model: FramedCurveModel, t0: float,
 
     The singular set is {sin(theta) = 0}; the record is reported at
     theta0 = 0 by default (the theta0 = pi point carries the same type).
-    Cuspidal edge iff epsilon != 0, cuspidal cross cap iff epsilon = 0
-    and epsilon' != 0, with epsilon in its closed quotient form.
+    Cuspidal edge iff epsilon != 0, cuspidal cross cap iff epsilon = 0 and
+    epsilon' != 0, with epsilon in its closed quotient form.  An array t0
+    (theta0 an array or a float) gives the list of records, as one batch.
     """
     return _classify_dual(model, t0, H, theta0)
 
@@ -197,13 +195,7 @@ def psi_probe(model: FramedCurveModel, t0: float, side: str = "h",
     side = {"h": H, "d": D}[side]
     left = [t0 - delta * (j + 1) / count for j in range(count)]
     right = [t0 + delta * (j + 1) / count for j in range(count)]
-
-    def psi(t):
-        eps = _eps_values(model, t, side)[0]
-        return -abs(eps)
-
-    psi_l = [psi(t) for t in left]
-    psi_r = [psi(t) for t in right]
+    psi_l, psi_r = ([-abs(_eps_values(model, t, side)[0]) for t in ts] for ts in (left, right))
     eps0, eps10, _ = _eps_values(model, t0, side)
     data = model.frenet_data_at(t0)
     h = delta / count
@@ -240,11 +232,8 @@ class CorrespondenceReport:
     desitter: LegReport
 
     def all_agree(self) -> bool:
-        out = True
-        for leg in (self.hyperbolic, self.desitter):
-            if leg.status == "checked":
-                out = out and all(leg.agreements.values())
-        return out
+        return all(all(leg.agreements.values())
+                   for leg in (self.hyperbolic, self.desitter) if leg.status == "checked")
 
 
 BISECT_ITERS = 80
@@ -281,24 +270,17 @@ def _leg_columns(model, ts, side: Side, focal_point) -> tuple:
     """_leg's `at` at each of the grid points ts as columns: per row, the
     focal, evolute and dual types, epsilon, the image distance, and whether
     `at` must replay it, where a value is not finite or the evolute undefined."""
-    frames, data, root, replay = _columns(side, model, ts, dual=True)
-    tol, k = model.tol.sing, side.kappa
+    frames, data, _, replay = _columns(side, model, ts, dual=True)
+    tol = model.tol.sing
     with np.errstate(all="ignore"):
-        _, d0, d1, d2 = side.columns(data)
-        theta = _each(side.root, data.W, d0)
+        theta = _each(side.root, data.W, side.columns(data)[1])
         cs, sn = _each(side.c, theta), _each(side.s, theta)
         (e, *vecs), (eps, eps1) = _evolute_columns(side, model, ts, frames)
         closed, closed1 = model.program_columns(side.eps_closed(model.frenet), ts)
         dist = focal_point(model, ts, theta[:, 0]) - e
         replay |= ~np.isfinite(np.hstack([theta, cs, sn, e, *vecs, eps, eps1, closed,
                                           closed1, dist])).all(axis=1)
-        # as _classify_generic: branch (b) where (W, N) vanishes, else branch (a)
-        s, mn = _scale(data), data.M * data.N
-        c2 = sn * data.W1 - k * cs * d1
-        c3 = (cs * data.W2 - sn * d2) * root + k * 2.0 * data.M * data.N * c2
-        focal = np.where(is_zero(data.W, s, tol) & is_zero(data.N, s, tol),
-                         _edge_or_beaks(cs * data.W1 - sn * d1, c2, c3, s, root, mn, tol),
-                         _edge_or_swallowtail(eps, eps1, s + abs(mn / root), tol))
+        focal, _, s, _ = _decide(side, data, cs, sn, eps, eps1, tol)
         point, dual = _point_type(eps, eps1, s, tol), _dual_type(closed, closed1, s, tol)
     types = zip(focal[:, 0].tolist(), point[:, 0].tolist(), dual[:, 0].tolist())
     return list(types), eps[:, 0].tolist(), np.abs(dist).max(axis=1).tolist(), replay.tolist()
@@ -330,9 +312,7 @@ def _leg(model, ts, runs, side: Side, bindings) -> LegReport:
         return rec, es, classify_dual(model, t), dist
 
     leg = LegReport(status="checked", points=sum(map(len, runs)))
-    agreements = {}
-    max_dist = 0.0
-    eps = {}  # grid index -> epsilon
+    agreements, max_dist, eps = {}, 0.0, {}  # eps: grid index -> epsilon
     index = list(chain.from_iterable(runs))
     for i, types, e, dist, replay in zip(index, *_leg_columns(model, ts[index], side,
                                                              focal_point)):

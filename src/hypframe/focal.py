@@ -2,10 +2,10 @@
 
 The hyperbolic focal surface lives in H3 over the parameter strip where
 A^2 > M^2, the de Sitter one in S31 where M^2 > A^2.  Their discriminants
-lambda vanish exactly on the singular loci, which are extracted per grid
-point and classified by the explicit cuspidal-edge / swallowtail /
-cuspidal-beaks criteria.  Every quantity a decision compared against
-zero is exported in the record diagnostics.
+lambda vanish exactly on the singular loci, which are extracted from the
+grid's columns and classified, a batch of records at once, by the
+explicit cuspidal-edge / swallowtail / cuspidal-beaks criteria.  Every
+quantity a decision compared against zero is in the record diagnostics.
 
 Both sides are one Legendrian-duality construction (the Delta1 and Delta5
 pairings): a `Side` record holds what tells them apart, each construction
@@ -77,12 +77,9 @@ class Side:
     evolute_first: bool             # the evolute is the first leg of its pair
 
 
-def _artanh_ratio(w: float, d: float) -> float:
-    return math.atanh(w / d)
-
-
 H = Side(kappa=1.0, c=math.cosh, s=math.sinh, dual_c=math.cos,
-         dual_s=math.sin, dual_zeros=(0.0, math.pi), root=_artanh_ratio,
+         dual_s=math.sin, dual_zeros=(0.0, math.pi),
+         root=lambda w, d: math.atanh(w / d),
          columns=attrgetter("disc_h", "Dh", "Dh1", "Dh2"),
          eps_path=attrgetter("eps_h_path_program"),
          eps_closed=attrgetter("eps_h_closed_program"),
@@ -304,13 +301,14 @@ def _partials(side: Side, model: FramedCurveModel, t: float, theta: float, dual=
     return tuple(MinkVec.from_array(v) for v in partials(side, data, f, r, c, s))
 
 
-def _lam(side: Side, data: FrenetData, cols: tuple, theta: float) -> float:
-    return (side.c(theta) * data.W - side.s(theta) * cols[1]) / cols[0]
+def _lam(data: FrenetData, cols: tuple, c, s):
+    """lambda at the fiber values (c, s), at one point or per row of columns."""
+    return (c * data.W - s * cols[1]) / cols[0]
 
 
 def _lambda(side: Side, model: FramedCurveModel, t: float, theta: float) -> float:
     data = model.frenet_data_at(t)
-    return _lam(side, data, _require(side, data, model), theta)
+    return _lam(data, _require(side, data, model), side.c(theta), side.s(theta))
 
 
 def focal_h_point(model: FramedCurveModel, t, theta):
@@ -351,12 +349,9 @@ def constraint_residuals(model: FramedCurveModel, t: float, point: MinkVec,
     u4 = 0, m u1 + a u2 + b u3 = 0 and u1^2 - u2^2 - u3^2 = 1 (hyperbolic)
     or -u1^2 + u2^2 + u3^2 = 1 (de Sitter).
     """
-    f = model.frame_at(t)
-    p = point.as_array()
-    u1 = -float(np.dot(p * np.array([-1.0, 1, 1, 1]), f[0]))
-    u2 = float(np.dot(p * np.array([-1.0, 1, 1, 1]), f[1]))
-    u3 = float(np.dot(p * np.array([-1.0, 1, 1, 1]), f[2]))
-    u4 = float(np.dot(p * np.array([-1.0, 1, 1, 1]), f[3]))
+    g = point.as_array() * np.array([-1.0, 1, 1, 1])
+    u1, u2, u3, u4 = (float(np.dot(g, row)) for row in model.frame_at(t))
+    u1 = -u1
     m, _, a, b = model.quartet.eval(t)
     quadric = _focal_side(surface).kappa * (u1 * u1 - u2 * u2 - u3 * u3) - 1.0
     return {"linear": m * u1 + a * u2 + b * u3, "quadric": quadric,
@@ -364,18 +359,61 @@ def constraint_residuals(model: FramedCurveModel, t: float, point: MinkVec,
 
 
 # ---------------------------------------------------------------------------
-# Singular loci
+# Singular loci and their classification, as columns: a row per grid t or per record
 
 
-def _root_record(side: Side, t: float, data: FrenetData, theta: float,
-                 whole_fiber: bool = False) -> SingularPointRecord:
-    lam = _lam(side, data, side.columns(data), theta)
-    diag = {"lambda_at_root": lam}
-    if not whole_fiber:
-        diag["sigma_f"] = data.sigma_f
-    return SingularPointRecord(
-        surface=side.focal, param=SurfaceParam(t, theta), lam=lam,
-        sigma_f=data.sigma_f, whole_fiber=whole_fiber, diagnostics=diag)
+def _batch(side: Side, model, tl, evolute: bool = False, program=None, replay=None) -> tuple:
+    """(data, values) at the ts tl: FrenetData (m, 1) columns and those of
+    eval_expr(program), rows of the grid table once it is built.  In index
+    order, a row off the grid, suspect or undefined takes frenet_data_at's
+    values after _require, which raise as one point at a time does, and a
+    row whose values are not finite takes replay(data, i)'s."""
+    ts, grid = np.array(tl, dtype=float), model.__dict__.get("grid")
+    if grid is None:
+        (_, data, redo), rows = model.frenet_columns(ts), np.arange(len(ts))
+        values = eval_expr(program, ts[:, None]) if program else ()
+    else:
+        rows, on = grid.lookup(ts)
+        data, redo = grid.data, grid.suspect[rows] | ~on
+        values = [np.where(on[:, None], c[rows], math.nan)
+                  for c in (grid.program(program) if program else ())]
+    data, values = data.rows(rows), [np.array(c, dtype=float) for c in values]  # writable
+    with np.errstate(all="ignore"):
+        redo |= np.logical_or(*_failing(side, data, model.tol, evolute))[:, 0]
+    bad = ~np.isfinite(np.hstack([np.zeros((len(ts), 0)), *values])).all(axis=1)
+    for i in np.flatnonzero(redo | bad).tolist():
+        if redo[i]:
+            row = model.frenet_data_at(tl[i])
+            _require(side, row, model, evolute)
+            for k, v in vars(row).items():
+                if isinstance(getattr(data, k), np.ndarray):
+                    getattr(data, k)[i] = math.nan if v is None else v
+        for col, v in zip(values, bad[i] and replay(data, i) or ()):
+            col[i] = v
+    return data, values
+
+
+def _locus_rows(side: Side, model, ts) -> tuple:
+    """(ts as floats, data, whole) of a locus at the grid ts: the FrenetData
+    columns, and where (W, D) vanishes, so that the whole fiber is singular."""
+    tl = (model.ts if ts is None else np.asarray(ts, dtype=float)).tolist()
+    data = _batch(side, model, tl)[0]
+    s, tol = _scale(data), model.tol.sing
+    whole = is_zero(data.W, s, tol) & is_zero(side.columns(data)[1], s, tol)
+    return tl, data, whole[:, 0].tolist()
+
+
+def _records(side: Side, model, entries: list) -> list:
+    """The locus records of the entries (t, theta, whole fiber), with lambda
+    and sigma_F from the FrenetData rows at their ts."""
+    ts, thetas, whole = zip(*entries) if entries else ((), (), ())
+    data = _batch(side, model, ts)[0]
+    c, s = (x[:, None] for x in _fiber(side, thetas))
+    lam = _lam(data, side.columns(data), c, s)[:, 0].tolist()
+    return [SingularPointRecord(
+        surface=side.focal, param=SurfaceParam(t, th), lam=lm, sigma_f=sg, whole_fiber=w,
+        diagnostics={"lambda_at_root": lm} if w else {"lambda_at_root": lm, "sigma_f": sg})
+        for t, th, w, lm, sg in zip(ts, thetas, whole, lam, data.sigma_f[:, 0].tolist())]
 
 
 # a whole-fiber record holds FIBER_COUNT thetas, over FIBER_WINDOW on a line fiber
@@ -390,34 +428,28 @@ def singular_locus_h(model: FramedCurveModel, ts=None):
     Per grid t: a whole-fiber family when (W, Dh) vanishes, the unique
     root theta = artanh(W / Dh) where the evolute is defined, nothing else.
     """
-    if ts is None:
-        ts = model.ts
-    records = []
-    for t in ts:
-        t = float(t)
-        data = model.frenet_data_at(t)
-        _require(H, data, model)
-        s = _scale(data)
-        if is_zero(data.W, s, model.tol.sing) and is_zero(data.Dh, s, model.tol.sing):
-            thetas = np.linspace(FIBER_WINDOW[0], FIBER_WINDOW[1], FIBER_COUNT)
-            records.extend(_root_record(H, t, data, float(th), whole_fiber=True) for th in thetas)
-            continue
-        if not _undefined(H, data, model.tol, evolute=True):
-            records.append(_root_record(H, t, data, math.atanh(data.W / data.Dh)))
-    return records
+    ts, data, whole = _locus_rows(H, model, ts)
+    with np.errstate(all="ignore"):
+        sigma = _failing(H, data, model.tol, evolute=True)[0]
+    fiber, entries = np.linspace(*FIBER_WINDOW, FIBER_COUNT).tolist(), []
+    for t, w, no, W, Dh in zip(ts, whole, *(c[:, 0].tolist() for c in (sigma, data.W, data.Dh))):
+        if w:
+            entries += [(t, th, True) for th in fiber]
+        elif not no:
+            entries.append((t, H.root(W, Dh), False))
+    return _records(H, model, entries)
 
 
 def _circ_gap(x, y):
-    d = abs(x - y) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
+    """The distance of x and y on the circle, at one point or per element."""
+    d = np.abs(x - y) % (2.0 * math.pi)
+    return np.minimum(d, 2.0 * math.pi - d)
 
 
 def _norm_circle(x):
     """Reduce to [0, 2pi), snapping rounding-level wrap back to 0."""
     y = x % (2.0 * math.pi)
-    if 2.0 * math.pi - y <= 1e-9:
-        return 0.0
-    return y
+    return 0.0 if 2.0 * math.pi - y <= 1e-9 else y
 
 
 def singular_locus_d(model: FramedCurveModel, ts=None):
@@ -429,27 +461,13 @@ def singular_locus_d(model: FramedCurveModel, ts=None):
     keeping the reported branch continuous in t; a midpoint where the
     surface is undefined is skipped.
     """
-    if ts is None:
-        ts = model.ts
-    entries = []
-    for t in ts:
-        t = float(t)
-        data = model.frenet_data_at(t)
-        _require(D, data, model)
-        s = _scale(data)
-        if is_zero(data.W, s, model.tol.sing) and is_zero(data.Dd, s, model.tol.sing):
-            thetas = np.linspace(0.0, 2.0 * math.pi, FIBER_COUNT, endpoint=False)
-            entries.append((t, None, data, thetas))
-        else:
-            theta = _norm_circle(math.atan2(data.W, data.Dd))
-            entries.append((t, theta, data, None))
-
-    # refine where the principal branch jumps
-    refined = list(entries)
-    for (t_a, th_a, *_), (t_b, th_b, *_) in zip(entries, entries[1:]):
-        if th_a is None or th_b is None:
-            continue
-        stack = [(t_a, th_a, t_b, th_b, 0)]
+    ts, data, whole = _locus_rows(D, model, ts)
+    thetas = [math.nan if w else _norm_circle(math.atan2(W, Dd))
+              for w, W, Dd in zip(whole, data.W[:, 0].tolist(), data.Dd[:, 0].tolist())]
+    refined = list(zip(ts, thetas, whole))
+    # refine, one midpoint at a time, where the principal branch jumps
+    for j in np.flatnonzero(_circ_gap(*np.array([thetas[:-1], thetas[1:]])) > 0.5 * math.pi):
+        stack = [(ts[j], thetas[j], ts[j + 1], thetas[j + 1], 0)]
         while stack:
             ta, tha, tb, thb, depth = stack.pop()
             if _circ_gap(tha, thb) <= 0.5 * math.pi or depth >= REFINE_DEPTH:
@@ -459,23 +477,13 @@ def singular_locus_d(model: FramedCurveModel, ts=None):
                 continue
             data_m = model.frenet_data_at(tm)
             thm = _norm_circle(math.atan2(data_m.W, data_m.Dd))
-            refined.append((tm, thm, data_m, None))
-            stack.append((ta, tha, tm, thm, depth + 1))
-            stack.append((tm, thm, tb, thb, depth + 1))
-    refined.sort(key=lambda e: e[0])
-
-    records = []
-    for t, theta, data, fiber in refined:
-        if fiber is not None:
-            records.extend(_root_record(D, t, data, float(th), whole_fiber=True) for th in fiber)
-            continue
-        for th in sorted((theta, _norm_circle(theta + math.pi))):
-            records.append(_root_record(D, t, data, th))
-    return records
-
-
-# ---------------------------------------------------------------------------
-# Classification
+            refined.append((tm, thm, False))
+            stack += [(ta, tha, tm, thm, depth + 1), (tm, thm, tb, thb, depth + 1)]
+    fiber, entries = np.linspace(0.0, 2.0 * math.pi, FIBER_COUNT, endpoint=False).tolist(), []
+    for t, theta, w in sorted(refined, key=lambda e: e[0]):
+        pair = fiber if w else sorted((theta, _norm_circle(theta + math.pi)))
+        entries += [(t, th, w) for th in pair]
+    return _records(D, model, entries)
 
 
 def _eps_values(model, t, side: Side):
@@ -513,11 +521,16 @@ def _nonzero(value, scale, tol):
     return ~zero if isinstance(zero, np.ndarray) else not zero
 
 
-def _edge_or_swallowtail(eps, eps1, scale, tol):
-    """Branch (a) of the classification, by epsilon and epsilon'."""
-    return _first([(_nonzero(eps, scale, tol), SingularityType.CUSPIDAL_EDGE),
-                   (_nonzero(eps1, scale, tol), SingularityType.SWALLOWTAIL)],
-                  SingularityType.DEGENERATE_UNCLASSIFIED)
+def _by_epsilon(types):
+    """f(eps, eps1, scale, tol): types[0] iff epsilon != 0, types[1] iff epsilon
+    = 0 and epsilon' != 0, else types[2]; at one point, or per row of columns."""
+    return lambda eps, eps1, scale, tol: _first(
+        [(_nonzero(eps, scale, tol), types[0]), (_nonzero(eps1, scale, tol), types[1])], types[2])
+
+
+# branch (a) of the classification: cuspidal edge, else swallowtail
+_edge_or_swallowtail = _by_epsilon((SingularityType.CUSPIDAL_EDGE, SingularityType.SWALLOWTAIL,
+                                    SingularityType.DEGENERATE_UNCLASSIFIED))
 
 
 def _edge_or_beaks(c1, c2, c3, s, root, mn, tol):
@@ -528,71 +541,77 @@ def _edge_or_beaks(c1, c2, c3, s, root, mn, tol):
                   SingularityType.DEGENERATE_UNCLASSIFIED)
 
 
-def _classify_generic(model, record, side: Side) -> SingularityType:
-    t0 = record.param.t
-    theta0 = record.param.theta
-    data = model.frenet_data_at(t0)
-    disc, _, d1, d2 = _require(side, data, model)
-    root = math.sqrt(disc)
-    k, cs, sn = side.kappa, side.c(theta0), side.s(theta0)
-    c2 = sn * data.W1 - k * cs * d1
+def _branch_b(data: FrenetData, tol):
+    """The rows of the columns where (W, N) vanishes, and their scale."""
     s = _scale(data)
-    tol = model.tol.sing
-    diag = record.diagnostics
-    diag["scale"] = s
-    diag["W"] = data.W
-    diag["N"] = data.N
+    return is_zero(data.W, s, tol) & is_zero(data.N, s, tol), s
 
-    branch_a = not (is_zero(data.W, s, tol) and is_zero(data.N, s, tol))
-    diag["branch"] = "a" if branch_a else "b"
 
-    if branch_a:
-        eps, eps1, fallback = _eps_values(model, t0, side)
-        diag["epsilon"] = eps
-        diag["epsilon_prime"] = eps1
-        if fallback:
+def _decide(side: Side, data: FrenetData, c, s, eps, eps1, tol) -> tuple:
+    """(types, branch-b mask, scale, (c1, c2, c3)) of the side's focal surface
+    at the rows of the columns and the fiber values (c, s) of their thetas:
+    branch (b) where (W, N) vanishes, else branch (a) by (eps, eps1)."""
+    disc, _, d1, d2 = side.columns(data)
+    root, k, mn = np.sqrt(disc), side.kappa, data.M * data.N
+    b, scale = _branch_b(data, tol)
+    c1 = c * data.W1 - s * d1
+    c2 = s * data.W1 - k * c * d1
+    c3 = (c * data.W2 - s * d2) * root + k * 2.0 * data.M * data.N * c2
+    types = np.where(b, _edge_or_beaks(c1, c2, c3, scale, root, mn, tol),
+                     _edge_or_swallowtail(eps, eps1, scale + abs(mn / root), tol))
+    return types, b, scale, (c1, c2, c3)
+
+
+def _classify(side: Side, model, records):
+    """Set the type, nondegenerate and diagnostics of a record, or of each of
+    a list as one batch; its type, or the list of them.  A branch (a) row
+    whose epsilon path is not finite replays _eps_values (closed form)."""
+    recs = [records] if isinstance(records, SingularPointRecord) else list(records)
+    if not recs:  # no epsilon program to compile
+        return []
+    tl, tol, fallback = [r.param.t for r in recs], model.tol.sing, [False] * len(recs)
+
+    def eps_at(data, i):
+        if not _branch_b(data.rows(np.s_[i:i + 1]), tol)[0][0, 0]:
+            *eps, fallback[i] = _eps_values(model, tl[i], side)
+            return eps
+
+    data, (eps, eps1) = _batch(side, model, tl, program=side.eps_path(model.frenet),
+                               replay=eps_at)
+    c, s = (x[:, None] for x in _fiber(side, [r.param.theta for r in recs]))
+    with np.errstate(all="ignore"):
+        types, b, scale, (c1, c2, c3) = _decide(side, data, c, s, eps, eps1, tol)
+        disc, d0 = side.columns(data)[:2]
+        lam_t, lam_th = c1 / disc, (side.kappa * s * data.W - c * d0) / disc
+        nondegenerate = ~is_zero(np.maximum(np.abs(lam_t), np.abs(lam_th)), scale, tol)
+    cols = (types, nondegenerate, b, scale, data.W, data.N, eps, eps1, c1, c2, c3, lam_t, lam_th)
+    for rec, fb, (ty, nd, bb, sc, w, n, e, e1, x1, x2, x3, lt, lth) in zip(
+            recs, fallback, zip(*(col[:, 0].tolist() for col in cols))):
+        rec.type, rec.nondegenerate, diag = ty, nd, rec.diagnostics
+        diag.update(scale=sc, W=w, N=n, branch="b" if bb else "a")
+        diag.update({"c1_nondegeneracy": x1, "c2_mixed_derivative": x2, "c3_second_order": x3}
+                    if bb else {"epsilon": e, "epsilon_prime": e1})
+        if fb:
             diag["epsilon_via_closed_form"] = True
-        return _edge_or_swallowtail(eps, eps1, s + abs(data.M * data.N / root), tol)
-
-    c1 = cs * data.W1 - sn * d1
-    c3 = (cs * data.W2 - sn * d2) * root \
-        + k * 2.0 * data.M * data.N * c2
-    diag["c1_nondegeneracy"] = c1
-    diag["c2_mixed_derivative"] = c2
-    diag["c3_second_order"] = c3
-    return _edge_or_beaks(c1, c2, c3, s, root, data.M * data.N, tol)
+        diag.update(lambda_t=lt, lambda_theta=lth)
+    return recs[0].type if isinstance(records, SingularPointRecord) else [r.type for r in recs]
 
 
-def _finalize(model, record, side: Side) -> SingularityType:
-    ty = _classify_generic(model, record, side)
-    record.type = ty
-    data = model.frenet_data_at(record.param.t)
-    theta0 = record.param.theta
-    disc, d0, d1, _ = side.columns(data)
-    cs, sn = side.c(theta0), side.s(theta0)
-    lam_t = (cs * data.W1 - sn * d1) / disc
-    lam_th = (side.kappa * sn * data.W - cs * d0) / disc
-    record.diagnostics["lambda_t"] = lam_t
-    record.diagnostics["lambda_theta"] = lam_th
-    record.nondegenerate = not is_zero(
-        max(abs(lam_t), abs(lam_th)), _scale(data), model.tol.sing)
-    return ty
-
-
-def classify_h(model: FramedCurveModel, record: SingularPointRecord) -> SingularityType:
+def classify_h(model: FramedCurveModel, records) -> SingularityType:
     """Classify a singular point of the hyperbolic focal surface.
 
     Branch on (W, N)(t0) = (0,0) or not; branch (a) decides cuspidal edge
     versus swallowtail through theta'(t) - M N / sqrt(A^2 - M^2), branch
     (b) cuspidal edge versus cuspidal beaks through the derivative data of
-    (W, Dh).  Cross caps and lips never occur on this surface.
+    (W, Dh).  Cross caps and lips never occur on this surface.  Given a
+    list of records, it classifies them as one batch and returns their types.
     """
-    return _finalize(model, record, H)
+    return _classify(H, model, records)
 
 
-def classify_d(model: FramedCurveModel, record: SingularPointRecord) -> SingularityType:
+def classify_d(model: FramedCurveModel, records) -> SingularityType:
     """De Sitter analogue of classify_h (cos/sin in place of cosh/sinh)."""
-    return _finalize(model, record, D)
+    return _classify(D, model, records)
 
 
 def classify_point(model: FramedCurveModel, surface: str, t: float,
@@ -606,11 +625,10 @@ def classify_point(model: FramedCurveModel, surface: str, t: float,
     lam = _lambda(side, model, t, theta)
     rec = SingularPointRecord(surface=surface, param=SurfaceParam(t, theta),
                               lam=lam, sigma_f=data.sigma_f)
-    if not is_zero(lam, _scale(data), model.tol.sing):
-        rec.type = SingularityType.REGULAR
-        rec.diagnostics["lambda"] = lam
-        return rec
-    _finalize(model, rec, side)
+    if is_zero(lam, _scale(data), model.tol.sing):
+        _classify(side, model, rec)
+    else:
+        rec.type, rec.diagnostics["lambda"] = SingularityType.REGULAR, lam
     return rec
 
 

@@ -351,10 +351,10 @@ class FrenetData:
 class GridTable:
     """The Frenet quantities of a model over its whole grid, evaluated once.
 
-    `frames`, `data` and `suspect` are frenet_columns of the grid, and
-    `program` evaluates a Frenet program over the grid on first use.  Each
-    value is the per-point query's at its grid t, bit for bit: on a row
-    that is not suspect, and for a program, wherever it is finite.
+    `frames`, `data` and `suspect` are frenet_columns of the grid, `program`
+    evaluates a Frenet program over it on first use, and a query reads one
+    row.  Each value is the per-point query's at its grid t, bit for bit:
+    on a row that is not suspect, and for a program, wherever it is finite.
     """
 
     def __init__(self, model):
@@ -367,43 +367,30 @@ class GridTable:
         """The row of the grid point t: the same float, sign bit included
         (0.0 == -0.0, but their answers differ); None off the grid."""
         i = self._rows.get(t) if type(t) is float else None
-        if i is None or math.copysign(1.0, t) != math.copysign(1.0, self._ts[i]):
-            return None
-        return i
+        return None if i is None or math.copysign(1.0, t) != math.copysign(1.0, self._ts[i]) else i
 
-    def index(self, ts):
-        """The row of each of the array ts by the rule of `row`; None unless
-        every t is a grid point."""
+    def lookup(self, ts) -> tuple:
+        """(rows, on): the row of each of the array ts, and whether it is
+        that row's grid point by the rule of `row`."""
         i = np.minimum(np.searchsorted(self.ts, ts), len(self.ts) - 1)
         g = self.ts[i]
-        return i if ((g == ts) & (np.signbit(g) == np.signbit(ts))).all() else None
+        return i, (g == ts) & (np.signbit(g) == np.signbit(ts))
 
     def program(self, program) -> tuple:
-        """(columns, rows): eval_expr of the program over the (n, 1) column
-        of the grid, and each row's values as floats, None where one is not
-        finite."""
-        out = self._programs.get(program)
-        if out is None:
-            cols = eval_expr(program, self.ts[:, None])
-            block = np.hstack(cols)
-            finite = np.isfinite(block).all(axis=1).tolist()
-            out = self._programs[program] = (
-                cols, [tuple(r) if ok else None for r, ok in zip(block.tolist(), finite)])
-        return out
+        """eval_expr of the program over the (n, 1) column of the grid."""
+        if program not in self._programs:
+            self._programs[program] = eval_expr(program, self.ts[:, None])
+        return self._programs[program]
 
-    @cached_property
-    def frenet_rows(self) -> list:
-        """The FrenetData of each row as frenet_data_at gives it; None where suspect."""
-        cols = {k: np.ravel(v).tolist() for k, v in vars(self.data).items()
-                if isinstance(v, np.ndarray)}
-        out = []
-        for i, bad in enumerate(self.suspect.tolist()):
-            row = {k: col[i] for k, col in cols.items()}
-            for disc, names in (("disc_h", ("Dh", "Dh1", "Dh2")), ("disc_d", ("Dd", "Dd1", "Dd2"))):
-                if not row[disc] > 0.0:
-                    row.update(dict.fromkeys(names))
-            out.append(None if bad else FrenetData(**row, B=0.0))
-        return out
+    def frenet_row(self, i):
+        """The FrenetData of row i as frenet_data_at gives it; None where suspect."""
+        if self.suspect[i]:
+            return None
+        row = {k: float(v[i, 0]) for k, v in vars(self.data).items() if isinstance(v, np.ndarray)}
+        for disc, names in (("disc_h", ("Dh", "Dh1", "Dh2")), ("disc_d", ("Dd", "Dd1", "Dd2"))):
+            if not row[disc] > 0.0:
+                row.update(dict.fromkeys(names))
+        return FrenetData(**row, B=0.0)
 
 
 class FramedCurveModel:
@@ -436,14 +423,17 @@ class FramedCurveModel:
         """(grid table, the row of the float t or the rows of the array t)
         where the table is built and t is on its grid; else (None, None)."""
         grid = self.__dict__.get("grid")
-        i = None if grid is None else grid.index(t) if isinstance(t, np.ndarray) else grid.row(t)
-        return (None, None) if i is None else (grid, i)
+        if grid is None:
+            return None, None
+        i, on = grid.lookup(t) if isinstance(t, np.ndarray) else (grid.row(t), True)
+        return (grid, i) if i is not None and np.all(on) else (None, None)
 
     def grid_values(self, program, t):
         """eval_expr(program, t) from the grid table where t is one of its
         grid points and every value there is finite; None elsewhere."""
         grid, i = self._table(t)
-        return None if grid is None else grid.program(program)[1][i]
+        row = () if grid is None else tuple(float(c[i, 0]) for c in grid.program(program))
+        return row if row and all(map(math.isfinite, row)) else None
 
     def program_columns(self, program, ts) -> tuple:
         """eval_expr(program) over the column ts[:, None]: rows of the grid
@@ -451,7 +441,7 @@ class FramedCurveModel:
         grid, rows = self._table(ts)
         if grid is None:
             return eval_expr(program, ts[:, None])
-        return tuple(c[rows] for c in grid.program(program)[0])
+        return tuple(c[rows] for c in grid.program(program))
 
     @property
     def t0(self) -> float:
@@ -528,8 +518,8 @@ class FramedCurveModel:
 
     def frenet_data_at(self, t: float) -> FrenetData:
         grid, i = self._table(t)
-        if grid is not None and grid.frenet_rows[i] is not None:
-            return grid.frenet_rows[i]
+        if grid is not None and (row := grid.frenet_row(i)) is not None:
+            return row
         fe = self.frenet
         ab2 = eval_expr(fe.ab2, t)
         if ab2 <= self.tol.zero:

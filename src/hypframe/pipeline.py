@@ -49,6 +49,22 @@ class SpecValidationError(SpecError):
 DUALITY_SEED = 20240229
 DUALITY_SAMPLES = 200
 
+
+class Pcg64:
+    """NumPy's PCG64 (128-bit LCG, XSL-RR output) in Python ints, from the
+    state SeedSequence(DUALITY_SEED) gives it: each random() is that of
+    default_rng(DUALITY_SEED), bit for bit, and numpy.random stays unimported."""
+
+    MULTIPLIER, MASK = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+    STATE, INC = 0x9E6F4E8E13BFE567CBC193044F358EA8, 0xAAD027CC32B9077F66B6BFEE6E82EBA1
+    state = STATE
+
+    def random(self) -> float:
+        s = self.state = (self.state * self.MULTIPLIER + self.INC) & self.MASK
+        x, rot = ((s >> 64) ^ s) & (self.MASK >> 64), s >> 122
+        return ((((x >> rot) | (x << (64 - rot))) & (self.MASK >> 64)) >> 11) * 2.0 ** -53
+
+
 OUTPUT_PRODUCTS = ("report", "loci_csv", "focal_h_obj", "focal_d_obj",
                    "dual_eh_obj", "dual_ed_obj")
 
@@ -67,6 +83,12 @@ class CurveSpec:
     def quartet(self) -> CurvatureQuartet:
         c = self.curvature
         return CurvatureQuartet.from_strings(c["m"], c["n"], c["a"], c["b"])
+
+    def initial_sample(self) -> FrameSample | None:
+        """The initial frame at t0; None for the standard frame."""
+        if self.initial_frame is not None:
+            return FrameSample.from_matrix(self.domain[0],
+                                           np.array(self.initial_frame).reshape(4, 4))
 
 
 def _require_keys(obj, allowed, where):
@@ -330,8 +352,7 @@ def duality_summary(model: FramedCurveModel, runs=None) -> dict:
     they are not given)."""
     if runs is None:
         runs = _focal.defined_runs(model)
-    rng = np.random.default_rng(DUALITY_SEED)
-    out = {}
+    rng, out = Pcg64(), {}
     for pair in _duality.PAIR_NAMES:
         spans = _spans(model.ts, runs[_duality.PAIR_SURFACES[pair][1]])
         total = sum(hi - lo for lo, hi in spans)
@@ -362,11 +383,12 @@ def _classified_loci(model, runs):
             (_focal.D, _focal.singular_locus_d, _focal.classify_d, _evolute.classify_dual_d)):
         for run in runs[side.focal]:
             recs = locus(model, ts[run.start:run.stop])
-            for r in recs:
-                classify(model, r)
+            classify(model, recs)
             records.extend(recs)
-        for i in chain.from_iterable(runs[side.dual]):
-            records.extend(classify_dual(model, float(ts[i]), theta) for theta in side.dual_zeros)
+        index, zeros = list(chain.from_iterable(runs[side.dual])), side.dual_zeros
+        if index:  # else no epsilon program to compile
+            records.extend(classify_dual(model, np.repeat(ts[index], len(zeros)),
+                                         np.tile(zeros, len(index))))
     return records
 
 
@@ -398,12 +420,7 @@ def run_pipeline(spec: CurveSpec, out_dir=None, tol: Tolerances | None = None) -
     """Integrate, classify, verify, and export everything the spec requests."""
     if tol is None:
         tol = DEFAULT.with_overrides(spec.tolerances)
-    quartet = spec.quartet()
-    initial = None
-    if spec.initial_frame is not None:
-        initial = FrameSample.from_matrix(
-            spec.domain[0], np.array(spec.initial_frame).reshape(4, 4))
-    model = integrate_frame(quartet, spec.domain, initial=initial, tol=tol)
+    model = integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_sample(), tol=tol)
 
     runs = _focal.defined_runs(model)
     records = _classified_loci(model, runs)

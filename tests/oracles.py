@@ -7,8 +7,9 @@ or scipy, expressions are evaluated by walking the tree recursively,
 frames are propagated one substep at a time with a scalar exponential,
 interpolated one weight at a time, surface meshes are evaluated and
 written one point (or one row) at a time, duality samples are built and
-judged one at a time, and the definedness scan and the correspondence
-check take one grid point at a time.
+judged one at a time, and the definedness scan, the singular loci, their
+classification and the correspondence check take one grid point (or one
+record) at a time.
 """
 
 import math
@@ -19,13 +20,14 @@ import numpy as np
 from hypframe.duality import (PAIR_NAMES, PAIR_SURFACES, DualPairSample, FrontVerdict,
                               isotropy_residuals, pair_theta_range)
 from hypframe.errors import FrameDegenerateError, InvalidInputError, SurfaceUndefinedError
-from hypframe.evolute import (CorrespondenceReport, EvolutePointType, LegReport,
-                              _bisect_eps_zero, classify_dual_d, classify_dual_h,
+from hypframe.evolute import (CorrespondenceReport, DualSurfaceRecord, EvolutePointType,
+                              LegReport, _bisect_eps_zero, _dual_type, _lambda_dual,
                               evolute_d, evolute_h)
-from hypframe.focal import (SURFACES, D, H, SingularityType, SingularPointRecord,
-                            SurfaceParam, _eps_values, _fiber, _fiber_points, _require,
-                            _undefined_at, classify_d, classify_h, focal_d_point,
-                            focal_h_point)
+from hypframe.focal import (FIBER_COUNT, FIBER_WINDOW, REFINE_DEPTH, SURFACES, D, H,
+                            SingularityType, SingularPointRecord, SurfaceParam, _circ_gap,
+                            _edge_or_beaks, _edge_or_swallowtail, _eps_values, _fiber,
+                            _fiber_points, _norm_circle, _require, _scale, _undefined,
+                            _undefined_at, focal_d_point, focal_h_point)
 from hypframe.minkowski import MinkVec, Quadric, membership_residual
 from hypframe.pipeline import (DUALITY_SAMPLES, DUALITY_SEED, project_hollow_ball,
                                project_poincare)
@@ -34,6 +36,7 @@ from hypframe.propagation import (_CF4_A, _CF4_B, coefficient_matrix_values,
                                   pseudo_orthonormalize)
 from hypframe.symexpr import (_TABLE, Add, Div, ExprDomainError, Fun, Mul, Neg,
                               Num, Pow, Sub, Var, _apply, eval_expr)
+from hypframe.tolerances import is_zero
 
 
 def tree_eval(e, t):
@@ -480,16 +483,155 @@ def surface_grid_rows(model, which, ts, thetas):
     return out
 
 
+def root_record(side, t, data, theta, whole_fiber=False):
+    """A locus record at (t, theta) from the FrenetData at t."""
+    disc, d0 = side.columns(data)[:2]
+    lam = (side.c(theta) * data.W - side.s(theta) * d0) / disc
+    diag = {"lambda_at_root": lam}
+    if not whole_fiber:
+        diag["sigma_f"] = data.sigma_f
+    return SingularPointRecord(surface=side.focal, param=SurfaceParam(t, theta), lam=lam,
+                               sigma_f=data.sigma_f, whole_fiber=whole_fiber,
+                               diagnostics=diag)
+
+
+def singular_locus_loop(model, ts, side):
+    """`hypframe.focal.singular_locus_h` (side H) or `_d` (side D) one grid t
+    at a time: each t's FrenetData, its whole fiber where (W, D) vanishes,
+    else its roots; on the de Sitter side, refinement where neighbouring
+    roots jump by more than pi/2."""
+    entries = []
+    for t in ts:
+        t = float(t)
+        data = model.frenet_data_at(t)
+        d0 = _require(side, data, model)[1]
+        s = _scale(data)
+        if is_zero(data.W, s, model.tol.sing) and is_zero(d0, s, model.tol.sing):
+            entries.append((t, None, data))
+        elif side is D:
+            entries.append((t, _norm_circle(math.atan2(data.W, d0)), data))
+        elif not _undefined(H, data, model.tol, evolute=True):
+            entries.append((t, math.atanh(data.W / d0), data))
+    if side is D:
+        refined = list(entries)
+        for (t_a, th_a, _), (t_b, th_b, _) in zip(entries, entries[1:]):
+            if th_a is None or th_b is None:
+                continue
+            stack = [(t_a, th_a, t_b, th_b, 0)]
+            while stack:
+                ta, tha, tb, thb, depth = stack.pop()
+                if _circ_gap(tha, thb) <= 0.5 * math.pi or depth >= REFINE_DEPTH:
+                    continue
+                tm = 0.5 * (ta + tb)
+                if _undefined_at(model, tm, D):
+                    continue
+                data_m = model.frenet_data_at(tm)
+                thm = _norm_circle(math.atan2(data_m.W, data_m.Dd))
+                refined.append((tm, thm, data_m))
+                stack.append((ta, tha, tm, thm, depth + 1))
+                stack.append((tm, thm, tb, thb, depth + 1))
+        entries = sorted(refined, key=lambda e: e[0])
+    fiber = (np.linspace(FIBER_WINDOW[0], FIBER_WINDOW[1], FIBER_COUNT) if side is H
+             else np.linspace(0.0, 2.0 * math.pi, FIBER_COUNT, endpoint=False))
+    records = []
+    for t, theta, data in entries:
+        if theta is None:
+            records.extend(root_record(side, t, data, float(th), True) for th in fiber)
+        elif side is D:
+            records.extend(root_record(side, t, data, th)
+                           for th in sorted((theta, _norm_circle(theta + math.pi))))
+        else:
+            records.append(root_record(side, t, data, theta))
+    return records
+
+
+def classify_record(model, record, side):
+    """`hypframe.focal.classify_h` (side H) or `_d` (side D) of one record in
+    scalar arithmetic: branch (a) by epsilon, branch (b) by the derivative
+    data of (W, D), then lambda_t, lambda_theta and nondegenerate."""
+    t0, theta0 = record.param.t, record.param.theta
+    data = model.frenet_data_at(t0)
+    disc, d0, d1, d2 = _require(side, data, model)
+    root = math.sqrt(disc)
+    k, cs, sn = side.kappa, side.c(theta0), side.s(theta0)
+    c2 = sn * data.W1 - k * cs * d1
+    s = _scale(data)
+    tol = model.tol.sing
+    diag = record.diagnostics
+    diag["scale"] = s
+    diag["W"] = data.W
+    diag["N"] = data.N
+    branch_a = not (is_zero(data.W, s, tol) and is_zero(data.N, s, tol))
+    diag["branch"] = "a" if branch_a else "b"
+    if branch_a:
+        eps, eps1, fallback = _eps_values(model, t0, side)
+        diag["epsilon"] = eps
+        diag["epsilon_prime"] = eps1
+        if fallback:
+            diag["epsilon_via_closed_form"] = True
+        ty = _edge_or_swallowtail(eps, eps1, s + abs(data.M * data.N / root), tol)
+    else:
+        c1 = cs * data.W1 - sn * d1
+        c3 = (cs * data.W2 - sn * d2) * root + k * 2.0 * data.M * data.N * c2
+        diag["c1_nondegeneracy"] = c1
+        diag["c2_mixed_derivative"] = c2
+        diag["c3_second_order"] = c3
+        ty = _edge_or_beaks(c1, c2, c3, s, root, data.M * data.N, tol)
+    record.type = ty
+    lam_t = (cs * data.W1 - sn * d1) / disc
+    lam_th = (k * sn * data.W - cs * d0) / disc
+    diag["lambda_t"] = lam_t
+    diag["lambda_theta"] = lam_th
+    record.nondegenerate = not is_zero(max(abs(lam_t), abs(lam_th)), s, tol)
+    return ty
+
+
+def classify_dual_record(model, t0, side, theta0=0.0):
+    """`hypframe.evolute.classify_dual_h` (side H) or `_d` (side D) at one
+    (t0, theta0), with epsilon in its closed form."""
+    data = model.frenet_data_at(t0)
+    _require(side, data, model, evolute=True)
+    lam = _lambda_dual(side, model, t0, theta0)
+    program = side.eps_closed(model.frenet)
+    eps, eps1 = model.grid_values(program, t0) or eval_expr(program, t0)
+    s = _scale(data)
+    return DualSurfaceRecord(
+        surface=side.dual, param=SurfaceParam(t0, theta0), lam=lam, sigma_f=data.sigma_f,
+        type=_dual_type(eps, eps1, s, model.tol.sing), nondegenerate=True,
+        diagnostics={"epsilon": eps, "epsilon_prime": eps1, "scale": s})
+
+
+def classified_loci_loop(model, runs):
+    """`hypframe.pipeline._classified_loci` one record at a time: per side,
+    the locus of each focal run with each of its records classified, then
+    the dual record at each grid point of the dual runs and each zero of
+    the dual fiber."""
+    records = []
+    for side in (H, D):
+        for run in runs[side.focal]:
+            recs = singular_locus_loop(model, model.ts[run.start:run.stop], side)
+            for r in recs:
+                classify_record(model, r, side)
+            records.extend(recs)
+        for i in chain.from_iterable(runs[side.dual]):
+            records.extend(classify_dual_record(model, float(model.ts[i]), side, theta)
+                           for theta in side.dual_zeros)
+    return records
+
+
 def leg_loop(model, ts, runs, side):
     """`hypframe.evolute._leg` one grid point at a time: at each grid point
     of the runs, the focal record, the evolute sample and the dual record
-    through the public per-point functions, then the epsilon crossings."""
-    if side is H:
-        focal_point, classify, evolute, classify_dual = \
-            focal_h_point, classify_h, evolute_h, classify_dual_h
-    else:
-        focal_point, classify, evolute, classify_dual = \
-            focal_d_point, classify_d, evolute_d, classify_dual_d
+    through the per-point functions, then the epsilon crossings."""
+    focal_point, evolute = (focal_h_point, evolute_h) if side is H else (focal_d_point,
+                                                                          evolute_d)
+
+    def classify(model, rec):
+        return classify_record(model, rec, side)
+
+    def classify_dual(model, t):
+        return classify_dual_record(model, t, side)
+
     if not runs:
         reason = _undefined_at(model, float(ts[-1]), side, evolute=True) if len(ts) else None
         return LegReport(status="skipped",

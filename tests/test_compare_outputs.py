@@ -67,3 +67,16 @@ def test_reports_compare_by_key_path():
     _, other = compare.numeric_differences(
         _result(files={"r.json": json.dumps(doc)}), _result(files={"r.json": json.dumps(changed)}))
     assert "file r.json .loci: 2 -> 1 items" in other
+
+
+def test_every_parity_corpus_spec_loads(tmp_path):
+    from hypframe import load_spec
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "parity_corpus.py")
+    spec = importlib.util.spec_from_file_location("parity_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    paths = corpus.corpus(str(tmp_path / "corpus"))
+    assert len(paths) == len(set(paths)) == 3 + 4 * 5 + len(corpus.QUARTETS)
+    names = {load_spec(p).name for p in paths}
+    assert {"swallowtail_family", "gen_h", "boosted", "d_refinement", "whole_fiber"} <= names

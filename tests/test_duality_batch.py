@@ -7,6 +7,9 @@ the same way.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +123,33 @@ def test_draws_map_x_onto_the_spans_as_the_loop(value):
     assert np.array_equal(_bits(thetas), _bits([th for _, th in want]))
     if value > 1.0:
         assert ts[0] > spans[-1][1]
+
+
+def test_pcg64_state_is_numpys_for_the_seed():
+    state = np.random.PCG64(pipeline.DUALITY_SEED).state["state"]
+    assert (pipeline.Pcg64.STATE, pipeline.Pcg64.INC) == (state["state"], state["inc"])
+
+
+def test_pcg64_draws_are_numpys_bitwise():
+    want = np.random.default_rng(pipeline.DUALITY_SEED).random(5000).tolist()
+    rng = pipeline.Pcg64()
+    assert _bits([rng.random() for _ in range(5000)]).tolist() == _bits(want).tolist()
+
+
+def test_run_leaves_numpy_random_unimported(tmp_path):
+    """`hypframe run` draws the duality samples without numpy.random, whose
+    import alone costs more than a run's draws."""
+    spec = os.path.join(os.path.dirname(__file__), os.pardir, "specs",
+                        "cuspidal_edge_hyperbolic.json")
+    code = ("import sys\n"
+            "from hypframe import cli\n"
+            f"assert cli.main(['run', '--spec', {spec!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_frames_at_matches_the_interpolation_loop(model_sw):

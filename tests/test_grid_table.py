@@ -2,8 +2,9 @@
 
 The definedness scan, the loci and their classification, the
 correspondence check and the meshes must give, bit for bit, what the
-one-grid-point-at-a-time oracles give on a model whose grid table is
-never built; where those raise, the stages raise the same error.
+one-grid-point-at-a-time (or one-record-at-a-time) oracles give on a
+model whose grid table is never built; where those raise, the stages
+raise the same error.
 """
 
 import dataclasses
@@ -11,21 +12,24 @@ import enum
 import math
 import os
 import struct
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from hypframe import CurvatureQuartet, integrate_frame, load_spec, run_pipeline
-from hypframe import cli, evolute, pipeline
+from hypframe import cli, evolute, focal, pipeline
 from hypframe.errors import EvoluteUndefinedError, InvalidInputError, NumericError
 from hypframe.symexpr import ExprDomainError
 from hypframe.evolute import correspondence_check
 from hypframe.focal import defined_runs, surface_grid
+from hypframe.framedcurve import FramedCurveModel
 from hypframe.symexpr import Program, compile, parse_expr
 from hypframe.tolerances import DEFAULT
 
-from oracles import (correspondence_check_loop, defined_runs_loop, evolute_rows_loop,
-                     frenet_frame, surface_grid_rows)
+from oracles import (classified_loci_loop, classify_dual_record, classify_record,
+                     correspondence_check_loop, defined_runs_loop, evolute_rows_loop,
+                     frenet_frame, singular_locus_loop, surface_grid_rows)
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
 MESHES = ("focal_h", "focal_d", "dual_eh", "dual_ed")
@@ -56,6 +60,10 @@ MODELS = {
     # W = -0.4 and N = t, both zero at this tolerance: branch (b), with
     # failed agreements that name the focal type
     "branch_b_coarse": (("1+0.2*t", "t", "2", "0"), (-1.0, 1.0, 41), {"sing": 0.3}),
+    # the d-locus branch jumps between grid points and is refined there
+    "d_refinement": (("2+0.5*t", "0.7*(t-1)", "1", "0"), (0.05, 2.0, 4)),
+    # (W, Dh) vanishes at t = 0: whole-fiber records
+    "whole_fiber": (("1", "t", "2", "0"), (-0.5, 0.5, 101)),
 }
 
 
@@ -100,7 +108,7 @@ def _compare(model, fresh, thetas):
     assert _outcome(correspondence_check, model, runs) \
         == _outcome(correspondence_check_loop, fresh, runs)
     assert _outcome(pipeline._classified_loci, model, runs) \
-        == _outcome(pipeline._classified_loci, fresh, runs)
+        == _outcome(classified_loci_loop, fresh, runs)
     for surface in MESHES:
         for run in runs[surface]:
             ts = model.ts[run.start:run.stop]
@@ -115,6 +123,50 @@ def test_grid_stages_match_the_per_point_oracles(name):
     (model, thetas), (fresh, _) = _model(name), _model(name)
     runs = _compare(model, fresh, thetas)
     assert any(runs.values())
+
+
+@pytest.mark.parametrize("name", ["generic", "desitter_pole", "branch_b_coarse",
+                                  "d_refinement", "whole_fiber"])
+def test_single_records_off_the_grid_match_the_oracle(name):
+    """A locus, a record and a dual record at t between grid points are
+    length-1 batches of the column classifier: each row replays the
+    per-point queries, bit for bit as one record at a time, errors too."""
+    (model, _), (fresh, _) = _model(name), _model(name)
+    runs = defined_runs(model)
+    checked = 0
+    for side, locus, classify, classify_dual in (
+            (focal.H, focal.singular_locus_h, focal.classify_h, evolute.classify_dual_h),
+            (focal.D, focal.singular_locus_d, focal.classify_d, evolute.classify_dual_d)):
+        for i in list(chain.from_iterable(runs[side.focal]))[:-1:3]:
+            t = 0.5 * float(model.ts[i] + model.ts[i + 1])
+
+            def located(m, loop, t=t, side=side, locus=locus, classify=classify):
+                recs = singular_locus_loop(m, [t], side) if loop else locus(m, [t])
+                types = [classify_record(m, r, side) if loop else classify(m, r) for r in recs]
+                return recs, types
+
+            assert _outcome(located, model, False) == _outcome(located, fresh, True)
+            checked += 1
+        for i in list(chain.from_iterable(runs[side.dual]))[:-1:3]:
+            t = 0.5 * float(model.ts[i] + model.ts[i + 1])
+            for theta in side.dual_zeros:
+                assert _outcome(classify_dual, model, t, theta) \
+                    == _outcome(classify_dual_record, fresh, t, side, theta)
+    assert checked and "grid" not in vars(fresh)
+
+
+def test_loci_query_no_grid_point_one_at_a_time(monkeypatch):
+    """Work-count guard: on a committed spec, the loci and their
+    classification read every grid row from the table's columns."""
+    spec = load_spec(os.path.join(SPEC_DIR, "swallowtail_family.json"))
+    model = integrate_frame(spec.quartet(), spec.domain)
+    runs = defined_runs(model)
+    queried, real = [], FramedCurveModel.frenet_data_at
+    monkeypatch.setattr(FramedCurveModel, "frenet_data_at",
+                        lambda self, t: queried.append(t) or real(self, t))
+    records = pipeline._classified_loci(model, runs)
+    assert len(records) == 603
+    assert not set(queried) & set(model.ts.tolist())
 
 
 def test_nan_frame_rows_replay_as_the_oracle():
@@ -195,7 +247,7 @@ def test_injected_program_reads_as_the_oracle(name, source):
         assert not want["hyperbolic"]["agreements"]["dual_ce_iff_evolute_regular"]
     assert _outcome(correspondence_check, model, runs) == want
     assert _outcome(pipeline._classified_loci, model, runs) \
-        == _outcome(pipeline._classified_loci, fresh, runs)
+        == _outcome(classified_loci_loop, fresh, runs)
 
 
 def test_tangency_raises_the_oracles_error():
@@ -220,7 +272,7 @@ def test_signed_zero_does_not_read_the_zero_row():
     fresh = integrate_frame(CurvatureQuartet.from_strings("1", "1", "t", "1"), (0.0, 1.0, 11))
     grid = model.grid
     assert grid.row(0.0) == 0 and grid.row(-0.0) is None
-    assert grid.index(np.array([0.0, -0.0])) is None
+    assert grid.lookup(np.array([0.0, -0.0]))[1].tolist() == [True, False]
     for t in (0.0, -0.0, 0.0):
         got = model.frenet_frame_at(t)
         assert _bits(got) == _bits(frenet_frame(fresh, t))
@@ -231,7 +283,8 @@ def test_signed_zero_does_not_read_the_zero_row():
         assert math.copysign(1.0, data.t) == math.copysign(1.0, t)
     program = model.frenet.base_program
     assert model.grid_values(program, -0.0) is None
-    assert model.grid_values(program, 0.0) == grid.program(program)[1][0] is not None
+    assert model.grid_values(program, 0.0) == tuple(float(c[0, 0]) for c in grid.program(program))
+    assert model.grid_values(program, 0.0) is not None
 
 
 def test_frenet_columns_at_grid_points_are_table_rows():

@@ -1,0 +1,79 @@
+"""Write the spec corpus of a byte-identity check and print its paths.
+
+    python3 tools/parity_corpus.py DIR
+    python3 tools/compare_outputs.py OLD NEW $(python3 tools/parity_corpus.py DIR) --all-outputs
+
+Run it from the root of a hypframe checkout.  The corpus is
+
+* the committed specs in specs/ (their paths, not copies);
+* the generated perfbench workloads gen_h, gen_d, bounded and boosted at
+  seeds 1-5, from perfbench/specgen.py;
+* the quartets that reach the engine's rare paths: surfaces and evolutes
+  on two intervals, a sigma_F threshold at the last grid point, a^2 + b^2
+  vanishing at a grid point, sigma_F touching zero between two grid
+  points, a d-locus branch jump that is refined, and whole-fiber records.
+
+Each generated spec is written to DIR, which is created if need be.
+"""
+
+from __future__ import annotations
+
+import glob
+import importlib.util
+import json
+import os
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SEEDS = range(1, 6)
+WORKLOADS = ("gen_h", "gen_d", "bounded", "boosted")
+
+# name -> (curvature m, n, a, b; (t0, t1, samples))
+QUARTETS = {
+    "gap": (("2.5*t^2-1", "1", "2", "0"), (-1.6, 1.6, 161)),
+    "evolute_gap_sin": (("3*sin(t)", "1", "1.5", "0"), (-1.6, 1.6, 161)),
+    "evolute_gap_cubic": (("3*t^3-t", "0.5", "1.5", "0"), (-1.6, 1.6, 161)),
+    "split_sigma_threshold": (("t", "1", "2", "0"), (0.0, 1.7320508074, 11)),
+    "split_frame_gap": (("2", "1", "t", "0"), (-1.0, 1.0, 21)),
+    "sigma_tangency": (("1.13", "0.68-0.76*sin(-2.78*t)", "-1.23", "0"), (-1.6, 1.6, 41)),
+    "d_refinement": (("2+0.5*t", "0.7*(t-1)", "1", "0"), (0.05, 2.0, 4)),
+    "whole_fiber": (("1", "t", "2", "0"), (-0.5, 0.5, 101)),
+}
+
+
+def corpus(out_dir) -> list:
+    """Write the generated specs to out_dir; the paths of every corpus spec."""
+    spec = importlib.util.spec_from_file_location(
+        "specgen", os.path.join(ROOT, "perfbench", "specgen.py"))
+    specgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(specgen)
+    os.makedirs(out_dir, exist_ok=True)
+    paths = sorted(glob.glob(os.path.join(ROOT, "specs", "*.json")))
+    texts = {f"{name}_{seed}": specgen.generate(name, seed)
+             for name in WORKLOADS for seed in SEEDS}
+    for name, (curvature, (t0, t1, samples)) in QUARTETS.items():
+        texts[name] = json.dumps({
+            "name": name,
+            "curvature": dict(zip("mnab", curvature)),
+            "domain": {"t0": t0, "t1": t1, "samples": samples},
+            "theta": {"min": -1.0, "max": 1.0, "samples": 5},
+        }, indent=2) + "\n"
+    for name, text in texts.items():
+        path = os.path.join(out_dir, name + ".json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        paths.append(path)
+    return [os.path.relpath(p) for p in paths]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    print("\n".join(corpus(argv[0])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
