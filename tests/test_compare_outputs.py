@@ -77,6 +77,6 @@ def test_every_parity_corpus_spec_loads(tmp_path):
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     paths = corpus.corpus(str(tmp_path / "corpus"))
-    assert len(paths) == len(set(paths)) == 3 + 4 * 5 + len(corpus.QUARTETS)
+    assert len(paths) == len(set(paths)) == 3 + 4 * 5 + len(corpus.EXTRA_SEEDS) + len(corpus.QUARTETS)
     names = {load_spec(p).name for p in paths}
     assert {"swallowtail_family", "gen_h", "boosted", "d_refinement", "whole_fiber"} <= names

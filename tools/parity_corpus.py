@@ -7,11 +7,14 @@ Run it from the root of a hypframe checkout.  The corpus is
 
 * the committed specs in specs/ (their paths, not copies);
 * the generated perfbench workloads gen_h, gen_d, bounded and boosted at
-  seeds 1-5, from perfbench/specgen.py;
+  seeds 1-5, and boosted at the seeds whose frames turn to NaN, from
+  perfbench/specgen.py;
 * the quartets that reach the engine's rare paths: surfaces and evolutes
   on two intervals, a sigma_F threshold at the last grid point, a^2 + b^2
   vanishing at a grid point, sigma_F touching zero between two grid
-  points, a d-locus branch jump that is refined, and whole-fiber records.
+  points, a d-locus branch jump that is refined, whole-fiber records, an
+  epsilon branch pole where the closed form takes over, and a curvature
+  whose de Sitter evolute turns to NaN without a domain error.
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -27,6 +30,8 @@ import sys
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SEEDS = range(1, 6)
 WORKLOADS = ("gen_h", "gen_d", "bounded", "boosted")
+# (workload, seed) pairs beyond SEEDS: boosted runs whose frames turn to NaN
+EXTRA_SEEDS = (("boosted", 7), ("boosted", 18), ("boosted", 19))
 
 # name -> (curvature m, n, a, b; (t0, t1, samples))
 QUARTETS = {
@@ -38,6 +43,9 @@ QUARTETS = {
     "sigma_tangency": (("1.13", "0.68-0.76*sin(-2.78*t)", "-1.23", "0"), (-1.6, 1.6, 41)),
     "d_refinement": (("2+0.5*t", "0.7*(t-1)", "1", "0"), (0.05, 2.0, 4)),
     "whole_fiber": (("1", "t", "2", "0"), (-0.5, 0.5, 101)),
+    "desitter_pole": (("2+0.5*t", "t", "1", "0"), (-1.0, 1.0, 21)),
+    "silent_nan": (("2.41+1.45*sinh(2.96*t)", "-1.2-1.56*tanh(2.06*t)",
+                    "-0.61+0.05*t+1.44*t^2", "0"), (-1.6, 1.6, 81)),
 }
 
 
@@ -49,8 +57,8 @@ def corpus(out_dir) -> list:
     spec.loader.exec_module(specgen)
     os.makedirs(out_dir, exist_ok=True)
     paths = sorted(glob.glob(os.path.join(ROOT, "specs", "*.json")))
-    texts = {f"{name}_{seed}": specgen.generate(name, seed)
-             for name in WORKLOADS for seed in SEEDS}
+    pairs = [(name, seed) for name in WORKLOADS for seed in SEEDS] + list(EXTRA_SEEDS)
+    texts = {f"{name}_{seed}": specgen.generate(name, seed) for name, seed in pairs}
     for name, (curvature, (t0, t1, samples)) in QUARTETS.items():
         texts[name] = json.dumps({
             "name": name,
