@@ -23,7 +23,7 @@ from .focal import (SingularityType, SingularPointRecord, SurfaceParam,
 from .evolute import (CorrespondenceReport, EvolutePointType, EvoluteSample,
                       classify_dual_d, classify_dual_h, correspondence_check,
                       dual_of_evolute_d, dual_of_evolute_h, evolute_d,
-                      evolute_h, lambda_dual_d, lambda_dual_h, psi_probe)
+                      evolute_h, lambda_dual_d, lambda_dual_h)
 from .duality import (DualPairSample, Fibration, FrontVerdict, front_verdict,
                       isotropy_residuals, pair_sample)
 from .pipeline import (CurveSpec, RunReport, export_loci_csv, export_obj,

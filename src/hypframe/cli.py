@@ -14,7 +14,6 @@ import csv
 import os
 import sys
 from collections import Counter
-from itertools import chain
 
 import numpy as np
 
@@ -79,27 +78,19 @@ def cmd_focal(args) -> int:
 
 def _evolute_rows(model, runs) -> list:
     """(t, side, epsilon, epsilon', point type) at each grid point of the
-    evolute runs, in grid order, h before d, as evolute_h / evolute_d give
-    them: read from columns, and through them, in that order, on each row
-    that is suspect or not finite, so that they raise as there."""
-    found = {}
-    for k, (side, fn) in enumerate(((_focal.H, _evolute.evolute_h),
-                                    (_focal.D, _evolute.evolute_d))):
-        index = list(chain.from_iterable(runs[side.evolute]))
-        frames, data, replay = model.frenet_columns(model.ts[index])
-        with np.errstate(all="ignore"):
-            vecs, (eps, eps1) = _evolute._evolute_columns(side, model, model.ts[index], frames)
-            types = _evolute._point_type(eps, eps1, _focal._scale(data), model.tol.sing)
-        replay = replay | ~np.isfinite(np.hstack([*vecs, eps, eps1])).all(axis=1)
-        for i, *row in zip(index, replay.tolist(), eps[:, 0].tolist(), eps1[:, 0].tolist(),
-                           types[:, 0].tolist()):
-            found[i, k] = (fn, side.evolute[-1], *row)
+    evolute runs, in grid order, as evolute_h / evolute_d give them: read
+    from the columns of a run at a time, which raise as those do."""
     rows = []
-    for (i, _), (fn, side, replay, *row) in sorted(found.items()):
-        if replay:
-            es = fn(model, float(model.ts[i]))
-            row = es.epsilon, es.epsilon_prime, es.point_type
-        rows.append((float(model.ts[i]), side, row[0], row[1], row[2].value))
+    for run, side in sorted(((run, side) for side in (_focal.H, _focal.D)
+                             for run in runs[side.evolute]), key=lambda e: e[0].start):
+        ts = model.ts[run.start:run.stop]
+        frames, data, _, suspect = _focal._columns(side, model, ts)
+        with np.errstate(all="ignore"):
+            vecs, (eps, eps1, _), checks = _evolute._evolute_columns(side, model, ts, frames)
+            types = _evolute._point_type(eps, eps1, _focal._scale(data), model.tol.sing)
+        _focal._raise_rows(model, data, suspect, [_focal._rule(side, model, data, True), *checks])
+        rows += [(t, side.evolute[-1], *row, ty.value) for t, *row, ty in zip(
+            ts.tolist(), *(c[:, 0].tolist() for c in (eps, eps1, types)))]
     return rows
 
 

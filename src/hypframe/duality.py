@@ -18,7 +18,7 @@ import numpy as np
 from . import evolute as _evolute
 from . import focal as _focal
 from .errors import FrameDegenerateError, InvalidInputError, SurfaceUndefinedError
-from .focal import D, H, Fibration, _require
+from .focal import D, H, Fibration
 from .framedcurve import FramedCurveModel
 from .minkowski import Columns, MinkVec, Quadric, membership_residual, mink_dot
 from .tolerances import DEFAULT, Tolerances
@@ -126,50 +126,31 @@ def pair_sample(model: FramedCurveModel, pair: str, t, theta) -> DualPairSample:
 
 
 def _batch(model, side, dual: bool, ts, thetas, skip: tuple) -> DualPairSample:
-    """The samples at each (ts[i], thetas[i]) as columns.  Where a value is
-    not finite, or the pair is undefined, the per-sample checks replay in
-    order of i, so a sample is left out, or raises, as it would alone;
-    they raise unless the error is one of `skip`, which leaves it out."""
-    frames, data, r, suspect = _focal._columns(side, model, ts, dual)
+    """The samples at each (ts[i], thetas[i]) as columns.  A flagged row
+    raises through _raise_rows what the per-sample path raised there: the
+    Frenet queries, the definedness rule, a leg row that is not finite, and
+    for the dual of an evolute, the evolute's own evaluations.  An error of
+    `skip` leaves the sample out instead, as it would be alone."""
+    frames, data, r, suspect = _focal._columns(side, model, ts)
     c, s = (x[:, None] for x in _focal._fiber(side, thetas, dual))
     with np.errstate(all="ignore"):
         p = _focal._points(data, frames, r, c, s, dual)
         pt, pth = (_focal._dual_partials if dual else _focal._focal_partials)(
             side, data, frames, r, c, s)
         zero = np.zeros_like(p)
-        checked = [p, pt, pth]
+        checked, checks = [p, pt, pth], []
         if dual:
-            vecs, eps = _evolute._evolute_columns(side, model, ts, frames)
+            vecs, _, checks = _evolute._evolute_columns(side, model, ts, frames)
             legs = ((vecs[0], vecs[1], zero), (p, pt, pth))
             (f, ft, fth), (g, gt, gth) = legs if side.evolute_first else legs[::-1]
-            extra = [*vecs, *eps]
         else:
             f, ft, fth, gth = p, pt, pth, zero
             g, gt = frames[:, 3], data.M * frames[:, 0] - data.A * frames[:, 1]
             checked += [g, gt]
-            extra = []
-        suspect |= ~np.isfinite(np.hstack(checked + extra)).all(axis=1)
-    keep = ~suspect
-    for i in np.flatnonzero(suspect):
-        try:
-            _replay(model, side, dual, float(ts[i]), [leg[i] for leg in checked])
-        except skip:
-            continue
-        keep[i] = True
+    keep = ~_focal._raise_rows(model, data, suspect, [
+        _focal._rule(side, model, data, dual), _focal._finite(*checked), *checks], skip)
     return DualPairSample(f[keep], g[keep], ft[keep], fth[keep], gt[keep], gth[keep],
                           side.fibration)
-
-
-def _replay(model, side, dual: bool, t: float, rows):
-    """Raise what the per-sample path raises at t, in its order: the Frenet
-    queries, the definedness rule, a leg row that is not finite, and for
-    the dual of an evolute, the evolute's own evaluations."""
-    model.frenet_frame_at(t)
-    _require(side, model.frenet_data_at(t), model, evolute=dual)
-    for row in rows:
-        MinkVec.from_array(row)
-    if dual:
-        (_evolute.evolute_h if side is H else _evolute.evolute_d)(model, t)
 
 
 def pair_theta_range(pair: str) -> tuple:

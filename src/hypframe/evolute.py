@@ -19,14 +19,13 @@ from itertools import chain
 
 import numpy as np
 
-from .focal import (D, H, Side, SingularityType, SingularPointRecord, SurfaceParam,
-                    _batch, _by_epsilon, _columns, _decide, _eps_values, _fiber, _partials,
-                    _point, _require, _scale, _undefined_at,
-                    classify_d, classify_h, defined_runs, focal_d_point, focal_h_point)
+from .focal import (D, H, Side, SingularityType, SingularPointRecord, SurfaceParam, _batch,
+                    _by_epsilon, _columns, _decide, _eps_columns, _eps_values, _fiber, _finite,
+                    _partials, _point, _raise_rows, _replayed, _rule, _scale, _undefined_at,
+                    defined_runs, focal_d_point, focal_h_point)
 from .framedcurve import FramedCurveModel
 from .minkowski import MinkVec
-from .symexpr import eval_expr
-from .tolerances import is_zero
+from .symexpr import eval_expr  # unused here; perfbench's tracer wraps this binding
 
 DualSurfaceRecord = SingularPointRecord
 
@@ -52,24 +51,6 @@ class EvoluteSample:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _evolute_sample(model, t, side: Side) -> EvoluteSample:
-    data = model.frenet_data_at(t)
-    _require(side, data, model, evolute=True)
-    f = model.frenet_frame_at(t)
-    program = side.evolute_program(model.frenet)
-    coeffs = model.grid_values(program, t) or eval_expr(program, t)
-    vecs = [MinkVec.from_array(np.array(coeffs[k:k + 4]) @ f) for k in range(0, 16, 4)]
-    eps, eps1, fallback = _eps_values(model, t, side)
-    ptype = _point_type(eps, eps1, _scale(data), model.tol.sing)
-    sv = np.linalg.svd(np.array([vecs[2].as_array(), vecs[3].as_array()]), compute_uv=False)
-    diag = {"sigma_f": data.sigma_f, "rank23_singular_values": (float(sv[0]), float(sv[1]))}
-    if fallback:
-        diag["epsilon_via_closed_form"] = True
-    return EvoluteSample(t=t, point=vecs[0], derivative1=vecs[1], derivative2=vecs[2],
-                         derivative3=vecs[3], point_type=ptype, epsilon=eps,
-                         epsilon_prime=eps1, diagnostics=diag)
-
-
 # regular point iff epsilon != 0, (2,3,4)-cusp iff epsilon = 0 and epsilon' != 0
 _point_type = _by_epsilon((EvolutePointType.REGULAR_POINT, EvolutePointType.CUSP_234,
                            EvolutePointType.DEGENERATE_UNCLASSIFIED))
@@ -78,24 +59,42 @@ _dual_type = _by_epsilon((SingularityType.CUSPIDAL_EDGE, SingularityType.CUSPIDA
                           SingularityType.DEGENERATE_UNCLASSIFIED))
 
 
-def _evolute_columns(side: Side, model, ts, f) -> tuple:
-    """_evolute_sample's evaluations at each of the array ts against the
-    Frenet frames f (m, 4, 4): the (m, 4) rows of E, E', E'', E''', and
-    the (m, 1) columns of epsilon and epsilon' along the theta branch."""
-    coeffs = model.program_columns(side.evolute_program(model.frenet), ts)
+def _evolute_columns(side: Side, model, ts, frames, rows=True) -> tuple:
+    """The evolute at each of the array ts against its (m, 4, 4) Frenet
+    frames: the (m, 4) rows of E and its three derivatives, (eps, eps1,
+    fallback) of _eps_columns on the mask `rows`, and the checks of the
+    evolute's own evaluations, which follow its definedness rule, in order."""
+    program = side.evolute_program(model.frenet)
+    coeffs = model.program_columns(program, ts)
     # a stacked matmul rounds each row as the one-sample product does
-    vecs = [(np.hstack(coeffs[k:k + 4])[:, None, :] @ f)[:, 0] for k in range(0, 16, 4)]
-    return vecs, model.program_columns(side.eps_path(model.frenet), ts)
+    vecs = [(np.hstack(coeffs[k:k + 4])[:, None, :] @ frames)[:, 0] for k in range(0, 16, 4)]
+    *eps, closed = _eps_columns(side, model, ts, rows)
+    return vecs, eps, [_replayed(program, coeffs), _finite(*vecs), closed]
+
+
+def _sample(side: Side, model, t) -> EvoluteSample:
+    """The EvoluteSample at t: a length-1 batch of _evolute_columns."""
+    frames, data, _, suspect = _columns(side, model, [t])
+    with np.errstate(all="ignore"):
+        vecs, (eps, eps1, fallback), checks = _evolute_columns(side, model, data.t[:, 0], frames)
+    _raise_rows(model, data, suspect, [_rule(side, model, data, True), *checks])
+    row, eps, eps1 = data.row(0), float(eps[0, 0]), float(eps1[0, 0])
+    sv = np.linalg.svd(np.array([vecs[2][0], vecs[3][0]]), compute_uv=False)
+    diag = {"sigma_f": row.sigma_f, "rank23_singular_values": (float(sv[0]), float(sv[1]))}
+    if fallback[0]:
+        diag["epsilon_via_closed_form"] = True
+    return EvoluteSample(t, *(MinkVec.from_array(v[0]) for v in vecs),
+                         _point_type(eps, eps1, _scale(row), model.tol.sing), eps, eps1, diag)
 
 
 def evolute_h(model: FramedCurveModel, t: float) -> EvoluteSample:
     """(A^2 N gamma - M A N n1 + W n2) / sqrt(sigma_F), on H3 (sigma_F > 0)."""
-    return _evolute_sample(model, t, H)
+    return _sample(H, model, t)
 
 
 def evolute_d(model: FramedCurveModel, t: float) -> EvoluteSample:
     """(A^2 N gamma - M A N n1 + W n2) / sqrt(-sigma_F), on S31 (sigma_F < 0)."""
-    return _evolute_sample(model, t, D)
+    return _sample(D, model, t)
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +104,15 @@ def evolute_d(model: FramedCurveModel, t: float) -> EvoluteSample:
 # the side's dual fiber pair (c, s), for which c' = -kappa s.
 
 
+def _lam_dual(side: Side, data, s):
+    """lambda of the dual of the evolute at the dual fiber values s, per row
+    of FrenetData columns."""
+    return side.kappa * s * np.sqrt(side.kappa * data.sigma_f) / side.columns(data)[0]
+
+
 def _lambda_dual(side: Side, model, t, theta) -> float:
-    data = model.frenet_data_at(t)
-    disc = _require(side, data, model, evolute=True)[0]
-    return side.kappa * side.dual_s(theta) * math.sqrt(side.kappa * data.sigma_f) / disc
+    data = _batch(side, model, [t], evolute=True)[1]
+    return float(_lam_dual(side, data, _fiber(side, [theta], dual=True)[1][:, None])[0, 0])
 
 
 def dual_of_evolute_h(model: FramedCurveModel, t: float, theta: float) -> MinkVec:
@@ -145,17 +149,19 @@ def lambda_dual_d(model: FramedCurveModel, t: float, theta: float) -> float:
 
 
 def _classify_dual(model, t0, side: Side, theta0):
-    """classify_dual_h/_d on the side; a non-finite closed epsilon replays eval_expr."""
+    """classify_dual_h/_d on the side, as one batch."""
     one = not np.ndim(t0)
     tl = [t0] if one else np.asarray(t0, dtype=float).tolist()
     thetas = [theta0] if one else np.broadcast_to(theta0, len(tl)).tolist()
+    _, data, _, suspect = _columns(side, model, tl, frames=False)
     program = side.eps_closed(model.frenet)
-    data, (eps, eps1) = _batch(side, model, tl, True, program,
-                               lambda _, i: eval_expr(program, tl[i]))
-    k, s = side.kappa, _fiber(side, thetas, dual=True)[1][:, None]
+    eps, eps1 = model.program_columns(program, data.t[:, 0])
+    _raise_rows(model, data, suspect, [_rule(side, model, data, True),
+                                       _replayed(program, (eps, eps1))])
+    s = _fiber(side, thetas, dual=True)[1][:, None]
     with np.errstate(all="ignore"):
         scale = _scale(data)
-        cols = (k * s * np.sqrt(k * data.sigma_f) / side.columns(data)[0], data.sigma_f,
+        cols = (_lam_dual(side, data, s), data.sigma_f,
                 _dual_type(eps, eps1, scale, model.tol.sing), eps, eps1, scale)
     records = [DualSurfaceRecord(
         surface=side.dual, param=SurfaceParam(t, th), lam=lm, sigma_f=sg, type=ty,
@@ -182,33 +188,6 @@ def classify_dual_d(model: FramedCurveModel, t0: float,
                     theta0: float = 0.0) -> DualSurfaceRecord:
     """De Sitter analogue of classify_dual_h; singular set is theta = 0."""
     return _classify_dual(model, t0, D, theta0)
-
-
-def psi_probe(model: FramedCurveModel, t0: float, side: str = "h",
-              delta: float = 1e-3, count: int = 4) -> dict:
-    """Limit-based cross check of the cross-cap test on a deleted neighborhood.
-
-    Samples psi = -epsilon^2 / |epsilon| = -|epsilon| on both sides of t0
-    and reports the one-sided values and slopes; psi tends to zero exactly
-    when epsilon does, with slope magnitude |epsilon'|.  side is "h" or "d".
-    """
-    side = {"h": H, "d": D}[side]
-    left = [t0 - delta * (j + 1) / count for j in range(count)]
-    right = [t0 + delta * (j + 1) / count for j in range(count)]
-    psi_l, psi_r = ([-abs(_eps_values(model, t, side)[0]) for t in ts] for ts in (left, right))
-    eps0, eps10, _ = _eps_values(model, t0, side)
-    data = model.frenet_data_at(t0)
-    h = delta / count
-    return {
-        "t0": t0,
-        "psi_left": psi_l,
-        "psi_right": psi_r,
-        "slope_left": (psi_l[0] - psi_l[1]) / h,
-        "slope_right": (psi_r[1] - psi_r[0]) / h,
-        "epsilon_at_t0": eps0,
-        "epsilon_prime_at_t0": eps10,
-        "vanishes_at_t0": is_zero(eps0, _scale(data), model.tol.sing),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -267,60 +246,48 @@ def _each(fn, *cols) -> np.ndarray:
 
 
 def _leg_columns(model, ts, side: Side, focal_point) -> tuple:
-    """_leg's `at` at each of the grid points ts as columns: per row, the
-    focal, evolute and dual types, epsilon, the image distance, and whether
-    `at` must replay it, where a value is not finite or the evolute undefined."""
-    frames, data, _, replay = _columns(side, model, ts, dual=True)
-    tol = model.tol.sing
+    """The correspondence on the singular curve at each of the array ts, as
+    columns: per row, the focal, evolute and dual types, epsilon and the
+    distance from the focal point to the evolute point.  A flagged row
+    raises through _raise_rows what the per-point queries raised there:
+    the root theta, the focal record, the evolute sample, the focal point
+    and the dual record, in that order."""
+    frames, data, _, suspect = _columns(side, model, ts)
+    tol, closed = model.tol.sing, side.eps_closed(model.frenet)
     with np.errstate(all="ignore"):
         theta = _each(side.root, data.W, side.columns(data)[1])
         cs, sn = _each(side.c, theta), _each(side.s, theta)
-        (e, *vecs), (eps, eps1) = _evolute_columns(side, model, ts, frames)
-        closed, closed1 = model.program_columns(side.eps_closed(model.frenet), ts)
-        dist = focal_point(model, ts, theta[:, 0]) - e
-        replay |= ~np.isfinite(np.hstack([theta, cs, sn, e, *vecs, eps, eps1, closed,
-                                          closed1, dist])).all(axis=1)
-        focal, _, s, _ = _decide(side, data, cs, sn, eps, eps1, tol)
-        point, dual = _point_type(eps, eps1, s, tol), _dual_type(closed, closed1, s, tol)
+        (e, *_), (eps, eps1, fallback), checks = _evolute_columns(side, model, ts, frames)
+        dual_eps = model.program_columns(closed, ts)
+        p = focal_point(model, ts, theta[:, 0])
+        dist = p - e
+        focal, b, s, _ = _decide(side, data, cs, sn, eps, eps1, tol)
+        point, dual = _point_type(eps, eps1, s, tol), _dual_type(*dual_eps, s, tol)
+    _raise_rows(model, data, suspect, [
+        (lambda row, i: side.root(row.W, side.columns(row)[1]), ~np.isfinite(theta[:, 0])),
+        _rule(side, model, data), _replayed(closed, (eps, eps1), fallback & ~b[:, 0]),
+        _rule(side, model, data, True), *checks, _finite(p, dist), _replayed(closed, dual_eps)])
     types = zip(focal[:, 0].tolist(), point[:, 0].tolist(), dual[:, 0].tolist())
-    return list(types), eps[:, 0].tolist(), np.abs(dist).max(axis=1).tolist(), replay.tolist()
+    return list(types), eps[:, 0].tolist(), np.abs(dist).max(axis=1).tolist()
 
 
-def _leg(model, ts, runs, side: Side, bindings) -> LegReport:
+def _leg(model, ts, runs, side: Side, focal_point) -> LegReport:
     """Correspondence checks on one side, over the index runs of ts where
-    its evolute is defined; bindings are that side's public (focal point,
-    classify, evolute, classify_dual) functions, passed in so that a
-    rebound module attribute (a profiler's wrapper) is called.  The grid
-    points are checked as columns (_leg_columns); each row it marks, and
-    each epsilon crossing, is checked by `at`, one point at a time."""
-    focal_point, classify, evolute, classify_dual = bindings
+    its evolute is defined, and at each epsilon crossing, as columns
+    (_leg_columns); focal_point is that side's public focal point function,
+    passed in so that a rebound module attribute (a profiler's wrapper) is
+    called."""
     if not runs:
         reason = _undefined_at(model, float(ts[-1]), side, evolute=True) if len(ts) else None
         return LegReport(status="skipped",
                          reason=reason or "evolute undefined on the whole grid")
 
-    def at(t):
-        """Focal record, evolute sample, dual record and the distance from
-        the focal point to the evolute point, on the singular curve at t."""
-        data = model.frenet_data_at(t)
-        theta = side.root(data.W, side.columns(data)[1])
-        rec = SingularPointRecord(surface=side.focal, param=SurfaceParam(t, theta),
-                                  lam=0.0, sigma_f=data.sigma_f)
-        classify(model, rec)
-        es = evolute(model, t)
-        dist = (focal_point(model, t, theta) - es.point).max_abs()
-        return rec, es, classify_dual(model, t), dist
-
     leg = LegReport(status="checked", points=sum(map(len, runs)))
     agreements, max_dist, eps = {}, 0.0, {}  # eps: grid index -> epsilon
     index = list(chain.from_iterable(runs))
-    for i, types, e, dist, replay in zip(index, *_leg_columns(model, ts[index], side,
-                                                             focal_point)):
+    for i, (focal, point, dual), e, dist in zip(index, *_leg_columns(model, ts[index], side,
+                                                                    focal_point)):
         t = float(ts[i])
-        if replay:
-            rec, es, dual, dist = at(t)
-            types, e = (rec.type, es.point_type, dual.type), es.epsilon
-        focal, point, dual = types
         max_dist = max(max_dist, dist)
         regular = point is EvolutePointType.REGULAR_POINT
         cusp = point is EvolutePointType.CUSP_234
@@ -353,18 +320,19 @@ def _leg(model, ts, runs, side: Side, bindings) -> LegReport:
             if ea != 0.0 and eb != 0.0 and (ea < 0) != (eb < 0):
                 crossing_ts.append(_bisect_eps_zero(model, side, float(ts[ia]),
                                                     float(ts[ib]), ea, eb))
-    for t_star in sorted(crossing_ts):
-        rec, es, dual, dist = at(t_star)
+    crossing_ts.sort()
+    for t_star, (focal, point, dual), _, dist in zip(crossing_ts, *_leg_columns(
+            model, np.array(crossing_ts), side, focal_point) if crossing_ts else ()):
         max_dist = max(max_dist, dist)
         event = {
             "t": t_star,
-            "focal_type": rec.type.value,
-            "evolute_type": es.point_type.value,
-            "dual_type": dual.type.value,
-            "sw_iff_cusp": (rec.type is SingularityType.SWALLOWTAIL)
-                           == (es.point_type is EvolutePointType.CUSP_234),
-            "sw_iff_ccr": (rec.type is SingularityType.SWALLOWTAIL)
-                          == (dual.type is SingularityType.CUSPIDAL_CROSS_CAP),
+            "focal_type": focal.value,
+            "evolute_type": point.value,
+            "dual_type": dual.value,
+            "sw_iff_cusp": (focal is SingularityType.SWALLOWTAIL)
+                           == (point is EvolutePointType.CUSP_234),
+            "sw_iff_ccr": (focal is SingularityType.SWALLOWTAIL)
+                          == (dual is SingularityType.CUSPIDAL_CROSS_CAP),
         }
         leg.events.append(event)
         if not event["sw_iff_cusp"]:
@@ -392,12 +360,9 @@ def correspondence_check(model: FramedCurveModel, runs=None) -> CorrespondenceRe
     if runs is None:
         runs = defined_runs(model)
     ts = model.ts
-    # each side's public bindings, looked up per call (see _leg)
-    return CorrespondenceReport(
-        hyperbolic=_leg(model, ts, runs[H.evolute], H,
-                        (focal_h_point, classify_h, evolute_h, classify_dual_h)),
-        desitter=_leg(model, ts, runs[D.evolute], D,
-                      (focal_d_point, classify_d, evolute_d, classify_dual_d)))
+    # each side's public focal point, looked up per call (see _leg)
+    return CorrespondenceReport(hyperbolic=_leg(model, ts, runs[H.evolute], H, focal_h_point),
+                                desitter=_leg(model, ts, runs[D.evolute], D, focal_d_point))
 
 
 __all__ = [
@@ -405,6 +370,6 @@ __all__ = [
     "evolute_h", "evolute_d",
     "dual_of_evolute_h", "dual_of_evolute_h_partials", "lambda_dual_h",
     "dual_of_evolute_d", "dual_of_evolute_d_partials", "lambda_dual_d",
-    "classify_dual_h", "classify_dual_d", "psi_probe",
+    "classify_dual_h", "classify_dual_d",
     "correspondence_check", "CorrespondenceReport", "LegReport",
 ]

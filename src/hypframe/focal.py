@@ -211,27 +211,67 @@ def defined_runs(model: FramedCurveModel) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Points, partials, discriminants
+# The columns of a batch of ts, the errors of their flagged rows, and the
+# points, partials and discriminants over them
+#
+# The surfaces and their partials are array functions: the fiber values c
+# and s, the FrenetData and r = sqrt(disc) are columns and f is a stack of
+# Frenet frames, broadcast against each other; one row per row of them.
 
 
-def _frame_data(side: Side, model: FramedCurveModel, t: float, dual: bool = False):
-    """(data, Frenet frame, sqrt(disc)) at t; raises where _undefined gives a reason."""
-    data = model.frenet_data_at(t)
-    r = math.sqrt(_require(side, data, model, evolute=dual)[0])
-    return data, model.frenet_frame_at(t), r
+def _columns(side: Side, model, ts, frames: bool = True) -> tuple:
+    """(frames, data, r, suspect): frenet_columns at the ts (with `frames`),
+    and r = sqrt(disc) of the side."""
+    frames, data, suspect = model.frenet_columns(np.asarray(ts, dtype=float), frames)
+    with np.errstate(all="ignore"):
+        return frames, data, np.sqrt(side.columns(data)[0]), suspect
 
 
-def _fiber_points(side: Side, model, t: float, c, s, dual: bool = False) -> np.ndarray:
-    """The side's focal surface (with `dual`, the dual of its evolute) at t,
-    one row per entry of the fiber arrays c and s."""
-    data, f, r = _frame_data(side, model, t, dual)
-    return _points(data, f, r, c[:, None], s[:, None], dual)
+def _raise_rows(model, data, suspect, checks, skip=()) -> np.ndarray:
+    """Raise what the per-point path raised at the first flagged row, one
+    that is suspect or in the rows of a (check, rows) of checks: the error
+    of frenet_data_at, then of each check(row, i) in turn, row being row i
+    as frenet_data_at gives it.  A row raising an error of `skip` is left
+    out instead: the mask of those rows.  A flagged row that raises nothing
+    keeps its column values, the per-point values bit for bit."""
+    out = np.zeros(len(suspect), dtype=bool)
+    for i in np.flatnonzero(np.logical_or.reduce([suspect, *(c[1] for c in checks)])).tolist():
+        try:
+            row = model.frenet_data_at(float(data.t[i, 0])) if suspect[i] else data.row(i)
+            for check, _ in checks:
+                check(row, i)
+        except skip:
+            out[i] = True
+    return out
 
 
-# The surfaces and their partials as array functions: the fiber values c
-# and s are (k, 1) columns, and either the frame f is one (4, 4) Frenet
-# frame with data and r = sqrt(disc) floats, or f is a (k, 4, 4) stack with
-# data and r (k, 1) columns.  One row per fiber value, in both cases.
+def _rule(side: Side, model, data, evolute: bool = False) -> tuple:
+    """The check of the definedness rule (_require), and its failing rows."""
+    with np.errstate(all="ignore"):
+        undefined = np.logical_or(*_failing(side, data, model.tol, evolute))[:, 0]
+    return lambda row, i: _require(side, row, model, evolute), undefined
+
+
+def _finite(*legs) -> tuple:
+    """The check of MinkVec's non-finite component on the (m, 4) legs, in
+    order, and their non-finite rows."""
+    return (lambda row, i: [MinkVec.from_array(leg[i]) for leg in legs],
+            ~np.isfinite(np.hstack(legs)).all(axis=1))
+
+
+def _replayed(program, values, where=True) -> tuple:
+    """The check of the program's located ExprDomainError by its scalar
+    replay, on the rows (where `where`) whose (m, 1) values are not finite."""
+    bad = where & ~np.isfinite(np.hstack(values)).all(axis=1)
+    return lambda row, i: bad[i] and eval_expr(program, row.t), bad
+
+
+def _batch(side: Side, model, tl, evolute: bool = False, frames: bool = False) -> tuple:
+    """(frames, data, r) of _columns at the ts tl (with `frames`), raised from
+    where the side's focal surface (with `evolute`, its evolute) is undefined."""
+    frames, data, r, suspect = _columns(side, model, tl, frames)
+    _raise_rows(model, data, suspect, [_rule(side, model, data, evolute)])
+    return frames, data, r
 
 
 def _points(data, f, r, c, s, dual: bool = False) -> np.ndarray:
@@ -271,44 +311,26 @@ def _fiber(side: Side, thetas, dual: bool = False):
     return [np.array([fn(th) for th in thetas]) for fn in fns]
 
 
-def _columns(side: Side, model, ts, dual: bool = False) -> tuple:
-    """(frames, data, r, replay) at the array ts: frenet_columns, r = sqrt(disc)
-    and the rows to replay one point at a time, where frenet_columns marks
-    them or the surface (with `dual`, the side's evolute) is undefined."""
-    frames, data, replay = model.frenet_columns(ts)
-    with np.errstate(all="ignore"):
-        replay |= np.logical_or(*_failing(side, data, model.tol, dual))[:, 0]
-        return frames, data, np.sqrt(side.columns(data)[0]), replay
-
-
 def _point(side: Side, model, t, theta, dual: bool = False):
     """The point at (t, theta), a MinkVec; for arrays t and theta, the (m, 4)
     rows of the points at each (t[i], theta[i]), unchecked: a row that is not
-    finite, or where the surface is undefined, is the caller's to replay."""
+    finite, or where the surface is undefined, is the caller's to raise from."""
     if np.ndim(t):
-        frames, data, r, _ = _columns(side, model, np.asarray(t, dtype=float), dual)
+        frames, data, r, _ = _columns(side, model, t)
         with np.errstate(all="ignore"):
             return _points(data, frames, r, *(x[:, None] for x in _fiber(side, theta, dual)),
                            dual)
-    return MinkVec.from_array(_fiber_points(side, model, t, *_fiber(side, [theta], dual), dual))
+    c, s = (x[:, None] for x in _fiber(side, [theta], dual))
+    frames, data, r = _batch(side, model, [t], dual, frames=True)
+    return MinkVec.from_array(_points(data, frames, r, c, s, dual))
 
 
 def _partials(side: Side, model: FramedCurveModel, t: float, theta: float, dual=False):
     """_focal_partials (with `dual`, _dual_partials) at one (t, theta), as MinkVecs."""
-    data, f, r = _frame_data(side, model, t, dual)
+    frames, data, r = _batch(side, model, [t], dual, frames=True)
     c, s = (x[:, None] for x in _fiber(side, [theta], dual))
     partials = _dual_partials if dual else _focal_partials
-    return tuple(MinkVec.from_array(v) for v in partials(side, data, f, r, c, s))
-
-
-def _lam(data: FrenetData, cols: tuple, c, s):
-    """lambda at the fiber values (c, s), at one point or per row of columns."""
-    return (c * data.W - s * cols[1]) / cols[0]
-
-
-def _lambda(side: Side, model: FramedCurveModel, t: float, theta: float) -> float:
-    data = model.frenet_data_at(t)
-    return _lam(data, _require(side, data, model), side.c(theta), side.s(theta))
+    return tuple(map(MinkVec.from_array, partials(side, data, frames, r, c, s)))
 
 
 def focal_h_point(model: FramedCurveModel, t, theta):
@@ -334,11 +356,11 @@ def focal_d_partials(model: FramedCurveModel, t: float, theta: float):
 
 def lambda_h(model: FramedCurveModel, t: float, theta: float) -> float:
     """[cosh(theta) W - sinh(theta) A N sqrt(A^2-M^2)] / (A^2-M^2)."""
-    return _lambda(H, model, t, theta)
+    return _records(H, model, [(t, theta, False)])[0].lam
 
 
 def lambda_d(model: FramedCurveModel, t: float, theta: float) -> float:
-    return _lambda(D, model, t, theta)
+    return _records(D, model, [(t, theta, False)])[0].lam
 
 
 def constraint_residuals(model: FramedCurveModel, t: float, point: MinkVec,
@@ -362,42 +384,11 @@ def constraint_residuals(model: FramedCurveModel, t: float, point: MinkVec,
 # Singular loci and their classification, as columns: a row per grid t or per record
 
 
-def _batch(side: Side, model, tl, evolute: bool = False, program=None, replay=None) -> tuple:
-    """(data, values) at the ts tl: FrenetData (m, 1) columns and those of
-    eval_expr(program), rows of the grid table once it is built.  In index
-    order, a row off the grid, suspect or undefined takes frenet_data_at's
-    values after _require, which raise as one point at a time does, and a
-    row whose values are not finite takes replay(data, i)'s."""
-    ts, grid = np.array(tl, dtype=float), model.__dict__.get("grid")
-    if grid is None:
-        (_, data, redo), rows = model.frenet_columns(ts), np.arange(len(ts))
-        values = eval_expr(program, ts[:, None]) if program else ()
-    else:
-        rows, on = grid.lookup(ts)
-        data, redo = grid.data, grid.suspect[rows] | ~on
-        values = [np.where(on[:, None], c[rows], math.nan)
-                  for c in (grid.program(program) if program else ())]
-    data, values = data.rows(rows), [np.array(c, dtype=float) for c in values]  # writable
-    with np.errstate(all="ignore"):
-        redo |= np.logical_or(*_failing(side, data, model.tol, evolute))[:, 0]
-    bad = ~np.isfinite(np.hstack([np.zeros((len(ts), 0)), *values])).all(axis=1)
-    for i in np.flatnonzero(redo | bad).tolist():
-        if redo[i]:
-            row = model.frenet_data_at(tl[i])
-            _require(side, row, model, evolute)
-            for k, v in vars(row).items():
-                if isinstance(getattr(data, k), np.ndarray):
-                    getattr(data, k)[i] = math.nan if v is None else v
-        for col, v in zip(values, bad[i] and replay(data, i) or ()):
-            col[i] = v
-    return data, values
-
-
 def _locus_rows(side: Side, model, ts) -> tuple:
     """(ts as floats, data, whole) of a locus at the grid ts: the FrenetData
     columns, and where (W, D) vanishes, so that the whole fiber is singular."""
     tl = (model.ts if ts is None else np.asarray(ts, dtype=float)).tolist()
-    data = _batch(side, model, tl)[0]
+    data = _batch(side, model, tl)[1]
     s, tol = _scale(data), model.tol.sing
     whole = is_zero(data.W, s, tol) & is_zero(side.columns(data)[1], s, tol)
     return tl, data, whole[:, 0].tolist()
@@ -407,9 +398,10 @@ def _records(side: Side, model, entries: list) -> list:
     """The locus records of the entries (t, theta, whole fiber), with lambda
     and sigma_F from the FrenetData rows at their ts."""
     ts, thetas, whole = zip(*entries) if entries else ((), (), ())
-    data = _batch(side, model, ts)[0]
+    data = _batch(side, model, ts)[1]
     c, s = (x[:, None] for x in _fiber(side, thetas))
-    lam = _lam(data, side.columns(data), c, s)[:, 0].tolist()
+    disc, d0 = side.columns(data)[:2]
+    lam = ((c * data.W - s * d0) / disc)[:, 0].tolist()
     return [SingularPointRecord(
         surface=side.focal, param=SurfaceParam(t, th), lam=lm, sigma_f=sg, whole_fiber=w,
         diagnostics={"lambda_at_root": lm} if w else {"lambda_at_root": lm, "sigma_f": sg})
@@ -490,18 +482,29 @@ def _eps_values(model, t, side: Side):
     """(epsilon, epsilon') via the symbolically differentiated theta branch.
 
     Falls back to the algebraically equivalent closed form where the
-    branch expression hits an exact pole (Dh or Dd exactly zero).  At a
-    grid t, the values come from the grid table where they are finite.
+    branch expression hits an exact pole (Dh or Dd exactly zero).
     """
     program = side.eps_path(model.frenet)
     try:
-        eps, eps1 = model.grid_values(program, t) or eval_expr(program, t)
+        eps, eps1 = eval_expr(program, t)
         fallback = not (math.isfinite(eps) and math.isfinite(eps1))
     except ExprDomainError:
         fallback = True
     if fallback:
         eps, eps1 = eval_expr(side.eps_closed(model.frenet), t)
     return eps, eps1, fallback
+
+
+def _eps_columns(side: Side, model, ts, rows=True) -> tuple:
+    """(eps, eps1, fallback, check): _eps_values at the array ts as (m, 1)
+    columns, on the rows of the mask `rows`; the rows that take the closed
+    form, and the _replayed check of its located ExprDomainError there."""
+    closed = side.eps_closed(model.frenet)
+    eps = [np.array(c) for c in model.program_columns(side.eps_path(model.frenet), ts)]
+    fallback = rows & ~np.isfinite(np.hstack(eps)).all(axis=1)
+    if fallback.any():
+        eps[0][fallback], eps[1][fallback] = model.program_columns(closed, ts[fallback])
+    return *eps, fallback, _replayed(closed, eps, fallback)
 
 
 def _first(cases, default):
@@ -564,20 +567,15 @@ def _decide(side: Side, data: FrenetData, c, s, eps, eps1, tol) -> tuple:
 
 def _classify(side: Side, model, records):
     """Set the type, nondegenerate and diagnostics of a record, or of each of
-    a list as one batch; its type, or the list of them.  A branch (a) row
-    whose epsilon path is not finite replays _eps_values (closed form)."""
+    a list as one batch; its type, or the list of them.  Epsilon is taken
+    by _eps_columns on the branch (a) rows."""
     recs = [records] if isinstance(records, SingularPointRecord) else list(records)
     if not recs:  # no epsilon program to compile
         return []
-    tl, tol, fallback = [r.param.t for r in recs], model.tol.sing, [False] * len(recs)
-
-    def eps_at(data, i):
-        if not _branch_b(data.rows(np.s_[i:i + 1]), tol)[0][0, 0]:
-            *eps, fallback[i] = _eps_values(model, tl[i], side)
-            return eps
-
-    data, (eps, eps1) = _batch(side, model, tl, program=side.eps_path(model.frenet),
-                               replay=eps_at)
+    ts, tol = np.array([r.param.t for r in recs], dtype=float), model.tol.sing
+    _, data, _, suspect = _columns(side, model, ts, frames=False)
+    eps, eps1, fallback, closed = _eps_columns(side, model, ts, ~_branch_b(data, tol)[0][:, 0])
+    _raise_rows(model, data, suspect, [_rule(side, model, data), closed])
     c, s = (x[:, None] for x in _fiber(side, [r.param.theta for r in recs]))
     with np.errstate(all="ignore"):
         types, b, scale, (c1, c2, c3) = _decide(side, data, c, s, eps, eps1, tol)
@@ -586,7 +584,7 @@ def _classify(side: Side, model, records):
         nondegenerate = ~is_zero(np.maximum(np.abs(lam_t), np.abs(lam_th)), scale, tol)
     cols = (types, nondegenerate, b, scale, data.W, data.N, eps, eps1, c1, c2, c3, lam_t, lam_th)
     for rec, fb, (ty, nd, bb, sc, w, n, e, e1, x1, x2, x3, lt, lth) in zip(
-            recs, fallback, zip(*(col[:, 0].tolist() for col in cols))):
+            recs, fallback.tolist(), zip(*(col[:, 0].tolist() for col in cols))):
         rec.type, rec.nondegenerate, diag = ty, nd, rec.diagnostics
         diag.update(scale=sc, W=w, N=n, branch="b" if bb else "a")
         diag.update({"c1_nondegeneracy": x1, "c2_mixed_derivative": x2, "c3_second_order": x3}
@@ -621,14 +619,12 @@ def classify_point(model: FramedCurveModel, surface: str, t: float,
     Returns a REGULAR-typed record when lambda is away from zero.
     """
     side = _focal_side(surface)
-    data = model.frenet_data_at(t)
-    lam = _lambda(side, model, t, theta)
-    rec = SingularPointRecord(surface=surface, param=SurfaceParam(t, theta),
-                              lam=lam, sigma_f=data.sigma_f)
-    if is_zero(lam, _scale(data), model.tol.sing):
+    rec = _records(side, model, [(t, theta, False)])[0]
+    rec.diagnostics = {}
+    if is_zero(rec.lam, _scale(model.frenet_data_at(t)), model.tol.sing):
         _classify(side, model, rec)
     else:
-        rec.type, rec.diagnostics["lambda"] = SingularityType.REGULAR, lam
+        rec.type, rec.diagnostics["lambda"] = SingularityType.REGULAR, rec.lam
     return rec
 
 
@@ -642,9 +638,9 @@ def surface_grid(model: FramedCurveModel, which: str, ts, thetas) -> np.ndarray:
     which names a focal surface ("focal_h", "focal_d") or the dual of an
     evolute ("dual_eh", "dual_ed").  The grid is one broadcast of _points
     over frenet_columns(ts) (rows of the grid table at grid ts) and the
-    theta row; a row that frenet_columns marks suspect, or where the
-    surface is undefined, is replayed by _fiber_points, in order.  A point
-    that is not finite, or is off its quadric, raises.
+    theta row; _raise_rows checks each row that frenet_columns marks
+    suspect, or where the surface is undefined.  A point that is not
+    finite, or is off its quadric, raises.
     """
     if which not in (H.focal, D.focal, H.dual, D.dual):
         raise InvalidInputError(f"unknown surface {which!r}")
@@ -655,15 +651,19 @@ def surface_grid(model: FramedCurveModel, which: str, ts, thetas) -> np.ndarray:
     if not out.size:
         return out
     c, s = _fiber(side, thetas, dual)
-    frames, data, r, replay = _columns(side, model, ts, dual)
+    frames, data, r, suspect = _columns(side, model, ts)
+    rule, undefined = _rule(side, model, data, dual)
+
+    def wrapped(row, i):
+        try:
+            rule(row, i)
+        except SurfaceUndefinedError as exc:
+            raise SurfaceUndefinedError(f"grid point (i={i}, j=0): {exc}") from exc
+
+    _raise_rows(model, data, suspect, [(wrapped, undefined)])
     with np.errstate(all="ignore"):
         out[:] = _points(data.rows(np.s_[:, :, None]), frames[:, None], r[:, :, None],
                          c[:, None], s[:, None], dual)
-    for i in np.flatnonzero(replay):
-        try:
-            out[i] = _fiber_points(side, model, float(ts[i]), c, s, dual)
-        except SurfaceUndefinedError as exc:
-            raise SurfaceUndefinedError(f"grid point (i={i}, j=0): {exc}") from exc
     if not np.isfinite(out).all():
         raise InvalidInputError(
             f"non-finite component in MinkVec: {float(out[~np.isfinite(out)][0])!r}")

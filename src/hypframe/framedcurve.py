@@ -343,6 +343,16 @@ class FrenetData:
         return FrenetData(*(v[index] if isinstance(v, np.ndarray) else v
                             for v in vars(self).values()))
 
+    def row(self, i) -> "FrenetData":
+        """Of FrenetData columns, row i as frenet_data_at gives it: floats,
+        and None for the D values whose discriminant is not positive."""
+        row = {k: float(v[i, 0]) if isinstance(v, np.ndarray) else v
+               for k, v in vars(self).items()}
+        for disc, names in (("disc_h", ("Dh", "Dh1", "Dh2")), ("disc_d", ("Dd", "Dd1", "Dd2"))):
+            if not row[disc] > 0.0:
+                row.update(dict.fromkeys(names))
+        return FrenetData(**row)
+
 
 # ---------------------------------------------------------------------------
 # The integrated model
@@ -351,27 +361,21 @@ class FrenetData:
 class GridTable:
     """The Frenet quantities of a model over its whole grid, evaluated once.
 
-    `frames`, `data` and `suspect` are frenet_columns of the grid, `program`
-    evaluates a Frenet program over it on first use, and a query reads one
-    row.  Each value is the per-point query's at its grid t, bit for bit:
-    on a row that is not suspect, and for a program, wherever it is finite.
+    `frames`, `data` and `suspect` are frenet_columns of the grid, and
+    `program` evaluates a Frenet program over it on first use; the model's
+    column queries read their rows at its grid points.  Each value is the
+    per-point query's at its grid t, bit for bit: on a row that is not
+    suspect, and for a program, wherever it is finite.
     """
 
     def __init__(self, model):
-        self.ts, self._ts = model.ts, model.ts.tolist()
+        self.ts = model.ts
         self.frames, self.data, self.suspect = model.frenet_columns(model.ts)
-        self._rows = {t: i for i, t in reversed(list(enumerate(self._ts)))}
         self._programs = {}
 
-    def row(self, t):
-        """The row of the grid point t: the same float, sign bit included
-        (0.0 == -0.0, but their answers differ); None off the grid."""
-        i = self._rows.get(t) if type(t) is float else None
-        return None if i is None or math.copysign(1.0, t) != math.copysign(1.0, self._ts[i]) else i
-
     def lookup(self, ts) -> tuple:
-        """(rows, on): the row of each of the array ts, and whether it is
-        that row's grid point by the rule of `row`."""
+        """(rows, on): the row of each of the array ts, and whether it is that
+        row's grid point: the same float, sign bit included (-0.0 is not 0.0)."""
         i = np.minimum(np.searchsorted(self.ts, ts), len(self.ts) - 1)
         g = self.ts[i]
         return i, (g == ts) & (np.signbit(g) == np.signbit(ts))
@@ -382,26 +386,17 @@ class GridTable:
             self._programs[program] = eval_expr(program, self.ts[:, None])
         return self._programs[program]
 
-    def frenet_row(self, i):
-        """The FrenetData of row i as frenet_data_at gives it; None where suspect."""
-        if self.suspect[i]:
-            return None
-        row = {k: float(v[i, 0]) for k, v in vars(self.data).items() if isinstance(v, np.ndarray)}
-        for disc, names in (("disc_h", ("Dh", "Dh1", "Dh2")), ("disc_d", ("Dd", "Dd1", "Dd2"))):
-            if not row[disc] > 0.0:
-                row.update(dict.fromkeys(names))
-        return FrenetData(**row, B=0.0)
-
 
 class FramedCurveModel:
     """Integrated frame samples plus the symbolic Frenet cache.
 
-    Per-parameter queries are pure.  Once the grid table (`grid`) is
-    built, the Frenet queries at a grid point read it.  Dense output
-    between stored samples is cubic interpolation of the frame entries
-    followed by re-orthonormalization (approximate, but any
-    re-orthonormalized frame satisfies the pairing identities exactly,
-    so isotropy and duality residuals are insensitive to it).
+    Per-parameter queries are pure.  The column queries (frenet_columns,
+    program_columns, and frenet_data_at through them) read the grid table
+    (`grid`) once it is built, where every t is one of its grid points.
+    Dense output between stored samples is cubic interpolation
+    of the frame entries followed by re-orthonormalization (approximate,
+    but any re-orthonormalized frame satisfies the pairing identities
+    exactly, so isotropy and duality residuals are insensitive to it).
     """
 
     def __init__(self, quartet, ts, frames, initial, step, stats, tol):
@@ -419,29 +414,17 @@ class FramedCurveModel:
         """The grid table, built on first use."""
         return GridTable(self)
 
-    def _table(self, t):
-        """(grid table, the row of the float t or the rows of the array t)
-        where the table is built and t is on its grid; else (None, None)."""
+    def _read(self, ts, table, fresh):
+        """table(grid, rows) of the grid table's rows where it is built and
+        every t of the array ts is one of its grid points; else fresh(ts)."""
         grid = self.__dict__.get("grid")
-        if grid is None:
-            return None, None
-        i, on = grid.lookup(t) if isinstance(t, np.ndarray) else (grid.row(t), True)
-        return (grid, i) if i is not None and np.all(on) else (None, None)
-
-    def grid_values(self, program, t):
-        """eval_expr(program, t) from the grid table where t is one of its
-        grid points and every value there is finite; None elsewhere."""
-        grid, i = self._table(t)
-        row = () if grid is None else tuple(float(c[i, 0]) for c in grid.program(program))
-        return row if row and all(map(math.isfinite, row)) else None
+        rows, on = grid.lookup(ts) if grid is not None else (None, False)
+        return table(grid, rows) if np.all(on) else fresh(ts)
 
     def program_columns(self, program, ts) -> tuple:
-        """eval_expr(program) over the column ts[:, None]: rows of the grid
-        table where it is built and every t is one of its grid points."""
-        grid, rows = self._table(ts)
-        if grid is None:
-            return eval_expr(program, ts[:, None])
-        return tuple(c[rows] for c in grid.program(program))
+        """eval_expr(program) over the column ts[:, None]; see _read."""
+        return self._read(ts, lambda grid, rows: tuple(c[rows] for c in grid.program(program)),
+                          lambda ts: eval_expr(program, ts[:, None]))
 
     @property
     def t0(self) -> float:
@@ -503,9 +486,6 @@ class FramedCurveModel:
 
     def frenet_frame_at(self, t: float) -> np.ndarray:
         """Rows (gamma, n1, n2, mu): the normals rotated to the Frenet pair."""
-        grid, i = self._table(t)
-        if grid is not None and not grid.suspect[i]:
-            return grid.frames[i].copy()
         a, b = eval_expr(self.quartet.a, t), eval_expr(self.quartet.b, t)
         r2 = a * a + b * b
         if r2 <= self.tol.zero:
@@ -517,41 +497,42 @@ class FramedCurveModel:
         return f
 
     def frenet_data_at(self, t: float) -> FrenetData:
-        grid, i = self._table(t)
-        if grid is not None and (row := grid.frenet_row(i)) is not None:
-            return row
-        fe = self.frenet
-        ab2 = eval_expr(fe.ab2, t)
-        if ab2 <= self.tol.zero:
-            raise FrameDegenerateError(
-                f"a^2+b^2 = {ab2!r} at t={t!r}: Frenet type frame undefined")
-        disc_h, M, N, M1, N1, A1, W, W1, W2, sigma_f = eval_expr(fe.base_program, t)
-        disc_d = -disc_h
-        data = dict(t=t, M=M, N=N, A=math.sqrt(ab2), B=0.0, M1=M1, N1=N1, A1=A1,
-                    W=W, W1=W1, W2=W2, sigma_f=sigma_f, disc_h=disc_h, disc_d=disc_d)
-        if disc_h > 0.0:
-            data.update(zip(("Dh", "Dh1", "Dh2"), eval_expr(fe.dh_program, t)))
-        if disc_d > 0.0:
-            data.update(zip(("Dd", "Dd1", "Dd2"), eval_expr(fe.dd_program, t)))
-        return FrenetData(**data)
+        """The row of frenet_columns at t (FrenetData.row).  Where it is
+        suspect, the query raises first what evaluating its programs one at
+        a time raises there: a vanishing a^2 + b^2, a located ExprDomainError."""
+        _, data, suspect = self.frenet_columns(np.array([t], dtype=float), frames=False)
+        if suspect[0]:
+            fe = self.frenet
+            ab2 = eval_expr(fe.ab2, t)
+            if ab2 <= self.tol.zero:
+                raise FrameDegenerateError(
+                    f"a^2+b^2 = {ab2!r} at t={t!r}: Frenet type frame undefined")
+            disc_h = eval_expr(fe.base_program, t)[0]
+            for program, disc in ((fe.dh_program, disc_h), (fe.dd_program, -disc_h)):
+                if disc > 0.0:
+                    eval_expr(program, t)
+        return data.row(0)
 
-    def frenet_columns(self, ts) -> tuple:
+    def frenet_columns(self, ts, frames: bool = True) -> tuple:
         """frenet_frame_at and frenet_data_at at each of the array ts, as
         (frames, data, suspect): an (m, 4, 4) stack of Frenet frames, a
         FrenetData whose fields are (m, 1) columns, and a mask that is true
         where either query would raise or gives a value that is not finite.
-        Elsewhere each value is bitwise the query's.  Rows of the grid
-        table where it is built and every t is one of its grid points."""
-        grid, rows = self._table(ts)
-        if grid is not None:
-            return grid.frames[rows], grid.data.rows(rows), grid.suspect[rows]
+        Elsewhere each value is bitwise the query's.  See _read; without
+        `frames`, evaluated columns hold zero frames, so that no t is
+        outside the domain."""
+        return self._read(ts, lambda grid, rows: (grid.frames[rows], grid.data.rows(rows),
+                                                  grid.suspect[rows]),
+                          lambda ts: self._frenet_columns(ts, frames))
+
+    def _frenet_columns(self, ts, frames: bool) -> tuple:
         fe, t, zero = self.frenet, ts[:, None], self.tol.zero
         a, b, ab2 = eval_expr(fe.ab_columns, t)
         base = eval_expr(fe.base_program, t)
         disc_h, M, N, *rest = base
         dh, dd = eval_expr(fe.dh_program, t), eval_expr(fe.dd_program, t)
         r2 = a * a + b * b
-        f = self.frames_at(ts)
+        f = self.frames_at(ts) if frames else np.zeros((len(ts), 4, 4))
         with np.errstate(all="ignore"):
             r = np.sqrt(r2)
             f[:, 1], f[:, 2] = (a * f[:, 1] + b * f[:, 2]) / r, (-b * f[:, 1] + a * f[:, 2]) / r

@@ -9,7 +9,8 @@ interpolated one weight at a time, surface meshes are evaluated and
 written one point (or one row) at a time, duality samples are built and
 judged one at a time, and the definedness scan, the singular loci, their
 classification and the correspondence check take one grid point (or one
-record) at a time.
+record) at a time, on the per-point queries as they were before they
+became length-1 column batches.
 """
 
 import math
@@ -21,13 +22,13 @@ from hypframe.duality import (PAIR_NAMES, PAIR_SURFACES, DualPairSample, FrontVe
                               isotropy_residuals, pair_theta_range)
 from hypframe.errors import FrameDegenerateError, InvalidInputError, SurfaceUndefinedError
 from hypframe.evolute import (CorrespondenceReport, DualSurfaceRecord, EvolutePointType,
-                              LegReport, _bisect_eps_zero, _dual_type, _lambda_dual,
-                              evolute_d, evolute_h)
+                              EvoluteSample, LegReport, _bisect_eps_zero, _dual_type,
+                              _point_type)
 from hypframe.focal import (FIBER_COUNT, FIBER_WINDOW, REFINE_DEPTH, SURFACES, D, H,
                             SingularityType, SingularPointRecord, SurfaceParam, _circ_gap,
                             _edge_or_beaks, _edge_or_swallowtail, _eps_values, _fiber,
-                            _fiber_points, _norm_circle, _require, _scale, _undefined,
-                            _undefined_at, focal_d_point, focal_h_point)
+                            _norm_circle, _require, _scale, _undefined)
+from hypframe.framedcurve import FrenetData
 from hypframe.minkowski import MinkVec, Quadric, membership_residual
 from hypframe.pipeline import (DUALITY_SAMPLES, DUALITY_SEED, project_hollow_ball,
                                project_poincare)
@@ -219,6 +220,113 @@ def random_mink_vectors(rng, n, scale=2.0):
 
 
 # ---------------------------------------------------------------------------
+# The per-point queries, as they were before they became length-1 column
+# batches: one program at a time in scalar arithmetic.  The grid stages'
+# oracles below are built on them.
+
+
+def frenet_data(model, t):
+    """`FramedCurveModel.frenet_data_at` one program at a time at the float t."""
+    fe = model.frenet
+    ab2 = eval_expr(fe.ab2, t)
+    if ab2 <= model.tol.zero:
+        raise FrameDegenerateError(
+            f"a^2+b^2 = {ab2!r} at t={t!r}: Frenet type frame undefined")
+    disc_h, M, N, M1, N1, A1, W, W1, W2, sigma_f = eval_expr(fe.base_program, t)
+    data = dict(t=t, M=M, N=N, A=math.sqrt(ab2), B=0.0, M1=M1, N1=N1, A1=A1,
+                W=W, W1=W1, W2=W2, sigma_f=sigma_f, disc_h=disc_h, disc_d=-disc_h)
+    if disc_h > 0.0:
+        data.update(zip(("Dh", "Dh1", "Dh2"), eval_expr(fe.dh_program, t)))
+    if -disc_h > 0.0:
+        data.update(zip(("Dd", "Dd1", "Dd2"), eval_expr(fe.dd_program, t)))
+    return FrenetData(**data)
+
+
+def undefined_at(model, t, side, evolute=False):
+    """`hypframe.focal._undefined_at` on frenet_data."""
+    try:
+        data = frenet_data(model, t)
+    except FrameDegenerateError as exc:
+        return str(exc)
+    return _undefined(side, data, model.tol, evolute)
+
+
+def fiber_points(side, model, t, c, s, dual=False):
+    """The side's focal surface (with `dual`, the dual of its evolute) at the
+    float t, one row per entry of the fiber arrays c and s: the Frenet
+    queries, the definedness rule, then the rows against the Frenet frame."""
+    data = frenet_data(model, t)
+    r = math.sqrt(_require(side, data, model, evolute=dual)[0])
+    f0, f1, f2, f3 = model.frenet_frame_at(t)
+    c, s = c[:, None], s[:, None]
+    if dual:
+        return c * f3 + (s / r) * (-data.M * f0 + data.A * f1)
+    return (c / r) * (data.A * f0 - data.M * f1) + s * f2
+
+
+def point_loop(model, side, t, theta, dual=False):
+    """`hypframe.focal.focal_h_point` and its siblings at one (t, theta)."""
+    return MinkVec.from_array(fiber_points(side, model, t, *_fiber(side, [theta], dual), dual))
+
+
+def partials_loop(model, side, t, theta, dual=False):
+    """(dF/dt, dF/dtheta) of the side's focal surface (with `dual`, of the
+    dual of its evolute) at one (t, theta), in scalar arithmetic."""
+    data = frenet_data(model, t)
+    r = math.sqrt(_require(side, data, model, evolute=dual)[0])
+    f = frenet_frame(model, t)
+    k = side.kappa
+    if dual:
+        c, s = side.dual_c(theta), side.dual_s(theta)
+        ft = (c * data.M + k * s * data.A * data.W / r ** 3) * f[0] \
+            + (-c * data.A - k * s * data.M * data.W / r ** 3) * f[1] \
+            + (s * data.A * data.N / r) * f[2] \
+            + (k * s * r) * f[3]
+        fth = (c / r) * (-data.M * f[0] + data.A * f[1]) - k * s * f[3]
+    else:
+        c, s = side.c(theta), side.s(theta)
+        ft = (-k * c * data.M * data.W / r ** 3) * f[0] \
+            + (k * c * data.A * data.W / r ** 3 - s * data.N) * f[1] \
+            + (-c * data.M * data.N / r) * f[2]
+        fth = (k * s * data.A / r) * f[0] + (-k * s * data.M / r) * f[1] + c * f[2]
+    return MinkVec.from_array(ft), MinkVec.from_array(fth)
+
+
+def lambda_loop(model, side, t, theta):
+    """`hypframe.focal.lambda_h` (side H) or `_d` (side D) at one (t, theta)."""
+    data = frenet_data(model, t)
+    disc, d0 = _require(side, data, model)[:2]
+    return (side.c(theta) * data.W - side.s(theta) * d0) / disc
+
+
+def lambda_dual_loop(model, side, t, theta):
+    """`hypframe.evolute.lambda_dual_h` (side H) or `_d` (side D) at one (t, theta)."""
+    data = frenet_data(model, t)
+    disc = _require(side, data, model, evolute=True)[0]
+    return side.kappa * side.dual_s(theta) * math.sqrt(side.kappa * data.sigma_f) / disc
+
+
+def evolute_sample(model, t, side):
+    """`hypframe.evolute.evolute_h` (side H) or `_d` (side D) at the float t:
+    the Frenet queries, the definedness rule, the 16 frame coefficients
+    against the Frenet frame, then epsilon by _eps_values."""
+    data = frenet_data(model, t)
+    _require(side, data, model, evolute=True)
+    f = model.frenet_frame_at(t)
+    coeffs = eval_expr(side.evolute_program(model.frenet), t)
+    vecs = [MinkVec.from_array(np.array(coeffs[k:k + 4]) @ f) for k in range(0, 16, 4)]
+    eps, eps1, fallback = _eps_values(model, t, side)
+    ptype = _point_type(eps, eps1, _scale(data), model.tol.sing)
+    sv = np.linalg.svd(np.array([vecs[2].as_array(), vecs[3].as_array()]), compute_uv=False)
+    diag = {"sigma_f": data.sigma_f, "rank23_singular_values": (float(sv[0]), float(sv[1]))}
+    if fallback:
+        diag["epsilon_via_closed_form"] = True
+    return EvoluteSample(t=t, point=vecs[0], derivative1=vecs[1], derivative2=vecs[2],
+                         derivative3=vecs[3], point_type=ptype, epsilon=eps,
+                         epsilon_prime=eps1, diagnostics=diag)
+
+
+# ---------------------------------------------------------------------------
 # Surface meshes one point at a time
 
 
@@ -266,7 +374,7 @@ def surface_point(model, which, t, theta):
     """One point of a focal surface, (c/r)(A f0 - M f1) + s f2, or of the
     dual of an evolute, c f3 + (s/r)(-M f0 + A f1), as scalar arithmetic."""
     side, dual = MESH_SURFACES[which]
-    data = model.frenet_data_at(t)
+    data = frenet_data(model, t)
     disc = _require(side, data, model, evolute=dual)[0]
     f = frenet_frame(model, t)
     r = math.sqrt(disc)
@@ -355,29 +463,16 @@ def pair_sample_loop(model, pair, t, theta):
     side, surface = PAIR_SURFACES[pair]
     dual = surface == side.dual
     model.frenet_frame_at(t)
-    data = model.frenet_data_at(t)
-    r = math.sqrt(_require(side, data, model, evolute=dual)[0])
+    data = frenet_data(model, t)
+    _require(side, data, model, evolute=dual)
     f = frenet_frame(model, t)
     zero = MinkVec(0.0, 0.0, 0.0, 0.0)
     p = surface_point(model, surface, t, theta)
-    k = side.kappa
+    pt, pth = partials_loop(model, side, t, theta, dual)
     if not dual:
-        c, s = side.c(theta), side.s(theta)
-        ft = (-k * c * data.M * data.W / r ** 3) * f[0] \
-            + (k * c * data.A * data.W / r ** 3 - s * data.N) * f[1] \
-            + (-c * data.M * data.N / r) * f[2]
-        fth = (k * s * data.A / r) * f[0] + (-k * s * data.M / r) * f[1] + c * f[2]
-        pt, pth = MinkVec.from_array(ft), MinkVec.from_array(fth)
         g = MinkVec.from_array(f[3])
         gt = MinkVec.from_array(data.M * f[0] - data.A * f[1])
         return DualPairSample(p, g, pt, pth, gt, zero, side.fibration)
-    c, s = side.dual_c(theta), side.dual_s(theta)
-    ft = (c * data.M + k * s * data.A * data.W / r ** 3) * f[0] \
-        + (-c * data.A - k * s * data.M * data.W / r ** 3) * f[1] \
-        + (s * data.A * data.N / r) * f[2] \
-        + (k * s * r) * f[3]
-    fth = (c / r) * (-data.M * f[0] + data.A * f[1]) - k * s * f[3]
-    pt, pth = MinkVec.from_array(ft), MinkVec.from_array(fth)
     coeffs = eval_expr(side.evolute_program(model.frenet), t)
     e, e1, _, _ = [MinkVec.from_array(np.array(coeffs[j:j + 4]) @ f) for j in range(0, 16, 4)]
     _eps_values(model, t, side)  # the evolute evaluated epsilon, and could raise there
@@ -449,8 +544,8 @@ def duality_summary_loop(model, runs):
 
 def defined_runs_loop(model):
     """`hypframe.focal.defined_runs` one grid t at a time: the definedness
-    rule through `_undefined_at` at each t in order, then the index runs."""
-    ok = [[_undefined_at(model, float(t), *rule) is None for rule in SURFACES.values()]
+    rule through `undefined_at` at each t in order, then the index runs."""
+    ok = [[undefined_at(model, float(t), *rule) is None for rule in SURFACES.values()]
           for t in model.ts]
     runs = {}
     for k, name in enumerate(SURFACES):
@@ -460,7 +555,7 @@ def defined_runs_loop(model):
 
 
 def surface_grid_rows(model, which, ts, thetas):
-    """`hypframe.focal.surface_grid` one row at a time, as `_fiber_points`
+    """`hypframe.focal.surface_grid` one row at a time, as `fiber_points`
     over the whole theta row, before it became one broadcast (with no
     quadric check)."""
     if which not in MESH_SURFACES:
@@ -474,7 +569,7 @@ def surface_grid_rows(model, which, ts, thetas):
     c, s = _fiber(side, thetas, dual)
     for i, t in enumerate(ts):
         try:
-            out[i] = _fiber_points(side, model, t, c, s, dual)
+            out[i] = fiber_points(side, model, t, c, s, dual)
         except SurfaceUndefinedError as exc:
             raise SurfaceUndefinedError(f"grid point (i={i}, j=0): {exc}") from exc
     if not np.isfinite(out).all():
@@ -503,7 +598,7 @@ def singular_locus_loop(model, ts, side):
     entries = []
     for t in ts:
         t = float(t)
-        data = model.frenet_data_at(t)
+        data = frenet_data(model, t)
         d0 = _require(side, data, model)[1]
         s = _scale(data)
         if is_zero(data.W, s, model.tol.sing) and is_zero(d0, s, model.tol.sing):
@@ -523,9 +618,9 @@ def singular_locus_loop(model, ts, side):
                 if _circ_gap(tha, thb) <= 0.5 * math.pi or depth >= REFINE_DEPTH:
                     continue
                 tm = 0.5 * (ta + tb)
-                if _undefined_at(model, tm, D):
+                if undefined_at(model, tm, D):
                     continue
-                data_m = model.frenet_data_at(tm)
+                data_m = frenet_data(model, tm)
                 thm = _norm_circle(math.atan2(data_m.W, data_m.Dd))
                 refined.append((tm, thm, data_m))
                 stack.append((ta, tha, tm, thm, depth + 1))
@@ -550,7 +645,7 @@ def classify_record(model, record, side):
     scalar arithmetic: branch (a) by epsilon, branch (b) by the derivative
     data of (W, D), then lambda_t, lambda_theta and nondegenerate."""
     t0, theta0 = record.param.t, record.param.theta
-    data = model.frenet_data_at(t0)
+    data = frenet_data(model, t0)
     disc, d0, d1, d2 = _require(side, data, model)
     root = math.sqrt(disc)
     k, cs, sn = side.kappa, side.c(theta0), side.s(theta0)
@@ -589,11 +684,10 @@ def classify_record(model, record, side):
 def classify_dual_record(model, t0, side, theta0=0.0):
     """`hypframe.evolute.classify_dual_h` (side H) or `_d` (side D) at one
     (t0, theta0), with epsilon in its closed form."""
-    data = model.frenet_data_at(t0)
+    data = frenet_data(model, t0)
     _require(side, data, model, evolute=True)
-    lam = _lambda_dual(side, model, t0, theta0)
-    program = side.eps_closed(model.frenet)
-    eps, eps1 = model.grid_values(program, t0) or eval_expr(program, t0)
+    lam = lambda_dual_loop(model, side, t0, theta0)
+    eps, eps1 = eval_expr(side.eps_closed(model.frenet), t0)
     s = _scale(data)
     return DualSurfaceRecord(
         surface=side.dual, param=SurfaceParam(t0, theta0), lam=lam, sigma_f=data.sigma_f,
@@ -622,10 +716,7 @@ def classified_loci_loop(model, runs):
 def leg_loop(model, ts, runs, side):
     """`hypframe.evolute._leg` one grid point at a time: at each grid point
     of the runs, the focal record, the evolute sample and the dual record
-    through the per-point functions, then the epsilon crossings."""
-    focal_point, evolute = (focal_h_point, evolute_h) if side is H else (focal_d_point,
-                                                                          evolute_d)
-
+    through the per-point oracles, then the epsilon crossings."""
     def classify(model, rec):
         return classify_record(model, rec, side)
 
@@ -633,18 +724,18 @@ def leg_loop(model, ts, runs, side):
         return classify_dual_record(model, t, side)
 
     if not runs:
-        reason = _undefined_at(model, float(ts[-1]), side, evolute=True) if len(ts) else None
+        reason = undefined_at(model, float(ts[-1]), side, evolute=True) if len(ts) else None
         return LegReport(status="skipped",
                          reason=reason or "evolute undefined on the whole grid")
 
     def at(t):
-        data = model.frenet_data_at(t)
+        data = frenet_data(model, t)
         theta = side.root(data.W, side.columns(data)[1])
         rec = SingularPointRecord(surface=side.focal, param=SurfaceParam(t, theta),
                                   lam=0.0, sigma_f=data.sigma_f)
         classify(model, rec)
-        es = evolute(model, t)
-        dist = (focal_point(model, t, theta) - es.point).max_abs()
+        es = evolute_sample(model, t, side)
+        dist = (point_loop(model, side, t, theta) - es.point).max_abs()
         return rec, es, classify_dual(model, t), dist
 
     leg = LegReport(status="checked", points=sum(map(len, runs)))
@@ -723,9 +814,9 @@ def evolute_rows_loop(model, runs):
     defined = {side: set(chain.from_iterable(runs["evolute_" + side])) for side in "hd"}
     rows = []
     for i, t in enumerate(model.ts):
-        for side, fn in (("h", evolute_h), ("d", evolute_d)):
+        for side, fn in (("h", H), ("d", D)):
             if i in defined[side]:
-                es = fn(model, float(t))
+                es = evolute_sample(model, float(t), fn)
                 rows.append((float(t), side, es.epsilon, es.epsilon_prime,
                              es.point_type.value))
     return rows

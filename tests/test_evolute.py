@@ -8,7 +8,7 @@ from hypframe import (CurvatureQuartet, EvolutePointType, Quadric,
                       correspondence_check, dual_of_evolute_d,
                       dual_of_evolute_h, eval_expr, evolute_d, evolute_h,
                       integrate_frame, lambda_dual_d, lambda_dual_h,
-                      membership_residual, mink_dot, psi_probe)
+                      membership_residual, mink_dot)
 from hypframe.errors import EvoluteUndefinedError
 from hypframe.evolute import (dual_of_evolute_d_partials,
                               dual_of_evolute_h_partials)
@@ -239,17 +239,6 @@ def test_dual_epsilon_matches_evolute_epsilon(model_ce_h, model_ce_d):
             rec = classify(model, t)
             es = efn(model, t)
             assert rec.diagnostics["epsilon"] == pytest.approx(es.epsilon, abs=1e-8)
-
-
-def test_psi_probe(model_sw):
-    probe = psi_probe(model_sw, 0.0, side="h", delta=1e-2)
-    assert probe["vanishes_at_t0"]
-    assert all(p < 0 for p in probe["psi_left"] + probe["psi_right"])
-    slope = abs(probe["epsilon_prime_at_t0"])
-    assert probe["slope_left"] == pytest.approx(slope, rel=1e-2)
-    assert probe["slope_right"] == pytest.approx(-slope, rel=1e-2)
-    regular = psi_probe(model_sw, 0.8, side="h", delta=1e-2)
-    assert not regular["vanishes_at_t0"]
 
 
 def test_correspondence_hyperbolic_quartet(model_ce_h):

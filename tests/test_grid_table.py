@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from hypframe import CurvatureQuartet, integrate_frame, load_spec, run_pipeline
-from hypframe import cli, evolute, focal, pipeline
+from hypframe import cli, duality, evolute, focal, pipeline
 from hypframe.errors import EvoluteUndefinedError, InvalidInputError, NumericError
 from hypframe.symexpr import ExprDomainError
 from hypframe.evolute import correspondence_check
@@ -28,8 +28,10 @@ from hypframe.symexpr import Program, compile, parse_expr
 from hypframe.tolerances import DEFAULT
 
 from oracles import (classified_loci_loop, classify_dual_record, classify_record,
-                     correspondence_check_loop, defined_runs_loop, evolute_rows_loop,
-                     frenet_frame, singular_locus_loop, surface_grid_rows)
+                     correspondence_check_loop, defined_runs_loop, duality_summary_loop,
+                     evolute_rows_loop, evolute_sample, frenet_frame, lambda_dual_loop,
+                     lambda_loop, pair_sample_loop, partials_loop, point_loop,
+                     singular_locus_loop, surface_grid_rows)
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
 MESHES = ("focal_h", "focal_d", "dual_eh", "dual_ed")
@@ -109,6 +111,8 @@ def _compare(model, fresh, thetas):
         == _outcome(correspondence_check_loop, fresh, runs)
     assert _outcome(pipeline._classified_loci, model, runs) \
         == _outcome(classified_loci_loop, fresh, runs)
+    assert _outcome(pipeline.duality_summary, model, runs) \
+        == _outcome(duality_summary_loop, fresh, runs)
     for surface in MESHES:
         for run in runs[surface]:
             ts = model.ts[run.start:run.stop]
@@ -155,6 +159,45 @@ def test_single_records_off_the_grid_match_the_oracle(name):
     assert checked and "grid" not in vars(fresh)
 
 
+# each public per-point function of a side -> its per-point oracle
+POINT_API = [
+    (f"{module.__name__.rsplit('.', 1)[1]}.{name.format(side.label[0].lower())}",
+     getattr(module, name.format(side.label[0].lower())), oracle, side)
+    for side in (focal.H, focal.D)
+    for module, name, oracle in (
+        (focal, "focal_{}_point", lambda m, side, t, th: point_loop(m, side, t, th)),
+        (focal, "focal_{}_partials", lambda m, side, t, th: partials_loop(m, side, t, th)),
+        (focal, "lambda_{}", lambda m, side, t, th: lambda_loop(m, side, t, th)),
+        (evolute, "dual_of_evolute_{}", lambda m, side, t, th: point_loop(m, side, t, th, True)),
+        (evolute, "dual_of_evolute_{}_partials",
+         lambda m, side, t, th: partials_loop(m, side, t, th, True)),
+        (evolute, "lambda_dual_{}", lambda m, side, t, th: lambda_dual_loop(m, side, t, th)))]
+
+
+@pytest.mark.parametrize("name", ["generic", "desitter_pole"])
+@pytest.mark.parametrize("table", [True, False])
+def test_per_point_api_matches_the_oracles(name, table):
+    """Each public per-point function is a length-1 batch of the column
+    code: bit for bit the per-point oracle's value at a grid t, between
+    grid points and at the de Sitter epsilon pole, and its error type and
+    text where its surface is undefined (one side of each quartet)."""
+    (model, _), (fresh, _) = _model(name), _model(name)
+    if table:
+        model.grid  # noqa: B018 - build the table, which grid ts then read
+    ts = [float(model.ts[7]), 0.5 * float(model.ts[7] + model.ts[8]), 0.0, -0.0]
+    for t in ts:
+        for label, fn, oracle, side in POINT_API:
+            for theta in (0.3, -1.2):
+                assert _outcome(fn, model, t, theta) == _outcome(oracle, fresh, side, t, theta), \
+                    (label, t, theta)
+        for side, fn in ((focal.H, evolute.evolute_h), (focal.D, evolute.evolute_d)):
+            assert _outcome(fn, model, t) == _outcome(evolute_sample, fresh, t, side), (side, t)
+        for pair in duality.PAIR_NAMES:
+            assert _outcome(duality.pair_sample, model, pair, t, 0.3) \
+                == _outcome(pair_sample_loop, fresh, pair, t, 0.3), (pair, t)
+    assert ("grid" in vars(model)) == table and "grid" not in vars(fresh)
+
+
 def test_loci_query_no_grid_point_one_at_a_time(monkeypatch):
     """Work-count guard: on a committed spec, the loci and their
     classification read every grid row from the table's columns."""
@@ -189,8 +232,8 @@ def test_nan_frame_rows_replay_as_the_oracle():
                                   "desitter_pole"])
 def test_evolute_rows_match_the_per_point_loop(monkeypatch, name):
     """`hypframe evolute` reads its rows from columns, bit for bit as the
-    EvoluteSample loop, and builds a sample only on a row it replays: at
-    the de Sitter epsilon pole, where the closed form takes over."""
+    EvoluteSample loop, and builds no sample, not even at the de Sitter
+    epsilon pole, where the closed form takes over."""
     (model, _), (fresh, _) = _model(name), _model(name)
     runs = defined_runs(model)
     want = evolute_rows_loop(fresh, runs)
@@ -200,7 +243,7 @@ def test_evolute_rows_match_the_per_point_loop(monkeypatch, name):
         real = getattr(evolute, fn)
         monkeypatch.setattr(evolute, fn, lambda m, t, real=real: calls.append(t) or real(m, t))
     assert _bits(cli._evolute_rows(model, runs)) == _bits(want)
-    assert calls == ([0.0] if name == "desitter_pole" else [])
+    assert calls == []
 
 
 def test_evolute_rows_replay_a_nan_frame_as_the_loop():
@@ -271,7 +314,6 @@ def test_signed_zero_does_not_read_the_zero_row():
     model = integrate_frame(CurvatureQuartet.from_strings("1", "1", "t", "1"), (0.0, 1.0, 11))
     fresh = integrate_frame(CurvatureQuartet.from_strings("1", "1", "t", "1"), (0.0, 1.0, 11))
     grid = model.grid
-    assert grid.row(0.0) == 0 and grid.row(-0.0) is None
     assert grid.lookup(np.array([0.0, -0.0]))[1].tolist() == [True, False]
     for t in (0.0, -0.0, 0.0):
         got = model.frenet_frame_at(t)
@@ -281,10 +323,6 @@ def test_signed_zero_does_not_read_the_zero_row():
         data = model.frenet_data_at(t)
         assert _bits(data) == _bits(fresh.frenet_data_at(t))
         assert math.copysign(1.0, data.t) == math.copysign(1.0, t)
-    program = model.frenet.base_program
-    assert model.grid_values(program, -0.0) is None
-    assert model.grid_values(program, 0.0) == tuple(float(c[0, 0]) for c in grid.program(program))
-    assert model.grid_values(program, 0.0) is not None
 
 
 def test_frenet_columns_at_grid_points_are_table_rows():

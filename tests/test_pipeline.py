@@ -243,6 +243,23 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("curvature, domain", [
+    # the de Sitter evolute turns to NaN with no domain error on the way
+    (("2.41+1.45*sinh(2.96*t)", "-1.2-1.56*tanh(2.06*t)", "-0.61+0.05*t+1.44*t^2", "0"),
+     (-1.6, 1.6, 81)),
+    # perfbench's boosted workload at seed 7: the frames turn to NaN
+    (("1.008374", "1.013221", "1.949062", "0"), (0.0, 40.0, 201)),
+], ids=["silent_nan", "boosted_seed_7"])
+def test_cli_run_exits_1_on_a_non_finite_point(tmp_path, capsys, curvature, domain):
+    """The exit and text that perfbench's KNOWN_DEFECTS matches for the
+    boosted long integrations."""
+    doc = dict(MINIMAL, name="non_finite", curvature=dict(zip("mnab", curvature)),
+               domain=dict(zip(("t0", "t1", "samples"), domain)))
+    assert cli_main(["run", "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] \
+        == "invalid input: non-finite component in MinkVec: nan"
+
+
 def test_cli_subcommands_smoke(tmp_path, capsys):
     spec_path = os.path.join(SPEC_DIR, "cuspidal_edge_desitter.json")
     for sub in ("integrate", "dual", "classify", "verify", "evolute"):
