@@ -13,8 +13,10 @@ Run it from the root of a hypframe checkout.  The corpus is
   on two intervals, a sigma_F threshold at the last grid point, a^2 + b^2
   vanishing at a grid point, sigma_F touching zero between two grid
   points, a d-locus branch jump that is refined, whole-fiber records, an
-  epsilon branch pole where the closed form takes over, and a curvature
-  whose de Sitter evolute turns to NaN without a domain error.
+  epsilon branch pole where the closed form takes over, a curvature
+  whose de Sitter evolute turns to NaN without a domain error, a
+  curvature with a pole at a grid point, and a theta window wide enough
+  that cosh(theta) overflows.
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -33,7 +35,9 @@ WORKLOADS = ("gen_h", "gen_d", "bounded", "boosted")
 # (workload, seed) pairs beyond SEEDS: boosted runs whose frames turn to NaN
 EXTRA_SEEDS = (("boosted", 7), ("boosted", 18), ("boosted", 19))
 
-# name -> (curvature m, n, a, b; (t0, t1, samples))
+# the theta window of a quartet that names none
+THETA = (-1.0, 1.0, 5)
+# name -> (curvature m, n, a, b; (t0, t1, samples)[; (theta min, max, samples)])
 QUARTETS = {
     "gap": (("2.5*t^2-1", "1", "2", "0"), (-1.6, 1.6, 161)),
     "evolute_gap_sin": (("3*sin(t)", "1", "1.5", "0"), (-1.6, 1.6, 161)),
@@ -46,6 +50,8 @@ QUARTETS = {
     "desitter_pole": (("2+0.5*t", "t", "1", "0"), (-1.0, 1.0, 21)),
     "silent_nan": (("2.41+1.45*sinh(2.96*t)", "-1.2-1.56*tanh(2.06*t)",
                     "-0.61+0.05*t+1.44*t^2", "0"), (-1.6, 1.6, 81)),
+    "grid_pole": (("1/t", "1", "2", "0"), (-1.0, 1.0, 21)),
+    "wide_theta": (("1", "1", "2", "0"), (0.0, 1.0, 11), (-1000.0, 1000.0, 5)),
 }
 
 
@@ -59,12 +65,13 @@ def corpus(out_dir) -> list:
     paths = sorted(glob.glob(os.path.join(ROOT, "specs", "*.json")))
     pairs = [(name, seed) for name in WORKLOADS for seed in SEEDS] + list(EXTRA_SEEDS)
     texts = {f"{name}_{seed}": specgen.generate(name, seed) for name, seed in pairs}
-    for name, (curvature, (t0, t1, samples)) in QUARTETS.items():
+    for name, (curvature, (t0, t1, samples), *theta) in QUARTETS.items():
+        lo, hi, count = theta[0] if theta else THETA
         texts[name] = json.dumps({
             "name": name,
             "curvature": dict(zip("mnab", curvature)),
             "domain": {"t0": t0, "t1": t1, "samples": samples},
-            "theta": {"min": -1.0, "max": 1.0, "samples": 5},
+            "theta": {"min": lo, "max": hi, "samples": count},
         }, indent=2) + "\n"
     for name, text in texts.items():
         path = os.path.join(out_dir, name + ".json")
