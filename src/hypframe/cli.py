@@ -15,8 +15,6 @@ import os
 import sys
 from collections import Counter
 
-import numpy as np
-
 from . import __version__
 from . import evolute as _evolute
 from . import focal as _focal
@@ -84,11 +82,7 @@ def _evolute_rows(model, runs) -> list:
     for run, side in sorted(((run, side) for side in (_focal.H, _focal.D)
                              for run in runs[side.evolute]), key=lambda e: e[0].start):
         ts = model.ts[run.start:run.stop]
-        frames, data, _, suspect = _focal._columns(side, model, ts)
-        with np.errstate(all="ignore"):
-            vecs, (eps, eps1, _), checks = _evolute._evolute_columns(side, model, ts, frames)
-            types = _evolute._point_type(eps, eps1, _focal._scale(data), model.tol.sing)
-        _focal._raise_rows(model, data, suspect, [_focal._rule(side, model, data, True), *checks])
+        _, _, (eps, eps1, _), types = _evolute._samples(side, model, ts)
         rows += [(t, side.evolute[-1], *row, ty.value) for t, *row, ty in zip(
             ts.tolist(), *(c[:, 0].tolist() for c in (eps, eps1, types)))]
     return rows

@@ -64,16 +64,13 @@ def isotropy_residuals(sample: DualPairSample):
             mink_dot(f, g_v))
 
 
-def front_verdict(samples, tol: Tolerances = DEFAULT,
-                  rank_rtol: float | None = None) -> FrontVerdict:
+def front_verdict(samples, tol: Tolerances = DEFAULT) -> FrontVerdict:
     """Judge a sampled lift, a batch or a list of samples: NotIsotropic,
     Front, or Frontal.
 
     Front requires the 8x2 joint derivative matrix of (f, g) to have
-    numeric rank 2 at every sample (sigma_min > rank_rtol * sigma_max).
+    numeric rank 2 at every sample (sigma_min > tol.rank_rtol * sigma_max).
     """
-    if rank_rtol is None:
-        rank_rtol = tol.rank_rtol
     if not isinstance(samples, DualPairSample) and samples:
         samples = DualPairSample(*(np.array([getattr(s, leg).as_array() for s in samples])
                                    for leg in LEGS), samples[0].fibration)
@@ -84,7 +81,7 @@ def front_verdict(samples, tol: Tolerances = DEFAULT,
     cols = [np.concatenate([samples.df_du, samples.dg_du], axis=1),
             np.concatenate([samples.df_dv, samples.dg_dv], axis=1)]
     sv = np.linalg.svd(np.stack(cols, axis=2), compute_uv=False)
-    if (sv[:, 1] <= rank_rtol * sv[:, 0]).any():
+    if (sv[:, 1] <= tol.rank_rtol * sv[:, 0]).any():
         return FrontVerdict.FRONTAL
     return FrontVerdict.FRONT
 

@@ -25,7 +25,7 @@ from .focal import (D, H, Side, SingularityType, SingularPointRecord, SurfacePar
                     defined_runs, focal_d_point, focal_h_point)
 from .framedcurve import FramedCurveModel
 from .minkowski import MinkVec
-from .symexpr import eval_expr  # unused here; perfbench's tracer wraps this binding
+from .symexpr import _fun_cols, eval_expr  # eval_expr: perfbench's tracer wraps it here
 
 DualSurfaceRecord = SingularPointRecord
 
@@ -72,19 +72,27 @@ def _evolute_columns(side: Side, model, ts, frames, rows=True) -> tuple:
     return vecs, eps, [_replayed(program, coeffs), _finite(*vecs), closed]
 
 
-def _sample(side: Side, model, t) -> EvoluteSample:
-    """The EvoluteSample at t: a length-1 batch of _evolute_columns."""
-    frames, data, _, suspect = _columns(side, model, [t])
+def _samples(side: Side, model, ts) -> tuple:
+    """(data, vecs, (eps, eps1, fallback), types): the FrenetData columns, the
+    columns of _evolute_columns and the point types of the side's evolute at
+    the ts, raising at the first row where evolute_h / evolute_d raise."""
+    frames, data, _, suspect = _columns(side, model, ts)
     with np.errstate(all="ignore"):
         vecs, (eps, eps1, fallback), checks = _evolute_columns(side, model, data.t[:, 0], frames)
+        types = _point_type(eps, eps1, _scale(data), model.tol.sing)
     _raise_rows(model, data, suspect, [_rule(side, model, data, True), *checks])
-    row, eps, eps1 = data.row(0), float(eps[0, 0]), float(eps1[0, 0])
+    return data, vecs, (eps, eps1, fallback), types
+
+
+def _sample(side: Side, model, t) -> EvoluteSample:
+    """The EvoluteSample at t: row 0 of a length-1 batch of _samples."""
+    data, vecs, (eps, eps1, fallback), types = _samples(side, model, [t])
     sv = np.linalg.svd(np.array([vecs[2][0], vecs[3][0]]), compute_uv=False)
-    diag = {"sigma_f": row.sigma_f, "rank23_singular_values": (float(sv[0]), float(sv[1]))}
+    diag = {"sigma_f": data.row(0).sigma_f, "rank23_singular_values": tuple(sv.tolist())}
     if fallback[0]:
         diag["epsilon_via_closed_form"] = True
-    return EvoluteSample(t, *(MinkVec.from_array(v[0]) for v in vecs),
-                         _point_type(eps, eps1, _scale(row), model.tol.sing), eps, eps1, diag)
+    return EvoluteSample(t, *(MinkVec.from_array(v[0]) for v in vecs), types[0, 0],
+                         float(eps[0, 0]), float(eps1[0, 0]), diag)
 
 
 def evolute_h(model: FramedCurveModel, t: float) -> EvoluteSample:
@@ -256,7 +264,7 @@ def _leg_columns(model, ts, side: Side, focal_point) -> tuple:
     tol, closed = model.tol.sing, side.eps_closed(model.frenet)
     with np.errstate(all="ignore"):
         theta = _each(side.root, data.W, side.columns(data)[1])
-        cs, sn = _each(side.c, theta), _each(side.s, theta)
+        cs, sn = _fun_cols(side.c, theta), _fun_cols(side.s, theta)
         (e, *_), (eps, eps1, fallback), checks = _evolute_columns(side, model, ts, frames)
         dual_eps = model.program_columns(closed, ts)
         p = focal_point(model, ts, theta[:, 0])

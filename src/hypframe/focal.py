@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import (EvoluteUndefinedError, FrameDegenerateError, InvalidInputError,
                      NumericError, SurfaceUndefinedError)
-from .framedcurve import FramedCurveModel, FrenetData
+from .framedcurve import FramedCurveModel, FrenetData, eval_located
 from .minkowski import ON_QUADRIC, Columns, MinkVec, Quadric, membership_residual
-from .symexpr import ExprDomainError, eval_expr, power
+from .symexpr import ExprDomainError, _fun_cols, eval_expr, power
 from .tolerances import is_zero
 
 
@@ -50,17 +50,17 @@ class Fibration(enum.Enum):
 class Side:
     """What tells the hyperbolic constructions from the de Sitter ones.
 
-    The focal fiber pair (c, s) satisfies c' = kappa s and s' = c, so
-    kappa is +1.0 for (cosh, sinh) and -1.0 for (cos, sin); the dual of
-    the evolute runs on the other pair.  Every sign that differs between
-    the sides is a multiplication by kappa, which is exact.
+    The focal fiber pair (c, s), named as DSL functions, satisfies c' = kappa s
+    and s' = c, so kappa is +1.0 for (cosh, sinh) and -1.0 for (cos, sin); the
+    dual of the evolute runs on the other pair.  Every sign that differs
+    between the sides is a multiplication by kappa, which is exact.
     """
 
     kappa: float
-    c: Callable[[float], float]
-    s: Callable[[float], float]
-    dual_c: Callable[[float], float]
-    dual_s: Callable[[float], float]
+    c: str
+    s: str
+    dual_c: str
+    dual_s: str
     dual_zeros: tuple               # zeros of dual_s on its fiber
     root: Callable[[float, float], float]  # theta with lambda = 0, from (W, D)
     columns: attrgetter             # FrenetData -> (disc, D, D', D'')
@@ -77,8 +77,8 @@ class Side:
     evolute_first: bool             # the evolute is the first leg of its pair
 
 
-H = Side(kappa=1.0, c=math.cosh, s=math.sinh, dual_c=math.cos,
-         dual_s=math.sin, dual_zeros=(0.0, math.pi),
+H = Side(kappa=1.0, c="cosh", s="sinh", dual_c="cos",
+         dual_s="sin", dual_zeros=(0.0, math.pi),
          root=lambda w, d: math.atanh(w / d),
          columns=attrgetter("disc_h", "Dh", "Dh1", "Dh2"),
          eps_path=attrgetter("eps_h_path_program"),
@@ -87,8 +87,8 @@ H = Side(kappa=1.0, c=math.cosh, s=math.sinh, dual_c=math.cos,
          focal="focal_h", evolute="evolute_h", dual="dual_eh",
          label="hyperbolic", disc_text="A^2 - M^2", sigma_text="positive",
          fibration=Fibration.DELTA1, evolute_first=True)
-D = Side(kappa=-1.0, c=math.cos, s=math.sin, dual_c=math.cosh,
-         dual_s=math.sinh, dual_zeros=(0.0,), root=math.atan2,
+D = Side(kappa=-1.0, c="cos", s="sin", dual_c="cosh",
+         dual_s="sinh", dual_zeros=(0.0,), root=math.atan2,
          columns=attrgetter("disc_d", "Dd", "Dd1", "Dd2"),
          eps_path=attrgetter("eps_d_path_program"),
          eps_closed=attrgetter("eps_d_closed_program"),
@@ -263,7 +263,7 @@ def _replayed(program, values, where=True) -> tuple:
     """The check of the program's located ExprDomainError by its scalar
     replay, on the rows (where `where`) whose (m, 1) values are not finite."""
     bad = where & ~np.isfinite(np.hstack(values)).all(axis=1)
-    return lambda row, i: bad[i] and eval_expr(program, row.t), bad
+    return lambda row, i: bad[i] and eval_located(program, row.t), bad
 
 
 def _batch(side: Side, model, tl, evolute: bool = False, frames: bool = False) -> tuple:
@@ -306,9 +306,9 @@ def _dual_partials(side: Side, data, f, r, c, s) -> tuple:
 
 def _fiber(side: Side, thetas, dual: bool = False):
     """The fiber pair (c, s) of the focal surface (with `dual`, of the dual of
-    the evolute) at each of thetas, as arrays of the side's libm values."""
-    fns = (side.dual_c, side.dual_s) if dual else (side.c, side.s)
-    return [np.array([fn(th) for th in thetas]) for fn in fns]
+    the evolute) at each of thetas, as arrays of the scalar replay's values."""
+    names = (side.dual_c, side.dual_s) if dual else (side.c, side.s)
+    return [_fun_cols(name, np.asarray(thetas, dtype=float)) for name in names]
 
 
 def _point(side: Side, model, t, theta, dual: bool = False):
@@ -491,7 +491,7 @@ def _eps_values(model, t, side: Side):
     except ExprDomainError:
         fallback = True
     if fallback:
-        eps, eps1 = eval_expr(side.eps_closed(model.frenet), t)
+        eps, eps1 = eval_located(side.eps_closed(model.frenet), t)
     return eps, eps1, fallback
 
 
@@ -639,14 +639,13 @@ def surface_grid(model: FramedCurveModel, which: str, ts, thetas) -> np.ndarray:
     evolute ("dual_eh", "dual_ed").  The grid is one broadcast of _points
     over frenet_columns(ts) (rows of the grid table at grid ts) and the
     theta row; _raise_rows checks each row that frenet_columns marks
-    suspect, or where the surface is undefined.  A point that is not
-    finite, or is off its quadric, raises.
+    suspect, or where the surface is undefined.  A point off its quadric
+    or not finite raises NumericError, which names its grid index and t.
     """
     if which not in (H.focal, D.focal, H.dual, D.dual):
         raise InvalidInputError(f"unknown surface {which!r}")
     side, dual = SURFACES[which]
     ts = np.asarray(ts, dtype=float)
-    thetas = np.asarray(thetas, dtype=float).tolist()
     out = np.empty((len(ts), len(thetas), 4))
     if not out.size:
         return out
@@ -661,17 +660,15 @@ def surface_grid(model: FramedCurveModel, which: str, ts, thetas) -> np.ndarray:
             raise SurfaceUndefinedError(f"grid point (i={i}, j=0): {exc}") from exc
 
     _raise_rows(model, data, suspect, [(wrapped, undefined)])
+    quadric = Quadric.H3 if which == H.focal else Quadric.S31
     with np.errstate(all="ignore"):
         out[:] = _points(data.rows(np.s_[:, :, None]), frames[:, None], r[:, :, None],
                          c[:, None], s[:, None], dual)
-    if not np.isfinite(out).all():
-        raise InvalidInputError(
-            f"non-finite component in MinkVec: {float(out[~np.isfinite(out)][0])!r}")
-    quadric = Quadric.H3 if which == H.focal else Quadric.S31
-    with np.errstate(all="ignore"):
-        off = np.abs(membership_residual(Columns(*np.moveaxis(out, -1, 0)), quadric)) > ON_QUADRIC
-    if off.any():
-        i, j = np.argwhere(off)[0].tolist()
+        # a point that is not finite has a NaN or infinite residual: off
+        on = np.abs(membership_residual(Columns(*np.moveaxis(out, -1, 0)), quadric)) <= ON_QUADRIC
+    if not on.all():
+        i, j = np.argwhere(~on)[0].tolist()
+        point = ", ".join(f"x{k}={v!r}" for k, v in enumerate(out[i, j].tolist()))
         raise NumericError(f"grid point (i={i}, j={j}) at t={float(ts[i])!r}: {which} point "
-                           f"{MinkVec.from_array(out[i, j])} is not on {quadric.value}")
+                           f"MinkVec({point}) is not on {quadric.value}")
     return out

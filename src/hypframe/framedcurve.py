@@ -354,6 +354,14 @@ class FrenetData:
         return FrenetData(**row)
 
 
+def eval_located(e, t):
+    """eval_expr at the float t; its ExprDomainError names t."""
+    try:
+        return eval_expr(e, t)
+    except ExprDomainError as exc:
+        raise ExprDomainError(exc.message, exc.subexpr, t) from exc
+
+
 # ---------------------------------------------------------------------------
 # The integrated model
 
@@ -486,7 +494,7 @@ class FramedCurveModel:
 
     def frenet_frame_at(self, t: float) -> np.ndarray:
         """Rows (gamma, n1, n2, mu): the normals rotated to the Frenet pair."""
-        a, b = eval_expr(self.quartet.a, t), eval_expr(self.quartet.b, t)
+        a, b = eval_located(self.quartet.a, t), eval_located(self.quartet.b, t)
         r2 = a * a + b * b
         if r2 <= self.tol.zero:
             raise FrameDegenerateError(
@@ -499,18 +507,18 @@ class FramedCurveModel:
     def frenet_data_at(self, t: float) -> FrenetData:
         """The row of frenet_columns at t (FrenetData.row).  Where it is
         suspect, the query raises first what evaluating its programs one at
-        a time raises there: a vanishing a^2 + b^2, a located ExprDomainError."""
+        a time raises there: a vanishing a^2 + b^2, an ExprDomainError at t."""
         _, data, suspect = self.frenet_columns(np.array([t], dtype=float), frames=False)
         if suspect[0]:
             fe = self.frenet
-            ab2 = eval_expr(fe.ab2, t)
+            ab2 = eval_located(fe.ab2, t)
             if ab2 <= self.tol.zero:
                 raise FrameDegenerateError(
                     f"a^2+b^2 = {ab2!r} at t={t!r}: Frenet type frame undefined")
-            disc_h = eval_expr(fe.base_program, t)[0]
+            disc_h = eval_located(fe.base_program, t)[0]
             for program, disc in ((fe.dh_program, disc_h), (fe.dd_program, -disc_h)):
                 if disc > 0.0:
-                    eval_expr(program, t)
+                    eval_located(program, t)
         return data.row(0)
 
     def frenet_columns(self, ts, frames: bool = True) -> tuple:
@@ -605,7 +613,7 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
     hs = np.full(nsamples - 1, dt / nsub)
     substeps = np.full(nsamples - 1, nsub, dtype=np.int64)
 
-    # curvature at the Gauss nodes of every substep, vectorized
+    # curvature at the Gauss nodes of every substep, as eval_expr gives it at each
     starts = (ts[:-1][:, None] + hs[:, None] * np.arange(nsub)[None, :]).ravel()
     node_ts = np.empty((len(starts), 2))
     node_ts[:, 0] = starts + _kernel.GAUSS_C1 * np.repeat(hs, nsub)

@@ -18,7 +18,7 @@ their results (hash-consing), so an expression is a graph in which each
 distinct sub-expression exists once.  `compile` turns a list of roots into
 one straight-line program with one op per distinct node; evaluation
 follows IEEE semantics with domain violations reported against the
-offending sub-expression.
+offending sub-expression, or over an array, as NaN.
 """
 
 from __future__ import annotations
@@ -62,11 +62,13 @@ class NonIntegerExponentError(ExprSyntaxError):
 
 
 class ExprDomainError(NumericError):
-    """Evaluation hit a domain violation; carries the offending sub-expression."""
+    """Evaluation hit a domain violation; carries the offending sub-expression
+    and, where the caller names it, the t that the evaluation was at."""
 
-    def __init__(self, message, subexpr):
-        super().__init__(f"{message} in {to_source(subexpr)!r}")
-        self.subexpr = subexpr
+    def __init__(self, message, subexpr, t=None):
+        at = "" if t is None else f" at t={float(t)!r}"
+        super().__init__(f"{message} in {to_source(subexpr)!r}{at}")
+        self.message, self.subexpr = message, subexpr
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +525,9 @@ def diff_expr(e: Expr, order: int = 1) -> Expr:
 # ---------------------------------------------------------------------------
 # Evaluation.  A list of roots compiles to one straight-line program with
 # one op per distinct node (plus a check before each division's
-# numerator).  The op list is replayed over a Python float, with IEEE
-# semantics and located domain errors, or over a NumPy array, where
-# domain violations surface as non-finite values (as NaN, and with the
-# float replay's rounding, in the exact array replay).
+# numerator).  One loop replays the op list, over a Python float, with
+# IEEE semantics and located domain errors, or over a NumPy array, with
+# the float replay's rounding and NaN where that raises.
 
 
 def _apply(name: str, x: float, node: Expr) -> float:
@@ -536,7 +537,7 @@ def _apply(name: str, x: float, node: Expr) -> float:
     try:
         return f.libm(x)
     except (OverflowError, ValueError):
-        # IEEE semantics, as in the array replay: saturate, or NaN for sin(inf)
+        # IEEE semantics: saturate, or NaN for sin(inf)
         with np.errstate(all="ignore"):
             return float(f.numpy(x))
 
@@ -578,42 +579,35 @@ def power(x, k: int):
     return np.reshape(out, x.shape)
 
 
-# Python source of one op of the scalar replay.  Op i stores its value in v{i};
-# {a} and {b} are operand op indices, except that {b} is the exponent of
-# a pow op and the function name of a fun op.  A den op checks the
-# denominator of the Div node it belongs to.
-_SCALAR_CODE = {
-    "num": "v{i} = O[{i}].value",
-    "var": "v{i} = float(t)",
-    "neg": "v{i} = -v{a}",
-    "add": "v{i} = v{a} + v{b}",
-    "sub": "v{i} = v{a} - v{b}",
-    "mul": "v{i} = v{a} * v{b}",
-    "den": "if v{a} == 0.0: raise ExprDomainError('division by zero', O[{i}])",
-    "div": "v{i} = v{a} / v{b}",
-    "pow": "v{i} = _pow(v{a}, {b!r}, O[{i}])",
-    "fun": "v{i} = _apply({b!r}, v{a}, O[{i}])",
-}
-# One op of the array replays, which run a program a few times, not
-# thousands, and so walk the ops instead of rendering them; v holds the
-# values of the ops before.
-_ARRAY_OPS = {
+def _den(v, t, node, a, b):
+    if v[a] == 0.0:
+        raise ExprDomainError("division by zero", node)
+
+
+# One op of the scalar replay, by kind: v holds the values of the ops
+# before, node is the op's node, a and b its operands, except that b is
+# the exponent of a pow op and the function name of a fun op.  A den op
+# checks the denominator of the Div node it belongs to.
+_SCALAR_OPS = {
     "num": lambda v, t, node, a, b: node.value,
-    "var": lambda v, t, node, a, b: t,
+    "var": lambda v, t, node, a, b: float(t),
     "neg": lambda v, t, node, a, b: -v[a],
     "add": lambda v, t, node, a, b: v[a] + v[b],
     "sub": lambda v, t, node, a, b: v[a] - v[b],
     "mul": lambda v, t, node, a, b: v[a] * v[b],
-    "den": lambda v, t, node, a, b: None,
-    # through NumPy: two constant operands are Python floats, whose / and **
-    # raise on a zero divisor where the array replay gives IEEE values
-    "div": lambda v, t, node, a, b: np.divide(v[a], v[b]),
-    "pow": lambda v, t, node, a, b: np.power(v[a], b),
-    "fun": lambda v, t, node, a, b: _TABLE[b].numpy(v[a]),
+    "den": _den,
+    "div": lambda v, t, node, a, b: v[a] / v[b],
+    "pow": lambda v, t, node, a, b: _pow(v[a], b, node),
+    "fun": lambda v, t, node, a, b: _apply(b, v[a], node),
 }
-# the scalar replay's rounding, and a NaN where that raises
-_EXACT_OPS = {
-    **_ARRAY_OPS,
+# One op of the array replay: the scalar op over each element of an
+# array, bit for bit, and NaN where the scalar op raises.  NumPy's power
+# and functions round differently from Python's, so those ops take their
+# operands element by element.
+_ARRAY_OPS = {
+    **_SCALAR_OPS,
+    "var": lambda v, t, node, a, b: t,
+    "den": lambda v, t, node, a, b: None,
     "div": lambda v, t, node, a, b: np.where(v[b] == 0.0, math.nan, np.divide(v[a], v[b])),
     "pow": lambda v, t, node, a, b: power(np.asarray(v[a]), b),
     "fun": lambda v, t, node, a, b: _fun_cols(b, v[a]),
@@ -626,48 +620,31 @@ class Program:
     `ops` are (kind, node, a, b) in the order in which the recursive walk
     of each root in turn first reaches a node: operands left to right,
     except that a Div evaluates and checks its denominator before its
-    numerator.  Replaying them therefore raises at the same node, with
-    the same message, as that walk.  The scalar replay is rendered to
-    Python source once, on first use.
+    numerator.  Replaying them over a float therefore raises at the same
+    node, with the same message, as that walk; replaying them over an
+    array gives that walk's value at each element, or NaN where it raises.
     """
 
     def __init__(self, ops, outputs):
         self.ops = ops
         self.outputs = outputs
-        self._scalar = None
+
+    def _replay(self, table, t) -> tuple:
+        v = []
+        for kind, node, a, b in self.ops:
+            v.append(table[kind](v, t, node, a, b))
+        return tuple(v[i] for i in self.outputs)
 
     def scalar(self, t) -> tuple:
         """Values of the roots at the float t."""
-        if self._scalar is None:
-            self._scalar = self._render()
-        return self._scalar(t)
+        return self._replay(_SCALAR_OPS, t)
 
-    def array(self, t, exact: bool = False) -> tuple:
-        """Values of the roots over the array t (NumPy broadcasting).
-
-        With `exact`, every root has the shape of t, and each element is
-        the scalar replay's value at that t, bit for bit, or NaN where an
-        op that the root reads would raise there.  NumPy's power and
-        functions round differently from Python's, so this replay takes
-        them element by element.
-        """
-        replay, v = _EXACT_OPS if exact else _ARRAY_OPS, []
+    def array(self, t) -> tuple:
+        """Values of the roots over the array t, each of t's shape: at each
+        element, the scalar replay's value at that t, bit for bit, or NaN
+        where an op that the root reads would raise there."""
         with np.errstate(all="ignore"):
-            for kind, node, a, b in self.ops:
-                v.append(replay[kind](v, t, node, a, b))
-        if exact:
-            return tuple(np.broadcast_to(v[i], np.shape(t)) for i in self.outputs)
-        return tuple(v[i] for i in self.outputs)
-
-    def _render(self):
-        lines = ["def run(t):"]
-        for i, (kind, _, a, b) in enumerate(self.ops):
-            lines.append("    " + _SCALAR_CODE[kind].format(i=i, a=a, b=b))
-        lines.append("    return (" + "".join(f"v{i}, " for i in self.outputs) + ")")
-        namespace = {"O": tuple(op[1] for op in self.ops), "_pow": _pow,
-                     "_apply": _apply, "ExprDomainError": ExprDomainError}
-        exec("\n".join(lines), namespace)
-        return namespace["run"]
+            return tuple(np.broadcast_to(v, np.shape(t)) for v in self._replay(_ARRAY_OPS, t))
 
 
 def compile(roots) -> Program:
@@ -724,26 +701,25 @@ def eval_expr(e, t):
 
     An Expr gives a float; a compiled Program gives the tuple of its
     roots' values.  At an ndarray t, each value is an array of t's shape:
-    Program.array(t, exact=True).
+    Program.array(t).
     """
     program = e if isinstance(e, Program) else _single(e)
-    values = program.array(t, exact=True) if isinstance(t, np.ndarray) else program.scalar(t)
+    values = program.array(t) if isinstance(t, np.ndarray) else program.scalar(t)
     return values if isinstance(e, Program) else values[0]
 
 
 def vectorized(e: Expr):
-    """NumPy-backed callable over scalars or arrays.
+    """Callable over scalars or arrays: Program.array of e, so each value is
+    eval_expr's at that t, bit for bit.
 
-    Domain violations surface as non-finite values; callers that need a
-    located error re-evaluate the offending point through eval_expr.
+    Domain violations surface as NaN; callers that need a located error
+    re-evaluate the offending point through eval_expr.
     """
     program = _single(e)
 
     def call(t):
         arr = np.asarray(t, dtype=float)
-        out = np.asarray(program.array(arr)[0], dtype=float)
-        if out.shape != arr.shape:
-            out = np.broadcast_to(out, arr.shape).copy()
+        out = program.array(arr)[0]
         return out if arr.ndim else float(out)
 
     return call

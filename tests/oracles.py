@@ -20,7 +20,8 @@ import numpy as np
 
 from hypframe.duality import (PAIR_NAMES, PAIR_SURFACES, DualPairSample, FrontVerdict,
                               isotropy_residuals, pair_theta_range)
-from hypframe.errors import FrameDegenerateError, InvalidInputError, SurfaceUndefinedError
+from hypframe.errors import (FrameDegenerateError, InvalidInputError, NumericError,
+                             SurfaceUndefinedError)
 from hypframe.evolute import (CorrespondenceReport, DualSurfaceRecord, EvolutePointType,
                               EvoluteSample, LegReport, _bisect_eps_zero, _dual_type,
                               _point_type)
@@ -29,13 +30,13 @@ from hypframe.focal import (FIBER_COUNT, FIBER_WINDOW, REFINE_DEPTH, SURFACES, D
                             _edge_or_beaks, _edge_or_swallowtail, _eps_values, _fiber,
                             _norm_circle, _require, _scale, _undefined)
 from hypframe.framedcurve import FrenetData
-from hypframe.minkowski import MinkVec, Quadric, membership_residual
+from hypframe.minkowski import ON_QUADRIC, MinkVec, Quadric, membership_residual
 from hypframe.pipeline import (DUALITY_SAMPLES, DUALITY_SEED, project_hollow_ball,
                                project_poincare)
 from hypframe.propagation import (_CF4_A, _CF4_B, coefficient_matrix_values,
                                   gram_drift, gram_residual,
                                   pseudo_orthonormalize)
-from hypframe.symexpr import (_TABLE, Add, Div, ExprDomainError, Fun, Mul, Neg,
+from hypframe.symexpr import (Add, Div, ExprDomainError, Fun, Mul, Neg,
                               Num, Pow, Sub, Var, _apply, eval_expr)
 from hypframe.tolerances import is_zero
 
@@ -73,41 +74,6 @@ def tree_eval(e, t):
                 return sign * math.inf
         case Fun(name=name, arg=u):
             return _apply(name, tree_eval(u, t), e)
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def tree_vec(e):
-    """NumPy closure of e built by a recursive walk of the tree; call it
-    under np.errstate(all="ignore").  Quotients and powers go through
-    NumPy even where both operands are constants, so a zero divisor gives
-    IEEE values there too."""
-    match e:
-        case Num(value=v):
-            return lambda t: v
-        case Var():
-            return lambda t: t
-        case Neg(arg=u):
-            f = tree_vec(u)
-            return lambda t: -f(t)
-        case Add(lhs=x, rhs=y):
-            fx, fy = tree_vec(x), tree_vec(y)
-            return lambda t: fx(t) + fy(t)
-        case Sub(lhs=x, rhs=y):
-            fx, fy = tree_vec(x), tree_vec(y)
-            return lambda t: fx(t) - fy(t)
-        case Mul(lhs=x, rhs=y):
-            fx, fy = tree_vec(x), tree_vec(y)
-            return lambda t: fx(t) * fy(t)
-        case Div(lhs=x, rhs=y):
-            fx, fy = tree_vec(x), tree_vec(y)
-            return lambda t: np.divide(fx(t), fy(t))
-        case Pow(base=u, exponent=k):
-            f = tree_vec(u)
-            return lambda t: np.power(f(t), k)
-        case Fun(name=name, arg=u):
-            f = tree_vec(u)
-            g = _TABLE[name].numpy
-            return lambda t: g(f(t))
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -225,20 +191,35 @@ def random_mink_vectors(rng, n, scale=2.0):
 # oracles below are built on them.
 
 
+def fiber(name, theta):
+    """A fiber function, named as a DSL function, at the float theta, as the
+    scalar replay takes it: libm's value, else the IEEE value."""
+    return _apply(name, theta, None)
+
+
+def located(e, t):
+    """eval_expr at the float t, its ExprDomainError naming t, as the
+    per-point queries raise it."""
+    try:
+        return eval_expr(e, t)
+    except ExprDomainError as exc:
+        raise ExprDomainError(exc.message, exc.subexpr, t) from exc
+
+
 def frenet_data(model, t):
     """`FramedCurveModel.frenet_data_at` one program at a time at the float t."""
     fe = model.frenet
-    ab2 = eval_expr(fe.ab2, t)
+    ab2 = located(fe.ab2, t)
     if ab2 <= model.tol.zero:
         raise FrameDegenerateError(
             f"a^2+b^2 = {ab2!r} at t={t!r}: Frenet type frame undefined")
-    disc_h, M, N, M1, N1, A1, W, W1, W2, sigma_f = eval_expr(fe.base_program, t)
+    disc_h, M, N, M1, N1, A1, W, W1, W2, sigma_f = located(fe.base_program, t)
     data = dict(t=t, M=M, N=N, A=math.sqrt(ab2), B=0.0, M1=M1, N1=N1, A1=A1,
                 W=W, W1=W1, W2=W2, sigma_f=sigma_f, disc_h=disc_h, disc_d=-disc_h)
     if disc_h > 0.0:
-        data.update(zip(("Dh", "Dh1", "Dh2"), eval_expr(fe.dh_program, t)))
+        data.update(zip(("Dh", "Dh1", "Dh2"), located(fe.dh_program, t)))
     if -disc_h > 0.0:
-        data.update(zip(("Dd", "Dd1", "Dd2"), eval_expr(fe.dd_program, t)))
+        data.update(zip(("Dd", "Dd1", "Dd2"), located(fe.dd_program, t)))
     return FrenetData(**data)
 
 
@@ -277,14 +258,14 @@ def partials_loop(model, side, t, theta, dual=False):
     f = frenet_frame(model, t)
     k = side.kappa
     if dual:
-        c, s = side.dual_c(theta), side.dual_s(theta)
+        c, s = fiber(side.dual_c, theta), fiber(side.dual_s, theta)
         ft = (c * data.M + k * s * data.A * data.W / r ** 3) * f[0] \
             + (-c * data.A - k * s * data.M * data.W / r ** 3) * f[1] \
             + (s * data.A * data.N / r) * f[2] \
             + (k * s * r) * f[3]
         fth = (c / r) * (-data.M * f[0] + data.A * f[1]) - k * s * f[3]
     else:
-        c, s = side.c(theta), side.s(theta)
+        c, s = fiber(side.c, theta), fiber(side.s, theta)
         ft = (-k * c * data.M * data.W / r ** 3) * f[0] \
             + (k * c * data.A * data.W / r ** 3 - s * data.N) * f[1] \
             + (-c * data.M * data.N / r) * f[2]
@@ -296,14 +277,14 @@ def lambda_loop(model, side, t, theta):
     """`hypframe.focal.lambda_h` (side H) or `_d` (side D) at one (t, theta)."""
     data = frenet_data(model, t)
     disc, d0 = _require(side, data, model)[:2]
-    return (side.c(theta) * data.W - side.s(theta) * d0) / disc
+    return (fiber(side.c, theta) * data.W - fiber(side.s, theta) * d0) / disc
 
 
 def lambda_dual_loop(model, side, t, theta):
     """`hypframe.evolute.lambda_dual_h` (side H) or `_d` (side D) at one (t, theta)."""
     data = frenet_data(model, t)
     disc = _require(side, data, model, evolute=True)[0]
-    return side.kappa * side.dual_s(theta) * math.sqrt(side.kappa * data.sigma_f) / disc
+    return side.kappa * fiber(side.dual_s, theta) * math.sqrt(side.kappa * data.sigma_f) / disc
 
 
 def evolute_sample(model, t, side):
@@ -313,7 +294,7 @@ def evolute_sample(model, t, side):
     data = frenet_data(model, t)
     _require(side, data, model, evolute=True)
     f = model.frenet_frame_at(t)
-    coeffs = eval_expr(side.evolute_program(model.frenet), t)
+    coeffs = located(side.evolute_program(model.frenet), t)
     vecs = [MinkVec.from_array(np.array(coeffs[k:k + 4]) @ f) for k in range(0, 16, 4)]
     eps, eps1, fallback = _eps_values(model, t, side)
     ptype = _point_type(eps, eps1, _scale(data), model.tol.sing)
@@ -370,26 +351,31 @@ def frenet_frame(model, t):
 MESH_SURFACES = {H.focal: (H, False), D.focal: (D, False), H.dual: (H, True), D.dual: (D, True)}
 
 
-def surface_point(model, which, t, theta):
+def surface_row(model, which, t, theta):
     """One point of a focal surface, (c/r)(A f0 - M f1) + s f2, or of the
-    dual of an evolute, c f3 + (s/r)(-M f0 + A f1), as scalar arithmetic."""
+    dual of an evolute, c f3 + (s/r)(-M f0 + A f1), as scalar arithmetic,
+    unchecked: an array of its four components."""
     side, dual = MESH_SURFACES[which]
     data = frenet_data(model, t)
     disc = _require(side, data, model, evolute=dual)[0]
     f = frenet_frame(model, t)
     r = math.sqrt(disc)
     if dual:
-        row = side.dual_c(theta) * f[3] \
-            + (side.dual_s(theta) / r) * (-data.M * f[0] + data.A * f[1])
-    else:
-        row = (side.c(theta) / r) * (data.A * f[0] - data.M * f[1]) \
-            + side.s(theta) * f[2]
-    return MinkVec.from_array(row)
+        return fiber(side.dual_c, theta) * f[3] \
+            + (fiber(side.dual_s, theta) / r) * (-data.M * f[0] + data.A * f[1])
+    return (fiber(side.c, theta) / r) * (data.A * f[0] - data.M * f[1]) \
+        + fiber(side.s, theta) * f[2]
+
+
+def surface_point(model, which, t, theta):
+    """surface_row as a MinkVec, which must be finite."""
+    return MinkVec.from_array(surface_row(model, which, t, theta))
 
 
 def surface_grid_loop(model, which, ts, thetas):
-    """`hypframe.focal.surface_grid` one point at a time, each point checked
-    for finiteness as it is built."""
+    """`hypframe.focal.surface_grid` one point at a time: each point built,
+    raising where its surface is undefined, then each checked in turn for
+    lying on its quadric, where a point that is not finite does not."""
     if which not in MESH_SURFACES:
         raise InvalidInputError(f"unknown surface {which!r}")
     ts = np.asarray(ts, dtype=float)
@@ -398,10 +384,25 @@ def surface_grid_loop(model, which, ts, thetas):
     for i, t in enumerate(ts):
         for j, th in enumerate(thetas):
             try:
-                out[i, j] = surface_point(model, which, float(t), float(th)).as_array()
+                out[i, j] = surface_row(model, which, float(t), float(th))
             except SurfaceUndefinedError as exc:
                 raise SurfaceUndefinedError(
                     f"grid point (i={i}, j={j}): {exc}") from exc
+    return on_quadric_loop(which, ts, out)
+
+
+def on_quadric_loop(which, ts, out):
+    """The grid out of surface `which` over ts, each point checked in turn
+    for lying on its quadric, where a point that is not finite does not."""
+    quadric = Quadric.H3 if which == H.focal else Quadric.S31
+    for i, j in np.ndindex(*out.shape[:2]):
+        x = out[i, j].tolist()
+        residual = -x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3] \
+            + (1.0 if quadric is Quadric.H3 else -1.0)
+        if not abs(residual) <= ON_QUADRIC:
+            point = ", ".join(f"x{k}={v!r}" for k, v in enumerate(x))
+            raise NumericError(f"grid point (i={i}, j={j}) at t={float(ts[i])!r}: {which} "
+                               f"point MinkVec({point}) is not on {quadric.value}")
     return out
 
 
@@ -473,7 +474,7 @@ def pair_sample_loop(model, pair, t, theta):
         g = MinkVec.from_array(f[3])
         gt = MinkVec.from_array(data.M * f[0] - data.A * f[1])
         return DualPairSample(p, g, pt, pth, gt, zero, side.fibration)
-    coeffs = eval_expr(side.evolute_program(model.frenet), t)
+    coeffs = located(side.evolute_program(model.frenet), t)
     e, e1, _, _ = [MinkVec.from_array(np.array(coeffs[j:j + 4]) @ f) for j in range(0, 16, 4)]
     _eps_values(model, t, side)  # the evolute evaluated epsilon, and could raise there
     legs = ((e, e1, zero), (p, pt, pth))
@@ -556,8 +557,8 @@ def defined_runs_loop(model):
 
 def surface_grid_rows(model, which, ts, thetas):
     """`hypframe.focal.surface_grid` one row at a time, as `fiber_points`
-    over the whole theta row, before it became one broadcast (with no
-    quadric check)."""
+    over the whole theta row, before it became one broadcast, then
+    on_quadric_loop."""
     if which not in MESH_SURFACES:
         raise InvalidInputError(f"unknown surface {which!r}")
     side, dual = MESH_SURFACES[which]
@@ -572,16 +573,13 @@ def surface_grid_rows(model, which, ts, thetas):
             out[i] = fiber_points(side, model, t, c, s, dual)
         except SurfaceUndefinedError as exc:
             raise SurfaceUndefinedError(f"grid point (i={i}, j=0): {exc}") from exc
-    if not np.isfinite(out).all():
-        raise InvalidInputError(
-            f"non-finite component in MinkVec: {float(out[~np.isfinite(out)][0])!r}")
-    return out
+    return on_quadric_loop(which, ts, out)
 
 
 def root_record(side, t, data, theta, whole_fiber=False):
     """A locus record at (t, theta) from the FrenetData at t."""
     disc, d0 = side.columns(data)[:2]
-    lam = (side.c(theta) * data.W - side.s(theta) * d0) / disc
+    lam = (fiber(side.c, theta) * data.W - fiber(side.s, theta) * d0) / disc
     diag = {"lambda_at_root": lam}
     if not whole_fiber:
         diag["sigma_f"] = data.sigma_f
@@ -648,7 +646,7 @@ def classify_record(model, record, side):
     data = frenet_data(model, t0)
     disc, d0, d1, d2 = _require(side, data, model)
     root = math.sqrt(disc)
-    k, cs, sn = side.kappa, side.c(theta0), side.s(theta0)
+    k, cs, sn = side.kappa, fiber(side.c, theta0), fiber(side.s, theta0)
     c2 = sn * data.W1 - k * cs * d1
     s = _scale(data)
     tol = model.tol.sing
@@ -687,7 +685,7 @@ def classify_dual_record(model, t0, side, theta0=0.0):
     data = frenet_data(model, t0)
     _require(side, data, model, evolute=True)
     lam = lambda_dual_loop(model, side, t0, theta0)
-    eps, eps1 = eval_expr(side.eps_closed(model.frenet), t0)
+    eps, eps1 = located(side.eps_closed(model.frenet), t0)
     s = _scale(data)
     return DualSurfaceRecord(
         surface=side.dual, param=SurfaceParam(t0, theta0), lam=lam, sigma_f=data.sigma_f,

@@ -5,6 +5,7 @@ from hypframe import MinkVec, front_verdict, isotropy_residuals, mink_dot
 from hypframe.duality import (PAIR_NAMES, DualPairSample, Fibration,
                               FrontVerdict, pair_sample, pair_theta_range)
 from hypframe.errors import InvalidInputError
+from hypframe.tolerances import DEFAULT
 
 from oracles import fd_partials
 
@@ -84,13 +85,14 @@ def test_front_verdict_monotone_in_rank_tol(model_ce_h):
     order = [FrontVerdict.FRONT, FrontVerdict.FRONTAL]
     prev = None
     for rtol in (1e-9, 1e-6, 1e-3, 1e-1, 0.5, 0.99):
-        v = front_verdict(samples, rank_rtol=rtol)
+        v = front_verdict(samples, DEFAULT.with_overrides({"rank_rtol": rtol}))
         assert v in order
         if prev is not None:
             # raising the threshold can only move Front -> Frontal
             assert order.index(v) >= order.index(prev)
         prev = v
-    assert front_verdict(samples, rank_rtol=0.999999) is FrontVerdict.FRONTAL
+    assert front_verdict(samples, DEFAULT.with_overrides({"rank_rtol": 0.999999})) \
+        is FrontVerdict.FRONTAL
 
 
 def test_front_verdict_requires_samples():

@@ -369,9 +369,9 @@ def test_grid_stages_evaluate_each_program_once(monkeypatch):
     model = integrate_frame(spec.quartet(), spec.domain)
     evaluated, array = [], Program.array
 
-    def counted(self, t, exact=False):
+    def counted(self, t):
         evaluated.append(self)
-        return array(self, t, exact)
+        return array(self, t)
 
     monkeypatch.setattr(Program, "array", counted)
     runs = defined_runs(model)

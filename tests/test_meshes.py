@@ -15,7 +15,7 @@ import pytest
 
 from hypframe import CurvatureQuartet, MinkVec, integrate_frame, load_spec, run_pipeline
 from hypframe import focal, pipeline
-from hypframe.errors import InvalidInputError, SurfaceUndefinedError
+from hypframe.errors import InvalidInputError, NumericError, SurfaceUndefinedError
 from hypframe.focal import defined_runs, surface_grid
 from hypframe.pipeline import export_obj, project_hollow_ball, project_poincare
 
@@ -103,9 +103,11 @@ def test_non_finite_frame_raises_as_the_oracle():
     model.frames = model.frames.copy()
     model.frames[4, 2, 1] = np.nan
     args = (model, "focal_h", model.ts[2:7], [-0.5, 0.0, 0.5])
-    with pytest.raises(InvalidInputError, match="non-finite component") as err:
+    with pytest.raises(NumericError) as err:
         surface_grid(*args)
-    assert _outcome(surface_grid_loop, *args) == (InvalidInputError, str(err.value))
+    assert str(err.value).startswith("grid point (i=2, j=0) at t=0.4: focal_h point MinkVec(")
+    assert str(err.value).endswith(" is not on H3")
+    assert _outcome(surface_grid_loop, *args) == (NumericError, str(err.value))
 
 
 @pytest.mark.parametrize("bad", [[0.5, 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0],

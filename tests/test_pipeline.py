@@ -444,6 +444,30 @@ def test_cli_off_quadric_mesh_vertex_exits_2(tmp_path, capsys):
                     r"focal_h point MinkVec\(.*\) is not on H3$", err.strip()), err
 
 
+def test_cli_wide_theta_window_exits_2(tmp_path, capsys):
+    """cosh(theta) is past the libm range at theta = -1000: the fiber takes
+    the IEEE value, and the mesh point that is not finite is a numeric
+    failure that names its grid point, not a crash with OverflowError."""
+    doc = dict(MINIMAL, curvature={"m": "1", "n": "1", "a": "2", "b": "0"},
+               domain={"t0": 0.0, "t1": 1.0, "samples": 11},
+               theta={"min": -1000.0, "max": 1000.0, "samples": 5}, outputs=["focal_h_obj"])
+    code = cli_main(["run", "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("numeric failure: grid point (i=0, j=0) at t=0.0: "), err
+
+
+@pytest.mark.parametrize("sub", ["focal", "evolute", "dual", "classify", "verify", "run"])
+def test_cli_frenet_domain_error_names_its_t(tmp_path, capsys, sub):
+    """m = 1/t: every Frenet program divides by zero at the grid point t = 0,
+    and the error names that t."""
+    doc = dict(MINIMAL, curvature={"m": "1/t", "n": "1", "a": "2", "b": "0"},
+               domain={"t0": -1.0, "t1": 1.0, "samples": 21})
+    code = cli_main([sub, "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "numeric failure: division by zero in '1/t' at t=0.0\n"
+
+
 @pytest.mark.parametrize("field, source, text", [
     ("m", "(" * 200 + "t" + ")" * 200, f"nesting deeper than {MAX_DEPTH} levels"),
     ("a", "+".join(["sin(t)"] * 1000), f"expression tree deeper than {MAX_DEPTH} levels"),

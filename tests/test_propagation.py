@@ -9,10 +9,11 @@ import os
 import numpy as np
 import pytest
 
+from hypframe import framedcurve
 from hypframe import propagation as kernel
 from hypframe.errors import InvalidInputError
 from hypframe.framedcurve import CurvatureQuartet, FrameSample, integrate_frame
-from hypframe.symexpr import vectorized
+from hypframe.symexpr import FUNCTIONS, eval_expr, vectorized
 from hypframe.tolerances import DEFAULT
 
 from oracles import expm4 as expm4_scalar
@@ -228,3 +229,35 @@ def test_integrate_frame_matches_oracle_loop(monkeypatch):
     monkeypatch.setattr(kernel, "propagate", propagate_loop)
     ref = integrate_frame(q, (0.0, 1.0, 11), step=1e-3)
     assert _relative(model.frames, ref.frames) <= 1e-12
+
+
+def test_integrator_nodes_round_as_eval_expr(monkeypatch):
+    """The curvature values that integrate_frame hands to the kernel are
+    eval_expr's at each Gauss node, bit for bit, for every DSL function
+    and for ^."""
+    q = CurvatureQuartet.from_strings("sin(3*t)+cos(t)*tan(t)", "1+sinh(2*t)*tanh(3*t)",
+                                      "2+cosh(t)+exp(t)*log(2+t)",
+                                      "sqrt(1+t)*atan(t)+artanh(t/2)+t^3")
+    sources = "".join(map(str, q))
+    assert "^" in sources and all(name + "(" in sources for name in FUNCTIONS)
+    nodes, handed, propagate = [], [], kernel.propagate
+
+    def spy_vectorized(e):
+        def call(t):
+            nodes.append(t)
+            return vectorized(e)(t)
+        return call
+
+    def spy_propagate(node_vals, *rest):
+        handed.append(node_vals.copy())
+        return propagate(node_vals, *rest)
+
+    monkeypatch.setattr(framedcurve, "vectorized", spy_vectorized)
+    monkeypatch.setattr(kernel, "propagate", spy_propagate)
+    integrate_frame(q, (-0.5, 0.5, 11))
+    monkeypatch.undo()
+    (node_vals,) = handed
+    assert len(nodes) == 4 and node_vals.size == 4 * nodes[0].size == 4000
+    for j, (e, node_ts) in enumerate(zip(q, nodes)):
+        want = np.array([eval_expr(e, t) for t in node_ts.ravel().tolist()])
+        assert node_vals[:, :, j].ravel().tobytes() == want.tobytes(), j

@@ -11,7 +11,7 @@ from hypframe.symexpr import (FUNCTIONS, ONE, T, Add, ExprDomainError,
                               parse_expr, to_source, vectorized)
 from hypframe.symexpr import MAX_DEPTH
 
-from oracles import central_diff, tree_eval, tree_vec
+from oracles import central_diff, tree_eval
 
 
 def test_parse_literal():
@@ -265,7 +265,7 @@ def test_vectorized_matches_eval():
         except ExprDomainError:
             continue
         got = vectorized(e)(ts)
-        assert np.allclose(got, expected, rtol=1e-13, atol=1e-300, equal_nan=True)
+        assert got.tobytes() == np.array(expected).tobytes()
 
 
 # -- hash-consing ------------------------------------------------------------
@@ -339,7 +339,6 @@ def test_compiled_replay_matches_tree_walk():
     rng = np.random.default_rng(2024)
     ts = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 1e-300, 800.0, -800.0,
           math.inf, math.nan]
-    arr = np.array(ts)
     seen, errors = set(), []
     for _ in range(200):
         src = _graph_source(rng)
@@ -363,20 +362,13 @@ def test_compiled_replay_matches_tree_walk():
                 assert all(map(_same_bits, got, want)), (src, t)
                 assert _same_bits(eval_expr(e, t), want[0])
 
-        with np.errstate(all="ignore"):
-            want, want_exc = _outcome(lambda: [tree_vec(r)(arr) for r in roots])
-        got, got_exc = _outcome(lambda: program.array(arr))
-        assert type(got_exc) is type(want_exc), src
-        if want_exc is None:
-            assert all(map(_same_bits, got, want)), src
-
     assert seen == set(FUNCTIONS)
     assert any(m.startswith("division by zero") for m in errors)
     assert any(m.startswith("sqrt of negative") for m in errors)
 
 
 def test_exact_array_replay_matches_tree_walk():
-    """Each root of the exact array replay holds the tree walk's value at
+    """Each root of the array replay holds the tree walk's value at
     every t, bit for bit, and NaN where the walk raises, even where the
     IEEE value of the root would be finite, as 1/(1/t) at t = 0 is."""
     rng = np.random.default_rng(2025)
@@ -390,7 +382,7 @@ def test_exact_array_replay_matches_tree_walk():
             roots = [e, diff_expr(e), diff_expr(e, 2)]
         except (ExprDomainError, OverflowError, ZeroDivisionError):
             continue
-        got = compile(roots).array(arr, exact=True)
+        got = compile(roots).array(arr)
         for root, column in zip(roots, got):
             assert column.shape == arr.shape
             for t, value in zip(ts, column.tolist()):
