@@ -15,8 +15,10 @@ Run it from the root of a hypframe checkout.  The corpus is
   points, a d-locus branch jump that is refined, whole-fiber records, an
   epsilon branch pole where the closed form takes over, a curvature
   whose de Sitter evolute turns to NaN without a domain error, a
-  curvature with a pole at a grid point, and a theta window wide enough
-  that cosh(theta) overflows.
+  curvature with a pole at a grid point, a curvature whose derivative
+  has a pole at a grid point, a theta window wide enough that
+  cosh(theta) overflows, and epsilon crossings where N = W = D = 0 on the
+  hyperbolic side.
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -52,6 +54,8 @@ QUARTETS = {
                     "-0.61+0.05*t+1.44*t^2", "0"), (-1.6, 1.6, 81)),
     "grid_pole": (("1/t", "1", "2", "0"), (-1.0, 1.0, 21)),
     "wide_theta": (("1", "1", "2", "0"), (0.0, 1.0, 11), (-1000.0, 1000.0, 5)),
+    "crossing_n_zero": (("1.13", "0.66-0.77*sin(-2.78*t)", "-1.23", "0"), (-1.6, 1.6, 41)),
+    "frenet_pole": (("sqrt(t)", "1", "2", "0"), (0.0, 1.0, 11)),
 }
 
 
