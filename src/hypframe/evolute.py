@@ -64,7 +64,7 @@ def _evolute_columns(side: Side, model, ts, frames, rows=True) -> tuple:
     frames: the (m, 4) rows of E and its three derivatives, (eps, eps1,
     fallback) of _eps_columns on the mask `rows`, and the checks of the
     evolute's own evaluations, which follow its definedness rule, in order."""
-    program = side.evolute_program(model.frenet)
+    program = side.frenet(model).evolute_program
     coeffs = model.program_columns(program, ts)
     # a stacked matmul rounds each row as the one-sample product does
     vecs = [(np.hstack(coeffs[k:k + 4])[:, None, :] @ frames)[:, 0] for k in range(0, 16, 4)]
@@ -162,7 +162,7 @@ def _classify_dual(model, t0, side: Side, theta0):
     tl = [t0] if one else np.asarray(t0, dtype=float).tolist()
     thetas = [theta0] if one else np.broadcast_to(theta0, len(tl)).tolist()
     _, data, _, suspect = _columns(side, model, tl, frames=False)
-    program = side.eps_closed(model.frenet)
+    program = side.frenet(model).eps_closed_program
     eps, eps1 = model.program_columns(program, data.t[:, 0])
     _raise_rows(model, data, suspect, [_rule(side, model, data, True),
                                        _replayed(program, (eps, eps1))])
@@ -258,10 +258,10 @@ def _leg_columns(model, ts, side: Side, focal_point) -> tuple:
     columns: per row, the focal, evolute and dual types, epsilon and the
     distance from the focal point to the evolute point.  A flagged row
     raises through _raise_rows what the per-point queries raised there:
-    the root theta, the focal record, the evolute sample, the focal point
-    and the dual record, in that order."""
+    the focal record, the evolute's rule, the root theta, the rest of the
+    evolute sample, the focal point and the dual record, in that order."""
     frames, data, _, suspect = _columns(side, model, ts)
-    tol, closed = model.tol.sing, side.eps_closed(model.frenet)
+    tol, closed = model.tol.sing, side.frenet(model).eps_closed_program
     with np.errstate(all="ignore"):
         theta = _each(side.root, data.W, side.columns(data)[1])
         cs, sn = _fun_cols(side.c, theta), _fun_cols(side.s, theta)
@@ -272,9 +272,10 @@ def _leg_columns(model, ts, side: Side, focal_point) -> tuple:
         focal, b, s, _ = _decide(side, data, cs, sn, eps, eps1, tol)
         point, dual = _point_type(eps, eps1, s, tol), _dual_type(*dual_eps, s, tol)
     _raise_rows(model, data, suspect, [
-        (lambda row, i: side.root(row.W, side.columns(row)[1]), ~np.isfinite(theta[:, 0])),
         _rule(side, model, data), _replayed(closed, (eps, eps1), fallback & ~b[:, 0]),
-        _rule(side, model, data, True), *checks, _finite(p, dist), _replayed(closed, dual_eps)])
+        _rule(side, model, data, True),
+        (lambda row, i: side.root(row.W, side.columns(row)[1]), ~np.isfinite(theta[:, 0])),
+        *checks, _finite(p, dist), _replayed(closed, dual_eps)])
     types = zip(focal[:, 0].tolist(), point[:, 0].tolist(), dual[:, 0].tolist())
     return list(types), eps[:, 0].tolist(), np.abs(dist).max(axis=1).tolist()
 

@@ -53,7 +53,8 @@ class Side:
     The focal fiber pair (c, s), named as DSL functions, satisfies c' = kappa s
     and s' = c, so kappa is +1.0 for (cosh, sinh) and -1.0 for (cos, sin); the
     dual of the evolute runs on the other pair.  Every sign that differs
-    between the sides is a multiplication by kappa, which is exact.
+    between the sides is a multiplication by kappa, which is exact, and
+    every expression that differs is on the side's FrenetSide, `frenet`.
     """
 
     kappa: float
@@ -64,9 +65,7 @@ class Side:
     dual_zeros: tuple               # zeros of dual_s on its fiber
     root: Callable[[float, float], float]  # theta with lambda = 0, from (W, D)
     columns: attrgetter             # FrenetData -> (disc, D, D', D'')
-    eps_path: attrgetter            # FrenetExprs -> the (epsilon, epsilon') programs
-    eps_closed: attrgetter
-    evolute_program: attrgetter
+    frenet: attrgetter              # FramedCurveModel -> its FrenetSide
     focal: str                      # surface names
     evolute: str
     dual: str
@@ -81,18 +80,14 @@ H = Side(kappa=1.0, c="cosh", s="sinh", dual_c="cos",
          dual_s="sin", dual_zeros=(0.0, math.pi),
          root=lambda w, d: math.atanh(w / d),
          columns=attrgetter("disc_h", "Dh", "Dh1", "Dh2"),
-         eps_path=attrgetter("eps_h_path_program"),
-         eps_closed=attrgetter("eps_h_closed_program"),
-         evolute_program=attrgetter("evolute_h_program"),
+         frenet=attrgetter("frenet.h"),
          focal="focal_h", evolute="evolute_h", dual="dual_eh",
          label="hyperbolic", disc_text="A^2 - M^2", sigma_text="positive",
          fibration=Fibration.DELTA1, evolute_first=True)
 D = Side(kappa=-1.0, c="cos", s="sin", dual_c="cosh",
          dual_s="sinh", dual_zeros=(0.0,), root=math.atan2,
          columns=attrgetter("disc_d", "Dd", "Dd1", "Dd2"),
-         eps_path=attrgetter("eps_d_path_program"),
-         eps_closed=attrgetter("eps_d_closed_program"),
-         evolute_program=attrgetter("evolute_d_program"),
+         frenet=attrgetter("frenet.d"),
          focal="focal_d", evolute="evolute_d", dual="dual_ed",
          label="de Sitter", disc_text="M^2 - A^2", sigma_text="negative",
          fibration=Fibration.DELTA5, evolute_first=False)
@@ -484,14 +479,14 @@ def _eps_values(model, t, side: Side):
     Falls back to the algebraically equivalent closed form where the
     branch expression hits an exact pole (Dh or Dd exactly zero).
     """
-    program = side.eps_path(model.frenet)
+    program = side.frenet(model).eps_path_program
     try:
         eps, eps1 = eval_expr(program, t)
         fallback = not (math.isfinite(eps) and math.isfinite(eps1))
     except ExprDomainError:
         fallback = True
     if fallback:
-        eps, eps1 = eval_located(side.eps_closed(model.frenet), t)
+        eps, eps1 = eval_located(side.frenet(model).eps_closed_program, t)
     return eps, eps1, fallback
 
 
@@ -499,8 +494,8 @@ def _eps_columns(side: Side, model, ts, rows=True) -> tuple:
     """(eps, eps1, fallback, check): _eps_values at the array ts as (m, 1)
     columns, on the rows of the mask `rows`; the rows that take the closed
     form, and the _replayed check of its located ExprDomainError there."""
-    closed = side.eps_closed(model.frenet)
-    eps = [np.array(c) for c in model.program_columns(side.eps_path(model.frenet), ts)]
+    closed = side.frenet(model).eps_closed_program
+    eps = [np.array(c) for c in model.program_columns(side.frenet(model).eps_path_program, ts)]
     fallback = rows & ~np.isfinite(np.hstack(eps)).all(axis=1)
     if fallback.any():
         eps[0][fallback], eps[1][fallback] = model.program_columns(closed, ts[fallback])

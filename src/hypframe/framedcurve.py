@@ -16,8 +16,10 @@ determinant identities and hold in exactly this orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -145,29 +147,106 @@ def _sq(e: Expr) -> Expr:
     return pow_(e, 2)
 
 
-def _derivative(name: str, order: int = 1) -> cached_property:
+def _derivative(name: str, order: int = 1, lazy=cached_property):
     """Lazily built order-th derivative of the expression attribute `name`."""
-    return cached_property(lambda self: _d(getattr(self, name), order))
+    return lazy(lambda self: _d(getattr(self, name), order))
 
 
-def _program(*names: str) -> cached_property:
+def _program(*names: str, lazy=cached_property):
     """Lazily compiled program of the expression attributes `names`, in order."""
-    return cached_property(lambda self: compile([getattr(self, n) for n in names]))
+    return lazy(lambda self: compile([getattr(self, n) for n in names]))
+
+
+class _member(cached_property):
+    """A cached_property kept in the `built` field, where a walk over the fields reaches it."""
+
+    def __get__(self, side, owner=None):
+        if side is None:
+            return self
+        if self.attrname not in side.built:
+            side.built[self.attrname] = self.func(side)
+        return side.built[self.attrname]
+
+
+@dataclass(eq=False)
+class FrenetSide:
+    """The Frenet expressions of one side, each built on first read.
+
+    Four pieces of data make the side: its discriminant from (a^2 + b^2,
+    M^2), not through sqrt()^2; the DSL function of its theta branch; the
+    closed form's denominator from (P, W^2), P = A^2 N^2 disc, which is
+    sigma_F = P - W^2, or W^2 + P (it rounds unlike -sigma_F); and the
+    evolute's radicand from sigma_F.  D is A N sqrt(disc).
+    """
+
+    fe: FrenetExprs
+    disc_of: Callable
+    arc: str
+    den_of: Callable
+    radicand_of: Callable
+    built: dict = field(default_factory=dict)
+
+    disc = _member(lambda self: self.disc_of(self.fe.ab2, _sq(self.fe.M)))
+    D = _member(lambda self: mul(mul(self.fe.A, self.fe.N), fun("sqrt", self.disc)))
+    theta = _member(lambda self: fun(self.arc, div(self.fe.W, self.D)))
+
+    def _eps(self, lead: Expr) -> Expr:
+        return sub(lead, div(mul(self.fe.M, self.fe.N), fun("sqrt", self.disc)))
+
+    # theta' - M N / sqrt(disc), theta differentiated symbolically
+    eps_path = _member(lambda self: self._eps(_d(self.theta)))
+
+    @_member
+    def eps_closed(self) -> Expr:
+        # quotient form of the cuspidal edge test for the dual of the evolute
+        fe = self.fe
+        numer = sub(mul(self.D, _d(fe.W)), mul(_d(self.D), fe.W))
+        den = self.den_of(mul(mul(fe.ab2, _sq(fe.N)), self.disc), _sq(fe.W))
+        return self._eps(div(numer, den))
+
+    @_member
+    def evolute_chain(self) -> list:
+        # coeffs of E, E', E'', E''' for E = (A^2 N gamma - M A N n1 + W n2) / sqrt(radicand)
+        fe = self.fe
+        root = fun("sqrt", self.radicand_of(fe.sigma_f))
+        chain = [(div(mul(fe.ab2, fe.N), root),
+                  neg(div(mul(mul(fe.M, fe.A), fe.N), root)),
+                  div(fe.W, root),
+                  ZERO)]
+        for _ in range(3):
+            chain.append(fe.frame_coeff_derivative(chain[-1]))
+        return chain
+
+    D1 = _derivative("D", lazy=_member)
+    D2 = _derivative("D", 2, lazy=_member)
+    eps_path1 = _derivative("eps_path", lazy=_member)
+    eps_closed1 = _derivative("eps_closed", lazy=_member)
+
+    D_program = _program("D", "D1", "D2", lazy=_member)
+    # (epsilon, epsilon') along the theta branch and in closed form
+    eps_path_program = _program("eps_path", "eps_path1", lazy=_member)
+    eps_closed_program = _program("eps_closed", "eps_closed1", lazy=_member)
+    # the 16 frame coefficients of the evolute chain, in order
+    evolute_program = _member(
+        lambda self: compile([c for coeffs in self.evolute_chain for c in coeffs]))
 
 
 class FrenetExprs:
     """Expressions of the Frenet quantities of a quartet, built lazily.
 
-    W denotes the Wronskian-type combination M A' - M' A; Dh and Dd are
-    A N sqrt(A^2 - M^2) and A N sqrt(M^2 - A^2).
+    W is the Wronskian-type combination M A' - M' A.  `h` and `d`, the
+    hyperbolic and de Sitter FrenetSide, refer back to it by a weak proxy.
 
-    Each `*_program` attribute compiles a group of roots that one query
-    reads together, in the order it reads them, so a domain error
-    surfaces at the same root and node as evaluating the roots one by one.
+    Each `*_program` attribute, here or on a side, compiles a group of roots
+    that one query reads together, in the order it reads them, so a domain
+    error surfaces at the same root and node as evaluating them one by one.
     """
 
     def __init__(self, quartet: CurvatureQuartet):
         self.quartet = quartet
+        self.h = FrenetSide(weakref.proxy(self), sub, "artanh", sub, lambda sigma: sigma)
+        self.d = FrenetSide(weakref.proxy(self), lambda ab2, m2: sub(m2, ab2), "atan",
+                            lambda p, w2: add(w2, p), neg)
 
     @cached_property
     def invariants(self) -> ScalarInvariants:
@@ -190,58 +269,12 @@ class FrenetExprs:
         return fun("sqrt", self.ab2)
 
     @cached_property
-    def disc_h(self) -> Expr:
-        # A^2 - M^2 built from a^2+b^2 directly, not through sqrt()^2
-        return sub(self.ab2, _sq(self.M))
-
-    @cached_property
-    def disc_d(self) -> Expr:
-        return sub(_sq(self.M), self.ab2)
-
-    @cached_property
     def W(self) -> Expr:
         return sub(mul(self.M, _d(self.A)), mul(_d(self.M), self.A))
 
     @cached_property
     def sigma_f(self) -> Expr:
-        return sub(mul(mul(self.ab2, _sq(self.N)), self.disc_h), _sq(self.W))
-
-    @cached_property
-    def dh(self) -> Expr:
-        return mul(mul(self.A, self.N), fun("sqrt", self.disc_h))
-
-    @cached_property
-    def dd(self) -> Expr:
-        return mul(mul(self.A, self.N), fun("sqrt", self.disc_d))
-
-    # -- theta(t) branches and the two epsilon code paths -------------------
-
-    @cached_property
-    def theta_h(self) -> Expr:
-        return fun("artanh", div(self.W, self.dh))
-
-    @cached_property
-    def theta_d(self) -> Expr:
-        return fun("atan", div(self.W, self.dd))
-
-    def _eps_path(self, theta: Expr, disc: Expr) -> Expr:
-        # theta' - M N / sqrt(disc), theta differentiated symbolically
-        return sub(_d(theta), div(mul(self.M, self.N), fun("sqrt", disc)))
-
-    def _eps_closed(self, d: Expr, den: Expr, disc: Expr) -> Expr:
-        # quotient form of the cuspidal edge test for the dual of the
-        # evolute; den is sigma_F, or -sigma_F written from M^2 - A^2
-        numer = sub(mul(d, _d(self.W)), mul(_d(d), self.W))
-        return sub(div(numer, den), div(mul(self.M, self.N), fun("sqrt", disc)))
-
-    eps_h_path = cached_property(lambda self: self._eps_path(self.theta_h, self.disc_h))
-    eps_d_path = cached_property(lambda self: self._eps_path(self.theta_d, self.disc_d))
-    eps_h_closed = cached_property(
-        lambda self: self._eps_closed(self.dh, self.sigma_f, self.disc_h))
-    eps_d_closed = cached_property(lambda self: self._eps_closed(
-        self.dd, add(_sq(self.W), mul(mul(self.ab2, _sq(self.N)), self.disc_d)), self.disc_d))
-
-    # -- evolute coefficients in the Frenet frame basis ---------------------
+        return sub(mul(mul(self.ab2, _sq(self.N)), self.h.disc), _sq(self.W))
 
     def frame_coeff_derivative(self, coeffs) -> tuple:
         """Derivative of c0*gamma + c1*n1 + c2*n2 + c3*mu in frame coordinates."""
@@ -254,54 +287,16 @@ class FrenetExprs:
             add(_d(c3), add(mul(m, c0), mul(a, c1))),
         )
 
-    def _evolute_chain(self, sigma: Expr) -> list:
-        """(coeffs of E, E', E'', E''') of the evolute
-        (A^2 N gamma - M A N n1 + W n2) / sqrt(sigma)."""
-        root = fun("sqrt", sigma)
-        chain = [(div(mul(self.ab2, self.N), root),
-                  neg(div(mul(mul(self.M, self.A), self.N), root)),
-                  div(self.W, root),
-                  ZERO)]
-        for _ in range(3):
-            chain.append(self.frame_coeff_derivative(chain[-1]))
-        return chain
-
-    # sigma_F > 0 on the hyperbolic side, -sigma_F > 0 on the de Sitter one
-    evolute_h_chain = cached_property(lambda self: self._evolute_chain(self.sigma_f))
-    evolute_d_chain = cached_property(lambda self: self._evolute_chain(neg(self.sigma_f)))
-
-    # -- derivatives and the compiled groups -------------------------------
-
     M1 = _derivative("M")
     N1 = _derivative("N")
     A1 = _derivative("A")
     W1 = _derivative("W")
     W2 = _derivative("W", 2)
-    Dh1 = _derivative("dh")
-    Dh2 = _derivative("dh", 2)
-    Dd1 = _derivative("dd")
-    Dd2 = _derivative("dd", 2)
-    eps_h_path1 = _derivative("eps_h_path")
-    eps_d_path1 = _derivative("eps_d_path")
-    eps_h_closed1 = _derivative("eps_h_closed")
-    eps_d_closed1 = _derivative("eps_d_closed")
 
     # FrenetData columns, evaluated once a^2 + b^2 has passed its check
-    base_program = _program("disc_h", "M", "N", "M1", "N1", "A1",
-                            "W", "W1", "W2", "sigma_f")
-    dh_program = _program("dh", "Dh1", "Dh2")
-    dd_program = _program("dd", "Dd1", "Dd2")
-    # (epsilon, epsilon') along the theta branch and in closed form
-    eps_h_path_program = _program("eps_h_path", "eps_h_path1")
-    eps_d_path_program = _program("eps_d_path", "eps_d_path1")
-    eps_h_closed_program = _program("eps_h_closed", "eps_h_closed1")
-    eps_d_closed_program = _program("eps_d_closed", "eps_d_closed1")
-
-    # the 16 frame coefficients of each evolute chain, in order
-    evolute_h_program = cached_property(
-        lambda self: compile([c for coeffs in self.evolute_h_chain for c in coeffs]))
-    evolute_d_program = cached_property(
-        lambda self: compile([c for coeffs in self.evolute_d_chain for c in coeffs]))
+    base_program = cached_property(lambda self: compile([
+        self.h.disc, self.M, self.N, self.M1, self.N1, self.A1,
+        self.W, self.W1, self.W2, self.sigma_f]))
 
     # (a, b, a^2 + b^2) for frenet_columns, which finds where they raise
     # without locating it
@@ -516,9 +511,9 @@ class FramedCurveModel:
                 raise FrameDegenerateError(
                     f"a^2+b^2 = {ab2!r} at t={t!r}: Frenet type frame undefined")
             disc_h = eval_located(fe.base_program, t)[0]
-            for program, disc in ((fe.dh_program, disc_h), (fe.dd_program, -disc_h)):
+            for side, disc in ((fe.h, disc_h), (fe.d, -disc_h)):
                 if disc > 0.0:
-                    eval_located(program, t)
+                    eval_located(side.D_program, t)
         return data.row(0)
 
     def frenet_columns(self, ts, frames: bool = True) -> tuple:
@@ -538,7 +533,7 @@ class FramedCurveModel:
         a, b, ab2 = eval_expr(fe.ab_columns, t)
         base = eval_expr(fe.base_program, t)
         disc_h, M, N, *rest = base
-        dh, dd = eval_expr(fe.dh_program, t), eval_expr(fe.dd_program, t)
+        dh, dd = eval_expr(fe.h.D_program, t), eval_expr(fe.d.D_program, t)
         r2 = a * a + b * b
         f = self.frames_at(ts) if frames else np.zeros((len(ts), 4, 4))
         with np.errstate(all="ignore"):
@@ -613,24 +608,23 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
     hs = np.full(nsamples - 1, dt / nsub)
     substeps = np.full(nsamples - 1, nsub, dtype=np.int64)
 
-    # curvature at the Gauss nodes of every substep, as eval_expr gives it at each
+    # curvature at each substep's Gauss nodes, then at the samples, as eval_expr gives it
     starts = (ts[:-1][:, None] + hs[:, None] * np.arange(nsub)[None, :]).ravel()
-    node_ts = np.empty((len(starts), 2))
-    node_ts[:, 0] = starts + _kernel.GAUSS_C1 * np.repeat(hs, nsub)
-    node_ts[:, 1] = starts + _kernel.GAUSS_C2 * np.repeat(hs, nsub)
+    check_ts = np.concatenate([np.column_stack([
+        starts + _kernel.GAUSS_C1 * np.repeat(hs, nsub),
+        starts + _kernel.GAUSS_C2 * np.repeat(hs, nsub)]).ravel(), ts])
     node_vals = np.empty((len(starts), 2, 4))
     for j, e in enumerate(quartet):
-        vals = vectorized(e)(node_ts)
+        vals = vectorized(e)(check_ts)
         if not np.all(np.isfinite(vals)):
-            bad = np.argwhere(~np.isfinite(vals))[0]
-            t_bad = float(node_ts[bad[0], bad[1]])
+            t_bad = float(check_ts[np.argmin(np.isfinite(vals))])
             try:
                 eval_expr(e, t_bad)  # raises a located ExprDomainError if genuine
             except ExprDomainError as exc:
                 raise NumericError(f"curvature function {j} at t={t_bad!r}: {exc}") from exc
             raise NumericError(
                 f"curvature function {j} not finite at t={t_bad!r}")
-        node_vals[:, :, j] = vals
+        node_vals[:, :, j] = vals[:-len(ts)].reshape(-1, 2)
 
     frames, corrections, max_raw, max_final, worst = _kernel.propagate(
         node_vals, hs, substeps, initial.matrix(), tol.frame / 10.0)

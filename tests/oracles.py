@@ -217,9 +217,9 @@ def frenet_data(model, t):
     data = dict(t=t, M=M, N=N, A=math.sqrt(ab2), B=0.0, M1=M1, N1=N1, A1=A1,
                 W=W, W1=W1, W2=W2, sigma_f=sigma_f, disc_h=disc_h, disc_d=-disc_h)
     if disc_h > 0.0:
-        data.update(zip(("Dh", "Dh1", "Dh2"), located(fe.dh_program, t)))
+        data.update(zip(("Dh", "Dh1", "Dh2"), located(fe.h.D_program, t)))
     if -disc_h > 0.0:
-        data.update(zip(("Dd", "Dd1", "Dd2"), located(fe.dd_program, t)))
+        data.update(zip(("Dd", "Dd1", "Dd2"), located(fe.d.D_program, t)))
     return FrenetData(**data)
 
 
@@ -294,7 +294,7 @@ def evolute_sample(model, t, side):
     data = frenet_data(model, t)
     _require(side, data, model, evolute=True)
     f = model.frenet_frame_at(t)
-    coeffs = located(side.evolute_program(model.frenet), t)
+    coeffs = located(side.frenet(model).evolute_program, t)
     vecs = [MinkVec.from_array(np.array(coeffs[k:k + 4]) @ f) for k in range(0, 16, 4)]
     eps, eps1, fallback = _eps_values(model, t, side)
     ptype = _point_type(eps, eps1, _scale(data), model.tol.sing)
@@ -474,7 +474,7 @@ def pair_sample_loop(model, pair, t, theta):
         g = MinkVec.from_array(f[3])
         gt = MinkVec.from_array(data.M * f[0] - data.A * f[1])
         return DualPairSample(p, g, pt, pth, gt, zero, side.fibration)
-    coeffs = located(side.evolute_program(model.frenet), t)
+    coeffs = located(side.frenet(model).evolute_program, t)
     e, e1, _, _ = [MinkVec.from_array(np.array(coeffs[j:j + 4]) @ f) for j in range(0, 16, 4)]
     _eps_values(model, t, side)  # the evolute evaluated epsilon, and could raise there
     legs = ((e, e1, zero), (p, pt, pth))
@@ -685,7 +685,7 @@ def classify_dual_record(model, t0, side, theta0=0.0):
     data = frenet_data(model, t0)
     _require(side, data, model, evolute=True)
     lam = lambda_dual_loop(model, side, t0, theta0)
-    eps, eps1 = located(side.eps_closed(model.frenet), t0)
+    eps, eps1 = located(side.frenet(model).eps_closed_program, t0)
     s = _scale(data)
     return DualSurfaceRecord(
         surface=side.dual, param=SurfaceParam(t0, theta0), lam=lam, sigma_f=data.sigma_f,
@@ -728,10 +728,16 @@ def leg_loop(model, ts, runs, side):
 
     def at(t):
         data = frenet_data(model, t)
-        theta = side.root(data.W, side.columns(data)[1])
+        try:
+            theta = side.root(data.W, side.columns(data)[1])
+        except (ArithmeticError, ValueError):
+            theta = math.nan  # a definedness rule raises first, then the root
         rec = SingularPointRecord(surface=side.focal, param=SurfaceParam(t, theta),
                                   lam=0.0, sigma_f=data.sigma_f)
         classify(model, rec)
+        _require(side, data, model, evolute=True)
+        if math.isnan(theta):
+            side.root(data.W, side.columns(data)[1])
         es = evolute_sample(model, t, side)
         dist = (point_loop(model, side, t, theta) - es.point).max_abs()
         return rec, es, classify_dual(model, t), dist

@@ -251,9 +251,8 @@ def test_criterion_09_epsilon_cross_path(model_ce_h, model_ce_d,
     worst = 0.0
     for model, side in ((model_ce_h, "h"), (model_sw, "h"),
                         (model_ce_d, "d"), (model_sw_d, "d")):
-        fe = model.frenet
-        path = fe.eps_h_path if side == "h" else fe.eps_d_path
-        closed = fe.eps_h_closed if side == "h" else fe.eps_d_closed
+        fe = getattr(model.frenet, side)
+        path, closed = fe.eps_path, fe.eps_closed
         for t in model.ts[1:-1:5]:
             sigma = model.frenet_data_at(float(t)).sigma_f
             if side == "h" and sigma <= 1e-8:

@@ -210,9 +210,10 @@ def test_vanishing_a2_b2_is_skipped():
 
 def test_domain_error_with_a_finite_root_is_replayed():
     """1/(1/t) is finite at t = 0 in IEEE arithmetic, but the scalar
-    evaluation raises there, and so must the batch."""
+    evaluation raises there, and so must the batch.  t = 0 is off the grid,
+    where the integrator would raise first."""
     model = integrate_frame(CurvatureQuartet.from_strings("1", "1", "2+0.001/(1/t)", "0"),
-                            (-1.0, 1.0, 21))
+                            (-1.0, 1.0, 20))
     draws = [(0.5, 0.1), (0.0, 0.2), (0.3, 0.3)]
     want = _outcome(pair_sample_loop, model, "focal_h_mu", 0.0, 0.2)[1]
     assert want is not None and "division by zero" in want[1]
@@ -220,15 +221,17 @@ def test_domain_error_with_a_finite_root_is_replayed():
     assert _outcome(pair_sample, model, "focal_h_mu", ts, ths)[1] == want
 
 
-@pytest.mark.parametrize("name, flagged", [("base_program", True), ("dh_program", True),
-                                           ("dd_program", False)])
+@pytest.mark.parametrize("name, flagged", [("base_program", True), ("h.D_program", True),
+                                           ("d.D_program", False)])
 def test_frenet_columns_flag_where_the_queries_raise(name, flagged):
     """A program that raises at t = 0.3 only flags t = 0.3, and only if
     frenet_data_at evaluates it there: on the hyperbolic side it reads the
     Dh columns (A^2 > M^2), not the Dd ones."""
     model = integrate_frame(CurvatureQuartet.from_strings("1", "1", "2", "0"), (0.0, 1.0, 11))
-    width = len(getattr(model.frenet, name).outputs)
-    setattr(model.frenet, name, compile([parse_expr("1/(t-0.3)^2")] * width))
+    side, _, name = name.rpartition(".")
+    owner = getattr(model.frenet, side) if side else model.frenet
+    width = len(getattr(owner, name).outputs)
+    setattr(owner, name, compile([parse_expr("1/(t-0.3)^2")] * width))
     ts = np.array([0.1, 0.3, 0.55])
     assert model.frenet_columns(ts)[2].tolist() == [False, flagged, False]
     assert (_outcome(model.frenet_data_at, 0.3)[1] is not None) == flagged

@@ -89,9 +89,8 @@ def test_evolute_derivative_epsilon_triple(model_sw):
 def test_eps_cross_path_consistency(model_ce_h, model_sw, model_ce_d, model_sw_d):
     for model, side in ((model_ce_h, "h"), (model_sw, "h"),
                         (model_ce_d, "d"), (model_sw_d, "d")):
-        fe = model.frenet
-        path = fe.eps_h_path if side == "h" else fe.eps_d_path
-        closed = fe.eps_h_closed if side == "h" else fe.eps_d_closed
+        fe = getattr(model.frenet, side)
+        path, closed = fe.eps_path, fe.eps_closed
         for t in model.ts[3::20]:
             a = eval_expr(path, float(t))
             b = eval_expr(closed, float(t))

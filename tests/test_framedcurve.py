@@ -275,7 +275,7 @@ def test_frenet_programs_share_subexpressions():
     quartet hold 1.3M tree nodes, but only about a thousand distinct ones."""
     fe = FrenetExprs(CurvatureQuartet.from_strings(
         "sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"))
-    programs = [getattr(fe, name) for name in dir(FrenetExprs)
+    programs = [getattr(owner, name) for owner in (fe, fe.h, fe.d) for name in dir(owner)
                 if name.endswith("_program")]
     assert len(programs) == 9
     assert len({id(op[1]) for p in programs for op in p.ops}) < 2000  # 1,016

@@ -269,9 +269,9 @@ def test_vanishing_a2_b2_rows_replay_as_the_oracle():
     assert [(r.start, r.stop) for r in runs["focal_d"]] == [(0, 10), (11, 21)]
 
 
-@pytest.mark.parametrize("name, source", [("eps_h_closed_program", "1/(t-0.5)^2"),
-                                          ("evolute_h_program", "1/(t-0.5)^2"),
-                                          ("eps_h_closed_program", "t-0.5")])
+@pytest.mark.parametrize("name, source", [("eps_closed_program", "1/(t-0.5)^2"),
+                                          ("evolute_program", "1/(t-0.5)^2"),
+                                          ("eps_closed_program", "t-0.5")])
 def test_injected_program_reads_as_the_oracle(name, source):
     """A program replaced by one that raises at the grid point t = 0.5, where
     the table holds NaN, or by one that vanishes there: the stages that read
@@ -279,8 +279,8 @@ def test_injected_program_reads_as_the_oracle(name, source):
     models = [integrate_frame(CurvatureQuartet.from_strings("1", "1", "2", "0"), (0.0, 1.0, 5))
               for _ in range(2)]
     for model in models:
-        width = len(getattr(model.frenet, name).outputs)
-        setattr(model.frenet, name, compile([parse_expr(source)] * width))
+        width = len(getattr(model.frenet.h, name).outputs)
+        setattr(model.frenet.h, name, compile([parse_expr(source)] * width))
     model, fresh = models
     runs = defined_runs(model)
     want = _outcome(correspondence_check_loop, fresh, runs)
@@ -332,7 +332,7 @@ def test_frenet_columns_at_grid_points_are_table_rows():
     got, want = model.frenet_columns(ts), fresh.frenet_columns(ts)
     assert _bits(got[0]) == _bits(want[0]) and _bits(got[2]) == _bits(want[2])
     assert _bits(vars(got[1])) == _bits(vars(want[1]))
-    program = model.frenet.evolute_h_program
+    program = model.frenet.h.evolute_program
     assert _bits(model.program_columns(program, ts)) \
         == _bits(fresh.program_columns(program, ts))
 

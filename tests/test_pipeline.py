@@ -9,6 +9,7 @@ import pytest
 from hypframe import (CurvatureQuartet, MinkVec, export_loci_csv, export_obj,
                       integrate_frame, load_spec, project_hollow_ball, project_poincare,
                       run_pipeline)
+from hypframe import pipeline
 from hypframe.cli import main as cli_main
 from hypframe.errors import InvalidInputError, NumericError
 from hypframe.focal import SingularPointRecord, SingularityType, SurfaceParam
@@ -459,13 +460,57 @@ def test_cli_wide_theta_window_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("sub", ["focal", "evolute", "dual", "classify", "verify", "run"])
 def test_cli_frenet_domain_error_names_its_t(tmp_path, capsys, sub):
-    """m = 1/t: every Frenet program divides by zero at the grid point t = 0,
-    and the error names that t."""
+    """m = sqrt(t): the curvature is finite on [0, 1], but every Frenet
+    program divides by zero in dm/dt at the grid point t = 0, and the error
+    names that t."""
+    doc = dict(MINIMAL, curvature={"m": "sqrt(t)", "n": "1", "a": "2", "b": "0"})
+    code = cli_main([sub, "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err \
+        == "numeric failure: division by zero in '1/(2*sqrt(t))' at t=0.0\n"
+
+
+@pytest.mark.parametrize("sub", ["integrate", "focal", "evolute", "dual", "classify",
+                                 "verify", "run"])
+def test_cli_curvature_pole_at_a_sample_exits_2(tmp_path, capsys, sub):
+    """m = 1/t has its pole at the grid point t = 0, between the Gauss nodes:
+    the integrator checks the curvature at the samples too, so every
+    subcommand fails there, integrate included."""
     doc = dict(MINIMAL, curvature={"m": "1/t", "n": "1", "a": "2", "b": "0"},
                domain={"t0": -1.0, "t1": 1.0, "samples": 21})
     code = cli_main([sub, "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path)])
     assert code == 2
-    assert capsys.readouterr().err == "numeric failure: division by zero in '1/t' at t=0.0\n"
+    assert capsys.readouterr().err \
+        == "numeric failure: curvature function 0 at t=0.0: division by zero in '1/t'\n"
+
+
+@pytest.mark.parametrize("sub", ["verify", "run"])
+def test_cli_epsilon_crossing_where_n_vanishes_exits_2(tmp_path, capsys, sub):
+    """At this epsilon crossing N = W = Dh = 0, so sigma_F = 0 and the root
+    theta = artanh(W / Dh) divides by zero: the evolute's definedness rule
+    is checked first and names the t, where the run used to die with an
+    untyped ZeroDivisionError."""
+    doc = dict(MINIMAL, curvature={"m": "1.13", "n": "0.66-0.77*sin(-2.78*t)", "a": "-1.23",
+                                   "b": "0"}, domain={"t0": -1.6, "t1": 1.6, "samples": 41})
+    code = cli_main([sub, "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numeric failure: sigma_F = 0.0 at t=-0.7596747671769937 is not positive: "
+        "hyperbolic evolute undefined\n")
+
+
+def test_run_leaves_the_unread_side_unbuilt(monkeypatch):
+    """On a spec whose discriminant A^2 - M^2 is positive everywhere, a run
+    reads no de Sitter theta, epsilon or evolute expression, so none is
+    built; the hyperbolic ones are."""
+    models, integrate = [], pipeline.integrate_frame
+    monkeypatch.setattr(pipeline, "integrate_frame",
+                        lambda *args, **kw: models.append(integrate(*args, **kw)) or models[0])
+    run_pipeline(load_spec(os.path.join(SPEC_DIR, "cuspidal_edge_hyperbolic.json")))
+    sides = models[0].frenet.h, models[0].frenet.d
+    built = [{name for name in side.built if name.startswith(("theta", "eps", "evolute"))}
+             for side in sides]
+    assert {"eps_path_program", "evolute_program"} <= built[0] and built[1] == set()
 
 
 @pytest.mark.parametrize("field, source, text", [
