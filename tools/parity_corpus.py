@@ -17,8 +17,9 @@ Run it from the root of a hypframe checkout.  The corpus is
   whose de Sitter evolute turns to NaN without a domain error, a
   curvature with a pole at a grid point, a curvature whose derivative
   has a pole at a grid point, a theta window wide enough that
-  cosh(theta) overflows, and epsilon crossings where N = W = D = 0 on the
-  hyperbolic side.
+  cosh(theta) overflows, epsilon crossings where N = W = D = 0 on the
+  hyperbolic side, and a hyperbolic leg on which epsilon vanishes
+  identically.
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -56,6 +57,7 @@ QUARTETS = {
     "wide_theta": (("1", "1", "2", "0"), (0.0, 1.0, 11), (-1000.0, 1000.0, 5)),
     "crossing_n_zero": (("1.13", "0.66-0.77*sin(-2.78*t)", "-1.23", "0"), (-1.6, 1.6, 41)),
     "frenet_pole": (("sqrt(t)", "1", "2", "0"), (0.0, 1.0, 11)),
+    "eps_degenerate_h": (("0.5*sin(t)", "1", "2", "0"), (-1.6, 1.6, 161)),
 }
 
 
