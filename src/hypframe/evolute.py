@@ -59,16 +59,16 @@ _dual_type = _by_epsilon((SingularityType.CUSPIDAL_EDGE, SingularityType.CUSPIDA
                           SingularityType.DEGENERATE_UNCLASSIFIED))
 
 
-def _evolute_columns(side: Side, model, ts, frames, rows=True) -> tuple:
+def _evolute_columns(side: Side, model, ts, frames) -> tuple:
     """The evolute at each of the array ts against its (m, 4, 4) Frenet
     frames: the (m, 4) rows of E and its three derivatives, (eps, eps1,
-    fallback) of _eps_columns on the mask `rows`, and the checks of the
-    evolute's own evaluations, which follow its definedness rule, in order."""
+    fallback) of _eps_columns, and the checks of the evolute's own
+    evaluations, which follow its definedness rule, in order."""
     program = side.frenet(model).evolute_program
     coeffs = model.program_columns(program, ts)
     # a stacked matmul rounds each row as the one-sample product does
     vecs = [(np.hstack(coeffs[k:k + 4])[:, None, :] @ frames)[:, 0] for k in range(0, 16, 4)]
-    *eps, closed = _eps_columns(side, model, ts, rows)
+    *eps, closed = _eps_columns(side, model, ts)
     return vecs, eps, [_replayed(program, coeffs), _finite(*vecs), closed]
 
 
@@ -223,6 +223,29 @@ class CorrespondenceReport:
                    for leg in (self.hyperbolic, self.desitter) if leg.status == "checked")
 
 
+# The singular correspondences of the paper, each the agreement of two
+# (position, type) tests over the (focal, evolute, dual) types of a point;
+# an epsilon crossing reports the two of _EVENT_KEYS under its own keys
+_CORRESPONDENCES = {
+    "focal_ce_iff_evolute_regular": ((0, SingularityType.CUSPIDAL_EDGE),
+                                     (1, EvolutePointType.REGULAR_POINT)),
+    "focal_sw_iff_evolute_cusp": ((0, SingularityType.SWALLOWTAIL), (1, EvolutePointType.CUSP_234)),
+    "dual_ce_iff_evolute_regular": ((2, SingularityType.CUSPIDAL_EDGE),
+                                    (1, EvolutePointType.REGULAR_POINT)),
+    "dual_ccr_iff_evolute_cusp": ((2, SingularityType.CUSPIDAL_CROSS_CAP),
+                                  (1, EvolutePointType.CUSP_234)),
+    "focal_sw_iff_dual_ccr": ((0, SingularityType.SWALLOWTAIL),
+                              (2, SingularityType.CUSPIDAL_CROSS_CAP)),
+}
+_EVENT_KEYS = {"sw_iff_cusp": "focal_sw_iff_evolute_cusp", "sw_iff_ccr": "focal_sw_iff_dual_ccr"}
+
+
+def _agreements(*types) -> dict:
+    """Each name of _CORRESPONDENCES -> whether its tests agree on the types."""
+    return {name: (types[i] is a) == (types[j] is b)
+            for name, ((i, a), (j, b)) in _CORRESPONDENCES.items()}
+
+
 BISECT_ITERS = 80
 
 
@@ -296,27 +319,11 @@ def _leg(model, ts, runs, side: Side, focal_point) -> LegReport:
     index = list(chain.from_iterable(runs))
     for i, (focal, point, dual), e, dist in zip(index, *_leg_columns(model, ts[index], side,
                                                                     focal_point)):
-        t = float(ts[i])
         max_dist = max(max_dist, dist)
-        regular = point is EvolutePointType.REGULAR_POINT
-        cusp = point is EvolutePointType.CUSP_234
-        checks = {
-            "focal_ce_iff_evolute_regular":
-                (focal is SingularityType.CUSPIDAL_EDGE) == regular,
-            "focal_sw_iff_evolute_cusp":
-                (focal is SingularityType.SWALLOWTAIL) == cusp,
-            "dual_ce_iff_evolute_regular":
-                (dual is SingularityType.CUSPIDAL_EDGE) == regular,
-            "dual_ccr_iff_evolute_cusp":
-                (dual is SingularityType.CUSPIDAL_CROSS_CAP) == cusp,
-            "focal_sw_iff_dual_ccr":
-                (focal is SingularityType.SWALLOWTAIL)
-                == (dual is SingularityType.CUSPIDAL_CROSS_CAP),
-        }
-        for name, ok in checks.items():
+        for name, ok in _agreements(focal, point, dual).items():
             agreements[name] = agreements.get(name, True) and ok
             if not ok:
-                leg.failures.append({"t": t, "check": name, "focal": focal.value,
+                leg.failures.append({"t": float(ts[i]), "check": name, "focal": focal.value,
                                      "evolute": point.value, "dual": dual.value})
         eps[i] = e
 
@@ -333,21 +340,12 @@ def _leg(model, ts, runs, side: Side, focal_point) -> LegReport:
     for t_star, (focal, point, dual), _, dist in zip(crossing_ts, *_leg_columns(
             model, np.array(crossing_ts), side, focal_point) if crossing_ts else ()):
         max_dist = max(max_dist, dist)
-        event = {
-            "t": t_star,
-            "focal_type": focal.value,
-            "evolute_type": point.value,
-            "dual_type": dual.value,
-            "sw_iff_cusp": (focal is SingularityType.SWALLOWTAIL)
-                           == (point is EvolutePointType.CUSP_234),
-            "sw_iff_ccr": (focal is SingularityType.SWALLOWTAIL)
-                          == (dual is SingularityType.CUSPIDAL_CROSS_CAP),
-        }
-        leg.events.append(event)
-        if not event["sw_iff_cusp"]:
-            agreements["focal_sw_iff_evolute_cusp"] = False
-        if not event["sw_iff_ccr"]:
-            agreements["focal_sw_iff_dual_ccr"] = False
+        checks = _agreements(focal, point, dual)
+        leg.events.append({"t": t_star, "focal_type": focal.value, "evolute_type": point.value,
+                           "dual_type": dual.value,
+                           **{key: checks[name] for key, name in _EVENT_KEYS.items()}})
+        for name in _EVENT_KEYS.values():
+            agreements[name] = agreements[name] and checks[name]
 
     leg.agreements = agreements
     leg.max_image_distance = max_dist

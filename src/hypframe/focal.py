@@ -121,16 +121,14 @@ class SingularPointRecord:
 
 
 def _scale(data: FrenetData):
-    """Local magnitude entering every zero threshold at this t; over
-    FrenetData columns, the column of it, each D counted only where its
-    discriminant is positive, as frenet_data_at sets it only there."""
+    """Local magnitude entering every zero threshold, per row of FrenetData
+    columns: each D counted only where its discriminant is positive, as
+    frenet_data_at sets it only there."""
     vals = (data.M, data.N, data.A, data.M1, data.N1, data.A1, data.W, data.W1, data.W2)
+    discs = [data.disc_h] * 3 + [data.disc_d] * 3
     d = (data.Dh, data.Dh1, data.Dh2, data.Dd, data.Dd1, data.Dd2)
-    if isinstance(data.M, np.ndarray):
-        discs = [data.disc_h] * 3 + [data.disc_d] * 3
-        vals += tuple(np.where(disc > 0.0, v, 0.0) for disc, v in zip(discs, d))
-        return np.max(np.abs(vals), axis=0)
-    return max([abs(v) for v in (*vals, *d) if v is not None])
+    vals += tuple(np.where(disc > 0.0, v, 0.0) for disc, v in zip(discs, d))
+    return np.max(np.abs(vals), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -502,28 +500,16 @@ def _eps_columns(side: Side, model, ts, rows=True) -> tuple:
     return *eps, fallback, _replayed(closed, eps, fallback)
 
 
-def _first(cases, default):
-    """The type of the first (condition, type) of the cases whose condition
-    holds, else `default`: at one point, or per row of columns."""
-    if isinstance(cases[0][0], np.ndarray):
-        return np.select([cond for cond, _ in cases], [ty for _, ty in cases], default)
-    for cond, ty in cases:
-        if cond:
-            return ty
-    return default
-
-
 def _nonzero(value, scale, tol):
-    """not is_zero, at one point or per row of columns (NaN is not zero)."""
-    zero = is_zero(value, scale, tol)
-    return ~zero if isinstance(zero, np.ndarray) else not zero
+    """not is_zero, per row of columns (NaN is not zero)."""
+    return ~is_zero(value, scale, tol)
 
 
 def _by_epsilon(types):
     """f(eps, eps1, scale, tol): types[0] iff epsilon != 0, types[1] iff epsilon
-    = 0 and epsilon' != 0, else types[2]; at one point, or per row of columns."""
-    return lambda eps, eps1, scale, tol: _first(
-        [(_nonzero(eps, scale, tol), types[0]), (_nonzero(eps1, scale, tol), types[1])], types[2])
+    = 0 and epsilon' != 0, else types[2]; per row of columns."""
+    return lambda eps, eps1, scale, tol: np.select(
+        [_nonzero(eps, scale, tol), _nonzero(eps1, scale, tol)], types[:2], types[2])
 
 
 # branch (a) of the classification: cuspidal edge, else swallowtail
@@ -534,9 +520,9 @@ _edge_or_swallowtail = _by_epsilon((SingularityType.CUSPIDAL_EDGE, SingularityTy
 def _edge_or_beaks(c1, c2, c3, s, root, mn, tol):
     """Branch (b) of the classification, by the derivative data of (W, D)."""
     beaks = _nonzero(c2, s, tol) & _nonzero(c3, s * (1 + root + abs(mn)), tol)
-    return _first([(_nonzero(c1, s, tol), SingularityType.CUSPIDAL_EDGE),
-                   (beaks, SingularityType.CUSPIDAL_BEAKS)],
-                  SingularityType.DEGENERATE_UNCLASSIFIED)
+    return np.select([_nonzero(c1, s, tol), beaks],
+                     [SingularityType.CUSPIDAL_EDGE, SingularityType.CUSPIDAL_BEAKS],
+                     SingularityType.DEGENERATE_UNCLASSIFIED)
 
 
 def _branch_b(data: FrenetData, tol):
@@ -616,7 +602,7 @@ def classify_point(model: FramedCurveModel, surface: str, t: float,
     side = _focal_side(surface)
     rec = _records(side, model, [(t, theta, False)])[0]
     rec.diagnostics = {}
-    if is_zero(rec.lam, _scale(model.frenet_data_at(t)), model.tol.sing):
+    if is_zero(rec.lam, _scale(_batch(side, model, [t])[1])[0, 0], model.tol.sing):
         _classify(side, model, rec)
     else:
         rec.type, rec.diagnostics["lambda"] = SingularityType.REGULAR, rec.lam

@@ -23,12 +23,10 @@ from hypframe.duality import (PAIR_NAMES, PAIR_SURFACES, DualPairSample, FrontVe
 from hypframe.errors import (FrameDegenerateError, InvalidInputError, NumericError,
                              SurfaceUndefinedError)
 from hypframe.evolute import (CorrespondenceReport, DualSurfaceRecord, EvolutePointType,
-                              EvoluteSample, LegReport, _bisect_eps_zero, _dual_type,
-                              _point_type)
+                              EvoluteSample, LegReport, _bisect_eps_zero)
 from hypframe.focal import (FIBER_COUNT, FIBER_WINDOW, REFINE_DEPTH, SURFACES, D, H,
                             SingularityType, SingularPointRecord, SurfaceParam, _circ_gap,
-                            _edge_or_beaks, _edge_or_swallowtail, _eps_values, _fiber,
-                            _norm_circle, _require, _scale, _undefined)
+                            _eps_values, _fiber, _norm_circle, _require, _undefined)
 from hypframe.framedcurve import FrenetData
 from hypframe.minkowski import ON_QUADRIC, MinkVec, Quadric, membership_residual
 from hypframe.pipeline import (DUALITY_SAMPLES, DUALITY_SEED, project_hollow_ball,
@@ -232,6 +230,56 @@ def undefined_at(model, t, side, evolute=False):
     return _undefined(side, data, model.tol, evolute)
 
 
+def scale(data):
+    """`hypframe.focal._scale` of one FrenetData: the largest magnitude of its
+    values, each D counted where frenet_data sets it."""
+    vals = (data.M, data.N, data.A, data.M1, data.N1, data.A1, data.W, data.W1, data.W2,
+            data.Dh, data.Dh1, data.Dh2, data.Dd, data.Dd1, data.Dd2)
+    return max(abs(v) for v in vals if v is not None)
+
+
+def by_epsilon(eps, eps1, s, tol, types):
+    """types[0] iff epsilon != 0, types[1] iff epsilon = 0 and epsilon' != 0,
+    else types[2], at one point (NaN is not zero)."""
+    if not is_zero(eps, s, tol):
+        return types[0]
+    if not is_zero(eps1, s, tol):
+        return types[1]
+    return types[2]
+
+
+POINT_TYPES = (EvolutePointType.REGULAR_POINT, EvolutePointType.CUSP_234,
+               EvolutePointType.DEGENERATE_UNCLASSIFIED)
+DUAL_TYPES = (SingularityType.CUSPIDAL_EDGE, SingularityType.CUSPIDAL_CROSS_CAP,
+              SingularityType.DEGENERATE_UNCLASSIFIED)
+EDGE_OR_SWALLOWTAIL = (SingularityType.CUSPIDAL_EDGE, SingularityType.SWALLOWTAIL,
+                       SingularityType.DEGENERATE_UNCLASSIFIED)
+
+
+def edge_or_beaks(c1, c2, c3, s, root, mn, tol):
+    """Branch (b) of the focal classification at one point."""
+    if not is_zero(c1, s, tol):
+        return SingularityType.CUSPIDAL_EDGE
+    if not is_zero(c2, s, tol) and not is_zero(c3, s * (1 + root + abs(mn)), tol):
+        return SingularityType.CUSPIDAL_BEAKS
+    return SingularityType.DEGENERATE_UNCLASSIFIED
+
+
+def agreements(focal, evolute, dual):
+    """The five correspondences that `hypframe.evolute._leg` checks at a
+    point with these focal, evolute and dual types, each written out."""
+    regular = evolute is EvolutePointType.REGULAR_POINT
+    cusp = evolute is EvolutePointType.CUSP_234
+    return {
+        "focal_ce_iff_evolute_regular": (focal is SingularityType.CUSPIDAL_EDGE) == regular,
+        "focal_sw_iff_evolute_cusp": (focal is SingularityType.SWALLOWTAIL) == cusp,
+        "dual_ce_iff_evolute_regular": (dual is SingularityType.CUSPIDAL_EDGE) == regular,
+        "dual_ccr_iff_evolute_cusp": (dual is SingularityType.CUSPIDAL_CROSS_CAP) == cusp,
+        "focal_sw_iff_dual_ccr":
+            (focal is SingularityType.SWALLOWTAIL) == (dual is SingularityType.CUSPIDAL_CROSS_CAP),
+    }
+
+
 def fiber_points(side, model, t, c, s, dual=False):
     """The side's focal surface (with `dual`, the dual of its evolute) at the
     float t, one row per entry of the fiber arrays c and s: the Frenet
@@ -297,7 +345,7 @@ def evolute_sample(model, t, side):
     coeffs = located(side.frenet(model).evolute_program, t)
     vecs = [MinkVec.from_array(np.array(coeffs[k:k + 4]) @ f) for k in range(0, 16, 4)]
     eps, eps1, fallback = _eps_values(model, t, side)
-    ptype = _point_type(eps, eps1, _scale(data), model.tol.sing)
+    ptype = by_epsilon(eps, eps1, scale(data), model.tol.sing, POINT_TYPES)
     sv = np.linalg.svd(np.array([vecs[2].as_array(), vecs[3].as_array()]), compute_uv=False)
     diag = {"sigma_f": data.sigma_f, "rank23_singular_values": (float(sv[0]), float(sv[1]))}
     if fallback:
@@ -598,7 +646,7 @@ def singular_locus_loop(model, ts, side):
         t = float(t)
         data = frenet_data(model, t)
         d0 = _require(side, data, model)[1]
-        s = _scale(data)
+        s = scale(data)
         if is_zero(data.W, s, model.tol.sing) and is_zero(d0, s, model.tol.sing):
             entries.append((t, None, data))
         elif side is D:
@@ -648,7 +696,7 @@ def classify_record(model, record, side):
     root = math.sqrt(disc)
     k, cs, sn = side.kappa, fiber(side.c, theta0), fiber(side.s, theta0)
     c2 = sn * data.W1 - k * cs * d1
-    s = _scale(data)
+    s = scale(data)
     tol = model.tol.sing
     diag = record.diagnostics
     diag["scale"] = s
@@ -662,14 +710,14 @@ def classify_record(model, record, side):
         diag["epsilon_prime"] = eps1
         if fallback:
             diag["epsilon_via_closed_form"] = True
-        ty = _edge_or_swallowtail(eps, eps1, s + abs(data.M * data.N / root), tol)
+        ty = by_epsilon(eps, eps1, s + abs(data.M * data.N / root), tol, EDGE_OR_SWALLOWTAIL)
     else:
         c1 = cs * data.W1 - sn * d1
         c3 = (cs * data.W2 - sn * d2) * root + k * 2.0 * data.M * data.N * c2
         diag["c1_nondegeneracy"] = c1
         diag["c2_mixed_derivative"] = c2
         diag["c3_second_order"] = c3
-        ty = _edge_or_beaks(c1, c2, c3, s, root, data.M * data.N, tol)
+        ty = edge_or_beaks(c1, c2, c3, s, root, data.M * data.N, tol)
     record.type = ty
     lam_t = (cs * data.W1 - sn * d1) / disc
     lam_th = (k * sn * data.W - cs * d0) / disc
@@ -686,10 +734,10 @@ def classify_dual_record(model, t0, side, theta0=0.0):
     _require(side, data, model, evolute=True)
     lam = lambda_dual_loop(model, side, t0, theta0)
     eps, eps1 = located(side.frenet(model).eps_closed_program, t0)
-    s = _scale(data)
+    s = scale(data)
     return DualSurfaceRecord(
         surface=side.dual, param=SurfaceParam(t0, theta0), lam=lam, sigma_f=data.sigma_f,
-        type=_dual_type(eps, eps1, s, model.tol.sing), nondegenerate=True,
+        type=by_epsilon(eps, eps1, s, model.tol.sing, DUAL_TYPES), nondegenerate=True,
         diagnostics={"epsilon": eps, "epsilon_prime": eps1, "scale": s})
 
 
@@ -743,30 +791,16 @@ def leg_loop(model, ts, runs, side):
         return rec, es, classify_dual(model, t), dist
 
     leg = LegReport(status="checked", points=sum(map(len, runs)))
-    agreements = {}
+    agreed = {}
     max_dist = 0.0
     eps = {}
     for i in chain.from_iterable(runs):
         t = float(ts[i])
         rec, es, dual, dist = at(t)
         max_dist = max(max_dist, dist)
-        regular = es.point_type is EvolutePointType.REGULAR_POINT
-        cusp = es.point_type is EvolutePointType.CUSP_234
-        checks = {
-            "focal_ce_iff_evolute_regular":
-                (rec.type is SingularityType.CUSPIDAL_EDGE) == regular,
-            "focal_sw_iff_evolute_cusp":
-                (rec.type is SingularityType.SWALLOWTAIL) == cusp,
-            "dual_ce_iff_evolute_regular":
-                (dual.type is SingularityType.CUSPIDAL_EDGE) == regular,
-            "dual_ccr_iff_evolute_cusp":
-                (dual.type is SingularityType.CUSPIDAL_CROSS_CAP) == cusp,
-            "focal_sw_iff_dual_ccr":
-                (rec.type is SingularityType.SWALLOWTAIL)
-                == (dual.type is SingularityType.CUSPIDAL_CROSS_CAP),
-        }
+        checks = agreements(rec.type, es.point_type, dual.type)
         for name, ok in checks.items():
-            agreements[name] = agreements.get(name, True) and ok
+            agreed[name] = agreed.get(name, True) and ok
             if not ok:
                 leg.failures.append({"t": t, "check": name,
                                      "focal": rec.type.value,
@@ -784,23 +818,22 @@ def leg_loop(model, ts, runs, side):
     for t_star in sorted(crossing_ts):
         rec, es, dual, dist = at(t_star)
         max_dist = max(max_dist, dist)
+        checks = agreements(rec.type, es.point_type, dual.type)
         event = {
             "t": t_star,
             "focal_type": rec.type.value,
             "evolute_type": es.point_type.value,
             "dual_type": dual.type.value,
-            "sw_iff_cusp": (rec.type is SingularityType.SWALLOWTAIL)
-                           == (es.point_type is EvolutePointType.CUSP_234),
-            "sw_iff_ccr": (rec.type is SingularityType.SWALLOWTAIL)
-                          == (dual.type is SingularityType.CUSPIDAL_CROSS_CAP),
+            "sw_iff_cusp": checks["focal_sw_iff_evolute_cusp"],
+            "sw_iff_ccr": checks["focal_sw_iff_dual_ccr"],
         }
         leg.events.append(event)
         if not event["sw_iff_cusp"]:
-            agreements["focal_sw_iff_evolute_cusp"] = False
+            agreed["focal_sw_iff_evolute_cusp"] = False
         if not event["sw_iff_ccr"]:
-            agreements["focal_sw_iff_dual_ccr"] = False
+            agreed["focal_sw_iff_dual_ccr"] = False
 
-    leg.agreements = agreements
+    leg.agreements = agreed
     leg.max_image_distance = max_dist
     return leg
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from hypframe import (CurvatureQuartet, EvolutePointType, Quadric,
                       integrate_frame, lambda_dual_d, lambda_dual_h,
                       membership_residual, mink_dot)
 from hypframe.errors import EvoluteUndefinedError
-from hypframe.evolute import (dual_of_evolute_d_partials,
-                              dual_of_evolute_h_partials)
+from hypframe.evolute import (_EVENT_KEYS, _agreements,
+                              dual_of_evolute_d_partials, dual_of_evolute_h_partials)
 from hypframe.focal import (D, H, _eps_values, focal_d_partials, focal_d_point,
                             focal_h_partials, focal_h_point)
 
-from oracles import bisect_sign_change, cofactor_det4, central_diff, fd_partials
+from oracles import agreements, bisect_sign_change, cofactor_det4, central_diff, fd_partials
 
 SQ3 = math.sqrt(3.0)
 
@@ -285,6 +286,27 @@ def test_correspondence_sweep_events(model_sw, model_sw_d):
         assert ev["focal_type"] == "Swallowtail"
         assert ev["dual_type"] == "CuspidalCrossCap"
     assert all(leg_d.agreements.values())
+
+
+TYPE_TRIPLES = list(product(
+    (SingularityType.CUSPIDAL_EDGE, SingularityType.SWALLOWTAIL,
+     SingularityType.CUSPIDAL_BEAKS, SingularityType.DEGENERATE_UNCLASSIFIED),
+    EvolutePointType,
+    (SingularityType.CUSPIDAL_EDGE, SingularityType.CUSPIDAL_CROSS_CAP,
+     SingularityType.DEGENERATE_UNCLASSIFIED)))
+
+
+@pytest.mark.parametrize("types", TYPE_TRIPLES, ids=lambda ts: "-".join(t.value for t in ts))
+def test_correspondence_table_on_every_type_triple(types):
+    """The correspondence table gives, on each (focal, evolute, dual) type
+    triple, the verdicts of the correspondences written out one by one, in
+    the report's key order, and each epsilon-crossing key the verdict of the
+    correspondence it names."""
+    want = agreements(*types)
+    assert list(_agreements(*types).items()) == list(want.items())
+    assert {key: _agreements(*types)[name] for key, name in _EVENT_KEYS.items()} \
+        == {"sw_iff_cusp": want["focal_sw_iff_evolute_cusp"],
+            "sw_iff_ccr": want["focal_sw_iff_dual_ccr"]}
 
 
 # ---------------------------------------------------------------------------

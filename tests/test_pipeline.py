@@ -217,7 +217,7 @@ def test_run_pipeline_degenerate(tmp_path):
 def test_report_structure(hyperbolic_report):
     data = hyperbolic_report[0].data
     assert data["tool"]["name"] == "hypframe"
-    assert data["tool"]["propagation_backend"] in ("cython", "python")
+    assert data["tool"]["propagation_backend"] == "python"
     assert data["spec"]["digest"].startswith("sha256:")
     integ = data["integration"]
     for key in ("samples", "substep", "corrections", "max_drift", "max_drift_t"):
