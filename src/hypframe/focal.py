@@ -93,13 +93,6 @@ D = Side(kappa=-1.0, c="cos", s="sin", dual_c="cosh",
          fibration=Fibration.DELTA5, evolute_first=False)
 
 
-def _focal_side(surface: str) -> Side:
-    for side in (H, D):
-        if surface == side.focal:
-            return side
-    raise InvalidInputError(f"unknown surface {surface!r}")
-
-
 @dataclass(frozen=True)
 class SurfaceParam:
     t: float
@@ -356,23 +349,6 @@ def lambda_d(model: FramedCurveModel, t: float, theta: float) -> float:
     return _records(D, model, [(t, theta, False)])[0].lam
 
 
-def constraint_residuals(model: FramedCurveModel, t: float, point: MinkVec,
-                         surface: str) -> dict:
-    """Residuals of the defining constraint set, in original-frame coordinates.
-
-    The focal point written as u1 gamma + u2 v1 + u3 v2 + u4 mu must have
-    u4 = 0, m u1 + a u2 + b u3 = 0 and u1^2 - u2^2 - u3^2 = 1 (hyperbolic)
-    or -u1^2 + u2^2 + u3^2 = 1 (de Sitter).
-    """
-    g = point.as_array() * np.array([-1.0, 1, 1, 1])
-    u1, u2, u3, u4 = (float(np.dot(g, row)) for row in model.frame_at(t))
-    u1 = -u1
-    m, _, a, b = model.quartet.eval(t)
-    quadric = _focal_side(surface).kappa * (u1 * u1 - u2 * u2 - u3 * u3) - 1.0
-    return {"linear": m * u1 + a * u2 + b * u3, "quadric": quadric,
-            "mu_component": u4}
-
-
 # ---------------------------------------------------------------------------
 # Singular loci and their classification, as columns: a row per grid t or per record
 
@@ -591,22 +567,6 @@ def classify_h(model: FramedCurveModel, records) -> SingularityType:
 def classify_d(model: FramedCurveModel, records) -> SingularityType:
     """De Sitter analogue of classify_h (cos/sin in place of cosh/sinh)."""
     return _classify(D, model, records)
-
-
-def classify_point(model: FramedCurveModel, surface: str, t: float,
-                   theta: float) -> SingularPointRecord:
-    """Convenience: build a record at (t, theta) and classify it.
-
-    Returns a REGULAR-typed record when lambda is away from zero.
-    """
-    side = _focal_side(surface)
-    rec = _records(side, model, [(t, theta, False)])[0]
-    rec.diagnostics = {}
-    if is_zero(rec.lam, _scale(_batch(side, model, [t])[1])[0, 0], model.tol.sing):
-        _classify(side, model, rec)
-    else:
-        rec.type, rec.diagnostics["lambda"] = SingularityType.REGULAR, rec.lam
-    return rec
 
 
 # ---------------------------------------------------------------------------

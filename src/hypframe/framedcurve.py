@@ -26,7 +26,7 @@ import numpy as np
 from . import propagation as _kernel
 from .errors import (FrameDegenerateError, IntegrationFailureError,
                      InvalidInputError, NumericError)
-from .minkowski import METRIC, MinkVec, wedge3
+from .minkowski import MinkVec, wedge3
 from .symexpr import (ZERO, Expr, ExprDomainError, add, compile, div, eval_expr,
                       fun, mul, neg, parse_expr, pow_, sub, vectorized)
 from .symexpr import diff_expr as _d
@@ -548,13 +548,6 @@ class FramedCurveModel:
         return f, data, suspect.any(axis=1)
 
 
-def frenet_convert(model: FramedCurveModel, t: float):
-    """Rotated normals (n1, n2) and the FrenetData package at t."""
-    data = model.frenet_data_at(t)
-    f = model.frenet_frame_at(t)
-    return MinkVec.from_array(f[1]), MinkVec.from_array(f[2]), data
-
-
 # ---------------------------------------------------------------------------
 # Integration driver
 
@@ -635,27 +628,3 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
             f"near t={worst_t!r}", worst_t=worst_t)
     stats = (int(corrections), float(max_raw), float(max_final), worst_t)
     return FramedCurveModel(quartet, ts, frames, initial, step, stats, tol)
-
-
-# ---------------------------------------------------------------------------
-# Congruence
-
-
-def congruence_residual(model_a: FramedCurveModel, model_b: FramedCurveModel,
-                        motion) -> float:
-    """max componentwise distance between the moved model A and model B.
-
-    Compares (R gamma_A, R v1_A, R v2_A) against (gamma_B, v1_B, v2_B) on
-    the shared grid; `motion` must be Lorentz (R^T G R = G within 1e-10).
-    Translations are not accepted: a curve constrained to the quadric
-    admits none.
-    """
-    motion = np.asarray(motion, dtype=float)
-    if motion.shape != (4, 4):
-        raise InvalidInputError("motion must be a 4x4 matrix")
-    if np.abs(motion.T @ METRIC @ motion - METRIC).max() > 1e-10:
-        raise InvalidInputError("motion is not in the Lorentz group (A^T G A != G)")
-    if len(model_a.ts) != len(model_b.ts) or np.abs(model_a.ts - model_b.ts).max() > 1e-12:
-        raise InvalidInputError("models must be sampled on the same t grid")
-    moved = np.einsum("ij,skj->ski", motion, model_a.frames[:, :3, :])
-    return float(np.abs(moved - model_b.frames[:, :3, :]).max())

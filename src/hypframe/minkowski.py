@@ -1,9 +1,9 @@
 """Linear algebra of Minkowski 4-space with signature (-,+,+,+).
 
-Provides the pseudo scalar product, causal classification, the triple
-wedge product and membership residuals for the two unit quadrics
-(hyperbolic 3-space H3 and de Sitter 3-space S31).  All values are
-immutable and every operation is pure.
+Provides the pseudo scalar product, the triple wedge product and
+membership residuals for the two unit quadrics (hyperbolic 3-space H3
+and de Sitter 3-space S31).  All values are immutable and every
+operation is pure.
 """
 
 from __future__ import annotations
@@ -16,16 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .tolerances import DEFAULT, Tolerances
 
 #: Gram matrix of the pseudo scalar product in the canonical basis.
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
-
-
-class CausalClass(enum.Enum):
-    SPACELIKE = "Spacelike"
-    LIGHTLIKE = "Lightlike"
-    TIMELIKE = "Timelike"
 
 
 class Quadric(enum.Enum):
@@ -96,19 +89,6 @@ E3 = MinkVec(0.0, 0.0, 0.0, 1.0)
 def mink_dot(x: MinkVec, y: MinkVec) -> float:
     """Pseudo scalar product: -x0*y0 + x1*y1 + x2*y2 + x3*y3."""
     return -x.x0 * y.x0 + x.x1 * y.x1 + x.x2 * y.x2 + x.x3 * y.x3
-
-
-def causal_character(x: MinkVec, tol: Tolerances = DEFAULT) -> CausalClass:
-    """Classify a non-zero vector by the sign of its self-pairing."""
-    if x.max_abs() == 0.0:
-        raise InvalidInputError("causal character of the zero vector is undefined")
-    q = mink_dot(x, x)
-    eps = tol.causal * max(1.0, x.max_abs() ** 2)
-    if q > eps:
-        return CausalClass.SPACELIKE
-    if q < -eps:
-        return CausalClass.TIMELIKE
-    return CausalClass.LIGHTLIKE
 
 
 def wedge3(x1: MinkVec, x2: MinkVec, x3: MinkVec) -> MinkVec:

@@ -22,6 +22,13 @@ and their applications", CMU-CS-90-190), and chains the interval
 propagators.  At every sample point the Lorentz-Gram drift is measured and,
 above the correction threshold, removed by pseudo Gram-Schmidt
 re-orthonormalization with mu rebuilt from the wedge product.
+
+A substep whose node values and h have the bits of the previous substep's
+has the same product, so only the first substep of each such run is
+exponentiated: a constant quartet takes one product per chunk.  Bits, not
+values, are compared, so -0.0 and 0.0 stay apart.  Each row of
+expm_generator depends only on that row, so the product copied to the rest
+of a run is bit for bit what each of its substeps would have computed.
 """
 
 from __future__ import annotations
@@ -95,10 +102,19 @@ def expm_generator(w: np.ndarray) -> np.ndarray:
 
 
 def _substep_propagators(node_vals: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """E2 @ E1 for each substep; node_vals (k, 2, 4), h (k,)."""
-    w1, w2, h = node_vals[:, 0], node_vals[:, 1], h[:, None]
-    return (expm_generator(h * (_CF4_B * w1 + _CF4_A * w2))
-            @ expm_generator(h * (_CF4_A * w1 + _CF4_B * w2)))
+    """E2 @ E1 for each substep; node_vals (k, 2, 4), h (k,).
+
+    Only the first substep of each run of bit-identical (node values, h) is
+    computed; with no run, w1, w2 and h stay views and nothing is gathered.
+    """
+    bits, hbits = node_vals.view(np.int64), h.view(np.int64)
+    new = np.ones(len(h), dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2)) | (hbits[1:] != hbits[:-1])
+    first = slice(None) if new.all() else new
+    w1, w2, h = node_vals[first, 0], node_vals[first, 1], h[first, None]
+    steps = (expm_generator(h * (_CF4_B * w1 + _CF4_A * w2))
+             @ expm_generator(h * (_CF4_A * w1 + _CF4_B * w2)))
+    return steps[np.cumsum(new) - 1] if first is new else steps
 
 
 def _tree_product(m: np.ndarray) -> np.ndarray:

@@ -132,6 +132,22 @@ def propagate_loop(node_vals, hs, substeps, f0, tol_correct):
     return frames, corrections, max_raw, max_final, worst
 
 
+def constraint_residuals(model, t, point, side):
+    """Residuals of a focal point's defining constraints at t, in the
+    coordinates of the stored frame.
+
+    The point written as u1 gamma + u2 v1 + u3 v2 + u4 mu must have u4 = 0,
+    m u1 + a u2 + b u3 = 0 and kappa (u1^2 - u2^2 - u3^2) = 1, with the
+    side's kappa (+1 on H3, -1 on de Sitter space).
+    """
+    g = point.as_array() * np.array([-1.0, 1, 1, 1])
+    u1, u2, u3, u4 = (float(np.dot(g, row)) for row in model.frame_at(t))
+    u1 = -u1
+    m, _, a, b = model.quartet.eval(t)
+    return {"linear": m * u1 + a * u2 + b * u3, "mu_component": u4,
+            "quadric": side.kappa * (u1 * u1 - u2 * u2 - u3 * u3) - 1.0}
+
+
 def cofactor_det4(rows):
     """4x4 determinant by cofactor expansion along the first row."""
     m = [[float(v) for v in row] for row in rows]

@@ -9,12 +9,11 @@ from hypframe import (CurvatureQuartet, Quadric, SingularityType,
                       membership_residual, singular_locus_d,
                       singular_locus_h, surface_grid)
 from hypframe.errors import InvalidInputError, SurfaceUndefinedError
-from hypframe.focal import (SingularPointRecord, SurfaceParam, classify_point,
-                            constraint_residuals, focal_d_partials,
+from hypframe.focal import (D, H, SingularPointRecord, SurfaceParam, focal_d_partials,
                             focal_h_partials)
 from hypframe.minkowski import MinkVec, mink_dot
 
-from oracles import cofactor_det4, fd_partials
+from oracles import cofactor_det4, constraint_residuals, fd_partials
 
 SQ3 = math.sqrt(3.0)
 
@@ -34,7 +33,7 @@ def test_focal_h_membership_and_constraints(model_ce_h):
         th = float(rng.uniform(-2.0, 2.0))
         p = focal_h_point(model_ce_h, t, th)
         assert abs(membership_residual(p, Quadric.H3)) <= 1e-9
-        res = constraint_residuals(model_ce_h, t, p, "focal_h")
+        res = constraint_residuals(model_ce_h, t, p, H)
         assert abs(res["linear"]) <= 1e-9
         assert abs(res["quadric"]) <= 1e-9
         assert abs(res["mu_component"]) <= 1e-9
@@ -56,7 +55,7 @@ def test_focal_d_point_examples(model_ce_d):
     assert abs(membership_residual(p0, Quadric.S31)) <= 1e-9
     p_half = focal_d_point(model_ce_d, t, math.pi / 2.0)
     assert np.abs(p_half.as_array() - f[2]).max() <= 1e-12
-    res = constraint_residuals(model_ce_d, t, p0, "focal_d")
+    res = constraint_residuals(model_ce_d, t, p0, D)
     assert abs(res["linear"]) <= 1e-9 and abs(res["quadric"]) <= 1e-9
 
 
@@ -278,11 +277,6 @@ def test_desitter_condition_pair_equivalence(model_ce_d, model_sw_d):
             data = model.frenet_data_at(float(t))
             scale = 1.0 + abs(data.N) + abs(data.Dd)
             assert (abs(data.N) <= 1e-8 * scale) == (abs(data.Dd) <= 1e-8 * scale)
-
-
-def test_classify_point_regular(model_ce_h):
-    rec = classify_point(model_ce_h, "focal_h", 1.0, 1.0)
-    assert rec.type is SingularityType.REGULAR
 
 
 def test_surface_grid(model_ce_h):

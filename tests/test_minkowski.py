@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypframe import (CausalClass, MinkVec, Quadric, causal_character,
-                      membership_residual, mink_dot, wedge3)
+from hypframe import MinkVec, Quadric, membership_residual, mink_dot, wedge3
 from hypframe.errors import InvalidInputError
 
 from oracles import cofactor_det4
@@ -37,23 +36,6 @@ def test_dot_bilinear(x, y, z, a, b):
     rhs = a * mink_dot(x, z) + b * mink_dot(y, z)
     scale = (abs(a) + abs(b)) * (x.max_abs() + y.max_abs()) * max(z.max_abs(), 1.0)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + scale)
-
-
-def test_causal_examples():
-    assert causal_character(E0) is CausalClass.TIMELIKE
-    assert causal_character(MinkVec(1, 1, 0, 0)) is CausalClass.LIGHTLIKE
-    assert causal_character(E1) is CausalClass.SPACELIKE
-
-
-def test_causal_zero_vector_rejected():
-    with pytest.raises(InvalidInputError):
-        causal_character(MinkVec(0, 0, 0, 0))
-
-
-def test_causal_scale_aware():
-    # a nearly null vector of large magnitude still reads lightlike
-    big = MinkVec(1e6, 1e6, 0.0, 0.0)
-    assert causal_character(big) is CausalClass.LIGHTLIKE
 
 
 def test_wedge_basis_examples():

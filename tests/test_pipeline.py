@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from hypframe import (CurvatureQuartet, MinkVec, export_loci_csv, export_obj,
                       integrate_frame, load_spec, project_hollow_ball, project_poincare,
                       run_pipeline)
+import hypframe
 from hypframe import pipeline
 from hypframe.cli import main as cli_main
 from hypframe.errors import InvalidInputError, NumericError
@@ -242,6 +245,30 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
                curvature={"m": "sqrt(t-0.5)", "n": "0", "a": "1", "b": "0"})
     assert cli_main(["run", "--spec", _write_spec(tmp_path, doc, "num.json")]) == 2
     capsys.readouterr()
+
+
+def test_python_m_hypframe_is_the_cli(tmp_path, capsys, monkeypatch):
+    """`python -m hypframe run` exits 0 and prints and writes what cli.main does."""
+    spec_path = os.path.abspath(os.path.join(SPEC_DIR, "swallowtail_family.json"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypframe.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    module, direct = tmp_path / "module", tmp_path / "direct"
+    module.mkdir()
+    direct.mkdir()
+    proc = subprocess.run([sys.executable, "-m", "hypframe", "run", "--spec", spec_path,
+                           "--out", "out"], cwd=module, env=env, capture_output=True,
+                          text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(direct)
+    assert cli_main(["run", "--spec", spec_path, "--out", "out"]) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+    def files(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    written = files(module / "out")
+    assert len(written) == 3 and written == files(direct / "out")
 
 
 @pytest.mark.parametrize("curvature, domain", [

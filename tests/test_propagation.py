@@ -117,6 +117,53 @@ def test_expm_generator_stack_matches_each_alone():
         assert np.array_equal(e.view(np.int64), kernel.expm_generator(w[None])[0].view(np.int64))
 
 
+def _every_substep(node_vals, h):
+    """_substep_propagators computing every substep, repeated or not."""
+    w1, w2, h = node_vals[:, 0], node_vals[:, 1], h[:, None]
+    return (kernel.expm_generator(h * (kernel._CF4_B * w1 + kernel._CF4_A * w2))
+            @ kernel.expm_generator(h * (kernel._CF4_A * w1 + kernel._CF4_B * w2)))
+
+
+def _repeated_substeps():
+    """(node_vals, h, runs) of hand-built substeps: runs of equal rows,
+    singletons, a change of h inside a run of equal node values, a -0.0/0.0
+    pair and NaN rows; runs counts the runs of bit-equal (node values, h)."""
+    rng = np.random.default_rng(97)
+    a, b, c = rng.uniform(-2.0, 2.0, (3, 2, 4))
+    zero, negzero = c.copy(), c.copy()
+    zero[0, 2], negzero[0, 2] = 0.0, -0.0
+    nan = np.full((2, 4), np.nan)
+    rows = [a, a, a, b, c, c, c, c, zero, negzero, nan, nan, nan, a, b, b]
+    h = [1e-2] * 6 + [2e-2] * 2 + [1e-2] * 8
+    return np.array(rows), np.array(h), 9
+
+
+def test_substep_propagators_bit_identical_to_each_row_alone():
+    node_vals, h, _ = _repeated_substeps()
+    with np.errstate(invalid="ignore"):
+        got = kernel._substep_propagators(node_vals, h)
+        want = [_every_substep(node_vals[i:i + 1], h[i:i + 1])[0] for i in range(len(h))]
+    assert np.isnan(got[10:13]).all() and np.isfinite(np.delete(got, [10, 11, 12], axis=0)).all()
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+def test_substep_propagators_exponentiate_each_run_once(monkeypatch):
+    node_vals, h, runs = _repeated_substeps()
+    seen, expm = [], kernel.expm_generator
+
+    def counting(w):
+        seen.append(len(w))
+        return expm(w)
+
+    monkeypatch.setattr(kernel, "expm_generator", counting)
+    with np.errstate(invalid="ignore"):
+        kernel._substep_propagators(node_vals, h)
+        assert seen == [runs, runs]
+        seen.clear()
+        kernel._substep_propagators(node_vals[3:5], h[3:5])  # no repeat
+    assert seen == [2, 2]
+
+
 def _perfbench_quartet(name, seed):
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "specgen.py")
     spec = importlib.util.spec_from_file_location("specgen", path)
@@ -190,8 +237,12 @@ def test_constant_quartet_against_scipy_expm():
 
 
 @pytest.mark.parametrize("nsub", [1, 2, 7, 16])
-def test_chunking_is_bit_identical(monkeypatch, nsub):
-    node_vals, hs, substeps = _node_data(ROADMAP_QUARTET, 0.0, 3.0, 23, nsub)
+@pytest.mark.parametrize("quartet", [ROADMAP_QUARTET, CONSTANT_QUARTET],
+                         ids=["roadmap", "constant"])
+def test_chunking_is_bit_identical(monkeypatch, quartet, nsub):
+    """Whatever the chunking, and so whatever runs of repeated substeps a
+    chunk holds, the frames and counts are the same bits."""
+    node_vals, hs, substeps = _node_data(quartet, 0.0, 3.0, 23, nsub)
     f0 = FrameSample.standard(0.0).matrix()
     whole = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)
     for chunk in (nsub, 3 * nsub, 5 * nsub + 1):
@@ -208,6 +259,21 @@ def test_interval_longer_than_a_chunk(monkeypatch):
     frames = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)[0]
     ref = propagate_loop(node_vals, hs, substeps, f0, 1e-10)[0]
     assert _relative(frames, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("nsub, chunk", [(7, 2048), (50, 16)], ids=["chunks", "segments"])
+def test_reused_substeps_give_the_bits_of_computed_ones(monkeypatch, nsub, chunk):
+    """A constant quartet, whose substeps all repeat, propagates to the same
+    bits as when every substep is exponentiated, through whole-interval
+    chunks and through the segments of an interval longer than a chunk."""
+    node_vals, hs, substeps = _node_data(CONSTANT_QUARTET, 0.0, 40.0, 20, nsub)
+    f0 = FrameSample.standard(0.0).matrix()
+    monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", chunk)
+    reused = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)
+    monkeypatch.setattr(kernel, "_substep_propagators", _every_substep)
+    computed = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)
+    assert np.array_equal(reused[0].view(np.int64), computed[0].view(np.int64))
+    assert reused[1:] == computed[1:]
 
 
 def test_nonuniform_substeps_rejected():

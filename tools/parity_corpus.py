@@ -18,8 +18,9 @@ Run it from the root of a hypframe checkout.  The corpus is
   curvature with a pole at a grid point, a curvature whose derivative
   has a pole at a grid point, a theta window wide enough that
   cosh(theta) overflows, epsilon crossings where N = W = D = 0 on the
-  hyperbolic side, and a hyperbolic leg on which epsilon vanishes
-  identically.
+  hyperbolic side, a hyperbolic leg on which epsilon vanishes
+  identically, and a constant quartet whose sample intervals are each
+  longer than a propagation chunk.
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -58,6 +59,7 @@ QUARTETS = {
     "crossing_n_zero": (("1.13", "0.66-0.77*sin(-2.78*t)", "-1.23", "0"), (-1.6, 1.6, 41)),
     "frenet_pole": (("sqrt(t)", "1", "2", "0"), (0.0, 1.0, 11)),
     "eps_degenerate_h": (("0.5*sin(t)", "1", "2", "0"), (-1.6, 1.6, 161)),
+    "long_interval_constant": (("0.2", "1", "2", "0"), (0.0, 50.0, 11)),
 }
 
 
