@@ -21,7 +21,7 @@ import numpy as np
 
 from .focal import (D, H, Side, SingularityType, SingularPointRecord, SurfaceParam, _batch,
                     _by_epsilon, _columns, _decide, _eps_columns, _eps_values, _fiber, _finite,
-                    _partials, _point, _raise_rows, _replayed, _rule, _scale, _undefined_at,
+                    _point, _raise_rows, _replayed, _rule, _scale, _undefined_at,
                     defined_runs, focal_d_point, focal_h_point)
 from .framedcurve import FramedCurveModel
 from .minkowski import MinkVec
@@ -128,10 +128,6 @@ def dual_of_evolute_h(model: FramedCurveModel, t: float, theta: float) -> MinkVe
     return _point(H, model, t, theta, dual=True)
 
 
-def dual_of_evolute_h_partials(model, t, theta):
-    return _partials(H, model, t, theta, dual=True)
-
-
 def lambda_dual_h(model: FramedCurveModel, t: float, theta: float) -> float:
     """sin(theta) sqrt(sigma_F) / (A^2 - M^2); zero set theta in {0, pi}.
 
@@ -145,10 +141,6 @@ def lambda_dual_h(model: FramedCurveModel, t: float, theta: float) -> float:
 def dual_of_evolute_d(model: FramedCurveModel, t: float, theta: float) -> MinkVec:
     """cosh(theta) mu + sinh(theta) (-M gamma + A n1)/sqrt(M^2-A^2), in S31."""
     return _point(D, model, t, theta, dual=True)
-
-
-def dual_of_evolute_d_partials(model, t, theta):
-    return _partials(D, model, t, theta, dual=True)
 
 
 def lambda_dual_d(model: FramedCurveModel, t: float, theta: float) -> float:
@@ -375,8 +367,8 @@ def correspondence_check(model: FramedCurveModel, runs=None) -> CorrespondenceRe
 __all__ = [
     "EvolutePointType", "EvoluteSample", "DualSurfaceRecord",
     "evolute_h", "evolute_d",
-    "dual_of_evolute_h", "dual_of_evolute_h_partials", "lambda_dual_h",
-    "dual_of_evolute_d", "dual_of_evolute_d_partials", "lambda_dual_d",
+    "dual_of_evolute_h", "lambda_dual_h",
+    "dual_of_evolute_d", "lambda_dual_d",
     "classify_dual_h", "classify_dual_d",
     "correspondence_check", "CorrespondenceReport", "LegReport",
 ]

@@ -311,33 +311,16 @@ def _point(side: Side, model, t, theta, dual: bool = False):
     return MinkVec.from_array(_points(data, frames, r, c, s, dual))
 
 
-def _partials(side: Side, model: FramedCurveModel, t: float, theta: float, dual=False):
-    """_focal_partials (with `dual`, _dual_partials) at one (t, theta), as MinkVecs."""
-    frames, data, r = _batch(side, model, [t], dual, frames=True)
-    c, s = (x[:, None] for x in _fiber(side, [theta], dual))
-    partials = _dual_partials if dual else _focal_partials
-    return tuple(map(MinkVec.from_array, partials(side, data, frames, r, c, s)))
-
-
 def focal_h_point(model: FramedCurveModel, t, theta):
     """cosh(theta)/sqrt(A^2-M^2) * (A gamma - M n1) + sinh(theta) n2, in H3;
     for arrays t and theta, the unchecked rows of _point."""
     return _point(H, model, t, theta)
 
 
-def focal_h_partials(model: FramedCurveModel, t: float, theta: float):
-    """(dF/dt, dF/dtheta) of the hyperbolic focal surface, frame-exact."""
-    return _partials(H, model, t, theta)
-
-
 def focal_d_point(model: FramedCurveModel, t, theta):
     """cos(theta)/sqrt(M^2-A^2) * (A gamma - M n1) + sin(theta) n2, in S31;
     for arrays t and theta, the unchecked rows of _point."""
     return _point(D, model, t, theta)
-
-
-def focal_d_partials(model: FramedCurveModel, t: float, theta: float):
-    return _partials(D, model, t, theta)
 
 
 def lambda_h(model: FramedCurveModel, t: float, theta: float) -> float:

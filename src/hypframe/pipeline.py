@@ -45,26 +45,6 @@ class SpecValidationError(SpecError):
         self.field = field_name
 
 
-# seed of the duality sampling: a run samples the same points every time
-DUALITY_SEED = 20240229
-DUALITY_SAMPLES = 200
-
-
-class Pcg64:
-    """NumPy's PCG64 (128-bit LCG, XSL-RR output) in Python ints, from the
-    state SeedSequence(DUALITY_SEED) gives it: each random() is that of
-    default_rng(DUALITY_SEED), bit for bit, and numpy.random stays unimported."""
-
-    MULTIPLIER, MASK = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
-    STATE, INC = 0x9E6F4E8E13BFE567CBC193044F358EA8, 0xAAD027CC32B9077F66B6BFEE6E82EBA1
-    state = STATE
-
-    def random(self) -> float:
-        s = self.state = (self.state * self.MULTIPLIER + self.INC) & self.MASK
-        x, rot = ((s >> 64) ^ s) & (self.MASK >> 64), s >> 122
-        return ((((x >> rot) | (x << (64 - rot))) & (self.MASK >> 64)) >> 11) * 2.0 ** -53
-
-
 OUTPUT_PRODUCTS = ("report", "loci_csv", "focal_h_obj", "focal_d_obj",
                    "dual_eh_obj", "dual_ed_obj")
 
@@ -326,45 +306,29 @@ def write_mesh(model: FramedCurveModel, runs, spec: CurveSpec, product, out_dir)
     return [name]
 
 
-def _draws(rng, spans, theta_range) -> tuple:
-    """DUALITY_SAMPLES draws (ts, thetas) from rng, in its order: t uniform
-    on the union of the spans, theta uniform on theta_range."""
-    total = sum(hi - lo for lo, hi in spans)
-    th_lo, th_hi = theta_range
-    ts, thetas = np.empty(DUALITY_SAMPLES), np.empty(DUALITY_SAMPLES)
-    for k in range(DUALITY_SAMPLES):
-        # x lands in the first span it does not overrun after the lengths
-        # of the spans before it are taken off; past them all, in the last
-        x = total * rng.random()
-        for lo, hi in spans:
-            if x <= hi - lo:
-                break
-            x -= hi - lo
-        ts[k] = lo + x
-        thetas[k] = th_lo + (th_hi - th_lo) * rng.random()
-    return ts, thetas
+# the golden-ratio conjugate, which spreads the fiber angles of the samples
+_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def duality_summary(model: FramedCurveModel, runs=None) -> dict:
-    """Isotropy residuals and front verdict of each dual pair at
-    DUALITY_SAMPLES seeded random points inside the t spans of the pair's
-    defined runs (`runs`, from the definedness scan, which runs here when
-    they are not given)."""
+    """Isotropy residuals and front verdict of each dual pair, sampled once
+    at each grid index i of the pair's defined runs (`runs`, from the
+    definedness scan, which runs here when they are not given): at the
+    stored frame's t = model.ts[i] and theta = lo + (hi - lo) * (((i + 1/2)
+    _PHI) mod 1), (lo, hi) being the pair's theta window."""
     if runs is None:
         runs = _focal.defined_runs(model)
-    rng, out = Pcg64(), {}
+    out = {}
     for pair in _duality.PAIR_NAMES:
-        spans = _spans(model.ts, runs[_duality.PAIR_SURFACES[pair][1]])
-        total = sum(hi - lo for lo, hi in spans)
-        if total <= 0.0:
+        index = list(chain.from_iterable(runs[_duality.PAIR_SURFACES[pair][1]]))
+        if not index:
             out[pair] = {"status": "skipped", "reason": "surface not defined"}
             continue
-        ts, thetas = _draws(rng, spans, _duality.pair_theta_range(pair))
-        # the draws where the pair is undefined are left out of the batch
-        samples = _duality.pair_sample(model, pair, ts, thetas)
-        if not len(samples.f):
-            out[pair] = {"status": "skipped", "reason": "no evaluable samples"}
-            continue
+        lo, hi = _duality.pair_theta_range(pair)
+        samples = _duality.pair_sample(model, pair, model.ts[index],
+                                       [lo + (hi - lo) * ((i + 0.5) * _PHI % 1.0) for i in index])
+        # the pair's rule is the one that defined the runs, so no row is skipped
+        assert len(samples.f) == len(index)
         worst = float(np.abs(_duality.isotropy_residuals(samples)).max())
         verdict = _duality.front_verdict(samples, model.tol)
         out[pair] = {"status": "checked", "samples": len(samples.f),

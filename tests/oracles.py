@@ -29,8 +29,7 @@ from hypframe.focal import (FIBER_COUNT, FIBER_WINDOW, REFINE_DEPTH, SURFACES, D
                             _eps_values, _fiber, _norm_circle, _require, _undefined)
 from hypframe.framedcurve import FrenetData
 from hypframe.minkowski import ON_QUADRIC, MinkVec, Quadric, membership_residual
-from hypframe.pipeline import (DUALITY_SAMPLES, DUALITY_SEED, project_hollow_ball,
-                               project_poincare)
+from hypframe.pipeline import project_hollow_ball, project_poincare
 from hypframe.propagation import (_CF4_A, _CF4_B, coefficient_matrix_values,
                                   gram_drift, gram_residual,
                                   pseudo_orthonormalize)
@@ -577,24 +576,19 @@ def duality_draws(rng, spans, count, theta_range):
 
 
 def duality_summary_loop(model, runs):
-    """`hypframe.pipeline.duality_summary` one sample at a time."""
-    rng = np.random.default_rng(DUALITY_SEED)
+    """`hypframe.pipeline.duality_summary` one sample at a time: at each grid
+    index i of the pair's runs, t = ts[i] and theta at ((i + 1/2) phi) mod 1
+    of the pair's window, phi the golden-ratio conjugate."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
     out = {}
     for pair in PAIR_NAMES:
-        spans = [[float(model.ts[run[0]]), float(model.ts[run[-1]])]
-                 for run in runs[PAIR_SURFACES[pair][1]]]
-        if sum(hi - lo for lo, hi in spans) <= 0.0:
+        index = list(chain.from_iterable(runs[PAIR_SURFACES[pair][1]]))
+        if not index:
             out[pair] = {"status": "skipped", "reason": "surface not defined"}
             continue
-        samples = []
-        for t, th in duality_draws(rng, spans, DUALITY_SAMPLES, pair_theta_range(pair)):
-            try:
-                samples.append(pair_sample_loop(model, pair, t, th))
-            except (SurfaceUndefinedError, FrameDegenerateError):
-                continue
-        if not samples:
-            out[pair] = {"status": "skipped", "reason": "no evaluable samples"}
-            continue
+        lo, hi = pair_theta_range(pair)
+        samples = [pair_sample_loop(model, pair, float(model.ts[i]),
+                                    lo + (hi - lo) * ((i + 0.5) * phi % 1.0)) for i in index]
         worst = max(max(abs(r) for r in isotropy_residuals(s)) for s in samples)
         out[pair] = {"status": "checked", "samples": len(samples), "max_residual": worst,
                      "verdict": front_verdict_loop(samples, model.tol).value,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hypframe import CurvatureQuartet, integrate_frame, load_spec
-from hypframe import pipeline
+from hypframe import duality, pipeline
 from hypframe.duality import (LEGS, PAIR_NAMES, PAIR_SURFACES, isotropy_residuals,
                               pair_sample, pair_theta_range)
 from hypframe.errors import FrameDegenerateError, InvalidInputError, SurfaceUndefinedError
@@ -81,7 +81,7 @@ def _batch_against_loop(model, pair, draws):
 def test_batch_matches_the_one_sample_oracle_bitwise(name):
     model = _model(name)
     runs = defined_runs(model)
-    rng = np.random.default_rng(pipeline.DUALITY_SEED)
+    rng = np.random.default_rng(20240229)
     kept = 0
     for pair in PAIR_NAMES:
         spans = pipeline._spans(model.ts, runs[PAIR_SURFACES[pair][1]])
@@ -92,53 +92,35 @@ def test_batch_matches_the_one_sample_oracle_bitwise(name):
     assert pipeline.duality_summary(model, runs) == duality_summary_loop(model, runs)
 
 
-def test_union_of_spans_draws_both_intervals():
+def test_summary_samples_each_stored_frame_once(monkeypatch):
+    """On a surface defined on two intervals, the summary samples every grid
+    point of both runs, at the grid's own t, bit for bit, and no other t."""
     model = _model("gap")
     runs = defined_runs(model)
     assert len(runs["focal_d"]) == 2
-    spans = pipeline._spans(model.ts, runs["focal_d"])
-    draws = duality_draws(np.random.default_rng(3), spans, 200, pair_theta_range("focal_d_mu"))
-    assert {0, 1} == {0 if t <= spans[0][1] else 1 for t, _ in draws}
-    assert _batch_against_loop(model, "focal_d_mu", draws) == 200
+    calls = {}
 
+    def recorded(model, pair, t, theta, _original=pair_sample):
+        calls.setdefault(pair, []).append(np.array(t))
+        return _original(model, pair, t, theta)
 
-class _Fixed:
-    """A generator whose every draw is `value`."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
-
-
-@pytest.mark.parametrize("value", [0.0, 0.3, 0.5, 1.0 - 2.0 ** -53, 1.0, 1.7])
-def test_draws_map_x_onto_the_spans_as_the_loop(value):
-    """x past the first span's length moves on to the next one; x past
-    every span (1.0 and beyond only) falls through to the last span."""
-    spans = [[-1.6, -0.7], [-0.1, 0.1], [0.7, 1.6]]
-    ts, thetas = pipeline._draws(_Fixed(value), spans, (-3.0, 3.0))
-    want = duality_draws(_Fixed(value), spans, pipeline.DUALITY_SAMPLES, (-3.0, 3.0))
-    assert np.array_equal(_bits(ts), _bits([t for t, _ in want]))
-    assert np.array_equal(_bits(thetas), _bits([th for _, th in want]))
-    if value > 1.0:
-        assert ts[0] > spans[-1][1]
-
-
-def test_pcg64_state_is_numpys_for_the_seed():
-    state = np.random.PCG64(pipeline.DUALITY_SEED).state["state"]
-    assert (pipeline.Pcg64.STATE, pipeline.Pcg64.INC) == (state["state"], state["inc"])
-
-
-def test_pcg64_draws_are_numpys_bitwise():
-    want = np.random.default_rng(pipeline.DUALITY_SEED).random(5000).tolist()
-    rng = pipeline.Pcg64()
-    assert _bits([rng.random() for _ in range(5000)]).tolist() == _bits(want).tolist()
+    monkeypatch.setattr(duality, "pair_sample", recorded)
+    summary = pipeline.duality_summary(model, runs)
+    for pair in PAIR_NAMES:
+        index = [i for run in runs[PAIR_SURFACES[pair][1]] for i in run]
+        if not index:
+            assert pair not in calls and summary[pair]["status"] == "skipped"
+            continue
+        assert len(calls[pair]) == 1
+        assert np.array_equal(_bits(calls[pair][0]), _bits(model.ts[index])), pair
+        assert summary[pair]["samples"] == len(index)
+    assert summary["focal_d_mu"]["status"] == "checked"
 
 
 def test_run_leaves_numpy_random_unimported(tmp_path):
-    """`hypframe run` draws the duality samples without numpy.random, whose
-    import alone costs more than a run's draws."""
+    """`hypframe run` certifies the duality at the stored frames, with no
+    random draws: numpy.random, whose import alone costs more than the
+    duality stage, stays unimported."""
     spec = os.path.join(os.path.dirname(__file__), os.pardir, "specs",
                         "cuspidal_edge_hyperbolic.json")
     code = ("import sys\n"
@@ -239,14 +221,15 @@ def test_frenet_columns_flag_where_the_queries_raise(name, flagged):
 
 def test_duality_summary_does_no_per_sample_work(monkeypatch):
     """Work-count guard: a duality summary evaluates each checked pair as
-    one batch: no frame_at or frenet_data_at call, and a fixed number of
-    program replays per pair (one per program the pair reads)."""
+    one batch on the grid table: no frames_at, frame_at or frenet_data_at
+    call, and a fixed number of program replays per pair (one per program
+    the pair reads)."""
     spec = load_spec("specs/swallowtail_family.json")
     model = integrate_frame(spec.quartet(), spec.domain)
     runs = defined_runs(model)
-    calls = {"frame_at": 0, "frenet_data_at": 0, "array": 0}
-    for owner, name in ((FramedCurveModel, "frame_at"), (FramedCurveModel, "frenet_data_at"),
-                        (Program, "array")):
+    calls = {"frames_at": 0, "frame_at": 0, "frenet_data_at": 0, "array": 0}
+    for owner, name in ((FramedCurveModel, "frames_at"), (FramedCurveModel, "frame_at"),
+                        (FramedCurveModel, "frenet_data_at"), (Program, "array")):
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -257,6 +240,7 @@ def test_duality_summary_does_no_per_sample_work(monkeypatch):
     summary = pipeline.duality_summary(model, runs)
     checked = sum(info["status"] == "checked" for info in summary.values())
     assert checked == 2
+    assert calls["frames_at"] == 0
     assert calls["frame_at"] == 0 and calls["frenet_data_at"] == 0
     assert calls["array"] <= 6 * checked
 

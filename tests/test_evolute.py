@@ -11,14 +11,29 @@ from hypframe import (CurvatureQuartet, EvolutePointType, Quadric,
                       integrate_frame, lambda_dual_d, lambda_dual_h,
                       membership_residual, mink_dot)
 from hypframe.errors import EvoluteUndefinedError
-from hypframe.evolute import (_EVENT_KEYS, _agreements,
-                              dual_of_evolute_d_partials, dual_of_evolute_h_partials)
-from hypframe.focal import (D, H, _eps_values, focal_d_partials, focal_d_point,
-                            focal_h_partials, focal_h_point)
+from hypframe.duality import pair_sample
+from hypframe.evolute import _EVENT_KEYS, _agreements
+from hypframe.focal import D, H, _eps_values, focal_d_point, focal_h_point
 
 from oracles import agreements, bisect_sign_change, cofactor_det4, central_diff, fd_partials
 
 SQ3 = math.sqrt(3.0)
+
+
+def _partials(pair, leg):
+    """(d/dt, d/dtheta) of one leg of a dual pair, from its pair_sample."""
+    def partials(model, t, theta):
+        sample = pair_sample(model, pair, t, theta)
+        return getattr(sample, f"d{leg}_du"), getattr(sample, f"d{leg}_dv")
+    return partials
+
+
+# the theta-surface's partials: the focal surface is the first leg of its
+# pair, the dual of the hyperbolic evolute the second, the de Sitter one the first
+focal_h_partials = _partials("focal_h_mu", "f")
+focal_d_partials = _partials("focal_d_mu", "f")
+dual_of_evolute_h_partials = _partials("dual_eh_evolute_h", "g")
+dual_of_evolute_d_partials = _partials("dual_ed_evolute_d", "f")
 
 
 def test_evolute_h_example(model_ce_h):

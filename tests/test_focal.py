@@ -9,8 +9,8 @@ from hypframe import (CurvatureQuartet, Quadric, SingularityType,
                       membership_residual, singular_locus_d,
                       singular_locus_h, surface_grid)
 from hypframe.errors import InvalidInputError, SurfaceUndefinedError
-from hypframe.focal import (D, H, SingularPointRecord, SurfaceParam, focal_d_partials,
-                            focal_h_partials)
+from hypframe.duality import pair_sample
+from hypframe.focal import D, H, SingularPointRecord, SurfaceParam
 from hypframe.minkowski import MinkVec, mink_dot
 
 from oracles import cofactor_det4, constraint_residuals, fd_partials
@@ -96,14 +96,15 @@ def test_lambda_determinant_identity(model_ce_h_dense, model_ce_d_dense):
 
 def test_focal_isotropy_with_mu(model_ce_h, model_ce_d):
     rng = np.random.default_rng(31)
-    for model, pointfn, partfn in (
-            (model_ce_h, focal_h_point, focal_h_partials),
-            (model_ce_d, focal_d_point, focal_d_partials)):
+    for model, pointfn, pair in (
+            (model_ce_h, focal_h_point, "focal_h_mu"),
+            (model_ce_d, focal_d_point, "focal_d_mu")):
         for _ in range(40):
             t = float(rng.uniform(0.0, 4.0))
             th = float(rng.uniform(-1.5, 1.5))
             p = pointfn(model, t, th)
-            ft, fth = partfn(model, t, th)
+            sample = pair_sample(model, pair, t, th)
+            ft, fth = sample.df_du, sample.df_dv
             mu = MinkVec.from_array(model.frame_at(t)[3])
             assert abs(mink_dot(p, mu)) <= 1e-8
             assert abs(mink_dot(ft, mu)) <= 1e-8

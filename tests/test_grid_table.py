@@ -30,7 +30,7 @@ from hypframe.tolerances import DEFAULT
 from oracles import (classified_loci_loop, classify_dual_record, classify_record,
                      correspondence_check_loop, defined_runs_loop, duality_summary_loop,
                      evolute_rows_loop, evolute_sample, frenet_frame, lambda_dual_loop,
-                     lambda_loop, pair_sample_loop, partials_loop, point_loop,
+                     lambda_loop, pair_sample_loop, point_loop,
                      singular_locus_loop, surface_grid_rows)
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
@@ -166,11 +166,8 @@ POINT_API = [
     for side in (focal.H, focal.D)
     for module, name, oracle in (
         (focal, "focal_{}_point", lambda m, side, t, th: point_loop(m, side, t, th)),
-        (focal, "focal_{}_partials", lambda m, side, t, th: partials_loop(m, side, t, th)),
         (focal, "lambda_{}", lambda m, side, t, th: lambda_loop(m, side, t, th)),
         (evolute, "dual_of_evolute_{}", lambda m, side, t, th: point_loop(m, side, t, th, True)),
-        (evolute, "dual_of_evolute_{}_partials",
-         lambda m, side, t, th: partials_loop(m, side, t, th, True)),
         (evolute, "lambda_dual_{}", lambda m, side, t, th: lambda_dual_loop(m, side, t, th)))]
 
 

@@ -14,6 +14,7 @@ from hypframe import (CurvatureQuartet, MinkVec, export_loci_csv, export_obj,
 import hypframe
 from hypframe import pipeline
 from hypframe.cli import main as cli_main
+from hypframe.duality import PAIR_SURFACES
 from hypframe.errors import InvalidInputError, NumericError
 from hypframe.focal import SingularPointRecord, SingularityType, SurfaceParam
 from hypframe.pipeline import SpecParseError, SpecValidationError
@@ -275,9 +276,9 @@ def test_python_m_hypframe_is_the_cli(tmp_path, capsys, monkeypatch):
     # the de Sitter evolute turns to NaN with no domain error on the way
     (("2.41+1.45*sinh(2.96*t)", "-1.2-1.56*tanh(2.06*t)", "-0.61+0.05*t+1.44*t^2", "0"),
      (-1.6, 1.6, 81)),
-    # perfbench's boosted workload at seed 7: the frames turn to NaN
-    (("1.008374", "1.013221", "1.949062", "0"), (0.0, 40.0, 201)),
-], ids=["silent_nan", "boosted_seed_7"])
+    # perfbench's boosted workload at seed 19: the stored frames turn to NaN
+    (("1.029313", "1.026701", "2.033930", "0"), (0.0, 40.0, 201)),
+], ids=["silent_nan", "boosted_seed_19"])
 def test_cli_run_exits_1_on_a_non_finite_point(tmp_path, capsys, curvature, domain):
     """The exit and text that perfbench's KNOWN_DEFECTS matches for the
     boosted long integrations."""
@@ -337,14 +338,17 @@ def test_cli_run_focal_d_on_two_intervals(tmp_path, capsys):
         assert all(leg["agreements"].values())
     assert len(data["duality"]) == 4
     assert all(p["status"] == "checked" and p["pass"] for p in data["duality"].values())
-    # every draw falls inside a defined run, none in the gap
-    assert all(p["samples"] == 200 for p in data["duality"].values())
+    ts = -1.6 + (3.2 / 160) * np.arange(161)
+    ts[-1] = 1.6
+    # one sample per grid point of each pair's runs, none in the gap
+    for pair, (_, surface) in PAIR_SURFACES.items():
+        intervals = data["surfaces"][surface]["defined_intervals"]
+        points = sum(int(((ts >= lo) & (ts <= hi)).sum()) for lo, hi in intervals)
+        assert data["duality"][pair]["samples"] == points, pair
 
     # the focal_d mesh holds one patch per defined interval, joined by no face
     runs = data["surfaces"]["focal_d"]["defined_intervals"]
     assert runs[0][0] == -1.6 and runs[-1][1] == 1.6
-    ts = -1.6 + (3.2 / 160) * np.arange(161)
-    ts[-1] = 1.6
     rows = [int(((ts >= lo) & (ts <= hi)).sum()) for lo, hi in runs]
     obj = (out / "two_intervals_focal_d.obj").read_text().splitlines()
     assert [ln for ln in obj if ln.startswith("# grid")] == [f"# grid {r} x 5" for r in rows]

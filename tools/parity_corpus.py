@@ -19,8 +19,10 @@ Run it from the root of a hypframe checkout.  The corpus is
   has a pole at a grid point, a theta window wide enough that
   cosh(theta) overflows, epsilon crossings where N = W = D = 0 on the
   hyperbolic side, a hyperbolic leg on which epsilon vanishes
-  identically, and a constant quartet whose sample intervals are each
-  longer than a propagation chunk.
+  identically, a constant quartet whose sample intervals are each
+  longer than a propagation chunk, a curvature with a pole between two
+  grid points (and between the integrator's Gauss nodes), and an
+  epsilon that oscillates faster than the grid resolves.
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -60,6 +62,8 @@ QUARTETS = {
     "frenet_pole": (("sqrt(t)", "1", "2", "0"), (0.0, 1.0, 11)),
     "eps_degenerate_h": (("0.5*sin(t)", "1", "2", "0"), (-1.6, 1.6, 161)),
     "long_interval_constant": (("0.2", "1", "2", "0"), (0.0, 50.0, 11)),
+    "pole_between_nodes": (("1/(t-0.00123)", "1", "2", "0"), (-1.0, 1.0, 21)),
+    "eps_alias": (("0.001*sin(600*t)", "1", "2", "0"), (-0.2, 0.2, 41)),
 }
 
 
