@@ -7,6 +7,7 @@ the same way.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -115,6 +116,32 @@ def test_summary_samples_each_stored_frame_once(monkeypatch):
         assert np.array_equal(_bits(calls[pair][0]), _bits(model.ts[index])), pair
         assert summary[pair]["samples"] == len(index)
     assert summary["focal_d_mu"]["status"] == "checked"
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_summary_angles_follow_the_golden_ratio_rule(name, monkeypatch):
+    """Grid index i of a pair's runs is sampled at theta = lo + (hi - lo) *
+    (((i + 1/2) phi) mod 1), bit for bit, which lies inside the pair's
+    theta window (lo, hi)."""
+    model = _model(name)
+    runs = defined_runs(model)
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    calls = {}
+
+    def recorded(model, pair, t, theta, _original=pair_sample):
+        calls[pair] = np.array(theta, dtype=float)
+        return _original(model, pair, t, theta)
+
+    monkeypatch.setattr(duality, "pair_sample", recorded)
+    summary = pipeline.duality_summary(model, runs)
+    assert calls
+    for pair, thetas in calls.items():
+        lo, hi = pair_theta_range(pair)
+        index = [i for run in runs[PAIR_SURFACES[pair][1]] for i in run]
+        want = [lo + (hi - lo) * ((i + 0.5) * phi % 1.0) for i in index]
+        assert np.array_equal(_bits(thetas), _bits(want)), pair
+        assert ((thetas >= lo) & (thetas < hi)).all(), pair
+        assert summary[pair]["samples"] == len(index)
 
 
 def test_run_leaves_numpy_random_unimported(tmp_path):

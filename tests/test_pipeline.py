@@ -289,6 +289,42 @@ def test_cli_run_exits_1_on_a_non_finite_point(tmp_path, capsys, curvature, doma
         == "invalid input: non-finite component in MinkVec: nan"
 
 
+@pytest.mark.parametrize("curvature, domain", [
+    # perfbench's boosted workload at seeds 7 and 18: the stored frames are
+    # finite, and only an interpolant of them turned to NaN
+    (("1.008374", "1.013221", "1.949062", "0"), (0.0, 40.0, 201)),
+    (("1.003307", "1.009729", "2.068557", "0"), (0.0, 40.0, 201)),
+    # a curvature pole between two grid points and the integrator's nodes
+    (("1/(t-0.00123)", "1", "2", "0"), (-1.0, 1.0, 21)),
+], ids=["boosted_seed_7", "boosted_seed_18", "pole_between_nodes"])
+def test_cli_run_certifies_duality_at_finite_stored_frames(tmp_path, capsys, curvature,
+                                                           domain):
+    """A run whose stored frames are finite writes its report, and each
+    checked pair of its duality block has one finite residual sample per
+    grid point of the pair's runs."""
+    doc = dict(MINIMAL, name="finite_frames", curvature=dict(zip("mnab", curvature)),
+               domain=dict(zip(("t0", "t1", "samples"), domain)))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--spec", _write_spec(tmp_path, doc), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["finite_frames_report.json"]
+    data = json.loads((out / "finite_frames_report.json").read_text())
+    t0, t1, samples = domain
+    ts = t0 + ((t1 - t0) / (samples - 1)) * np.arange(samples)
+    ts[-1] = t1
+    checked = 0
+    for pair, (_, surface) in PAIR_SURFACES.items():
+        info = data["duality"][pair]
+        if info["status"] != "checked":
+            continue
+        checked += 1
+        intervals = data["surfaces"][surface]["defined_intervals"]
+        points = sum(int(((ts >= lo) & (ts <= hi)).sum()) for lo, hi in intervals)
+        assert info["samples"] == points, pair
+        assert math.isfinite(info["max_residual"]), pair
+    assert checked >= 2
+
+
 def test_cli_subcommands_smoke(tmp_path, capsys):
     spec_path = os.path.join(SPEC_DIR, "cuspidal_edge_desitter.json")
     for sub in ("integrate", "dual", "classify", "verify", "evolute"):
