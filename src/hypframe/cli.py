@@ -4,7 +4,7 @@ Subcommands: integrate, focal, evolute, dual, classify, verify, run.
 Every subcommand reads a curve-spec JSON via --spec; --out selects the
 output directory and --tol name=value overrides a named tolerance.
 
-Exit codes: 0 success, 1 spec validation error, 2 numeric failure.
+Exit codes: 0 success, 1 spec or output error, 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -211,6 +211,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # --out names a file, or an output cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

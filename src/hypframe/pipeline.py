@@ -8,7 +8,6 @@ byte-identical OBJ, CSV and report files (reports carry no timestamp).
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -264,14 +263,14 @@ def export_obj(grids, projection, path) -> None:
 def export_loci_csv(records, path) -> None:
     """Write singular-point records, ordered by (surface, t, theta)."""
     rows = sorted(records, key=lambda r: (r.surface, r.param.t, r.param.theta))
+    # the bytes of csv.writer: surface names and type values are identifiers
+    # that need no quoting, and floats are written as their repr
+    lines = ["surface,t,theta,lambda,sigma_F,type,nondegenerate\r\n"]
+    lines += ["%s,%r,%r,%r,%r,%s,%s\r\n" % (
+        r.surface, float(r.param.t), float(r.param.theta), float(r.lam), float(r.sigma_f),
+        r.type.value, "true" if r.nondegenerate else "false") for r in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["surface", "t", "theta", "lambda", "sigma_F",
-                         "type", "nondegenerate"])
-        for r in rows:
-            writer.writerow([r.surface, _fmt(r.param.t), _fmt(r.param.theta),
-                             _fmt(r.lam), _fmt(r.sigma_f), r.type.value,
-                             "true" if r.nondegenerate else "false"])
+        fh.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +367,82 @@ def _slug(name: str) -> str:
     return "".join(c if (c.isalnum() or c in "-_") else "_" for c in name)
 
 
+# the types whose JSON text json.dumps writes as one token (bool is an int)
+_SCALARS = (str, int, float, type(None))
+
+
+def _encoded(values) -> list:
+    """The JSON text of each scalar in values, as json.dumps writes it: each
+    distinct string through its own json.dumps call, all other values
+    through one json.dumps of their list, split on ", " (which no number,
+    boolean or null contains; a string may, so none is split)."""
+    if not any(issubclass(kind, str) for kind in set(map(type, values))):
+        return json.dumps(values)[1:-1].split(", ")
+    strings = {v: json.dumps(v) for v in {v for v in values if isinstance(v, str)}}
+    others = iter(_encoded([v for v in values if not isinstance(v, str)]))
+    return [strings[v] if isinstance(v, str) else next(others) for v in values]
+
+
+def _key(key) -> str:
+    """The JSON text of a dict key; json's own rule turns a number, boolean
+    or null key into a string (and raises on any other)."""
+    return json.dumps(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
+
+
+def _records(items, indent):
+    """The JSON text of a non-empty list of dicts that share one key order
+    and hold only scalars, through one %-template of a record; None for any
+    other list."""
+    if set(map(type, items)) != {dict} or len(shapes := set(map(tuple, items))) != 1:
+        return None
+    keys, = shapes
+    columns = list(zip(*map(dict.values, items)))
+    if not keys or not all(issubclass(kind, _SCALARS)
+                           for column in columns for kind in set(map(type, column))):
+        return None
+    inner = indent + "  "
+    fields = ",".join(f"{inner}  {_key(k).replace('%', '%%')}: %s" for k in keys)
+    record = "{" + fields + inner + "}"
+    values = tuple(chain.from_iterable(zip(*map(_encoded, columns))))
+    return "[" + inner + ("," + inner).join([record] * len(items)) % values + indent + "]"
+
+
+def _layout(obj, indent, parts, leaves) -> None:
+    """Append the json.dumps(obj, indent=2) text to parts, with None for each
+    scalar, whose value goes to leaves; indent is the line break and
+    indentation of obj's own line."""
+    inner = indent + "  "
+    if not isinstance(obj, (list, tuple, dict)):
+        parts.append(None)
+        leaves.append(obj)
+    elif not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        for i, (key, value) in enumerate(obj.items()):
+            parts.append(("," if i else "{") + inner + _key(key) + ": ")
+            _layout(value, inner, parts, leaves)
+        parts.append(indent + "}")
+    elif (text := _records(obj, indent)) is not None:
+        parts.append(text)
+    else:
+        for i, item in enumerate(obj):
+            parts.append(("," if i else "[") + inner)
+            _layout(item, inner, parts, leaves)
+        parts.append(indent + "]")
+
+
 @dataclass
 class RunReport:
     data: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.data, indent=2)
+        """json.dumps(self.data, indent=2), with every scalar and flat record
+        list written by the C encoder (json.dumps takes its pure-Python
+        encoder whenever indent is set)."""
+        parts, leaves = [], []
+        _layout(self.data, "\n", parts, leaves)
+        text = iter(_encoded(leaves))
+        return "".join([next(text) if part is None else part for part in parts])
 
     def write(self, path) -> None:
         with open(path, "wb") as fh:

@@ -6,13 +6,15 @@ differences, reference integrations from half-step Richardson comparison
 or scipy, expressions are evaluated by walking the tree recursively,
 frames are propagated one substep at a time with a scalar exponential,
 interpolated one weight at a time, surface meshes are evaluated and
-written one point (or one row) at a time, duality samples are built and
-judged one at a time, and the definedness scan, the singular loci, their
+written one point (or one row) at a time, loci tables are written
+through csv.writer, duality samples are built and judged one at a
+time, and the definedness scan, the singular loci, their
 classification and the correspondence check take one grid point (or one
 record) at a time, on the per-point queries as they were before they
 became length-1 column batches.
 """
 
+import csv
 import math
 from itertools import chain
 
@@ -513,6 +515,20 @@ def export_obj_loop(grids, projection, path):
         offset += rows * cols
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def export_loci_csv_writer(records, path):
+    """`hypframe.pipeline.export_loci_csv` through csv.writer, one row at a
+    time, each float as its repr."""
+    rows = sorted(records, key=lambda r: (r.surface, r.param.t, r.param.theta))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["surface", "t", "theta", "lambda", "sigma_F",
+                         "type", "nondegenerate"])
+        for r in rows:
+            writer.writerow([r.surface, repr(float(r.param.t)), repr(float(r.param.theta)),
+                             repr(float(r.lam)), repr(float(r.sigma_f)), r.type.value,
+                             "true" if r.nondegenerate else "false"])
 
 
 # ---------------------------------------------------------------------------

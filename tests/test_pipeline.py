@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypframe import (CurvatureQuartet, MinkVec, export_loci_csv, export_obj,
                       integrate_frame, load_spec, project_hollow_ball, project_poincare,
@@ -16,9 +19,13 @@ from hypframe import pipeline
 from hypframe.cli import main as cli_main
 from hypframe.duality import PAIR_SURFACES
 from hypframe.errors import InvalidInputError, NumericError
-from hypframe.focal import SingularPointRecord, SingularityType, SurfaceParam
+from hypframe.focal import (SURFACES, SingularPointRecord, SingularityType, SurfaceParam,
+                            defined_runs)
 from hypframe.pipeline import SpecParseError, SpecValidationError
 from hypframe.symexpr import MAX_DEPTH
+from hypframe.tolerances import DEFAULT
+
+from oracles import export_loci_csv_writer
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
 
@@ -162,6 +169,39 @@ def test_export_loci_csv(tmp_path):
         "surface,t,theta,lambda,sigma_F,type,nondegenerate"]
 
 
+def test_loci_csv_identifiers_need_no_quoting():
+    """export_loci_csv writes surface names and type values as they are,
+    which is what csv.writer does with text free of delimiters, quotes and
+    line breaks."""
+    names = [*SURFACES, *(ty.value for ty in SingularityType)]
+    assert [name for name in names if set(name) & set(',"\r\n')] == []
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SPEC_DIR)))
+def test_export_loci_csv_is_the_csv_writer_text(tmp_path, name):
+    spec = load_spec(os.path.join(SPEC_DIR, name))
+    model = integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_sample(),
+                            tol=DEFAULT.with_overrides(spec.tolerances))
+    records = pipeline._classified_loci(model, defined_runs(model))
+    export_loci_csv(records, tmp_path / "new.csv")
+    export_loci_csv_writer(records, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_export_loci_csv_writes_special_floats_as_csv_writer(tmp_path):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, np.float64(-0.0),
+                np.float64(math.nan), np.float64(1e308)]
+    recs = [SingularPointRecord(surface, SurfaceParam(t, specials[i - 1]), specials[i - 2],
+                                specials[i - 3], ty, i % 2 == 0)
+            for i, (t, surface, ty) in enumerate(zip(
+                specials, [*SURFACES] * 2, [*SingularityType] * 2))]
+    export_loci_csv(recs, tmp_path / "new.csv")
+    export_loci_csv_writer(recs, tmp_path / "old.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert b"nan" in new and b"-inf" in new and b"-0.0" in new and b"5e-324" in new
+
+
 @pytest.fixture(scope="module")
 def hyperbolic_report(tmp_path_factory):
     spec = load_spec(os.path.join(SPEC_DIR, "cuspidal_edge_hyperbolic.json"))
@@ -228,6 +268,70 @@ def test_report_structure(hyperbolic_report):
         assert key in integ
 
 
+# report strings: the item separator, what JSON escapes, the % of a
+# template, non-ASCII text and a lone surrogate
+TEXT = st.lists(st.sampled_from(["a", "t", ", ", '"', "\\", "%", "%s", "\x00", "\x1f", "\n",
+                                 "\t", "\x7f", "\u03c8", "\u2028", "\ud800", "\U0001f600"]),
+                max_size=4).map("".join)
+NUMBERS = st.one_of(st.floats(), st.integers(-2**70, 2**70),
+                    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
+                                     2**63, 2**64 + 1, -2**63 - 1]))
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, TEXT)
+
+
+@st.composite
+def record_lists(draw):
+    """A list of records with one key order and scalar values, a column of
+    them mixing True and 1 (and False and 0); or the same with one record
+    whose keys are reordered or differ, or which holds a nested value."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    flags = st.sampled_from([True, 1, 1.0, False, 0, -0.0])
+    records = [{k: draw(SCALARS if j else flags) for j, k in enumerate(keys)}
+               for _ in range(draw(st.integers(1, 5)))]
+    i = draw(st.integers(0, len(records) - 1))
+    change = draw(st.sampled_from([None, None, "reorder", "keys", "nested"]))
+    if change == "reorder":
+        records[i] = dict(reversed(records[i].items()))
+    elif change == "keys":
+        records[i] = dict(records[i], extra=None)
+    elif change == "nested":
+        records[i][keys[-1]] = [records[i][keys[-1]], {}]
+    return records
+
+
+REPORT_TREES = st.dictionaries(TEXT, st.recursive(
+    st.one_of(SCALARS, record_lists()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(TEXT, inner, max_size=3)),
+    max_leaves=12), max_size=4)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(REPORT_TREES)
+@example({"numbers": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 2**63, -2**70],
+          "loci": [{"surface": "a, b", "flag": True, "x": math.nan, "n": None},
+                   {"surface": '"q" \\ \u03c8 \ud800 \x01', "flag": 1, "x": -0.0, "n": 2**64}],
+          "empty": [[], {}, "", [{}]],
+          "mixed": [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1}, {"a": [1, {}]}],
+          "%s": ("tuple", 1)})
+def test_report_text_is_json_dumps_indent_2(data):
+    assert pipeline.RunReport(data).to_json() == json.dumps(data, indent=2)
+
+
+def test_report_is_written_without_the_pure_python_encoder(tmp_path, monkeypatch):
+    """json.dumps takes the pure-Python encoder whenever indent is set; the
+    report writer must not."""
+    spec = load_spec(os.path.join(SPEC_DIR, "swallowtail_family.json"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    report = run_pipeline(spec, out_dir=str(tmp_path))
+    monkeypatch.undo()
+    written = (tmp_path / "swallowtail_family_report.json").read_text(encoding="utf-8")
+    assert written == json.dumps(report.data, indent=2) + "\n"
+
+
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     spec_path = os.path.join(SPEC_DIR, "cuspidal_edge_hyperbolic.json")
     out = tmp_path / "cli_out"
@@ -246,6 +350,17 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
                curvature={"m": "sqrt(t-0.5)", "n": "0", "a": "1", "b": "0"})
     assert cli_main(["run", "--spec", _write_spec(tmp_path, doc, "num.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sub", ["run", "focal", "classify", "evolute"])
+def test_cli_out_naming_a_file_is_an_output_error(tmp_path, capsys, sub):
+    """--out naming an existing file used to end in a FileExistsError
+    traceback; it is one line on stderr and exit 1."""
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli_main([sub, "--spec", _write_spec(tmp_path, MINIMAL), "--out", str(out)]) == 1
+    error = FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
+    assert capsys.readouterr().err == f"output error: {error}\n"
 
 
 def test_python_m_hypframe_is_the_cli(tmp_path, capsys, monkeypatch):

@@ -21,8 +21,10 @@ Run it from the root of a hypframe checkout.  The corpus is
   hyperbolic side, a hyperbolic leg on which epsilon vanishes
   identically, a constant quartet whose sample intervals are each
   longer than a propagation chunk, a curvature with a pole between two
-  grid points (and between the integrator's Gauss nodes), and an
-  epsilon that oscillates faster than the grid resolves.
+  grid points (and between the integrator's Gauss nodes), an epsilon
+  that oscillates faster than the grid resolves, and a spec name with
+  non-ASCII text, a comma, quotes and a backslash, which the report
+  escapes.
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -64,7 +66,10 @@ QUARTETS = {
     "long_interval_constant": (("0.2", "1", "2", "0"), (0.0, 50.0, 11)),
     "pole_between_nodes": (("1/(t-0.00123)", "1", "2", "0"), (-1.0, 1.0, 21)),
     "eps_alias": (("0.001*sin(600*t)", "1", "2", "0"), (-0.2, 0.2, 41)),
+    "escaped_name": (("1", "1", "2", "0"), (0.0, 1.0, 11)),
 }
+# spec names that differ from their file name: what the report must escape
+NAMES = {"escaped_name": 'ψ-edge, "quoted" \\ name'}
 
 
 def corpus(out_dir) -> list:
@@ -80,7 +85,7 @@ def corpus(out_dir) -> list:
     for name, (curvature, (t0, t1, samples), *theta) in QUARTETS.items():
         lo, hi, count = theta[0] if theta else THETA
         texts[name] = json.dumps({
-            "name": name,
+            "name": NAMES.get(name, name),
             "curvature": dict(zip("mnab", curvature)),
             "domain": {"t0": t0, "t1": t1, "samples": samples},
             "theta": {"min": lo, "max": hi, "samples": count},
