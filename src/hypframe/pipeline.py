@@ -162,10 +162,12 @@ def load_spec(path) -> CurveSpec:
     outputs = doc.get("outputs") or ["report"]
     if not isinstance(outputs, list):
         raise SpecValidationError("outputs", "must be a list")
-    for product in outputs:
+    for i, product in enumerate(outputs):
         if product not in OUTPUT_PRODUCTS:
             raise SpecValidationError(
                 "outputs", f"unknown product {product!r}; known: {OUTPUT_PRODUCTS}")
+        if product in outputs[:i]:
+            raise SpecValidationError("outputs", f"duplicate product {product!r}")
 
     return CurveSpec(name=name,
                      curvature={k: str(curv[k]) for k in ("m", "n", "a", "b")},
@@ -232,7 +234,10 @@ def export_obj(grids, projection, path) -> None:
     grids is one array of shape (rows, cols, 4) or a sequence of them, one
     patch each (a surface defined on several intervals); the faces of a
     patch index only its own vertices.  projection is project_poincare or
-    project_hollow_ball; each patch is charted as one array.  Byte output is
+    project_hollow_ball; each patch is charted as one array, and every
+    patch is charted before the file is opened, so a bad vertex raises and
+    leaves no file.  The text is then written one grid row at a time, so
+    the memory it holds is one row, not the whole mesh.  Byte output is
     deterministic for identical input.
     """
     chart = _CHARTS.get(projection)
@@ -240,24 +245,23 @@ def export_obj(grids, projection, path) -> None:
         raise InvalidInputError(f"unknown projection {projection!r}")
     if isinstance(grids, np.ndarray):
         grids = [grids]
-    lines = ["# hypframe surface mesh"]
-    offset = 0
-    for grid in grids:
-        grid = np.asarray(grid, dtype=float)
-        if not grid.size:
-            continue
-        rows, cols = grid.shape[0], grid.shape[1]
-        lines.append(f"# grid {rows} x {cols}")
-        # repr of Python floats, one grid row at a time so the float lists stay short
-        lines.extend(f"v {y0!r} {y1!r} {y2!r}"
-                     for row in chart(grid.reshape(-1, 4)).reshape(rows, cols, 3)
-                     for y0, y1, y2 in row.tolist())
-        lines.extend(f"f {a} {a + 1} {a + cols + 1} {a + cols}"
-                     for i in range(offset + 1, offset + (rows - 1) * cols + 1, cols)
-                     for a in range(i, i + cols - 1))
-        offset += rows * cols
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    patches = [chart(grid.reshape(-1, 4)).reshape(*grid.shape[:2], 3)
+               for grid in (np.asarray(g, dtype=float) for g in grids) if grid.size]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("# hypframe surface mesh\n")
+        offset = 0
+        for points in patches:
+            rows, cols = points.shape[:2]
+            fh.write(f"# grid {rows} x {cols}\n")
+            # %r of Python floats is their repr, as the one-point writer prints them
+            vertices = "v %r %r %r\n" * cols
+            for row in points:
+                fh.write(vertices % tuple(row.ravel().tolist()))
+            faces = "f %d %d %d %d\n" * (cols - 1)
+            quads = np.arange(offset + 1, offset + cols)[:, None] + [0, 1, cols + 1, cols]
+            for i in range(rows - 1):
+                fh.write(faces % tuple((quads + i * cols).ravel().tolist()))
+            offset += rows * cols
 
 
 def export_loci_csv(records, path) -> None:

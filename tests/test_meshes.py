@@ -1,14 +1,16 @@
 """Column meshes and the array OBJ writer against their one-point oracles.
 
 `surface_grid` evaluates a mesh row by row over whole theta arrays and
-`export_obj` writes whole arrays; `oracles.surface_grid_loop` and
-`oracles.export_obj_loop` do the same one point at a time.  Grids must
-agree bit for bit, OBJ files byte for byte, and errors word for word.
+`export_obj` charts whole arrays and writes one grid row at a time;
+`oracles.surface_grid_loop` and `oracles.export_obj_loop` do the same one
+point at a time.  Grids must agree bit for bit, OBJ files byte for byte,
+and errors word for word.
 """
 
 import filecmp
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +148,45 @@ def test_one_point_charts_match_the_scalar_oracle(chart):
         got, want = _outcome(chart, x), _outcome(POINT_CHARTS[chart], x)
         assert repr(got) == repr(want), p
         assert [type(y) for y in got] == [type(y) for y in want], p
+
+
+def _quadric_grid(rows, cols, chart):
+    """A rows x cols grid of points on the quadric that chart maps: H3 for
+    the Poincare ball, S31 for the hollow ball."""
+    i, j = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    v = np.stack([0.3 * i - 0.2, 0.1 * j + 0.05, 0.07 * (i - j)], axis=-1)
+    if chart is project_poincare:
+        return np.concatenate([np.sqrt(1.0 + (v * v).sum(axis=-1))[..., None], v], axis=-1)
+    x0 = 0.4 * (i - j) + 0.1
+    v *= (np.sqrt(1.0 + x0 * x0) / np.linalg.norm(v, axis=-1))[..., None]
+    return np.concatenate([x0[..., None], v], axis=-1)
+
+
+@pytest.mark.parametrize("chart", [project_poincare, project_hollow_ball],
+                         ids=["poincare", "hollow_ball"])
+@pytest.mark.parametrize("shapes", [[(1, 4)], [(5, 1)], [(3, 4), (0, 4), (2, 3)]],
+                         ids=["one_row", "one_column", "empty_between"])
+def test_edge_shapes_write_the_loop_bytes(tmp_path, chart, shapes):
+    # no faces, an empty face template, and face offsets across an empty patch
+    grids = [_quadric_grid(rows, cols, chart) for rows, cols in shapes]
+    export_obj(grids, chart, tmp_path / "rows.obj")
+    export_obj_loop(grids, chart, tmp_path / "loop.obj")
+    assert (tmp_path / "rows.obj").read_bytes() == (tmp_path / "loop.obj").read_bytes()
+
+
+def test_export_obj_holds_one_row_of_text(tmp_path):
+    # two patches of a 1001 x 101 grid; a writer that holds the whole text peaks
+    # at about 12 x the input, one that holds a patch's vertex lines at about 3 x
+    grid = _quadric_grid(1001, 101, project_poincare)
+    grids = [grid[:500], grid]
+    budget = 2 * sum(g.nbytes for g in grids)
+    tracemalloc.start()
+    try:
+        export_obj(grids, project_poincare, tmp_path / "fine.obj")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, (peak, budget)
 
 
 def test_export_obj_rejects_an_unknown_projection(tmp_path):

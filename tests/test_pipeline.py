@@ -70,6 +70,16 @@ def test_load_spec_validation_errors(tmp_path):
     with pytest.raises(SpecValidationError):
         load_spec(_write_spec(tmp_path, bad))
 
+    # a repeated product would be written and listed twice
+    bad = dict(MINIMAL, outputs=["report", "focal_h_obj", "focal_h_obj", "loci_csv",
+                                 "loci_csv"])
+    with pytest.raises(SpecValidationError) as err:
+        load_spec(_write_spec(tmp_path, bad))
+    assert str(err.value) == "outputs: duplicate product 'focal_h_obj'"
+    assert cli_main(["run", "--spec", _write_spec(tmp_path, bad), "--out",
+                     str(tmp_path / "out")]) == 1
+    assert not os.path.exists(tmp_path / "out")
+
     bad = dict(MINIMAL, initial_frame=[1.0] * 15)
     with pytest.raises(SpecValidationError):
         load_spec(_write_spec(tmp_path, bad))

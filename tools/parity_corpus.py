@@ -22,9 +22,9 @@ Run it from the root of a hypframe checkout.  The corpus is
   identically, a constant quartet whose sample intervals are each
   longer than a propagation chunk, a curvature with a pole between two
   grid points (and between the integrator's Gauss nodes), an epsilon
-  that oscillates faster than the grid resolves, and a spec name with
+  that oscillates faster than the grid resolves, a spec name with
   non-ASCII text, a comma, quotes and a backslash, which the report
-  escapes.
+  escapes, and a 401 x 41 grid whose meshes are written in many rows.
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -67,6 +67,7 @@ QUARTETS = {
     "pole_between_nodes": (("1/(t-0.00123)", "1", "2", "0"), (-1.0, 1.0, 21)),
     "eps_alias": (("0.001*sin(600*t)", "1", "2", "0"), (-0.2, 0.2, 41)),
     "escaped_name": (("1", "1", "2", "0"), (0.0, 1.0, 11)),
+    "fine_mesh": (("0.5*t", "1", "2", "0"), (-1.5, 1.5, 401), (-1.0, 1.0, 41)),
 }
 # spec names that differ from their file name: what the report must escape
 NAMES = {"escaped_name": 'ψ-edge, "quoted" \\ name'}
