@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .minkowski import MinkVec, Quadric, membership_residual, mink_dot, wedge3
 from .symexpr import (Expr, ExprDomainError, ExprSyntaxError, diff_expr,
                       eval_expr, parse_expr, to_source)
-from .framedcurve import (CurvatureQuartet, FrameSample, FramedCurveModel,
-                          coefficient_matrix, integrate_frame,
+from .framedcurve import (CurvatureQuartet, FramedCurveModel, integrate_frame,
                           propagation_backend, scalar_invariants)
 from .focal import (SingularityType, SingularPointRecord, SurfaceParam,
                     classify_d, classify_h, focal_d_point, focal_h_point,

@@ -20,7 +20,8 @@ from . import evolute as _evolute
 from . import focal as _focal
 from . import pipeline as _pipe
 from .errors import InvalidInputError, NumericError
-from .framedcurve import integrate_frame, propagation_backend
+from .framedcurve import integrate_frame, propagation_backend, require_finite, wedge_residual
+from .propagation import gram_residual
 from .tolerances import DEFAULT
 
 
@@ -43,7 +44,7 @@ def _load(args):
 def _model(args):
     """(spec, integrated model) of the --spec and --tol arguments."""
     spec, tol = _load(args)
-    return spec, integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_sample(),
+    return spec, integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_frame,
                                  tol=tol)
 
 
@@ -54,7 +55,8 @@ def cmd_integrate(args) -> int:
     print(f"backend {propagation_backend()}, corrections {model.corrections}, "
           f"max drift {model.max_drift:.3e} (raw {model.max_drift_raw:.3e}) "
           f"near t={model.max_drift_t}")
-    worst = max(s.residual() for s in model.samples())
+    require_finite(model.frames)  # max() would pass over a NaN residual
+    worst = max(max(gram_residual(f), wedge_residual(f)) for f in model.frames)
     print(f"worst sample residual {worst:.3e}")
     return 0
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import propagation as _kernel
 from .errors import (FrameDegenerateError, IntegrationFailureError,
                      InvalidInputError, NumericError)
-from .minkowski import MinkVec, wedge3
+from .minkowski import wedge_rows
 from .symexpr import (ZERO, Expr, ExprDomainError, add, compile, div, eval_expr,
                       fun, mul, neg, parse_expr, pow_, sub, vectorized)
 from .symexpr import diff_expr as _d
@@ -58,9 +58,6 @@ class CurvatureQuartet:
     def __iter__(self):
         return iter((self.m, self.n, self.a, self.b))
 
-    def eval(self, t: float):
-        return tuple(eval_expr(e, t) for e in self)
-
 
 @dataclass(frozen=True)
 class ScalarInvariants:
@@ -85,58 +82,26 @@ def scalar_invariants(q: CurvatureQuartet) -> ScalarInvariants:
     return ScalarInvariants(f, g, h, sigma)
 
 
-def coefficient_matrix(q: CurvatureQuartet, t: float) -> np.ndarray:
-    """The frame ODE generator C(t), rows/columns ordered (gamma, v1, v2, mu).
-
-    Satisfies C G + G C^T = 0 exactly with G = diag(-1, 1, 1, 1).
-    """
-    m, n, a, b = q.eval(t)
-    return _kernel.coefficient_matrix_values(m, n, a, b)
-
-
 # ---------------------------------------------------------------------------
-# Frame samples
+# Frames: (4, 4) arrays with rows (gamma, v1, v2, mu)
 
 
-@dataclass(frozen=True)
-class FrameSample:
-    """Frame at one parameter value; rows on their quadrics, mutually orthogonal."""
+def require_finite(f):
+    """Raise MinkVec's InvalidInputError at the first entry of the array f,
+    in row-major order, that is not finite."""
+    bad = ~np.isfinite(f)
+    if bad.any():
+        raise InvalidInputError(f"non-finite component in MinkVec: {float(f[bad][0])!r}")
 
-    t: float
-    gamma: MinkVec
-    v1: MinkVec
-    v2: MinkVec
-    mu: MinkVec
 
-    @classmethod
-    def standard(cls, t: float = 0.0) -> "FrameSample":
-        return cls(t, MinkVec(1, 0, 0, 0), MinkVec(0, 1, 0, 0),
-                   MinkVec(0, 0, 1, 0), MinkVec(0, 0, 0, 1))
+def wedge_residual(f) -> float:
+    """Relative deviation of mu from -(gamma ^ v1 ^ v2) in the frame f.
 
-    @classmethod
-    def from_matrix(cls, t: float, f) -> "FrameSample":
-        f = np.asarray(f, dtype=float)
-        return cls(t, *(MinkVec.from_array(row) for row in f))
-
-    def matrix(self) -> np.ndarray:
-        return np.array([list(self.gamma), list(self.v1), list(self.v2), list(self.mu)])
-
-    def pairing_residual(self) -> float:
-        """max deviation of the ten pseudo-orthonormality pairings (absolute)."""
-        return _kernel.gram_residual(self.matrix())
-
-    def wedge_residual(self) -> float:
-        """Relative deviation of mu from -(gamma ^ v1 ^ v2).
-
-        Normalized by the product of row magnitudes: the wedge is cubic in
-        the entries, so an absolute test is meaningless for large frames.
-        """
-        w = wedge3(self.gamma, self.v1, self.v2)
-        scale = 1.0 + (self.gamma.max_abs() * self.v1.max_abs() * self.v2.max_abs())
-        return (self.mu + w).max_abs() / scale
-
-    def residual(self) -> float:
-        return max(self.pairing_residual(), self.wedge_residual())
+    Normalized by the product of row magnitudes: the wedge is cubic in
+    the entries, so an absolute test is meaningless for large frames.
+    """
+    g, v1, v2 = np.abs(f[:3]).max(axis=1)
+    return float(np.abs(f[3] + wedge_rows(f[0], f[1], f[2])).max() / (1.0 + g * v1 * v2))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +356,7 @@ class GridTable:
 
 
 class FramedCurveModel:
-    """Integrated frame samples plus the symbolic Frenet cache.
+    """The integrated frames (`frames[i]` at `ts[i]`) plus the symbolic Frenet cache.
 
     Per-parameter queries are pure.  The column queries (frenet_columns,
     program_columns, and frenet_data_at through them) read the grid table
@@ -402,11 +367,10 @@ class FramedCurveModel:
     exactly, so isotropy and duality residuals are insensitive to it).
     """
 
-    def __init__(self, quartet, ts, frames, initial, step, stats, tol):
+    def __init__(self, quartet, ts, frames, step, stats, tol):
         self.quartet = quartet
         self.ts = ts
         self.frames = frames
-        self.initial = initial
         self.step = step
         self.corrections, self.max_drift_raw, self.max_drift, self.max_drift_t = stats
         self.tol = tol
@@ -439,12 +403,6 @@ class FramedCurveModel:
 
     def __len__(self):
         return len(self.ts)
-
-    def sample(self, i: int) -> FrameSample:
-        return FrameSample.from_matrix(float(self.ts[i]), self.frames[i])
-
-    def samples(self):
-        return [self.sample(i) for i in range(len(self.ts))]
 
     def frame_at(self, t: float) -> np.ndarray:
         """frames_at of the one t."""
@@ -483,9 +441,6 @@ class FramedCurveModel:
             g += w[:, None, None] * self.frames[lo + k]
         f[~hit] = _kernel.pseudo_orthonormalize(g)
         return f
-
-    def sample_at(self, t: float) -> FrameSample:
-        return FrameSample.from_matrix(t, self.frame_at(t))
 
     def frenet_frame_at(self, t: float) -> np.ndarray:
         """Rows (gamma, n1, n2, mu): the normals rotated to the Frenet pair."""
@@ -556,13 +511,15 @@ class FramedCurveModel:
 INITIAL_FRAME_TOL = 1e-12
 
 
-def validate_initial_frame(initial: FrameSample):
-    """Raise InvalidInputError unless the frame meets INITIAL_FRAME_TOL."""
-    if initial.pairing_residual() > INITIAL_FRAME_TOL:
+def validate_initial_frame(f):
+    """Raise InvalidInputError unless the (4, 4) frame f is finite and meets
+    INITIAL_FRAME_TOL."""
+    require_finite(f)
+    if _kernel.gram_residual(f) > INITIAL_FRAME_TOL:
         raise InvalidInputError(
-            f"initial frame pairing residual {initial.pairing_residual():.3e} "
+            f"initial frame pairing residual {_kernel.gram_residual(f):.3e} "
             f"exceeds {INITIAL_FRAME_TOL:g}")
-    if initial.wedge_residual() > INITIAL_FRAME_TOL:
+    if wedge_residual(f) > INITIAL_FRAME_TOL:
         raise InvalidInputError(
             "initial frame orientation must satisfy mu = -(gamma ^ v1 ^ v2) "
             "(det = +1, the orientation of the standard frame)")
@@ -570,7 +527,9 @@ def validate_initial_frame(initial: FrameSample):
 
 def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
                     step=None, tol: Tolerances = DEFAULT) -> FramedCurveModel:
-    """Integrate the frame ODE over domain = (t0, t1, samples).
+    """Integrate the frame ODE over domain = (t0, t1, samples) from the
+    initial frame: a (4, 4) array, its 16 reals row-major, or None for the
+    standard frame.
 
     Returns a model holding the frame at each of the `samples` grid
     points; each sample interval is covered by CF4 substeps no longer
@@ -583,10 +542,7 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
         raise InvalidInputError("domain needs at least 2 samples")
     if not t1 > t0:
         raise InvalidInputError("domain must satisfy t1 > t0")
-    if initial is None:
-        initial = FrameSample.standard(t0)
-    elif not isinstance(initial, FrameSample):
-        initial = FrameSample.from_matrix(t0, initial)
+    initial = np.eye(4) if initial is None else np.asarray(initial, dtype=float).reshape(4, 4)
     validate_initial_frame(initial)
     dt = (t1 - t0) / (nsamples - 1)
     if step is None:
@@ -620,11 +576,11 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
         node_vals[:, :, j] = vals[:-len(ts)].reshape(-1, 2)
 
     frames, corrections, max_raw, max_final, worst = _kernel.propagate(
-        node_vals, hs, substeps, initial.matrix(), tol.frame / 10.0)
+        node_vals, hs, substeps, initial, tol.frame / 10.0)
     worst_t = float(ts[(worst + 1) // nsub])
     if max_final > tol.frame:
         raise IntegrationFailureError(
             f"frame drift {max_final:.3e} survives re-orthonormalization "
             f"near t={worst_t!r}", worst_t=worst_t)
     stats = (int(corrections), float(max_raw), float(max_final), worst_t)
-    return FramedCurveModel(quartet, ts, frames, initial, step, stats, tol)
+    return FramedCurveModel(quartet, ts, frames, step, stats, tol)

@@ -22,9 +22,8 @@ from . import duality as _duality
 from . import evolute as _evolute
 from . import focal as _focal
 from .errors import HypframeError, InvalidInputError
-from .framedcurve import (CurvatureQuartet, FrameSample, FramedCurveModel,
-                          integrate_frame, propagation_backend,
-                          validate_initial_frame)
+from .framedcurve import (CurvatureQuartet, FramedCurveModel, integrate_frame,
+                          propagation_backend, validate_initial_frame)
 from .minkowski import ON_QUADRIC, Columns, MinkVec, Quadric, membership_residual
 from .symexpr import ExprSyntaxError, parse_expr
 from .tolerances import DEFAULT, Tolerances
@@ -54,7 +53,7 @@ class CurveSpec:
     curvature: dict            # {"m": ..., "n": ..., "a": ..., "b": ...}
     domain: tuple              # (t0, t1, samples)
     theta: tuple               # (min, max, samples)
-    initial_frame: tuple | None = None
+    initial_frame: tuple | None = None  # 16 reals, row-major; None: the standard frame
     tolerances: dict = field(default_factory=dict)
     outputs: tuple = ("report",)
     digest: str = ""
@@ -62,12 +61,6 @@ class CurveSpec:
     def quartet(self) -> CurvatureQuartet:
         c = self.curvature
         return CurvatureQuartet.from_strings(c["m"], c["n"], c["a"], c["b"])
-
-    def initial_sample(self) -> FrameSample | None:
-        """The initial frame at t0; None for the standard frame."""
-        if self.initial_frame is not None:
-            return FrameSample.from_matrix(self.domain[0],
-                                           np.array(self.initial_frame).reshape(4, 4))
 
 
 def _require_keys(obj, allowed, where):
@@ -146,8 +139,7 @@ def load_spec(path) -> CurveSpec:
             raise SpecValidationError("initial_frame", "must be 16 reals, row-major")
         try:
             frame = tuple(float(v) for v in vals)
-            # the rule integrate_frame applies; from_matrix rejects non-finite entries
-            validate_initial_frame(FrameSample.from_matrix(t0, np.array(frame).reshape(4, 4)))
+            validate_initial_frame(np.reshape(frame, (4, 4)))  # the rule integrate_frame applies
         except (TypeError, ValueError) as exc:
             raise SpecValidationError("initial_frame", str(exc)) from exc
 
@@ -450,14 +442,15 @@ class RunReport:
 
     def write(self, path) -> None:
         with open(path, "wb") as fh:
-            fh.write(self.to_json().encode("utf-8") + b"\n")
+            fh.write(self.to_json().encode("utf-8"))
+            fh.write(b"\n")
 
 
 def run_pipeline(spec: CurveSpec, out_dir=None, tol: Tolerances | None = None) -> RunReport:
     """Integrate, classify, verify, and export everything the spec requests."""
     if tol is None:
         tol = DEFAULT.with_overrides(spec.tolerances)
-    model = integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_sample(), tol=tol)
+    model = integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_frame, tol=tol)
 
     runs = _focal.defined_runs(model)
     records = _classified_loci(model, runs)

@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    causal: float = 1e-12     # causal type of a vector, scaled by max(1, |x|^2)
     frame: float = 1e-9       # frame pairing residuals after integration
     zero: float = 1e-10       # a^2+b^2 and A^2-M^2 degeneracy cutoffs
     sing: float = 1e-8        # singularity / classification zero tests, magnitude scaled

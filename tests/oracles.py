@@ -144,7 +144,7 @@ def constraint_residuals(model, t, point, side):
     g = point.as_array() * np.array([-1.0, 1, 1, 1])
     u1, u2, u3, u4 = (float(np.dot(g, row)) for row in model.frame_at(t))
     u1 = -u1
-    m, _, a, b = model.quartet.eval(t)
+    m, _, a, b = (eval_expr(e, t) for e in model.quartet)
     return {"linear": m * u1 + a * u2 + b * u3, "mu_component": u4,
             "quadric": side.kappa * (u1 * u1 - u2 * u2 - u3 * u3) - 1.0}
 

@@ -22,6 +22,7 @@ from hypframe.evolute import (classify_dual_d, classify_dual_h,
                               dual_of_evolute_h)
 from hypframe.focal import (SingularityType, classify_d, classify_h,
                             focal_d_point, focal_h_point, singular_locus_d)
+from hypframe.propagation import gram_residual
 
 from oracles import cofactor_det4, central_diff, fd_partials
 
@@ -65,7 +66,7 @@ def test_criterion_02_frame_fidelity(model_ce_h, model_ce_d):
         assert model.step == pytest.approx(1e-3)
         assert (model.t0, model.t1) == (0.0, 4.0)
         worst_pair = max(worst_pair,
-                         max(s.pairing_residual() for s in model.samples()))
+                         max(gram_residual(f) for f in model.frames))
     assert worst_pair <= 1e-9
     _ok(2, "frame fidelity",
         f"geodesic {worst_geo:.2e}, pairings {worst_pair:.2e}")

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hypframe import (CurvatureQuartet, FrameSample, MinkVec,
-                      coefficient_matrix, eval_expr, integrate_frame,
-                      scalar_invariants)
+from hypframe import CurvatureQuartet, eval_expr, integrate_frame, scalar_invariants
 from hypframe.errors import (FrameDegenerateError, InvalidInputError,
                              NumericError)
-from hypframe.framedcurve import FrenetExprs
+from hypframe.framedcurve import FrenetExprs, wedge_residual
 from hypframe.minkowski import METRIC
+from hypframe.propagation import coefficient_matrix_values, gram_residual
 from hypframe.symexpr import ExprDomainError
 
 from oracles import central_diff, frenet_frame
@@ -17,6 +16,11 @@ from oracles import central_diff, frenet_frame
 Q_CE_H = CurvatureQuartet.from_strings("1", "1", "2", "0")
 Q_CE_D = CurvatureQuartet.from_strings("2", "1", "1", "0")
 Q_GEO = CurvatureQuartet.from_strings("1", "0", "0", "0")
+
+
+def coefficient_matrix(q, t):
+    """The generator C(t) of the frame ODE, from the quartet's values at t."""
+    return coefficient_matrix_values(*(eval_expr(e, t) for e in q))
 
 
 def test_coefficient_matrix_examples():
@@ -71,8 +75,8 @@ def test_richardson_half_step_nonautonomous():
 
 def test_sample_invariants(model_ce_h, model_ce_d):
     for model in (model_ce_h, model_ce_d):
-        assert max(s.pairing_residual() for s in model.samples()) <= 1e-9
-        assert max(s.wedge_residual() for s in model.samples()) <= 1e-9
+        assert max(gram_residual(f) for f in model.frames) <= 1e-9
+        assert max(wedge_residual(f) for f in model.frames) <= 1e-9
 
 
 def test_uniqueness_same_curvature():
@@ -196,8 +200,7 @@ def test_congruence_under_rotation():
     rot[1, 1] = rot[2, 2] = math.cos(angle)
     rot[1, 2], rot[2, 1] = -math.sin(angle), math.sin(angle)
     a = integrate_frame(Q_CE_H, (0.0, 2.0, 101), step=1e-3)
-    initial = FrameSample.from_matrix(0.0, FrameSample.standard(0.0).matrix() @ rot.T)
-    b = integrate_frame(Q_CE_H, (0.0, 2.0, 101), step=1e-3, initial=initial)
+    b = integrate_frame(Q_CE_H, (0.0, 2.0, 101), step=1e-3, initial=np.eye(4) @ rot.T)
     assert np.abs(a.frames[:, :3] @ rot.T - b.frames[:, :3]).max() <= 1e-9
 
 
@@ -206,8 +209,7 @@ def test_dense_output_accuracy(model_ce_h):
     direct = integrate_frame(Q_CE_H, (0.0, 1.0005, 2), step=1e-4)
     f = model_ce_h.frame_at(1.0005)
     assert np.abs(f - direct.frames[-1]).max() <= 1e-9
-    s = model_ce_h.sample_at(1.0005)
-    assert s.pairing_residual() <= 1e-12
+    assert gram_residual(f) <= 1e-12
 
 
 def test_frame_at_outside_domain(model_ce_h):
@@ -245,8 +247,8 @@ def test_model_metadata(model_ce_h):
     assert model_ce_h.t0 == 0.0 and model_ce_h.t1 == 4.0
     assert len(model_ce_h) == 401
     assert model_ce_h.max_drift <= 1e-9
-    s = model_ce_h.sample(0)
-    assert isinstance(s.gamma, MinkVec)
+    assert model_ce_h.frames.shape == (401, 4, 4)
+    assert np.array_equal(model_ce_h.frames[0], np.eye(4))
 
 
 def test_frenet_programs_share_subexpressions():

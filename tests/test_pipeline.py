@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypframe import (CurvatureQuartet, MinkVec, export_loci_csv, export_obj,
-                      integrate_frame, load_spec, project_hollow_ball, project_poincare,
-                      run_pipeline)
+from hypframe import (CurvatureQuartet, MinkVec, correspondence_check, export_loci_csv,
+                      export_obj, integrate_frame, load_spec, project_hollow_ball,
+                      project_poincare, run_pipeline)
 import hypframe
 from hypframe import pipeline
 from hypframe.cli import main as cli_main
@@ -190,7 +190,7 @@ def test_loci_csv_identifiers_need_no_quoting():
 @pytest.mark.parametrize("name", sorted(os.listdir(SPEC_DIR)))
 def test_export_loci_csv_is_the_csv_writer_text(tmp_path, name):
     spec = load_spec(os.path.join(SPEC_DIR, name))
-    model = integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_sample(),
+    model = integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_frame,
                             tol=DEFAULT.with_overrides(spec.tolerances))
     records = pipeline._classified_loci(model, defined_runs(model))
     export_loci_csv(records, tmp_path / "new.csv")
@@ -397,21 +397,36 @@ def test_python_m_hypframe_is_the_cli(tmp_path, capsys, monkeypatch):
     assert len(written) == 3 and written == files(direct / "out")
 
 
-@pytest.mark.parametrize("curvature, domain", [
+_NON_FINITE_FRAMES = pytest.mark.parametrize("curvature, domain", [
     # the de Sitter evolute turns to NaN with no domain error on the way
     (("2.41+1.45*sinh(2.96*t)", "-1.2-1.56*tanh(2.06*t)", "-0.61+0.05*t+1.44*t^2", "0"),
      (-1.6, 1.6, 81)),
     # perfbench's boosted workload at seed 19: the stored frames turn to NaN
     (("1.029313", "1.026701", "2.033930", "0"), (0.0, 40.0, 201)),
 ], ids=["silent_nan", "boosted_seed_19"])
+
+
+def _exits_1_on_a_non_finite_point(tmp_path, capsys, curvature, domain, sub):
+    doc = dict(MINIMAL, name="non_finite", curvature=dict(zip("mnab", curvature)),
+               domain=dict(zip(("t0", "t1", "samples"), domain)))
+    assert cli_main([sub, "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] \
+        == "invalid input: non-finite component in MinkVec: nan"
+
+
+@_NON_FINITE_FRAMES
 def test_cli_run_exits_1_on_a_non_finite_point(tmp_path, capsys, curvature, domain):
     """The exit and text that perfbench's KNOWN_DEFECTS matches for the
     boosted long integrations."""
-    doc = dict(MINIMAL, name="non_finite", curvature=dict(zip("mnab", curvature)),
-               domain=dict(zip(("t0", "t1", "samples"), domain)))
-    assert cli_main(["run", "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] \
-        == "invalid input: non-finite component in MinkVec: nan"
+    _exits_1_on_a_non_finite_point(tmp_path, capsys, curvature, domain, "run")
+
+
+@_NON_FINITE_FRAMES
+def test_cli_integrate_exits_1_on_a_non_finite_stored_frame(tmp_path, capsys, curvature,
+                                                            domain):
+    """integrate fails as run does, with no residual printed: max() over the
+    stored frames' residuals would pass over a NaN one."""
+    _exits_1_on_a_non_finite_point(tmp_path, capsys, curvature, domain, "integrate")
 
 
 @pytest.mark.parametrize("curvature, domain", [
@@ -460,9 +475,32 @@ def test_cli_subcommands_smoke(tmp_path, capsys):
                      "--tol", "frame=1e-8"]) == 0
     assert cli_main(["integrate", "--spec", spec_path,
                      "--tol", "bogus=1"]) == 1
-    for bad in ("zero=nan", "zero=inf", "zero=abc", "zero=-1"):
+    for bad in ("zero=nan", "zero=inf", "zero=abc", "zero=-1", "causal=1e-12"):
         assert cli_main(["integrate", "--spec", spec_path, "--tol", bad]) == 1
     capsys.readouterr()
+
+
+def test_failing_correspondence_is_reported(tmp_path, capsys):
+    """At sing = 0.05 the focal surface reads swallowtails near t = -0.93
+    where the evolute is regular: verify names the agreements that fail and
+    exits 2, and the report lists each failing grid point, as _leg gives it."""
+    spec_path = os.path.join(SPEC_DIR, "swallowtail_family.json")
+    assert cli_main(["verify", "--spec", spec_path, "--tol", "sing=0.05"]) == 2
+    assert re.findall(r"^  (\w+): FAIL$", capsys.readouterr().out, re.M) == [
+        "focal_ce_iff_evolute_regular", "focal_sw_iff_evolute_cusp", "focal_sw_iff_dual_ccr"]
+    assert cli_main(["run", "--spec", spec_path, "--tol", "sing=0.05",
+                     "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    data = json.loads((tmp_path / "swallowtail_family_report.json").read_text())
+    failures = data["correspondence"]["hyperbolic"]["failures"]
+    assert len(failures) == 18
+    assert (failures[0]["t"], failures[0]["focal"], failures[0]["evolute"]) \
+        == (-0.93, "Swallowtail", "RegularPoint")
+    spec = load_spec(spec_path)
+    model = integrate_frame(spec.quartet(), spec.domain,
+                            tol=DEFAULT.with_overrides({"sing": 0.05}))
+    leg = pipeline._leg_dict(correspondence_check(model, defined_runs(model)).hyperbolic)
+    assert failures == json.loads(json.dumps(leg["failures"]))
 
 
 def test_run_pipeline_non_polynomial_quartet(tmp_path):

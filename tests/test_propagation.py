@@ -12,7 +12,7 @@ import pytest
 from hypframe import framedcurve
 from hypframe import propagation as kernel
 from hypframe.errors import InvalidInputError
-from hypframe.framedcurve import CurvatureQuartet, FrameSample, integrate_frame
+from hypframe.framedcurve import CurvatureQuartet, integrate_frame
 from hypframe.symexpr import FUNCTIONS, eval_expr, vectorized
 from hypframe.tolerances import DEFAULT
 
@@ -221,7 +221,7 @@ def test_orthonormalize_a_stack_as_each_frame_alone():
                          ids=["roadmap", "constant"])
 def test_propagate_matches_oracle_loop(quartet):
     node_vals, hs, substeps = _node_data(quartet, 0.0, 40.0, 200, 100)
-    f0 = FrameSample.standard(0.0).matrix()
+    f0 = np.eye(4)
     frames = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)[0]
     ref = propagate_loop(node_vals, hs, substeps, f0, 1e-10)[0]
     assert _relative(frames, ref) <= 1e-10
@@ -243,7 +243,7 @@ def test_chunking_is_bit_identical(monkeypatch, quartet, nsub):
     """Whatever the chunking, and so whatever runs of repeated substeps a
     chunk holds, the frames and counts are the same bits."""
     node_vals, hs, substeps = _node_data(quartet, 0.0, 3.0, 23, nsub)
-    f0 = FrameSample.standard(0.0).matrix()
+    f0 = np.eye(4)
     whole = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)
     for chunk in (nsub, 3 * nsub, 5 * nsub + 1):
         monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", chunk)
@@ -254,7 +254,7 @@ def test_chunking_is_bit_identical(monkeypatch, quartet, nsub):
 
 def test_interval_longer_than_a_chunk(monkeypatch):
     node_vals, hs, substeps = _node_data(ROADMAP_QUARTET, 0.0, 3.0, 4, 50)
-    f0 = FrameSample.standard(0.0).matrix()
+    f0 = np.eye(4)
     monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", 16)  # 4 segments per interval
     frames = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)[0]
     ref = propagate_loop(node_vals, hs, substeps, f0, 1e-10)[0]
@@ -267,7 +267,7 @@ def test_reused_substeps_give_the_bits_of_computed_ones(monkeypatch, nsub, chunk
     bits as when every substep is exponentiated, through whole-interval
     chunks and through the segments of an interval longer than a chunk."""
     node_vals, hs, substeps = _node_data(CONSTANT_QUARTET, 0.0, 40.0, 20, nsub)
-    f0 = FrameSample.standard(0.0).matrix()
+    f0 = np.eye(4)
     monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", chunk)
     reused = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)
     monkeypatch.setattr(kernel, "_substep_propagators", _every_substep)
@@ -278,7 +278,7 @@ def test_reused_substeps_give_the_bits_of_computed_ones(monkeypatch, nsub, chunk
 
 def test_nonuniform_substeps_rejected():
     node_vals, hs, substeps = _node_data(ROADMAP_QUARTET, 0.0, 1.0, 4, 5)
-    f0 = FrameSample.standard(0.0).matrix()
+    f0 = np.eye(4)
     uneven = np.array([5, 4, 6, 5])
     with pytest.raises(InvalidInputError):
         kernel.propagate(node_vals, hs, uneven, f0, 1e-10)
@@ -289,7 +289,7 @@ def test_nonuniform_substeps_rejected():
 def test_integrate_frame_matches_oracle_loop(monkeypatch):
     q = CurvatureQuartet.from_strings("1", "1", "2", "0")
     model = integrate_frame(q, (0.0, 1.0, 11), step=1e-3)
-    assert max(s.pairing_residual() for s in model.samples()) <= 1e-9
+    assert max(kernel.gram_residual(f) for f in model.frames) <= 1e-9
     assert model.max_drift <= model.tol.frame
     assert model.max_drift_t in model.ts
     monkeypatch.setattr(kernel, "propagate", propagate_loop)

@@ -24,7 +24,12 @@ Run it from the root of a hypframe checkout.  The corpus is
   grid points (and between the integrator's Gauss nodes), an epsilon
   that oscillates faster than the grid resolves, a spec name with
   non-ASCII text, a comma, quotes and a backslash, which the report
-  escapes, and a 401 x 41 grid whose meshes are written in many rows.
+  escapes, a 401 x 41 grid whose meshes are written in many rows, an
+  initial frame boosted in the (e0, e3) plane and rotated in the
+  (e1, e2) plane, three initial frames the spec rejects (a non-finite
+  entry, a pairing off by 5e-11, mu = +gamma ^ v1 ^ v2), and the
+  swallowtail quartet at sing = 0.05, whose correspondence agreements
+  fail and list their failures.
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -34,6 +39,7 @@ from __future__ import annotations
 import glob
 import importlib.util
 import json
+import math
 import os
 import sys
 
@@ -68,9 +74,25 @@ QUARTETS = {
     "eps_alias": (("0.001*sin(600*t)", "1", "2", "0"), (-0.2, 0.2, 41)),
     "escaped_name": (("1", "1", "2", "0"), (0.0, 1.0, 11)),
     "fine_mesh": (("0.5*t", "1", "2", "0"), (-1.5, 1.5, 401), (-1.0, 1.0, 41)),
+    **dict.fromkeys(("frame_boosted", "frame_nonfinite", "frame_pairing", "frame_flipped"),
+                    (("0.5*t", "1", "2", "0"), (-1.5, 1.5, 61), (-1.0, 1.0, 7))),
+    "swallowtail_coarse": (("0.5*t", "1", "2", "0"), (-1.5, 1.5, 201), (-1.0, 1.0, 21)),
 }
 # spec names that differ from their file name: what the report must escape
 NAMES = {"escaped_name": 'ψ-edge, "quoted" \\ name'}
+
+# rows (gamma, v1, v2, mu): a boost by 0.8 in the (e0, e3) plane times a
+# rotation by 0.7 in the (e1, e2) plane
+_CH, _SH, _C, _S = math.cosh(0.8), math.sinh(0.8), math.cos(0.7), math.sin(0.7)
+_BOOSTED = [_CH, 0, 0, _SH, 0, _C, -_S, 0, 0, _S, _C, 0, _SH, 0, 0, _CH]
+# further document keys of a spec, beyond its quartet, domain and theta
+EXTRA = {
+    "frame_boosted": {"initial_frame": _BOOSTED},
+    "frame_nonfinite": {"initial_frame": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1e999]},
+    "frame_pairing": {"initial_frame": [1, 0, 0, 0, 0, 1, 0, 0, 0, 5e-11, 1, 0, 0, 0, 0, 1]},
+    "frame_flipped": {"initial_frame": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1]},
+    "swallowtail_coarse": {"tolerances": {"sing": 0.05}},
+}
 
 
 def corpus(out_dir) -> list:
@@ -90,6 +112,7 @@ def corpus(out_dir) -> list:
             "curvature": dict(zip("mnab", curvature)),
             "domain": {"t0": t0, "t1": t1, "samples": samples},
             "theta": {"min": lo, "max": hi, "samples": count},
+            **EXTRA.get(name, {}),
         }, indent=2) + "\n"
     for name, text in texts.items():
         path = os.path.join(out_dir, name + ".json")
