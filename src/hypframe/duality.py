@@ -4,7 +4,7 @@ A dual pair sample carries the two legs of a candidate isotropic lift
 and their first partials; the five residuals are the pairing of the legs
 and the four contact-form pullback coefficients.  A grid of samples gets
 a frontal / front / not-isotropic verdict, with the immersion test done
-through singular values of the stacked derivative matrix.
+through closed-form singular values of the stacked derivative matrix.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ def front_verdict(samples, tol: Tolerances = DEFAULT) -> FrontVerdict:
     """Judge a sampled lift, a batch or a list of samples: NotIsotropic,
     Front, or Frontal.
 
-    Front requires the 8x2 joint derivative matrix of (f, g) to have
-    numeric rank 2 at every sample (sigma_min > tol.rank_rtol * sigma_max).
+    Front requires the 8x2 joint derivative matrix of (f, g) to have numeric
+    rank 2 at every sample: sigma_min > tol.rank_rtol * sigma_max, in closed form.
     """
     if not isinstance(samples, DualPairSample) and samples:
         samples = DualPairSample(*(np.array([getattr(s, leg).as_array() for s in samples])
@@ -80,10 +80,25 @@ def front_verdict(samples, tol: Tolerances = DEFAULT) -> FrontVerdict:
         return FrontVerdict.NOT_ISOTROPIC
     cols = [np.concatenate([samples.df_du, samples.dg_du], axis=1),
             np.concatenate([samples.df_dv, samples.dg_dv], axis=1)]
-    sv = np.linalg.svd(np.stack(cols, axis=2), compute_uv=False)
+    sv = _singular_values(np.stack(cols, axis=2))
     if (sv[:, 1] <= tol.rank_rtol * sv[:, 0]).any():
         return FrontVerdict.FRONTAL
     return FrontVerdict.FRONT
+
+
+def _singular_values(j: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(j, compute_uv=False) of a stack of (n, 2) matrices [u v], each
+    scaled by its largest entry: sigma_1^2 is the larger eigenvalue of u, v's Gram
+    matrix, and sigma_1 sigma_2 = |u| |v - (u.v / |u|^2) u| with u the longer column."""
+    scale = np.abs(j).max(axis=(1, 2))
+    u, v = np.moveaxis(j / np.where(scale > 0.0, scale, 1.0)[:, None, None], 2, 0)
+    uu, vv, uv = (u * u).sum(axis=1), (v * v).sum(axis=1), (u * v).sum(axis=1)
+    s1 = np.sqrt((uu + vv + np.hypot(uu - vv, 2.0 * uv)) / 2.0)
+    swap = (vv > uu)[:, None]
+    u, v, uu = np.where(swap, v, u), np.where(swap, u, v), np.maximum(uu, vv)
+    w = v - (uv / np.where(uu > 0.0, uu, 1.0))[:, None] * u
+    s2 = np.sqrt(uu * (w * w).sum(axis=1)) / np.where(s1 > 0.0, s1, 1.0)
+    return np.stack([s1, s2], axis=1) * scale[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -525,17 +525,54 @@ def validate_initial_frame(f):
             "(det = +1, the orientation of the standard frame)")
 
 
+class _GaussNodes:
+    """The quartet at the two Gauss nodes of each substep, as a node source of
+    propagation.propagate: a slice evaluates its own substeps' nodes (`times`)
+    only, with the bits of the whole domain at once, which are eval_expr's."""
+
+    def __init__(self, quartet, ts, h, nsub):
+        self.quartet, self.ts, self.h, self.nsub = quartet, ts, h, nsub
+        self.shape = ((len(ts) - 1) * nsub, 2, 4)
+
+    def times(self, lo, hi) -> np.ndarray:
+        k = np.arange(lo, hi)
+        starts = self.ts[k // self.nsub] + self.h * (k % self.nsub)
+        return (starts[:, None] + self.h * np.array([_kernel.GAUSS_C1, _kernel.GAUSS_C2])).ravel()
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        t = self.times(*rows.indices(self.shape[0])[:2])
+        vals = np.stack([vectorized(e)(t).reshape(-1, 2) for e in self.quartet], axis=2)
+        if not np.isfinite(vals).all():
+            self.check()
+        return vals
+
+    def check(self):
+        """Raise NumericError for the first curvature function not finite at
+        some node or sample, at its first such node, else sample."""
+        check_ts = np.concatenate([self.times(0, self.shape[0]), self.ts])
+        for j, e in enumerate(self.quartet):
+            vals = vectorized(e)(check_ts)
+            if not np.all(np.isfinite(vals)):
+                t_bad = float(check_ts[np.argmin(np.isfinite(vals))])
+                try:
+                    eval_expr(e, t_bad)  # raises a located ExprDomainError if genuine
+                except ExprDomainError as exc:
+                    raise NumericError(f"curvature function {j} at t={t_bad!r}: {exc}") from exc
+                raise NumericError(f"curvature function {j} not finite at t={t_bad!r}")
+
+
 def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
                     step=None, tol: Tolerances = DEFAULT) -> FramedCurveModel:
     """Integrate the frame ODE over domain = (t0, t1, samples) from the
     initial frame: a (4, 4) array, its 16 reals row-major, or None for the
     standard frame.
 
-    Returns a model holding the frame at each of the `samples` grid
-    points; each sample interval is covered by CF4 substeps no longer
-    than `step`.  Drift in F G F^T - G is monitored at every sample and
-    re-orthonormalization applied above tol.frame / 10; drift surviving
-    correction beyond tol.frame raises IntegrationFailureError.
+    Returns a model holding the frame at each of the `samples` grid points;
+    each sample interval is covered by CF4 substeps no longer than `step`.
+    Integration holds one kernel chunk of their Gauss-node values (_GaussNodes).
+    Drift in F G F^T - G is monitored at every sample and re-orthonormalization
+    applied above tol.frame / 10; drift surviving it beyond tol.frame raises
+    IntegrationFailureError.
     """
     t0, t1, nsamples = float(domain[0]), float(domain[1]), int(domain[2])
     if nsamples < 2:
@@ -557,26 +594,11 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
     hs = np.full(nsamples - 1, dt / nsub)
     substeps = np.full(nsamples - 1, nsub, dtype=np.int64)
 
-    # curvature at each substep's Gauss nodes, then at the samples, as eval_expr gives it
-    starts = (ts[:-1][:, None] + hs[:, None] * np.arange(nsub)[None, :]).ravel()
-    check_ts = np.concatenate([np.column_stack([
-        starts + _kernel.GAUSS_C1 * np.repeat(hs, nsub),
-        starts + _kernel.GAUSS_C2 * np.repeat(hs, nsub)]).ravel(), ts])
-    node_vals = np.empty((len(starts), 2, 4))
-    for j, e in enumerate(quartet):
-        vals = vectorized(e)(check_ts)
-        if not np.all(np.isfinite(vals)):
-            t_bad = float(check_ts[np.argmin(np.isfinite(vals))])
-            try:
-                eval_expr(e, t_bad)  # raises a located ExprDomainError if genuine
-            except ExprDomainError as exc:
-                raise NumericError(f"curvature function {j} at t={t_bad!r}: {exc}") from exc
-            raise NumericError(
-                f"curvature function {j} not finite at t={t_bad!r}")
-        node_vals[:, :, j] = vals[:-len(ts)].reshape(-1, 2)
-
+    nodes = _GaussNodes(quartet, ts, dt / nsub, nsub)
+    if not all(np.isfinite(vectorized(e)(ts)).all() for e in quartet):
+        nodes.check()  # check() picks the error, so checking samples first changes none
     frames, corrections, max_raw, max_final, worst = _kernel.propagate(
-        node_vals, hs, substeps, initial, tol.frame / 10.0)
+        nodes, hs, substeps, initial, tol.frame / 10.0)
     worst_t = float(ts[(worst + 1) // nsub])
     if max_final > tol.frame:
         raise IntegrationFailureError(

@@ -126,17 +126,17 @@ def _tree_product(m: np.ndarray) -> np.ndarray:
     return m[:, 0]
 
 
-def _interval_propagators(node_vals: np.ndarray, hs: np.ndarray,
+def _interval_propagators(node_vals, lo: int, hs: np.ndarray,
                           nsub: int) -> np.ndarray:
-    """Propagator of each interval; node_vals holds nsub substeps per interval."""
+    """Propagator of each interval, one per h of hs, from substep lo of node_vals on."""
     if nsub <= CHUNK_SUBSTEPS:
-        steps = _substep_propagators(node_vals, np.repeat(hs, nsub))
+        steps = _substep_propagators(node_vals[lo:lo + len(hs) * nsub], np.repeat(hs, nsub))
         return _tree_product(steps.reshape(len(hs), nsub, 4, 4))
     # a single interval longer than a chunk: its segments, in time order
     p = np.eye(4)
-    for lo in range(0, nsub, CHUNK_SUBSTEPS):
-        seg = node_vals[lo:lo + CHUNK_SUBSTEPS]
-        steps = _substep_propagators(seg, np.full(len(seg), hs[0]))
+    for seg in range(lo, lo + nsub, CHUNK_SUBSTEPS):
+        vals = node_vals[seg:min(seg + CHUNK_SUBSTEPS, lo + nsub)]
+        steps = _substep_propagators(vals, np.full(len(vals), hs[0]))
         p = _tree_product(steps[None])[0] @ p
     return p[None]
 
@@ -189,12 +189,13 @@ def pseudo_orthonormalize(f: np.ndarray) -> np.ndarray:
     return np.stack([g.T, v1.T, v2.T, mu.T], axis=-2)
 
 
-def propagate(node_vals: np.ndarray, hs: np.ndarray, substeps: np.ndarray,
+def propagate(node_vals, hs: np.ndarray, substeps: np.ndarray,
               f0: np.ndarray, tol_correct: float):
     """Advance the frame across every sample interval.
 
     node_vals : (total_substeps, 2, 4) curvature (m,n,a,b) at the two
-                Gauss nodes of each substep, concatenated over intervals.
+                Gauss nodes of each substep, concatenated over intervals: an
+                array, or a source with that `shape` read by slices of one chunk.
     hs        : (nintervals,) substep size per interval.
     substeps  : (nintervals,) substep count per interval, all equal.
     f0        : (4,4) initial frame, rows (gamma, v1, v2, mu).
@@ -228,9 +229,7 @@ def propagate(node_vals: np.ndarray, hs: np.ndarray, substeps: np.ndarray,
     worst = nsub - 1
     per = max(1, CHUNK_SUBSTEPS // nsub)
     for first in range(0, nint, per):
-        last = min(first + per, nint)
-        props = _interval_propagators(
-            node_vals[first * nsub:last * nsub], hs[first:last], nsub)
+        props = _interval_propagators(node_vals, first * nsub, hs[first:first + per], nsub)
         for i, p in enumerate(props, start=first):
             f = p @ f
             residual = gram_residual(f)

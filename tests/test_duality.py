@@ -3,7 +3,7 @@ import pytest
 
 from hypframe import MinkVec, front_verdict, isotropy_residuals, mink_dot
 from hypframe.duality import (PAIR_NAMES, DualPairSample, Fibration,
-                              FrontVerdict, pair_sample, pair_theta_range)
+                              FrontVerdict, _singular_values, pair_sample, pair_theta_range)
 from hypframe.errors import InvalidInputError
 from hypframe.tolerances import DEFAULT
 
@@ -93,6 +93,50 @@ def test_front_verdict_monotone_in_rank_tol(model_ce_h):
         prev = v
     assert front_verdict(samples, DEFAULT.with_overrides({"rank_rtol": 0.999999})) \
         is FrontVerdict.FRONTAL
+
+
+def _jacobians(rng, ratios):
+    """8x2 matrices with singular values (s, s * ratio), s log-uniform in
+    [1e-3, 1e3], in random orthonormal bases of the columns and rows."""
+    q = np.linalg.qr(rng.normal(size=(len(ratios), 8, 2)))[0]
+    r = np.linalg.qr(rng.normal(size=(len(ratios), 2, 2)))[0]
+    s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), len(ratios)))
+    return (q * np.stack([s, s * ratios], axis=1)[:, None, :]) @ r
+
+
+def test_closed_form_singular_values_match_the_svd():
+    """sigma within 8 eps of sigma_1, and the rank verdict of the SVD, except
+    within 1e-12 sigma_1 of the threshold, at ratios sigma_2 / sigma_1
+    log-uniform in [1e-14, 1] and on both sides of each rank_rtol."""
+    rng = np.random.default_rng(67)
+    x = rng.normal(size=8)
+    exact = [np.zeros((8, 2)), np.stack([x, np.zeros(8)], axis=1),
+             np.stack([np.zeros(8), x], axis=1), np.stack([x, -4.0 * x], axis=1)]
+    rtols = np.array([DEFAULT.rank_rtol, 1e-9, 1e-3, 0.5])
+    # 1e-2 relative, and 1e-10 and 1e-11 of sigma_1, below and above each rtol
+    near = rtols[:, None] + np.array([-1e-2, 0, 0, 0, 0, 1e-2]) * rtols[:, None] \
+        + np.array([0, -1e-10, -1e-11, 1e-11, 1e-10, 0])
+    ratios = np.concatenate([np.exp(rng.uniform(np.log(1e-14), 0.0, 20000)), near.ravel()])
+    j = np.concatenate([exact, _jacobians(rng, ratios)])
+    got, want = _singular_values(j), np.linalg.svd(j, compute_uv=False)
+    assert (np.abs(got - want).max(axis=1) <= 8 * 2.0 ** -52 * want[:, 0]).all()
+    assert (got[:4, 1] == 0.0).all()  # zero columns and exact rank one
+    for i, rtol in enumerate(rtols):
+        far = (np.abs(want[:, 1] - rtol * want[:, 0]) > 1e-12 * want[:, 0]) | (want[:, 0] == 0)
+        assert far[:4].all() and far[len(j) - near.size:].reshape(near.shape)[i].all()
+        assert np.array_equal((got[:, 1] <= rtol * got[:, 0])[far],
+                              (want[:, 1] <= rtol * want[:, 0])[far]), rtol
+
+
+def test_front_verdict_with_a_zero_column():
+    """A zero derivative column is rank deficient (sigma_2 = 0); a second,
+    independent one makes the pair a front."""
+    zero = MinkVec(0, 0, 0, 0)
+    f, g, f_u = MinkVec(1, 0, 0, 0), MinkVec(0, 1, 0, 0), MinkVec(0, 0, 1, 0)
+    s = DualPairSample(f, g, f_u, zero, zero, zero, Fibration.DELTA1)
+    assert front_verdict([s]) is FrontVerdict.FRONTAL
+    s = DualPairSample(f, g, f_u, zero, zero, MinkVec(0, 0, 0, 1), Fibration.DELTA1)
+    assert front_verdict([s]) is FrontVerdict.FRONT
 
 
 def test_front_verdict_requires_samples():

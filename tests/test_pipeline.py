@@ -465,6 +465,41 @@ def test_cli_run_certifies_duality_at_finite_stored_frames(tmp_path, capsys, cur
     assert checked >= 2
 
 
+@pytest.mark.parametrize("sub", ["integrate", "run"])
+@pytest.mark.parametrize("m, n, error", [
+    # n leaves its domain for good at t = 2, m at t = 35
+    ("log(35-t)", "sqrt(2-t)",
+     "at t=35.00042264973081: log of non-positive value -0.0004226497308081889 in 'log(35-t)'"),
+    # only between two samples, at nodes: n near t = 2.1, in the first chunk, m near 35.1
+    ("sqrt((t-35.1)^2-0.0001)", "sqrt((t-2.1)^2-0.0001)",
+     "at t=35.09042264973081: sqrt of negative value -8.27436182124966e-06 in "
+     "'sqrt((t-35.1)^2-0.0001)'"),
+], ids=["from_a_sample_on", "between_samples"])
+def test_curvature_errors_keep_function_order(tmp_path, capsys, m, n, error, sub):
+    """Each curvature function is checked at every node, then every sample,
+    before the next: m is reported, at its first failing node, although n
+    fails at an earlier t."""
+    doc = dict(MINIMAL, name="two_poles", domain={"t0": 0.0, "t1": 40.0, "samples": 201},
+               curvature={"m": m, "n": n, "a": "2", "b": "0"})
+    assert cli_main([sub, "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"numeric failure: curvature function 0 {error}\n"
+
+
+def test_run_calls_no_linalg(tmp_path, capsys, monkeypatch):
+    """No np.linalg function is on the run path: the front rank test takes
+    its singular values in closed form."""
+    def called(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in np.linalg.__all__:
+        if name != "LinAlgError":
+            monkeypatch.setattr(np.linalg, name, called)
+    for name in ("cuspidal_edge_hyperbolic", "cuspidal_edge_desitter"):
+        spec_path = os.path.join(SPEC_DIR, name + ".json")
+        assert cli_main(["run", "--spec", spec_path, "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_subcommands_smoke(tmp_path, capsys):
     spec_path = os.path.join(SPEC_DIR, "cuspidal_edge_desitter.json")
     for sub in ("integrate", "dual", "classify", "verify", "evolute"):

@@ -5,11 +5,11 @@ the same frames within rounding, the same result whatever the chunking."""
 import importlib.util
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hypframe import framedcurve
 from hypframe import propagation as kernel
 from hypframe.errors import InvalidInputError
 from hypframe.framedcurve import CurvatureQuartet, integrate_frame
@@ -287,44 +287,62 @@ def test_nonuniform_substeps_rejected():
 
 
 def test_integrate_frame_matches_oracle_loop(monkeypatch):
+    """The frames of integrate_frame, streamed to the kernel over several
+    chunks, match the oracle loop on every node value at once."""
     q = CurvatureQuartet.from_strings("1", "1", "2", "0")
+    monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", 300)  # 100 substeps an interval: 4 chunks
     model = integrate_frame(q, (0.0, 1.0, 11), step=1e-3)
     assert max(kernel.gram_residual(f) for f in model.frames) <= 1e-9
     assert model.max_drift <= model.tol.frame
     assert model.max_drift_t in model.ts
-    monkeypatch.setattr(kernel, "propagate", propagate_loop)
+    monkeypatch.setattr(kernel, "propagate",
+                        lambda nodes, *rest: propagate_loop(nodes[:], *rest))
     ref = integrate_frame(q, (0.0, 1.0, 11), step=1e-3)
     assert _relative(model.frames, ref.frames) <= 1e-12
 
 
 def test_integrator_nodes_round_as_eval_expr(monkeypatch):
-    """The curvature values that integrate_frame hands to the kernel are
-    eval_expr's at each Gauss node, bit for bit, for every DSL function
-    and for ^."""
+    """The curvature values that integrate_frame hands to the kernel, one
+    chunk at a time, are eval_expr's at each Gauss node of the whole domain,
+    bit for bit, for every DSL function and for ^."""
     q = CurvatureQuartet.from_strings("sin(3*t)+cos(t)*tan(t)", "1+sinh(2*t)*tanh(3*t)",
                                       "2+cosh(t)+exp(t)*log(2+t)",
                                       "sqrt(1+t)*atan(t)+artanh(t/2)+t^3")
     sources = "".join(map(str, q))
     assert "^" in sources and all(name + "(" in sources for name in FUNCTIONS)
-    nodes, handed, propagate = [], [], kernel.propagate
+    handed, substeps = [], kernel._substep_propagators
 
-    def spy_vectorized(e):
-        def call(t):
-            nodes.append(t)
-            return vectorized(e)(t)
-        return call
-
-    def spy_propagate(node_vals, *rest):
+    def spy(node_vals, h):
         handed.append(node_vals.copy())
-        return propagate(node_vals, *rest)
+        return substeps(node_vals, h)
 
-    monkeypatch.setattr(framedcurve, "vectorized", spy_vectorized)
-    monkeypatch.setattr(kernel, "propagate", spy_propagate)
-    integrate_frame(q, (-0.5, 0.5, 11))
+    monkeypatch.setattr(kernel, "_substep_propagators", spy)
+    monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", 120)  # 50 substeps an interval: 5 chunks
+    model = integrate_frame(q, (-0.5, 0.5, 11))
     monkeypatch.undo()
-    (node_vals,) = handed
-    # each call evaluates the 1000 Gauss nodes, then the 11 samples
-    assert len(nodes) == 4 and node_vals.size == 4 * (nodes[0].size - 11) == 4000
-    for j, (e, node_ts) in enumerate(zip(q, nodes)):
-        want = np.array([eval_expr(e, t) for t in node_ts[:-11].tolist()])
+    assert [len(v) for v in handed] == [100] * 5
+    # the Gauss nodes of the whole domain, as one array
+    h = (0.5 - -0.5) / 10 / 50
+    starts = (model.ts[:-1][:, None] + h * np.arange(50)[None, :]).ravel()
+    node_ts = np.column_stack([starts + kernel.GAUSS_C1 * h, starts + kernel.GAUSS_C2 * h])
+    node_vals = np.concatenate(handed)
+    for j, e in enumerate(q):
+        want = np.array([eval_expr(e, t) for t in node_ts.ravel().tolist()])
         assert node_vals[:, :, j].ravel().tobytes() == want.tobytes(), j
+
+
+def test_integration_holds_one_chunk_of_node_values():
+    """200,000 substeps of a non-constant quartet peak under a budget set by
+    the chunk, not by the substep count: the node values of the whole
+    domain alone would take 12.8 MB."""
+    q = CurvatureQuartet.from_strings("0.2*sin(t)", "1", "2", "0.1*cos(t)")
+    # the kernel's temporaries take about 1.1 kB per substep of a chunk
+    budget = 1536 * kernel.CHUNK_SUBSTEPS
+    tracemalloc.start()
+    try:
+        model = integrate_frame(q, (0.0, 400.0, 201))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.step == 2e-3 and model.t1 == 400.0  # 200 intervals of 1000 substeps
+    assert peak <= budget, (peak, budget)

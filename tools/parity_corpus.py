@@ -29,7 +29,9 @@ Run it from the root of a hypframe checkout.  The corpus is
   (e1, e2) plane, three initial frames the spec rejects (a non-finite
   entry, a pairing off by 5e-11, mu = +gamma ^ v1 ^ v2), and the
   swallowtail quartet at sing = 0.05, whose correspondence agreements
-  fail and list their failures.
+  fail and list their failures, and a non-constant quartet whose 30,000
+  distinct substeps span 15 propagation chunks, so that node values
+  differ across every chunk boundary.
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -77,6 +79,7 @@ QUARTETS = {
     **dict.fromkeys(("frame_boosted", "frame_nonfinite", "frame_pairing", "frame_flipped"),
                     (("0.5*t", "1", "2", "0"), (-1.5, 1.5, 61), (-1.0, 1.0, 7))),
     "swallowtail_coarse": (("0.5*t", "1", "2", "0"), (-1.5, 1.5, 201), (-1.0, 1.0, 21)),
+    "many_chunks": (("0.2+0.05*sin(t)", "1", "2", "0.1*cos(t)"), (0.0, 60.0, 301)),
 }
 # spec names that differ from their file name: what the report must escape
 NAMES = {"escaped_name": 'ψ-edge, "quoted" \\ name'}
