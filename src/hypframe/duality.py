@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ class FrontVerdict(enum.Enum):
     NOT_ISOTROPIC = "NotIsotropic"
 
 
-@dataclass(frozen=True)
-class DualPairSample:
+class DualPairSample(NamedTuple):
     """One sample, its legs MinkVecs, or a batch of samples, its legs
     (m, 4) arrays with one row per sample."""
 

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from .focal import (D, H, Side, SingularityType, SingularPointRecord, SurfaceParam, _batch,
                     _by_epsilon, _columns, _decide, _eps_columns, _eps_values, _fiber, _finite,
-                    _point, _raise_rows, _replayed, _rule, _scale, _undefined_at,
+                    _MutableRecord, _point, _raise_rows, _replayed, _rule, _scale, _undefined_at,
                     defined_runs, focal_d_point, focal_h_point)
 from .framedcurve import FramedCurveModel
 from .minkowski import MinkVec
@@ -36,19 +37,17 @@ class EvolutePointType(enum.Enum):
     DEGENERATE_UNCLASSIFIED = "DegenerateUnclassified"
 
 
-@dataclass
-class EvoluteSample:
+class EvoluteSample(namedtuple("EvoluteSample", "t point derivative1 derivative2 derivative3 "
+                                                "point_type epsilon epsilon_prime diagnostics")):
     """Evolute point with derivatives and the epsilon regularity data."""
 
-    t: float
-    point: MinkVec
-    derivative1: MinkVec
-    derivative2: MinkVec
-    derivative3: MinkVec
-    point_type: EvolutePointType
-    epsilon: float
-    epsilon_prime: float
-    diagnostics: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, t: float, point: MinkVec, derivative1: MinkVec, derivative2: MinkVec,
+                derivative3: MinkVec, point_type: EvolutePointType, epsilon: float,
+                epsilon_prime: float, diagnostics: dict | None = None):
+        return tuple.__new__(cls, (t, point, derivative1, derivative2, derivative3, point_type,
+                                   epsilon, epsilon_prime, {} if diagnostics is None else diagnostics))
 
 
 # regular point iff epsilon != 0, (2,3,4)-cusp iff epsilon = 0 and epsilon' != 0
@@ -194,19 +193,20 @@ def classify_dual_d(model: FramedCurveModel, t0: float,
 # Correspondence report
 
 
-@dataclass
-class LegReport:
-    status: str                      # "checked" or "skipped"
-    reason: str | None = None
-    points: int = 0
-    max_image_distance: float | None = None
-    agreements: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    events: list = field(default_factory=list)
+class LegReport(_MutableRecord):
+    """The correspondence checks of one side; _leg fills it in."""
+
+    def __init__(self, status: str, reason: str | None = None, points: int = 0,
+                 max_image_distance: float | None = None, agreements: dict | None = None,
+                 failures: list | None = None, events: list | None = None):
+        self.status = status  # "checked" or "skipped"
+        self.reason, self.points, self.max_image_distance = reason, points, max_image_distance
+        self.agreements = {} if agreements is None else agreements
+        self.failures = [] if failures is None else failures
+        self.events = [] if events is None else events
 
 
-@dataclass
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     hyperbolic: LegReport
     desitter: LegReport
 

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,8 +45,7 @@ class Fibration(enum.Enum):
     DELTA5 = "Delta5"  # S31 x S31
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     """What tells the hyperbolic constructions from the de Sitter ones.
 
     The focal fiber pair (c, s), named as DSL functions, satisfies c' = kappa s
@@ -93,24 +91,33 @@ D = Side(kappa=-1.0, c="cos", s="sin", dual_c="cosh",
          fibration=Fibration.DELTA5, evolute_first=False)
 
 
-@dataclass(frozen=True)
-class SurfaceParam:
+class SurfaceParam(NamedTuple):
     t: float
     theta: float
 
 
-@dataclass
-class SingularPointRecord:
-    """A located singular point with its classification diagnostics."""
+class _MutableRecord:
+    """A record that later stages fill in place: equal to a record of its
+    class field by field, and printed as Name(field=value, ...)."""
 
-    surface: str
-    param: SurfaceParam
-    lam: float
-    sigma_f: float
-    type: SingularityType = SingularityType.DEGENERATE_UNCLASSIFIED
-    nondegenerate: bool = False
-    whole_fiber: bool = False
-    diagnostics: dict = field(default_factory=dict)
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class SingularPointRecord(_MutableRecord):
+    """A located singular point with its classification diagnostics, which
+    classify_h and classify_d fill in."""
+
+    def __init__(self, surface: str, param: SurfaceParam, lam: float, sigma_f: float,
+                 type: SingularityType = SingularityType.DEGENERATE_UNCLASSIFIED,
+                 nondegenerate: bool = False, whole_fiber: bool = False,
+                 diagnostics: dict | None = None):
+        self.surface, self.param, self.lam, self.sigma_f = surface, param, lam, sigma_f
+        self.type, self.nondegenerate, self.whole_fiber = type, nondegenerate, whole_fiber
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
 
 def _scale(data: FrenetData):

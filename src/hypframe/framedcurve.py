@@ -19,7 +19,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ def propagation_backend() -> str:
 # Curvature data
 
 
-@dataclass(frozen=True)
-class CurvatureQuartet:
+class CurvatureQuartet(NamedTuple):
     """The four curvature functions of the frame ODE, as expression trees."""
 
     m: Expr
@@ -55,12 +54,8 @@ class CurvatureQuartet:
     def from_strings(cls, m: str, n: str, a: str, b: str) -> "CurvatureQuartet":
         return cls(parse_expr(m), parse_expr(n), parse_expr(a), parse_expr(b))
 
-    def __iter__(self):
-        return iter((self.m, self.n, self.a, self.b))
 
-
-@dataclass(frozen=True)
-class ScalarInvariants:
+class ScalarInvariants(NamedTuple):
     f: Expr
     g: Expr
     h: Expr
@@ -73,7 +68,7 @@ def scalar_invariants(q: CurvatureQuartet) -> ScalarInvariants:
     f = a b' - a' b + n (a^2 + b^2),  g = m b' - m' b + m a n,
     h = m a' - m' a - m b n,          sigma = f^2 - g^2 - h^2.
     """
-    m, n, a, b = q.m, q.n, q.a, q.b
+    m, n, a, b = q
     ab2 = add(pow_(a, 2), pow_(b, 2))
     f = add(sub(mul(a, _d(b)), mul(_d(a), b)), mul(n, ab2))
     g = add(sub(mul(m, _d(b)), mul(_d(m), b)), mul(mul(m, a), n))
@@ -269,8 +264,7 @@ class FrenetExprs:
         lambda self: compile([self.quartet.a, self.quartet.b, self.ab2]))
 
 
-@dataclass(frozen=True)
-class FrenetData:
+class FrenetData(NamedTuple):
     """Frenet quantities and derivatives at one parameter value.
 
     Dh/Dd and their derivatives are present only on the side where the
@@ -300,14 +294,13 @@ class FrenetData:
 
     def rows(self, index) -> "FrenetData":
         """Of FrenetData columns, each column indexed by `index`."""
-        return FrenetData(*(v[index] if isinstance(v, np.ndarray) else v
-                            for v in vars(self).values()))
+        return FrenetData(*(v[index] if isinstance(v, np.ndarray) else v for v in self))
 
     def row(self, i) -> "FrenetData":
         """Of FrenetData columns, row i as frenet_data_at gives it: floats,
         and None for the D values whose discriminant is not positive."""
         row = {k: float(v[i, 0]) if isinstance(v, np.ndarray) else v
-               for k, v in vars(self).items()}
+               for k, v in self._asdict().items()}
         for disc, names in (("disc_h", ("Dh", "Dh1", "Dh2")), ("disc_d", ("Dd", "Dd1", "Dd2"))):
             if not row[disc] > 0.0:
                 row.update(dict.fromkeys(names))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,35 +25,29 @@ class Quadric(enum.Enum):
     S31 = "S31"  # <x,x> = +1
 
 
-@dataclass(frozen=True)
-class MinkVec:
+class MinkVec(namedtuple("MinkVec", "x0 x1 x2 x3")):
     """A 4-vector in the canonical basis e0..e3; components must be finite."""
 
-    x0: float
-    x1: float
-    x2: float
-    x3: float
+    __slots__ = ()
+    # NumPy scalars defer to the operators below instead of taking the
+    # vector for a sequence: np.float64(2.0) * v is a MinkVec
+    __array_ufunc__ = None
 
-    def __post_init__(self):
-        for name in ("x0", "x1", "x2", "x3"):
-            c = float(getattr(self, name))
+    def __new__(cls, x0, x1, x2, x3):
+        xs = []
+        for x in (x0, x1, x2, x3):
+            c = float(x)
             if not math.isfinite(c):
                 raise InvalidInputError(f"non-finite component in MinkVec: {c!r}")
-            object.__setattr__(self, name, c)
+            xs.append(c)
+        return tuple.__new__(cls, xs)
 
     @classmethod
     def from_array(cls, arr) -> "MinkVec":
-        a = np.asarray(arr, dtype=float).reshape(4)
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+        return cls(*np.asarray(arr, dtype=float).reshape(4))
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.x0, self.x1, self.x2, self.x3])
-
-    def __iter__(self):
-        return iter((self.x0, self.x1, self.x2, self.x3))
-
-    def __getitem__(self, i):
-        return (self.x0, self.x1, self.x2, self.x3)[i]
+        return np.array(self)
 
     def __add__(self, other: "MinkVec") -> "MinkVec":
         return MinkVec(self.x0 + other.x0, self.x1 + other.x1,

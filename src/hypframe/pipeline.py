@@ -12,8 +12,9 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,16 +48,19 @@ OUTPUT_PRODUCTS = ("report", "loci_csv", "focal_h_obj", "focal_d_obj",
                    "dual_eh_obj", "dual_ed_obj")
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    name: str
-    curvature: dict            # {"m": ..., "n": ..., "a": ..., "b": ...}
-    domain: tuple              # (t0, t1, samples)
-    theta: tuple               # (min, max, samples)
-    initial_frame: tuple | None = None  # 16 reals, row-major; None: the standard frame
-    tolerances: dict = field(default_factory=dict)
-    outputs: tuple = ("report",)
-    digest: str = ""
+class CurveSpec(namedtuple("CurveSpec", "name curvature domain theta initial_frame "
+                                        "tolerances outputs digest")):
+    """A validated spec.  curvature is {"m": ..., "n": ..., "a": ..., "b": ...},
+    domain (t0, t1, samples), theta (min, max, samples) and initial_frame 16
+    reals, row-major, or None for the standard frame."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, curvature: dict, domain: tuple, theta: tuple,
+                initial_frame: tuple | None = None, tolerances: dict | None = None,
+                outputs: tuple = ("report",), digest: str = ""):
+        return tuple.__new__(cls, (name, curvature, domain, theta, initial_frame,
+                                   {} if tolerances is None else tolerances, outputs, digest))
 
     def quartet(self) -> CurvatureQuartet:
         c = self.curvature
@@ -427,8 +431,7 @@ def _layout(obj, indent, parts, leaves) -> None:
         parts.append(indent + "]")
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     data: dict
 
     def to_json(self) -> str:

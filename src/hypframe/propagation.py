@@ -93,7 +93,10 @@ def expm_generator(w: np.ndarray) -> np.ndarray:
     y2 = y @ y
     odd = c[3][:, None, None] * y2
     odd.reshape(-1, 16)[:, ::5] += c[1][:, None]  # + c1 I, on a view of the diagonals
-    e = y @ odd + c[2][:, None, None] * y2
+    e = y @ odd
+    del y, odd  # each (k, 4, 4) temporary goes once read: they set integration's peak
+    e += c[2][:, None, None] * y2
+    del y2
     e.reshape(-1, 16)[:, ::5] += c[0][:, None]
     for r in range(int(s.max(initial=0))):
         sel = s > r

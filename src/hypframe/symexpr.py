@@ -29,6 +29,7 @@ import weakref
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +89,8 @@ class Expr:
         return to_source(self)
 
 
+# Dataclasses, not tuples, whose equality ignores the class (Add(x, y) == Sub(x, y)):
+# perfbench's expression_counts walks their fields with dataclasses.fields
 @dataclass(frozen=True, slots=True)
 class Num(Expr):
     value: float
@@ -139,8 +142,7 @@ class Fun(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
-class _Function:
+class _Function(NamedTuple):
     """One DSL function f.  `outside(x)` is true off f's domain, where
     evaluation raises with `text` formatted with x; elsewhere the scalar
     replay calls `libm` and falls back to `numpy`, the IEEE value, where

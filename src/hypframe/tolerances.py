@@ -6,11 +6,10 @@ Magnitude-aware tests scale the threshold by (1 + local magnitudes).
 """
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     frame: float = 1e-9       # frame pairing residuals after integration
     zero: float = 1e-10       # a^2+b^2 and A^2-M^2 degeneracy cutoffs
     sing: float = 1e-8        # singularity / classification zero tests, magnitude scaled
@@ -27,7 +26,7 @@ class Tolerances:
 
         values = {}
         for name, value in overrides.items():
-            if name not in self.__dataclass_fields__:
+            if name not in self._fields:
                 raise InvalidInputError(f"unknown tolerance {name!r}")
             try:
                 x = float(value)
@@ -37,7 +36,7 @@ class Tolerances:
                 raise InvalidInputError(
                     f"tolerance {name!r} must be a finite number >= 0, got {value!r}")
             values[name] = x
-        return replace(self, **values)
+        return self._replace(**values)
 
 
 DEFAULT = Tolerances()

@@ -7,7 +7,6 @@ model whose grid table is never built; where those raise, the stages
 raise the same error.
 """
 
-import dataclasses
 import enum
 import math
 import os
@@ -21,8 +20,8 @@ from hypframe import CurvatureQuartet, integrate_frame, load_spec, run_pipeline
 from hypframe import cli, duality, evolute, focal, pipeline
 from hypframe.errors import EvoluteUndefinedError, InvalidInputError, NumericError
 from hypframe.symexpr import ExprDomainError
-from hypframe.evolute import correspondence_check
-from hypframe.focal import defined_runs, surface_grid
+from hypframe.evolute import LegReport, correspondence_check
+from hypframe.focal import SingularPointRecord, defined_runs, surface_grid
 from hypframe.framedcurve import FramedCurveModel
 from hypframe.symexpr import Program, compile, parse_expr
 from hypframe.tolerances import DEFAULT
@@ -87,8 +86,10 @@ def _bits(x):
         return ("array", x.shape, np.ascontiguousarray(x, dtype=float).view(np.int64).tolist())
     if isinstance(x, enum.Enum):
         return x.value
-    if dataclasses.is_dataclass(x):
+    if isinstance(x, (SingularPointRecord, LegReport)):  # the mutable records
         return _bits(vars(x))
+    if isinstance(x, tuple) and hasattr(x, "_asdict"):  # the immutable ones, field by field
+        return _bits(x._asdict())
     if isinstance(x, dict):
         return {k: _bits(v) for k, v in x.items()}
     if isinstance(x, (list, tuple, range)):
@@ -328,7 +329,7 @@ def test_frenet_columns_at_grid_points_are_table_rows():
     model.grid  # noqa: B018 - build the table
     got, want = model.frenet_columns(ts), fresh.frenet_columns(ts)
     assert _bits(got[0]) == _bits(want[0]) and _bits(got[2]) == _bits(want[2])
-    assert _bits(vars(got[1])) == _bits(vars(want[1]))
+    assert _bits(got[1]) == _bits(want[1])
     program = model.frenet.h.evolute_program
     assert _bits(model.program_columns(program, ts)) \
         == _bits(fresh.program_columns(program, ts))

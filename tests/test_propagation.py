@@ -336,7 +336,7 @@ def test_integration_holds_one_chunk_of_node_values():
     the chunk, not by the substep count: the node values of the whole
     domain alone would take 12.8 MB."""
     q = CurvatureQuartet.from_strings("0.2*sin(t)", "1", "2", "0.1*cos(t)")
-    # the kernel's temporaries take about 1.1 kB per substep of a chunk
+    # the kernel's temporaries take about 0.85 kB per substep of a chunk
     budget = 1536 * kernel.CHUNK_SUBSTEPS
     tracemalloc.start()
     try:
@@ -346,3 +346,18 @@ def test_integration_holds_one_chunk_of_node_values():
         tracemalloc.stop()
     assert model.step == 2e-3 and model.t1 == 400.0  # 200 intervals of 1000 substeps
     assert peak <= budget, (peak, budget)
+
+
+def test_expm_generator_holds_four_stacks_of_a_chunk():
+    """The exponentials of a chunk hold at most four (k, 4, 4) stacks at once,
+    besides their (k,) coefficient vectors: Y, Y^2, the odd part and the
+    result, or the result and the squaring's operands and product."""
+    k = kernel.CHUNK_SUBSTEPS
+    ws = _generators(np.random.default_rng(97), k, 1e-4, 6.0)
+    tracemalloc.start()
+    try:
+        kernel.expm_generator(ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * k * 128, peak / (k * 128)  # one stack is k * 128 bytes
