@@ -13,7 +13,6 @@ paths (the differentiated theta branch and the closed quotient form).
 from __future__ import annotations
 
 import enum
-import math
 from collections import namedtuple
 from itertools import chain
 from typing import NamedTuple
@@ -21,12 +20,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .focal import (D, H, Side, SingularityType, SingularPointRecord, SurfaceParam, _batch,
-                    _by_epsilon, _columns, _decide, _eps_columns, _eps_values, _fiber, _finite,
+                    _by_epsilon, _columns, _decide, _eps_columns, _fiber, _finite,
                     _MutableRecord, _point, _raise_rows, _replayed, _rule, _scale, _undefined_at,
                     defined_runs, focal_d_point, focal_h_point)
 from .framedcurve import FramedCurveModel
 from .minkowski import MinkVec
-from .symexpr import _fun_cols, eval_expr  # eval_expr: perfbench's tracer wraps it here
+from .symexpr import ExprDomainError, _fun_cols, eval_expr
 
 DualSurfaceRecord = SingularPointRecord
 
@@ -239,12 +238,27 @@ def _agreements(*types) -> dict:
 
 
 BISECT_ITERS = 80
+BISECT_DEPTH = 4  # levels of bisection midpoints that one replay evaluates
 
 
-def _bisect_eps_zero(model, side, ta, tb, ea, eb):
+def _midpoints(ta, tb, depth) -> list:
+    """The midpoints of the first `depth` levels of bisection of [ta, tb]."""
+    tm = 0.5 * (ta + tb)
+    return [tm, *_midpoints(ta, tm, depth - 1), *_midpoints(tm, tb, depth - 1)] if depth else []
+
+
+def _bisection(ta, tb, ea, eb, check):
+    """Bisect an epsilon sign change on [ta, tb], as a generator: it yields
+    the _midpoints of the next BISECT_DEPTH levels and is sent {t: (epsilon,
+    bad)} over them; check(t) raises where bad.  It returns the zero."""
+    eps = {}
     for _ in range(BISECT_ITERS):
         tm = 0.5 * (ta + tb)
-        em = _eps_values(model, tm, side)[0]
+        if tm not in eps:
+            eps = yield _midpoints(ta, tb, BISECT_DEPTH)
+        em, bad = eps[tm]
+        if bad:
+            check(tm)
         if em == 0.0:
             return tm
         if (ea < 0) != (em < 0):
@@ -256,16 +270,30 @@ def _bisect_eps_zero(model, side, ta, tb, ea, eb):
     return 0.5 * (ta + tb)
 
 
-def _each(fn, *cols) -> np.ndarray:
-    """The (m, 1) column of fn over the rows of the (m, 1) columns, taken
-    through the scalar function; NaN where it raises."""
-    out = []
-    for args in zip(*(np.ravel(c).tolist() for c in cols)):
-        try:
-            out.append(fn(*args))
-        except (ArithmeticError, ValueError):
-            out.append(math.nan)
-    return np.array(out).reshape(-1, 1)
+def _eps_crossings(model, side: Side, brackets) -> list:
+    """The zero of each bracket (ta, tb, eps(ta), eps(tb)) by _bisection,
+    with one replay (_eps_columns) of the midpoints that all ask for.  A
+    midpoint reached raises the located error of the closed form there, the
+    first bracket's first, as bisecting one bracket after another would."""
+    closed = side.frenet(model).eps_closed_program
+    runs = [_bisection(*b, lambda t: eval_expr(closed, t, name_t=True)) for b in brackets]
+    asked, zeros, error = dict(enumerate(map(next, runs))), [None] * len(runs), None
+    while asked:
+        ts = np.array(list(asked.values())).ravel()
+        eps, _, _, (_, bad) = _eps_columns(side, model, ts)
+        values = dict(zip(ts.tolist(), zip(eps[:, 0].tolist(), bad.tolist())))
+        for k in list(asked):
+            try:
+                asked[k] = runs[k].send(values)
+            except StopIteration as stop:
+                zeros[k] = stop.value
+                del asked[k]
+            except ExprDomainError as exc:
+                error, asked = exc, {j: asked[j] for j in asked if j < k}
+                break  # a later bracket would raise after this one
+    if error is not None:
+        raise error
+    return zeros
 
 
 def _leg_columns(model, ts, side: Side, focal_point) -> tuple:
@@ -273,12 +301,12 @@ def _leg_columns(model, ts, side: Side, focal_point) -> tuple:
     columns: per row, the focal, evolute and dual types, epsilon and the
     distance from the focal point to the evolute point.  A flagged row
     raises through _raise_rows what the per-point queries raised there:
-    the focal record, the evolute's rule, the root theta, the rest of the
-    evolute sample, the focal point and the dual record, in that order."""
+    the focal record, the evolute's rule, the rest of the evolute sample,
+    the focal point and the dual record, in that order."""
     frames, data, _, suspect = _columns(side, model, ts)
     tol, closed = model.tol.sing, side.frenet(model).eps_closed_program
     with np.errstate(all="ignore"):
-        theta = _each(side.root, data.W, side.columns(data)[1])
+        theta = side.root(data.W, side.columns(data)[1])
         cs, sn = _fun_cols(side.c, theta), _fun_cols(side.s, theta)
         (e, *_), (eps, eps1, fallback), checks = _evolute_columns(side, model, ts, frames)
         dual_eps = model.program_columns(closed, ts)
@@ -288,9 +316,7 @@ def _leg_columns(model, ts, side: Side, focal_point) -> tuple:
         point, dual = _point_type(eps, eps1, s, tol), _dual_type(*dual_eps, s, tol)
     _raise_rows(model, data, suspect, [
         _rule(side, model, data), _replayed(closed, (eps, eps1), fallback & ~b[:, 0]),
-        _rule(side, model, data, True),
-        (lambda row, i: side.root(row.W, side.columns(row)[1]), ~np.isfinite(theta[:, 0])),
-        *checks, _finite(p, dist), _replayed(closed, dual_eps)])
+        _rule(side, model, data, True), *checks, _finite(p, dist), _replayed(closed, dual_eps)])
     types = zip(focal[:, 0].tolist(), point[:, 0].tolist(), dual[:, 0].tolist())
     return list(types), eps[:, 0].tolist(), np.abs(dist).max(axis=1).tolist()
 
@@ -321,14 +347,11 @@ def _leg(model, ts, runs, side: Side, focal_point) -> LegReport:
 
     # epsilon sign changes between grid neighbours of one defined run:
     # locate the crossing and classify there
-    crossing_ts = [float(ts[i]) for i, e in eps.items() if e == 0.0]
-    for run in runs:
-        for ia, ib in zip(run, run[1:]):
-            ea, eb = eps[ia], eps[ib]
-            if ea != 0.0 and eb != 0.0 and (ea < 0) != (eb < 0):
-                crossing_ts.append(_bisect_eps_zero(model, side, float(ts[ia]),
-                                                    float(ts[ib]), ea, eb))
-    crossing_ts.sort()
+    brackets = [(float(ts[ia]), float(ts[ib]), eps[ia], eps[ib])
+                for run in runs for ia, ib in zip(run, run[1:])
+                if eps[ia] != 0.0 and eps[ib] != 0.0 and (eps[ia] < 0) != (eps[ib] < 0)]
+    crossing_ts = sorted([float(ts[i]) for i, e in eps.items() if e == 0.0]
+                         + _eps_crossings(model, side, brackets))
     for t_star, (focal, point, dual), _, dist in zip(crossing_ts, *_leg_columns(
             model, np.array(crossing_ts), side, focal_point) if crossing_ts else ()):
         max_dist = max(max_dist, dist)

@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import (EvoluteUndefinedError, FrameDegenerateError, InvalidInputError,
                      NumericError, SurfaceUndefinedError)
-from .framedcurve import FramedCurveModel, FrenetData, eval_located
+from .framedcurve import FramedCurveModel, FrenetData
 from .minkowski import ON_QUADRIC, Columns, MinkVec, Quadric, membership_residual
-from .symexpr import ExprDomainError, _fun_cols, eval_expr, power
+from .symexpr import _fun_cols, eval_expr, power
 from .tolerances import is_zero
 
 
@@ -45,6 +45,12 @@ class Fibration(enum.Enum):
     DELTA5 = "Delta5"  # S31 x S31
 
 
+def _atan2(y, x) -> np.ndarray:
+    """math.atan2 at each element of the arrays y and x, of one shape."""
+    out = list(map(math.atan2, np.ravel(y).tolist(), np.ravel(x).tolist()))
+    return np.reshape(out, np.shape(y))
+
+
 class Side(NamedTuple):
     """What tells the hyperbolic constructions from the de Sitter ones.
 
@@ -61,7 +67,7 @@ class Side(NamedTuple):
     dual_c: str
     dual_s: str
     dual_zeros: tuple               # zeros of dual_s on its fiber
-    root: Callable[[float, float], float]  # theta with lambda = 0, from (W, D)
+    root: Callable                  # theta with lambda = 0, per element of (W, D); NaN where none
     columns: attrgetter             # FrenetData -> (disc, D, D', D'')
     frenet: attrgetter              # FramedCurveModel -> its FrenetSide
     focal: str                      # surface names
@@ -76,14 +82,14 @@ class Side(NamedTuple):
 
 H = Side(kappa=1.0, c="cosh", s="sinh", dual_c="cos",
          dual_s="sin", dual_zeros=(0.0, math.pi),
-         root=lambda w, d: math.atanh(w / d),
+         root=lambda w, d: _fun_cols("artanh", w / d),
          columns=attrgetter("disc_h", "Dh", "Dh1", "Dh2"),
          frenet=attrgetter("frenet.h"),
          focal="focal_h", evolute="evolute_h", dual="dual_eh",
          label="hyperbolic", disc_text="A^2 - M^2", sigma_text="positive",
          fibration=Fibration.DELTA1, evolute_first=True)
 D = Side(kappa=-1.0, c="cos", s="sin", dual_c="cosh",
-         dual_s="sinh", dual_zeros=(0.0,), root=math.atan2,
+         dual_s="sinh", dual_zeros=(0.0,), root=_atan2,
          columns=attrgetter("disc_d", "Dd", "Dd1", "Dd2"),
          frenet=attrgetter("frenet.d"),
          focal="focal_d", evolute="evolute_d", dual="dual_ed",
@@ -253,10 +259,10 @@ def _finite(*legs) -> tuple:
 
 
 def _replayed(program, values, where=True) -> tuple:
-    """The check of the program's located ExprDomainError by its scalar
-    replay, on the rows (where `where`) whose (m, 1) values are not finite."""
+    """The check of the program's ExprDomainError at the row's t, naming it,
+    on the rows (where `where`) whose (m, 1) values are not finite."""
     bad = where & ~np.isfinite(np.hstack(values)).all(axis=1)
-    return lambda row, i: bad[i] and eval_located(program, row.t), bad
+    return lambda row, i: bad[i] and eval_expr(program, row.t, name_t=True), bad
 
 
 def _batch(side: Side, model, tl, evolute: bool = False, frames: bool = False) -> tuple:
@@ -299,7 +305,7 @@ def _dual_partials(side: Side, data, f, r, c, s) -> tuple:
 
 def _fiber(side: Side, thetas, dual: bool = False):
     """The fiber pair (c, s) of the focal surface (with `dual`, of the dual of
-    the evolute) at each of thetas, as arrays of the scalar replay's values."""
+    the evolute) at each of thetas, as arrays of the replay's values."""
     names = (side.dual_c, side.dual_s) if dual else (side.c, side.s)
     return [_fun_cols(name, np.asarray(thetas, dtype=float)) for name in names]
 
@@ -382,12 +388,13 @@ def singular_locus_h(model: FramedCurveModel, ts=None):
     ts, data, whole = _locus_rows(H, model, ts)
     with np.errstate(all="ignore"):
         sigma = _failing(H, data, model.tol, evolute=True)[0]
+        root = H.root(data.W, data.Dh)
     fiber, entries = np.linspace(*FIBER_WINDOW, FIBER_COUNT).tolist(), []
-    for t, w, no, W, Dh in zip(ts, whole, *(c[:, 0].tolist() for c in (sigma, data.W, data.Dh))):
+    for t, w, no, theta in zip(ts, whole, *(c[:, 0].tolist() for c in (sigma, root))):
         if w:
             entries += [(t, th, True) for th in fiber]
         elif not no:
-            entries.append((t, H.root(W, Dh), False))
+            entries.append((t, theta, False))
     return _records(H, model, entries)
 
 
@@ -413,8 +420,8 @@ def singular_locus_d(model: FramedCurveModel, ts=None):
     surface is undefined is skipped.
     """
     ts, data, whole = _locus_rows(D, model, ts)
-    thetas = [math.nan if w else _norm_circle(math.atan2(W, Dd))
-              for w, W, Dd in zip(whole, data.W[:, 0].tolist(), data.Dd[:, 0].tolist())]
+    thetas = [math.nan if w else _norm_circle(theta)
+              for w, theta in zip(whole, D.root(data.W, data.Dd)[:, 0].tolist())]
     refined = list(zip(ts, thetas, whole))
     # refine, one midpoint at a time, where the principal branch jumps
     for j in np.flatnonzero(_circ_gap(*np.array([thetas[:-1], thetas[1:]])) > 0.5 * math.pi):
@@ -437,27 +444,11 @@ def singular_locus_d(model: FramedCurveModel, ts=None):
     return _records(D, model, entries)
 
 
-def _eps_values(model, t, side: Side):
-    """(epsilon, epsilon') via the symbolically differentiated theta branch.
-
-    Falls back to the algebraically equivalent closed form where the
-    branch expression hits an exact pole (Dh or Dd exactly zero).
-    """
-    program = side.frenet(model).eps_path_program
-    try:
-        eps, eps1 = eval_expr(program, t)
-        fallback = not (math.isfinite(eps) and math.isfinite(eps1))
-    except ExprDomainError:
-        fallback = True
-    if fallback:
-        eps, eps1 = eval_located(side.frenet(model).eps_closed_program, t)
-    return eps, eps1, fallback
-
-
 def _eps_columns(side: Side, model, ts, rows=True) -> tuple:
-    """(eps, eps1, fallback, check): _eps_values at the array ts as (m, 1)
-    columns, on the rows of the mask `rows`; the rows that take the closed
-    form, and the _replayed check of its located ExprDomainError there."""
+    """(eps, eps1, fallback, check): (epsilon, epsilon') at the array ts as
+    (m, 1) columns along the differentiated theta branch, else, on the rows
+    of the mask `rows` (fallback), in closed form, where the branch is not
+    finite (an exact pole); and the _replayed check of the closed form."""
     closed = side.frenet(model).eps_closed_program
     eps = [np.array(c) for c in model.program_columns(side.frenet(model).eps_path_program, ts)]
     fallback = rows & ~np.isfinite(np.hstack(eps)).all(axis=1)

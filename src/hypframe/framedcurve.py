@@ -258,8 +258,8 @@ class FrenetExprs:
         self.h.disc, self.M, self.N, self.M1, self.N1, self.A1,
         self.W, self.W1, self.W2, self.sigma_f]))
 
-    # (a, b, a^2 + b^2) for frenet_columns, which finds where they raise
-    # without locating it
+    # (a, b, a^2 + b^2) for the Frenet frame and frenet_columns; the first
+    # error of a^2 + b^2 is the first of all three
     ab_columns = cached_property(
         lambda self: compile([self.quartet.a, self.quartet.b, self.ab2]))
 
@@ -305,14 +305,6 @@ class FrenetData(NamedTuple):
             if not row[disc] > 0.0:
                 row.update(dict.fromkeys(names))
         return FrenetData(**row)
-
-
-def eval_located(e, t):
-    """eval_expr at the float t; its ExprDomainError names t."""
-    try:
-        return eval_expr(e, t)
-    except ExprDomainError as exc:
-        raise ExprDomainError(exc.message, exc.subexpr, t) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +429,7 @@ class FramedCurveModel:
 
     def frenet_frame_at(self, t: float) -> np.ndarray:
         """Rows (gamma, n1, n2, mu): the normals rotated to the Frenet pair."""
-        a, b = eval_located(self.quartet.a, t), eval_located(self.quartet.b, t)
+        a, b, _ = eval_expr(self.frenet.ab_columns, t, name_t=True)
         r2 = a * a + b * b
         if r2 <= self.tol.zero:
             raise FrameDegenerateError(
@@ -454,14 +446,14 @@ class FramedCurveModel:
         _, data, suspect = self.frenet_columns(np.array([t], dtype=float), frames=False)
         if suspect[0]:
             fe = self.frenet
-            ab2 = eval_located(fe.ab2, t)
+            ab2 = eval_expr(fe.ab_columns, t, name_t=True)[2]
             if ab2 <= self.tol.zero:
                 raise FrameDegenerateError(
                     f"a^2+b^2 = {ab2!r} at t={t!r}: Frenet type frame undefined")
-            disc_h = eval_located(fe.base_program, t)[0]
+            disc_h = eval_expr(fe.base_program, t, name_t=True)[0]
             for side, disc in ((fe.h, disc_h), (fe.d, -disc_h)):
                 if disc > 0.0:
-                    eval_located(side.D_program, t)
+                    eval_expr(side.D_program, t, name_t=True)
         return data.row(0)
 
     def frenet_columns(self, ts, frames: bool = True) -> tuple:

@@ -16,9 +16,9 @@ Only light simplification is applied when expressions are built
 (constant folding plus 0/1 identities).  The smart constructors intern
 their results (hash-consing), so an expression is a graph in which each
 distinct sub-expression exists once.  `compile` turns a list of roots into
-one straight-line program with one op per distinct node; evaluation
-follows IEEE semantics with domain violations reported against the
-offending sub-expression, or over an array, as NaN.
+one straight-line program with one op per distinct node; its replay
+follows IEEE semantics with domain violations as NaN, or, at one t,
+reported against the first offending sub-expression.
 """
 
 from __future__ import annotations
@@ -144,14 +144,14 @@ class Fun(Expr):
 
 class _Function(NamedTuple):
     """One DSL function f.  `outside(x)` is true off f's domain, where
-    evaluation raises with `text` formatted with x; elsewhere the scalar
+    evaluation at one t raises with `text` formatted with x; elsewhere the
     replay calls `libm` and falls back to `numpy`, the IEEE value, where
     libm raises."""
 
     libm: Callable[[float], float]
     numpy: Callable              # a NumPy ufunc
     derivative: Callable[[Expr], Expr]   # u -> d/du f(u)
-    outside: Callable[[float], bool] | None = None
+    outside: Callable = lambda x: False
     text: str = ""
 
 
@@ -277,18 +277,16 @@ def pow_(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Num) and not (base.value == 0.0 and exponent < 0):
-        return num(_pow(base.value, exponent, base))
+        return num(_pow(base.value, exponent))
     return _intern((Pow, id(base), exponent), Pow, base, exponent)
 
 
 def fun(name: str, arg: Expr) -> Expr:
-    if name not in _TABLE:
+    f = _TABLE.get(name)
+    if f is None:
         raise ValueError(f"unknown function {name!r}")
-    if isinstance(arg, Num):
-        try:
-            return num(_apply(name, arg.value, arg))
-        except ExprDomainError:
-            pass  # keep the node; evaluation will report it
+    if isinstance(arg, Num) and not f.outside(arg.value):  # else evaluation reports it
+        return num(_libm(f, arg.value))
     return _intern((Fun, name, id(arg)), Fun, name, arg)
 
 
@@ -527,39 +525,34 @@ def diff_expr(e: Expr, order: int = 1) -> Expr:
 # ---------------------------------------------------------------------------
 # Evaluation.  A list of roots compiles to one straight-line program with
 # one op per distinct node (plus a check before each division's
-# numerator).  One loop replays the op list, over a Python float, with
-# IEEE semantics and located domain errors, or over a NumPy array, with
-# the float replay's rounding and NaN where that raises.
+# numerator).  One loop replays the op list over a NumPy array, with the
+# rounding of Python's float arithmetic and NaN where an op would raise;
+# at one t, the first such op in op order gives the located domain error.
 
 
-def _apply(name: str, x: float, node: Expr) -> float:
-    f = _TABLE[name]
-    if f.outside is not None and f.outside(x):
-        raise ExprDomainError(f.text.format(x), node)
+def _libm(f: _Function, x: float) -> float:
+    """f at the float x in its domain: libm's value, else the IEEE value."""
     try:
         return f.libm(x)
     except (OverflowError, ValueError):
-        # IEEE semantics: saturate, or NaN for sin(inf)
         with np.errstate(all="ignore"):
             return float(f.numpy(x))
 
 
 def _fun_cols(name: str, x) -> np.ndarray:
-    """_apply over each element of x, NaN where it raises."""
+    """f at each element of x by _libm, NaN off f's domain."""
     f = _TABLE[name]
     x = np.asarray(x)
-    outside = False if f.outside is None else f.outside(x)
+    outside = f.outside(x)
     xs = np.where(outside, 0.5, x).ravel().tolist()  # 0.5: inside every domain
     try:
         out = list(map(f.libm, xs))
     except (OverflowError, ValueError):
-        out = [_apply(name, v, None) for v in xs]
+        out = [_libm(f, v) for v in xs]
     return np.where(outside, math.nan, np.reshape(out, x.shape))
 
 
-def _pow(b, k, node):
-    if b == 0.0 and k < 0:
-        raise ExprDomainError("zero raised to a negative power", node)
+def _pow(b: float, k: int) -> float:
     try:
         return float(b ** k)
     except OverflowError:
@@ -577,42 +570,36 @@ def power(x, k: int):
     try:
         out = [v ** k for v in xs]
     except (ZeroDivisionError, OverflowError):
-        out = [math.nan if v == 0.0 and k < 0 else _pow(v, k, None) for v in xs]
+        out = [math.nan if v == 0.0 and k < 0 else _pow(v, k) for v in xs]
     return np.reshape(out, x.shape)
 
 
-def _den(v, t, node, a, b):
-    if v[a] == 0.0:
-        raise ExprDomainError("division by zero", node)
-
-
-# One op of the scalar replay, by kind: v holds the values of the ops
-# before, node is the op's node, a and b its operands, except that b is
-# the exponent of a pow op and the function name of a fun op.  A den op
-# checks the denominator of the Div node it belongs to.
-_SCALAR_OPS = {
+# One op, by kind: v holds the values of the ops before, node is the op's
+# node, a and b its operands, except that b is the exponent of a pow op
+# and the function name of a fun op.  Each gives Python's float arithmetic
+# at each element of an array, bit for bit, and NaN where that raises:
+# NumPy's power and functions round differently, so those ops take their
+# operands element by element.  A den op checks the denominator of its Div.
+_OPS = {
     "num": lambda v, t, node, a, b: node.value,
-    "var": lambda v, t, node, a, b: float(t),
+    "var": lambda v, t, node, a, b: t,
     "neg": lambda v, t, node, a, b: -v[a],
     "add": lambda v, t, node, a, b: v[a] + v[b],
     "sub": lambda v, t, node, a, b: v[a] - v[b],
     "mul": lambda v, t, node, a, b: v[a] * v[b],
-    "den": _den,
-    "div": lambda v, t, node, a, b: v[a] / v[b],
-    "pow": lambda v, t, node, a, b: _pow(v[a], b, node),
-    "fun": lambda v, t, node, a, b: _apply(b, v[a], node),
-}
-# One op of the array replay: the scalar op over each element of an
-# array, bit for bit, and NaN where the scalar op raises.  NumPy's power
-# and functions round differently from Python's, so those ops take their
-# operands element by element.
-_ARRAY_OPS = {
-    **_SCALAR_OPS,
-    "var": lambda v, t, node, a, b: t,
     "den": lambda v, t, node, a, b: None,
     "div": lambda v, t, node, a, b: np.where(v[b] == 0.0, math.nan, np.divide(v[a], v[b])),
     "pow": lambda v, t, node, a, b: power(np.asarray(v[a]), b),
     "fun": lambda v, t, node, a, b: _fun_cols(b, v[a]),
+}
+
+
+# The error text of each kind of op that can raise, at its operand x;
+# false where it does not raise
+_RAISES = {
+    "den": lambda x, b: x == 0.0 and "division by zero",
+    "pow": lambda x, b: x == 0.0 and b < 0 and "zero raised to a negative power",
+    "fun": lambda x, b: _TABLE[b].outside(x) and _TABLE[b].text.format(x),
 }
 
 
@@ -622,31 +609,40 @@ class Program:
     `ops` are (kind, node, a, b) in the order in which the recursive walk
     of each root in turn first reaches a node: operands left to right,
     except that a Div evaluates and checks its denominator before its
-    numerator.  Replaying them over a float therefore raises at the same
-    node, with the same message, as that walk; replaying them over an
-    array gives that walk's value at each element, or NaN where it raises.
+    numerator.  Replaying them over an array gives that walk's value at
+    each element, or NaN where it raises; at one t, the first op that
+    would raise is where the walk raises, with the same message.
     """
 
     def __init__(self, ops, outputs):
         self.ops = ops
         self.outputs = outputs
 
-    def _replay(self, table, t) -> tuple:
+    def _replay(self, t) -> list:
         v = []
         for kind, node, a, b in self.ops:
-            v.append(table[kind](v, t, node, a, b))
-        return tuple(v[i] for i in self.outputs)
-
-    def scalar(self, t) -> tuple:
-        """Values of the roots at the float t."""
-        return self._replay(_SCALAR_OPS, t)
+            v.append(_OPS[kind](v, t, node, a, b))
+        return v
 
     def array(self, t) -> tuple:
         """Values of the roots over the array t, each of t's shape: at each
-        element, the scalar replay's value at that t, bit for bit, or NaN
+        element, the recursive walk's value at that t, bit for bit, or NaN
         where an op that the root reads would raise there."""
         with np.errstate(all="ignore"):
-            return tuple(np.broadcast_to(v, np.shape(t)) for v in self._replay(_ARRAY_OPS, t))
+            v = self._replay(t)
+        return tuple(np.broadcast_to(v[i], np.shape(t)) for i in self.outputs)
+
+    def at(self, t, name_t: bool = False) -> tuple:
+        """Values of the roots at the float t, as floats, from the replay
+        there; where an op would raise at t, the ExprDomainError of the
+        first such op instead, naming t with `name_t`."""
+        with np.errstate(all="ignore"):
+            v = self._replay(float(t))
+        for kind, node, a, b in self.ops:
+            text = kind in _RAISES and _RAISES[kind](float(v[a]), b)
+            if text:
+                raise ExprDomainError(text, node, t if name_t else None)
+        return tuple(float(v[i]) for i in self.outputs)
 
 
 def compile(roots) -> Program:
@@ -698,15 +694,16 @@ def _single(e) -> Program:
     return program
 
 
-def eval_expr(e, t):
+def eval_expr(e, t, name_t: bool = False):
     """Evaluate at the scalar t; deterministic for identical expression and t.
 
     An Expr gives a float; a compiled Program gives the tuple of its
-    roots' values.  At an ndarray t, each value is an array of t's shape:
-    Program.array(t).
+    roots' values: Program.at(t, name_t), which raises the located
+    ExprDomainError.  At an ndarray t, each value is an array of t's
+    shape: Program.array(t).
     """
     program = e if isinstance(e, Program) else _single(e)
-    values = program.array(t) if isinstance(t, np.ndarray) else program.scalar(t)
+    values = program.array(t) if isinstance(t, np.ndarray) else program.at(t, name_t)
     return values if isinstance(e, Program) else values[0]
 
 
@@ -715,7 +712,7 @@ def vectorized(e: Expr):
     eval_expr's at that t, bit for bit.
 
     Domain violations surface as NaN; callers that need a located error
-    re-evaluate the offending point through eval_expr.
+    evaluate the offending point through eval_expr.
     """
     program = _single(e)
 

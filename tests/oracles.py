@@ -3,7 +3,9 @@
 These deliberately avoid the engine's own code paths: the determinant is
 a hand-rolled cofactor expansion, derivatives come from central
 differences, reference integrations from half-step Richardson comparison
-or scipy, expressions are evaluated by walking the tree recursively,
+or scipy, expressions are evaluated in scalar arithmetic with their own
+domain checks, by walking the tree recursively or one compiled op at a
+time, epsilon crossings are bisected one midpoint at a time,
 frames are propagated one substep at a time with a scalar exponential,
 interpolated one weight at a time, surface meshes are evaluated and
 written one point (or one row) at a time, loci tables are written
@@ -24,11 +26,11 @@ from hypframe.duality import (PAIR_NAMES, PAIR_SURFACES, DualPairSample, FrontVe
                               isotropy_residuals, pair_theta_range)
 from hypframe.errors import (FrameDegenerateError, InvalidInputError, NumericError,
                              SurfaceUndefinedError)
-from hypframe.evolute import (CorrespondenceReport, DualSurfaceRecord, EvolutePointType,
-                              EvoluteSample, LegReport, _bisect_eps_zero)
+from hypframe.evolute import (BISECT_ITERS, CorrespondenceReport, DualSurfaceRecord,
+                              EvolutePointType, EvoluteSample, LegReport)
 from hypframe.focal import (FIBER_COUNT, FIBER_WINDOW, REFINE_DEPTH, SURFACES, D, H,
                             SingularityType, SingularPointRecord, SurfaceParam, _circ_gap,
-                            _eps_values, _fiber, _norm_circle, _require, _undefined)
+                            _fiber, _norm_circle, _require, _undefined)
 from hypframe.framedcurve import FrenetData
 from hypframe.minkowski import ON_QUADRIC, MinkVec, Quadric, membership_residual
 from hypframe.pipeline import project_hollow_ball, project_poincare
@@ -36,14 +38,59 @@ from hypframe.propagation import (_CF4_A, _CF4_B, coefficient_matrix_values,
                                   gram_drift, gram_residual,
                                   pseudo_orthonormalize)
 from hypframe.symexpr import (Add, Div, ExprDomainError, Fun, Mul, Neg,
-                              Num, Pow, Sub, Var, _apply, eval_expr)
+                              Num, Pow, Program, Sub, Var)
 from hypframe.tolerances import is_zero
+
+# each DSL function: its math form, its NumPy form (the IEEE value where
+# the math form raises), and, where it has one, the test of the arguments
+# off its domain and the error text there
+DSL_FUNCTIONS = {
+    "sin": (math.sin, np.sin), "cos": (math.cos, np.cos), "tan": (math.tan, np.tan),
+    "sinh": (math.sinh, np.sinh), "cosh": (math.cosh, np.cosh), "tanh": (math.tanh, np.tanh),
+    "exp": (math.exp, np.exp), "atan": (math.atan, np.arctan),
+    "log": (math.log, np.log, lambda x: x <= 0.0, "log of non-positive value {!r}"),
+    "sqrt": (math.sqrt, np.sqrt, lambda x: x < 0.0, "sqrt of negative value {!r}"),
+    "artanh": (math.atanh, np.arctanh, lambda x: abs(x) >= 1.0,
+               "artanh of value {!r} outside (-1, 1)"),
+}
+
+
+def fun_value(name, x, node=None):
+    """The DSL function `name` at the float x, raising an ExprDomainError
+    against node off its domain: the math value, else the IEEE value."""
+    libm, ieee, *domain = DSL_FUNCTIONS[name]
+    if domain and domain[0](x):
+        raise ExprDomainError(domain[1].format(x), node)
+    try:
+        return libm(x)
+    except (OverflowError, ValueError):
+        with np.errstate(all="ignore"):
+            return float(ieee(x))
+
+
+def checked_den(y, node):
+    """The denominator y of the division node, which must not be zero."""
+    if y == 0.0:
+        raise ExprDomainError("division by zero", node)
+    return y
+
+
+def pow_value(b, k, node):
+    """b ** k, raising an ExprDomainError against node for zero to a
+    negative power, and saturating where Python's power overflows."""
+    if b == 0.0 and k < 0:
+        raise ExprDomainError("zero raised to a negative power", node)
+    try:
+        return float(b ** k)
+    except OverflowError:
+        sign = -1.0 if (b < 0 and k % 2 == 1) else 1.0
+        return sign * math.inf
 
 
 def tree_eval(e, t):
     """Scalar value of e at t by a recursive walk of the tree (operands left
-    to right, a division's denominator first), with the engine's domain
-    checks and IEEE overflow rules."""
+    to right, a division's denominator first), with domain checks and IEEE
+    overflow rules of its own."""
     match e:
         case Num(value=v):
             return v
@@ -58,22 +105,40 @@ def tree_eval(e, t):
         case Mul(lhs=x, rhs=y):
             return tree_eval(x, t) * tree_eval(y, t)
         case Div(lhs=x, rhs=y):
-            den = tree_eval(y, t)
-            if den == 0.0:
-                raise ExprDomainError("division by zero", e)
+            den = checked_den(tree_eval(y, t), e)
             return tree_eval(x, t) / den
         case Pow(base=u, exponent=k):
-            b = tree_eval(u, t)
-            if b == 0.0 and k < 0:
-                raise ExprDomainError("zero raised to a negative power", e)
-            try:
-                return float(b ** k)
-            except OverflowError:
-                sign = -1.0 if (b < 0 and k % 2 == 1) else 1.0
-                return sign * math.inf
+            return pow_value(tree_eval(u, t), k, e)
         case Fun(name=name, arg=u):
-            return _apply(name, tree_eval(u, t), e)
+            return fun_value(name, tree_eval(u, t), e)
     raise TypeError(f"not an Expr: {e!r}")
+
+
+# tree_eval's rule for each kind of op of a compiled program, (v, t, node,
+# a, b) -> value, as symexpr.Program lays ops out: a den op checks the
+# denominator of its Div before the numerator is evaluated
+OP_RULES = {
+    "num": lambda v, t, node, a, b: node.value,
+    "var": lambda v, t, node, a, b: float(t),
+    "neg": lambda v, t, node, a, b: -v[a],
+    "add": lambda v, t, node, a, b: v[a] + v[b],
+    "sub": lambda v, t, node, a, b: v[a] - v[b],
+    "mul": lambda v, t, node, a, b: v[a] * v[b],
+    "den": lambda v, t, node, a, b: checked_den(v[a], node),
+    "div": lambda v, t, node, a, b: v[a] / v[b],
+    "pow": lambda v, t, node, a, b: pow_value(v[a], b, node),
+    "fun": lambda v, t, node, a, b: fun_value(b, v[a], node),
+}
+
+
+def replay(program, t):
+    """The values of a compiled program's roots at the float t, its ops
+    taken one at a time by tree_eval's rules, so that the walk of each
+    shared node is done once."""
+    v = []
+    for kind, node, a, b in program.ops:
+        v.append(OP_RULES[kind](v, t, node, a, b))
+    return tuple(v[i] for i in program.outputs)
 
 
 def expm4(x):
@@ -144,7 +209,7 @@ def constraint_residuals(model, t, point, side):
     g = point.as_array() * np.array([-1.0, 1, 1, 1])
     u1, u2, u3, u4 = (float(np.dot(g, row)) for row in model.frame_at(t))
     u1 = -u1
-    m, _, a, b = (eval_expr(e, t) for e in model.quartet)
+    m, _, a, b = (tree_eval(e, t) for e in model.quartet)
     return {"linear": m * u1 + a * u2 + b * u3, "mu_component": u4,
             "quadric": side.kappa * (u1 * u1 - u2 * u2 - u3 * u3) - 1.0}
 
@@ -207,18 +272,50 @@ def random_mink_vectors(rng, n, scale=2.0):
 
 
 def fiber(name, theta):
-    """A fiber function, named as a DSL function, at the float theta, as the
-    scalar replay takes it: libm's value, else the IEEE value."""
-    return _apply(name, theta, None)
+    """A fiber function, named as a DSL function, at the float theta:
+    libm's value, else the IEEE value."""
+    return fun_value(name, theta)
 
 
 def located(e, t):
-    """eval_expr at the float t, its ExprDomainError naming t, as the
-    per-point queries raise it."""
+    """The value of the Expr e (tree_eval), or the values of the compiled
+    program e (replay), at the float t, its ExprDomainError naming t, as
+    the per-point queries raise it."""
     try:
-        return eval_expr(e, t)
+        return replay(e, t) if isinstance(e, Program) else tree_eval(e, t)
     except ExprDomainError as exc:
         raise ExprDomainError(exc.message, exc.subexpr, t) from exc
+
+
+def eps_values(model, t, side):
+    """(epsilon, epsilon', fallback) at the float t: along the symbolically
+    differentiated theta branch, else, where that raises or is not finite,
+    in the closed form, which raises located."""
+    try:
+        eps, eps1 = replay(side.frenet(model).eps_path_program, t)
+        fallback = not (math.isfinite(eps) and math.isfinite(eps1))
+    except ExprDomainError:
+        fallback = True
+    if fallback:
+        eps, eps1 = located(side.frenet(model).eps_closed_program, t)
+    return eps, eps1, fallback
+
+
+def bisect_eps_zero(model, side, ta, tb, ea, eb):
+    """The epsilon zero between ta and tb, where eps_values changes sign
+    from ea to eb, one midpoint at a time, as `hypframe.evolute` locates it."""
+    for _ in range(BISECT_ITERS):
+        tm = 0.5 * (ta + tb)
+        em = eps_values(model, tm, side)[0]
+        if em == 0.0:
+            return tm
+        if (ea < 0) != (em < 0):
+            tb, eb = tm, em
+        else:
+            ta, ea = tm, em
+        if tb - ta <= 1e-14 * max(1.0, abs(ta), abs(tb)):
+            break
+    return 0.5 * (ta + tb)
 
 
 def frenet_data(model, t):
@@ -355,13 +452,13 @@ def lambda_dual_loop(model, side, t, theta):
 def evolute_sample(model, t, side):
     """`hypframe.evolute.evolute_h` (side H) or `_d` (side D) at the float t:
     the Frenet queries, the definedness rule, the 16 frame coefficients
-    against the Frenet frame, then epsilon by _eps_values."""
+    against the Frenet frame, then epsilon by eps_values."""
     data = frenet_data(model, t)
     _require(side, data, model, evolute=True)
     f = model.frenet_frame_at(t)
     coeffs = located(side.frenet(model).evolute_program, t)
     vecs = [MinkVec.from_array(np.array(coeffs[k:k + 4]) @ f) for k in range(0, 16, 4)]
-    eps, eps1, fallback = _eps_values(model, t, side)
+    eps, eps1, fallback = eps_values(model, t, side)
     ptype = by_epsilon(eps, eps1, scale(data), model.tol.sing, POINT_TYPES)
     sv = np.linalg.svd(np.array([vecs[2].as_array(), vecs[3].as_array()]), compute_uv=False)
     diag = {"sigma_f": data.sigma_f, "rank23_singular_values": (float(sv[0]), float(sv[1]))}
@@ -555,7 +652,7 @@ def pair_sample_loop(model, pair, t, theta):
         return DualPairSample(p, g, pt, pth, gt, zero, side.fibration)
     coeffs = located(side.frenet(model).evolute_program, t)
     e, e1, _, _ = [MinkVec.from_array(np.array(coeffs[j:j + 4]) @ f) for j in range(0, 16, 4)]
-    _eps_values(model, t, side)  # the evolute evaluated epsilon, and could raise there
+    eps_values(model, t, side)  # the evolute evaluated epsilon, and could raise there
     legs = ((e, e1, zero), (p, pt, pth))
     (f0, f0t, f0th), (g, gt, gth) = legs if side.evolute_first else legs[::-1]
     return DualPairSample(f0, g, f0t, f0th, gt, gth, side.fibration)
@@ -731,7 +828,7 @@ def classify_record(model, record, side):
     branch_a = not (is_zero(data.W, s, tol) and is_zero(data.N, s, tol))
     diag["branch"] = "a" if branch_a else "b"
     if branch_a:
-        eps, eps1, fallback = _eps_values(model, t0, side)
+        eps, eps1, fallback = eps_values(model, t0, side)
         diag["epsilon"] = eps
         diag["epsilon_prime"] = eps1
         if fallback:
@@ -802,16 +899,15 @@ def leg_loop(model, ts, runs, side):
 
     def at(t):
         data = frenet_data(model, t)
+        w, d = data.W, side.columns(data)[1]
         try:
-            theta = side.root(data.W, side.columns(data)[1])
+            theta = math.atanh(w / d) if side is H else math.atan2(w, d)
         except (ArithmeticError, ValueError):
-            theta = math.nan  # a definedness rule raises first, then the root
+            theta = math.nan  # the focal point is not finite there
         rec = SingularPointRecord(surface=side.focal, param=SurfaceParam(t, theta),
                                   lam=0.0, sigma_f=data.sigma_f)
         classify(model, rec)
         _require(side, data, model, evolute=True)
-        if math.isnan(theta):
-            side.root(data.W, side.columns(data)[1])
         es = evolute_sample(model, t, side)
         dist = (point_loop(model, side, t, theta) - es.point).max_abs()
         return rec, es, classify_dual(model, t), dist
@@ -839,8 +935,8 @@ def leg_loop(model, ts, runs, side):
         for ia, ib in zip(run, run[1:]):
             ea, eb = eps[ia], eps[ib]
             if ea != 0.0 and eb != 0.0 and (ea < 0) != (eb < 0):
-                crossing_ts.append(_bisect_eps_zero(model, side, float(ts[ia]),
-                                                    float(ts[ib]), ea, eb))
+                crossing_ts.append(bisect_eps_zero(model, side, float(ts[ia]),
+                                                   float(ts[ib]), ea, eb))
     for t_star in sorted(crossing_ts):
         rec, es, dual, dist = at(t_star)
         max_dist = max(max_dist, dist)

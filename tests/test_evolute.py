@@ -1,5 +1,6 @@
 import math
-from itertools import product
+from itertools import chain, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,12 +11,16 @@ from hypframe import (CurvatureQuartet, EvolutePointType, Quadric,
                       dual_of_evolute_h, eval_expr, evolute_d, evolute_h,
                       integrate_frame, lambda_dual_d, lambda_dual_h,
                       membership_residual, mink_dot)
+from hypframe import evolute
 from hypframe.errors import EvoluteUndefinedError
 from hypframe.duality import pair_sample
-from hypframe.evolute import _EVENT_KEYS, _agreements
-from hypframe.focal import D, H, _eps_values, focal_d_point, focal_h_point
+from hypframe.evolute import BISECT_DEPTH, _EVENT_KEYS, _agreements, _eps_crossings
+from hypframe.focal import D, H, _eps_columns, defined_runs, focal_d_point, focal_h_point
+from hypframe.symexpr import ExprDomainError, num
 
-from oracles import agreements, bisect_sign_change, cofactor_det4, central_diff, fd_partials
+import oracles
+from oracles import (agreements, bisect_eps_zero, bisect_sign_change, cofactor_det4,
+                     central_diff, eps_values, fd_partials)
 
 SQ3 = math.sqrt(3.0)
 
@@ -217,7 +222,7 @@ def test_classify_dual_h_cuspidal_edge(model_ce_h):
 
 def test_classify_dual_h_cross_cap(model_sw):
     # epsilon of the swept family changes sign at t = 0
-    t0 = bisect_sign_change(lambda t: _eps_values(model_sw, t, H)[0],
+    t0 = bisect_sign_change(lambda t: eps_values(model_sw, t, H)[0],
                             -0.2, 0.3)
     rec = classify_dual_h(model_sw, t0)
     assert rec.type is SingularityType.CUSPIDAL_CROSS_CAP
@@ -234,7 +239,7 @@ def test_classify_dual_d_cuspidal_edge(model_ce_d):
 
 
 def test_classify_dual_d_cross_cap(model_sw_d):
-    eps = lambda t: _eps_values(model_sw_d, t, D)[0]
+    eps = lambda t: eps_values(model_sw_d, t, D)[0]
     ts = np.linspace(0.1, 1.9, 50)
     vals = [eps(float(t)) for t in ts]
     bracket = next((i for i in range(len(ts) - 1)
@@ -302,6 +307,83 @@ def test_correspondence_sweep_events(model_sw, model_sw_d):
         assert ev["dual_type"] == "CuspidalCrossCap"
     assert all(leg_d.agreements.values())
 
+
+# (quartet, domain, side, epsilon sign changes between grid neighbours of its evolute)
+BISECTED = {
+    # perfbench's gen_d workload at seed 2101
+    "gen_d_2101": (("1.947987+0.513937*t", "0.712594*t", "0.965664", "0"), (0.05, 2.0, 40),
+                   D, 1),
+    "many_crossings": (("0.3*sin(3*t)", "1", "2", "0"), (0.0, 40.0, 2001), H, 38),
+}
+
+
+@pytest.mark.parametrize("name", BISECTED)
+def test_batched_bisection_matches_one_midpoint_bisection(name, monkeypatch):
+    """The epsilon crossings, bisected BISECT_DEPTH levels per replay (and
+    1 or 7), are those of bisecting one bracket after the other, one
+    midpoint at a time, bit for bit, and with the grid points where
+    epsilon is 0.0 they are the crossings the leg reports."""
+    curvature, domain, side, count = BISECTED[name]
+    model = integrate_frame(CurvatureQuartet.from_strings(*curvature), domain)
+    runs = defined_runs(model)[side.evolute]
+    eps = {i: eps_values(model, float(model.ts[i]), side)[0] for i in chain.from_iterable(runs)}
+    brackets = [(float(model.ts[i]), float(model.ts[j]), eps[i], eps[j])
+                for run in runs for i, j in zip(run, run[1:])
+                if eps[i] != 0.0 and eps[j] != 0.0 and (eps[i] < 0) != (eps[j] < 0)]
+    assert len(brackets) == count
+    visits = []  # midpoints each one-midpoint bisection takes
+    monkeypatch.setattr(oracles, "eps_values", lambda *a: visits.append(a[1]) or eps_values(*a))
+    want, steps = [], []
+    for bracket in brackets:
+        visits.clear()
+        want.append(bisect_eps_zero(model, side, *bracket))
+        steps.append(len(visits))
+    replays = []
+    monkeypatch.setattr(evolute, "_eps_columns",
+                        lambda *a: replays.append(a[2]) or _eps_columns(*a))
+    for depth in (BISECT_DEPTH, 1, 7):
+        monkeypatch.setattr(evolute, "BISECT_DEPTH", depth)
+        replays.clear()
+        got = _eps_crossings(model, side, brackets)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), depth
+        # one replay per depth levels of the longest bisection
+        assert len(replays) == max(-(-n // depth) for n in steps), depth
+    monkeypatch.undo()
+    on_grid = [float(model.ts[i]) for i, e in eps.items() if e == 0.0]
+    leg = getattr(correspondence_check(model), "hyperbolic" if side is H else "desitter")
+    assert [event["t"] for event in leg.events] == sorted(on_grid + want)
+
+
+def test_batched_bisection_raises_the_first_brackets_error(monkeypatch):
+    """Where a midpoint that each of two bisections reaches raises, the first
+    bracket's error is raised, although the second reaches its midpoint in
+    an earlier replay; a midpoint that no bisection reaches never raises."""
+    # epsilon t - 0.3 on the bracket [0, 1] and t - 2.6 on [2, 3]; its
+    # closed form raises at the fifth midpoint of the first bisection (0.28125),
+    # at the first of the second (2.5), and at 0.75, which no bisection reaches
+    raising = {0.28125, 2.5, 0.75}
+
+    def eps_columns(side, model, ts):
+        eps = np.where(ts < 1.5, ts - 0.3, ts - 2.6)[:, None]
+        bad = np.isin(ts, list(raising))
+        return eps, eps, bad, (None, bad)
+
+    def eval_closed(program, t, name_t=False):
+        if t in raising:
+            raise ExprDomainError("division by zero", num(t), t)
+
+    monkeypatch.setattr(evolute, "_eps_columns", eps_columns)
+    monkeypatch.setattr(evolute, "eval_expr", eval_closed)
+    model = SimpleNamespace(frenet=SimpleNamespace(h=SimpleNamespace(eps_closed_program=None)))
+    assert BISECT_DEPTH < 5  # so that 0.28125 is in a later replay than 2.5
+    with pytest.raises(ExprDomainError, match=r"at t=0\.28125$"):
+        _eps_crossings(model, H, [(0.0, 1.0, -0.3, 0.7), (2.0, 3.0, -0.6, 0.4)])
+    raising.discard(0.28125)
+    with pytest.raises(ExprDomainError, match=r"at t=2\.5$"):
+        _eps_crossings(model, H, [(0.0, 1.0, -0.3, 0.7), (2.0, 3.0, -0.6, 0.4)])
+    raising.discard(2.5)
+    zeros = _eps_crossings(model, H, [(0.0, 1.0, -0.3, 0.7), (2.0, 3.0, -0.6, 0.4)])
+    assert zeros == pytest.approx([0.3, 2.6], abs=1e-14)
 
 TYPE_TRIPLES = list(product(
     (SingularityType.CUSPIDAL_EDGE, SingularityType.SWALLOWTAIL,

@@ -340,21 +340,21 @@ def test_run_pipeline_evaluates_no_program_at_a_grid_point(monkeypatch):
     replays a program at a grid point one point at a time."""
     spec = load_spec(os.path.join(SPEC_DIR, "swallowtail_family.json"))
     grid = set()
-    calls = {"scalar": 0, "at_grid": 0}
-    integrate, scalar = pipeline.integrate_frame, Program.scalar
+    calls = {"at": 0, "at_grid": 0}
+    integrate, at = pipeline.integrate_frame, Program.at
 
     def integrated(*args, **kwargs):
         model = integrate(*args, **kwargs)
         grid.update(model.ts.tolist())
         return model
 
-    def counted(self, t):
-        calls["scalar"] += 1
+    def counted(self, t, name_t=False):
+        calls["at"] += 1
         calls["at_grid"] += t in grid
-        return scalar(self, t)
+        return at(self, t, name_t)
 
     monkeypatch.setattr(pipeline, "integrate_frame", integrated)
-    monkeypatch.setattr(Program, "scalar", counted)
+    monkeypatch.setattr(Program, "at", counted)
     report = run_pipeline(spec)
     assert len(grid) == 201 and report.data["correspondence"]["hyperbolic"]["points"] > 0
     assert calls["at_grid"] == 0

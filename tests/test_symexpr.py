@@ -224,28 +224,30 @@ def test_eval_ieee_overflow_saturates():
     assert parse_expr("(-1e200)^3") is num(-math.inf)
 
 
-def _float_class(x):
-    return "nan" if math.isnan(x) else {math.inf: "+inf", -math.inf: "-inf"}.get(x, "finite")
-
-
 def test_scalar_and_array_replays_agree():
-    """For every DSL function, the scalar replay raises only where the array
-    replay is not finite; elsewhere both give the same class of value, and
-    finite values agree within 4 ulp."""
+    """For every DSL function, eval_expr at a float raises the located
+    error of the tree walk exactly where the walk raises (the same node and
+    text, naming t on request), and elsewhere gives the walk's value bit for
+    bit; the array replay gives NaN where the walk raises and its value
+    elsewhere."""
     xs = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 710.0, -710.0, 800.0, -800.0,
           1e300, -1e300, math.inf, -math.inf, math.nan]
     mismatches = []
     for name in FUNCTIONS:
-        program = compile([parse_expr(f"{name}(t)")])
-        for x, want in zip(xs, program.array(np.array(xs))[0].tolist()):
-            got, exc = _outcome(lambda: program.scalar(x)[0])
-            if isinstance(exc, ExprDomainError):
-                agree = not math.isfinite(want)
+        e = parse_expr(f"{name}(t)")
+        for x, column in zip(xs, compile([e]).array(np.array(xs))[0].tolist()):
+            want, want_exc = _outcome(lambda: tree_eval(e, x))
+            got, exc = _outcome(lambda: eval_expr(e, x))
+            named = _outcome(lambda: eval_expr(e, x, name_t=True))[1]
+            if isinstance(want_exc, ExprDomainError):
+                agree = (type(exc) is type(named) is ExprDomainError and math.isnan(column)
+                         and exc.subexpr is named.subexpr is want_exc.subexpr
+                         and str(exc) == str(want_exc)
+                         and str(named) == f"{want_exc} at t={x!r}")
             else:
-                agree = exc is None and _float_class(got) == _float_class(want) and (
-                    not math.isfinite(want) or abs(got - want) <= 4 * math.ulp(want))
+                agree = exc is None and _same_bits(got, want) and _same_bits(column, want)
             if not agree:
-                mismatches.append((name, x, got, exc, want))
+                mismatches.append((name, x, got, exc, want, want_exc))
     assert mismatches == []
 
 
@@ -352,11 +354,14 @@ def test_compiled_replay_matches_tree_walk():
 
         for t in ts:
             want, want_exc = _outcome(lambda: [tree_eval(r, t) for r in roots])
-            got, got_exc = _outcome(lambda: program.scalar(t))
+            got, got_exc = _outcome(lambda: eval_expr(program, t))
             assert type(got_exc) is type(want_exc), (src, t)
             if isinstance(want_exc, ExprDomainError):
                 assert got_exc.subexpr is want_exc.subexpr, (src, t)
                 assert str(got_exc) == str(want_exc)
+                named = _outcome(lambda: eval_expr(program, t, name_t=True))[1]
+                assert named.subexpr is want_exc.subexpr
+                assert str(named) == f"{want_exc} at t={float(t)!r}"
                 errors.append(str(want_exc))
             elif want_exc is None:
                 assert all(map(_same_bits, got, want)), (src, t)

@@ -29,9 +29,10 @@ Run it from the root of a hypframe checkout.  The corpus is
   (e1, e2) plane, three initial frames the spec rejects (a non-finite
   entry, a pairing off by 5e-11, mu = +gamma ^ v1 ^ v2), and the
   swallowtail quartet at sing = 0.05, whose correspondence agreements
-  fail and list their failures, and a non-constant quartet whose 30,000
+  fail and list their failures, a non-constant quartet whose 30,000
   distinct substeps span 15 propagation chunks, so that node values
-  differ across every chunk boundary.
+  differ across every chunk boundary, and a hyperbolic leg with 38
+  genuine epsilon sign changes, each bisected.
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -80,6 +81,7 @@ QUARTETS = {
                     (("0.5*t", "1", "2", "0"), (-1.5, 1.5, 61), (-1.0, 1.0, 7))),
     "swallowtail_coarse": (("0.5*t", "1", "2", "0"), (-1.5, 1.5, 201), (-1.0, 1.0, 21)),
     "many_chunks": (("0.2+0.05*sin(t)", "1", "2", "0.1*cos(t)"), (0.0, 60.0, 301)),
+    "eps_many_crossings": (("0.3*sin(3*t)", "1", "2", "0"), (0.0, 40.0, 2001)),
 }
 # spec names that differ from their file name: what the report must escape
 NAMES = {"escaped_name": 'ψ-edge, "quoted" \\ name'}
