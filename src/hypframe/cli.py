@@ -178,32 +178,31 @@ def cmd_run(args) -> int:
     return 0
 
 
+HANDLERS = {
+    "integrate": cmd_integrate, "focal": cmd_focal, "evolute": cmd_evolute,
+    "dual": cmd_dual, "classify": cmd_classify, "verify": cmd_verify,
+    "run": cmd_run,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypframe",
         description="Framed curves in hyperbolic 3-space: focal surfaces, "
                     "evolutes, dual surfaces and their singularities.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "integrate": cmd_integrate, "focal": cmd_focal, "evolute": cmd_evolute,
-        "dual": cmd_dual, "classify": cmd_classify, "verify": cmd_verify,
-        "run": cmd_run,
-    }
-    for name, handler in handlers.items():
-        p = sub.add_parser(name)
-        p.add_argument("--spec", required=True, help="curve-spec JSON document")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="override a named tolerance (repeatable)")
-        p.set_defaults(handler=handler)
+    parser.add_argument("command", choices=HANDLERS)
+    parser.add_argument("--spec", required=True, help="curve-spec JSON document")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                        help="override a named tolerance (repeatable)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return HANDLERS[args.command](args)
     except _pipe.SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 1

@@ -82,15 +82,27 @@ def _object(doc, key, allowed):
     return obj
 
 
+def _is_number(x) -> bool:
+    """Whether x is a JSON number: a bool or a string is not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _range(doc, key, lo, hi) -> tuple:
-    """(lo, hi, samples) of the object doc[key]: finite lo < hi, samples >= 2."""
+    """(lo, hi, samples) of the object doc[key], each a JSON number: finite
+    lo < hi, and samples an integral value >= 2."""
     obj = _object(doc, key, (lo, hi, "samples"))
     try:
-        a, b, n = float(obj[lo]), float(obj[hi]), int(obj["samples"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        a, b, n = obj[lo], obj[hi], obj["samples"]
+        if not all(map(_is_number, (a, b, n))):
+            raise TypeError(f"got {a!r}, {b!r}, {n!r}")
+        a, b = float(a), float(b)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise SpecValidationError(key, f"needs numeric {lo}, {hi}, samples: {exc}") from exc
     if not (math.isfinite(a) and math.isfinite(b)):
         raise SpecValidationError(key, f"{lo} and {hi} must be finite")
+    if not (isinstance(n, int) or n.is_integer()):
+        raise SpecValidationError(f"{key}.samples", f"must be an integer, got {n!r}")
+    n = int(n)
     if n < 2:
         raise SpecValidationError(f"{key}.samples", "must be >= 2")
     if not b > a:
@@ -139,12 +151,12 @@ def load_spec(path) -> CurveSpec:
     frame = None
     if doc.get("initial_frame") is not None:
         vals = doc["initial_frame"]
-        if not isinstance(vals, list) or len(vals) != 16:
+        if not isinstance(vals, list) or len(vals) != 16 or not all(map(_is_number, vals)):
             raise SpecValidationError("initial_frame", "must be 16 reals, row-major")
         try:
             frame = tuple(float(v) for v in vals)
             validate_initial_frame(np.reshape(frame, (4, 4)))  # the rule integrate_frame applies
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:
             raise SpecValidationError("initial_frame", str(exc)) from exc
 
     tols = doc.get("tolerances") or {}

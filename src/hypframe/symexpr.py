@@ -12,11 +12,13 @@ then * /, then + -; same-precedence binary operators associate left):
     FUNC     := a name of FUNCTIONS
     NUMBER and INTEGER are written with the ASCII digits 0-9 only
 
-Only light simplification is applied when expressions are built
-(constant folding plus 0/1 identities).  The smart constructors intern
-their results (hash-consing), so an expression is a graph in which each
-distinct sub-expression exists once.  `compile` turns a list of roots into
-one straight-line program with one op per distinct node; its replay
+An expression is a graph of `Expr` nodes, one class whose `kind` names
+the op that the node compiles to.  Only light simplification is applied
+when expressions are built (constant folding plus 0/1 identities).  The
+smart constructors intern their results (hash-consing), so each distinct
+sub-expression exists once.  `compile` turns a list of roots into one
+straight-line program with one op per distinct node, of the node's kind
+(and a check before each division's numerator); its replay
 follows IEEE semantics with domain violations as NaN, or, at one t,
 reported against the first offending sub-expression.
 """
@@ -36,8 +38,7 @@ import numpy as np
 from .errors import HypframeError, NumericError
 
 __all__ = [
-    "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
-    "parse_expr", "diff_expr", "eval_expr", "to_source", "vectorized",
+    "Expr", "parse_expr", "diff_expr", "eval_expr", "to_source", "vectorized",
     "compile", "Program", "power",
     "ExprSyntaxError", "UnknownIdentifierError", "NonIntegerExponentError",
     "ExprDomainError",
@@ -76,70 +77,30 @@ class ExprDomainError(NumericError):
 # AST
 
 
-class Expr:
+class _Memo:
     # _d1 and _program memoize the derivative and the single-root program
     # on the node itself, so they live exactly as long as the node does;
     # _depth is the longest path to a leaf, in nodes
     __slots__ = ("__weakref__", "_d1", "_program", "_depth")
+
+
+# A dataclass, not a tuple, which would equal any tuple of the same items:
+# perfbench's expression_counts walks its fields with dataclasses.fields
+@dataclass(frozen=True, slots=True)
+class Expr(_Memo):
+    """One node: `kind` is the op it compiles to.  A num keeps its value in
+    a; var has no operand; neg reads a; add, sub, mul and div read a and b;
+    pow raises a to the integer b; fun applies the function named b to a."""
+
+    kind: str
+    a: object = None
+    b: object = None
 
     def __call__(self, t):
         return eval_expr(self, t)
 
     def __str__(self):
         return to_source(self)
-
-
-# Dataclasses, not tuples, whose equality ignores the class (Add(x, y) == Sub(x, y)):
-# perfbench's expression_counts walks their fields with dataclasses.fields
-@dataclass(frozen=True, slots=True)
-class Num(Expr):
-    value: float
-
-
-@dataclass(frozen=True, slots=True)
-class Var(Expr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Add(Expr):
-    lhs: Expr
-    rhs: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Sub(Expr):
-    lhs: Expr
-    rhs: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Mul(Expr):
-    lhs: Expr
-    rhs: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Div(Expr):
-    lhs: Expr
-    rhs: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-
-@dataclass(frozen=True, slots=True)
-class Fun(Expr):
-    name: str
-    arg: Expr
 
 
 class _Function(NamedTuple):
@@ -180,7 +141,7 @@ FUNCTIONS = tuple(_TABLE)
 # Smart constructors: constant folding and 0/1 identities only.
 #
 # Every constructor returns an interned node (hash-consing): the key is
-# the node class plus its children by identity, so structurally equal
+# the node's kind, then its children by identity, so structurally equal
 # expressions built from interned parts are one object, and the whole
 # graph has one node per distinct sub-expression.  Floats are keyed by
 # their bit pattern, keeping 0.0 and -0.0 apart.  The table holds nodes
@@ -189,11 +150,11 @@ FUNCTIONS = tuple(_TABLE)
 _INTERNED = weakref.WeakValueDictionary()
 
 
-def _intern(key, cls, *fields):
+def _intern(key, a, b=None):
     node = _INTERNED.get(key)
     if node is None:
-        node = _INTERNED[key] = cls(*fields)
-        depth = max((_depth(f) for f in fields if isinstance(f, Expr)), default=0)
+        node = _INTERNED[key] = Expr(key[0], a, b)
+        depth = max((_depth(f) for f in (a, b) if isinstance(f, Expr)), default=0)
         object.__setattr__(node, "_depth", depth + 1)
     return node
 
@@ -202,43 +163,43 @@ def _depth(e: Expr) -> int:
     return getattr(e, "_depth", 1)
 
 
-def num(v) -> Num:
+def num(v) -> Expr:
     v = float(v)
-    return _intern((Num, struct.pack("<d", v)), Num, v)
+    return _intern(("num", struct.pack("<d", v)), v)
 
 
-T = Var()
+T = Expr("var")
 ZERO = num(0.0)
 ONE = num(1.0)
 
 
 def _is_const(e, v):
-    return isinstance(e, Num) and e.value == v
+    return e.kind == "num" and e.a == v
 
 
 def add(x: Expr, y: Expr) -> Expr:
-    if isinstance(x, Num) and isinstance(y, Num):
-        return num(x.value + y.value)
+    if x.kind == y.kind == "num":
+        return num(x.a + y.a)
     if _is_const(x, 0.0):
         return y
     if _is_const(y, 0.0):
         return x
-    return _intern((Add, id(x), id(y)), Add, x, y)
+    return _intern(("add", id(x), id(y)), x, y)
 
 
 def sub(x: Expr, y: Expr) -> Expr:
-    if isinstance(x, Num) and isinstance(y, Num):
-        return num(x.value - y.value)
+    if x.kind == y.kind == "num":
+        return num(x.a - y.a)
     if _is_const(y, 0.0):
         return x
     if _is_const(x, 0.0):
         return neg(y)
-    return _intern((Sub, id(x), id(y)), Sub, x, y)
+    return _intern(("sub", id(x), id(y)), x, y)
 
 
 def mul(x: Expr, y: Expr) -> Expr:
-    if isinstance(x, Num) and isinstance(y, Num):
-        return num(x.value * y.value)
+    if x.kind == y.kind == "num":
+        return num(x.a * y.a)
     if _is_const(x, 0.0) or _is_const(y, 0.0):
         return ZERO
     if _is_const(x, 1.0):
@@ -249,25 +210,25 @@ def mul(x: Expr, y: Expr) -> Expr:
         return neg(y)
     if _is_const(y, -1.0):
         return neg(x)
-    return _intern((Mul, id(x), id(y)), Mul, x, y)
+    return _intern(("mul", id(x), id(y)), x, y)
 
 
 def div(x: Expr, y: Expr) -> Expr:
-    if isinstance(x, Num) and isinstance(y, Num) and y.value != 0.0:
-        return num(x.value / y.value)
+    if x.kind == y.kind == "num" and y.a != 0.0:
+        return num(x.a / y.a)
     if _is_const(y, 1.0):
         return x
     if _is_const(x, 0.0) and not _is_const(y, 0.0):
         return ZERO
-    return _intern((Div, id(x), id(y)), Div, x, y)
+    return _intern(("div", id(x), id(y)), x, y)
 
 
 def neg(x: Expr) -> Expr:
-    if isinstance(x, Num):
-        return num(-x.value)
-    if isinstance(x, Neg):
-        return x.arg
-    return _intern((Neg, id(x)), Neg, x)
+    if x.kind == "num":
+        return num(-x.a)
+    if x.kind == "neg":
+        return x.a
+    return _intern(("neg", id(x)), x)
 
 
 def pow_(base: Expr, exponent: int) -> Expr:
@@ -276,18 +237,18 @@ def pow_(base: Expr, exponent: int) -> Expr:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, Num) and not (base.value == 0.0 and exponent < 0):
-        return num(_pow(base.value, exponent))
-    return _intern((Pow, id(base), exponent), Pow, base, exponent)
+    if base.kind == "num" and not (base.a == 0.0 and exponent < 0):
+        return num(_pow(base.a, exponent))
+    return _intern(("pow", id(base), exponent), base, exponent)
 
 
 def fun(name: str, arg: Expr) -> Expr:
     f = _TABLE.get(name)
     if f is None:
         raise ValueError(f"unknown function {name!r}")
-    if isinstance(arg, Num) and not f.outside(arg.value):  # else evaluation reports it
-        return num(_libm(f, arg.value))
-    return _intern((Fun, name, id(arg)), Fun, name, arg)
+    if arg.kind == "num" and not f.outside(arg.a):  # else evaluation reports it
+        return num(_libm(f, arg.a))
+    return _intern(("fun", id(arg), name), arg, name)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +402,8 @@ class _Parser:
             self.advance()
             inner = self.expr()
             self.expect(")")
-            if isinstance(inner, Num) and float(inner.value).is_integer():
-                return sign * int(inner.value)
+            if inner.kind == "num" and float(inner.a).is_integer():
+                return sign * int(inner.a)
             raise NonIntegerExponentError(
                 "exponent must fold to an integer literal", tok.column)
         raise NonIntegerExponentError(
@@ -492,23 +453,23 @@ def _diff1(e: Expr) -> Expr:
 
 def _diff_rule(e: Expr) -> Expr:
     match e:
-        case Num():
+        case Expr("num"):
             return ZERO
-        case Var():
+        case Expr("var"):
             return ONE
-        case Neg(arg=u):
+        case Expr("neg", u):
             return neg(_diff1(u))
-        case Add(lhs=x, rhs=y):
+        case Expr("add", x, y):
             return add(_diff1(x), _diff1(y))
-        case Sub(lhs=x, rhs=y):
+        case Expr("sub", x, y):
             return sub(_diff1(x), _diff1(y))
-        case Mul(lhs=x, rhs=y):
+        case Expr("mul", x, y):
             return add(mul(_diff1(x), y), mul(x, _diff1(y)))
-        case Div(lhs=x, rhs=y):
+        case Expr("div", x, y):
             return div(sub(mul(_diff1(x), y), mul(x, _diff1(y))), pow_(y, 2))
-        case Pow(base=u, exponent=k):
+        case Expr("pow", u, k):
             return mul(mul(num(k), pow_(u, k - 1)), _diff1(u))
-        case Fun(name=name, arg=u):
+        case Expr("fun", u, name):
             return mul(_TABLE[name].derivative(u), _diff1(u))
     raise TypeError(f"not an Expr: {e!r}")
 
@@ -575,13 +536,14 @@ def power(x, k: int):
 
 
 # One op, by kind: v holds the values of the ops before, node is the op's
-# node, a and b its operands, except that b is the exponent of a pow op
-# and the function name of a fun op.  Each gives Python's float arithmetic
+# node, and a and b are its node's a and b, with each operand node
+# replaced by the index of its op.  Each gives Python's float arithmetic
 # at each element of an array, bit for bit, and NaN where that raises:
 # NumPy's power and functions round differently, so those ops take their
-# operands element by element.  A den op checks the denominator of its Div.
+# operands element by element.  A den op checks the denominator of its
+# div, the value at index a.
 _OPS = {
-    "num": lambda v, t, node, a, b: node.value,
+    "num": lambda v, t, node, a, b: a,
     "var": lambda v, t, node, a, b: t,
     "neg": lambda v, t, node, a, b: -v[a],
     "add": lambda v, t, node, a, b: v[a] + v[b],
@@ -608,7 +570,7 @@ class Program:
 
     `ops` are (kind, node, a, b) in the order in which the recursive walk
     of each root in turn first reaches a node: operands left to right,
-    except that a Div evaluates and checks its denominator before its
+    except that a div evaluates and checks its denominator before its
     numerator.  Replaying them over an array gives that walk's value at
     each element, or NaN where it raises; at one t, the first op that
     would raise is where the walk raises, with the same message.
@@ -654,31 +616,18 @@ def compile(roots) -> Program:
         i = index.get(id(e))
         if i is not None:
             return i
-        match e:
-            case Num():
-                op = ("num", e, None, None)
-            case Var():
-                op = ("var", e, None, None)
-            case Neg(arg=u):
-                op = ("neg", e, visit(u), None)
-            case Add(lhs=x, rhs=y):
-                op = ("add", e, visit(x), visit(y))
-            case Sub(lhs=x, rhs=y):
-                op = ("sub", e, visit(x), visit(y))
-            case Mul(lhs=x, rhs=y):
-                op = ("mul", e, visit(x), visit(y))
-            case Div(lhs=x, rhs=y):
-                den = visit(y)
-                ops.append(("den", e, den, None))
-                op = ("div", e, visit(x), den)
-            case Pow(base=u, exponent=k):
-                op = ("pow", e, visit(u), k)
-            case Fun(name=name, arg=u):
-                op = ("fun", e, visit(u), name)
-            case _:
-                raise TypeError(f"not an Expr: {e!r}")
+        if not isinstance(e, Expr):
+            raise TypeError(f"not an Expr: {e!r}")
+        a, b = e.a, e.b
+        if e.kind == "div":
+            b = visit(b)
+            ops.append(("den", e, b, None))
+        if isinstance(a, Expr):
+            a = visit(a)
+        if isinstance(b, Expr):
+            b = visit(b)
         i = index[id(e)] = len(ops)
-        ops.append(op)
+        ops.append((e.kind, e, a, b))
         return i
 
     outputs = [visit(root) for root in roots]
@@ -727,23 +676,17 @@ def vectorized(e: Expr):
 # ---------------------------------------------------------------------------
 # Canonical printing (parse -> print -> parse is structurally idempotent)
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+# kind -> (operator, precedence) of each binary node
+_BINARY = {"add": ("+", 1), "sub": ("-", 1), "mul": ("*", 2), "div": ("/", 2)}
+_PREC_NEG, _PREC_POW, _PREC_ATOM = 3, 4, 5
 
 
 def _prec(e: Expr) -> int:
-    match e:
-        case Add() | Sub():
-            return _PREC_ADD
-        case Mul() | Div():
-            return _PREC_MUL
-        case Neg():
-            return _PREC_NEG
-        case Num(value=v) if v < 0:
-            return _PREC_NEG
-        case Pow():
-            return _PREC_POW
-        case _:
-            return _PREC_ATOM
+    if e.kind in _BINARY:
+        return _BINARY[e.kind][1]
+    if e.kind == "neg" or (e.kind == "num" and e.a < 0):
+        return _PREC_NEG
+    return _PREC_POW if e.kind == "pow" else _PREC_ATOM
 
 
 def _fmt_num(v: float) -> str:
@@ -759,24 +702,18 @@ def to_source(e: Expr) -> str:
         s = to_source(child)
         return f"({s})" if _prec(child) < minimum else s
 
-    match e:
-        case Num(value=v):
-            return _fmt_num(v)
-        case Var():
-            return "t"
-        case Neg(arg=u):
-            return "-" + paren(u, _PREC_NEG)
-        case Add(lhs=x, rhs=y):
-            return f"{paren(x, _PREC_ADD)}+{paren(y, _PREC_ADD + 1)}"
-        case Sub(lhs=x, rhs=y):
-            return f"{paren(x, _PREC_ADD)}-{paren(y, _PREC_ADD + 1)}"
-        case Mul(lhs=x, rhs=y):
-            return f"{paren(x, _PREC_MUL)}*{paren(y, _PREC_MUL + 1)}"
-        case Div(lhs=x, rhs=y):
-            return f"{paren(x, _PREC_MUL)}/{paren(y, _PREC_MUL + 1)}"
-        case Pow(base=u, exponent=k):
-            ks = str(k) if k >= 0 else f"({k})"
-            return f"{paren(u, _PREC_ATOM)}^{ks}"
-        case Fun(name=name, arg=u):
-            return f"{name}({to_source(u)})"
+    kind, x, y = e.kind, e.a, e.b
+    if kind in _BINARY:
+        op, prec = _BINARY[kind]
+        return f"{paren(x, prec)}{op}{paren(y, prec + 1)}"
+    if kind == "num":
+        return _fmt_num(x)
+    if kind == "var":
+        return "t"
+    if kind == "neg":
+        return "-" + paren(x, _PREC_NEG)
+    if kind == "pow":
+        return f"{paren(x, _PREC_ATOM)}^{y if y >= 0 else f'({y})'}"
+    if kind == "fun":
+        return f"{y}({to_source(x)})"
     raise TypeError(f"not an Expr: {e!r}")

@@ -37,8 +37,7 @@ from hypframe.pipeline import project_hollow_ball, project_poincare
 from hypframe.propagation import (_CF4_A, _CF4_B, coefficient_matrix_values,
                                   gram_drift, gram_residual,
                                   pseudo_orthonormalize)
-from hypframe.symexpr import (Add, Div, ExprDomainError, Fun, Mul, Neg,
-                              Num, Pow, Program, Sub, Var)
+from hypframe.symexpr import Expr, ExprDomainError, Program
 from hypframe.tolerances import is_zero
 
 # each DSL function: its math form, its NumPy form (the IEEE value where
@@ -92,33 +91,33 @@ def tree_eval(e, t):
     to right, a division's denominator first), with domain checks and IEEE
     overflow rules of its own."""
     match e:
-        case Num(value=v):
+        case Expr("num", v):
             return v
-        case Var():
+        case Expr("var"):
             return float(t)
-        case Neg(arg=u):
+        case Expr("neg", u):
             return -tree_eval(u, t)
-        case Add(lhs=x, rhs=y):
+        case Expr("add", x, y):
             return tree_eval(x, t) + tree_eval(y, t)
-        case Sub(lhs=x, rhs=y):
+        case Expr("sub", x, y):
             return tree_eval(x, t) - tree_eval(y, t)
-        case Mul(lhs=x, rhs=y):
+        case Expr("mul", x, y):
             return tree_eval(x, t) * tree_eval(y, t)
-        case Div(lhs=x, rhs=y):
+        case Expr("div", x, y):
             den = checked_den(tree_eval(y, t), e)
             return tree_eval(x, t) / den
-        case Pow(base=u, exponent=k):
+        case Expr("pow", u, k):
             return pow_value(tree_eval(u, t), k, e)
-        case Fun(name=name, arg=u):
+        case Expr("fun", u, name):
             return fun_value(name, tree_eval(u, t), e)
     raise TypeError(f"not an Expr: {e!r}")
 
 
 # tree_eval's rule for each kind of op of a compiled program, (v, t, node,
 # a, b) -> value, as symexpr.Program lays ops out: a den op checks the
-# denominator of its Div before the numerator is evaluated
+# denominator of its div before the numerator is evaluated
 OP_RULES = {
-    "num": lambda v, t, node, a, b: node.value,
+    "num": lambda v, t, node, a, b: node.a,
     "var": lambda v, t, node, a, b: float(t),
     "neg": lambda v, t, node, a, b: -v[a],
     "add": lambda v, t, node, a, b: v[a] + v[b],

@@ -362,6 +362,18 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["plot", "--spec", "s.json"], "argument command: invalid choice: 'plot'"),
+    (["run"], "the following arguments are required: --spec"),
+    (["run", "--spec"], "argument --spec: expected one argument"),
+], ids=["unknown_command", "missing_spec", "spec_without_path"])
+def test_cli_usage_errors_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sub", ["run", "focal", "classify", "evolute"])
 def test_cli_out_naming_a_file_is_an_output_error(tmp_path, capsys, sub):
     """--out naming an existing file used to end in a FileExistsError
@@ -664,8 +676,21 @@ _FRAME_5E_11 = [1, 0, 0, 0, 0, 1, 0, 0, 0, 5e-11, 1, 0, 0, 0, 0, 1]  # <v1, v2> 
     ({"initial_frame": ["x"] + [0] * 15}, "initial_frame"),
     # within the old 1e-10 load check, outside integrate_frame's 1e-12
     ({"initial_frame": _FRAME_5E_11}, "initial_frame"),
+    # JSON values of the wrong type were coerced: int(2.7) == 2, float("0") == 0.0
+    ({"domain": {"t0": 0, "t1": 1, "samples": 2.7}}, "domain.samples"),
+    ({"domain": {"t0": 0, "t1": 1, "samples": 100.9}}, "domain.samples"),
+    ({"domain": {"t0": 0, "t1": 1, "samples": "5"}}, "domain"),
+    ({"domain": {"t0": "0", "t1": 1, "samples": 11}}, "domain"),
+    ({"domain": {"t0": 0, "t1": True, "samples": 11}}, "domain"),
+    ({"theta": {"min": False, "max": 1, "samples": 5}}, "theta"),
+    ({"theta": {"min": -1, "max": 1, "samples": True}}, "theta"),
+    ({"initial_frame": ["1", "0", "0", "0"] + [0] * 12}, "initial_frame"),
+    ({"initial_frame": [True] + [0] * 15}, "initial_frame"),
+    ({"initial_frame": [10 ** 400] + [0] * 15}, "initial_frame"),
 ], ids=["domain_int", "theta_null", "t1_inf", "theta_max_inf", "tol_text", "tol_nan",
-        "tol_negative", "frame_text", "frame_residual"])
+        "tol_negative", "frame_text", "frame_residual", "samples_fraction",
+        "samples_fraction_high", "samples_text", "t0_text", "t1_bool", "theta_min_bool",
+        "samples_bool", "frame_numeric_text", "frame_bool", "frame_huge_int"])
 def test_load_spec_names_the_bad_field(tmp_path, capsys, change, field):
     path = _write_spec(tmp_path, dict(MINIMAL, **change))
     with pytest.raises(SpecValidationError) as err:

@@ -1,8 +1,8 @@
 """The engine's record classes: how they behave and what importing them costs.
 
 Most records are tuples: a vector operator or a default value that the
-tuple base would take over silently is pinned here.  Only the nine
-expression node classes and FrenetSide are dataclasses, whose creation
+tuple base would take over silently is pinned here.  Only Expr, the one
+expression node class, and FrenetSide are dataclasses, whose creation
 writes each generated method through exec at import time.
 """
 
@@ -21,11 +21,11 @@ from hypframe.focal import SingularPointRecord, SurfaceParam
 from hypframe.pipeline import CurveSpec
 from hypframe.tolerances import DEFAULT, Tolerances
 
-DATACLASSES = ["Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Fun", "FrenetSide"]
+DATACLASSES = ["Expr", "FrenetSide"]
 
 
 def test_import_creates_only_the_walked_dataclasses():
-    """perfbench's expression_counts walks the node classes and FrenetSide
+    """perfbench's expression_counts walks Expr and FrenetSide
     with dataclasses.fields; no other class pays for dataclass creation."""
     code = ("import dataclasses\n"
             "made = []\n"

@@ -4,26 +4,26 @@ import struct
 import numpy as np
 import pytest
 
-from hypframe.symexpr import (FUNCTIONS, ONE, T, Add, ExprDomainError,
-                              ExprSyntaxError, Fun, NonIntegerExponentError,
-                              Num, Pow, UnknownIdentifierError, Var, add,
-                              compile, diff_expr, div, eval_expr, mul, num,
-                              parse_expr, to_source, vectorized)
+from hypframe.symexpr import (FUNCTIONS, ONE, T, Expr, ExprDomainError,
+                              ExprSyntaxError, NonIntegerExponentError,
+                              UnknownIdentifierError, add, compile, diff_expr,
+                              div, eval_expr, mul, num, parse_expr, sub,
+                              to_source, vectorized)
 from hypframe.symexpr import MAX_DEPTH
 
 from oracles import central_diff, tree_eval
 
 
 def test_parse_literal():
-    assert parse_expr("2") == Num(2.0)
-    assert parse_expr("  2.5e1 ") == Num(25.0)
+    assert parse_expr("2") == Expr("num", 2.0) == num(2)
+    assert parse_expr("  2.5e1 ") == Expr("num", 25.0)
 
 
 def test_parse_structure():
     e = parse_expr("sinh(t)+t^2")
-    assert isinstance(e, Add)
-    assert e.lhs == Fun("sinh", Var())
-    assert e.rhs == Pow(Var(), 2)
+    assert e.kind == "add"
+    assert e.a == Expr("fun", Expr("var"), "sinh")
+    assert e.b == Expr("pow", Expr("var"), 2)
 
 
 def test_parse_precedence():
@@ -112,9 +112,11 @@ _FUNCS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt",
 
 
 def _random_source(rng, depth=0):
-    choice = rng.integers(0, 8 if depth < 4 else 2)
+    """Source with signed literals, unary minus and signed exponents, so
+    that t^(-2), t*-2, t--2 and (-t)^2 all occur."""
+    choice = rng.integers(0, 9 if depth < 4 else 2)
     if choice == 0:
-        return f"{rng.uniform(0.2, 3.0):.4f}"
+        return f"{rng.choice((-1, 1)) * rng.uniform(0.2, 3.0):.4f}"
     if choice == 1:
         return "t"
     a = _random_source(rng, depth + 1)
@@ -128,7 +130,10 @@ def _random_source(rng, depth=0):
     if choice == 5:
         return f"({a}/{b})"
     if choice == 6:
-        return f"({a})^{int(rng.integers(1, 4))}"
+        k = int(rng.choice((-3, -2, -1, 1, 2, 3)))
+        return f"({a})^({k})" if rng.integers(0, 2) else f"({a})^{k}"
+    if choice == 7:
+        return f"-{a}"
     return f"{_FUNCS[rng.integers(0, len(_FUNCS))]}({a})"
 
 
@@ -155,12 +160,16 @@ def test_diff_matches_finite_differences():
 
 def test_print_parse_idempotent():
     rng = np.random.default_rng(11)
+    printed = ""
     for _ in range(200):
         e = parse_expr(_random_source(rng))
         assert parse_expr(to_source(e)) == e
         # and derivatives print back to themselves too
         d = diff_expr(e, 1)
         assert parse_expr(to_source(d)) == d
+        printed += to_source(e) + to_source(d)
+    for construct in ("^(-", "*-", "/-", "+-", "--", "(-", ")^"):
+        assert construct in printed, construct
 
 
 def test_diff_linearity():
@@ -219,7 +228,7 @@ def test_eval_ieee_overflow_saturates():
         for t in (math.inf, -math.inf):
             assert math.isnan(eval_expr(parse_expr(f"{name}(t)"), t)), (name, t)
     # and so is a constant that folds to one
-    assert math.isnan(parse_expr("cos(1e400)").value)
+    assert math.isnan(parse_expr("cos(1e400)").a)
     assert parse_expr("1e200^2") is num(math.inf)
     assert parse_expr("(-1e200)^3") is num(-math.inf)
 
@@ -293,9 +302,14 @@ def test_signed_zeros_stay_distinct():
 
 def test_direct_constructors_still_compare_equal():
     e = parse_expr("sinh(t)+t^2")
-    built = Add(Fun("sinh", Var()), Pow(Var(), 2))
+    built = Expr("add", Expr("fun", Expr("var"), "sinh"), Expr("pow", Expr("var"), 2))
     assert built == e and built is not e
-    assert Num(0.5) == num(0.5)
+    assert Expr("num", 0.5) == num(0.5)
+    # equality compares the kind, so add and sub of the same operands
+    # are never equal, and they intern apart
+    assert Expr("add", T, ONE) != Expr("sub", T, ONE)
+    assert add(T, ONE) == Expr("add", T, ONE) and sub(T, ONE) == Expr("sub", T, ONE)
+    assert add(T, ONE) is not sub(T, ONE)
 
 
 # -- the compiled evaluator against the recursive tree walk ----------------

@@ -31,8 +31,11 @@ Run it from the root of a hypframe checkout.  The corpus is
   swallowtail quartet at sing = 0.05, whose correspondence agreements
   fail and list their failures, a non-constant quartet whose 30,000
   distinct substeps span 15 propagation chunks, so that node values
-  differ across every chunk boundary, and a hyperbolic leg with 38
-  genuine epsilon sign changes, each bisected.
+  differ across every chunk boundary, a hyperbolic leg with 38
+  genuine epsilon sign changes, each bisected, and a curvature that
+  leaves its domain at once, whose located error prints every construct
+  of the expression printer (a negative literal and exponent, unary
+  minus, all four binary operators and parentheses).
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -82,6 +85,7 @@ QUARTETS = {
     "swallowtail_coarse": (("0.5*t", "1", "2", "0"), (-1.5, 1.5, 201), (-1.0, 1.0, 21)),
     "many_chunks": (("0.2+0.05*sin(t)", "1", "2", "0.1*cos(t)"), (0.0, 60.0, 301)),
     "eps_many_crossings": (("0.3*sin(3*t)", "1", "2", "0"), (0.0, 40.0, 2001)),
+    "printer_domain_error": (("log(-t^(-2)+(t-1)*-2/(3-t))", "1", "2", "0"), (0.5, 1.5, 11)),
 }
 # spec names that differ from their file name: what the report must escape
 NAMES = {"escaped_name": 'ψ-edge, "quoted" \\ name'}
