@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 spec or output error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from collections import Counter
@@ -98,11 +97,11 @@ def cmd_evolute(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, _pipe._slug(spec.name) + "_evolute.csv")
+        # csv.writer's bytes, as in export_loci_csv: the rows hold Python floats
+        lines = ["t,side,epsilon,epsilon_prime,point_type\r\n"]
+        lines += ["%r,%s,%r,%r,%s\r\n" % row for row in rows]
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "side", "epsilon", "epsilon_prime", "point_type"])
-            w.writerows([_pipe._fmt(t), side, _pipe._fmt(eps), _pipe._fmt(eps1), ptype]
-                        for t, side, eps, eps1, ptype in rows)
+            fh.write("".join(lines))
         print(f"wrote {path}")
     return 0
 

@@ -36,17 +36,17 @@ class EvolutePointType(enum.Enum):
     DEGENERATE_UNCLASSIFIED = "DegenerateUnclassified"
 
 
-class EvoluteSample(namedtuple("EvoluteSample", "t point derivative1 derivative2 derivative3 "
-                                                "point_type epsilon epsilon_prime diagnostics")):
-    """Evolute point with derivatives and the epsilon regularity data."""
+class EvoluteSample(namedtuple("EvoluteSample", "t point derivative1 point_type epsilon "
+                                                "epsilon_prime diagnostics")):
+    """Evolute point with its derivative and the epsilon regularity data."""
 
     __slots__ = ()
 
-    def __new__(cls, t: float, point: MinkVec, derivative1: MinkVec, derivative2: MinkVec,
-                derivative3: MinkVec, point_type: EvolutePointType, epsilon: float,
-                epsilon_prime: float, diagnostics: dict | None = None):
-        return tuple.__new__(cls, (t, point, derivative1, derivative2, derivative3, point_type,
-                                   epsilon, epsilon_prime, {} if diagnostics is None else diagnostics))
+    def __new__(cls, t: float, point: MinkVec, derivative1: MinkVec,
+                point_type: EvolutePointType, epsilon: float, epsilon_prime: float,
+                diagnostics: dict | None = None):
+        return tuple.__new__(cls, (t, point, derivative1, point_type, epsilon, epsilon_prime,
+                                   {} if diagnostics is None else diagnostics))
 
 
 # regular point iff epsilon != 0, (2,3,4)-cusp iff epsilon = 0 and epsilon' != 0
@@ -59,13 +59,13 @@ _dual_type = _by_epsilon((SingularityType.CUSPIDAL_EDGE, SingularityType.CUSPIDA
 
 def _evolute_columns(side: Side, model, ts, frames) -> tuple:
     """The evolute at each of the array ts against its (m, 4, 4) Frenet
-    frames: the (m, 4) rows of E and its three derivatives, (eps, eps1,
-    fallback) of _eps_columns, and the checks of the evolute's own
-    evaluations, which follow its definedness rule, in order."""
+    frames: the (m, 4) rows of E and E', (eps, eps1, fallback) of
+    _eps_columns, and the checks of the evolute's own evaluations, which
+    follow its definedness rule, in order."""
     program = side.frenet(model).evolute_program
     coeffs = model.program_columns(program, ts)
     # a stacked matmul rounds each row as the one-sample product does
-    vecs = [(np.hstack(coeffs[k:k + 4])[:, None, :] @ frames)[:, 0] for k in range(0, 16, 4)]
+    vecs = [(np.hstack(coeffs[k:k + 4])[:, None, :] @ frames)[:, 0] for k in (0, 4)]
     *eps, closed = _eps_columns(side, model, ts)
     return vecs, eps, [_replayed(program, coeffs), _finite(*vecs), closed]
 
@@ -85,8 +85,7 @@ def _samples(side: Side, model, ts) -> tuple:
 def _sample(side: Side, model, t) -> EvoluteSample:
     """The EvoluteSample at t: row 0 of a length-1 batch of _samples."""
     data, vecs, (eps, eps1, fallback), types = _samples(side, model, [t])
-    sv = np.linalg.svd(np.array([vecs[2][0], vecs[3][0]]), compute_uv=False)
-    diag = {"sigma_f": data.row(0).sigma_f, "rank23_singular_values": tuple(sv.tolist())}
+    diag = {"sigma_f": data.row(0).sigma_f}
     if fallback[0]:
         diag["epsilon_via_closed_form"] = True
     return EvoluteSample(t, *(MinkVec.from_array(v[0]) for v in vecs), types[0, 0],
@@ -308,7 +307,7 @@ def _leg_columns(model, ts, side: Side, focal_point) -> tuple:
     with np.errstate(all="ignore"):
         theta = side.root(data.W, side.columns(data)[1])
         cs, sn = _fun_cols(side.c, theta), _fun_cols(side.s, theta)
-        (e, *_), (eps, eps1, fallback), checks = _evolute_columns(side, model, ts, frames)
+        (e, _), (eps, eps1, fallback), checks = _evolute_columns(side, model, ts, frames)
         dual_eps = model.program_columns(closed, ts)
         p = focal_point(model, ts, theta[:, 0])
         dist = p - e

@@ -166,16 +166,12 @@ class FrenetSide:
 
     @_member
     def evolute_chain(self) -> list:
-        # coeffs of E, E', E'', E''' for E = (A^2 N gamma - M A N n1 + W n2) / sqrt(radicand)
+        # coeffs of E and E' for E = (A^2 N gamma - M A N n1 + W n2) / sqrt(radicand)
         fe = self.fe
         root = fun("sqrt", self.radicand_of(fe.sigma_f))
-        chain = [(div(mul(fe.ab2, fe.N), root),
-                  neg(div(mul(mul(fe.M, fe.A), fe.N), root)),
-                  div(fe.W, root),
-                  ZERO)]
-        for _ in range(3):
-            chain.append(fe.frame_coeff_derivative(chain[-1]))
-        return chain
+        e = (div(mul(fe.ab2, fe.N), root), neg(div(mul(mul(fe.M, fe.A), fe.N), root)),
+             div(fe.W, root), ZERO)
+        return [e, fe.frame_coeff_derivative(e)]
 
     D1 = _derivative("D", lazy=_member)
     D2 = _derivative("D", 2, lazy=_member)
@@ -186,7 +182,7 @@ class FrenetSide:
     # (epsilon, epsilon') along the theta branch and in closed form
     eps_path_program = _program("eps_path", "eps_path1", lazy=_member)
     eps_closed_program = _program("eps_closed", "eps_closed1", lazy=_member)
-    # the 16 frame coefficients of the evolute chain, in order
+    # the 8 frame coefficients of the evolute chain, in order
     evolute_program = _member(
         lambda self: compile([c for coeffs in self.evolute_chain for c in coeffs]))
 

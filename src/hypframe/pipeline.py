@@ -159,15 +159,22 @@ def load_spec(path) -> CurveSpec:
         except (OverflowError, ValueError) as exc:
             raise SpecValidationError("initial_frame", str(exc)) from exc
 
-    tols = doc.get("tolerances") or {}
+    # an absent key or null takes the default, and so does an empty outputs list
+    tols = {} if doc.get("tolerances") is None else doc["tolerances"]
     if not isinstance(tols, dict):
         raise SpecValidationError("tolerances", "must be an object")
     try:
         DEFAULT.with_overrides(tols)
     except InvalidInputError as exc:
         raise SpecValidationError("tolerances", str(exc)) from exc
+    for key, value in tols.items():  # with_overrides converts text and booleans
+        if not _is_number(value):
+            raise SpecValidationError(
+                "tolerances", f"tolerance {key!r} must be a JSON number, got {value!r}")
 
-    outputs = doc.get("outputs") or ["report"]
+    outputs = doc.get("outputs")
+    if outputs in (None, []):
+        outputs = ["report"]
     if not isinstance(outputs, list):
         raise SpecValidationError("outputs", "must be a list")
     for i, product in enumerate(outputs):
@@ -229,11 +236,6 @@ def project_hollow_ball(x: MinkVec):
 
 
 _CHARTS = {project_poincare: _poincare, project_hollow_ball: _hollow_ball}
-
-
-def _fmt(v) -> str:
-    """Shortest round-trip decimal of a float."""
-    return repr(float(v))
 
 
 def export_obj(grids, projection, path) -> None:

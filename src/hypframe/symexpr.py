@@ -684,14 +684,14 @@ _PREC_NEG, _PREC_POW, _PREC_ATOM = 3, 4, 5
 def _prec(e: Expr) -> int:
     if e.kind in _BINARY:
         return _BINARY[e.kind][1]
-    if e.kind == "neg" or (e.kind == "num" and e.a < 0):
+    if e.kind == "neg" or (e.kind == "num" and math.copysign(1.0, e.a) < 0):
         return _PREC_NEG
     return _PREC_POW if e.kind == "pow" else _PREC_ATOM
 
 
 def _fmt_num(v: float) -> str:
     if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-        return str(int(v))
+        return f"{v:.0f}"  # exact, and keeps the sign of -0
     return repr(v)
 
 

@@ -450,21 +450,19 @@ def lambda_dual_loop(model, side, t, theta):
 
 def evolute_sample(model, t, side):
     """`hypframe.evolute.evolute_h` (side H) or `_d` (side D) at the float t:
-    the Frenet queries, the definedness rule, the 16 frame coefficients
-    against the Frenet frame, then epsilon by eps_values."""
+    the Frenet queries, the definedness rule, the 8 frame coefficients of
+    E and E' against the Frenet frame, then epsilon by eps_values."""
     data = frenet_data(model, t)
     _require(side, data, model, evolute=True)
     f = model.frenet_frame_at(t)
     coeffs = located(side.frenet(model).evolute_program, t)
-    vecs = [MinkVec.from_array(np.array(coeffs[k:k + 4]) @ f) for k in range(0, 16, 4)]
+    e, e1 = [MinkVec.from_array(np.array(coeffs[k:k + 4]) @ f) for k in (0, 4)]
     eps, eps1, fallback = eps_values(model, t, side)
     ptype = by_epsilon(eps, eps1, scale(data), model.tol.sing, POINT_TYPES)
-    sv = np.linalg.svd(np.array([vecs[2].as_array(), vecs[3].as_array()]), compute_uv=False)
-    diag = {"sigma_f": data.sigma_f, "rank23_singular_values": (float(sv[0]), float(sv[1]))}
+    diag = {"sigma_f": data.sigma_f}
     if fallback:
         diag["epsilon_via_closed_form"] = True
-    return EvoluteSample(t=t, point=vecs[0], derivative1=vecs[1], derivative2=vecs[2],
-                         derivative3=vecs[3], point_type=ptype, epsilon=eps,
+    return EvoluteSample(t=t, point=e, derivative1=e1, point_type=ptype, epsilon=eps,
                          epsilon_prime=eps1, diagnostics=diag)
 
 
@@ -627,6 +625,16 @@ def export_loci_csv_writer(records, path):
                              "true" if r.nondegenerate else "false"])
 
 
+def export_evolute_csv_writer(rows, path):
+    """The evolute CSV of `hypframe evolute --out` through csv.writer, one
+    row of _evolute_rows at a time, each float as its repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "side", "epsilon", "epsilon_prime", "point_type"])
+        for t, side, eps, eps1, ptype in rows:
+            writer.writerow([repr(float(t)), side, repr(float(eps)), repr(float(eps1)), ptype])
+
+
 # ---------------------------------------------------------------------------
 # Duality samples one at a time
 
@@ -650,7 +658,7 @@ def pair_sample_loop(model, pair, t, theta):
         gt = MinkVec.from_array(data.M * f[0] - data.A * f[1])
         return DualPairSample(p, g, pt, pth, gt, zero, side.fibration)
     coeffs = located(side.frenet(model).evolute_program, t)
-    e, e1, _, _ = [MinkVec.from_array(np.array(coeffs[j:j + 4]) @ f) for j in range(0, 16, 4)]
+    e, e1 = [MinkVec.from_array(np.array(coeffs[j:j + 4]) @ f) for j in (0, 4)]
     eps_values(model, t, side)  # the evolute evaluated epsilon, and could raise there
     legs = ((e, e1, zero), (p, pt, pth))
     (f0, f0t, f0th), (g, gt, gth) = legs if side.evolute_first else legs[::-1]

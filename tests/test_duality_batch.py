@@ -147,11 +147,13 @@ def test_summary_angles_follow_the_golden_ratio_rule(name, monkeypatch):
 def test_run_leaves_numpy_random_unimported(tmp_path):
     """`hypframe run` certifies the duality at the stored frames, with no
     random draws: numpy.random, whose import alone costs more than the
-    duality stage, stays unimported."""
+    duality stage, stays unimported.  Nor does `import hypframe.cli` import
+    csv: the CSV outputs are written through % templates."""
     spec = os.path.join(os.path.dirname(__file__), os.pardir, "specs",
                         "cuspidal_edge_hyperbolic.json")
     code = ("import sys\n"
             "from hypframe import cli\n"
+            "assert 'csv' not in sys.modules\n"
             f"assert cli.main(['run', '--spec', {spec!r}, '--out', {str(tmp_path)!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

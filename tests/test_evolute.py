@@ -48,6 +48,10 @@ def test_evolute_h_example(model_ce_h):
     assert np.abs(es.point.as_array() - expect).max() <= 1e-12
     assert es.point_type is EvolutePointType.REGULAR_POINT
     assert es.epsilon == pytest.approx(-1.0 / SQ3, abs=1e-12)
+    # the point type reads epsilon and epsilon' only: no derivative of E past E'
+    assert es._fields == ("t", "point", "derivative1", "point_type", "epsilon",
+                          "epsilon_prime", "diagnostics")
+    assert set(es.diagnostics) <= {"sigma_f", "epsilon_via_closed_form"}
 
 
 def test_evolute_h_normalization(model_ce_h):

@@ -11,21 +11,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypframe import (CurvatureQuartet, MinkVec, correspondence_check, export_loci_csv,
-                      export_obj, integrate_frame, load_spec, project_hollow_ball,
-                      project_poincare, run_pipeline)
+from hypframe import (CurvatureQuartet, MinkVec, correspondence_check, evolute_d, evolute_h,
+                      export_loci_csv, export_obj, integrate_frame, load_spec,
+                      project_hollow_ball, project_poincare, run_pipeline)
 import hypframe
-from hypframe import pipeline
+from hypframe import cli, pipeline
 from hypframe.cli import main as cli_main
 from hypframe.duality import PAIR_SURFACES
-from hypframe.errors import InvalidInputError, NumericError
+from hypframe.errors import IntegrationFailureError, InvalidInputError, NumericError
+from hypframe.evolute import EvolutePointType
 from hypframe.focal import (SURFACES, SingularPointRecord, SingularityType, SurfaceParam,
                             defined_runs)
+from hypframe.framedcurve import FrenetExprs
 from hypframe.pipeline import SpecParseError, SpecValidationError
 from hypframe.symexpr import MAX_DEPTH
 from hypframe.tolerances import DEFAULT
 
-from oracles import export_loci_csv_writer
+from oracles import export_evolute_csv_writer, export_loci_csv_writer
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
 
@@ -95,6 +97,9 @@ def test_load_spec_parse_error(tmp_path):
     with pytest.raises(SpecParseError) as err:
         load_spec(str(path))
     assert "line 1" in str(err.value)
+    path.write_bytes(b'{"name": "\xff"}')
+    with pytest.raises(SpecParseError, match="is not UTF-8"):
+        load_spec(str(path))
 
 
 def test_project_poincare_examples():
@@ -208,6 +213,35 @@ def test_export_loci_csv_writes_special_floats_as_csv_writer(tmp_path):
     export_loci_csv(recs, tmp_path / "new.csv")
     export_loci_csv_writer(recs, tmp_path / "old.csv")
     new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert b"nan" in new and b"-inf" in new and b"-0.0" in new and b"5e-324" in new
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SPEC_DIR)))
+def test_evolute_csv_matches_csv_writer(tmp_path, capsys, name):
+    spec_path = os.path.join(SPEC_DIR, name)
+    assert cli_main(["evolute", "--spec", spec_path, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    spec = load_spec(spec_path)
+    model = integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_frame,
+                            tol=DEFAULT.with_overrides(spec.tolerances))
+    rows = cli._evolute_rows(model, defined_runs(model))
+    assert rows
+    export_evolute_csv_writer(rows, tmp_path / "old.csv")
+    new = tmp_path / (pipeline._slug(spec.name) + "_evolute.csv")
+    assert new.read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_evolute_csv_writes_special_floats_as_csv_writer(tmp_path, capsys, monkeypatch):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308]
+    rows = [(specials[i], "hd"[i % 2], specials[i - 1], specials[i - 2], ty.value)
+            for i, ty in enumerate([*EvolutePointType] * 2)]
+    monkeypatch.setattr(cli, "_evolute_rows", lambda model, runs: rows)
+    spec = _write_spec(tmp_path, MINIMAL)
+    assert cli_main(["evolute", "--spec", spec, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    export_evolute_csv_writer(rows, tmp_path / "old.csv")
+    new = (tmp_path / "minimal_evolute.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     assert b"nan" in new and b"-inf" in new and b"-0.0" in new and b"5e-324" in new
 
@@ -498,17 +532,23 @@ def test_curvature_errors_keep_function_order(tmp_path, capsys, m, n, error, sub
 
 
 def test_run_calls_no_linalg(tmp_path, capsys, monkeypatch):
-    """No np.linalg function is on the run path: the front rank test takes
-    its singular values in closed form."""
+    """No np.linalg function is on the path of `run`, `evolute` or an
+    evolute sample: the front rank test takes its singular values in closed
+    form, and an evolute sample has no singular values."""
     def called(*args, **kwargs):
         raise AssertionError("np.linalg called")
 
     for name in np.linalg.__all__:
         if name != "LinAlgError":
             monkeypatch.setattr(np.linalg, name, called)
-    for name in ("cuspidal_edge_hyperbolic", "cuspidal_edge_desitter"):
+    for name, evolute in (("cuspidal_edge_hyperbolic", evolute_h),
+                          ("cuspidal_edge_desitter", evolute_d)):
         spec_path = os.path.join(SPEC_DIR, name + ".json")
-        assert cli_main(["run", "--spec", spec_path, "--out", str(tmp_path / name)]) == 0
+        for sub in ("run", "evolute"):
+            assert cli_main([sub, "--spec", spec_path, "--out", str(tmp_path / name)]) == 0
+        spec = load_spec(spec_path)
+        model = integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_frame)
+        assert evolute(model, float(model.ts[3])).point_type
     capsys.readouterr()
 
 
@@ -525,6 +565,9 @@ def test_cli_subcommands_smoke(tmp_path, capsys):
     for bad in ("zero=nan", "zero=inf", "zero=abc", "zero=-1", "causal=1e-12"):
         assert cli_main(["integrate", "--spec", spec_path, "--tol", bad]) == 1
     capsys.readouterr()
+    assert cli_main(["integrate", "--spec", spec_path, "--tol", "frame"]) == 1
+    assert capsys.readouterr().err == \
+        "spec error: --tol: expected name=value, got 'frame'\n"
 
 
 def test_failing_correspondence_is_reported(tmp_path, capsys):
@@ -665,7 +708,10 @@ def test_every_subcommand_on_split_runs(tmp_path, capsys, curvature, domain, run
 _FRAME_5E_11 = [1, 0, 0, 0, 0, 1, 0, 0, 0, 5e-11, 1, 0, 0, 0, 0, 1]  # <v1, v2> = 5e-11
 
 
-@pytest.mark.parametrize("change, field", [
+_DROP = object()  # a change that leaves the key out of the document
+
+
+@pytest.mark.parametrize("change, error", [
     ({"domain": 5}, "domain"),
     ({"theta": None}, "theta"),
     ({"domain": {"t0": 0, "t1": "inf", "samples": 11}}, "domain"),
@@ -687,17 +733,60 @@ _FRAME_5E_11 = [1, 0, 0, 0, 0, 1, 0, 0, 0, 5e-11, 1, 0, 0, 0, 0, 1]  # <v1, v2> 
     ({"initial_frame": ["1", "0", "0", "0"] + [0] * 12}, "initial_frame"),
     ({"initial_frame": [True] + [0] * 15}, "initial_frame"),
     ({"initial_frame": [10 ** 400] + [0] * 15}, "initial_frame"),
+    ({"domain": {"t0": 1, "t1": 1, "samples": 11}}, "domain.t1: must exceed domain.t0"),
+    # json.dumps writes the JSON literals Infinity and NaN, which json.loads reads
+    ({"domain": {"t0": 0, "t1": math.inf, "samples": 11}}, "domain: t0 and t1 must be finite"),
+    ({"theta": {"min": math.nan, "max": 1, "samples": 5}}, "theta: min and max must be finite"),
+    ([MINIMAL], "document: top level must be an object"),
+    ({"domain": _DROP}, "domain: missing required field"),
+    ({"name": ""}, "name: must be a non-empty string"),
+    ({"curvature": {"m": "1", "n": "1", "a": "2"}}, "curvature.b: missing"),
+    # only an absent key or null takes the default
+    ({"tolerances": 0}, "tolerances: must be an object"),
+    ({"tolerances": False}, "tolerances: must be an object"),
+    ({"tolerances": ""}, "tolerances: must be an object"),
+    ({"tolerances": []}, "tolerances: must be an object"),
+    ({"outputs": 0}, "outputs: must be a list"),
+    ({"outputs": False}, "outputs: must be a list"),
+    ({"outputs": ""}, "outputs: must be a list"),
+    ({"outputs": {}}, "outputs: must be a list"),
+    # a tolerance is a JSON number, as every other number of a spec
+    ({"tolerances": {"sing": "1e-6"}}, "tolerances: tolerance 'sing' must be a JSON number"),
+    ({"tolerances": {"sing": True}}, "tolerances: tolerance 'sing' must be a JSON number"),
 ], ids=["domain_int", "theta_null", "t1_inf", "theta_max_inf", "tol_text", "tol_nan",
         "tol_negative", "frame_text", "frame_residual", "samples_fraction",
         "samples_fraction_high", "samples_text", "t0_text", "t1_bool", "theta_min_bool",
-        "samples_bool", "frame_numeric_text", "frame_bool", "frame_huge_int"])
-def test_load_spec_names_the_bad_field(tmp_path, capsys, change, field):
-    path = _write_spec(tmp_path, dict(MINIMAL, **change))
+        "samples_bool", "frame_numeric_text", "frame_bool", "frame_huge_int",
+        "t1_not_above_t0", "t1_json_infinity", "theta_min_json_nan", "top_level_list",
+        "domain_missing", "name_empty", "curvature_key_missing", "tol_zero", "tol_false",
+        "tol_empty_text", "tol_list", "outputs_zero", "outputs_false", "outputs_empty_text",
+        "outputs_object", "tol_numeric_text", "tol_bool"])
+def test_load_spec_names_the_bad_field(tmp_path, capsys, change, error):
+    """error is the field, or the field and the start of the message after it."""
+    field = error.split(": ")[0]
+    doc = change if isinstance(change, list) else {
+        k: v for k, v in dict(MINIMAL, **change).items() if v is not _DROP}
+    path = _write_spec(tmp_path, doc)
     with pytest.raises(SpecValidationError) as err:
         load_spec(path)
-    assert err.value.field == field
+    assert err.value.field == field and str(err.value).startswith(error)
     assert cli_main(["run", "--spec", path, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"spec error: {field}: ")
+
+
+def test_frame_drift_beyond_tolerance_exits_2(tmp_path, capsys):
+    """At tol.frame = 0 any drift left after re-orthonormalization fails the
+    run, located at the worst sample."""
+    doc = dict(MINIMAL, curvature={"m": "0.2", "n": "1", "a": "2", "b": "0"},
+               tolerances={"frame": 0})
+    spec = load_spec(_write_spec(tmp_path, doc))
+    with pytest.raises(IntegrationFailureError) as err:
+        integrate_frame(spec.quartet(), spec.domain, tol=DEFAULT.with_overrides(spec.tolerances))
+    text = str(err.value)
+    assert re.fullmatch(r"frame drift \S+ survives re-orthonormalization near t=\S+", text)
+    assert text.endswith(f"near t={err.value.worst_t!r}")
+    assert cli_main(["run", "--spec", _write_spec(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"numeric failure: {text}\n"
 
 
 def test_cli_non_finite_intermediate_exits_2(tmp_path, capsys):
@@ -787,6 +876,29 @@ def test_cli_epsilon_crossing_where_n_vanishes_exits_2(tmp_path, capsys, sub):
     assert capsys.readouterr().err == (
         "numeric failure: sigma_F = 0.0 at t=-0.7596747671769937 is not positive: "
         "hyperbolic evolute undefined\n")
+
+
+@pytest.mark.parametrize("curvature, sides", [
+    (("2.5*t^2-1", "1", "2", "0.1*t"), 2),
+    (("sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), 1),
+], ids=["both_sides", "hyperbolic_only"])
+def test_run_differentiates_the_evolute_once(tmp_path, monkeypatch, curvature, sides):
+    """The evolute chain is E, E': a run differentiates the frame
+    coefficients of E once per side whose evolute it builds, and that
+    side's evolute program has the 8 coefficients of E and E'."""
+    models, integrate = [], pipeline.integrate_frame
+    monkeypatch.setattr(pipeline, "integrate_frame",
+                        lambda *args, **kw: models.append(integrate(*args, **kw)) or models[0])
+    calls, derivative = [], FrenetExprs.frame_coeff_derivative
+    monkeypatch.setattr(FrenetExprs, "frame_coeff_derivative",
+                        lambda self, coeffs: calls.append(coeffs) or derivative(self, coeffs))
+    doc = dict(MINIMAL, curvature=dict(zip("mnab", curvature)),
+               domain={"t0": -1.6, "t1": 1.6, "samples": 41})
+    run_pipeline(load_spec(_write_spec(tmp_path, doc)), out_dir=str(tmp_path))
+    built = [side.built["evolute_program"] for side in (models[0].frenet.h, models[0].frenet.d)
+             if "evolute_program" in side.built]
+    assert len(calls) == len(built) == sides
+    assert [len(program.outputs) for program in built] == [8] * sides
 
 
 def test_run_leaves_the_unread_side_unbuilt(monkeypatch):

@@ -92,7 +92,7 @@ def test_default_built_records_share_no_mutable_value():
     two = CurveSpec("b", {}, (0.0, 1.0, 3), (0.0, 1.0, 3))
     assert one.tolerances == {} and one.tolerances is not two.tolerances
     vec = MinkVec(1, 0, 0, 0)
-    samples = [EvoluteSample(0.0, vec, vec, vec, vec, EvolutePointType.REGULAR_POINT, 1.0, 0.0)
+    samples = [EvoluteSample(0.0, vec, vec, EvolutePointType.REGULAR_POINT, 1.0, 0.0)
                for _ in range(2)]
     assert samples[0].diagnostics == {} and samples[0].diagnostics is not samples[1].diagnostics
     records = [SingularPointRecord("focal_h", SurfaceParam(0.0, 0.0), 0.0, 1.0) for _ in range(2)]

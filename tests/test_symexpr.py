@@ -159,17 +159,23 @@ def test_diff_matches_finite_differences():
 
 
 def test_print_parse_idempotent():
+    # nodes are interned, so `is` is the node test; unlike ==, it tells 0.0 from -0.0
     rng = np.random.default_rng(11)
     printed = ""
     for _ in range(200):
         e = parse_expr(_random_source(rng))
-        assert parse_expr(to_source(e)) == e
+        assert parse_expr(to_source(e)) is e
         # and derivatives print back to themselves too
         d = diff_expr(e, 1)
-        assert parse_expr(to_source(d)) == d
+        assert parse_expr(to_source(d)) is d
         printed += to_source(e) + to_source(d)
     for construct in ("^(-", "*-", "/-", "+-", "--", "(-", ")^"):
         assert construct in printed, construct
+    # a negative zero keeps its sign, and a negative literal's precedence
+    for src, text in (("-0", "-0"), ("log(-0)", "log(-0)"), ("t/-0", "t/-0"),
+                      ("1/(0*-1)", "1/-0"), ("(-0)^(-2)", "(-0)^(-2)"), ("0^(-2)", "0^(-2)")):
+        e = parse_expr(src)
+        assert to_source(e) == text and parse_expr(text) is e, src
 
 
 def test_diff_linearity():

@@ -35,7 +35,8 @@ Run it from the root of a hypframe checkout.  The corpus is
   genuine epsilon sign changes, each bisected, and a curvature that
   leaves its domain at once, whose located error prints every construct
   of the expression printer (a negative literal and exponent, unary
-  minus, all four binary operators and parentheses).
+  minus, all four binary operators and parentheses), and a curvature
+  with the literal -0, which the located error prints with its sign.
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -86,6 +87,7 @@ QUARTETS = {
     "many_chunks": (("0.2+0.05*sin(t)", "1", "2", "0.1*cos(t)"), (0.0, 60.0, 301)),
     "eps_many_crossings": (("0.3*sin(3*t)", "1", "2", "0"), (0.0, 40.0, 2001)),
     "printer_domain_error": (("log(-t^(-2)+(t-1)*-2/(3-t))", "1", "2", "0"), (0.5, 1.5, 11)),
+    "negative_zero_literal": (("t+log(-0)", "1", "2", "0"), (0.0, 1.0, 11)),
 }
 # spec names that differ from their file name: what the report must escape
 NAMES = {"escaped_name": 'ψ-edge, "quoted" \\ name'}
