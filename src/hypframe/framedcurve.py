@@ -342,10 +342,9 @@ class FramedCurveModel:
     Per-parameter queries are pure.  The column queries (frenet_columns,
     program_columns, and frenet_data_at through them) read the grid table
     (`grid`) once it is built, where every t is one of its grid points.
-    Dense output between stored samples is cubic interpolation
-    of the frame entries followed by re-orthonormalization (approximate,
-    but any re-orthonormalized frame satisfies the pairing identities
-    exactly, so isotropy and duality residuals are insensitive to it).
+    Dense output between stored samples (frames_at) continues the
+    integration on the group from the nearest sample, so it stays on the
+    Lorentz group up to rounding and as close to the flow as the samples.
     """
 
     def __init__(self, quartet, ts, frames, step, stats, tol):
@@ -392,9 +391,11 @@ class FramedCurveModel:
     def frames_at(self, ts) -> np.ndarray:
         """Frame matrices at each of the array ts, shape (len(ts), 4, 4).
 
-        Within 1e-13 * span of a grid point, its stored sample; elsewhere
-        the cubic Lagrange interpolant of the four nearest samples,
-        re-orthonormalized, which only the other t are run through.
+        Within 1e-13 * span of its nearest grid point, that stored sample;
+        elsewhere dense output on the group: from the nearest stored sample
+        to t (backward where t lies before it), as many CF4 substeps as
+        take half a sample interval in substeps no longer than `step`.
+        Their count is the model's, so each t gets the bits it gets alone.
         """
         grid = self.ts
         span = max(abs(self.t0), abs(self.t1), 1.0)
@@ -402,25 +403,16 @@ class FramedCurveModel:
         if outside.any():
             raise InvalidInputError(f"t={float(ts[outside][0])!r} outside the "
                                     f"integrated domain [{self.t0}, {self.t1}]")
-        i = np.searchsorted(grid, ts)
-        f = np.empty((len(ts), 4, 4))
-        hit = np.zeros(len(ts), dtype=bool)
-        for j in (i, i - 1):  # a hit on grid[i] wins over one on grid[i - 1]
-            jc = np.clip(j, 0, len(grid) - 1)
-            new = ~hit & (j >= 0) & (j < len(grid)) & (np.abs(grid[jc] - ts) <= 1e-13 * span)
-            f[new] = self.frames[jc[new]]
-            hit |= new
-        ts, i = ts[~hit], i[~hit]
-        lo = np.maximum(0, np.minimum(i - 2, len(grid) - 4))
-        xs = grid[lo[:, None] + np.arange(min(4, len(grid)))]
-        g = np.zeros((len(ts), 4, 4))
-        for k in range(xs.shape[1]):
-            w = np.ones(len(ts))
-            for j in range(xs.shape[1]):
-                if j != k:
-                    w *= (ts - xs[:, j]) / (xs[:, k] - xs[:, j])
-            g += w[:, None, None] * self.frames[lo + k]
-        f[~hit] = _kernel.pseudo_orthonormalize(g)
+        i = np.clip(np.searchsorted(grid, ts), 1, len(grid) - 1)
+        i -= ts - grid[i - 1] < grid[i] - ts  # the nearest grid point
+        f = self.frames[i]
+        off = np.abs(ts - grid[i]) > 1e-13 * span
+        if off.any():
+            i, d = i[off], ts[off] - grid[i[off]]
+            k = max(1, math.ceil((grid[1] - grid[0]) / (2.0 * self.step) - 1e-12))
+            nodes = _GaussNodes(self.quartet, grid[i], d / k, k, ts[off])
+            props = np.concatenate([p for _, p in _kernel.chunk_propagators(nodes, d / k, k)])
+            f[off] = props @ f[off]
         return f
 
     def frenet_frame_at(self, t: float) -> np.ndarray:
@@ -507,18 +499,20 @@ def validate_initial_frame(f):
 
 
 class _GaussNodes:
-    """The quartet at the two Gauss nodes of each substep, as a node source of
-    propagation.propagate: a slice evaluates its own substeps' nodes (`times`)
-    only, with the bits of the whole domain at once, which are eval_expr's."""
+    """The quartet at the two Gauss nodes of each of the nsub substeps of
+    h[i] from starts[i], for each i, as a node source of
+    propagation.propagate: a slice evaluates its own substeps' nodes
+    (`times`) only, with the bits of all at once, which are eval_expr's."""
 
-    def __init__(self, quartet, ts, h, nsub):
-        self.quartet, self.ts, self.h, self.nsub = quartet, ts, h, nsub
-        self.shape = ((len(ts) - 1) * nsub, 2, 4)
+    def __init__(self, quartet, starts, h, nsub, samples):
+        self.quartet, self.starts, self.h, self.nsub, self.samples = quartet, starts, h, nsub, samples
+        self.shape = (len(starts) * nsub, 2, 4)
 
     def times(self, lo, hi) -> np.ndarray:
-        k = np.arange(lo, hi)
-        starts = self.ts[k // self.nsub] + self.h * (k % self.nsub)
-        return (starts[:, None] + self.h * np.array([_kernel.GAUSS_C1, _kernel.GAUSS_C2])).ravel()
+        i, k = np.divmod(np.arange(lo, hi), self.nsub)
+        h = self.h[i, None]
+        return (self.starts[i, None] + h * k[:, None]
+                + h * np.array([_kernel.GAUSS_C1, _kernel.GAUSS_C2])).ravel()
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         t = self.times(*rows.indices(self.shape[0])[:2])
@@ -530,7 +524,7 @@ class _GaussNodes:
     def check(self):
         """Raise NumericError for the first curvature function not finite at
         some node or sample, at its first such node, else sample."""
-        check_ts = np.concatenate([self.times(0, self.shape[0]), self.ts])
+        check_ts = np.concatenate([self.times(0, self.shape[0]), self.samples])
         for j, e in enumerate(self.quartet):
             vals = vectorized(e)(check_ts)
             if not np.all(np.isfinite(vals)):
@@ -551,9 +545,9 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
     Returns a model holding the frame at each of the `samples` grid points;
     each sample interval is covered by CF4 substeps no longer than `step`.
     Integration holds one kernel chunk of their Gauss-node values (_GaussNodes).
-    Drift in F G F^T - G is monitored at every sample and re-orthonormalization
-    applied above tol.frame / 10; drift surviving it beyond tol.frame raises
-    IntegrationFailureError.
+    Drift in F G F^T - G is corrected above tol.frame / 10 as propagate does.
+    IntegrationFailureError is raised near the worst sample of a relative
+    drift beyond tol.frame, and at the first frame that is not finite.
     """
     t0, t1, nsamples = float(domain[0]), float(domain[1]), int(domain[2])
     if nsamples < 2:
@@ -575,15 +569,15 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
     hs = np.full(nsamples - 1, dt / nsub)
     substeps = np.full(nsamples - 1, nsub, dtype=np.int64)
 
-    nodes = _GaussNodes(quartet, ts, dt / nsub, nsub)
+    nodes = _GaussNodes(quartet, ts[:-1], hs, nsub, ts)
     if not all(np.isfinite(vectorized(e)(ts)).all() for e in quartet):
         nodes.check()  # check() picks the error, so checking samples first changes none
     frames, corrections, max_raw, max_final, worst = _kernel.propagate(
         nodes, hs, substeps, initial, tol.frame / 10.0)
     worst_t = float(ts[(worst + 1) // nsub])
-    if max_final > tol.frame:
-        raise IntegrationFailureError(
-            f"frame drift {max_final:.3e} survives re-orthonormalization "
-            f"near t={worst_t!r}", worst_t=worst_t)
+    if not max_final <= tol.frame:
+        what = (f"frame drift {max_final:.3e} survives re-orthonormalization near"
+                if math.isfinite(max_final) else "frame not finite at")
+        raise IntegrationFailureError(f"{what} t={worst_t!r}", worst_t=worst_t)
     stats = (int(corrections), float(max_raw), float(max_final), worst_t)
     return FramedCurveModel(quartet, ts, frames, step, stats, tol)

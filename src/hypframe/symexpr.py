@@ -684,7 +684,7 @@ _PREC_NEG, _PREC_POW, _PREC_ATOM = 3, 4, 5
 def _prec(e: Expr) -> int:
     if e.kind in _BINARY:
         return _BINARY[e.kind][1]
-    if e.kind == "neg" or (e.kind == "num" and math.copysign(1.0, e.a) < 0):
+    if e.kind == "neg" or (e.kind == "num" and _fmt_num(e.a).startswith("-")):
         return _PREC_NEG
     return _PREC_POW if e.kind == "pow" else _PREC_ATOM
 
@@ -692,7 +692,11 @@ def _prec(e: Expr) -> int:
 def _fmt_num(v: float) -> str:
     if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return f"{v:.0f}"  # exact, and keeps the sign of -0
-    return repr(v)
+    if math.isfinite(v):
+        return repr(v)
+    # no literal spells inf or NaN: exp(1000) folds to inf, sin(exp(1000)) to the platform's NaN
+    text = "exp(1000)" if math.isinf(v) else "sin(exp(1000))"
+    return ("" if math.copysign(1.0, v) == math.copysign(1.0, parse_expr(text).a) else "-") + text
 
 
 def to_source(e: Expr) -> str:

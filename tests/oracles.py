@@ -7,7 +7,7 @@ or scipy, expressions are evaluated in scalar arithmetic with their own
 domain checks, by walking the tree recursively or one compiled op at a
 time, epsilon crossings are bisected one midpoint at a time,
 frames are propagated one substep at a time with a scalar exponential,
-interpolated one weight at a time, surface meshes are evaluated and
+and continued to an off-grid t one t and one substep at a time, surface meshes are evaluated and
 written one point (or one row) at a time, loci tables are written
 through csv.writer, duality samples are built and judged one at a
 time, and the definedness scan, the singular loci, their
@@ -34,9 +34,9 @@ from hypframe.focal import (FIBER_COUNT, FIBER_WINDOW, REFINE_DEPTH, SURFACES, D
 from hypframe.framedcurve import FrenetData
 from hypframe.minkowski import ON_QUADRIC, MinkVec, Quadric, membership_residual
 from hypframe.pipeline import project_hollow_ball, project_poincare
-from hypframe.propagation import (_CF4_A, _CF4_B, coefficient_matrix_values,
-                                  gram_drift, gram_residual,
-                                  pseudo_orthonormalize)
+from hypframe.propagation import (_CF4_A, _CF4_B, GAUSS_C1, GAUSS_C2, _substep_propagators,
+                                  _tree_product, coefficient_matrix_values, gram_drift,
+                                  gram_residual, pseudo_orthonormalize)
 from hypframe.symexpr import Expr, ExprDomainError, Program
 from hypframe.tolerances import is_zero
 
@@ -471,30 +471,28 @@ def evolute_sample(model, t, side):
 
 
 def frame_at_loop(model, t):
-    """`FramedCurveModel.frame_at` one weight at a time: the stored sample
-    within 1e-13 * span of a grid point, else the Lagrange interpolant of
-    the four nearest samples, re-orthonormalized."""
+    """`FramedCurveModel.frame_at` one t at a time: the stored sample within
+    1e-13 * span of the nearest grid point, else as many CF4 substeps as
+    take half a sample interval in substeps no longer than model.step, from
+    that sample to t, exponentiated from their scalar node values (each row
+    of the kernel's exponential depends on that row alone) and multiplied
+    by the kernel's pairwise tree product."""
     ts = model.ts
     span = max(abs(model.t0), abs(model.t1), 1.0)
     if t < model.t0 - 1e-12 * span or t > model.t1 + 1e-12 * span:
         raise InvalidInputError(
             f"t={t!r} outside the integrated domain [{model.t0}, {model.t1}]")
-    i = int(np.searchsorted(ts, t))
-    if i < len(ts) and abs(ts[i] - t) <= 1e-13 * span:
+    i = min(max(int(np.searchsorted(ts, t)), 1), len(ts) - 1)
+    if t - ts[i - 1] < ts[i] - t:
+        i -= 1
+    if abs(t - ts[i]) <= 1e-13 * span:
         return model.frames[i].copy()
-    if i > 0 and abs(ts[i - 1] - t) <= 1e-13 * span:
-        return model.frames[i - 1].copy()
-    lo = max(0, min(i - 2, len(ts) - 4))
-    hi = min(len(ts), lo + 4)
-    xs = ts[lo:hi]
-    f = np.zeros((4, 4))
-    for k in range(len(xs)):
-        w = 1.0
-        for j in range(len(xs)):
-            if j != k:
-                w *= (t - xs[j]) / (xs[k] - xs[j])
-        f += w * model.frames[lo + k]
-    return pseudo_orthonormalize(f)
+    k = max(1, math.ceil((ts[1] - ts[0]) / (2.0 * model.step) - 1e-12))
+    h = (t - ts[i]) / k
+    nodes = [[[tree_eval(e, ts[i] + h * s + h * c) for e in model.quartet]
+              for c in (GAUSS_C1, GAUSS_C2)] for s in range(k)]
+    steps = _substep_propagators(np.array(nodes), np.full(k, h))
+    return _tree_product(steps[None])[0] @ model.frames[i]
 
 
 def frenet_frame(model, t):

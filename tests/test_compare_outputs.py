@@ -94,3 +94,35 @@ def test_every_parity_corpus_spec_loads(tmp_path):
             load_spec(p)
     assert rejected == {}
     assert {"swallowtail_family", "gen_h", "boosted", "d_refinement", "whole_fiber"} <= names
+
+
+def test_relative_trees_and_specs_are_run_from_absolute_paths(tmp_path, monkeypatch, capsys):
+    """Each run starts in a fresh working directory: relative paths that are
+    not resolved first are not found there, and both trees then fail alike."""
+    for tree in ("old", "new"):
+        (tmp_path / tree / "src" / "hypframe").mkdir(parents=True)
+    (tmp_path / "spec.json").write_text("{}", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(compare, "run_one",
+                        lambda tree, spec, sub, work: calls.append((tree, spec)) or _result())
+    monkeypatch.chdir(tmp_path)
+    assert compare.main(["old", "new", "spec.json"]) == 0
+    spec = str(tmp_path / "spec.json")
+    assert calls == [(str(tmp_path / tree), spec)
+                     for _ in compare.SUBCOMMANDS for tree in ("old", "new")]
+    assert capsys.readouterr().out.splitlines()[-1] == "7 runs, 0 differ"
+
+
+@pytest.mark.parametrize("args", [["old", "new", "missing.json"],
+                                  ["old", "absent", "spec.json"]], ids=["spec", "tree"])
+def test_a_missing_spec_or_tree_is_an_error(tmp_path, monkeypatch, capsys, args):
+    for tree in ("old", "new"):
+        (tmp_path / tree / "src" / "hypframe").mkdir(parents=True)
+    (tmp_path / "spec.json").write_text("{}", encoding="utf-8")
+    monkeypatch.setattr(compare, "run_one", lambda *a: pytest.fail("ran a subcommand"))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        compare.main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "not found: " + str(tmp_path / args[1 if args[1] == "absent" else 2]))

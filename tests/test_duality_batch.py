@@ -185,8 +185,8 @@ def test_frames_at_matches_the_interpolation_loop(model_sw):
 @pytest.mark.parametrize("domain", [(0.0, 1.0, 3), (0.0, 1e-13, 3)],
                          ids=["three", "finer_than_a_hit"])
 def test_frames_at_on_a_short_grid(domain):
-    """Fewer than four samples, and samples closer than the hit tolerance:
-    a t within it of two grid points takes the one at or after it."""
+    """A grid of three samples, and samples closer than the hit tolerance:
+    a t within it of two grid points takes the nearest."""
     model = integrate_frame(CurvatureQuartet.from_strings("1", "1", "2", "0"), domain)
     ts = np.concatenate([model.ts, np.linspace(*domain[:2], 7)])
     want = np.array([frame_at_loop(model, float(t)) for t in ts])

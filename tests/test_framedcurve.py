@@ -205,7 +205,7 @@ def test_congruence_under_rotation():
 
 
 def test_dense_output_accuracy(model_ce_h):
-    # interpolated frames stay pseudo-orthonormal and near the flow
+    # dense output stays pseudo-orthonormal and near the flow
     direct = integrate_frame(Q_CE_H, (0.0, 1.0005, 2), step=1e-4)
     f = model_ce_h.frame_at(1.0005)
     assert np.abs(f - direct.frames[-1]).max() <= 1e-9

@@ -24,7 +24,7 @@ from hypframe.focal import (SURFACES, SingularPointRecord, SingularityType, Surf
                             defined_runs)
 from hypframe.framedcurve import FrenetExprs
 from hypframe.pipeline import SpecParseError, SpecValidationError
-from hypframe.symexpr import MAX_DEPTH
+from hypframe.symexpr import FUNCTIONS, MAX_DEPTH
 from hypframe.tolerances import DEFAULT
 
 from oracles import export_evolute_csv_writer, export_loci_csv_writer
@@ -443,40 +443,87 @@ def test_python_m_hypframe_is_the_cli(tmp_path, capsys, monkeypatch):
     assert len(written) == 3 and written == files(direct / "out")
 
 
-_NON_FINITE_FRAMES = pytest.mark.parametrize("curvature, domain", [
-    # the de Sitter evolute turns to NaN with no domain error on the way
+_ONCE_NON_FINITE_FRAMES = pytest.mark.parametrize("curvature, domain, code, last", [
+    # the de Sitter evolute turned to NaN, after a re-orthonormalization of a
+    # frame at its rounding floor, with no domain error on the way
     (("2.41+1.45*sinh(2.96*t)", "-1.2-1.56*tanh(2.06*t)", "-0.61+0.05*t+1.44*t^2", "0"),
-     (-1.6, 1.6, 81)),
-    # perfbench's boosted workload at seed 19: the stored frames turn to NaN
-    (("1.029313", "1.026701", "2.033930", "0"), (0.0, 40.0, 201)),
-], ids=["silent_nan", "boosted_seed_19"])
+     (-1.6, 1.6, 81), 0, None),
+    # perfbench's boosted workload at seed 19: the stored frames turned to NaN
+    # (test_propagation checks them against expm)
+    (("1.029313", "1.026701", "2.033930", "0"), (0.0, 40.0, 201), 0, None),
+    # |F| grows like exp(30 t): the frames overflow
+    (("30", "1", "2", "0"), (0.0, 40.0, 201), 2, "numeric failure: frame not finite at t=12.0"),
+], ids=["silent_nan", "boosted_seed_19", "overflow"])
 
 
-def _exits_1_on_a_non_finite_point(tmp_path, capsys, curvature, domain, sub):
+def _never_exits_1(tmp_path, capsys, curvature, domain, code, last, sub):
     doc = dict(MINIMAL, name="non_finite", curvature=dict(zip("mnab", curvature)),
                domain=dict(zip(("t0", "t1", "samples"), domain)))
-    assert cli_main([sub, "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] \
-        == "invalid input: non-finite component in MinkVec: nan"
+    assert cli_main([sub, "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path)]) == code
+    if last is not None:
+        assert capsys.readouterr().err.splitlines()[-1] == last
 
 
-@_NON_FINITE_FRAMES
-def test_cli_run_exits_1_on_a_non_finite_point(tmp_path, capsys, curvature, domain):
-    """The exit and text that perfbench's KNOWN_DEFECTS matches for the
-    boosted long integrations."""
-    _exits_1_on_a_non_finite_point(tmp_path, capsys, curvature, domain, "run")
+@_ONCE_NON_FINITE_FRAMES
+def test_cli_run_never_exits_1_on_frames_that_once_turned_non_finite(tmp_path, capsys,
+                                                                     curvature, domain,
+                                                                     code, last):
+    """Frames at their rounding floor are no longer re-orthonormalized, and a
+    frame that does overflow is a located numeric failure (exit 2), never
+    MinkVec's invalid input (exit 1)."""
+    _never_exits_1(tmp_path, capsys, curvature, domain, code, last, "run")
 
 
-@_NON_FINITE_FRAMES
-def test_cli_integrate_exits_1_on_a_non_finite_stored_frame(tmp_path, capsys, curvature,
-                                                            domain):
-    """integrate fails as run does, with no residual printed: max() over the
-    stored frames' residuals would pass over a NaN one."""
-    _exits_1_on_a_non_finite_point(tmp_path, capsys, curvature, domain, "integrate")
+@_ONCE_NON_FINITE_FRAMES
+def test_cli_integrate_never_exits_1_on_frames_that_once_turned_non_finite(
+        tmp_path, capsys, curvature, domain, code, last):
+    """integrate fails, or passes, as run does."""
+    _never_exits_1(tmp_path, capsys, curvature, domain, code, last, "integrate")
+
+
+def test_overflowing_frames_raise_at_the_first_non_finite_sample():
+    with pytest.raises(IntegrationFailureError) as err:
+        integrate_frame(CurvatureQuartet.from_strings("30", "1", "2", "0"), (0.0, 40.0, 201))
+    assert err.value.worst_t == 12.0
+    assert str(err.value) == "frame not finite at t=12.0"
+
+
+def _random_curvature(rng):
+    """A constant, a quadratic, or c0 + c1 f(k t) with f a DSL function."""
+    c0, c1, c2 = (float(c) for c in rng.uniform(-2.0, 2.0, 3).round(3))
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return f"{c0}"
+    if kind == 1:
+        return f"{c0}+{c1}*t+{c2}*t^2"
+    f = sorted(FUNCTIONS)[int(rng.integers(len(FUNCTIONS)))]
+    return f"{c0}+{c1}*{f}({round(float(rng.uniform(0.2, 3.0)), 2)}*t)"
+
+
+def test_random_quartets_never_raise_invalid_input(tmp_path):
+    """A seeded sweep of 50 quartets over domains of length 1 to 40, b = 0
+    half the time: each run passes or fails with a NumericError located at
+    a t.  Frames re-orthonormalized at their rounding floor turned to NaN
+    and raised MinkVec's InvalidInputError on 8 of these 50."""
+    rng = np.random.default_rng(1)
+    failed = 0
+    for i in range(50):
+        curvature = [_random_curvature(rng) for _ in "mnab"]
+        if rng.random() < 0.5:
+            curvature[3] = "0"
+        half = float(rng.choice([0.5, 1.0, 2.0, 5.0, 20.0]))
+        doc = dict(MINIMAL, name=f"sweep_{i}", curvature=dict(zip("mnab", curvature)),
+                   domain={"t0": -half, "t1": half, "samples": 41})
+        try:
+            run_pipeline(load_spec(_write_spec(tmp_path, doc)))
+        except NumericError as exc:
+            assert "t=" in str(exc), (curvature, str(exc))
+            failed += 1
+    assert 0 < failed < 50
 
 
 @pytest.mark.parametrize("curvature, domain", [
-    # perfbench's boosted workload at seeds 7 and 18: the stored frames are
+    # perfbench's boosted workload at seeds 7 and 18: the stored frames were
     # finite, and only an interpolant of them turned to NaN
     (("1.008374", "1.013221", "1.949062", "0"), (0.0, 40.0, 201)),
     (("1.003307", "1.009729", "2.068557", "0"), (0.0, 40.0, 201)),

@@ -176,6 +176,16 @@ def test_print_parse_idempotent():
                       ("1/(0*-1)", "1/-0"), ("(-0)^(-2)", "(-0)^(-2)"), ("0^(-2)", "0^(-2)")):
         e = parse_expr(src)
         assert to_source(e) == text and parse_expr(text) is e, src
+    # constants folded to inf, -inf or NaN (of either sign) print as DSL that folds back
+    for src, text in (("exp(1000)*t", "exp(1000)*t"), ("t-exp(1000)", "t-exp(1000)"),
+                      ("t/-exp(1000)", "t/-exp(1000)"), ("-exp(1000)*t", "-exp(1000)*t"),
+                      ("log(exp(1000)*(t-2))", "log(exp(1000)*(t-2))")):
+        e = parse_expr(src)
+        assert to_source(e) == text and parse_expr(text) is e, src
+    for src in ("0*exp(1000)", "-(0*exp(1000))", "t/(0*exp(1000))", "t^2*-(0*exp(1000))",
+                "(t+-(0*exp(1000)))^2", "exp(1000)-exp(1000)+t"):
+        e = parse_expr(src)
+        assert parse_expr(to_source(e)) is e, src
 
 
 def test_diff_linearity():

@@ -4,11 +4,12 @@
 
 Runs every subcommand of the `hypframe` command with `--out` on each spec,
 once with OLD_TREE/src and once with NEW_TREE/src on the import path, each
-in a fresh working directory.  It compares the exit codes, stdout, stderr
-(with each tree's path masked) and the output trees, file by file.  With
-`--all-outputs`, each spec also runs a second time with all six output
-products.  Prints one line per difference and a summary; exits 1 if any
-run differs.
+in a fresh working directory (trees and specs may be given relative to the
+current one; a missing one is an error).  It compares the exit codes,
+stdout, stderr (with each tree's path masked) and the output trees, file
+by file.  With `--all-outputs`, each spec also runs a second time with all
+six output products.  Prints one line per difference and a summary; exits
+1 if any run differs.
 
 With `--numeric`, a stream or file that differs is compared token by token
 instead: its float tokens (in a JSON report, its float values, per key
@@ -149,7 +150,7 @@ def numeric_differences(old, new):
 def variants(specs, all_outputs, scratch):
     """(label, path) of each spec run: as given, and with all six outputs."""
     for path in specs:
-        yield os.path.basename(path), os.path.abspath(path)
+        yield os.path.basename(path), path
         if all_outputs:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -171,14 +172,21 @@ def main(argv=None) -> int:
     parser.add_argument("--numeric", action="store_true",
                         help="bound float differences; fail only on other differences")
     args = parser.parse_args(argv)
+    # each run starts in a fresh working directory, where relative paths are not found
+    trees = [os.path.abspath(t) for t in (args.old_tree, args.new_tree)]
+    specs = [os.path.abspath(p) for p in args.specs]
+    missing = [t for t in trees if not os.path.isdir(os.path.join(t, "src", "hypframe"))]
+    missing += [p for p in specs if not os.path.isfile(p)]
+    if missing:
+        parser.error("not found: " + ", ".join(missing))
     runs = differing = in_floats = 0
     worst = {"abs": (0.0, None), "rel": (0.0, None)}
     with tempfile.TemporaryDirectory() as scratch:
-        for label, spec in variants(args.specs, args.all_outputs, scratch):
+        for label, spec in variants(specs, args.all_outputs, scratch):
             for sub in SUBCOMMANDS:
                 work = os.path.join(scratch, f"{runs}")
-                old = run_one(args.old_tree, spec, sub, os.path.join(work, "old"))
-                new = run_one(args.new_tree, spec, sub, os.path.join(work, "new"))
+                old = run_one(trees[0], spec, sub, os.path.join(work, "old"))
+                new = run_one(trees[1], spec, sub, os.path.join(work, "new"))
                 runs += 1
                 if not args.numeric:
                     found = differences(old, new)
