@@ -4,7 +4,12 @@ Subcommands: integrate, focal, evolute, dual, classify, verify, run.
 Every subcommand reads a curve-spec JSON via --spec; --out selects the
 output directory and --tol name=value overrides a named tolerance.
 
-Exit codes: 0 success, 1 spec or output error, 2 numeric failure.
+Each subcommand is a set of pipeline.STAGES, the products it exports and
+a renderer, which prints from what run_pipeline returns.  Exit codes: 0
+success, 1 spec or output error, 2 numeric failure.  A subcommand's exit
+code reflects only the stages it ran: dual and verify also exit 2 when one
+of their checks fails, while run writes its files and exits 0, with the
+failure recorded in its report.
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ import sys
 from collections import Counter
 
 from . import __version__
-from . import evolute as _evolute
-from . import focal as _focal
 from . import pipeline as _pipe
 from .errors import InvalidInputError, NumericError
-from .framedcurve import integrate_frame, propagation_backend, wedge_residual
+# not called here: perfbench's tracer rebinds cli.integrate_frame
+from .framedcurve import integrate_frame  # noqa: F401
+from .framedcurve import wedge_residual
 from .propagation import gram_residual
 from .tolerances import DEFAULT
 
@@ -34,81 +39,43 @@ def _parse_tols(pairs):
     return out
 
 
-def _load(args):
-    spec = _pipe.load_spec(args.spec)
-    tol = DEFAULT.with_overrides({**spec.tolerances, **_parse_tols(args.tol)})
-    return spec, tol
+def _wrote(out, report) -> None:
+    for name in report.data["outputs"]:
+        print(f"wrote {os.path.join(out, name)}")
 
 
-def _model(args):
-    """(spec, integrated model) of the --spec and --tol arguments."""
-    spec, tol = _load(args)
-    return spec, integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_frame,
-                                 tol=tol)
-
-
-def cmd_integrate(args) -> int:
-    spec, model = _model(args)
-    print(f"integrated {spec.name!r}: {len(model.ts)} samples on "
-          f"[{model.t0}, {model.t1}], substep {model.step}")
-    print(f"backend {propagation_backend()}, corrections {model.corrections}, "
-          f"max drift {model.max_drift:.3e} (raw {model.max_drift_raw:.3e}) "
-          f"near t={model.max_drift_t}")
+def show_integrate(out, report) -> int:
+    model, run = report.model, report.data["integration"]
+    print(f"integrated {report.data['spec']['name']!r}: {run['samples']} samples on "
+          f"[{model.t0}, {model.t1}], substep {run['substep']}")
+    print(f"backend {report.data['tool']['propagation_backend']}, "
+          f"corrections {run['corrections']}, max drift {run['max_drift']:.3e} "
+          f"(raw {run['max_drift_raw']:.3e}) near t={run['max_drift_t']}")
     worst = max(max(gram_residual(f), wedge_residual(f)) for f in model.frames)
     print(f"worst sample residual {worst:.3e}")
     return 0
 
 
-def cmd_focal(args) -> int:
-    spec, model = _model(args)
-    runs = _focal.defined_runs(model)
-    written = []
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for product in ("focal_h_obj", "focal_d_obj"):
-            written += _pipe.write_mesh(model, runs, spec, product, args.out)
+def show_focal(out, report) -> int:
     for name in ("focal_h", "focal_d"):
-        print(f"{name}: defined on {_pipe._spans(model.ts, runs[name]) or 'nowhere'}")
-    if args.out:
-        print("wrote:", ", ".join(written) or "(nothing)")
+        runs = report.data["surfaces"][name]["defined_intervals"]
+        print(f"{name}: defined on {runs or 'nowhere'}")
+    if out:
+        print("wrote:", ", ".join(report.data["outputs"]) or "(nothing)")
     return 0
 
 
-def _evolute_rows(model, runs) -> list:
-    """(t, side, epsilon, epsilon', point type) at each grid point of the
-    evolute runs, in grid order, as evolute_h / evolute_d give them: read
-    from the columns of a run at a time, which raise as those do."""
-    rows = []
-    for run, side in sorted(((run, side) for side in (_focal.H, _focal.D)
-                             for run in runs[side.evolute]), key=lambda e: e[0].start):
-        ts = model.ts[run.start:run.stop]
-        _, _, (eps, eps1, _), types = _evolute._samples(side, model, ts)
-        rows += [(t, side.evolute[-1], *row, ty.value) for t, *row, ty in zip(
-            ts.tolist(), *(c[:, 0].tolist() for c in (eps, eps1, types)))]
-    return rows
-
-
-def cmd_evolute(args) -> int:
-    spec, model = _model(args)
-    rows = _evolute_rows(model, _focal.defined_runs(model))
+def show_evolute(out, report) -> int:
+    rows = report.evolute_rows
     for (side, ptype), k in sorted(Counter((row[1], row[4]) for row in rows).items()):
         print(f"evolute_{side}: {k} grid points {ptype}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, _pipe._slug(spec.name) + "_evolute.csv")
-        # csv.writer's bytes, as in export_loci_csv: the rows hold Python floats
-        lines = ["t,side,epsilon,epsilon_prime,point_type\r\n"]
-        lines += ["%r,%s,%r,%r,%s\r\n" % row for row in rows]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("".join(lines))
-        print(f"wrote {path}")
+    _wrote(out, report)
     return 0
 
 
-def cmd_dual(args) -> int:
-    spec, model = _model(args)
+def show_dual(out, report) -> int:
     bad = False
-    for pair, info in _pipe.duality_summary(model).items():
+    for pair, info in report.data["duality"].items():
         if info["status"] == "skipped":
             print(f"{pair}: skipped ({info['reason']})")
             continue
@@ -119,37 +86,29 @@ def cmd_dual(args) -> int:
     return 2 if bad else 0
 
 
-def cmd_classify(args) -> int:
-    spec, model = _model(args)
-    records = _pipe._classified_loci(model, _focal.defined_runs(model))
-    for (surface, ty), k in sorted(Counter((r.surface, r.type.value) for r in records).items()):
+def show_classify(out, report) -> int:
+    loci = report.data["loci"]
+    for (surface, ty), k in sorted(Counter((r["surface"], r["type"]) for r in loci).items()):
         print(f"{surface}: {k} records {ty}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, _pipe._slug(spec.name) + "_loci.csv")
-        _pipe.export_loci_csv(records, path)
-        print(f"wrote {path}")
+    _wrote(out, report)
     return 0
 
 
-def cmd_verify(args) -> int:
-    spec, model = _model(args)
-    runs = _focal.defined_runs(model)
-    corr = _evolute.correspondence_check(model, runs)
+def show_verify(out, report) -> int:
     ok = True
-    for name, leg in (("hyperbolic", corr.hyperbolic), ("desitter", corr.desitter)):
-        if leg.status == "skipped":
-            print(f"correspondence[{name}]: skipped ({leg.reason})")
+    for name, leg in report.data["correspondence"].items():
+        if leg["status"] == "skipped":
+            print(f"correspondence[{name}]: skipped ({leg['reason']})")
             continue
-        print(f"correspondence[{name}]: {leg.points} points, "
-              f"max image distance {leg.max_image_distance:.3e}")
-        for check, good in leg.agreements.items():
+        print(f"correspondence[{name}]: {leg['points']} points, "
+              f"max image distance {leg['max_image_distance']:.3e}")
+        for check, good in leg["agreements"].items():
             print(f"  {check}: {'pass' if good else 'FAIL'}")
             ok = ok and good
-        for ev in leg.events:
+        for ev in leg["events"]:
             print(f"  epsilon crossing at t={ev['t']:.12g}: focal {ev['focal_type']}, "
                   f"evolute {ev['evolute_type']}, dual {ev['dual_type']}")
-    for pair, info in _pipe.duality_summary(model, runs).items():
+    for pair, info in report.data["duality"].items():
         if info["status"] == "skipped":
             print(f"duality[{pair}]: skipped ({info['reason']})")
             continue
@@ -159,11 +118,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
-def cmd_run(args) -> int:
-    spec, tol = _load(args)
-    report = _pipe.run_pipeline(spec, out_dir=args.out or ".", tol=tol)
+def show_run(out, report) -> int:
     data = report.data
-    print(f"run {spec.name!r} complete "
+    print(f"run {data['spec']['name']!r} complete "
           f"({data['integration']['samples']} samples, "
           f"{len(data['loci'])} singular records)")
     for name, surf in data["surfaces"].items():
@@ -176,10 +133,16 @@ def cmd_run(args) -> int:
     return 0
 
 
-HANDLERS = {
-    "integrate": cmd_integrate, "focal": cmd_focal, "evolute": cmd_evolute,
-    "dual": cmd_dual, "classify": cmd_classify, "verify": cmd_verify,
-    "run": cmd_run,
+# subcommand -> (the stages it asks run_pipeline for, the products it
+# exports into --out, None for the spec's own, and its renderer)
+SUBCOMMANDS = {
+    "integrate": (("integrate",), (), show_integrate),
+    "focal": (("definedness", "export"), ("focal_h_obj", "focal_d_obj"), show_focal),
+    "evolute": (("evolute_rows", "export"), ("evolute_csv",), show_evolute),
+    "dual": (("duality",), (), show_dual),
+    "classify": (("loci", "export"), ("loci_csv",), show_classify),
+    "verify": (("correspondence", "duality"), (), show_verify),
+    "run": (_pipe.RUN_STAGES, None, show_run),
 }
 
 
@@ -189,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Framed curves in hyperbolic 3-space: focal surfaces, "
                     "evolutes, dual surfaces and their singularities.")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("command", choices=HANDLERS)
+    parser.add_argument("command", choices=SUBCOMMANDS)
     parser.add_argument("--spec", required=True, help="curve-spec JSON document")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--tol", action="append", metavar="NAME=VALUE",
@@ -199,8 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    stages, products, show = SUBCOMMANDS[args.command]
     try:
-        return HANDLERS[args.command](args)
+        spec = _pipe.load_spec(args.spec)
+        tol = DEFAULT.with_overrides({**spec.tolerances, **_parse_tols(args.tol)})
+        if products is None:  # run: the spec's outputs, by default into the working directory
+            out = args.out or "."
+        else:
+            spec, out = spec._replace(outputs=products), args.out or None
+        return show(out, _pipe.run_pipeline(spec, out_dir=out, tol=tol, stages=stages))
     except _pipe.SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 1

@@ -102,6 +102,21 @@ def evolute_d(model: FramedCurveModel, t: float) -> EvoluteSample:
     return _sample(D, model, t)
 
 
+def evolute_rows(model: FramedCurveModel, runs) -> list:
+    """(t, side, epsilon, epsilon', point type) at each grid point of the
+    evolute runs (from defined_runs), in grid order, as evolute_h /
+    evolute_d give them: read from the columns of a run at a time, which
+    raise as those do."""
+    rows = []
+    for run, side in sorted(((run, side) for side in (H, D) for run in runs[side.evolute]),
+                            key=lambda e: e[0].start):
+        ts = model.ts[run.start:run.stop]
+        _, _, (eps, eps1, _), types = _samples(side, model, ts)
+        rows += [(t, side.evolute[-1], *row, ty.value) for t, *row, ty in zip(
+            ts.tolist(), *(c[:, 0].tolist() for c in (eps, eps1, types)))]
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Dual surfaces of the evolutes
 #
@@ -392,5 +407,5 @@ __all__ = [
     "dual_of_evolute_h", "lambda_dual_h",
     "dual_of_evolute_d", "lambda_dual_d",
     "classify_dual_h", "classify_dual_d",
-    "correspondence_check", "CorrespondenceReport", "LegReport",
+    "correspondence_check", "CorrespondenceReport", "LegReport", "evolute_rows",
 ]

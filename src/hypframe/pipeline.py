@@ -1,4 +1,5 @@
-"""End-to-end pipelines: curve-spec ingestion, full runs, and exports.
+"""End-to-end pipeline: curve-spec ingestion, the stages of a run
+(STAGES, which every subcommand runs a subset of), the report and exports.
 
 A curve spec is a UTF-8 JSON document naming the four curvature
 expressions, the parameter domain, the fiber window, and the requested
@@ -291,46 +292,16 @@ def export_loci_csv(records, path) -> None:
 # Full pipeline
 
 
-def _spans(ts, runs) -> list:
-    """The [t_lo, t_hi] span of each index run of ts."""
-    return [[float(ts[run[0]]), float(ts[run[-1]])] for run in runs]
-
-
-# mesh product -> (surface, chart of its quadric)
-_MESHES = {"focal_h_obj": ("focal_h", project_poincare),
-           "focal_d_obj": ("focal_d", project_hollow_ball),
-           "dual_eh_obj": ("dual_eh", project_hollow_ball),
-           "dual_ed_obj": ("dual_ed", project_hollow_ball)}
-
-
-def write_mesh(model: FramedCurveModel, runs, spec: CurveSpec, product, out_dir) -> list:
-    """Write the mesh product (a key of _MESHES) of the spec's surface over
-    its defined runs (from defined_runs) and the spec's theta grid to
-    out_dir; the list of the file names written, empty where the surface
-    is defined nowhere."""
-    surface, projection = _MESHES[product]
-    if not runs[surface]:
-        return []
-    thetas = np.linspace(*spec.theta)
-    grids = [_focal.surface_grid(model, surface, model.ts[run.start:run.stop], thetas)
-             for run in runs[surface]]
-    name = f"{_slug(spec.name)}_{surface}.obj"
-    export_obj(grids, projection, os.path.join(out_dir, name))
-    return [name]
-
-
 # the golden-ratio conjugate, which spreads the fiber angles of the samples
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def duality_summary(model: FramedCurveModel, runs=None) -> dict:
+def duality_summary(model: FramedCurveModel, runs) -> dict:
     """Isotropy residuals and front verdict of each dual pair, sampled once
-    at each grid index i of the pair's defined runs (`runs`, from the
-    definedness scan, which runs here when they are not given): at the
-    stored frame's t = model.ts[i] and theta = lo + (hi - lo) * (((i + 1/2)
-    _PHI) mod 1), (lo, hi) being the pair's theta window."""
-    if runs is None:
-        runs = _focal.defined_runs(model)
+    at each grid index i of the pair's defined runs (`runs`, from
+    defined_runs): at the stored frame's t = model.ts[i] and theta = lo +
+    (hi - lo) * (((i + 1/2) _PHI) mod 1), (lo, hi) being the pair's theta
+    window."""
     out = {}
     for pair in _duality.PAIR_NAMES:
         index = list(chain.from_iterable(runs[_duality.PAIR_SURFACES[pair][1]]))
@@ -350,7 +321,10 @@ def duality_summary(model: FramedCurveModel, runs=None) -> dict:
     return out
 
 
-def _classified_loci(model, runs):
+def classified_loci(model, runs) -> list:
+    """The classified singular-point records of both sides' focal surfaces
+    over their defined runs (from defined_runs) and of the evolutes' duals
+    at their fiber zeros."""
     ts = model.ts
     records = []
     # each side's public bindings, looked up per call so that a rebound
@@ -446,7 +420,13 @@ def _layout(obj, indent, parts, leaves) -> None:
 
 
 class RunReport(NamedTuple):
+    """The report data of the stages a run_pipeline call ran, and the values
+    beyond it that a renderer reads: the integrated model and the evolute
+    rows (None where their stage did not run)."""
+
     data: dict
+    model: FramedCurveModel | None = None
+    evolute_rows: list | None = None
 
     def to_json(self) -> str:
         """json.dumps(self.data, indent=2), with every scalar and flat record
@@ -463,58 +443,133 @@ class RunReport(NamedTuple):
             fh.write(b"\n")
 
 
-def run_pipeline(spec: CurveSpec, out_dir=None, tol: Tolerances | None = None) -> RunReport:
-    """Integrate, classify, verify, and export everything the spec requests."""
-    if tol is None:
-        tol = DEFAULT.with_overrides(spec.tolerances)
-    model = integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_frame, tol=tol)
+# ---------------------------------------------------------------------------
+# Stages
 
-    runs = _focal.defined_runs(model)
-    records = _classified_loci(model, runs)
-    corr = _evolute.correspondence_check(model, runs)
-    dual = duality_summary(model, runs)
 
-    written = []
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        base = os.path.join(out_dir, _slug(spec.name))
-        for product in spec.outputs:
-            if product == "loci_csv":
-                path = base + "_loci.csv"
-                export_loci_csv(records, path)
-                written.append(os.path.basename(path))
-            elif product in _MESHES:
-                written += write_mesh(model, runs, spec, product, out_dir)
-        if "report" in spec.outputs:
-            written.append(_slug(spec.name) + "_report.json")
-
-    report_data = {
+def _report_data(v) -> dict:
+    """The report data of the values of the stages run, in v."""
+    spec, model, runs = v["spec"], v.get("integrate"), v.get("definedness")
+    data = {
         "tool": {"name": "hypframe", "version": __version__,
                  "propagation_backend": propagation_backend()},
         "spec": {"name": spec.name, "digest": spec.digest,
                  "curvature": spec.curvature,
                  "domain": list(spec.domain), "theta": list(spec.theta)},
-        "integration": {
+    }
+    if model is not None:
+        data["integration"] = {
             "samples": len(model.ts),
             "substep": model.step,
             "corrections": model.corrections,
             "max_drift_raw": model.max_drift_raw,
             "max_drift": model.max_drift,
             "max_drift_t": model.max_drift_t,
-        },
-        "surfaces": {name: {"defined_intervals": _spans(model.ts, rs)}
-                     for name, rs in runs.items()},
-        "loci": [{
+        }
+    if runs is not None:
+        data["surfaces"] = {name: {"defined_intervals": [
+            [float(model.ts[r[0]]), float(model.ts[r[-1]])] for r in rs]}
+            for name, rs in runs.items()}
+    if "loci" in v:
+        data["loci"] = [{
             "surface": r.surface, "t": r.param.t, "theta": r.param.theta,
             "lambda": r.lam, "sigma_F": r.sigma_f, "type": r.type.value,
             "nondegenerate": r.nondegenerate, "whole_fiber": r.whole_fiber,
-        } for r in sorted(records, key=lambda r: (r.surface, r.param.t, r.param.theta))],
-        "correspondence": {"hyperbolic": _leg_dict(corr.hyperbolic),
-                           "desitter": _leg_dict(corr.desitter)},
-        "duality": dual,
-        "outputs": written,
-    }
-    report = RunReport(report_data)
-    if out_dir is not None and "report" in spec.outputs:
-        report.write(os.path.join(out_dir, _slug(spec.name) + "_report.json"))
+        } for r in sorted(v["loci"], key=lambda r: (r.surface, r.param.t, r.param.theta))]
+    if "correspondence" in v:
+        data["correspondence"] = {name: _leg_dict(leg)
+                                  for name, leg in v["correspondence"]._asdict().items()}
+    if "duality" in v:
+        data["duality"] = v["duality"]
+    if "export" in v:
+        data["outputs"] = v["export"]
+    return data
+
+
+# mesh product -> (surface, chart of its quadric)
+_MESHES = {"focal_h_obj": ("focal_h", project_poincare),
+           "focal_d_obj": ("focal_d", project_hollow_ball),
+           "dual_eh_obj": ("dual_eh", project_hollow_ball),
+           "dual_ed_obj": ("dual_ed", project_hollow_ball)}
+# product -> the stage whose value it writes, beyond export's own inputs;
+# evolute_csv is the evolute subcommand's, not a spec product
+_READS = {"loci_csv": "loci", "evolute_csv": "evolute_rows"}
+
+
+def _export(v) -> list:
+    """Write the spec's output products into out_dir, nothing without one,
+    in the order of spec.outputs and a mesh only where its surface is
+    defined; the file names, the report's last (run_pipeline writes it)."""
+    spec, out_dir, model, runs = v["spec"], v["out_dir"], v["integrate"], v["definedness"]
+    if out_dir is None:
+        return []
+    os.makedirs(out_dir, exist_ok=True)
+    base = _slug(spec.name)
+    written = []
+    for product in spec.outputs:
+        if product == "loci_csv":
+            written.append(base + "_loci.csv")
+            export_loci_csv(v["loci"], os.path.join(out_dir, written[-1]))
+        elif product == "evolute_csv":
+            written.append(base + "_evolute.csv")
+            # csv.writer's bytes, as in export_loci_csv: the rows hold Python floats
+            lines = ["t,side,epsilon,epsilon_prime,point_type\r\n"]
+            lines += ["%r,%s,%r,%r,%s\r\n" % row for row in v["evolute_rows"]]
+            with open(os.path.join(out_dir, written[-1]), "w", newline="",
+                      encoding="utf-8") as fh:
+                fh.write("".join(lines))
+        elif product in _MESHES and runs[_MESHES[product][0]]:
+            surface, projection = _MESHES[product]
+            thetas = np.linspace(*spec.theta)
+            grids = [_focal.surface_grid(model, surface, model.ts[run.start:run.stop], thetas)
+                     for run in runs[surface]]
+            written.append(f"{base}_{surface}.obj")
+            export_obj(grids, projection, os.path.join(out_dir, written[-1]))
+    if "report" in spec.outputs:
+        written.append(base + "_report.json")
+    return written
+
+
+# (name, run(values), the values it reads), in call order.  run reads the
+# run's spec, tol and out_dir, or an earlier stage's value, kept under that
+# stage's name.  integrate_frame and the engine's functions are looked up at
+# call time, so that a rebound binding (a profiler's wrapper) is called.
+_ON_RUNS = ("integrate", "definedness")
+STAGES = (
+    ("integrate", lambda v: integrate_frame(v["spec"].quartet(), v["spec"].domain,
+                                            initial=v["spec"].initial_frame, tol=v["tol"]),
+     ("spec", "tol")),
+    ("definedness", lambda v: _focal.defined_runs(v["integrate"]), ("integrate",)),
+    ("loci", lambda v: classified_loci(v["integrate"], v["definedness"]), _ON_RUNS),
+    ("evolute_rows", lambda v: _evolute.evolute_rows(v["integrate"], v["definedness"]), _ON_RUNS),
+    ("correspondence",
+     lambda v: _evolute.correspondence_check(v["integrate"], v["definedness"]), _ON_RUNS),
+    ("duality", lambda v: duality_summary(v["integrate"], v["definedness"]), _ON_RUNS),
+    ("export", _export, ("spec", "out_dir", *_ON_RUNS)),
+)
+# `hypframe run`'s stages: all but the evolute rows
+RUN_STAGES = ("integrate", "definedness", "loci", "correspondence", "duality", "export")
+
+
+def run_pipeline(spec: CurveSpec, out_dir=None, tol: Tolerances | None = None,
+                 stages=RUN_STAGES) -> RunReport:
+    """Run the named stages and the stages they read, in STAGES order (export
+    also reads the stages whose values its products write), then write the
+    report if export ran and the spec asks for it: the report data of the
+    stages run, with the model and the evolute rows."""
+    if tol is None:
+        tol = DEFAULT.with_overrides(spec.tolerances)
+    wanted = set(stages)
+    if "export" in wanted:
+        wanted.update(_READS[p] for p in spec.outputs if p in _READS)
+    for name, _, inputs in reversed(STAGES):
+        if name in wanted:
+            wanted.update(inputs)
+    v = {"spec": spec, "tol": tol, "out_dir": out_dir}
+    for name, run, _ in STAGES:
+        if name in wanted:
+            v[name] = run(v)
+    report = RunReport(_report_data(v), v.get("integrate"), v.get("evolute_rows"))
+    if out_dir is not None and "report" in spec.outputs and "export" in v:
+        report.write(os.path.join(out_dir, v["export"][-1]))
     return report

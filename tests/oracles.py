@@ -625,7 +625,7 @@ def export_loci_csv_writer(records, path):
 
 def export_evolute_csv_writer(rows, path):
     """The evolute CSV of `hypframe evolute --out` through csv.writer, one
-    row of _evolute_rows at a time, each float as its repr."""
+    row of evolute.evolute_rows at a time, each float as its repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "side", "epsilon", "epsilon_prime", "point_type"])
@@ -870,7 +870,7 @@ def classify_dual_record(model, t0, side, theta0=0.0):
 
 
 def classified_loci_loop(model, runs):
-    """`hypframe.pipeline._classified_loci` one record at a time: per side,
+    """`hypframe.pipeline.classified_loci` one record at a time: per side,
     the locus of each focal run with each of its records classified, then
     the dual record at each grid point of the dual runs and each zero of
     the dual fiber."""
@@ -972,7 +972,7 @@ def correspondence_check_loop(model, runs):
 
 
 def evolute_rows_loop(model, runs):
-    """`hypframe.cli._evolute_rows` one grid point at a time: an
+    """`hypframe.evolute.evolute_rows` one grid point at a time: an
     EvoluteSample at each grid point of the evolute runs, in grid order,
     h before d."""
     defined = {side: set(chain.from_iterable(runs["evolute_" + side])) for side in "hd"}

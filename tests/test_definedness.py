@@ -9,7 +9,7 @@ from hypframe import (CurvatureQuartet, dual_of_evolute_d, dual_of_evolute_h,
                       integrate_frame)
 from hypframe.errors import FrameDegenerateError, SurfaceUndefinedError
 from hypframe.focal import SURFACES, defined_runs
-from hypframe.pipeline import _classified_loci
+from hypframe.pipeline import classified_loci
 
 # each surface's public point function, at fiber parameter 0
 POINT = {
@@ -47,4 +47,4 @@ def test_runs_match_point_functions_and_classification_holds(quartet):
         inside = {i for run in runs[name] for i in run}
         accepted = {i for i, t in enumerate(model.ts) if _accepts(point, model, float(t))}
         assert inside == accepted, name
-    _classified_loci(model, runs)
+    classified_loci(model, runs)

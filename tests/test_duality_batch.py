@@ -85,7 +85,8 @@ def test_batch_matches_the_one_sample_oracle_bitwise(name):
     rng = np.random.default_rng(20240229)
     kept = 0
     for pair in PAIR_NAMES:
-        spans = pipeline._spans(model.ts, runs[PAIR_SURFACES[pair][1]])
+        spans = [[float(model.ts[run[0]]), float(model.ts[run[-1]])]
+                 for run in runs[PAIR_SURFACES[pair][1]]]
         if spans and sum(hi - lo for lo, hi in spans) > 0.0:
             draws = duality_draws(rng, spans, 200, pair_theta_range(pair))
             kept += _batch_against_loop(model, pair, draws)

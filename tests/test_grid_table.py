@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from hypframe import CurvatureQuartet, integrate_frame, load_spec, run_pipeline
-from hypframe import cli, duality, evolute, focal, pipeline
+from hypframe import duality, evolute, focal, pipeline
 from hypframe.errors import EvoluteUndefinedError, InvalidInputError, NumericError
 from hypframe.symexpr import ExprDomainError
 from hypframe.evolute import LegReport, correspondence_check
@@ -110,7 +110,7 @@ def _compare(model, fresh, thetas):
     assert _bits(runs) == _bits(defined_runs_loop(fresh))
     assert _outcome(correspondence_check, model, runs) \
         == _outcome(correspondence_check_loop, fresh, runs)
-    assert _outcome(pipeline._classified_loci, model, runs) \
+    assert _outcome(pipeline.classified_loci, model, runs) \
         == _outcome(classified_loci_loop, fresh, runs)
     assert _outcome(pipeline.duality_summary, model, runs) \
         == _outcome(duality_summary_loop, fresh, runs)
@@ -205,7 +205,7 @@ def test_loci_query_no_grid_point_one_at_a_time(monkeypatch):
     queried, real = [], FramedCurveModel.frenet_data_at
     monkeypatch.setattr(FramedCurveModel, "frenet_data_at",
                         lambda self, t: queried.append(t) or real(self, t))
-    records = pipeline._classified_loci(model, runs)
+    records = pipeline.classified_loci(model, runs)
     assert len(records) == 603
     assert not set(queried) & set(model.ts.tolist())
 
@@ -240,7 +240,7 @@ def test_evolute_rows_match_the_per_point_loop(monkeypatch, name):
     for fn in ("evolute_h", "evolute_d"):
         real = getattr(evolute, fn)
         monkeypatch.setattr(evolute, fn, lambda m, t, real=real: calls.append(t) or real(m, t))
-    assert _bits(cli._evolute_rows(model, runs)) == _bits(want)
+    assert _bits(evolute.evolute_rows(model, runs)) == _bits(want)
     assert calls == []
 
 
@@ -256,7 +256,7 @@ def test_evolute_rows_replay_a_nan_frame_as_the_loop():
     runs = defined_runs(model)
     want = _outcome(evolute_rows_loop, fresh, runs)
     assert want[0] is InvalidInputError
-    assert _outcome(cli._evolute_rows, model, runs) == want
+    assert _outcome(evolute.evolute_rows, model, runs) == want
 
 
 def test_vanishing_a2_b2_rows_replay_as_the_oracle():
@@ -287,7 +287,7 @@ def test_injected_program_reads_as_the_oracle(name, source):
     else:
         assert not want["hyperbolic"]["agreements"]["dual_ce_iff_evolute_regular"]
     assert _outcome(correspondence_check, model, runs) == want
-    assert _outcome(pipeline._classified_loci, model, runs) \
+    assert _outcome(pipeline.classified_loci, model, runs) \
         == _outcome(classified_loci_loop, fresh, runs)
 
 
@@ -373,7 +373,7 @@ def test_grid_stages_evaluate_each_program_once(monkeypatch):
 
     monkeypatch.setattr(Program, "array", counted)
     runs = defined_runs(model)
-    pipeline._classified_loci(model, runs)
+    pipeline.classified_loci(model, runs)
     correspondence_check(model, runs)
     surface_grid(model, "focal_h", model.ts, np.linspace(*spec.theta))
     assert 7 <= len(evaluated) == len(set(evaluated))

@@ -1,3 +1,4 @@
+import ast
 import errno
 import json
 import math
@@ -15,7 +16,7 @@ from hypframe import (CurvatureQuartet, MinkVec, correspondence_check, evolute_d
                       export_loci_csv, export_obj, integrate_frame, load_spec,
                       project_hollow_ball, project_poincare, run_pipeline)
 import hypframe
-from hypframe import cli, pipeline
+from hypframe import cli, evolute, pipeline
 from hypframe.cli import main as cli_main
 from hypframe.duality import PAIR_SURFACES
 from hypframe.errors import IntegrationFailureError, InvalidInputError, NumericError
@@ -197,7 +198,7 @@ def test_export_loci_csv_is_the_csv_writer_text(tmp_path, name):
     spec = load_spec(os.path.join(SPEC_DIR, name))
     model = integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_frame,
                             tol=DEFAULT.with_overrides(spec.tolerances))
-    records = pipeline._classified_loci(model, defined_runs(model))
+    records = pipeline.classified_loci(model, defined_runs(model))
     export_loci_csv(records, tmp_path / "new.csv")
     export_loci_csv_writer(records, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -221,14 +222,15 @@ def test_export_loci_csv_writes_special_floats_as_csv_writer(tmp_path):
 def test_evolute_csv_matches_csv_writer(tmp_path, capsys, name):
     spec_path = os.path.join(SPEC_DIR, name)
     assert cli_main(["evolute", "--spec", spec_path, "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
+    wrote = capsys.readouterr().out.splitlines()[-1]
     spec = load_spec(spec_path)
     model = integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_frame,
                             tol=DEFAULT.with_overrides(spec.tolerances))
-    rows = cli._evolute_rows(model, defined_runs(model))
+    rows = evolute.evolute_rows(model, defined_runs(model))
     assert rows
     export_evolute_csv_writer(rows, tmp_path / "old.csv")
-    new = tmp_path / (pipeline._slug(spec.name) + "_evolute.csv")
+    new = tmp_path / (spec.name + "_evolute.csv")
+    assert wrote == f"wrote {new}"
     assert new.read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -236,7 +238,7 @@ def test_evolute_csv_writes_special_floats_as_csv_writer(tmp_path, capsys, monke
     specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308]
     rows = [(specials[i], "hd"[i % 2], specials[i - 1], specials[i - 2], ty.value)
             for i, ty in enumerate([*EvolutePointType] * 2)]
-    monkeypatch.setattr(cli, "_evolute_rows", lambda model, runs: rows)
+    monkeypatch.setattr(evolute, "evolute_rows", lambda model, runs: rows)
     spec = _write_spec(tmp_path, MINIMAL)
     assert cli_main(["evolute", "--spec", spec, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -991,16 +993,68 @@ def test_cli_runs_a_curvature_at_the_depth_bound(tmp_path, capsys, source):
     assert code == 0 or (code == 2 and err.startswith("numeric failure: ")), err
 
 
-def test_cli_focal_runs_only_the_focal_stages(tmp_path, capsys):
-    """On this spec sigma_F touches zero inside the hyperbolic evolute's
-    domain and the correspondence check fails; focal does not run it."""
+# the stages of pipeline.STAGES that each subcommand runs, in call order
+SUBCOMMAND_STAGES = {
+    "integrate": ["integrate"],
+    "focal": ["integrate", "definedness", "export"],
+    "evolute": ["integrate", "definedness", "evolute_rows", "export"],
+    "dual": ["integrate", "definedness", "duality"],
+    "classify": ["integrate", "definedness", "loci", "export"],
+    "verify": ["integrate", "definedness", "correspondence", "duality"],
+    "run": ["integrate", "definedness", "loci", "correspondence", "duality", "export"],
+}
+
+
+@pytest.mark.parametrize("sub", list(SUBCOMMAND_STAGES))
+def test_cli_runs_only_its_declared_stages(tmp_path, capsys, monkeypatch, sub):
+    """Each subcommand runs its stages and no other, counted through
+    pipeline.STAGES.  On the tangency spec sigma_F touches zero inside the
+    hyperbolic evolute's domain and the correspondence stage fails; only
+    the subcommands that run it fail."""
+    calls = []
+    monkeypatch.setattr(pipeline, "STAGES", tuple(
+        (name, lambda v, name=name, run=run: calls.append(name) or run(v), inputs)
+        for name, run, inputs in pipeline.STAGES))
+    stages, out = SUBCOMMAND_STAGES[sub], str(tmp_path / "out")
+    assert cli_main([sub, "--spec", _write_spec(tmp_path, MINIMAL), "--out", out]) == 0
+    assert calls == stages
+    capsys.readouterr()
+    calls.clear()
     doc = dict(MINIMAL, name="tangency",
                curvature={"m": "1.13", "n": "0.68-0.76*sin(-2.78*t)", "a": "-1.23", "b": "0"},
                domain={"t0": -1.6, "t1": 1.6, "samples": 41})
-    spec = _write_spec(tmp_path, doc)
-    assert cli_main(["focal", "--spec", spec, "--out", str(tmp_path / "out")]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "focal_h: defined on [[-1.6, 1.6]]", "focal_d: defined on nowhere",
-        "wrote: tangency_focal_h.obj"]
-    obj = (tmp_path / "out" / "tangency_focal_h.obj").read_text().splitlines()
-    assert obj[1] == "# grid 41 x 5"
+    code = cli_main([sub, "--spec", _write_spec(tmp_path, doc, "tangency.json"), "--out", out])
+    if "correspondence" in stages:
+        assert code == 2
+        assert calls == stages[:stages.index("correspondence") + 1]
+        assert "sigma_F = 2.328082452860959e-30" in capsys.readouterr().err
+        return
+    assert code == 0
+    assert calls == stages
+    if sub == "focal":
+        assert capsys.readouterr().out.splitlines() == [
+            "focal_h: defined on [[-1.6, 1.6]]", "focal_d: defined on nowhere",
+            "wrote: tangency_focal_h.obj"]
+        obj = (tmp_path / "out" / "tangency_focal_h.obj").read_text().splitlines()
+        assert obj[1] == "# grid 41 x 5"
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    """cli reaches the engine only through public names: no `from m import
+    _x` and no `m._x` on a module it imports (dunder names are public)."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    modules, used = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import | ast.ImportFrom):
+            for alias in node.names:
+                modules.add(alias.asname or alias.name)
+                if isinstance(node, ast.ImportFrom) and private(alias.name):
+                    used.append(alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and private(node.attr)):
+            used.append(f"{node.value.id}.{node.attr}")
+    assert used == []
