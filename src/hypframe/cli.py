@@ -25,7 +25,7 @@ from .errors import InvalidInputError, NumericError
 # not called here: perfbench's tracer rebinds cli.integrate_frame
 from .framedcurve import integrate_frame  # noqa: F401
 from .framedcurve import wedge_residual
-from .propagation import gram_residual
+from .propagation import gram_drift
 from .tolerances import DEFAULT
 
 
@@ -51,7 +51,8 @@ def show_integrate(out, report) -> int:
     print(f"backend {report.data['tool']['propagation_backend']}, "
           f"corrections {run['corrections']}, max drift {run['max_drift']:.3e} "
           f"(raw {run['max_drift_raw']:.3e}) near t={run['max_drift_t']}")
-    worst = max(max(gram_residual(f), wedge_residual(f)) for f in model.frames)
+    # both residuals relative to the frame's size, as the integrator judges drift
+    worst = max(max(gram_drift(f), wedge_residual(f)) for f in model.frames)
     print(f"worst sample residual {worst:.3e}")
     return 0
 

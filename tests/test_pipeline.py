@@ -993,6 +993,17 @@ def test_cli_runs_a_curvature_at_the_depth_bound(tmp_path, capsys, source):
     assert code == 0 or (code == 2 and err.startswith("numeric failure: ")), err
 
 
+def test_cli_integrate_prints_the_relative_residual_of_large_frames(tmp_path, capsys):
+    """On this constant boosted quartet the frames grow to |F| near 1e8, so
+    their absolute Gram residual is about 4e2 while their drift relative
+    to |F| stays at rounding level; the printed residual is the relative one."""
+    doc = dict(MINIMAL, name="boosted", domain={"t0": 0.0, "t1": 40.0, "samples": 201})
+    assert cli_main(["integrate", "--spec", _write_spec(tmp_path, doc)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("worst sample residual ")
+    assert float(last.rsplit(" ", 1)[1]) <= DEFAULT.frame
+
+
 # the stages of pipeline.STAGES that each subcommand runs, in call order
 SUBCOMMAND_STAGES = {
     "integrate": ["integrate"],
