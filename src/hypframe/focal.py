@@ -45,12 +45,6 @@ class Fibration(enum.Enum):
     DELTA5 = "Delta5"  # S31 x S31
 
 
-def _atan2(y, x) -> np.ndarray:
-    """math.atan2 at each element of the arrays y and x, of one shape."""
-    out = list(map(math.atan2, np.ravel(y).tolist(), np.ravel(x).tolist()))
-    return np.reshape(out, np.shape(y))
-
-
 class Side(NamedTuple):
     """What tells the hyperbolic constructions from the de Sitter ones.
 
@@ -89,7 +83,7 @@ H = Side(kappa=1.0, c="cosh", s="sinh", dual_c="cos",
          label="hyperbolic", disc_text="A^2 - M^2", sigma_text="positive",
          fibration=Fibration.DELTA1, evolute_first=True)
 D = Side(kappa=-1.0, c="cos", s="sin", dual_c="cosh",
-         dual_s="sinh", dual_zeros=(0.0,), root=_atan2,
+         dual_s="sinh", dual_zeros=(0.0,), root=np.arctan2,
          columns=attrgetter("disc_d", "Dd", "Dd1", "Dd2"),
          frenet=attrgetter("frenet.d"),
          focal="focal_d", evolute="evolute_d", dual="dual_ed",
@@ -434,7 +428,7 @@ def singular_locus_d(model: FramedCurveModel, ts=None):
             if _undefined_at(model, tm, D):
                 continue
             data_m = model.frenet_data_at(tm)
-            thm = _norm_circle(math.atan2(data_m.W, data_m.Dd))
+            thm = _norm_circle(float(D.root(data_m.W, data_m.Dd)))
             refined.append((tm, thm, False))
             stack += [(ta, tha, tm, thm, depth + 1), (tm, thm, tb, thb, depth + 1)]
     fiber, entries = np.linspace(0.0, 2.0 * math.pi, FIBER_COUNT, endpoint=False).tolist(), []

@@ -104,12 +104,11 @@ class Expr(_Memo):
 
 
 class _Function(NamedTuple):
-    """One DSL function f.  `outside(x)` is true off f's domain, where
-    evaluation at one t raises with `text` formatted with x; elsewhere the
-    replay calls `libm` and falls back to `numpy`, the IEEE value, where
-    libm raises."""
+    """One DSL function f.  `numpy` is the ufunc that gives f's value, the
+    same bits over an array as at each element alone; `outside(x)` is true
+    off f's domain, where the replay gives NaN and evaluation at one t
+    raises with `text` formatted with x."""
 
-    libm: Callable[[float], float]
     numpy: Callable              # a NumPy ufunc
     derivative: Callable[[Expr], Expr]   # u -> d/du f(u)
     outside: Callable = lambda x: False
@@ -119,19 +118,19 @@ class _Function(NamedTuple):
 # every DSL function, by name; the derivative rules build their
 # expressions with the smart constructors defined below
 _TABLE = {
-    "sin": _Function(math.sin, np.sin, lambda u: fun("cos", u)),
-    "cos": _Function(math.cos, np.cos, lambda u: neg(fun("sin", u))),
-    "tan": _Function(math.tan, np.tan, lambda u: add(ONE, pow_(fun("tan", u), 2))),
-    "sinh": _Function(math.sinh, np.sinh, lambda u: fun("cosh", u)),
-    "cosh": _Function(math.cosh, np.cosh, lambda u: fun("sinh", u)),
-    "tanh": _Function(math.tanh, np.tanh, lambda u: sub(ONE, pow_(fun("tanh", u), 2))),
-    "exp": _Function(math.exp, np.exp, lambda u: fun("exp", u)),
-    "log": _Function(math.log, np.log, lambda u: div(ONE, u),
+    "sin": _Function(np.sin, lambda u: fun("cos", u)),
+    "cos": _Function(np.cos, lambda u: neg(fun("sin", u))),
+    "tan": _Function(np.tan, lambda u: add(ONE, pow_(fun("tan", u), 2))),
+    "sinh": _Function(np.sinh, lambda u: fun("cosh", u)),
+    "cosh": _Function(np.cosh, lambda u: fun("sinh", u)),
+    "tanh": _Function(np.tanh, lambda u: sub(ONE, pow_(fun("tanh", u), 2))),
+    "exp": _Function(np.exp, lambda u: fun("exp", u)),
+    "log": _Function(np.log, lambda u: div(ONE, u),
                      lambda x: x <= 0.0, "log of non-positive value {!r}"),
-    "sqrt": _Function(math.sqrt, np.sqrt, lambda u: div(ONE, mul(num(2), fun("sqrt", u))),
+    "sqrt": _Function(np.sqrt, lambda u: div(ONE, mul(num(2), fun("sqrt", u))),
                       lambda x: x < 0.0, "sqrt of negative value {!r}"),
-    "atan": _Function(math.atan, np.arctan, lambda u: div(ONE, add(ONE, pow_(u, 2)))),
-    "artanh": _Function(math.atanh, np.arctanh, lambda u: div(ONE, sub(ONE, pow_(u, 2))),
+    "atan": _Function(np.arctan, lambda u: div(ONE, add(ONE, pow_(u, 2)))),
+    "artanh": _Function(np.arctanh, lambda u: div(ONE, sub(ONE, pow_(u, 2))),
                         lambda x: abs(x) >= 1.0, "artanh of value {!r} outside (-1, 1)"),
 }
 FUNCTIONS = tuple(_TABLE)
@@ -238,7 +237,7 @@ def pow_(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if base.kind == "num" and not (base.a == 0.0 and exponent < 0):
-        return num(_pow(base.a, exponent))
+        return num(power(base.a, exponent))
     return _intern(("pow", id(base), exponent), base, exponent)
 
 
@@ -247,7 +246,7 @@ def fun(name: str, arg: Expr) -> Expr:
     if f is None:
         raise ValueError(f"unknown function {name!r}")
     if arg.kind == "num" and not f.outside(arg.a):  # else evaluation reports it
-        return num(_libm(f, arg.a))
+        return num(_fun_cols(name, arg.a))
     return _intern(("fun", id(arg), name), arg, name)
 
 
@@ -486,62 +485,40 @@ def diff_expr(e: Expr, order: int = 1) -> Expr:
 # ---------------------------------------------------------------------------
 # Evaluation.  A list of roots compiles to one straight-line program with
 # one op per distinct node (plus a check before each division's
-# numerator).  One loop replays the op list over a NumPy array, with the
-# rounding of Python's float arithmetic and NaN where an op would raise;
-# at one t, the first such op in op order gives the located domain error.
+# numerator).  One loop replays the op list over a NumPy array, or over
+# one float with the same bits, and gives NaN where an op would raise; at
+# one t, the first such op in op order gives the located domain error.
 
 
-def _libm(f: _Function, x: float) -> float:
-    """f at the float x in its domain: libm's value, else the IEEE value."""
-    try:
-        return f.libm(x)
-    except (OverflowError, ValueError):
-        with np.errstate(all="ignore"):
-            return float(f.numpy(x))
-
-
-def _fun_cols(name: str, x) -> np.ndarray:
-    """f at each element of x by _libm, NaN off f's domain."""
+def _fun_cols(name: str, x):
+    """f at x, a float or an array, by the table's ufunc; NaN off f's domain."""
     f = _TABLE[name]
-    x = np.asarray(x)
-    outside = f.outside(x)
-    xs = np.where(outside, 0.5, x).ravel().tolist()  # 0.5: inside every domain
-    try:
-        out = list(map(f.libm, xs))
-    except (OverflowError, ValueError):
-        out = [_libm(f, v) for v in xs]
-    return np.where(outside, math.nan, np.reshape(out, x.shape))
-
-
-def _pow(b: float, k: int) -> float:
-    try:
-        return float(b ** k)
-    except OverflowError:
-        sign = -1.0 if (b < 0 and k % 2 == 1) else 1.0
-        return sign * math.inf
+    with np.errstate(all="ignore"):
+        return np.where(f.outside(x), math.nan, f.numpy(x))
 
 
 def power(x, k: int):
-    """x ** k as Python's float power rounds it, for a float or for each
-    element of an array (NumPy's power rounds differently); over an array,
+    """x ** k for the integer k, a float or an array x: the product of
+    repeated squares of x, then, for a negative k, one reciprocal, with
     NaN where zero meets a negative k."""
-    if not isinstance(x, np.ndarray):
-        return x ** k
-    xs = x.ravel().tolist()
-    try:
-        out = [v ** k for v in xs]
-    except (ZeroDivisionError, OverflowError):
-        out = [math.nan if v == 0.0 and k < 0 else _pow(v, k) for v in xs]
-    return np.reshape(out, x.shape)
+    n, out, square = abs(k), 1.0, x
+    while n:
+        if n & 1:
+            out = out * square
+        n >>= 1
+        if n:
+            square = square * square
+    if k >= 0:
+        return out
+    with np.errstate(all="ignore"):
+        return np.where(x == 0.0, math.nan, np.divide(1.0, out))
 
 
 # One op, by kind: v holds the values of the ops before, node is the op's
 # node, and a and b are its node's a and b, with each operand node
-# replaced by the index of its op.  Each gives Python's float arithmetic
-# at each element of an array, bit for bit, and NaN where that raises:
-# NumPy's power and functions round differently, so those ops take their
-# operands element by element.  A den op checks the denominator of its
-# div, the value at index a.
+# replaced by the index of its op.  Each gives the same bits at a float
+# as at that element of an array, and NaN where the op raises at one t.
+# A den op checks the denominator of its div, the value at index a.
 _OPS = {
     "num": lambda v, t, node, a, b: a,
     "var": lambda v, t, node, a, b: t,
@@ -551,7 +528,7 @@ _OPS = {
     "mul": lambda v, t, node, a, b: v[a] * v[b],
     "den": lambda v, t, node, a, b: None,
     "div": lambda v, t, node, a, b: np.where(v[b] == 0.0, math.nan, np.divide(v[a], v[b])),
-    "pow": lambda v, t, node, a, b: power(np.asarray(v[a]), b),
+    "pow": lambda v, t, node, a, b: power(v[a], b),
     "fun": lambda v, t, node, a, b: _fun_cols(b, v[a]),
 }
 

@@ -40,31 +40,32 @@ from hypframe.propagation import (_CF4_A, _CF4_B, GAUSS_C1, GAUSS_C2, _substep_p
 from hypframe.symexpr import Expr, ExprDomainError, Program
 from hypframe.tolerances import is_zero
 
-# each DSL function: its math form, its NumPy form (the IEEE value where
-# the math form raises), and, where it has one, the test of the arguments
-# off its domain and the error text there
+# each DSL function: its NumPy ufunc, taken here on one np.float64, and,
+# where it has one, the test of the arguments off its domain and the error
+# text there
 DSL_FUNCTIONS = {
-    "sin": (math.sin, np.sin), "cos": (math.cos, np.cos), "tan": (math.tan, np.tan),
-    "sinh": (math.sinh, np.sinh), "cosh": (math.cosh, np.cosh), "tanh": (math.tanh, np.tanh),
-    "exp": (math.exp, np.exp), "atan": (math.atan, np.arctan),
-    "log": (math.log, np.log, lambda x: x <= 0.0, "log of non-positive value {!r}"),
-    "sqrt": (math.sqrt, np.sqrt, lambda x: x < 0.0, "sqrt of negative value {!r}"),
-    "artanh": (math.atanh, np.arctanh, lambda x: abs(x) >= 1.0,
-               "artanh of value {!r} outside (-1, 1)"),
+    "sin": (np.sin,), "cos": (np.cos,), "tan": (np.tan,),
+    "sinh": (np.sinh,), "cosh": (np.cosh,), "tanh": (np.tanh,),
+    "exp": (np.exp,), "atan": (np.arctan,),
+    "log": (np.log, lambda x: x <= 0.0, "log of non-positive value {!r}"),
+    "sqrt": (np.sqrt, lambda x: x < 0.0, "sqrt of negative value {!r}"),
+    "artanh": (np.arctanh, lambda x: abs(x) >= 1.0, "artanh of value {!r} outside (-1, 1)"),
 }
 
 
 def fun_value(name, x, node=None):
-    """The DSL function `name` at the float x, raising an ExprDomainError
-    against node off its domain: the math value, else the IEEE value."""
-    libm, ieee, *domain = DSL_FUNCTIONS[name]
+    """The DSL function `name` at the float x, the ufunc's value on one
+    np.float64, raising an ExprDomainError against node off its domain."""
+    ufunc, *domain = DSL_FUNCTIONS[name]
     if domain and domain[0](x):
         raise ExprDomainError(domain[1].format(x), node)
-    try:
-        return libm(x)
-    except (OverflowError, ValueError):
-        with np.errstate(all="ignore"):
-            return float(ieee(x))
+    with np.errstate(all="ignore"):
+        return float(ufunc(np.float64(x)))
+
+
+def atan2(y, x):
+    """The angle of (x, y), np.arctan2's value on one np.float64 pair."""
+    return float(np.arctan2(np.float64(y), np.float64(x)))
 
 
 def checked_den(y, node):
@@ -75,15 +76,19 @@ def checked_den(y, node):
 
 
 def pow_value(b, k, node):
-    """b ** k, raising an ExprDomainError against node for zero to a
-    negative power, and saturating where Python's power overflows."""
+    """b ** k in np.float64 arithmetic, raising an ExprDomainError against
+    node for zero to a negative power: the product of the squares b, b^2,
+    b^4, ... that the bits of |k| select, lowest bit first, then one
+    reciprocal for a negative k."""
     if b == 0.0 and k < 0:
         raise ExprDomainError("zero raised to a negative power", node)
-    try:
-        return float(b ** k)
-    except OverflowError:
-        sign = -1.0 if (b < 0 and k % 2 == 1) else 1.0
-        return sign * math.inf
+    square, out = np.float64(b), np.float64(1.0)
+    with np.errstate(all="ignore"):
+        for bit in reversed(bin(abs(k))[2:]):
+            if bit == "1":
+                out = out * square
+            square = square * square
+        return float(out if k >= 0 else 1.0 / out)
 
 
 def tree_eval(e, t):
@@ -271,8 +276,7 @@ def random_mink_vectors(rng, n, scale=2.0):
 
 
 def fiber(name, theta):
-    """A fiber function, named as a DSL function, at the float theta:
-    libm's value, else the IEEE value."""
+    """A fiber function, named as a DSL function, at the float theta."""
     return fun_value(name, theta)
 
 
@@ -417,18 +421,18 @@ def partials_loop(model, side, t, theta, dual=False):
     data = frenet_data(model, t)
     r = math.sqrt(_require(side, data, model, evolute=dual)[0])
     f = frenet_frame(model, t)
-    k = side.kappa
+    k, r3 = side.kappa, pow_value(r, 3, None)
     if dual:
         c, s = fiber(side.dual_c, theta), fiber(side.dual_s, theta)
-        ft = (c * data.M + k * s * data.A * data.W / r ** 3) * f[0] \
-            + (-c * data.A - k * s * data.M * data.W / r ** 3) * f[1] \
+        ft = (c * data.M + k * s * data.A * data.W / r3) * f[0] \
+            + (-c * data.A - k * s * data.M * data.W / r3) * f[1] \
             + (s * data.A * data.N / r) * f[2] \
             + (k * s * r) * f[3]
         fth = (c / r) * (-data.M * f[0] + data.A * f[1]) - k * s * f[3]
     else:
         c, s = fiber(side.c, theta), fiber(side.s, theta)
-        ft = (-k * c * data.M * data.W / r ** 3) * f[0] \
-            + (k * c * data.A * data.W / r ** 3 - s * data.N) * f[1] \
+        ft = (-k * c * data.M * data.W / r3) * f[0] \
+            + (k * c * data.A * data.W / r3 - s * data.N) * f[1] \
             + (-c * data.M * data.N / r) * f[2]
         fth = (k * s * data.A / r) * f[0] + (-k * s * data.M / r) * f[1] + c * f[2]
     return MinkVec.from_array(ft), MinkVec.from_array(fth)
@@ -778,9 +782,9 @@ def singular_locus_loop(model, ts, side):
         if is_zero(data.W, s, model.tol.sing) and is_zero(d0, s, model.tol.sing):
             entries.append((t, None, data))
         elif side is D:
-            entries.append((t, _norm_circle(math.atan2(data.W, d0)), data))
+            entries.append((t, _norm_circle(atan2(data.W, d0)), data))
         elif not _undefined(H, data, model.tol, evolute=True):
-            entries.append((t, math.atanh(data.W / d0), data))
+            entries.append((t, fun_value("artanh", data.W / d0), data))
     if side is D:
         refined = list(entries)
         for (t_a, th_a, _), (t_b, th_b, _) in zip(entries, entries[1:]):
@@ -795,7 +799,7 @@ def singular_locus_loop(model, ts, side):
                 if undefined_at(model, tm, D):
                     continue
                 data_m = frenet_data(model, tm)
-                thm = _norm_circle(math.atan2(data_m.W, data_m.Dd))
+                thm = _norm_circle(atan2(data_m.W, data_m.Dd))
                 refined.append((tm, thm, data_m))
                 stack.append((ta, tha, tm, thm, depth + 1))
                 stack.append((tm, thm, tb, thb, depth + 1))
@@ -906,8 +910,8 @@ def leg_loop(model, ts, runs, side):
         data = frenet_data(model, t)
         w, d = data.W, side.columns(data)[1]
         try:
-            theta = math.atanh(w / d) if side is H else math.atan2(w, d)
-        except (ArithmeticError, ValueError):
+            theta = fun_value("artanh", w / d) if side is H else atan2(w, d)
+        except (ArithmeticError, ExprDomainError):
             theta = math.nan  # the focal point is not finite there
         rec = SingularPointRecord(surface=side.focal, param=SurfaceParam(t, theta),
                                   lam=0.0, sigma_f=data.sigma_f)

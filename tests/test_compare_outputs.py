@@ -126,3 +126,18 @@ def test_a_missing_spec_or_tree_is_an_error(tmp_path, monkeypatch, capsys, args)
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         "not found: " + str(tmp_path / args[1 if args[1] == "absent" else 2]))
+
+
+def test_each_place_names_the_values_behind_its_largest_differences():
+    """A sign flip at rounding level has a relative difference of 2; the
+    line for its place shows both values, so it reads as noise, and the
+    largest absolute difference keeps its own pair."""
+    old = _result(files={"loci.csv": "t,lambda\n0.5,1e-16\n0.75,3.0\n"})
+    new = _result(files={"loci.csv": "t,lambda\n0.5,-1e-16\n0.75,3.0000000000000004\n"})
+    floats, other = compare.numeric_differences(old, new)
+    assert other == []
+    assert floats.places["file loci.csv"] == [2, pytest.approx(4.4e-16), 2.0]
+    assert floats.pairs["file loci.csv"] == [(3.0, 3.0000000000000004), (1e-16, -1e-16)]
+    assert floats.line("file loci.csv") == (
+        "2 differ, max abs 4.441e-16 (3.0 -> 3.0000000000000004), "
+        "max rel 2.000e+00 (1e-16 -> -1e-16)")

@@ -874,9 +874,9 @@ def test_cli_off_quadric_mesh_vertex_exits_2(tmp_path, capsys):
 
 
 def test_cli_wide_theta_window_exits_2(tmp_path, capsys):
-    """cosh(theta) is past the libm range at theta = -1000: the fiber takes
-    the IEEE value, and the mesh point that is not finite is a numeric
-    failure that names its grid point, not a crash with OverflowError."""
+    """cosh(theta) overflows to inf at theta = -1000, and the mesh point
+    that is not finite is a numeric failure that names its grid point, not
+    a crash."""
     doc = dict(MINIMAL, curvature={"m": "1", "n": "1", "a": "2", "b": "0"},
                domain={"t0": 0.0, "t1": 1.0, "samples": 11},
                theta={"min": -1000.0, "max": 1000.0, "samples": 5}, outputs=["focal_h_obj"])

@@ -7,9 +7,9 @@ import pytest
 from hypframe.symexpr import (FUNCTIONS, ONE, T, Expr, ExprDomainError,
                               ExprSyntaxError, NonIntegerExponentError,
                               UnknownIdentifierError, add, compile, diff_expr,
-                              div, eval_expr, mul, num, parse_expr, sub,
+                              div, eval_expr, fun, mul, num, parse_expr, pow_, sub,
                               to_source, vectorized)
-from hypframe.symexpr import MAX_DEPTH
+from hypframe.symexpr import _TABLE, MAX_DEPTH
 
 from oracles import central_diff, tree_eval
 
@@ -428,3 +428,92 @@ def test_exact_array_replay_matches_tree_walk():
                 else:
                     assert exc is None and _same_bits(value, want), (src, t)
     assert raised > 100
+
+
+# -- one rounding: the ufuncs over an array and at one element -------------
+
+
+def _ufunc_arguments(rng, n):
+    """n arguments: near zero, moderate, near the overflow of exp and cosh,
+    every magnitude with either sign, and the special values, shuffled."""
+    k = n // 4
+    specials = np.array([0.0, -0.0, 1.0, -1.0, 0.5, math.pi / 2, 709.78, 710.0, -745.2,
+                         5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
+                         math.inf, -math.inf, math.nan])
+    rest = n - 3 * k - specials.size
+    parts = [rng.uniform(-1.0, 1.0, k), rng.uniform(-30.0, 30.0, k),
+             rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-300.0, 300.0, k),
+             rng.choice([-1.0, 1.0], rest) * rng.uniform(0.0, 800.0, rest), specials]
+    return rng.permutation(np.concatenate(parts))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", [*FUNCTIONS, "atan2"])
+def test_ufuncs_give_the_same_bits_over_an_array_as_at_each_element(name):
+    """The replay applies each function's ufunc to a whole column, and
+    Program.at to one float: the two agree only if the ufunc's SIMD loop,
+    its masked tail included, rounds as its one-element call does.  Checked
+    over 10^5 arguments, on every array length from 1 to 40, and on a
+    strided column; atan2 is the de Sitter theta root's ufunc."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    x = _ufunc_arguments(rng, 10**5)[None]  # one row per argument
+    if name == "atan2":
+        f, x = np.arctan2, np.concatenate([rng.permutation(x[0])[None], x])
+    else:
+        f = _TABLE[name].numpy
+    args = list(zip(*x.tolist()))
+    with np.errstate(all="ignore"):
+        alone = _bits([f(*a) for a in args])
+        assert np.array_equal(_bits(f(*x)), alone)
+        for length in range(1, 41):
+            for start in range(0, 2000, length):
+                part = x[..., start:start + length]
+                assert np.array_equal(_bits(f(*part)), alone[start:start + length]), \
+                    (length, start)
+        column = np.stack([x, x[..., ::-1]], axis=-1)[..., 1]
+        assert not column.flags.contiguous
+        assert np.array_equal(_bits(f(*column)), alone[::-1])
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_folded_functions_have_the_replays_bits(name):
+    """A function of a constant folds to the replay's value of that function
+    at t = the constant, bit for bit."""
+    replay = compile([fun(name, T)])
+    xs = [0.0, -0.0, 0.25, -0.7, 0.999, 1.5, -3.0, 20.0, 711.0, -800.0, 1e-300, 1e300]
+    folded = 0
+    for x in xs:
+        if _TABLE[name].outside(x):
+            continue
+        folded += 1
+        node = fun(name, num(x))
+        assert node.kind == "num", (name, x)
+        assert _same_bits(node.a, replay.at(x)[0]), (name, x)
+        assert _same_bits(node.a, replay.array(np.array([x]))[0][0].item()), (name, x)
+    assert folded >= 3
+
+
+def test_folded_powers_have_the_replays_bits():
+    """An integer power of a constant folds to the replay's t^k at t = the
+    constant, bit for bit, for every k in [-6, 6]; 1e200^2 overflows to inf
+    in both, and 0^-1 stays unfolded, for evaluation to report."""
+    xs = [0.0, -0.0, 1.0, -1.0, 0.1, -0.7, 1.1, 3.0, -7.25, 1e-60, 1e200, -1e200, 1e-200]
+    for k in range(-6, 7):
+        replay = compile([pow_(T, k)])
+        for x in xs:
+            node = pow_(num(x), k)
+            if x == 0.0 and k < 0:
+                assert node.kind == "pow", (x, k)
+                with pytest.raises(ExprDomainError, match="zero raised to a negative power"):
+                    eval_expr(node, 0.0)
+                continue
+            assert node.kind == "num", (x, k)
+            assert _same_bits(node.a, replay.at(x)[0]), (x, k)
+            assert _same_bits(node.a, replay.array(np.array([x]))[0][0].item()), (x, k)
+    assert pow_(num(1e200), 2) is num(math.inf)
+    assert compile([pow_(T, 2)]).at(1e200) == (math.inf,)
+    assert pow_(num(1e-200), -2) is num(math.inf)
+    assert compile([pow_(T, -2)]).at(1e-200) == (math.inf,)

@@ -15,9 +15,12 @@ With `--numeric`, a stream or file that differs is compared token by token
 instead: its float tokens (in a JSON report, its float values, per key
 path with list indices dropped) by their largest absolute and relative
 difference, and everything else, integers included, for equality.  Prints
-a FLOATS line per differing stream, file or key path, an OTHER line per
-non-numeric difference, and the largest float differences overall; exits 1
-only if some run differs in more than its floats.
+a FLOATS line per differing stream, file or key path, with the old and new
+value behind its largest absolute and its largest relative difference (so
+rounding noise on a value near zero, whose relative difference can reach
+2, shows as such), an OTHER line per non-numeric difference, and the
+largest float differences overall; exits 1 only if some run differs in
+more than its floats.
 """
 
 from __future__ import annotations
@@ -75,10 +78,12 @@ FLOAT = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]
 
 
 class FloatDiffs:
-    """Largest absolute and relative difference of paired floats, per place."""
+    """Largest absolute and relative difference of paired floats, per place,
+    with the (old, new) pair behind each."""
 
     def __init__(self):
         self.places = {}  # place -> [count differing, max abs, max rel]
+        self.pairs = {}   # place -> [(old, new) of max abs, (old, new) of max rel]
 
     def add(self, place, a, b):
         if a == b or (math.isnan(a) and math.isnan(b)):
@@ -86,11 +91,20 @@ class FloatDiffs:
         if not (math.isfinite(a) and math.isfinite(b)):
             return False
         err = abs(a - b)
+        rel = err / max(abs(a), abs(b))
         worst = self.places.setdefault(place, [0, 0.0, 0.0])
+        pairs = self.pairs.setdefault(place, [None, None])
         worst[0] += 1
-        worst[1] = max(worst[1], err)
-        worst[2] = max(worst[2], err / max(abs(a), abs(b)))
+        for k, value in ((1, err), (2, rel)):
+            if value > worst[k]:
+                worst[k], pairs[k - 1] = value, (a, b)
         return True
+
+    def line(self, place):
+        """The counts and largest differences at place, each with its pair."""
+        (count, err, rel), (at_abs, at_rel) = self.places[place], self.pairs[place]
+        return (f"{count} differ, max abs {err:.3e} ({at_abs[0]!r} -> {at_abs[1]!r}), "
+                f"max rel {rel:.3e} ({at_rel[0]!r} -> {at_rel[1]!r})")
 
 
 def _text_diffs(where, old, new, floats, other):
@@ -199,12 +213,12 @@ def main(argv=None) -> int:
                 floats, other = numeric_differences(old, new)
                 differing += bool(other)
                 in_floats += bool(floats.places) and not other
-                for place, (count, err, rel) in floats.places.items():
-                    print(f"FLOATS {label} {sub}: {place}: {count} differ, "
-                          f"max abs {err:.3e}, max rel {rel:.3e}")
-                    for key, value in (("abs", err), ("rel", rel)):
+                for place, (_, err, rel) in floats.places.items():
+                    print(f"FLOATS {label} {sub}: {place}: {floats.line(place)}")
+                    for key, value, (a, b) in zip(("abs", "rel"), (err, rel),
+                                                  floats.pairs[place]):
                         if value > worst[key][0]:
-                            worst[key] = (value, f"{label} {sub}: {place}")
+                            worst[key] = (value, f"{label} {sub}: {place}: {a!r} -> {b!r}")
                 for line in other:
                     print(f"OTHER {label} {sub}: {line}")
                 state = "DIFFERS" if other else "floats" if floats.places else "same"
