@@ -22,6 +22,7 @@ from collections import Counter
 from . import __version__
 from . import pipeline as _pipe
 from .errors import InvalidInputError, NumericError
+from .loci import LOCI_SURFACES, TYPES
 # not called here: perfbench's tracer rebinds cli.integrate_frame
 from .framedcurve import integrate_frame  # noqa: F401
 from .framedcurve import wedge_residual
@@ -88,8 +89,10 @@ def show_dual(out, report) -> int:
 
 
 def show_classify(out, report) -> int:
-    loci = report.data["loci"]
-    for (surface, ty), k in sorted(Counter((r["surface"], r["type"]) for r in loci).items()):
+    loci = report.data["loci"]  # a focal.LociTable
+    counts = Counter(zip(loci.surface.tolist(), loci.type.tolist()))
+    for (surface, ty), k in sorted(((LOCI_SURFACES[s], TYPES[t].value), k)
+                                   for (s, t), k in counts.items()):
         print(f"{surface}: {k} records {ty}")
     _wrote(out, report)
     return 0

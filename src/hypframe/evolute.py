@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .focal import (D, H, Side, SingularityType, SingularPointRecord, SurfaceParam, _batch,
-                    _by_epsilon, _columns, _decide, _eps_columns, _fiber, _finite,
-                    _MutableRecord, _point, _raise_rows, _replayed, _rule, _scale, _undefined_at,
+from .focal import (D, H, Side, _batch, _by_epsilon, _columns, _decide, _eps_columns, _fiber,
+                    _finite, _point, _raise_rows, _replayed, _rule, _scale, _undefined_at,
                     defined_runs, focal_d_point, focal_h_point)
 from .framedcurve import FramedCurveModel
+from .loci import TYPES, LociTable, SingularityType, SingularPointRecord, _code, _MutableRecord
 from .minkowski import MinkVec
 from .symexpr import ExprDomainError, _fun_cols, eval_expr
 
@@ -34,6 +33,9 @@ class EvolutePointType(enum.Enum):
     REGULAR_POINT = "RegularPoint"
     CUSP_234 = "Cusp234"
     DEGENERATE_UNCLASSIFIED = "DegenerateUnclassified"
+
+
+POINT_TYPES = tuple(EvolutePointType)  # a point type code indexes it
 
 
 class EvoluteSample(namedtuple("EvoluteSample", "t point derivative1 point_type epsilon "
@@ -72,7 +74,7 @@ def _evolute_columns(side: Side, model, ts, frames) -> tuple:
 
 def _samples(side: Side, model, ts) -> tuple:
     """(data, vecs, (eps, eps1, fallback), types): the FrenetData columns, the
-    columns of _evolute_columns and the point types of the side's evolute at
+    columns of _evolute_columns and the point type codes of the side's evolute at
     the ts, raising at the first row where evolute_h / evolute_d raise."""
     frames, data, _, suspect = _columns(side, model, ts)
     with np.errstate(all="ignore"):
@@ -88,7 +90,7 @@ def _sample(side: Side, model, t) -> EvoluteSample:
     diag = {"sigma_f": data.row(0).sigma_f}
     if fallback[0]:
         diag["epsilon_via_closed_form"] = True
-    return EvoluteSample(t, *(MinkVec.from_array(v[0]) for v in vecs), types[0, 0],
+    return EvoluteSample(t, *(MinkVec.from_array(v[0]) for v in vecs), POINT_TYPES[types[0, 0]],
                          float(eps[0, 0]), float(eps1[0, 0]), diag)
 
 
@@ -112,7 +114,7 @@ def evolute_rows(model: FramedCurveModel, runs) -> list:
                             key=lambda e: e[0].start):
         ts = model.ts[run.start:run.stop]
         _, _, (eps, eps1, _), types = _samples(side, model, ts)
-        rows += [(t, side.evolute[-1], *row, ty.value) for t, *row, ty in zip(
+        rows += [(t, side.evolute[-1], *row, POINT_TYPES[ty].value) for t, *row, ty in zip(
             ts.tolist(), *(c[:, 0].tolist() for c in (eps, eps1, types)))]
     return rows
 
@@ -124,15 +126,16 @@ def evolute_rows(model: FramedCurveModel, runs) -> list:
 # the side's dual fiber pair (c, s), for which c' = -kappa s.
 
 
-def _lam_dual(side: Side, data, s):
-    """lambda of the dual of the evolute at the dual fiber values s, per row
-    of FrenetData columns."""
-    return side.kappa * s * np.sqrt(side.kappa * data.sigma_f) / side.columns(data)[0]
+def _lam_dual(side: Side, sigma_f, disc, s):
+    """lambda of the dual of the evolute at the dual fiber values s, from
+    sigma_F and the side's disc, per element."""
+    return side.kappa * s * np.sqrt(side.kappa * sigma_f) / disc
 
 
 def _lambda_dual(side: Side, model, t, theta) -> float:
     data = _batch(side, model, [t], evolute=True)[1]
-    return float(_lam_dual(side, data, _fiber(side, [theta], dual=True)[1][:, None])[0, 0])
+    return float(_lam_dual(side, data.sigma_f, side.columns(data)[0],
+                           _fiber(side, [theta], dual=True)[1][:, None])[0, 0])
 
 
 def dual_of_evolute_h(model: FramedCurveModel, t: float, theta: float) -> MinkVec:
@@ -161,26 +164,26 @@ def lambda_dual_d(model: FramedCurveModel, t: float, theta: float) -> float:
 
 
 def _classify_dual(model, t0, side: Side, theta0):
-    """classify_dual_h/_d on the side, as one batch."""
-    one = not np.ndim(t0)
-    tl = [t0] if one else np.asarray(t0, dtype=float).tolist()
-    thetas = [theta0] if one else np.broadcast_to(theta0, len(tl)).tolist()
-    _, data, _, suspect = _columns(side, model, tl, frames=False)
+    """classify_dual_h/_d on the side, as one batch: each column is read
+    once per element of t0, and a row made per element of the broadcast of
+    t0 and theta0, in row-major order."""
+    t, theta = np.asarray(t0, dtype=float), np.asarray(theta0, dtype=float)
+    _, data, _, suspect = _columns(side, model, t.ravel(), frames=False)
     program = side.frenet(model).eps_closed_program
     eps, eps1 = model.program_columns(program, data.t[:, 0])
     _raise_rows(model, data, suspect, [_rule(side, model, data, True),
                                        _replayed(program, (eps, eps1))])
-    s = _fiber(side, thetas, dual=True)[1][:, None]
     with np.errstate(all="ignore"):
         scale = _scale(data)
-        cols = (_lam_dual(side, data, s), data.sigma_f,
-                _dual_type(eps, eps1, scale, model.tol.sing), eps, eps1, scale)
-    records = [DualSurfaceRecord(
-        surface=side.dual, param=SurfaceParam(t, th), lam=lm, sigma_f=sg, type=ty,
-        nondegenerate=True, diagnostics={"epsilon": e, "epsilon_prime": e1, "scale": sc})
-        for t, th, (lm, sg, ty, e, e1, sc) in zip(tl, thetas, zip(*(
-            c[:, 0].tolist() for c in cols)))]
-    return records[0] if one else records
+        cols = [c.reshape(t.shape) for c in (data.sigma_f, side.columns(data)[0], eps, eps1,
+                                             scale, _dual_type(eps, eps1, scale, model.tol.sing))]
+        lam = _lam_dual(side, *cols[:2], _fiber(side, theta, dual=True)[1])
+    t, theta, sigma, _, eps, eps1, scale, kind = (np.broadcast_to(c, lam.shape).ravel()
+                                                  for c in (t, theta, *cols))
+    table = LociTable(side.dual, t, theta, lam.ravel(), sigma, np.zeros(len(t), dtype=bool))
+    table.type, table.nondegenerate = kind, np.ones(len(t), dtype=bool)
+    table.diagnostics = [(0, {"epsilon": eps, "epsilon_prime": eps1, "scale": scale})]
+    return table if np.ndim(t0) else table[0]
 
 
 def classify_dual_h(model: FramedCurveModel, t0: float,
@@ -191,7 +194,9 @@ def classify_dual_h(model: FramedCurveModel, t0: float,
     theta0 = 0 by default (the theta0 = pi point carries the same type).
     Cuspidal edge iff epsilon != 0, cuspidal cross cap iff epsilon = 0 and
     epsilon' != 0, with epsilon in its closed quotient form.  An array t0
-    (theta0 an array or a float) gives the list of records, as one batch.
+    gives a loci table, as one batch, with a row per element of the
+    broadcast of t0 and theta0: a column of t0 against a row of theta0
+    makes the rows (t, theta) in t order, then theta order.
     """
     return _classify_dual(model, t0, H, theta0)
 
@@ -245,31 +250,50 @@ _CORRESPONDENCES = {
 _EVENT_KEYS = {"sw_iff_cusp": "focal_sw_iff_evolute_cusp", "sw_iff_ccr": "focal_sw_iff_dual_ccr"}
 
 
-def _agreements(*types) -> dict:
-    """Each name of _CORRESPONDENCES -> whether its tests agree on the types."""
-    return {name: (types[i] is a) == (types[j] is b)
+def _agreements(types) -> dict:
+    """Each name of _CORRESPONDENCES -> whether its tests agree, per row of
+    the (focal, evolute, dual) type code columns."""
+    return {name: (types[i] == _code(a)) == (types[j] == _code(b))
             for name, ((i, a), (j, b)) in _CORRESPONDENCES.items()}
 
 
+def _type_values(types, k) -> tuple:
+    """The (focal, evolute, dual) type values of row k of the code columns."""
+    return TYPES[types[0][k]].value, POINT_TYPES[types[1][k]].value, TYPES[types[2][k]].value
+
+
 BISECT_ITERS = 80
-BISECT_DEPTH = 4  # levels of bisection midpoints that one replay evaluates
+BISECT_DEPTH = 4  # the fewest levels of bisection midpoints that one replay evaluates
+BISECT_ROWS = 255  # the midpoints of one replay, split over the live brackets
 
 
-def _midpoints(ta, tb, depth) -> list:
-    """The midpoints of the first `depth` levels of bisection of [ta, tb]."""
-    tm = 0.5 * (ta + tb)
-    return [tm, *_midpoints(ta, tm, depth - 1), *_midpoints(tm, tb, depth - 1)] if depth else []
+def _depth(live: int) -> int:
+    """Levels of midpoints per bracket in a replay for `live` brackets: as
+    many as fit BISECT_ROWS, and at least BISECT_DEPTH."""
+    return max(BISECT_DEPTH, (BISECT_ROWS // live + 1).bit_length() - 1)
+
+
+def _midpoints(ta, tb, depth) -> np.ndarray:
+    """The midpoints 0.5 (a + b) of the first `depth` levels of bisection of
+    [ta, tb], a level at a time."""
+    edges, out = np.array([ta, tb]), []
+    for _ in range(depth):
+        out.append(0.5 * (edges[:-1] + edges[1:]))
+        both = np.empty(2 * len(edges) - 1)  # the edges of the next level, in order
+        both[::2], both[1::2] = edges, out[-1]
+        edges = both
+    return np.concatenate(out)
 
 
 def _bisection(ta, tb, ea, eb, check):
     """Bisect an epsilon sign change on [ta, tb], as a generator: it yields
-    the _midpoints of the next BISECT_DEPTH levels and is sent {t: (epsilon,
+    the bracket whose next midpoints it needs and is sent {t: (epsilon,
     bad)} over them; check(t) raises where bad.  It returns the zero."""
     eps = {}
     for _ in range(BISECT_ITERS):
         tm = 0.5 * (ta + tb)
         if tm not in eps:
-            eps = yield _midpoints(ta, tb, BISECT_DEPTH)
+            eps = yield ta, tb
         em, bad = eps[tm]
         if bad:
             check(tm)
@@ -286,14 +310,16 @@ def _bisection(ta, tb, ea, eb, check):
 
 def _eps_crossings(model, side: Side, brackets) -> list:
     """The zero of each bracket (ta, tb, eps(ta), eps(tb)) by _bisection,
-    with one replay (_eps_columns) of the midpoints that all ask for.  A
-    midpoint reached raises the located error of the closed form there, the
-    first bracket's first, as bisecting one bracket after another would."""
+    with one replay (_eps_columns) of the next _depth levels of midpoints of
+    every bracket still bisected.  A midpoint reached raises the located
+    error of the closed form there, the first bracket's first, as bisecting
+    one bracket after another would."""
     closed = side.frenet(model).eps_closed_program
     runs = [_bisection(*b, lambda t: eval_expr(closed, t, name_t=True)) for b in brackets]
     asked, zeros, error = dict(enumerate(map(next, runs))), [None] * len(runs), None
     while asked:
-        ts = np.array(list(asked.values())).ravel()
+        depth = _depth(len(asked))
+        ts = np.concatenate([_midpoints(ta, tb, depth) for ta, tb in asked.values()])
         eps, _, _, (_, bad) = _eps_columns(side, model, ts)
         values = dict(zip(ts.tolist(), zip(eps[:, 0].tolist(), bad.tolist())))
         for k in list(asked):
@@ -312,11 +338,11 @@ def _eps_crossings(model, side: Side, brackets) -> list:
 
 def _leg_columns(model, ts, side: Side, focal_point) -> tuple:
     """The correspondence on the singular curve at each of the array ts, as
-    columns: per row, the focal, evolute and dual types, epsilon and the
-    distance from the focal point to the evolute point.  A flagged row
-    raises through _raise_rows what the per-point queries raised there:
-    the focal record, the evolute's rule, the rest of the evolute sample,
-    the focal point and the dual record, in that order."""
+    columns: the (focal, evolute, dual) type codes, epsilon and the distance
+    from the focal point to the evolute point.  A flagged row raises
+    through _raise_rows what the per-point queries raised there: the focal
+    record, the evolute's rule, the rest of the evolute sample, the focal
+    point and the dual record, in that order."""
     frames, data, _, suspect = _columns(side, model, ts)
     tol, closed = model.tol.sing, side.frenet(model).eps_closed_program
     with np.errstate(all="ignore"):
@@ -331,53 +357,53 @@ def _leg_columns(model, ts, side: Side, focal_point) -> tuple:
     _raise_rows(model, data, suspect, [
         _rule(side, model, data), _replayed(closed, (eps, eps1), fallback & ~b[:, 0]),
         _rule(side, model, data, True), *checks, _finite(p, dist), _replayed(closed, dual_eps)])
-    types = zip(focal[:, 0].tolist(), point[:, 0].tolist(), dual[:, 0].tolist())
-    return list(types), eps[:, 0].tolist(), np.abs(dist).max(axis=1).tolist()
+    return (focal[:, 0], point[:, 0], dual[:, 0]), eps[:, 0], np.abs(dist).max(axis=1)
 
 
 def _leg(model, ts, runs, side: Side, focal_point) -> LegReport:
     """Correspondence checks on one side, over the index runs of ts where
     its evolute is defined, and at each epsilon crossing, as columns
-    (_leg_columns); focal_point is that side's public focal point function,
-    passed in so that a rebound module attribute (a profiler's wrapper) is
-    called."""
+    (_leg_columns): each agreement is one column over the run, and a
+    failure is built for each row where it fails.  focal_point is that
+    side's public focal point function, passed in so that a rebound module
+    attribute (a profiler's wrapper) is called."""
     if not runs:
         reason = _undefined_at(model, float(ts[-1]), side, evolute=True) if len(ts) else None
         return LegReport(status="skipped",
                          reason=reason or "evolute undefined on the whole grid")
 
     leg = LegReport(status="checked", points=sum(map(len, runs)))
-    agreements, max_dist, eps = {}, 0.0, {}  # eps: grid index -> epsilon
-    index = list(chain.from_iterable(runs))
-    for i, (focal, point, dual), e, dist in zip(index, *_leg_columns(model, ts[index], side,
-                                                                    focal_point)):
-        max_dist = max(max_dist, dist)
-        for name, ok in _agreements(focal, point, dual).items():
-            agreements[name] = agreements.get(name, True) and ok
-            if not ok:
-                leg.failures.append({"t": float(ts[i]), "check": name, "focal": focal.value,
-                                     "evolute": point.value, "dual": dual.value})
-        eps[i] = e
+    index = np.concatenate([np.arange(run.start, run.stop) for run in runs])
+    types, eps, dist = _leg_columns(model, ts[index], side, focal_point)
+    agree = _agreements(types)
+    leg.agreements = {name: bool(ok.all()) for name, ok in agree.items()}
+    # one failure per failed agreement, by grid point, then in table order
+    for k in np.flatnonzero(~np.logical_and.reduce(list(agree.values()))).tolist():
+        focal, point, dual = _type_values(types, k)
+        leg.failures += [{"t": float(ts[index[k]]), "check": name, "focal": focal,
+                          "evolute": point, "dual": dual} for name, ok in agree.items() if not ok[k]]
+    leg.max_image_distance = max(0.0, float(dist.max()))
 
     # epsilon sign changes between grid neighbours of one defined run:
     # locate the crossing and classify there
-    brackets = [(float(ts[ia]), float(ts[ib]), eps[ia], eps[ib])
-                for run in runs for ia, ib in zip(run, run[1:])
-                if eps[ia] != 0.0 and eps[ib] != 0.0 and (eps[ia] < 0) != (eps[ib] < 0)]
-    crossing_ts = sorted([float(ts[i]) for i, e in eps.items() if e == 0.0]
-                         + _eps_crossings(model, side, brackets))
-    for t_star, (focal, point, dual), _, dist in zip(crossing_ts, *_leg_columns(
-            model, np.array(crossing_ts), side, focal_point) if crossing_ts else ()):
-        max_dist = max(max_dist, dist)
-        checks = _agreements(focal, point, dual)
-        leg.events.append({"t": t_star, "focal_type": focal.value, "evolute_type": point.value,
-                           "dual_type": dual.value,
-                           **{key: checks[name] for key, name in _EVENT_KEYS.items()}})
+    same_run = np.ones(len(index) - 1, dtype=bool)
+    same_run[np.cumsum(list(map(len, runs)))[:-1] - 1] = False
+    ea, eb = eps[:-1], eps[1:]
+    at = np.flatnonzero(same_run & (ea != 0.0) & (eb != 0.0) & ((ea < 0) != (eb < 0)))
+    brackets = zip(*(c.tolist() for c in (ts[index[at]], ts[index[at + 1]], ea[at], eb[at])))
+    crossing_ts = sorted(ts[index[eps == 0.0]].tolist()
+                         + _eps_crossings(model, side, list(brackets)))
+    if crossing_ts:
+        types, _, dist = _leg_columns(model, np.array(crossing_ts), side, focal_point)
+        agree = _agreements(types)
+        for k, t_star in enumerate(crossing_ts):
+            focal, point, dual = _type_values(types, k)
+            leg.events.append({"t": t_star, "focal_type": focal, "evolute_type": point,
+                               "dual_type": dual,
+                               **{key: bool(agree[name][k]) for key, name in _EVENT_KEYS.items()}})
         for name in _EVENT_KEYS.values():
-            agreements[name] = agreements[name] and checks[name]
-
-    leg.agreements = agreements
-    leg.max_image_distance = max_dist
+            leg.agreements[name] = leg.agreements[name] and bool(agree[name].all())
+        leg.max_image_distance = max(leg.max_image_distance, float(dist.max()))
     return leg
 
 

@@ -3,9 +3,10 @@
 The hyperbolic focal surface lives in H3 over the parameter strip where
 A^2 > M^2, the de Sitter one in S31 where M^2 > A^2.  Their discriminants
 lambda vanish exactly on the singular loci, which are extracted from the
-grid's columns and classified, a batch of records at once, by the
-explicit cuspidal-edge / swallowtail / cuspidal-beaks criteria.  Every
-quantity a decision compared against zero is in the record diagnostics.
+grid's columns into a loci table (loci.py) and classified, all its rows
+at once, by the explicit cuspidal-edge / swallowtail / cuspidal-beaks
+criteria.  Every quantity a decision compared against zero is in the
+diagnostics of a row.
 
 Both sides are one Legendrian-duality construction (the Delta1 and Delta5
 pairings): a `Side` record holds what tells them apart, each construction
@@ -25,19 +26,11 @@ import numpy as np
 from .errors import (EvoluteUndefinedError, FrameDegenerateError, InvalidInputError,
                      NumericError, SurfaceUndefinedError)
 from .framedcurve import FramedCurveModel, FrenetData
+from .loci import SurfaceParam  # noqa: F401 - a name of focal's, as before loci.py
+from .loci import TYPES, LociTable, SingularityType, SingularPointRecord, _code, _diagnostics
 from .minkowski import ON_QUADRIC, Columns, MinkVec, Quadric, membership_residual
 from .symexpr import _fun_cols, eval_expr, power
 from .tolerances import is_zero
-
-
-class SingularityType(enum.Enum):
-    REGULAR = "Regular"
-    CUSPIDAL_EDGE = "CuspidalEdge"
-    SWALLOWTAIL = "Swallowtail"
-    CUSPIDAL_BEAKS = "CuspidalBeaks"
-    CUSPIDAL_LIPS = "CuspidalLips"
-    CUSPIDAL_CROSS_CAP = "CuspidalCrossCap"
-    DEGENERATE_UNCLASSIFIED = "DegenerateUnclassified"
 
 
 class Fibration(enum.Enum):
@@ -91,35 +84,6 @@ D = Side(kappa=-1.0, c="cos", s="sin", dual_c="cosh",
          fibration=Fibration.DELTA5, evolute_first=False)
 
 
-class SurfaceParam(NamedTuple):
-    t: float
-    theta: float
-
-
-class _MutableRecord:
-    """A record that later stages fill in place: equal to a record of its
-    class field by field, and printed as Name(field=value, ...)."""
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-
-class SingularPointRecord(_MutableRecord):
-    """A located singular point with its classification diagnostics, which
-    classify_h and classify_d fill in."""
-
-    def __init__(self, surface: str, param: SurfaceParam, lam: float, sigma_f: float,
-                 type: SingularityType = SingularityType.DEGENERATE_UNCLASSIFIED,
-                 nondegenerate: bool = False, whole_fiber: bool = False,
-                 diagnostics: dict | None = None):
-        self.surface, self.param, self.lam, self.sigma_f = surface, param, lam, sigma_f
-        self.type, self.nondegenerate, self.whole_fiber = type, nondegenerate, whole_fiber
-        self.diagnostics = {} if diagnostics is None else diagnostics
-
-
 def _scale(data: FrenetData):
     """Local magnitude entering every zero threshold, per row of FrenetData
     columns: each D counted only where its discriminant is positive, as
@@ -128,7 +92,10 @@ def _scale(data: FrenetData):
     discs = [data.disc_h] * 3 + [data.disc_d] * 3
     d = (data.Dh, data.Dh1, data.Dh2, data.Dd, data.Dd1, data.Dd2)
     vals += tuple(np.where(disc > 0.0, v, 0.0) for disc, v in zip(discs, d))
-    return np.max(np.abs(vals), axis=0)
+    out = np.abs(vals[0])
+    for v in vals[1:]:  # max |v| over vals, two columns held at a time
+        out = np.max((out, np.abs(v)), axis=0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,41 +297,39 @@ def focal_d_point(model: FramedCurveModel, t, theta):
     return _point(D, model, t, theta)
 
 
+def _entries(side: Side, data) -> tuple:
+    """(W, D, disc, sigma_F) of the side, of FrenetData: what a locus row reads."""
+    disc, d0 = side.columns(data)[:2]
+    return data.W, d0, disc, data.sigma_f
+
+
+def _lambda(side: Side, model, t, theta) -> float:
+    c, s = (x[:, None] for x in _fiber(side, [theta]))
+    w, d0, disc, _ = _entries(side, _batch(side, model, [t])[1])
+    return float(((c * w - s * d0) / disc)[0, 0])
+
+
 def lambda_h(model: FramedCurveModel, t: float, theta: float) -> float:
     """[cosh(theta) W - sinh(theta) A N sqrt(A^2-M^2)] / (A^2-M^2)."""
-    return _records(H, model, [(t, theta, False)])[0].lam
+    return _lambda(H, model, t, theta)
 
 
 def lambda_d(model: FramedCurveModel, t: float, theta: float) -> float:
-    return _records(D, model, [(t, theta, False)])[0].lam
+    return _lambda(D, model, t, theta)
 
 
 # ---------------------------------------------------------------------------
-# Singular loci and their classification, as columns: a row per grid t or per record
+# Singular loci and their classification, as columns: a row per grid t or per point
 
 
 def _locus_rows(side: Side, model, ts) -> tuple:
-    """(ts as floats, data, whole) of a locus at the grid ts: the FrenetData
-    columns, and where (W, D) vanishes, so that the whole fiber is singular."""
-    tl = (model.ts if ts is None else np.asarray(ts, dtype=float)).tolist()
-    data = _batch(side, model, tl)[1]
+    """(ts, data, whole) of a locus at the grid ts: the FrenetData columns,
+    and where (W, D) vanishes, so that the whole fiber is singular."""
+    ts = model.ts if ts is None else np.asarray(ts, dtype=float)
+    data = _batch(side, model, ts)[1]
     s, tol = _scale(data), model.tol.sing
     whole = is_zero(data.W, s, tol) & is_zero(side.columns(data)[1], s, tol)
-    return tl, data, whole[:, 0].tolist()
-
-
-def _records(side: Side, model, entries: list) -> list:
-    """The locus records of the entries (t, theta, whole fiber), with lambda
-    and sigma_F from the FrenetData rows at their ts."""
-    ts, thetas, whole = zip(*entries) if entries else ((), (), ())
-    data = _batch(side, model, ts)[1]
-    c, s = (x[:, None] for x in _fiber(side, thetas))
-    disc, d0 = side.columns(data)[:2]
-    lam = ((c * data.W - s * d0) / disc)[:, 0].tolist()
-    return [SingularPointRecord(
-        surface=side.focal, param=SurfaceParam(t, th), lam=lm, sigma_f=sg, whole_fiber=w,
-        diagnostics={"lambda_at_root": lm} if w else {"lambda_at_root": lm, "sigma_f": sg})
-        for t, th, w, lm, sg in zip(ts, thetas, whole, lam, data.sigma_f[:, 0].tolist())]
+    return ts, data, whole[:, 0]
 
 
 # a whole-fiber record holds FIBER_COUNT thetas, over FIBER_WINDOW on a line fiber
@@ -373,23 +338,30 @@ FIBER_COUNT = 13
 REFINE_DEPTH = 6  # halvings of a grid step where the d-locus branch jumps
 
 
-def singular_locus_h(model: FramedCurveModel, ts=None):
+def _locus_table(side: Side, ts, cols, whole, count, roots, fiber) -> LociTable:
+    """The locus table of the entries ts, with _entries columns `cols`: at an
+    entry, the thetas of the fiber where whole, else its `count` thetas of
+    `roots`, the roots of all entries in order."""
+    rows = np.repeat(np.arange(len(ts)), np.where(whole, FIBER_COUNT, count))
+    w = whole[rows]
+    theta = np.empty(len(rows))
+    theta[w], theta[~w] = np.tile(fiber, int(whole.sum())), roots
+    (c, s), (w_, d0, disc, sigma) = _fiber(side, theta), (col[rows] for col in cols)
+    return LociTable(side.focal, ts[rows], theta, (c * w_ - s * d0) / disc, sigma, w)
+
+
+def singular_locus_h(model: FramedCurveModel, ts=None) -> LociTable:
     """Singular points of the hyperbolic focal surface over the grid.
 
     Per grid t: a whole-fiber family when (W, Dh) vanishes, the unique
     root theta = artanh(W / Dh) where the evolute is defined, nothing else.
     """
     ts, data, whole = _locus_rows(H, model, ts)
+    cols = [c[:, 0] for c in _entries(H, data)]
     with np.errstate(all="ignore"):
-        sigma = _failing(H, data, model.tol, evolute=True)[0]
-        root = H.root(data.W, data.Dh)
-    fiber, entries = np.linspace(*FIBER_WINDOW, FIBER_COUNT).tolist(), []
-    for t, w, no, theta in zip(ts, whole, *(c[:, 0].tolist() for c in (sigma, root))):
-        if w:
-            entries += [(t, th, True) for th in fiber]
-        elif not no:
-            entries.append((t, theta, False))
-    return _records(H, model, entries)
+        root = ~whole & ~_failing(H, data, model.tol, evolute=True)[0][:, 0]
+        theta = H.root(cols[0][root], cols[1][root])
+    return _locus_table(H, ts, cols, whole, root, theta, np.linspace(*FIBER_WINDOW, FIBER_COUNT))
 
 
 def _circ_gap(x, y):
@@ -399,12 +371,14 @@ def _circ_gap(x, y):
 
 
 def _norm_circle(x):
-    """Reduce to [0, 2pi), snapping rounding-level wrap back to 0."""
+    """Reduce to [0, 2pi), snapping rounding-level wrap back to 0; a float,
+    or per element of an array."""
     y = x % (2.0 * math.pi)
-    return 0.0 if 2.0 * math.pi - y <= 1e-9 else y
+    wrap = 2.0 * math.pi - y <= 1e-9
+    return np.where(wrap, 0.0, y) if np.ndim(y) else (0.0 if wrap else y)
 
 
-def singular_locus_d(model: FramedCurveModel, ts=None):
+def singular_locus_d(model: FramedCurveModel, ts=None) -> LociTable:
     """Singular points of the de Sitter focal surface over the grid.
 
     The circle fiber always meets the singular set when (W, Dd) does not
@@ -414,14 +388,14 @@ def singular_locus_d(model: FramedCurveModel, ts=None):
     surface is undefined is skipped.
     """
     ts, data, whole = _locus_rows(D, model, ts)
-    thetas = [math.nan if w else _norm_circle(theta)
-              for w, theta in zip(whole, D.root(data.W, data.Dd)[:, 0].tolist())]
-    refined = list(zip(ts, thetas, whole))
+    cols = [c[:, 0] for c in _entries(D, data)]
+    theta = np.where(whole, math.nan, _norm_circle(D.root(cols[0], cols[1])))
+    refined = []
     # refine, one midpoint at a time, where the principal branch jumps
-    for j in np.flatnonzero(_circ_gap(*np.array([thetas[:-1], thetas[1:]])) > 0.5 * math.pi):
-        stack = [(ts[j], thetas[j], ts[j + 1], thetas[j + 1], 0)]
+    for j in np.flatnonzero(_circ_gap(theta[:-1], theta[1:]) > 0.5 * math.pi).tolist():
+        stack = [(*ts[j:j + 2].tolist(), *theta[j:j + 2].tolist(), 0)]
         while stack:
-            ta, tha, tb, thb, depth = stack.pop()
+            ta, tb, tha, thb, depth = stack.pop()
             if _circ_gap(tha, thb) <= 0.5 * math.pi or depth >= REFINE_DEPTH:
                 continue
             tm = 0.5 * (ta + tb)
@@ -429,13 +403,18 @@ def singular_locus_d(model: FramedCurveModel, ts=None):
                 continue
             data_m = model.frenet_data_at(tm)
             thm = _norm_circle(float(D.root(data_m.W, data_m.Dd)))
-            refined.append((tm, thm, False))
-            stack += [(ta, tha, tm, thm, depth + 1), (tm, thm, tb, thb, depth + 1)]
-    fiber, entries = np.linspace(0.0, 2.0 * math.pi, FIBER_COUNT, endpoint=False).tolist(), []
-    for t, theta, w in sorted(refined, key=lambda e: e[0]):
-        pair = fiber if w else sorted((theta, _norm_circle(theta + math.pi)))
-        entries += [(t, th, w) for th in pair]
-    return _records(D, model, entries)
+            refined.append((tm, thm, False, *_entries(D, data_m)))
+            stack += [(ta, tm, tha, thm, depth + 1), (tm, tb, thm, thb, depth + 1)]
+    if refined or np.any(ts[1:] < ts[:-1]):
+        # the midpoints after the grid's entries, then all in t order (stable)
+        entries = [np.concatenate([a, b]).astype(a.dtype) for a, b in zip(
+            (ts, theta, whole, *cols), np.reshape(refined, (-1, 7)).T)]
+        order = np.argsort(entries[0], kind="stable")
+        ts, theta, whole, *cols = (c[order] for c in entries)
+    pair = _norm_circle(theta + math.pi)
+    lo, hi = np.where(pair < theta, pair, theta), np.where(pair < theta, theta, pair)
+    return _locus_table(D, ts, cols, whole, 2, np.column_stack([lo, hi])[~whole].ravel(),
+                        np.linspace(0.0, 2.0 * math.pi, FIBER_COUNT, endpoint=False))
 
 
 def _eps_columns(side: Side, model, ts, rows=True) -> tuple:
@@ -457,10 +436,12 @@ def _nonzero(value, scale, tol):
 
 
 def _by_epsilon(types):
-    """f(eps, eps1, scale, tol): types[0] iff epsilon != 0, types[1] iff epsilon
-    = 0 and epsilon' != 0, else types[2]; per row of columns."""
+    """f(eps, eps1, scale, tol): the code (_code) of types[0] iff epsilon != 0,
+    of types[1] iff epsilon = 0 and epsilon' != 0, else of types[2]; per row
+    of columns."""
+    codes = [_code(ty) for ty in types]
     return lambda eps, eps1, scale, tol: np.select(
-        [_nonzero(eps, scale, tol), _nonzero(eps1, scale, tol)], types[:2], types[2])
+        [_nonzero(eps, scale, tol), _nonzero(eps1, scale, tol)], codes[:2], codes[2])
 
 
 # branch (a) of the classification: cuspidal edge, else swallowtail
@@ -469,11 +450,11 @@ _edge_or_swallowtail = _by_epsilon((SingularityType.CUSPIDAL_EDGE, SingularityTy
 
 
 def _edge_or_beaks(c1, c2, c3, s, root, mn, tol):
-    """Branch (b) of the classification, by the derivative data of (W, D)."""
+    """Branch (b) of the classification, by the derivative data of (W, D): type codes."""
     beaks = _nonzero(c2, s, tol) & _nonzero(c3, s * (1 + root + abs(mn)), tol)
     return np.select([_nonzero(c1, s, tol), beaks],
-                     [SingularityType.CUSPIDAL_EDGE, SingularityType.CUSPIDAL_BEAKS],
-                     SingularityType.DEGENERATE_UNCLASSIFIED)
+                     [_code(SingularityType.CUSPIDAL_EDGE), _code(SingularityType.CUSPIDAL_BEAKS)],
+                     _code(SingularityType.DEGENERATE_UNCLASSIFIED))
 
 
 def _branch_b(data: FrenetData, tol):
@@ -483,7 +464,7 @@ def _branch_b(data: FrenetData, tol):
 
 
 def _decide(side: Side, data: FrenetData, c, s, eps, eps1, tol) -> tuple:
-    """(types, branch-b mask, scale, (c1, c2, c3)) of the side's focal surface
+    """(type codes, branch-b mask, scale, (c1, c2, c3)) of the side's focal surface
     at the rows of the columns and the fiber values (c, s) of their thetas:
     branch (b) where (W, N) vanishes, else branch (a) by (eps, eps1)."""
     disc, _, d1, d2 = side.columns(data)
@@ -497,51 +478,53 @@ def _decide(side: Side, data: FrenetData, c, s, eps, eps1, tol) -> tuple:
     return types, b, scale, (c1, c2, c3)
 
 
-def _classify(side: Side, model, records):
-    """Set the type, nondegenerate and diagnostics of a record, or of each of
-    a list as one batch; its type, or the list of them.  Epsilon is taken
-    by _eps_columns on the branch (a) rows."""
-    recs = [records] if isinstance(records, SingularPointRecord) else list(records)
-    if not recs:  # no epsilon program to compile
-        return []
-    ts, tol = np.array([r.param.t for r in recs], dtype=float), model.tol.sing
+def _classify(side: Side, model, loci):
+    """Classify a record in place, and return its type; or classify the rows
+    of a loci table in place, as one batch.  Epsilon is taken by
+    _eps_columns on the branch (a) rows."""
+    one = isinstance(loci, SingularPointRecord)
+    ts, thetas = ((np.array([loci.param.t], dtype=float), np.array([loci.param.theta], dtype=float))
+                  if one else (loci.t, loci.theta))
+    if not len(ts):  # no epsilon program to compile
+        return None
+    tol = model.tol.sing
     _, data, _, suspect = _columns(side, model, ts, frames=False)
     eps, eps1, fallback, closed = _eps_columns(side, model, ts, ~_branch_b(data, tol)[0][:, 0])
     _raise_rows(model, data, suspect, [_rule(side, model, data), closed])
-    c, s = (x[:, None] for x in _fiber(side, [r.param.theta for r in recs]))
+    c, s = (x[:, None] for x in _fiber(side, thetas))
     with np.errstate(all="ignore"):
         types, b, scale, (c1, c2, c3) = _decide(side, data, c, s, eps, eps1, tol)
         disc, d0 = side.columns(data)[:2]
         lam_t, lam_th = c1 / disc, (side.kappa * s * data.W - c * d0) / disc
         nondegenerate = ~is_zero(np.maximum(np.abs(lam_t), np.abs(lam_th)), scale, tol)
-    cols = (types, nondegenerate, b, scale, data.W, data.N, eps, eps1, c1, c2, c3, lam_t, lam_th)
-    for rec, fb, (ty, nd, bb, sc, w, n, e, e1, x1, x2, x3, lt, lth) in zip(
-            recs, fallback.tolist(), zip(*(col[:, 0].tolist() for col in cols))):
-        rec.type, rec.nondegenerate, diag = ty, nd, rec.diagnostics
-        diag.update(scale=sc, W=w, N=n, branch="b" if bb else "a")
-        diag.update({"c1_nondegeneracy": x1, "c2_mixed_derivative": x2, "c3_second_order": x3}
-                    if bb else {"epsilon": e, "epsilon_prime": e1})
-        if fb:
-            diag["epsilon_via_closed_form"] = True
-        diag.update(lambda_t=lt, lambda_theta=lth)
-    return recs[0].type if isinstance(records, SingularPointRecord) else [r.type for r in recs]
+    cols = dict(scale=scale, W=data.W, N=data.N, branch=b, c1_nondegeneracy=c1,
+                c2_mixed_derivative=c2, c3_second_order=c3, epsilon=eps, epsilon_prime=eps1,
+                epsilon_via_closed_form=fallback[:, None], lambda_t=lam_t, lambda_theta=lam_th)
+    cols = {k: v[:, 0] for k, v in cols.items()}
+    if not one:
+        loci.type, loci.nondegenerate, loci.diagnostics = types[:, 0], nondegenerate[:, 0], [(0, cols)]
+        return None
+    loci.type, loci.nondegenerate = TYPES[types[0, 0]], bool(nondegenerate[0, 0])
+    loci.diagnostics.update(_diagnostics(cols, 0))
+    return loci.type
 
 
-def classify_h(model: FramedCurveModel, records) -> SingularityType:
+def classify_h(model: FramedCurveModel, loci) -> SingularityType:
     """Classify a singular point of the hyperbolic focal surface.
 
     Branch on (W, N)(t0) = (0,0) or not; branch (a) decides cuspidal edge
     versus swallowtail through theta'(t) - M N / sqrt(A^2 - M^2), branch
     (b) cuspidal edge versus cuspidal beaks through the derivative data of
-    (W, Dh).  Cross caps and lips never occur on this surface.  Given a
-    list of records, it classifies them as one batch and returns their types.
+    (W, Dh).  Cross caps and lips never occur on this surface.  A record is
+    filled in place and its type returned; a loci table (singular_locus_h)
+    is filled in place, as one batch.
     """
-    return _classify(H, model, records)
+    return _classify(H, model, loci)
 
 
-def classify_d(model: FramedCurveModel, records) -> SingularityType:
+def classify_d(model: FramedCurveModel, loci) -> SingularityType:
     """De Sitter analogue of classify_h (cos/sin in place of cosh/sinh)."""
-    return _classify(D, model, records)
+    return _classify(D, model, loci)
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,9 @@ class FrenetData(NamedTuple):
 # The integrated model
 
 
+PROGRAM_ROWS = 4096  # grid rows per replay of a program over the grid table
+
+
 class GridTable:
     """The Frenet quantities of a model over its whole grid, evaluated once.
 
@@ -330,9 +333,14 @@ class GridTable:
         return i, (g == ts) & (np.signbit(g) == np.signbit(ts))
 
     def program(self, program) -> tuple:
-        """eval_expr of the program over the (n, 1) column of the grid."""
+        """eval_expr of the program over the (n, 1) column of the grid, one
+        PROGRAM_ROWS rows at a time: the replay holds the values of a chunk."""
         if program not in self._programs:
-            self._programs[program] = eval_expr(program, self.ts[:, None])
+            t = self.ts[:, None]
+            parts = [eval_expr(program, t[k:k + PROGRAM_ROWS])
+                     for k in range(0, len(t), PROGRAM_ROWS)]
+            self._programs[program] = parts[0] if len(parts) == 1 else tuple(
+                np.concatenate(c) for c in zip(*parts))
         return self._programs[program]
 
 
@@ -363,10 +371,15 @@ class FramedCurveModel:
 
     def _read(self, ts, table, fresh):
         """table(grid, rows) of the grid table's rows where it is built and
-        every t of the array ts is one of its grid points; else fresh(ts)."""
+        every t of the array ts is one of its grid points, as a slice where
+        the rows are consecutive; else fresh(ts)."""
         grid = self.__dict__.get("grid")
         rows, on = grid.lookup(ts) if grid is not None else (None, False)
-        return table(grid, rows) if np.all(on) else fresh(ts)
+        if not np.all(on):
+            return fresh(ts)
+        if len(rows) and np.array_equal(rows, np.arange(rows[0], rows[0] + len(rows))):
+            rows = slice(rows[0], rows[0] + len(rows))  # consecutive rows: read views
+        return table(grid, rows)
 
     def program_columns(self, program, ts) -> tuple:
         """eval_expr(program) over the column ts[:, None]; see _read."""

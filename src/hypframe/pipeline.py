@@ -23,6 +23,7 @@ from . import __version__
 from . import duality as _duality
 from . import evolute as _evolute
 from . import focal as _focal
+from . import loci as _loci
 from .errors import HypframeError, InvalidInputError
 from .framedcurve import (CurvatureQuartet, FramedCurveModel, integrate_frame,
                           propagation_backend, validate_initial_frame)
@@ -275,17 +276,35 @@ def export_obj(grids, projection, path) -> None:
             offset += rows * cols
 
 
-def export_loci_csv(records, path) -> None:
-    """Write singular-point records, ordered by (surface, t, theta)."""
-    rows = sorted(records, key=lambda r: (r.surface, r.param.t, r.param.theta))
+def _take(texts, codes) -> list:
+    """texts[code] for each code of the array codes (a boolean is 0 or 1)."""
+    return [texts[code] for code in codes.tolist()]
+
+
+def _loci_columns(loci, quote) -> list:
+    """The columns of a loci table as lists, in the report's key order: the
+    surface names and type values as quote(text), the floats as Python
+    floats, and nondegenerate and whole_fiber as "false" or "true"."""
+    return [_take([quote(name) for name in _loci.LOCI_SURFACES], loci.surface),
+            *(c.tolist() for c in (loci.t, loci.theta, loci.lam, loci.sigma_f)),
+            _take([quote(ty.value) for ty in _loci.TYPES], loci.type),
+            *(_take(("false", "true"), c) for c in (loci.nondegenerate, loci.whole_fiber))]
+
+
+def export_loci_csv(loci, path) -> None:
+    """Write the singular points of a loci table in its row order, or a list
+    of SingularPointRecords ordered by (surface, t, theta)."""
+    if isinstance(loci, _loci.LociTable):
+        rows = zip(*_loci_columns(loci, str)[:7])
+    else:
+        rows = ((r.surface, float(r.param.t), float(r.param.theta), float(r.lam),
+                 float(r.sigma_f), r.type.value, "true" if r.nondegenerate else "false")
+                for r in sorted(loci, key=lambda r: (r.surface, r.param.t, r.param.theta)))
     # the bytes of csv.writer: surface names and type values are identifiers
     # that need no quoting, and floats are written as their repr
-    lines = ["surface,t,theta,lambda,sigma_F,type,nondegenerate\r\n"]
-    lines += ["%s,%r,%r,%r,%r,%s,%s\r\n" % (
-        r.surface, float(r.param.t), float(r.param.theta), float(r.lam), float(r.sigma_f),
-        r.type.value, "true" if r.nondegenerate else "false") for r in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+        fh.write("surface,t,theta,lambda,sigma_F,type,nondegenerate\r\n")
+        fh.write("%s,%r,%r,%r,%r,%s,%s\r\n" * len(loci) % tuple(chain.from_iterable(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,26 +340,27 @@ def duality_summary(model: FramedCurveModel, runs) -> dict:
     return out
 
 
-def classified_loci(model, runs) -> list:
-    """The classified singular-point records of both sides' focal surfaces
-    over their defined runs (from defined_runs) and of the evolutes' duals
-    at their fiber zeros."""
+def classified_loci(model, runs) -> _loci.LociTable:
+    """The classified singular points of both sides' focal surfaces over
+    their defined runs (from defined_runs) and of the evolutes' duals at
+    their fiber zeros: one loci table, in (surface, t, theta) order."""
     ts = model.ts
-    records = []
+    tables = []
     # each side's public bindings, looked up per call so that a rebound
     # module attribute (a profiler's wrapper) is the one called
     for side, locus, classify, classify_dual in (
             (_focal.H, _focal.singular_locus_h, _focal.classify_h, _evolute.classify_dual_h),
             (_focal.D, _focal.singular_locus_d, _focal.classify_d, _evolute.classify_dual_d)):
         for run in runs[side.focal]:
-            recs = locus(model, ts[run.start:run.stop])
-            classify(model, recs)
-            records.extend(recs)
-        index, zeros = list(chain.from_iterable(runs[side.dual])), side.dual_zeros
+            tables.append(locus(model, ts[run.start:run.stop]))
+            classify(model, tables[-1])
+        index = list(chain.from_iterable(runs[side.dual]))
         if index:  # else no epsilon program to compile
-            records.extend(classify_dual(model, np.repeat(ts[index], len(zeros)),
-                                         np.tile(zeros, len(index))))
-    return records
+            tables.append(classify_dual(model, ts[index][:, None], side.dual_zeros))
+    # each table is of one surface, with its rows in (t, theta) order, and a
+    # surface's tables are in t order: a stable sort by surface orders the rows
+    return _loci.LociTable.join(sorted((tab for tab in tables if len(tab)),
+                                        key=lambda tab: tab.surface[0]))
 
 
 def _leg_dict(leg):
@@ -353,10 +373,6 @@ def _leg_dict(leg):
 
 def _slug(name: str) -> str:
     return "".join(c if (c.isalnum() or c in "-_") else "_" for c in name)
-
-
-# the types whose JSON text json.dumps writes as one token (bool is an int)
-_SCALARS = (str, int, float, type(None))
 
 
 def _encoded(values) -> list:
@@ -377,22 +393,21 @@ def _key(key) -> str:
     return json.dumps(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
 
 
-def _records(items, indent):
-    """The JSON text of a non-empty list of dicts that share one key order
-    and hold only scalars, through one %-template of a record; None for any
-    other list."""
-    if set(map(type, items)) != {dict} or len(shapes := set(map(tuple, items))) != 1:
-        return None
-    keys, = shapes
-    columns = list(zip(*map(dict.values, items)))
-    if not keys or not all(issubclass(kind, _SCALARS)
-                           for column in columns for kind in set(map(type, column))):
-        return None
+_LOCI_KEYS = ("surface", "t", "theta", "lambda", "sigma_F", "type", "nondegenerate",
+              "whole_fiber")
+
+
+def _loci_json(loci, indent) -> str:
+    """The JSON text of a loci table as a list of one record per row,
+    through one %-template of a record."""
+    if not len(loci):
+        return "[]"
+    columns = _loci_columns(loci, json.dumps)
+    columns[1:5] = map(_encoded, columns[1:5])
     inner = indent + "  "
-    fields = ",".join(f"{inner}  {_key(k).replace('%', '%%')}: %s" for k in keys)
-    record = "{" + fields + inner + "}"
-    values = tuple(chain.from_iterable(zip(*map(_encoded, columns))))
-    return "[" + inner + ("," + inner).join([record] * len(items)) % values + indent + "]"
+    record = "{" + ",".join(f"{inner}  {_key(k)}: %s" for k in _LOCI_KEYS) + inner + "}"
+    values = tuple(chain.from_iterable(zip(*columns)))
+    return "[" + inner + ("," + inner).join([record] * len(loci)) % values + indent + "]"
 
 
 def _layout(obj, indent, parts, leaves) -> None:
@@ -400,7 +415,9 @@ def _layout(obj, indent, parts, leaves) -> None:
     scalar, whose value goes to leaves; indent is the line break and
     indentation of obj's own line."""
     inner = indent + "  "
-    if not isinstance(obj, (list, tuple, dict)):
+    if isinstance(obj, _loci.LociTable):
+        parts.append(_loci_json(obj, indent))
+    elif not isinstance(obj, (list, tuple, dict)):
         parts.append(None)
         leaves.append(obj)
     elif not obj:
@@ -410,8 +427,6 @@ def _layout(obj, indent, parts, leaves) -> None:
             parts.append(("," if i else "{") + inner + _key(key) + ": ")
             _layout(value, inner, parts, leaves)
         parts.append(indent + "}")
-    elif (text := _records(obj, indent)) is not None:
-        parts.append(text)
     else:
         for i, item in enumerate(obj):
             parts.append(("," if i else "[") + inner)
@@ -429,9 +444,9 @@ class RunReport(NamedTuple):
     evolute_rows: list | None = None
 
     def to_json(self) -> str:
-        """json.dumps(self.data, indent=2), with every scalar and flat record
-        list written by the C encoder (json.dumps takes its pure-Python
-        encoder whenever indent is set)."""
+        """json.dumps(self.data, indent=2), with a loci table written as its
+        list of records, and every scalar written by the C encoder
+        (json.dumps takes its pure-Python encoder whenever indent is set)."""
         parts, leaves = [], []
         _layout(self.data, "\n", parts, leaves)
         text = iter(_encoded(leaves))
@@ -471,11 +486,7 @@ def _report_data(v) -> dict:
             [float(model.ts[r[0]]), float(model.ts[r[-1]])] for r in rs]}
             for name, rs in runs.items()}
     if "loci" in v:
-        data["loci"] = [{
-            "surface": r.surface, "t": r.param.t, "theta": r.param.theta,
-            "lambda": r.lam, "sigma_F": r.sigma_f, "type": r.type.value,
-            "nondegenerate": r.nondegenerate, "whole_fiber": r.whole_fiber,
-        } for r in sorted(v["loci"], key=lambda r: (r.surface, r.param.t, r.param.theta))]
+        data["loci"] = v["loci"]
     if "correspondence" in v:
         data["correspondence"] = {name: _leg_dict(leg)
                                   for name, leg in v["correspondence"]._asdict().items()}

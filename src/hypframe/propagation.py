@@ -26,7 +26,8 @@ wedge product, corrects a sample only where it can reach its target.
 
 A substep whose node values and h have the bits of the previous substep's
 has the same product, so only the first substep of each such run is
-exponentiated: a constant quartet takes one product per chunk.  Bits, not
+exponentiated, and a run carries over from one chunk to the next: a
+constant quartet takes one product per integration.  Bits, not
 values, are compared, so -0.0 and 0.0 stay apart.  Each row of
 expm_generator depends only on that row, so the product copied to the rest
 of a run is bit for bit what each of its substeps would have computed.
@@ -137,27 +138,47 @@ def _tree_product(m: np.ndarray) -> np.ndarray:
     return m[:, 0]
 
 
-def _interval_propagators(node_vals, lo: int, hs: np.ndarray,
-                          nsub: int) -> np.ndarray:
-    """Propagator of each interval, one per h of hs, from substep lo of node_vals on."""
+def _carried(node_vals, h: np.ndarray, carry) -> tuple:
+    """(_substep_propagators of the substeps, their carry).  The carry of a
+    run of substeps is its last substep's (node values, h, product); the
+    leading substeps with its bits continue its run of repeats and take its
+    product, so a constant quartet exponentiates one substep in all."""
+    k = 0
+    if carry is not None:
+        same = ((node_vals.view(np.int64) == carry[0].view(np.int64)).all(axis=(1, 2))
+                & (h.view(np.int64) == carry[1].view(np.int64)))
+        k = len(h) if same.all() else int(np.argmin(same))
+    steps = _substep_propagators(node_vals[k:], h[k:]) if k < len(h) else np.empty((0, 4, 4))
+    if k:
+        steps = np.concatenate([np.broadcast_to(carry[2], (k, 4, 4)), steps])
+    # copies, so that the chunk's arrays go once read
+    return steps, (node_vals[-1].copy(), h[-1:].copy(), steps[-1].copy())
+
+
+def _interval_propagators(node_vals, lo: int, hs: np.ndarray, nsub: int, carry) -> tuple:
+    """(propagator of each interval, one per h of hs, from substep lo of
+    node_vals on; the carry of the last substep), continuing `carry`."""
     if nsub <= CHUNK_SUBSTEPS:
-        steps = _substep_propagators(node_vals[lo:lo + len(hs) * nsub], np.repeat(hs, nsub))
-        return _tree_product(steps.reshape(len(hs), nsub, 4, 4))
+        steps, carry = _carried(node_vals[lo:lo + len(hs) * nsub], np.repeat(hs, nsub), carry)
+        return _tree_product(steps.reshape(len(hs), nsub, 4, 4)), carry
     # a single interval longer than a chunk: its segments, in time order
     p = np.eye(4)
     for seg in range(lo, lo + nsub, CHUNK_SUBSTEPS):
         vals = node_vals[seg:min(seg + CHUNK_SUBSTEPS, lo + nsub)]
-        steps = _substep_propagators(vals, np.full(len(vals), hs[0]))
+        steps, carry = _carried(vals, np.full(len(vals), hs[0]), carry)
         p = _tree_product(steps[None])[0] @ p
-    return p[None]
+    return p[None], carry
 
 
 def chunk_propagators(node_vals, hs: np.ndarray, nsub: int):
     """(first, propagators of intervals first, first + 1, ...) of the intervals
-    of hs, nsub substeps each, one chunk of CHUNK_SUBSTEPS substeps at a time."""
-    per = max(1, CHUNK_SUBSTEPS // nsub)
+    of hs, nsub substeps each, one chunk of CHUNK_SUBSTEPS substeps at a time;
+    each chunk continues the previous chunk's carry (_carried)."""
+    per, carry = max(1, CHUNK_SUBSTEPS // nsub), None
     for first in range(0, len(hs), per):
-        yield first, _interval_propagators(node_vals, first * nsub, hs[first:first + per], nsub)
+        props, carry = _interval_propagators(node_vals, first * nsub, hs[first:first + per],
+                                             nsub, carry)
+        yield first, props
 
 
 def gram_residual(f: np.ndarray) -> float:

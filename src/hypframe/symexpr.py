@@ -533,6 +533,10 @@ _OPS = {
 }
 
 
+# how many of an op's (a, b) are operand indices, by kind
+_OPERANDS = {"neg": 1, "add": 2, "sub": 2, "mul": 2, "den": 1, "div": 2, "pow": 1, "fun": 1}
+
+
 # The error text of each kind of op that can raise, at its operand x;
 # false where it does not raise
 _RAISES = {
@@ -556,11 +560,24 @@ class Program:
     def __init__(self, ops, outputs):
         self.ops = ops
         self.outputs = outputs
+        # after op k, the values that neither a later op nor an output reads
+        last = {i: k for k, (kind, _, a, b) in enumerate(ops)
+                for i in (a, b)[:_OPERANDS.get(kind, 0)]}
+        self._dead = [[] for _ in ops]
+        for i, k in last.items():
+            if i not in outputs:
+                self._dead[k].append(i)
 
-    def _replay(self, t) -> list:
+    def _replay(self, t, free: bool = False) -> list:
+        """The value of each op at t; with `free`, each value is dropped (None)
+        once read for the last time, so that an array replay holds only the
+        values still to be read."""
         v = []
         for kind, node, a, b in self.ops:
             v.append(_OPS[kind](v, t, node, a, b))
+            if free:
+                for i in self._dead[len(v) - 1]:
+                    v[i] = None
         return v
 
     def array(self, t) -> tuple:
@@ -568,7 +585,7 @@ class Program:
         element, the recursive walk's value at that t, bit for bit, or NaN
         where an op that the root reads would raise there."""
         with np.errstate(all="ignore"):
-            v = self._replay(t)
+            v = self._replay(t, free=True)
         return tuple(np.broadcast_to(v[i], np.shape(t)) for i in self.outputs)
 
     def at(self, t, name_t: bool = False) -> tuple:

@@ -14,8 +14,10 @@ from hypframe import (CurvatureQuartet, EvolutePointType, Quadric,
 from hypframe import evolute
 from hypframe.errors import EvoluteUndefinedError
 from hypframe.duality import pair_sample
-from hypframe.evolute import BISECT_DEPTH, _EVENT_KEYS, _agreements, _eps_crossings
-from hypframe.focal import D, H, _eps_columns, defined_runs, focal_d_point, focal_h_point
+from hypframe.evolute import (BISECT_DEPTH, BISECT_ROWS, _EVENT_KEYS, _agreements, _depth,
+                              _eps_crossings)
+from hypframe.focal import (D, H, _code, _eps_columns, defined_runs, focal_d_point,
+                            focal_h_point)
 from hypframe.symexpr import ExprDomainError, num
 
 import oracles
@@ -323,10 +325,11 @@ BISECTED = {
 
 @pytest.mark.parametrize("name", BISECTED)
 def test_batched_bisection_matches_one_midpoint_bisection(name, monkeypatch):
-    """The epsilon crossings, bisected BISECT_DEPTH levels per replay (and
-    1 or 7), are those of bisecting one bracket after the other, one
-    midpoint at a time, bit for bit, and with the grid points where
-    epsilon is 0.0 they are the crossings the leg reports."""
+    """The epsilon crossings, bisected as many levels per replay as fit
+    BISECT_ROWS (and, with no row budget, BISECT_DEPTH, 1 or 7 levels), are
+    those of bisecting one bracket after the other, one midpoint at a time,
+    bit for bit, and with the grid points where epsilon is 0.0 they are the
+    crossings the leg reports."""
     curvature, domain, side, count = BISECTED[name]
     model = integrate_frame(CurvatureQuartet.from_strings(*curvature), domain)
     runs = defined_runs(model)[side.evolute]
@@ -345,14 +348,22 @@ def test_batched_bisection_matches_one_midpoint_bisection(name, monkeypatch):
     replays = []
     monkeypatch.setattr(evolute, "_eps_columns",
                         lambda *a: replays.append(a[2]) or _eps_columns(*a))
-    for depth in (BISECT_DEPTH, 1, 7):
+    counts = []
+    for depth, rows in ((BISECT_DEPTH, 0), (1, 0), (7, 0), (BISECT_DEPTH, BISECT_ROWS)):
         monkeypatch.setattr(evolute, "BISECT_DEPTH", depth)
+        monkeypatch.setattr(evolute, "BISECT_ROWS", rows)
         replays.clear()
         got = _eps_crossings(model, side, brackets)
-        assert np.array(got).tobytes() == np.array(want).tobytes(), depth
-        # one replay per depth levels of the longest bisection
-        assert len(replays) == max(-(-n // depth) for n in steps), depth
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (depth, rows)
+        counts.append(len(replays))
+        if not rows:  # one replay per depth levels of the longest bisection
+            assert len(replays) == max(-(-n // depth) for n in steps), depth
     monkeypatch.undo()
+    # the row budget takes no more replays than its least depth, and one
+    # bracket alone its 255 rows, 8 levels, a replay
+    assert counts[-1] <= counts[0]
+    if len(brackets) == 1:
+        assert counts[-1] == -(-steps[0] // 8) < counts[0]
     on_grid = [float(model.ts[i]) for i, e in eps.items() if e == 0.0]
     leg = getattr(correspondence_check(model), "hyperbolic" if side is H else "desitter")
     assert [event["t"] for event in leg.events] == sorted(on_grid + want)
@@ -363,9 +374,10 @@ def test_batched_bisection_raises_the_first_brackets_error(monkeypatch):
     bracket's error is raised, although the second reaches its midpoint in
     an earlier replay; a midpoint that no bisection reaches never raises."""
     # epsilon t - 0.3 on the bracket [0, 1] and t - 2.6 on [2, 3]; its
-    # closed form raises at the fifth midpoint of the first bisection (0.28125),
-    # at the first of the second (2.5), and at 0.75, which no bisection reaches
-    raising = {0.28125, 2.5, 0.75}
+    # closed form raises at the eighth midpoint of the first bisection
+    # (0.30078125), at the first of the second (2.5), and at 0.75, which no
+    # bisection reaches
+    raising = {0.30078125, 2.5, 0.75}
 
     def eps_columns(side, model, ts):
         eps = np.where(ts < 1.5, ts - 0.3, ts - 2.6)[:, None]
@@ -379,10 +391,12 @@ def test_batched_bisection_raises_the_first_brackets_error(monkeypatch):
     monkeypatch.setattr(evolute, "_eps_columns", eps_columns)
     monkeypatch.setattr(evolute, "eval_expr", eval_closed)
     model = SimpleNamespace(frenet=SimpleNamespace(h=SimpleNamespace(eps_closed_program=None)))
-    assert BISECT_DEPTH < 5  # so that 0.28125 is in a later replay than 2.5
-    with pytest.raises(ExprDomainError, match=r"at t=0\.28125$"):
+    # two live brackets take fewer than 8 levels a replay, so that 0.30078125
+    # is in a later replay than 2.5
+    assert _depth(2) < 8
+    with pytest.raises(ExprDomainError, match=r"at t=0\.30078125$"):
         _eps_crossings(model, H, [(0.0, 1.0, -0.3, 0.7), (2.0, 3.0, -0.6, 0.4)])
-    raising.discard(0.28125)
+    raising.discard(0.30078125)
     with pytest.raises(ExprDomainError, match=r"at t=2\.5$"):
         _eps_crossings(model, H, [(0.0, 1.0, -0.3, 0.7), (2.0, 3.0, -0.6, 0.4)])
     raising.discard(2.5)
@@ -404,8 +418,9 @@ def test_correspondence_table_on_every_type_triple(types):
     the report's key order, and each epsilon-crossing key the verdict of the
     correspondence it names."""
     want = agreements(*types)
-    assert list(_agreements(*types).items()) == list(want.items())
-    assert {key: _agreements(*types)[name] for key, name in _EVENT_KEYS.items()} \
+    got = {name: ok.tolist() for name, ok in _agreements([np.array([_code(ty)]) for ty in types]).items()}
+    assert list(got.items()) == [(name, [ok]) for name, ok in want.items()]
+    assert {key: got[name][0] for key, name in _EVENT_KEYS.items()} \
         == {"sw_iff_cusp": want["focal_sw_iff_evolute_cusp"],
             "sw_iff_ccr": want["focal_sw_iff_dual_ccr"]}
 

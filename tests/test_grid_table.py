@@ -8,9 +8,12 @@ raise the same error.
 """
 
 import enum
+import importlib.util
+import json
 import math
 import os
 import struct
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -22,6 +25,7 @@ from hypframe.errors import EvoluteUndefinedError, InvalidInputError, NumericErr
 from hypframe.symexpr import ExprDomainError
 from hypframe.evolute import LegReport, correspondence_check
 from hypframe.focal import SingularPointRecord, defined_runs, surface_grid
+from hypframe.loci import LociTable
 from hypframe.framedcurve import FramedCurveModel
 from hypframe.symexpr import Program, compile, parse_expr
 from hypframe.tolerances import DEFAULT
@@ -86,6 +90,8 @@ def _bits(x):
         return ("array", x.shape, np.ascontiguousarray(x, dtype=float).view(np.int64).tolist())
     if isinstance(x, enum.Enum):
         return x.value
+    if isinstance(x, LociTable):  # its rows, each built into a record
+        return _bits(list(x))
     if isinstance(x, (SingularPointRecord, LegReport)):  # the mutable records
         return _bits(vars(x))
     if isinstance(x, tuple) and hasattr(x, "_asdict"):  # the immutable ones, field by field
@@ -104,14 +110,19 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _loci_loop(model, runs):
+    """classified_loci_loop's records in the order of classified_loci, a
+    stable sort by surface."""
+    return sorted(classified_loci_loop(model, runs), key=lambda r: r.surface)
+
+
 def _compare(model, fresh, thetas):
     """Assert that every grid stage on model matches its oracle on fresh."""
     runs = defined_runs(model)
     assert _bits(runs) == _bits(defined_runs_loop(fresh))
     assert _outcome(correspondence_check, model, runs) \
         == _outcome(correspondence_check_loop, fresh, runs)
-    assert _outcome(pipeline.classified_loci, model, runs) \
-        == _outcome(classified_loci_loop, fresh, runs)
+    assert _outcome(pipeline.classified_loci, model, runs) == _outcome(_loci_loop, fresh, runs)
     assert _outcome(pipeline.duality_summary, model, runs) \
         == _outcome(duality_summary_loop, fresh, runs)
     for surface in MESHES:
@@ -146,7 +157,8 @@ def test_single_records_off_the_grid_match_the_oracle(name):
             t = 0.5 * float(model.ts[i] + model.ts[i + 1])
 
             def located(m, loop, t=t, side=side, locus=locus, classify=classify):
-                recs = singular_locus_loop(m, [t], side) if loop else locus(m, [t])
+                # the table's rows, built into records that classify fills
+                recs = singular_locus_loop(m, [t], side) if loop else list(locus(m, [t]))
                 types = [classify_record(m, r, side) if loop else classify(m, r) for r in recs]
                 return recs, types
 
@@ -194,6 +206,72 @@ def test_per_point_api_matches_the_oracles(name, table):
             assert _outcome(duality.pair_sample, model, pair, t, 0.3) \
                 == _outcome(pair_sample_loop, fresh, pair, t, 0.3), (pair, t)
     assert ("grid" in vars(model)) == table and "grid" not in vars(fresh)
+
+
+def _specgen():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "specgen.py")
+    spec = importlib.util.spec_from_file_location("specgen", path)
+    specgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(specgen)
+    return specgen
+
+
+# the committed specs, and the generated workloads at two seeds each
+LOCI_SPECS = [*sorted(os.listdir(SPEC_DIR)),
+              *(f"{name}:{seed}" for name in ("gen_h", "gen_d", "bounded", "boosted")
+                for seed in (1, 2))]
+
+
+def _spec_model(name, tmp_path):
+    """A model of a committed spec (a file name in specs/) or of a generated
+    workload ("name:seed"), integrated afresh with the spec's settings."""
+    path = os.path.join(SPEC_DIR, name)
+    if ":" in name:
+        workload, seed = name.split(":")
+        path = tmp_path / f"{workload}.json"
+        path.write_text(_specgen().generate(workload, int(seed)))
+    spec = load_spec(path)
+    return integrate_frame(spec.quartet(), spec.domain, initial=spec.initial_frame,
+                           tol=DEFAULT.with_overrides(spec.tolerances))
+
+
+@pytest.mark.parametrize("name", LOCI_SPECS)
+def test_loci_table_rows_match_the_oracle(name, tmp_path):
+    """The loci table of a run, each row built into a record, is the one
+    record at a time oracle's records, diagnostics included, bit for bit."""
+    model, fresh = _spec_model(name, tmp_path), _spec_model(name, tmp_path)
+    runs = defined_runs(model)
+    table = pipeline.classified_loci(model, runs)
+    assert isinstance(table, LociTable) and len(table)
+    assert _bits(table) == _bits(_loci_loop(fresh, runs))
+    assert "grid" not in vars(fresh)
+
+
+@pytest.mark.parametrize("name", LOCI_SPECS)
+def test_surface_blocks_are_in_report_order(name, tmp_path):
+    """Putting the surface blocks in order puts the rows in (surface, t,
+    theta) order, the order of the report and the loci CSV."""
+    model = _spec_model(name, tmp_path)
+    records = list(pipeline.classified_loci(model, defined_runs(model)))
+    ordered = sorted(records, key=lambda r: (r.surface, r.param.t, r.param.theta))
+    assert _bits(records) == _bits(ordered)
+
+
+def test_loci_stage_holds_columns_not_records():
+    """The loci of the large-grid quartet at 20,001 samples (60,003 rows)
+    peak under 10 MB of traced memory, replays of the classifiers' programs
+    over the grid included; one record object and dict per row took 57 MB."""
+    model = integrate_frame(CurvatureQuartet.from_strings(
+        "sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), (-4.0, 4.0, 20001))
+    runs = defined_runs(model)
+    tracemalloc.start()
+    try:
+        loci = pipeline.classified_loci(model, runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loci) == 60003
+    assert peak < 10e6, peak
 
 
 def test_loci_query_no_grid_point_one_at_a_time(monkeypatch):
@@ -287,8 +365,7 @@ def test_injected_program_reads_as_the_oracle(name, source):
     else:
         assert not want["hyperbolic"]["agreements"]["dual_ce_iff_evolute_regular"]
     assert _outcome(correspondence_check, model, runs) == want
-    assert _outcome(pipeline.classified_loci, model, runs) \
-        == _outcome(classified_loci_loop, fresh, runs)
+    assert _outcome(pipeline.classified_loci, model, runs) == _outcome(_loci_loop, fresh, runs)
 
 
 def test_tangency_raises_the_oracles_error():

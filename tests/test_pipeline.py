@@ -268,8 +268,8 @@ def test_run_pipeline_hyperbolic(hyperbolic_report):
     assert data["duality"]["focal_h_mu"]["pass"]
     assert data["duality"]["dual_eh_evolute_h"]["pass"]
     assert data["duality"]["focal_d_mu"]["status"] == "skipped"
-    types = {r["type"] for r in data["loci"]}
-    assert types == {"CuspidalEdge"}
+    types = {r.type for r in data["loci"]}  # a loci table, its rows built into records
+    assert types == {SingularityType.CUSPIDAL_EDGE}
     names = sorted(os.listdir(out))
     assert names == ["cuspidal_edge_hyperbolic_dual_eh.obj",
                      "cuspidal_edge_hyperbolic_focal_h.obj",
@@ -297,7 +297,7 @@ def test_run_pipeline_degenerate(tmp_path):
     data = report.data
     for surf in data["surfaces"].values():
         assert surf["defined_intervals"] == []
-    assert data["loci"] == []
+    assert len(data["loci"]) == 0
     assert data["correspondence"]["hyperbolic"]["status"] == "skipped"
     assert data["correspondence"]["hyperbolic"]["reason"]
     for pair in data["duality"].values():
@@ -375,7 +375,11 @@ def test_report_is_written_without_the_pure_python_encoder(tmp_path, monkeypatch
     report = run_pipeline(spec, out_dir=str(tmp_path))
     monkeypatch.undo()
     written = (tmp_path / "swallowtail_family_report.json").read_text(encoding="utf-8")
-    assert written == json.dumps(report.data, indent=2) + "\n"
+    # the loci table is written as a list of one dict per row
+    loci = [{"surface": r.surface, "t": r.param.t, "theta": r.param.theta, "lambda": r.lam,
+             "sigma_F": r.sigma_f, "type": r.type.value, "nondegenerate": r.nondegenerate,
+             "whole_fiber": r.whole_fiber} for r in report.data["loci"]]
+    assert written == json.dumps(dict(report.data, loci=loci), indent=2) + "\n"
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):

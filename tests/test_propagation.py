@@ -281,6 +281,28 @@ def test_reused_substeps_give_the_bits_of_computed_ones(monkeypatch, nsub, chunk
     assert reused[1:] == computed[1:]
 
 
+@pytest.mark.parametrize("quartet", [("1", "1", "2", "0"), ROADMAP_QUARTET],
+                         ids=["constant", "roadmap"])
+def test_chunk_size_does_not_change_the_frames(monkeypatch, quartet):
+    """On [0, 40] (200 intervals of 100 substeps), an interval in segments of
+    64, one interval a chunk and 20 a chunk give the same frames to the
+    bit; the constant quartet, whose run of repeated substeps crosses every
+    chunk and segment boundary, exponentiates one substep pair in all."""
+    q = CurvatureQuartet.from_strings(*quartet)
+    calls, expm = [], kernel.expm_generator
+    monkeypatch.setattr(kernel, "expm_generator", lambda w: calls.append(len(w)) or expm(w))
+    frames = []
+    for chunk in (64, 100, 2048):
+        monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", chunk)
+        calls.clear()
+        model = integrate_frame(q, (0.0, 40.0, 201))
+        assert model.step == 2e-3
+        frames.append(model.frames.view(np.int64))
+        if quartet[0] == "1":
+            assert calls == [1, 1], chunk
+    assert all(np.array_equal(f, frames[0]) for f in frames[1:])
+
+
 def test_nonuniform_substeps_rejected():
     node_vals, hs, substeps = _node_data(ROADMAP_QUARTET, 0.0, 1.0, 4, 5)
     f0 = np.eye(4)

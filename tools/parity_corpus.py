@@ -36,7 +36,10 @@ Run it from the root of a hypframe checkout.  The corpus is
   leaves its domain at once, whose located error prints every construct
   of the expression printer (a negative literal and exponent, unary
   minus, all four binary operators and parentheses), and a curvature
-  with the literal -0, which the located error prints with its sign.
+  with the literal -0, which the located error prints with its sign;
+* the large-grid spec (sin(t), 1+0.1*t^2, 2+0.5*cos(t), 0.2*t) on
+  [-4, 4], 2,001 samples, 21 theta: about 6,000 loci records and
+  several epsilon crossings.
 
 Each generated spec is written to DIR, which is created if need be.
 """
@@ -88,6 +91,8 @@ QUARTETS = {
     "eps_many_crossings": (("0.3*sin(3*t)", "1", "2", "0"), (0.0, 40.0, 2001)),
     "printer_domain_error": (("log(-t^(-2)+(t-1)*-2/(3-t))", "1", "2", "0"), (0.5, 1.5, 11)),
     "negative_zero_literal": (("t+log(-0)", "1", "2", "0"), (0.0, 1.0, 11)),
+    "large_grid": (("sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), (-4.0, 4.0, 2001),
+                   (-1.0, 1.0, 21)),
 }
 # spec names that differ from their file name: what the report must escape
 NAMES = {"escaped_name": 'ψ-edge, "quoted" \\ name'}
