@@ -575,6 +575,8 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
     step = float(step)
     if step <= 0:
         raise InvalidInputError("step must be positive")
+    if not (t1 - t0) / step < 2.0 ** 62:  # the substeps are indexed by int64
+        raise InvalidInputError("domain needs over 2**62 substeps")
 
     nsub = max(1, int(math.ceil(dt / step - 1e-12)))
     ts = t0 + dt * np.arange(nsamples)

@@ -91,7 +91,7 @@ def _is_number(x) -> bool:
 
 def _range(doc, key, lo, hi) -> tuple:
     """(lo, hi, samples) of the object doc[key], each a JSON number: finite
-    lo < hi, and samples an integral value >= 2."""
+    lo < hi with a finite hi - lo, and samples an integral value >= 2."""
     obj = _object(doc, key, (lo, hi, "samples"))
     try:
         a, b, n = obj[lo], obj[hi], obj["samples"]
@@ -100,8 +100,8 @@ def _range(doc, key, lo, hi) -> tuple:
         a, b = float(a), float(b)
     except (KeyError, TypeError, OverflowError) as exc:
         raise SpecValidationError(key, f"needs numeric {lo}, {hi}, samples: {exc}") from exc
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise SpecValidationError(key, f"{lo} and {hi} must be finite")
+    if not math.isfinite(b - a):  # an infinite lo or hi, or a span that overflows
+        raise SpecValidationError(key, f"{lo} and {hi} must be finite, and so must {hi} - {lo}")
     if not (isinstance(n, int) or n.is_integer()):
         raise SpecValidationError(f"{key}.samples", f"must be an integer, got {n!r}")
     n = int(n)
@@ -281,8 +281,12 @@ def _take(texts, codes) -> list:
     return [texts[code] for code in codes.tolist()]
 
 
+_LOCI_KEYS = ("surface", "t", "theta", "lambda", "sigma_F", "type", "nondegenerate",
+              "whole_fiber")
+
+
 def _loci_columns(loci, quote) -> list:
-    """The columns of a loci table as lists, in the report's key order: the
+    """The columns of a loci table as lists, in _LOCI_KEYS order: the
     surface names and type values as quote(text), the floats as Python
     floats, and nondegenerate and whole_fiber as "false" or "true"."""
     return [_take([quote(name) for name in _loci.LOCI_SURFACES], loci.surface),
@@ -291,20 +295,20 @@ def _loci_columns(loci, quote) -> list:
             *(_take(("false", "true"), c) for c in (loci.nondegenerate, loci.whole_fiber))]
 
 
-def export_loci_csv(loci, path) -> None:
-    """Write the singular points of a loci table in its row order, or a list
-    of SingularPointRecords ordered by (surface, t, theta)."""
-    if isinstance(loci, _loci.LociTable):
-        rows = zip(*_loci_columns(loci, str)[:7])
-    else:
-        rows = ((r.surface, float(r.param.t), float(r.param.theta), float(r.lam),
-                 float(r.sigma_f), r.type.value, "true" if r.nondegenerate else "false")
-                for r in sorted(loci, key=lambda r: (r.surface, r.param.t, r.param.theta)))
-    # the bytes of csv.writer: surface names and type values are identifiers
-    # that need no quoting, and floats are written as their repr
+def _write_csv(path, header, template, rows) -> None:
+    """Write csv.writer's bytes: the header, then the rows, each with as many
+    fields as the header, through one %-template of a row.  Text fields are
+    identifiers that need no quoting, and %r of a Python float is its repr."""
+    values = tuple(chain.from_iterable(rows))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("surface,t,theta,lambda,sigma_F,type,nondegenerate\r\n")
-        fh.write("%s,%r,%r,%r,%r,%s,%s\r\n" * len(loci) % tuple(chain.from_iterable(rows)))
+        fh.write(header + "\r\n")
+        fh.write((template + "\r\n") * (len(values) // (header.count(",") + 1)) % values)
+
+
+def export_loci_csv(loci, path) -> None:
+    """Write the singular points of a loci table in its row order."""
+    _write_csv(path, ",".join(_LOCI_KEYS[:7]), "%s,%r,%r,%r,%r,%s,%s",
+               zip(*_loci_columns(loci, str)[:7]))
 
 
 # ---------------------------------------------------------------------------
@@ -376,25 +380,9 @@ def _slug(name: str) -> str:
 
 
 def _encoded(values) -> list:
-    """The JSON text of each scalar in values, as json.dumps writes it: each
-    distinct string through its own json.dumps call, all other values
-    through one json.dumps of their list, split on ", " (which no number,
-    boolean or null contains; a string may, so none is split)."""
-    if not any(issubclass(kind, str) for kind in set(map(type, values))):
-        return json.dumps(values)[1:-1].split(", ")
-    strings = {v: json.dumps(v) for v in {v for v in values if isinstance(v, str)}}
-    others = iter(_encoded([v for v in values if not isinstance(v, str)]))
-    return [strings[v] if isinstance(v, str) else next(others) for v in values]
-
-
-def _key(key) -> str:
-    """The JSON text of a dict key; json's own rule turns a number, boolean
-    or null key into a string (and raises on any other)."""
-    return json.dumps(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
-
-
-_LOCI_KEYS = ("surface", "t", "theta", "lambda", "sigma_F", "type", "nondegenerate",
-              "whole_fiber")
+    """The JSON text of each float in values, as json.dumps writes it: one
+    json.dumps of their list, split on ", " (which no number contains)."""
+    return json.dumps(values)[1:-1].split(", ")
 
 
 def _loci_json(loci, indent) -> str:
@@ -405,33 +393,9 @@ def _loci_json(loci, indent) -> str:
     columns = _loci_columns(loci, json.dumps)
     columns[1:5] = map(_encoded, columns[1:5])
     inner = indent + "  "
-    record = "{" + ",".join(f"{inner}  {_key(k)}: %s" for k in _LOCI_KEYS) + inner + "}"
+    record = "{" + ",".join(f"{inner}  {json.dumps(k)}: %s" for k in _LOCI_KEYS) + inner + "}"
     values = tuple(chain.from_iterable(zip(*columns)))
     return "[" + inner + ("," + inner).join([record] * len(loci)) % values + indent + "]"
-
-
-def _layout(obj, indent, parts, leaves) -> None:
-    """Append the json.dumps(obj, indent=2) text to parts, with None for each
-    scalar, whose value goes to leaves; indent is the line break and
-    indentation of obj's own line."""
-    inner = indent + "  "
-    if isinstance(obj, _loci.LociTable):
-        parts.append(_loci_json(obj, indent))
-    elif not isinstance(obj, (list, tuple, dict)):
-        parts.append(None)
-        leaves.append(obj)
-    elif not obj:
-        parts.append("{}" if isinstance(obj, dict) else "[]")
-    elif isinstance(obj, dict):
-        for i, (key, value) in enumerate(obj.items()):
-            parts.append(("," if i else "{") + inner + _key(key) + ": ")
-            _layout(value, inner, parts, leaves)
-        parts.append(indent + "}")
-    else:
-        for i, item in enumerate(obj):
-            parts.append(("," if i else "[") + inner)
-            _layout(item, inner, parts, leaves)
-        parts.append(indent + "]")
 
 
 class RunReport(NamedTuple):
@@ -444,13 +408,16 @@ class RunReport(NamedTuple):
     evolute_rows: list | None = None
 
     def to_json(self) -> str:
-        """json.dumps(self.data, indent=2), with a loci table written as its
-        list of records, and every scalar written by the C encoder
-        (json.dumps takes its pure-Python encoder whenever indent is set)."""
-        parts, leaves = [], []
-        _layout(self.data, "\n", parts, leaves)
-        text = iter(_encoded(leaves))
-        return "".join([next(text) if part is None else part for part in parts])
+        """json.dumps(self.data, indent=2), a loci table under "loci" written
+        as its list of records.  json.dumps takes its pure-Python encoder
+        whenever indent is set, so the table, which grows with the grid, is
+        written by its template over its null, in the one top-level "loci"
+        line: JSON escapes newlines in strings, and deeper keys indent further."""
+        loci = self.data.get("loci")
+        if not isinstance(loci, _loci.LociTable):
+            return json.dumps(self.data, indent=2)
+        head, tail = json.dumps(dict(self.data, loci=None), indent=2).split('\n  "loci": null')
+        return "".join((head, '\n  "loci": ', _loci_json(loci, "\n  "), tail))
 
     def write(self, path) -> None:
         with open(path, "wb") as fh:
@@ -523,12 +490,9 @@ def _export(v) -> list:
             export_loci_csv(v["loci"], os.path.join(out_dir, written[-1]))
         elif product == "evolute_csv":
             written.append(base + "_evolute.csv")
-            # csv.writer's bytes, as in export_loci_csv: the rows hold Python floats
-            lines = ["t,side,epsilon,epsilon_prime,point_type\r\n"]
-            lines += ["%r,%s,%r,%r,%s\r\n" % row for row in v["evolute_rows"]]
-            with open(os.path.join(out_dir, written[-1]), "w", newline="",
-                      encoding="utf-8") as fh:
-                fh.write("".join(lines))
+            _write_csv(os.path.join(out_dir, written[-1]),
+                       "t,side,epsilon,epsilon_prime,point_type", "%r,%s,%r,%r,%s",
+                       v["evolute_rows"])
         elif product in _MESHES and runs[_MESHES[product][0]]:
             surface, projection = _MESHES[product]
             thetas = np.linspace(*spec.theta)

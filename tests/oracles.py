@@ -614,14 +614,13 @@ def export_obj_loop(grids, projection, path):
 
 
 def export_loci_csv_writer(records, path):
-    """`hypframe.pipeline.export_loci_csv` through csv.writer, one row at a
-    time, each float as its repr."""
-    rows = sorted(records, key=lambda r: (r.surface, r.param.t, r.param.theta))
+    """`hypframe.pipeline.export_loci_csv` through csv.writer, one record of
+    a loci table at a time, each float as its repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["surface", "t", "theta", "lambda", "sigma_F",
                          "type", "nondegenerate"])
-        for r in rows:
+        for r in records:
             writer.writerow([r.surface, repr(float(r.param.t)), repr(float(r.param.theta)),
                              repr(float(r.lam)), repr(float(r.sigma_f)), r.type.value,
                              "true" if r.nondegenerate else "false"])

@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 
 from hypframe import CurvatureQuartet, integrate_frame, load_spec, run_pipeline
-from hypframe import duality, evolute, focal, pipeline
-from hypframe.errors import EvoluteUndefinedError, InvalidInputError, NumericError
+from hypframe import cli, duality, evolute, focal, pipeline
+from hypframe.errors import (EvoluteUndefinedError, InvalidInputError, NumericError,
+                             SurfaceUndefinedError)
 from hypframe.symexpr import ExprDomainError
 from hypframe.evolute import LegReport, correspondence_check
 from hypframe.focal import SingularPointRecord, defined_runs, surface_grid
@@ -245,6 +246,28 @@ def test_loci_table_rows_match_the_oracle(name, tmp_path):
     assert isinstance(table, LociTable) and len(table)
     assert _bits(table) == _bits(_loci_loop(fresh, runs))
     assert "grid" not in vars(fresh)
+
+
+def test_d_refinement_skips_an_undefined_midpoint(tmp_path, capsys):
+    """The de Sitter root jumps by 1.91 rad between the two grid points of
+    this quartet, and M^2 - A^2 = 0 at their midpoint t = 0.05, where the
+    refinement finds the surface undefined and skips it: the table has the
+    grid points' 4 rows, bit for bit the oracle's, and a run succeeds."""
+    quartet, domain = ("1+(t-0.05)^2", "1", "1", "0"), (0.0, 0.1, 2)
+    model, fresh = (integrate_frame(CurvatureQuartet.from_strings(*quartet), domain)
+                    for _ in range(2))
+    with pytest.raises(SurfaceUndefinedError, match=r"M\^2 - A\^2 = -?0\.0 at t=0\.05"):
+        focal.focal_d_point(model, 0.05, 0.0)
+    table = focal.singular_locus_d(model)
+    assert table.t.tolist() == [0.0, 0.0, 0.1, 0.1]
+    assert _bits(table) == _bits(singular_locus_loop(fresh, fresh.ts, focal.D))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "name": "d_refinement_skip", "curvature": dict(zip("mnab", quartet)),
+        "domain": dict(zip(("t0", "t1", "samples"), domain)),
+        "theta": {"min": -1.0, "max": 1.0, "samples": 5}}))
+    assert cli.main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+    assert "focal_d: defined on [[0.0, 0.1]]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", LOCI_SPECS)

@@ -21,9 +21,9 @@ from hypframe.cli import main as cli_main
 from hypframe.duality import PAIR_SURFACES
 from hypframe.errors import IntegrationFailureError, InvalidInputError, NumericError
 from hypframe.evolute import EvolutePointType
-from hypframe.focal import (SURFACES, SingularPointRecord, SingularityType, SurfaceParam,
-                            defined_runs)
+from hypframe.focal import SURFACES, SingularityType, defined_runs
 from hypframe.framedcurve import FrenetExprs
+from hypframe.loci import LOCI_SURFACES, TYPES, LociTable
 from hypframe.pipeline import SpecParseError, SpecValidationError
 from hypframe.symexpr import FUNCTIONS, MAX_DEPTH
 from hypframe.tolerances import DEFAULT
@@ -161,26 +161,40 @@ def test_export_obj_counts(tmp_path):
     assert content.startswith("#") and "v " not in content
 
 
+def _loci_table(rows):
+    """A loci table of rows (surface, t, theta, lambda, sigma_F, type,
+    nondegenerate, whole_fiber), in their order."""
+    tables = []
+    for surface, *floats, ty, nondegenerate, whole_fiber in rows:
+        table = LociTable(surface, *(np.array([x], dtype=float) for x in floats),
+                          np.array([whole_fiber]))
+        table.type, table.nondegenerate = np.array([TYPES.index(ty)]), np.array([nondegenerate])
+        tables.append(table)
+    return LociTable.join(tables)
+
+
+def _records(table):
+    """The records form of a loci table, which the report writes: one dict
+    per row, in the report's key order."""
+    return [{"surface": r.surface, "t": r.param.t, "theta": r.param.theta, "lambda": r.lam,
+             "sigma_F": r.sigma_f, "type": r.type.value, "nondegenerate": r.nondegenerate,
+             "whole_fiber": r.whole_fiber} for r in table]
+
+
 def test_export_loci_csv(tmp_path):
-    recs = [
-        SingularPointRecord("focal_h", SurfaceParam(1.0, 0.0), 0.0, 12.0,
-                            SingularityType.CUSPIDAL_EDGE, True),
-        SingularPointRecord("focal_h", SurfaceParam(0.5, 0.0), 0.0, 12.0,
-                            SingularityType.CUSPIDAL_EDGE, True),
-        SingularPointRecord("dual_eh", SurfaceParam(0.5, 0.0), 0.0, 12.0,
-                            SingularityType.CUSPIDAL_EDGE, True),
-    ]
+    table = _loci_table([
+        ("dual_eh", 0.5, 0.0, 0.0, 12.0, SingularityType.CUSPIDAL_EDGE, True, False),
+        ("focal_h", 0.5, 0.0, 0.0, 12.0, SingularityType.SWALLOWTAIL, False, False),
+        ("focal_h", 1.0, 0.0, 0.0, 12.0, SingularityType.CUSPIDAL_EDGE, True, True)])
     path = tmp_path / "loci.csv"
-    export_loci_csv(recs, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "surface,t,theta,lambda,sigma_F,type,nondegenerate"
-    assert lines[1].startswith("dual_eh,0.5")
-    assert lines[2].startswith("focal_h,0.5")
-    assert lines[3].startswith("focal_h,1.0")
-    assert "CuspidalEdge" in lines[1]
+    export_loci_csv(table, path)
+    assert path.read_bytes() == (b"surface,t,theta,lambda,sigma_F,type,nondegenerate\r\n"
+                                 b"dual_eh,0.5,0.0,0.0,12.0,CuspidalEdge,true\r\n"
+                                 b"focal_h,0.5,0.0,0.0,12.0,Swallowtail,false\r\n"
+                                 b"focal_h,1.0,0.0,0.0,12.0,CuspidalEdge,true\r\n")
 
     empty = tmp_path / "empty.csv"
-    export_loci_csv([], empty)
+    export_loci_csv(LociTable.join([]), empty)
     assert empty.read_text().splitlines() == [
         "surface,t,theta,lambda,sigma_F,type,nondegenerate"]
 
@@ -207,12 +221,11 @@ def test_export_loci_csv_is_the_csv_writer_text(tmp_path, name):
 def test_export_loci_csv_writes_special_floats_as_csv_writer(tmp_path):
     specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, np.float64(-0.0),
                 np.float64(math.nan), np.float64(1e308)]
-    recs = [SingularPointRecord(surface, SurfaceParam(t, specials[i - 1]), specials[i - 2],
-                                specials[i - 3], ty, i % 2 == 0)
-            for i, (t, surface, ty) in enumerate(zip(
-                specials, [*SURFACES] * 2, [*SingularityType] * 2))]
-    export_loci_csv(recs, tmp_path / "new.csv")
-    export_loci_csv_writer(recs, tmp_path / "old.csv")
+    table = _loci_table([(surface, t, specials[i - 1], specials[i - 2], specials[i - 3], ty,
+                          i % 2 == 0, i % 3 == 0) for i, (t, surface, ty) in enumerate(zip(
+                              specials, [*LOCI_SURFACES] * 2, [*SingularityType] * 2))])
+    export_loci_csv(table, tmp_path / "new.csv")
+    export_loci_csv_writer(table, tmp_path / "old.csv")
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     assert b"nan" in new and b"-inf" in new and b"-0.0" in new and b"5e-324" in new
@@ -315,13 +328,15 @@ def test_report_structure(hyperbolic_report):
 
 
 # report strings: the item separator, what JSON escapes, the % of a
-# template, non-ASCII text and a lone surrogate
+# template, non-ASCII text, a lone surrogate, and the key and the line of
+# the loci table that the report writer replaces
 TEXT = st.lists(st.sampled_from(["a", "t", ", ", '"', "\\", "%", "%s", "\x00", "\x1f", "\n",
-                                 "\t", "\x7f", "\u03c8", "\u2028", "\ud800", "\U0001f600"]),
+                                 "\t", "\x7f", "\u03c8", "\u2028", "\ud800", "\U0001f600",
+                                 "loci", '"loci": null', '\n  "loci": null']),
                 max_size=4).map("".join)
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]
 NUMBERS = st.one_of(st.floats(), st.integers(-2**70, 2**70),
-                    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
-                                     2**63, 2**64 + 1, -2**63 - 1]))
+                    st.sampled_from([*SPECIAL_FLOATS, 2**63, 2**64 + 1, -2**63 - 1]))
 SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, TEXT)
 
 
@@ -351,35 +366,71 @@ REPORT_TREES = st.dictionaries(TEXT, st.recursive(
     max_leaves=12), max_size=4)
 
 
+@st.composite
+def loci_tables(draw):
+    """A loci table of up to 4 rows, special floats among its floats."""
+    floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+    return _loci_table(draw(st.lists(st.tuples(
+        st.sampled_from(LOCI_SURFACES), floats, floats, floats, floats,
+        st.sampled_from(TYPES), st.booleans(), st.booleans()), max_size=4)))
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(REPORT_TREES)
+@given(REPORT_TREES, st.one_of(st.none(), loci_tables()), st.integers(0, 4))
 @example({"numbers": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 2**63, -2**70],
           "loci": [{"surface": "a, b", "flag": True, "x": math.nan, "n": None},
                    {"surface": '"q" \\ \u03c8 \ud800 \x01', "flag": 1, "x": -0.0, "n": 2**64}],
           "empty": [[], {}, "", [{}]],
           "mixed": [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1}, {"a": [1, {}]}],
-          "%s": ("tuple", 1)})
-def test_report_text_is_json_dumps_indent_2(data):
-    assert pipeline.RunReport(data).to_json() == json.dumps(data, indent=2)
+          "%s": ("tuple", 1)}, None, 0)
+@example({'\n  "loci": null': '\n  "loci": null', "x": {"loci": None}, "y": ['"loci": null']},
+         _loci_table([(surface, x, x, -x, x, ty, True, x != x)
+                      for surface, x, ty in zip(LOCI_SURFACES, SPECIAL_FLOATS, TYPES)]), 1)
+@example({"a": 1}, LociTable.join([]), 1)
+def test_report_text_is_json_dumps_indent_2(data, table, position):
+    """The report text is json.dumps(indent=2) of its data, a loci table
+    under the top-level key "loci" (drawn at a position among the keys)
+    written as its records."""
+    records = data
+    if table is not None:
+        items = [*data.items()]
+        data = dict([*items[:position], ("loci", table), *items[position:]])
+        records = dict(data, loci=_records(table))
+    assert pipeline.RunReport(data).to_json() == json.dumps(records, indent=2)
 
 
-def test_report_is_written_without_the_pure_python_encoder(tmp_path, monkeypatch):
-    """json.dumps takes the pure-Python encoder whenever indent is set; the
-    report writer must not."""
+def _floats(obj) -> list:
+    """The floats of a report tree, in the order json.dumps writes them."""
+    if isinstance(obj, float):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return [x for item in obj for x in _floats(item)] if isinstance(obj, (list, tuple)) else []
+
+
+def test_report_leaves_the_loci_floats_to_the_c_encoder(tmp_path, monkeypatch):
+    """json.dumps takes the pure-Python encoder whenever indent is set: the
+    report writer hands it the report's floats outside the loci table, and
+    none of the table's, which grows with the grid."""
     spec = load_spec(os.path.join(SPEC_DIR, "swallowtail_family.json"))
+    make_iterencode, encoded = json.encoder._make_iterencode, []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the pure-Python JSON encoder was called")
+    def recording(markers, default, encoder, indent, floatstr, *args):
+        def record(value, *rest, **kwargs):
+            encoded.append(value)
+            return floatstr(value, *rest, **kwargs)
+        return make_iterencode(markers, default, encoder, indent, record, *args)
 
-    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", recording)
     report = run_pipeline(spec, out_dir=str(tmp_path))
     monkeypatch.undo()
+    outside = _floats({key: value for key, value in report.data.items() if key != "loci"})
+    assert outside and len(report.data["loci"])
+    assert list(map(repr, encoded)) == list(map(repr, outside))
     written = (tmp_path / "swallowtail_family_report.json").read_text(encoding="utf-8")
     # the loci table is written as a list of one dict per row
-    loci = [{"surface": r.surface, "t": r.param.t, "theta": r.param.theta, "lambda": r.lam,
-             "sigma_F": r.sigma_f, "type": r.type.value, "nondegenerate": r.nondegenerate,
-             "whole_fiber": r.whole_fiber} for r in report.data["loci"]]
-    assert written == json.dumps(dict(report.data, loci=loci), indent=2) + "\n"
+    assert written == json.dumps(dict(report.data, loci=_records(report.data["loci"])),
+                                 indent=2) + "\n"
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -425,18 +476,22 @@ def test_cli_out_naming_a_file_is_an_output_error(tmp_path, capsys, sub):
     assert capsys.readouterr().err == f"output error: {error}\n"
 
 
-def test_python_m_hypframe_is_the_cli(tmp_path, capsys, monkeypatch):
-    """`python -m hypframe run` exits 0 and prints and writes what cli.main does."""
-    spec_path = os.path.abspath(os.path.join(SPEC_DIR, "swallowtail_family.json"))
+def _python_m_hypframe(args, cwd):
+    """`python -m hypframe ARGS` in cwd, with this hypframe on the import path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypframe.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "hypframe", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=False)
+
+
+def test_python_m_hypframe_is_the_cli(tmp_path, capsys, monkeypatch):
+    """`python -m hypframe run` exits 0 and prints and writes what cli.main does."""
+    spec_path = os.path.abspath(os.path.join(SPEC_DIR, "swallowtail_family.json"))
     module, direct = tmp_path / "module", tmp_path / "direct"
     module.mkdir()
     direct.mkdir()
-    proc = subprocess.run([sys.executable, "-m", "hypframe", "run", "--spec", spec_path,
-                           "--out", "out"], cwd=module, env=env, capture_output=True,
-                          text=True, check=False)
+    proc = _python_m_hypframe(["run", "--spec", spec_path, "--out", "out"], module)
     assert proc.returncode == 0, proc.stderr
     monkeypatch.chdir(direct)
     assert cli_main(["run", "--spec", spec_path, "--out", "out"]) == 0
@@ -447,6 +502,27 @@ def test_python_m_hypframe_is_the_cli(tmp_path, capsys, monkeypatch):
 
     written = files(module / "out")
     assert len(written) == 3 and written == files(direct / "out")
+
+
+@pytest.mark.parametrize("sub", ["integrate", "run"])
+@pytest.mark.parametrize("change, error", [
+    ({"domain": {"t0": -1e308, "t1": 1e308, "samples": 3}}, "spec error: domain: "),
+    ({"domain": {"t0": 0, "t1": 1e308, "samples": 3}},
+     "invalid input: domain needs over 2**62 substeps"),
+    # a finite substep count too large for int64
+    ({"domain": {"t0": 0, "t1": 1e300, "samples": 3}},
+     "invalid input: domain needs over 2**62 substeps"),
+    ({"theta": {"min": -1e308, "max": 1e308, "samples": 5},
+      "outputs": ["report", "focal_h_obj"]}, "spec error: theta: "),
+], ids=["domain_span", "substeps", "substeps_int64", "theta_span"])
+def test_cli_overflowing_span_exits_1(tmp_path, sub, change, error):
+    """A span or substep count that overflows used to end in an
+    OverflowError traceback, or a RuntimeWarning and a NaN mesh point; it is
+    one line on stderr and exit 1."""
+    spec_path = _write_spec(tmp_path, dict(MINIMAL, **change))
+    proc = _python_m_hypframe([sub, "--spec", spec_path, "--out", "out"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(error) and proc.stderr.count("\n") == 1, proc.stderr
 
 
 _ONCE_NON_FINITE_FRAMES = pytest.mark.parametrize("curvature, domain, code, last", [
@@ -790,6 +866,12 @@ _DROP = object()  # a change that leaves the key out of the document
     # json.dumps writes the JSON literals Infinity and NaN, which json.loads reads
     ({"domain": {"t0": 0, "t1": math.inf, "samples": 11}}, "domain: t0 and t1 must be finite"),
     ({"theta": {"min": math.nan, "max": 1, "samples": 5}}, "theta: min and max must be finite"),
+    # finite ends whose span overflows: the integrator's substep count and
+    # the mesh's linspace could not be taken
+    ({"domain": {"t0": -1e308, "t1": 1e308, "samples": 3}},
+     "domain: t0 and t1 must be finite, and so must t1 - t0"),
+    ({"theta": {"min": -1e308, "max": 1e308, "samples": 5}, "outputs": ["focal_h_obj"]},
+     "theta: min and max must be finite, and so must max - min"),
     ([MINIMAL], "document: top level must be an object"),
     ({"domain": _DROP}, "domain: missing required field"),
     ({"name": ""}, "name: must be a non-empty string"),
@@ -810,7 +892,8 @@ _DROP = object()  # a change that leaves the key out of the document
         "tol_negative", "frame_text", "frame_residual", "samples_fraction",
         "samples_fraction_high", "samples_text", "t0_text", "t1_bool", "theta_min_bool",
         "samples_bool", "frame_numeric_text", "frame_bool", "frame_huge_int",
-        "t1_not_above_t0", "t1_json_infinity", "theta_min_json_nan", "top_level_list",
+        "t1_not_above_t0", "t1_json_infinity", "theta_min_json_nan", "domain_span_overflow",
+        "theta_span_overflow", "top_level_list",
         "domain_missing", "name_empty", "curvature_key_missing", "tol_zero", "tol_false",
         "tol_empty_text", "tol_list", "outputs_zero", "outputs_false", "outputs_empty_text",
         "outputs_object", "tol_numeric_text", "tol_bool"])

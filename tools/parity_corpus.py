@@ -12,9 +12,11 @@ Run it from the root of a hypframe checkout.  The corpus is
 * the quartets that reach the engine's rare paths: surfaces and evolutes
   on two intervals, a sigma_F threshold at the last grid point, a^2 + b^2
   vanishing at a grid point, sigma_F touching zero between two grid
-  points, a d-locus branch jump that is refined, whole-fiber records, an
-  epsilon branch pole where the closed form takes over, a curvature
-  whose de Sitter evolute turns to NaN without a domain error, a
+  points, a d-locus branch jump that is refined, a d-locus branch jump
+  whose refinement midpoint is skipped, as the de Sitter focal surface
+  is undefined there, whole-fiber records, an epsilon branch pole where
+  the closed form takes over, a curvature whose de Sitter evolute turns
+  to NaN without a domain error, a
   curvature with a pole at a grid point, a curvature whose derivative
   has a pole at a grid point, a theta window wide enough that
   cosh(theta) overflows, epsilon crossings where N = W = D = 0 on the
@@ -36,7 +38,9 @@ Run it from the root of a hypframe checkout.  The corpus is
   leaves its domain at once, whose located error prints every construct
   of the expression printer (a negative literal and exponent, unary
   minus, all four binary operators and parentheses), and a curvature
-  with the literal -0, which the located error prints with its sign;
+  with the literal -0, which the located error prints with its sign, and
+  a geodesic, on which no surface is defined, so that the report holds
+  an empty loci table;
 * the large-grid spec (sin(t), 1+0.1*t^2, 2+0.5*cos(t), 0.2*t) on
   [-4, 4], 2,001 samples, 21 theta: about 6,000 loci records and
   several epsilon crossings.
@@ -70,6 +74,7 @@ QUARTETS = {
     "split_frame_gap": (("2", "1", "t", "0"), (-1.0, 1.0, 21)),
     "sigma_tangency": (("1.13", "0.68-0.76*sin(-2.78*t)", "-1.23", "0"), (-1.6, 1.6, 41)),
     "d_refinement": (("2+0.5*t", "0.7*(t-1)", "1", "0"), (0.05, 2.0, 4)),
+    "d_refinement_skip": (("1+(t-0.05)^2", "1", "1", "0"), (0.0, 0.1, 2)),
     "whole_fiber": (("1", "t", "2", "0"), (-0.5, 0.5, 101)),
     "desitter_pole": (("2+0.5*t", "t", "1", "0"), (-1.0, 1.0, 21)),
     "silent_nan": (("2.41+1.45*sinh(2.96*t)", "-1.2-1.56*tanh(2.06*t)",
@@ -91,6 +96,7 @@ QUARTETS = {
     "eps_many_crossings": (("0.3*sin(3*t)", "1", "2", "0"), (0.0, 40.0, 2001)),
     "printer_domain_error": (("log(-t^(-2)+(t-1)*-2/(3-t))", "1", "2", "0"), (0.5, 1.5, 11)),
     "negative_zero_literal": (("t+log(-0)", "1", "2", "0"), (0.0, 1.0, 11)),
+    "geodesic": (("1", "0", "0", "0"), (0.0, 1.0, 11)),
     "large_grid": (("sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), (-4.0, 4.0, 2001),
                    (-1.0, 1.0, 21)),
 }
