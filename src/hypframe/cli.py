@@ -26,7 +26,7 @@ from .loci import LOCI_SURFACES, TYPES
 # not called here: perfbench's tracer rebinds cli.integrate_frame
 from .framedcurve import integrate_frame  # noqa: F401
 from .framedcurve import wedge_residual
-from .propagation import gram_drift
+from .propagation import gram_check
 from .tolerances import DEFAULT
 
 
@@ -53,7 +53,7 @@ def show_integrate(out, report) -> int:
           f"corrections {run['corrections']}, max drift {run['max_drift']:.3e} "
           f"(raw {run['max_drift_raw']:.3e}) near t={run['max_drift_t']}")
     # both residuals relative to the frame's size, as the integrator judges drift
-    worst = max(max(gram_drift(f), wedge_residual(f)) for f in model.frames)
+    worst = max(gram_check(model.frames)[1].max(), wedge_residual(model.frames).max())
     print(f"worst sample residual {worst:.3e}")
     return 0
 

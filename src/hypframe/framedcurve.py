@@ -89,14 +89,16 @@ def require_finite(f):
         raise InvalidInputError(f"non-finite component in MinkVec: {float(f[bad][0])!r}")
 
 
-def wedge_residual(f) -> float:
-    """Relative deviation of mu from -(gamma ^ v1 ^ v2) in the frame f.
+def wedge_residual(f):
+    """Relative deviation of mu from -(gamma ^ v1 ^ v2) in the frame f, or in
+    each frame of an (n, 4, 4) stack.
 
     Normalized by the product of row magnitudes: the wedge is cubic in
     the entries, so an absolute test is meaningless for large frames.
     """
-    g, v1, v2 = np.abs(f[:3]).max(axis=1)
-    return float(np.abs(f[3] + wedge_rows(f[0], f[1], f[2])).max() / (1.0 + g * v1 * v2))
+    g, v1, v2 = np.abs(f[..., :3, :]).max(axis=-1).T
+    mu = f[..., 3, :] + wedge_rows(*(f[..., r, :].T for r in range(3))).T
+    return np.abs(mu).max(axis=-1) / (1.0 + g * v1 * v2)
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +516,14 @@ def validate_initial_frame(f):
 class _GaussNodes:
     """The quartet at the two Gauss nodes of each of the nsub substeps of
     h[i] from starts[i], for each i, as a node source of
-    propagation.propagate: a slice evaluates its own substeps' nodes
-    (`times`) only, with the bits of all at once, which are eval_expr's."""
+    propagation.propagate: a slice replays one program of the four roots at
+    its own substeps' nodes (`times`) only, with the bits of all at once,
+    which are eval_expr's."""
 
     def __init__(self, quartet, starts, h, nsub, samples):
         self.quartet, self.starts, self.h, self.nsub, self.samples = quartet, starts, h, nsub, samples
         self.shape = (len(starts) * nsub, 2, 4)
+        self.program = compile(quartet)
 
     def times(self, lo, hi) -> np.ndarray:
         i, k = np.divmod(np.arange(lo, hi), self.nsub)
@@ -529,7 +533,7 @@ class _GaussNodes:
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         t = self.times(*rows.indices(self.shape[0])[:2])
-        vals = np.stack([vectorized(e)(t).reshape(-1, 2) for e in self.quartet], axis=2)
+        vals = np.stack([c.reshape(-1, 2) for c in eval_expr(self.program, t)], axis=2)
         if not np.isfinite(vals).all():
             self.check()
         return vals
@@ -547,6 +551,20 @@ class _GaussNodes:
                 except ExprDomainError as exc:
                     raise NumericError(f"curvature function {j} at t={t_bad!r}: {exc}") from exc
                 raise NumericError(f"curvature function {j} not finite at t={t_bad!r}")
+
+
+def substep_count(domain, step=None) -> tuple:
+    """(substeps per sample interval, step) by which integrate_frame covers
+    domain = (t0, t1, samples): the fewest substeps no longer than `step`,
+    which defaults to the sample spacing or 2e-3, whichever is shorter."""
+    t0, t1, nsamples = float(domain[0]), float(domain[1]), int(domain[2])
+    dt = (t1 - t0) / (nsamples - 1)
+    step = float(min(2e-3, dt) if step is None else step)
+    if step <= 0:
+        raise InvalidInputError("step must be positive")
+    if not (t1 - t0) / step < 2.0 ** 62:  # the substeps are indexed by int64
+        raise InvalidInputError("domain needs over 2**62 substeps")
+    return max(1, int(math.ceil(dt / step - 1e-12))), step
 
 
 def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
@@ -569,16 +587,8 @@ def integrate_frame(quartet: CurvatureQuartet, domain, initial=None,
         raise InvalidInputError("domain must satisfy t1 > t0")
     initial = np.eye(4) if initial is None else np.asarray(initial, dtype=float).reshape(4, 4)
     validate_initial_frame(initial)
+    nsub, step = substep_count(domain, step)
     dt = (t1 - t0) / (nsamples - 1)
-    if step is None:
-        step = min(2e-3, dt)
-    step = float(step)
-    if step <= 0:
-        raise InvalidInputError("step must be positive")
-    if not (t1 - t0) / step < 2.0 ** 62:  # the substeps are indexed by int64
-        raise InvalidInputError("domain needs over 2**62 substeps")
-
-    nsub = max(1, int(math.ceil(dt / step - 1e-12)))
     ts = t0 + dt * np.arange(nsamples)
     ts[-1] = t1
     hs = np.full(nsamples - 1, dt / nsub)

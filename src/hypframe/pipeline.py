@@ -26,7 +26,7 @@ from . import focal as _focal
 from . import loci as _loci
 from .errors import HypframeError, InvalidInputError
 from .framedcurve import (CurvatureQuartet, FramedCurveModel, integrate_frame,
-                          propagation_backend, validate_initial_frame)
+                          propagation_backend, substep_count, validate_initial_frame)
 from .minkowski import ON_QUADRIC, Columns, MinkVec, Quadric, membership_residual
 from .symexpr import ExprSyntaxError, parse_expr
 from .tolerances import DEFAULT, Tolerances
@@ -48,6 +48,10 @@ class SpecValidationError(SpecError):
 
 OUTPUT_PRODUCTS = ("report", "loci_csv", "focal_h_obj", "focal_d_obj",
                    "dual_eh_obj", "dual_ed_obj")
+
+# The most CF4 substeps a spec's domain may ask of integrate_frame: 50 times
+# the 200,000 of the finest spec run so far; (0, 1e15, 3) asks for 5e17.
+MAX_SUBSTEPS = 10_000_000
 
 
 class CurveSpec(namedtuple("CurveSpec", "name curvature domain theta initial_frame "
@@ -148,6 +152,9 @@ def load_spec(path) -> CurveSpec:
             raise SpecValidationError(f"curvature.{fn}", str(exc)) from exc
 
     t0, t1, nsamp = _range(doc, "domain", "t0", "t1")
+    if (count := substep_count((t0, t1, nsamp))[0] * (nsamp - 1)) > MAX_SUBSTEPS:
+        raise SpecValidationError(
+            "domain", f"asks for {count} substeps, over the limit of {MAX_SUBSTEPS}")
     tmin, tmax, tns = _range(doc, "theta", "min", "max")
 
     frame = None

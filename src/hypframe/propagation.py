@@ -19,18 +19,22 @@ nodes, never on F.  So the kernel takes them for a whole chunk of
 substeps at once, multiplies the substeps of each sample interval in time
 order by a pairwise tree product (a log-depth scan: Blelloch, "Prefix sums
 and their applications", CMU-CS-90-190), and chains the interval
-propagators.  At every sample point the Lorentz-Gram drift is measured.
-The product stays on the Lorentz group up to rounding (Iserles et al.,
-Acta Numerica 9, 2000), so pseudo Gram-Schmidt, with mu rebuilt from the
-wedge product, corrects a sample only where it can reach its target.
+propagators, a chunk's frames in place, and checks the Lorentz-Gram drift
+of a chunk's samples as one stack (gram_check).  The product stays on the
+Lorentz group up to rounding (Iserles et al., Acta Numerica 9, 2000), so
+pseudo Gram-Schmidt, with mu rebuilt from the wedge product, corrects a
+sample only where it can reach its target; from the first such sample, or
+one that is not finite, the chunk goes one sample at a time.
 
 A substep whose node values and h have the bits of the previous substep's
 has the same product, so only the first substep of each such run is
-exponentiated, and a run carries over from one chunk to the next: a
-constant quartet takes one product per integration.  Bits, not
-values, are compared, so -0.0 and 0.0 stay apart.  Each row of
-expm_generator depends only on that row, so the product copied to the rest
-of a run is bit for bit what each of its substeps would have computed.
+exponentiated.  An interval in which no run starts, after one in which
+none starts either, has that interval's substeps and takes its product.
+Runs carry over from one chunk to the next, so a constant quartet
+exponentiates one substep and multiplies out two intervals per
+integration.  Bits, not values, are compared, so -0.0 and 0.0 stay apart.
+Each row of expm_generator and of the tree product depends only on that
+row, so a copied product is bit for bit what it replaces.
 """
 
 from __future__ import annotations
@@ -113,15 +117,24 @@ def expm_generator(w: np.ndarray) -> np.ndarray:
     return e
 
 
+def _run_starts(node_vals: np.ndarray, h: np.ndarray, carry=None) -> np.ndarray:
+    """Whether each substep's (node values, h) bits differ from the previous
+    substep's, the carry's for the first: whether it starts a run."""
+    bits, hbits = node_vals.view(np.int64), h.view(np.int64)
+    new = np.ones(len(h), dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2)) | (hbits[1:] != hbits[:-1])
+    if carry is not None:
+        new[0] = (bits[0] != carry[0].view(np.int64)).any() or hbits[0] != carry[1].view(np.int64)
+    return new
+
+
 def _substep_propagators(node_vals: np.ndarray, h: np.ndarray) -> np.ndarray:
     """E2 @ E1 for each substep; node_vals (k, 2, 4), h (k,).
 
     Only the first substep of each run of bit-identical (node values, h) is
     computed; with no run, w1, w2 and h stay views and nothing is gathered.
     """
-    bits, hbits = node_vals.view(np.int64), h.view(np.int64)
-    new = np.ones(len(h), dtype=bool)
-    new[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2)) | (hbits[1:] != hbits[:-1])
+    new = _run_starts(node_vals, h)
     first = slice(None) if new.all() else new
     w1, w2, h = node_vals[first, 0], node_vals[first, 1], h[first, None]
     steps = (expm_generator(h * (_CF4_B * w1 + _CF4_A * w2))
@@ -138,42 +151,51 @@ def _tree_product(m: np.ndarray) -> np.ndarray:
     return m[:, 0]
 
 
-def _carried(node_vals, h: np.ndarray, carry) -> tuple:
-    """(_substep_propagators of the substeps, their carry).  The carry of a
-    run of substeps is its last substep's (node values, h, product); the
-    leading substeps with its bits continue its run of repeats and take its
-    product, so a constant quartet exponentiates one substep in all."""
-    k = 0
-    if carry is not None:
-        same = ((node_vals.view(np.int64) == carry[0].view(np.int64)).all(axis=(1, 2))
-                & (h.view(np.int64) == carry[1].view(np.int64)))
-        k = len(h) if same.all() else int(np.argmin(same))
+def _carried(node_vals, h: np.ndarray, carry, new=None) -> tuple:
+    """(_substep_propagators of the substeps, the carry of the last: its node
+    values, h and product, and no interval product).  The leading substeps
+    that start no run (`new`) continue the carry's run and take its product."""
+    new = _run_starts(node_vals, h, carry) if new is None else new
+    k = int(np.argmin(np.append(~new, False)))  # the first run start; argmin, see propagate
     steps = _substep_propagators(node_vals[k:], h[k:]) if k < len(h) else np.empty((0, 4, 4))
     if k:
         steps = np.concatenate([np.broadcast_to(carry[2], (k, 4, 4)), steps])
     # copies, so that the chunk's arrays go once read
-    return steps, (node_vals[-1].copy(), h[-1:].copy(), steps[-1].copy())
+    return steps, (node_vals[-1].copy(), h[-1].copy(), steps[-1].copy(), None)
 
 
 def _interval_propagators(node_vals, lo: int, hs: np.ndarray, nsub: int, carry) -> tuple:
     """(propagator of each interval, one per h of hs, from substep lo of
-    node_vals on; the carry of the last substep), continuing `carry`."""
-    if nsub <= CHUNK_SUBSTEPS:
-        steps, carry = _carried(node_vals[lo:lo + len(hs) * nsub], np.repeat(hs, nsub), carry)
-        return _tree_product(steps.reshape(len(hs), nsub, 4, 4)), carry
-    # a single interval longer than a chunk: its segments, in time order
-    p = np.eye(4)
-    for seg in range(lo, lo + nsub, CHUNK_SUBSTEPS):
-        vals = node_vals[seg:min(seg + CHUNK_SUBSTEPS, lo + nsub)]
-        steps, carry = _carried(vals, np.full(len(vals), hs[0]), carry)
-        p = _tree_product(steps[None])[0] @ p
-    return p[None], carry
+    node_vals on; the carry of the last, with the last interval's product if
+    no run starts in it), continuing `carry`.  An interval in which no run
+    starts, after one in which none starts either, has that interval's
+    substeps, so it takes its product."""
+    if nsub > CHUNK_SUBSTEPS:  # a single interval longer than a chunk: its segments, in time order
+        p = np.eye(4)
+        for seg in range(lo, lo + nsub, CHUNK_SUBSTEPS):
+            vals = node_vals[seg:min(seg + CHUNK_SUBSTEPS, lo + nsub)]
+            steps, carry = _carried(vals, np.full(len(vals), hs[0]), carry)
+            p = _tree_product(steps[None])[0] @ p
+        return p[None], carry
+    vals, h = node_vals[lo:lo + len(hs) * nsub], np.repeat(hs, nsub)
+    new = _run_starts(vals, h, carry)
+    fresh = new.reshape(len(hs), nsub).any(axis=1)
+    reuse = ~(fresh | np.append(carry is None or carry[3] is None, fresh[:-1]))
+    if reuse.all():
+        return np.broadcast_to(carry[3], (len(hs), 4, 4)), carry
+    sel = np.repeat(~reuse, nsub) if reuse.any() else slice(None)
+    steps, last = _carried(vals[sel], h[sel], carry, new[sel])
+    props = _tree_product(steps.reshape(-1, nsub, 4, 4))
+    if reuse.any():  # each reused interval takes the product of the last computed one
+        head = carry[3] if reuse[0] else props[0]
+        props = np.concatenate([head[None], props])[np.cumsum(~reuse)]
+    return props, last[:3] + (None if fresh[-1] else props[-1].copy(),)
 
 
 def chunk_propagators(node_vals, hs: np.ndarray, nsub: int):
     """(first, propagators of intervals first, first + 1, ...) of the intervals
     of hs, nsub substeps each, one chunk of CHUNK_SUBSTEPS substeps at a time;
-    each chunk continues the previous chunk's carry (_carried)."""
+    each chunk continues the previous chunk's carry (_interval_propagators)."""
     per, carry = max(1, CHUNK_SUBSTEPS // nsub), None
     for first in range(0, len(hs), per):
         props, carry = _interval_propagators(node_vals, first * nsub, hs[first:first + per],
@@ -181,25 +203,25 @@ def chunk_propagators(node_vals, hs: np.ndarray, nsub: int):
         yield first, props
 
 
+def gram_check(f: np.ndarray) -> tuple:
+    """(residual, drift) of each frame of an (n, 4, 4) stack: max |F G F^T - G|
+    over all entries, and that relative to the frame's size.  Pairings of
+    rows with Euclidean norm R carry a rounding floor of order eps * R^2, so
+    the drift the integrator controls is the residual / (1 + max row norm^2)."""
+    g = (f * _METRIC_SIGNS) @ f.swapaxes(1, 2)
+    g.reshape(-1, 16)[:, ::5] -= _METRIC_SIGNS  # G's diagonal is the signs
+    residual = np.abs(g).max(axis=(1, 2))
+    return residual, residual / (1.0 + (f * f).sum(axis=2).max(axis=1))
+
+
 def gram_residual(f: np.ndarray) -> float:
-    """max |F G F^T - G| over all entries (absolute)."""
-    g = (f * _METRIC_SIGNS) @ f.T
-    g[0, 0] += 1.0
-    g[1, 1] -= 1.0
-    g[2, 2] -= 1.0
-    g[3, 3] -= 1.0
-    return float(np.abs(g).max())
+    """The residual of the one frame f, gram_check's."""
+    return float(gram_check(f[None])[0][0])
 
 
-def gram_drift(f: np.ndarray, residual: float | None = None) -> float:
-    """Gram residual relative to the frame magnitude.
-
-    Pairings of rows with Euclidean norm R carry a float64 rounding floor
-    of order eps * R^2, so the drift the integrator controls is the
-    residual (gram_residual(f) unless given) divided by (1 + max row norm^2).
-    """
-    scale = 1.0 + float((f * f).sum(axis=1).max())
-    return (gram_residual(f) if residual is None else residual) / scale
+def gram_drift(f: np.ndarray) -> float:
+    """The drift of the one frame f, gram_check's."""
+    return float(gram_check(f[None])[1][0])
 
 
 def _mdot(x, y):
@@ -259,23 +281,30 @@ def propagate(node_vals, hs: np.ndarray, substeps: np.ndarray,
     if node_vals.shape != (nint * nsub, 2, 4):
         raise InvalidInputError(
             f"node_vals has shape {node_vals.shape}, expected {(nint * nsub, 2, 4)}")
-    frames = np.full((nint + 1, 4, 4), np.nan)
-    f = np.array(f0, dtype=float)
-    frames[0] = f
-    corrections = 0
-    max_raw = 0.0
-    max_final = 0.0
-    worst = nsub - 1
+    frames = np.empty((nint + 1, 4, 4))
+    frames[0] = f0
+    corrections, max_raw, max_final, worst = 0, 0.0, 0.0, nsub - 1
     floor = FLOOR_MARGIN * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):  # a frame that overflows stops below
         for first, props in chunk_propagators(node_vals, hs, nsub):
-            for i, p in enumerate(props, start=first):
+            for p, f, out in zip(props, frames[first:], frames[first + 1:]):
+                np.matmul(p, f, out=out)  # chained in place, then checked as one stack
+            residual, drift = gram_check(frames[first + 1:first + len(props) + 1])
+            # the floor is floor * scale, and scale = residual / drift
+            fix = (tol_correct < residual) & (floor * residual < tol_correct * drift)
+            k = int(np.argmin(np.append(np.isfinite(drift) & ~fix, False)))
+            if k:  # the first largest drift; argmin, as argmax is a kernel loaded for it alone
+                top = drift[:k].max()
+                max_raw = max(max_raw, float(top))
+                if top > max_final:
+                    j = int(np.argmin(drift[:k] < top))
+                    max_final, worst = float(top), (first + j + 1) * nsub - 1
+            # one frame at a time from the first that takes a correction or is not finite
+            f = frames[first + k]
+            for i, p in enumerate(props[k:], start=first + k):
                 f = p @ f
-                residual = gram_residual(f)
-                drift = gram_drift(f, residual)
-                if drift > max_raw:
-                    max_raw = drift
-                # the floor is floor * scale, and scale = residual / drift
+                residual, drift = (float(x[0]) for x in gram_check(f[None]))
+                max_raw = max(max_raw, drift)  # a drift that is not finite is not kept
                 if tol_correct < residual and floor * residual < tol_correct * drift:
                     f = pseudo_orthonormalize(f)
                     corrections += 1
@@ -284,5 +313,6 @@ def propagate(node_vals, hs: np.ndarray, substeps: np.ndarray,
                 if not drift <= max_final:  # a larger drift, or one that is not finite
                     max_final, worst = drift, (i + 1) * nsub - 1
                     if not math.isfinite(drift):
+                        frames[i + 2:] = np.nan
                         return frames, corrections, max_raw, max_final, worst
     return frames, corrections, max_raw, max_final, worst

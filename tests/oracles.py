@@ -7,7 +7,8 @@ or scipy, expressions are evaluated in scalar arithmetic with their own
 domain checks, by walking the tree recursively or one compiled op at a
 time, epsilon crossings are bisected one midpoint at a time,
 frames are propagated one substep at a time with a scalar exponential,
-and continued to an off-grid t one t and one substep at a time, surface meshes are evaluated and
+or one sample at a time with each Gram residual taken alone, interval
+propagators are multiplied out with no product reused, and continued to an off-grid t one t and one substep at a time, surface meshes are evaluated and
 written one point (or one row) at a time, loci tables are written
 through csv.writer, duality samples are built and judged one at a
 time, and the definedness scan, the singular loci, their
@@ -34,8 +35,10 @@ from hypframe.focal import (FIBER_COUNT, FIBER_WINDOW, REFINE_DEPTH, SURFACES, D
 from hypframe.framedcurve import FrenetData
 from hypframe.minkowski import ON_QUADRIC, MinkVec, Quadric, membership_residual
 from hypframe.pipeline import project_hollow_ball, project_poincare
-from hypframe.propagation import (_CF4_A, _CF4_B, GAUSS_C1, GAUSS_C2, _substep_propagators,
-                                  _tree_product, coefficient_matrix_values, gram_drift,
+from hypframe import propagation as kernel
+from hypframe.propagation import (_CF4_A, _CF4_B, FLOOR_MARGIN, GAUSS_C1, GAUSS_C2,
+                                  _substep_propagators, _tree_product, chunk_propagators,
+                                  coefficient_matrix_values, expm_generator, gram_drift,
                                   gram_residual, pseudo_orthonormalize)
 from hypframe.symexpr import Expr, ExprDomainError, Program
 from hypframe.tolerances import is_zero
@@ -199,6 +202,64 @@ def propagate_loop(node_vals, hs, substeps, f0, tol_correct):
                 worst = pos
             pos += 1
         frames[i + 1] = f
+    return frames, corrections, max_raw, max_final, worst
+
+
+def gram_one(f):
+    """(residual, drift) of the one frame f: max |F G F^T - G|, and that over
+    (1 + max row norm^2), from one 2-D product, as floats."""
+    g = (f * np.array([-1.0, 1.0, 1.0, 1.0])) @ f.T
+    g[0, 0] += 1.0
+    g[1, 1] -= 1.0
+    g[2, 2] -= 1.0
+    g[3, 3] -= 1.0
+    residual = float(np.abs(g).max())
+    return residual, residual / (1.0 + float((f * f).sum(axis=1).max()))
+
+
+def chunk_propagators_without_reuse(node_vals, hs, nsub):
+    """The propagators of `kernel.chunk_propagators`, as one chunk, with every
+    substep exponentiated and no product reused: each interval's substeps
+    multiplied by the kernel's tree product, or, for an interval longer than
+    kernel.CHUNK_SUBSTEPS, each segment of that many in time order."""
+    seg, props = min(nsub, kernel.CHUNK_SUBSTEPS), []
+    for i, h in enumerate(hs):
+        p = None
+        for lo in range(i * nsub, (i + 1) * nsub, seg):
+            vals = node_vals[lo:min(lo + seg, (i + 1) * nsub)]
+            w1, w2 = vals[:, 0], vals[:, 1]
+            steps = (expm_generator(h * (_CF4_B * w1 + _CF4_A * w2))
+                     @ expm_generator(h * (_CF4_A * w1 + _CF4_B * w2)))
+            q = _tree_product(steps[None])[0]
+            p = q if nsub <= seg else q @ (np.eye(4) if p is None else p)
+        props.append(p)
+    yield 0, np.array(props)
+
+
+def propagate_per_sample(node_vals, hs, substeps, f0, tol_correct):
+    """`kernel.propagate` one sample at a time: each frame chained, checked
+    alone (gram_one) and corrected where its floor lets a correction reach
+    tol_correct, stopping at the first frame whose drift is not finite."""
+    nsub = int(substeps[0])
+    frames = np.full((len(hs) + 1, 4, 4), np.nan)
+    f = frames[0] = f0
+    corrections, max_raw, max_final, worst = 0, 0.0, 0.0, nsub - 1
+    floor = FLOOR_MARGIN * np.finfo(float).eps
+    chunks = chunk_propagators(node_vals, hs, nsub)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, p in chain.from_iterable(enumerate(props, first) for first, props in chunks):
+            f = p @ f
+            residual, drift = gram_one(f)
+            max_raw = max(max_raw, drift)
+            if tol_correct < residual and floor * residual < tol_correct * drift:
+                f = pseudo_orthonormalize(f)
+                corrections += 1
+                drift = gram_one(f)[1]
+            frames[i + 1] = f
+            if not drift <= max_final:
+                max_final, worst = drift, (i + 1) * nsub - 1
+                if not math.isfinite(drift):
+                    break
     return frames, corrections, max_raw, max_final, worst
 
 

@@ -71,7 +71,8 @@ def test_reports_compare_by_key_path():
 
 def test_every_parity_corpus_spec_loads(tmp_path):
     """Each corpus spec loads, but the three whose initial frame load_spec
-    must reject, each for its own reason."""
+    must reject and the domain over its substep limit, each for its own
+    reason."""
     from hypframe import load_spec
     from hypframe.pipeline import SpecValidationError
 
@@ -81,16 +82,19 @@ def test_every_parity_corpus_spec_loads(tmp_path):
     spec.loader.exec_module(corpus)
     paths = corpus.corpus(str(tmp_path / "corpus"))
     assert len(paths) == len(set(paths)) == 3 + 4 * 5 + len(corpus.EXTRA_SEEDS) + len(corpus.QUARTETS)
-    rejected = {"frame_nonfinite": "non-finite component in MinkVec: inf",
-                "frame_pairing": "initial frame pairing residual 5.000e-11 exceeds 1e-12",
-                "frame_flipped": "initial frame orientation must satisfy"}
+    rejected = {"frame_nonfinite": "initial_frame: non-finite component in MinkVec: inf",
+                "frame_pairing": "initial_frame: initial frame pairing residual 5.000e-11 "
+                                 "exceeds 1e-12",
+                "frame_flipped": "initial_frame: initial frame orientation must satisfy",
+                "huge_domain": "domain: asks for 500000000000000000 substeps, over the "
+                               "limit of 10000000$"}
     names = set()
     for p in paths:
         reason = rejected.pop(os.path.basename(p)[:-len(".json")], None)
         if reason is None:
             names.add(load_spec(p).name)
             continue
-        with pytest.raises(SpecValidationError, match="^initial_frame: " + reason):
+        with pytest.raises(SpecValidationError, match="^" + reason):
             load_spec(p)
     assert rejected == {}
     assert {"swallowtail_family", "gen_h", "boosted", "d_refinement", "whole_fiber"} <= names

@@ -525,6 +525,31 @@ def test_cli_overflowing_span_exits_1(tmp_path, sub, change, error):
     assert proc.stderr.startswith(error) and proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.parametrize("sub", ["integrate", "run"])
+def test_cli_domain_over_the_substep_limit_exits_1(tmp_path, sub):
+    """A domain that asks for 5e17 substeps used to pass load_spec and then
+    integrate without end; it is a spec error that names its substep count
+    and the limit."""
+    spec_path = _write_spec(tmp_path, dict(MINIMAL, name="huge_domain",
+                                           domain={"t0": 0, "t1": 1e15, "samples": 3}))
+    proc = _python_m_hypframe([sub, "--spec", spec_path, "--out", "out"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == ("spec error: domain: asks for 500000000000000000 substeps, "
+                           f"over the limit of {pipeline.MAX_SUBSTEPS}\n")
+
+
+def test_substep_limit_is_the_integrators_count(tmp_path):
+    """load_spec counts substeps by integrate_frame's own rule: a domain of
+    exactly MAX_SUBSTEPS loads, one substep more does not."""
+    limit = pipeline.MAX_SUBSTEPS
+    span = limit * 2e-3  # one interval of substeps no longer than 2e-3
+    assert pipeline.load_spec(_write_spec(tmp_path, dict(
+        MINIMAL, domain={"t0": 0, "t1": span, "samples": 2}))).domain[1] == span
+    with pytest.raises(SpecValidationError, match=f"asks for {limit + 1} substeps"):
+        pipeline.load_spec(_write_spec(tmp_path, dict(
+            MINIMAL, domain={"t0": 0, "t1": span + 1e-3, "samples": 2})))
+
+
 _ONCE_NON_FINITE_FRAMES = pytest.mark.parametrize("curvature, domain, code, last", [
     # the de Sitter evolute turned to NaN, after a re-orthonormalization of a
     # frame at its rounding floor, with no domain error on the way

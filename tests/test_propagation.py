@@ -16,8 +16,9 @@ from hypframe.framedcurve import CurvatureQuartet, integrate_frame
 from hypframe.symexpr import FUNCTIONS, eval_expr, vectorized
 from hypframe.tolerances import DEFAULT
 
+from oracles import chunk_propagators_without_reuse, gram_one
 from oracles import expm4 as expm4_scalar
-from oracles import propagate_loop
+from oracles import propagate_loop, propagate_per_sample
 
 ROADMAP_QUARTET = ("sin(t)", "1", "2+0.5*cos(t)", "0.2*t")
 CONSTANT_QUARTET = ("0.2", "1", "2", "0")
@@ -301,6 +302,124 @@ def test_chunk_size_does_not_change_the_frames(monkeypatch, quartet):
         if quartet[0] == "1":
             assert calls == [1, 1], chunk
     assert all(np.array_equal(f, frames[0]) for f in frames[1:])
+
+
+def _bits(out):
+    """The bytes of propagate's frames and of its four counts, NaN included."""
+    return out[0].tobytes(), np.array(out[1:], dtype=float).tobytes()
+
+
+def test_gram_check_of_a_stack_has_the_bits_of_each_frame_alone():
+    """For every stack length from 1 to 40, and for a strided stack, the
+    stacked Gram check gives each frame's residual and drift as one 2-D
+    product of that frame gives them, bit for bit; gram_residual and
+    gram_drift are its length-1 case."""
+    rng = np.random.default_rng(101)
+    group = kernel.expm_generator(_generators(rng, 40, 1e-3, 30.0))  # |F| up to about e^30
+    noise = rng.standard_normal((40, 4, 4)) * np.exp(rng.uniform(-8.0, 8.0, (40, 1, 1)))
+    wide = np.concatenate([group, noise])
+    for n in range(1, 41):
+        for stack in (group[:n], noise[-n:], wide[::2][:n], wide[1::2][-n:]):
+            want = np.array([gram_one(f) for f in stack])
+            assert np.column_stack(kernel.gram_check(stack)).tobytes() == want.tobytes(), n
+    assert not wide[::2].flags.c_contiguous
+    for f in wide:
+        assert np.array([kernel.gram_residual(f), kernel.gram_drift(f)]).tobytes() == \
+            np.array(gram_one(f)).tobytes()
+
+
+@pytest.mark.parametrize("nsub, chunk", [(7, 7 + 1), (7, 3 * 7 + 1), (7, 5 * 7 + 1),
+                                         (50, 16)],
+                         ids=["1_interval", "3_intervals", "5_intervals", "segments"])
+@pytest.mark.parametrize("quartet", [CONSTANT_QUARTET, ROADMAP_QUARTET, "runs"],
+                         ids=["constant", "roadmap", "runs"])
+def test_reused_intervals_give_the_bits_of_the_no_reuse_oracle(monkeypatch, quartet, nsub,
+                                                              chunk):
+    """Chunks of 1, 3 and 5 intervals (and one substep more), and the
+    segments of an interval longer than a chunk: the interval propagators,
+    and the frames and counts of propagate, are those of the oracle that
+    exponentiates every substep and reuses no product, bit for bit.  "runs"
+    holds node values constant over runs of 1 to 3 * nsub + 2 substeps, which
+    start anywhere in an interval."""
+    node_vals, hs, substeps = _node_data(CONSTANT_QUARTET if quartet == "runs" else quartet,
+                                         0.0, 40.0, 24, nsub)
+    if quartet == "runs":
+        rng = np.random.default_rng(nsub + chunk)
+        lengths = rng.integers(1, 3 * nsub + 3, len(node_vals))
+        starts = np.cumsum(lengths)[np.cumsum(lengths) < len(node_vals)]
+        node_vals = np.repeat(rng.uniform(-0.2, 0.2, (len(starts) + 1, 2, 4)),
+                              np.diff(starts, prepend=0, append=len(node_vals)), axis=0)
+    monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", chunk)
+    got = np.concatenate([p for _, p in kernel.chunk_propagators(node_vals, hs, nsub)])
+    want = next(chunk_propagators_without_reuse(node_vals, hs, nsub))[1]
+    assert got.tobytes() == want.tobytes()
+    reused = kernel.propagate(node_vals, hs, substeps, np.eye(4), 1e-10)
+    monkeypatch.setattr(kernel, "chunk_propagators", chunk_propagators_without_reuse)
+    assert _bits(reused) == _bits(kernel.propagate(node_vals, hs, substeps, np.eye(4), 1e-10))
+
+
+@pytest.mark.parametrize("chunk", [100, 300, 501, 2048])
+def test_constant_quartet_multiplies_out_two_intervals(monkeypatch, chunk):
+    """A constant quartet on 200 intervals of 100 substeps runs the tree
+    product on two intervals per integration, whatever the chunking: the
+    first, and the first with no run start inside it; every later interval
+    takes the product of the one before.  A non-constant quartet runs it on
+    every interval."""
+    counted, tree = [], kernel._tree_product
+    monkeypatch.setattr(kernel, "_tree_product", lambda m: counted.append(len(m)) or tree(m))
+    monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", chunk)
+    for quartet, intervals in ((CONSTANT_QUARTET, 2), (ROADMAP_QUARTET, 200)):
+        counted.clear()
+        integrate_frame(CurvatureQuartet.from_strings(*quartet), (0.0, 40.0, 201))
+        assert sum(counted) == intervals, quartet
+
+
+# quartet, tol_correct and what the fallback meets
+FALLBACK_CASES = {
+    # perfbench's bounded quartet at seed 1: corrections at three samples
+    "corrections": (("0.208455", "0.972180", "2.021199", "0"), 1e-13),
+    # |F| grows like exp(30 t): the frames overflow and stop being finite
+    "not_finite": (("30", "1", "2", "0"), 1e-10),
+}
+
+
+@pytest.mark.parametrize("chunk", [3, 41, 2048])
+@pytest.mark.parametrize("case", FALLBACK_CASES)
+def test_per_sample_fallback_keeps_every_bit(monkeypatch, case, chunk):
+    """From the first sample that takes a correction or is not finite, a
+    chunk goes one sample at a time: the frames, the corrections, both
+    drifts and the worst index are the per-sample oracle's, bit for bit,
+    from the standard frame and from one whose first sample is corrected."""
+    quartet, tol = FALLBACK_CASES[case]
+    node_vals, hs, substeps = _node_data(quartet, 0.0, 40.0, 400, 2)
+    monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", chunk)
+    off = np.eye(4)
+    off[1, 2] = 1e-11  # a pairing residual of 1e-11
+    for f0 in (np.eye(4), off):
+        got = kernel.propagate(node_vals, hs, substeps, f0, tol)
+        assert _bits(got) == _bits(propagate_per_sample(node_vals, hs, substeps, f0, tol))
+        if case == "corrections":
+            assert got[1] >= 3 and np.isfinite(got[0]).all()
+        else:
+            assert np.isnan(got[3]) and np.isnan(got[0][-1]).all()
+
+
+@pytest.mark.parametrize("name", ["bounded", "boosted"])
+def test_perfbench_corrections_keep_every_bit(monkeypatch, name):
+    """perfbench's bounded and boosted quartets at seed 1 each take a
+    correction: integrate_frame gives the frames, corrections, both drifts
+    and max_drift_t of the per-sample oracle, bit for bit."""
+    curvature = _perfbench_quartet(name, 1)
+    q = CurvatureQuartet.from_strings(*(curvature[k] for k in "mnab"))
+
+    def run():
+        model = integrate_frame(q, (0.0, 40.0, 201))
+        stats = (model.corrections, model.max_drift_raw, model.max_drift, model.max_drift_t)
+        return model.frames.tobytes(), np.array(stats).tobytes(), model.corrections
+
+    got = run()
+    monkeypatch.setattr(kernel, "propagate", propagate_per_sample)
+    assert got == run() and got[2] == 1
 
 
 def test_nonuniform_substeps_rejected():

@@ -40,7 +40,9 @@ Run it from the root of a hypframe checkout.  The corpus is
   minus, all four binary operators and parentheses), and a curvature
   with the literal -0, which the located error prints with its sign, and
   a geodesic, on which no surface is defined, so that the report holds
-  an empty loci table;
+  an empty loci table, a constant quartet on 15 propagation chunks, whose
+  interval propagators are reused across every chunk boundary, and a
+  domain that asks for 5e17 substeps, which the spec rejects;
 * the large-grid spec (sin(t), 1+0.1*t^2, 2+0.5*cos(t), 0.2*t) on
   [-4, 4], 2,001 samples, 21 theta: about 6,000 loci records and
   several epsilon crossings.
@@ -97,6 +99,8 @@ QUARTETS = {
     "printer_domain_error": (("log(-t^(-2)+(t-1)*-2/(3-t))", "1", "2", "0"), (0.5, 1.5, 11)),
     "negative_zero_literal": (("t+log(-0)", "1", "2", "0"), (0.0, 1.0, 11)),
     "geodesic": (("1", "0", "0", "0"), (0.0, 1.0, 11)),
+    "constant_many_chunks": (("0.2", "1", "2", "0"), (0.0, 60.0, 301)),
+    "huge_domain": (("1", "1", "2", "0"), (0.0, 1e15, 3)),
     "large_grid": (("sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), (-4.0, 4.0, 2001),
                    (-1.0, 1.0, 21)),
 }
@@ -146,7 +150,7 @@ def corpus(out_dir) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
+    if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     print("\n".join(corpus(argv[0])))
