@@ -287,22 +287,23 @@ def _midpoints(ta, tb, depth) -> np.ndarray:
 
 def _bisection(ta, tb, ea, eb, check):
     """Bisect an epsilon sign change on [ta, tb], as a generator: it yields
-    the bracket whose next midpoints it needs and is sent {t: (epsilon,
-    bad)} over them; check(t) raises where bad.  It returns the zero."""
-    eps = {}
+    the bracket whose next midpoints it needs and is sent (epsilon, bad) at
+    them, in _midpoints order; check(t) raises where bad.  It returns the
+    zero."""
+    i, eps = 0, ()
     for _ in range(BISECT_ITERS):
         tm = 0.5 * (ta + tb)
-        if tm not in eps:
-            eps = yield ta, tb
-        em, bad = eps[tm]
-        if bad:
+        if i >= len(eps):  # a level below those sent last
+            i, (eps, bad) = 0, (yield ta, tb)
+        if bad[i]:
             check(tm)
+        em = eps[i]
         if em == 0.0:
             return tm
-        if (ea < 0) != (em < 0):
-            tb, eb = tm, em
+        if (ea < 0) != (em < 0):  # on to the left or right half's midpoint, a level down
+            tb, eb, i = tm, em, 2 * i + 1
         else:
-            ta, ea = tm, em
+            ta, ea, i = tm, em, 2 * i + 2
         if tb - ta <= 1e-14 * max(1.0, abs(ta), abs(tb)):
             break
     return 0.5 * (ta + tb)
@@ -321,10 +322,10 @@ def _eps_crossings(model, side: Side, brackets) -> list:
         depth = _depth(len(asked))
         ts = np.concatenate([_midpoints(ta, tb, depth) for ta, tb in asked.values()])
         eps, _, _, (_, bad) = _eps_columns(side, model, ts)
-        values = dict(zip(ts.tolist(), zip(eps[:, 0].tolist(), bad.tolist())))
-        for k in list(asked):
+        eps, bad, n = eps[:, 0].tolist(), bad.tolist(), 2 ** depth - 1
+        for j, k in enumerate(list(asked)):
             try:
-                asked[k] = runs[k].send(values)
+                asked[k] = runs[k].send((eps[j * n:(j + 1) * n], bad[j * n:(j + 1) * n]))
             except StopIteration as stop:
                 zeros[k] = stop.value
                 del asked[k]

@@ -26,15 +26,18 @@ pseudo Gram-Schmidt, with mu rebuilt from the wedge product, corrects a
 sample only where it can reach its target; from the first such sample, or
 one that is not finite, the chunk goes one sample at a time.
 
-A substep whose node values and h have the bits of the previous substep's
-has the same product, so only the first substep of each such run is
-exponentiated.  An interval in which no run starts, after one in which
-none starts either, has that interval's substeps and takes its product.
-Runs carry over from one chunk to the next, so a constant quartet
-exponentiates one substep and multiplies out two intervals per
-integration.  Bits, not values, are compared, so -0.0 and 0.0 stay apart.
-Each row of expm_generator and of the tree product depends only on that
-row, so a copied product is bit for bit what it replaces.
+One rule reuses products: an interval whose node values and h have the
+bits of the one before it takes its product.  The previous interval's
+node bits, h bits and product, locals of chunk_propagators, are the only
+state that crosses a chunk, so a constant quartet multiplies out one
+interval per integration.  An interval longer than a chunk goes in
+segments of a chunk under the same rule; segments of two lengths never
+repeat each other, so a constant quartet computes the first and the
+shorter last segment of each such interval.  In what is computed, each
+run of bit-identical substeps is exponentiated once.  Bits, not values,
+are compared, so -0.0 and 0.0 stay apart; each row of expm_generator and
+of the tree product depends only on that row, so a copied product is bit
+for bit what it replaces.
 """
 
 from __future__ import annotations
@@ -117,14 +120,12 @@ def expm_generator(w: np.ndarray) -> np.ndarray:
     return e
 
 
-def _run_starts(node_vals: np.ndarray, h: np.ndarray, carry=None) -> np.ndarray:
-    """Whether each substep's (node values, h) bits differ from the previous
-    substep's, the carry's for the first: whether it starts a run."""
+def _run_starts(node_vals: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Whether each row's (node values, h) bits differ from the previous
+    row's, the first's always: whether it starts a run."""
     bits, hbits = node_vals.view(np.int64), h.view(np.int64)
     new = np.ones(len(h), dtype=bool)
     new[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2)) | (hbits[1:] != hbits[:-1])
-    if carry is not None:
-        new[0] = (bits[0] != carry[0].view(np.int64)).any() or hbits[0] != carry[1].view(np.int64)
     return new
 
 
@@ -151,55 +152,37 @@ def _tree_product(m: np.ndarray) -> np.ndarray:
     return m[:, 0]
 
 
-def _carried(node_vals, h: np.ndarray, carry, new=None) -> tuple:
-    """(_substep_propagators of the substeps, the carry of the last: its node
-    values, h and product, and no interval product).  The leading substeps
-    that start no run (`new`) continue the carry's run and take its product."""
-    new = _run_starts(node_vals, h, carry) if new is None else new
-    k = int(np.argmin(np.append(~new, False)))  # the first run start; argmin, see propagate
-    steps = _substep_propagators(node_vals[k:], h[k:]) if k < len(h) else np.empty((0, 4, 4))
-    if k:
-        steps = np.concatenate([np.broadcast_to(carry[2], (k, 4, 4)), steps])
+def _products(node_vals: np.ndarray, h: np.ndarray, last) -> tuple:
+    """(the products of the len(h) equal pieces of node_vals, one per h, and
+    the last piece's (node bits, h bits, product)).  A piece whose node
+    values and h have the bits of the one before it, `last`, takes its product."""
+    vals, hbits = node_vals.reshape(len(h), -1, 4), h.view(np.int64)
+    bits, new = vals.view(np.int64), _run_starts(vals, h)
+    new[0] = (last is None or hbits[0] != last[1] or bits[0].shape != last[0].shape
+              or (bits[0] != last[0]).any())
+    if not new.any():
+        return np.broadcast_to(last[2], (len(h), 4, 4)), last
+    sel, n = (slice(None) if new.all() else new), vals.shape[1] // 2
+    props = _tree_product(_substep_propagators(vals[sel].reshape(-1, 2, 4), np.repeat(h[sel], n))
+                          .reshape(-1, n, 4, 4))
+    if sel is new:  # each repeated piece takes the product of the last computed one
+        props = np.concatenate([props[:1] if new[0] else last[2][None], props])[np.cumsum(new)]
     # copies, so that the chunk's arrays go once read
-    return steps, (node_vals[-1].copy(), h[-1].copy(), steps[-1].copy(), None)
-
-
-def _interval_propagators(node_vals, lo: int, hs: np.ndarray, nsub: int, carry) -> tuple:
-    """(propagator of each interval, one per h of hs, from substep lo of
-    node_vals on; the carry of the last, with the last interval's product if
-    no run starts in it), continuing `carry`.  An interval in which no run
-    starts, after one in which none starts either, has that interval's
-    substeps, so it takes its product."""
-    if nsub > CHUNK_SUBSTEPS:  # a single interval longer than a chunk: its segments, in time order
-        p = np.eye(4)
-        for seg in range(lo, lo + nsub, CHUNK_SUBSTEPS):
-            vals = node_vals[seg:min(seg + CHUNK_SUBSTEPS, lo + nsub)]
-            steps, carry = _carried(vals, np.full(len(vals), hs[0]), carry)
-            p = _tree_product(steps[None])[0] @ p
-        return p[None], carry
-    vals, h = node_vals[lo:lo + len(hs) * nsub], np.repeat(hs, nsub)
-    new = _run_starts(vals, h, carry)
-    fresh = new.reshape(len(hs), nsub).any(axis=1)
-    reuse = ~(fresh | np.append(carry is None or carry[3] is None, fresh[:-1]))
-    if reuse.all():
-        return np.broadcast_to(carry[3], (len(hs), 4, 4)), carry
-    sel = np.repeat(~reuse, nsub) if reuse.any() else slice(None)
-    steps, last = _carried(vals[sel], h[sel], carry, new[sel])
-    props = _tree_product(steps.reshape(-1, nsub, 4, 4))
-    if reuse.any():  # each reused interval takes the product of the last computed one
-        head = carry[3] if reuse[0] else props[0]
-        props = np.concatenate([head[None], props])[np.cumsum(~reuse)]
-    return props, last[:3] + (None if fresh[-1] else props[-1].copy(),)
+    return props, (bits[-1].copy(), hbits[-1], props[-1].copy())
 
 
 def chunk_propagators(node_vals, hs: np.ndarray, nsub: int):
     """(first, propagators of intervals first, first + 1, ...) of the intervals
-    of hs, nsub substeps each, one chunk of CHUNK_SUBSTEPS substeps at a time;
-    each chunk continues the previous chunk's carry (_interval_propagators)."""
-    per, carry = max(1, CHUNK_SUBSTEPS // nsub), None
+    of hs, nsub substeps each, one chunk of CHUNK_SUBSTEPS substeps at a
+    time, or one longer interval in segments of that many, each sliced from
+    node_vals once and multiplied out by _products."""
+    per, last = max(1, CHUNK_SUBSTEPS // nsub), None
     for first in range(0, len(hs), per):
-        props, carry = _interval_propagators(node_vals, first * nsub, hs[first:first + per],
-                                             nsub, carry)
+        h, lo, hi = hs[first:first + per], first * nsub, min(first + per, len(hs)) * nsub
+        props = np.eye(4)
+        for seg in range(lo, hi, CHUNK_SUBSTEPS):  # the chunk, or one interval's segments in order
+            p, last = _products(node_vals[seg:min(seg + CHUNK_SUBSTEPS, hi)], h, last)
+            props = p if nsub <= CHUNK_SUBSTEPS else p @ props
         yield first, props
 
 

@@ -287,8 +287,10 @@ def test_reused_substeps_give_the_bits_of_computed_ones(monkeypatch, nsub, chunk
 def test_chunk_size_does_not_change_the_frames(monkeypatch, quartet):
     """On [0, 40] (200 intervals of 100 substeps), an interval in segments of
     64, one interval a chunk and 20 a chunk give the same frames to the
-    bit; the constant quartet, whose run of repeated substeps crosses every
-    chunk and segment boundary, exponentiates one substep pair in all."""
+    bit.  The constant quartet exponentiates one substep pair in all when
+    an interval repeats the one before it; in segments of 64 and 36, each
+    segment differs in length from the one before it, so each exponentiates
+    one substep pair."""
     q = CurvatureQuartet.from_strings(*quartet)
     calls, expm = [], kernel.expm_generator
     monkeypatch.setattr(kernel, "expm_generator", lambda w: calls.append(len(w)) or expm(w))
@@ -300,7 +302,7 @@ def test_chunk_size_does_not_change_the_frames(monkeypatch, quartet):
         assert model.step == 2e-3
         frames.append(model.frames.view(np.int64))
         if quartet[0] == "1":
-            assert calls == [1, 1], chunk
+            assert calls == [1, 1] * (400 if chunk == 64 else 1), chunk
     assert all(np.array_equal(f, frames[0]) for f in frames[1:])
 
 
@@ -358,20 +360,86 @@ def test_reused_intervals_give_the_bits_of_the_no_reuse_oracle(monkeypatch, quar
     assert _bits(reused) == _bits(kernel.propagate(node_vals, hs, substeps, np.eye(4), 1e-10))
 
 
-@pytest.mark.parametrize("chunk", [100, 300, 501, 2048])
-def test_constant_quartet_multiplies_out_two_intervals(monkeypatch, chunk):
-    """A constant quartet on 200 intervals of 100 substeps runs the tree
-    product on two intervals per integration, whatever the chunking: the
-    first, and the first with no run start inside it; every later interval
-    takes the product of the one before.  A non-constant quartet runs it on
-    every interval."""
+def _counting_tree_product(monkeypatch):
+    """The interval counts that each call of kernel._tree_product is handed."""
     counted, tree = [], kernel._tree_product
     monkeypatch.setattr(kernel, "_tree_product", lambda m: counted.append(len(m)) or tree(m))
+    return counted
+
+
+@pytest.mark.parametrize("chunk", [100, 300, 501, 2048])
+def test_constant_quartet_multiplies_out_one_interval(monkeypatch, chunk):
+    """A constant quartet on 200 intervals of 100 substeps runs the tree
+    product on one interval per integration, whatever the chunking: every
+    later interval repeats the bits of the one before it and takes its
+    product.  A non-constant quartet runs it on every interval."""
+    counted = _counting_tree_product(monkeypatch)
     monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", chunk)
-    for quartet, intervals in ((CONSTANT_QUARTET, 2), (ROADMAP_QUARTET, 200)):
+    for quartet, intervals in ((CONSTANT_QUARTET, 1), (ROADMAP_QUARTET, 200)):
         counted.clear()
         integrate_frame(CurvatureQuartet.from_strings(*quartet), (0.0, 40.0, 201))
         assert sum(counted) == intervals, quartet
+
+
+@pytest.mark.parametrize("nsub, computed", [(50, 8), (48, 1)], ids=["partial", "whole"])
+def test_each_segment_of_a_long_interval_exponentiates_once(monkeypatch, nsub, computed):
+    """In segments of 16, a constant quartet's segment that repeats the one
+    before it, in length and bits, takes its product; every other segment
+    exponentiates its one run of substeps once.  Intervals of 50 substeps
+    (16, 16, 16, 2) compute their first and last segment, those of 48 only
+    the first segment of all.  A non-constant quartet computes every
+    segment, each with one call per exponential."""
+    counted = _counting_tree_product(monkeypatch)
+    calls, expm = [], kernel.expm_generator
+    monkeypatch.setattr(kernel, "expm_generator", lambda w: calls.append(len(w)) or expm(w))
+    monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", 16)
+    for quartet, segments in ((CONSTANT_QUARTET, computed), (ROADMAP_QUARTET, 4 * -(-nsub // 16))):
+        node_vals, hs, _ = _node_data(quartet, 0.0, 40.0, 4, nsub)
+        counted.clear()
+        calls.clear()
+        got = np.concatenate([p for _, p in kernel.chunk_propagators(node_vals, hs, nsub)])
+        assert counted == [1] * segments and len(calls) == 2 * segments, quartet
+        if quartet is CONSTANT_QUARTET:
+            assert calls == [1] * len(calls)
+        want = next(chunk_propagators_without_reuse(node_vals, hs, nsub))[1]
+        assert got.tobytes() == want.tobytes(), quartet
+
+
+@pytest.mark.parametrize("chunk", [3, 7, 9, 18])
+@pytest.mark.parametrize("differ", ["negative_zero", "h_bits"])
+def test_an_interval_that_differs_in_bits_only_is_recomputed(monkeypatch, differ, chunk):
+    """Six intervals of three substeps, each pair the same bits, where
+    intervals 2 and 4 differ from the one before them only in one node
+    value's sign bit (-0.0 against 0.0), or only in the bits of h: those
+    two are multiplied out anew, inside a chunk or at its start, and every
+    propagator is the no-reuse oracle's, bit for bit."""
+    base = np.random.default_rng(103).uniform(-1.0, 1.0, (3, 2, 4))
+    base[1, 0, 2] = 0.0
+    other, hs = base.copy(), np.full(6, 0.01)
+    if differ == "negative_zero":
+        other[1, 0, 2] = -0.0
+    else:
+        hs[2:4] = np.nextafter(0.01, 1.0)
+    node_vals = np.concatenate([base, base, other, other, base, base])
+    counted = _counting_tree_product(monkeypatch)
+    monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", chunk)
+    got = np.concatenate([p for _, p in kernel.chunk_propagators(node_vals, hs, 3)])
+    assert sum(counted) == 3
+    want = next(chunk_propagators_without_reuse(node_vals, hs, 3))[1]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_dense_output_gives_each_t_its_bits_alone(monkeypatch):
+    """frames_at on a constant quartet at off-grid ts with equal offsets, one
+    sixteenth after and before grid points, multiplies out one interval
+    per sign of the offset, and gives each t the bits it gets alone."""
+    model = integrate_frame(CurvatureQuartet.from_strings(*CONSTANT_QUARTET), (0.0, 8.0, 33))
+    ts = np.concatenate([model.ts[:-1] + 0.0625, model.ts[1:] - 0.0625])
+    counted = _counting_tree_product(monkeypatch)
+    got = model.frames_at(ts)
+    assert sum(counted) == 2
+    for t, f in zip(ts, got):
+        assert f.tobytes() == model.frames_at(np.array([t]))[0].tobytes(), t
 
 
 # quartet, tol_correct and what the fallback meets

@@ -41,8 +41,10 @@ Run it from the root of a hypframe checkout.  The corpus is
   with the literal -0, which the located error prints with its sign, and
   a geodesic, on which no surface is defined, so that the report holds
   an empty loci table, a constant quartet on 15 propagation chunks, whose
-  interval propagators are reused across every chunk boundary, and a
-  domain that asks for 5e17 substeps, which the spec rejects;
+  interval propagators are reused across every chunk boundary, a
+  non-constant quartet whose node values turn bit-constant from about
+  t = 1.5, partway through a chunk, and a domain that asks for 5e17
+  substeps, which the spec rejects;
 * the large-grid spec (sin(t), 1+0.1*t^2, 2+0.5*cos(t), 0.2*t) on
   [-4, 4], 2,001 samples, 21 theta: about 6,000 loci records and
   several epsilon crossings.
@@ -100,6 +102,7 @@ QUARTETS = {
     "negative_zero_literal": (("t+log(-0)", "1", "2", "0"), (0.0, 1.0, 11)),
     "geodesic": (("1", "0", "0", "0"), (0.0, 1.0, 11)),
     "constant_many_chunks": (("0.2", "1", "2", "0"), (0.0, 60.0, 301)),
+    "saturated_quartet": (("2+tanh(40*(t-1))", "1", "2", "0"), (0.0, 30.0, 301)),
     "huge_domain": (("1", "1", "2", "0"), (0.0, 1e15, 3)),
     "large_grid": (("sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), (-4.0, 4.0, 2001),
                    (-1.0, 1.0, 21)),
