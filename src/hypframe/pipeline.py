@@ -52,6 +52,10 @@ OUTPUT_PRODUCTS = ("report", "loci_csv", "focal_h_obj", "focal_d_obj",
 # The most CF4 substeps a spec's domain may ask of integrate_frame: 50 times
 # the 200,000 of the finest spec run so far; (0, 1e15, 3) asks for 5e17.
 MAX_SUBSTEPS = 10_000_000
+# The most points (domain samples x theta samples) a mesh may have: about
+# 20 times the 2001 x 101 of the finest grid run so far.  `run` with all six
+# products peaked at 434 MB RSS at 2000 x 2000 (2-vCPU x86-64 Linux).
+MAX_MESH_POINTS = 4_000_000
 
 
 class CurveSpec(namedtuple("CurveSpec", "name curvature domain theta initial_frame "
@@ -538,12 +542,17 @@ def run_pipeline(spec: CurveSpec, out_dir=None, tol: Tolerances | None = None,
     """Run the named stages and the stages they read, in STAGES order (export
     also reads the stages whose values its products write), then write the
     report if export ran and the spec asks for it: the report data of the
-    stages run, with the model and the evolute rows."""
+    stages run, with the model and the evolute rows.  A mesh to export over
+    MAX_MESH_POINTS is a spec error, raised before any stage runs."""
     if tol is None:
         tol = DEFAULT.with_overrides(spec.tolerances)
     wanted = set(stages)
     if "export" in wanted:
         wanted.update(_READS[p] for p in spec.outputs if p in _READS)
+        if out_dir is not None and _MESHES.keys() & set(spec.outputs) and (
+                points := spec.domain[2] * spec.theta[2]) > MAX_MESH_POINTS:
+            raise SpecValidationError("theta", f"asks for a mesh of {points} points, over "
+                                               f"the limit of {MAX_MESH_POINTS}")
     for name, _, inputs in reversed(STAGES):
         if name in wanted:
             wanted.update(inputs)

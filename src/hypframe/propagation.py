@@ -26,18 +26,17 @@ pseudo Gram-Schmidt, with mu rebuilt from the wedge product, corrects a
 sample only where it can reach its target; from the first such sample, or
 one that is not finite, the chunk goes one sample at a time.
 
-One rule reuses products: an interval whose node values and h have the
-bits of the one before it takes its product.  The previous interval's
-node bits, h bits and product, locals of chunk_propagators, are the only
+One rule reuses products, those of whole pieces: a piece is an interval,
+or a segment of CHUNK_SUBSTEPS substeps of a longer one, whose last
+segment may be shorter.  A piece whose node values and h have the bits of
+the last piece of its length before it takes that piece's product; every
+substep of a piece that is computed is exponentiated.  One (node bits, h
+bits, product) per piece length, a local of chunk_propagators, is the only
 state that crosses a chunk, so a constant quartet multiplies out one
-interval per integration.  An interval longer than a chunk goes in
-segments of a chunk under the same rule; segments of two lengths never
-repeat each other, so a constant quartet computes the first and the
-shorter last segment of each such interval.  In what is computed, each
-run of bit-identical substeps is exponentiated once.  Bits, not values,
-are compared, so -0.0 and 0.0 stay apart; each row of expm_generator and
-of the tree product depends only on that row, so a copied product is bit
-for bit what it replaces.
+interval per integration, or the first and the shorter last segment of
+its first interval.  Bits, not values, are compared, so -0.0 and 0.0 stay
+apart; each row of expm_generator and of the tree product depends only
+on that row, so a copied product is bit for bit what it replaces.
 """
 
 from __future__ import annotations
@@ -120,27 +119,11 @@ def expm_generator(w: np.ndarray) -> np.ndarray:
     return e
 
 
-def _run_starts(node_vals: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Whether each row's (node values, h) bits differ from the previous
-    row's, the first's always: whether it starts a run."""
-    bits, hbits = node_vals.view(np.int64), h.view(np.int64)
-    new = np.ones(len(h), dtype=bool)
-    new[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2)) | (hbits[1:] != hbits[:-1])
-    return new
-
-
 def _substep_propagators(node_vals: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """E2 @ E1 for each substep; node_vals (k, 2, 4), h (k,).
-
-    Only the first substep of each run of bit-identical (node values, h) is
-    computed; with no run, w1, w2 and h stay views and nothing is gathered.
-    """
-    new = _run_starts(node_vals, h)
-    first = slice(None) if new.all() else new
-    w1, w2, h = node_vals[first, 0], node_vals[first, 1], h[first, None]
-    steps = (expm_generator(h * (_CF4_B * w1 + _CF4_A * w2))
-             @ expm_generator(h * (_CF4_A * w1 + _CF4_B * w2)))
-    return steps[np.cumsum(new) - 1] if first is new else steps
+    """E2 @ E1 for each substep; node_vals (k, 2, 4), h (k,)."""
+    w1, w2, h = node_vals[:, 0], node_vals[:, 1], h[:, None]
+    return (expm_generator(h * (_CF4_B * w1 + _CF4_A * w2))
+            @ expm_generator(h * (_CF4_A * w1 + _CF4_B * w2)))
 
 
 def _tree_product(m: np.ndarray) -> np.ndarray:
@@ -152,23 +135,25 @@ def _tree_product(m: np.ndarray) -> np.ndarray:
     return m[:, 0]
 
 
-def _products(node_vals: np.ndarray, h: np.ndarray, last) -> tuple:
-    """(the products of the len(h) equal pieces of node_vals, one per h, and
-    the last piece's (node bits, h bits, product)).  A piece whose node
-    values and h have the bits of the one before it, `last`, takes its product."""
+def _products(node_vals: np.ndarray, h: np.ndarray, carried: dict) -> np.ndarray:
+    """The products of the len(h) equal pieces of node_vals, one per h.  A
+    piece whose node values and h have the bits of the one before it takes
+    its product; before the first stands carried[n], the (node bits, h bits,
+    product) of the last piece of n substeps, and the last piece takes its place."""
     vals, hbits = node_vals.reshape(len(h), -1, 4), h.view(np.int64)
-    bits, new = vals.view(np.int64), _run_starts(vals, h)
-    new[0] = (last is None or hbits[0] != last[1] or bits[0].shape != last[0].shape
-              or (bits[0] != last[0]).any())
+    bits, n = vals.view(np.int64), vals.shape[1] // 2
+    last = carried.get(n)
+    new = np.concatenate([[last is None or hbits[0] != last[1] or (bits[0] != last[0]).any()],
+                          (bits[1:] != bits[:-1]).any(axis=(1, 2)) | (hbits[1:] != hbits[:-1])])
     if not new.any():
-        return np.broadcast_to(last[2], (len(h), 4, 4)), last
-    sel, n = (slice(None) if new.all() else new), vals.shape[1] // 2
+        return np.broadcast_to(last[2], (len(h), 4, 4))
+    sel = slice(None) if new.all() else new  # a gathered chunk of node values costs 128 kB of peak
     props = _tree_product(_substep_propagators(vals[sel].reshape(-1, 2, 4), np.repeat(h[sel], n))
                           .reshape(-1, n, 4, 4))
-    if sel is new:  # each repeated piece takes the product of the last computed one
+    if sel is new:  # each piece takes the product of the last computed one; index 0 is carried's
         props = np.concatenate([props[:1] if new[0] else last[2][None], props])[np.cumsum(new)]
-    # copies, so that the chunk's arrays go once read
-    return props, (bits[-1].copy(), hbits[-1], props[-1].copy())
+    carried[n] = (bits[-1].copy(), hbits[-1], props[-1].copy())  # copies: the chunk goes once read
+    return props
 
 
 def chunk_propagators(node_vals, hs: np.ndarray, nsub: int):
@@ -176,12 +161,12 @@ def chunk_propagators(node_vals, hs: np.ndarray, nsub: int):
     of hs, nsub substeps each, one chunk of CHUNK_SUBSTEPS substeps at a
     time, or one longer interval in segments of that many, each sliced from
     node_vals once and multiplied out by _products."""
-    per, last = max(1, CHUNK_SUBSTEPS // nsub), None
+    per, carried = max(1, CHUNK_SUBSTEPS // nsub), {}
     for first in range(0, len(hs), per):
         h, lo, hi = hs[first:first + per], first * nsub, min(first + per, len(hs)) * nsub
         props = np.eye(4)
         for seg in range(lo, hi, CHUNK_SUBSTEPS):  # the chunk, or one interval's segments in order
-            p, last = _products(node_vals[seg:min(seg + CHUNK_SUBSTEPS, hi)], h, last)
+            p = _products(node_vals[seg:min(seg + CHUNK_SUBSTEPS, hi)], h, carried)
             props = p if nsub <= CHUNK_SUBSTEPS else p @ props
         yield first, props
 

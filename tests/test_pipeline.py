@@ -550,6 +550,39 @@ def test_substep_limit_is_the_integrators_count(tmp_path):
             MINIMAL, domain={"t0": 0, "t1": span + 1e-3, "samples": 2})))
 
 
+@pytest.mark.parametrize("sub", ["focal", "run"])
+def test_cli_mesh_over_the_point_limit_exits_1(tmp_path, capsys, monkeypatch, sub):
+    """A mesh of 11 x 1e12 points used to reach export and end in NumPy's
+    allocation error; it is a spec error on theta that names its point count
+    and the limit, raised before any stage runs or any file is written."""
+    spec_path = _write_spec(tmp_path, dict(
+        MINIMAL, name="huge_theta", theta={"min": -1, "max": 1, "samples": 10 ** 12},
+        outputs=["report", "focal_h_obj"]))
+    monkeypatch.setattr(pipeline, "integrate_frame", None)  # a stage that ran would fail
+    assert cli_main([sub, "--spec", spec_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "spec error: theta: asks for a mesh of 11000000000000 points, over the limit of "
+        f"{pipeline.MAX_MESH_POINTS}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("outputs, refused", [(["report", "dual_ed_obj"], True),
+                                              (["report"], False)])
+def test_mesh_point_limit_applies_to_meshes_alone(tmp_path, monkeypatch, outputs, refused):
+    """With the limit at 55, an 11 x 5 mesh runs and an 11 x 6 mesh is a spec
+    error; without a mesh output, or without an output directory, 11 x 6 runs."""
+    monkeypatch.setattr(pipeline, "MAX_MESH_POINTS", 55)
+    spec = pipeline.load_spec(_write_spec(tmp_path, dict(MINIMAL, outputs=outputs)))
+    pipeline.run_pipeline(spec, out_dir=str(tmp_path / "five"))
+    six = spec._replace(theta=(-1.0, 1.0, 6))
+    pipeline.run_pipeline(six)
+    if refused:
+        with pytest.raises(SpecValidationError, match="^theta: asks for a mesh of 66 points"):
+            pipeline.run_pipeline(six, out_dir=str(tmp_path / "six"))
+    else:
+        pipeline.run_pipeline(six, out_dir=str(tmp_path / "six"))
+
+
 _ONCE_NON_FINITE_FRAMES = pytest.mark.parametrize("curvature, domain, code, last", [
     # the de Sitter evolute turned to NaN, after a re-orthonormalization of a
     # frame at its rounding floor, with no domain error on the way

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypframe import propagation as kernel
 from hypframe.errors import InvalidInputError
@@ -126,9 +128,9 @@ def _every_substep(node_vals, h):
 
 
 def _repeated_substeps():
-    """(node_vals, h, runs) of hand-built substeps: runs of equal rows,
-    singletons, a change of h inside a run of equal node values, a -0.0/0.0
-    pair and NaN rows; runs counts the runs of bit-equal (node values, h)."""
+    """(node_vals, h) of hand-built substeps: runs of equal rows, singletons,
+    a change of h inside a run of equal node values, a -0.0/0.0 pair and NaN
+    rows."""
     rng = np.random.default_rng(97)
     a, b, c = rng.uniform(-2.0, 2.0, (3, 2, 4))
     zero, negzero = c.copy(), c.copy()
@@ -136,33 +138,16 @@ def _repeated_substeps():
     nan = np.full((2, 4), np.nan)
     rows = [a, a, a, b, c, c, c, c, zero, negzero, nan, nan, nan, a, b, b]
     h = [1e-2] * 6 + [2e-2] * 2 + [1e-2] * 8
-    return np.array(rows), np.array(h), 9
+    return np.array(rows), np.array(h)
 
 
 def test_substep_propagators_bit_identical_to_each_row_alone():
-    node_vals, h, _ = _repeated_substeps()
+    node_vals, h = _repeated_substeps()
     with np.errstate(invalid="ignore"):
         got = kernel._substep_propagators(node_vals, h)
         want = [_every_substep(node_vals[i:i + 1], h[i:i + 1])[0] for i in range(len(h))]
     assert np.isnan(got[10:13]).all() and np.isfinite(np.delete(got, [10, 11, 12], axis=0)).all()
     assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
-
-
-def test_substep_propagators_exponentiate_each_run_once(monkeypatch):
-    node_vals, h, runs = _repeated_substeps()
-    seen, expm = [], kernel.expm_generator
-
-    def counting(w):
-        seen.append(len(w))
-        return expm(w)
-
-    monkeypatch.setattr(kernel, "expm_generator", counting)
-    with np.errstate(invalid="ignore"):
-        kernel._substep_propagators(node_vals, h)
-        assert seen == [runs, runs]
-        seen.clear()
-        kernel._substep_propagators(node_vals[3:5], h[3:5])  # no repeat
-    assert seen == [2, 2]
 
 
 def _perfbench_quartet(name, seed):
@@ -287,10 +272,9 @@ def test_reused_substeps_give_the_bits_of_computed_ones(monkeypatch, nsub, chunk
 def test_chunk_size_does_not_change_the_frames(monkeypatch, quartet):
     """On [0, 40] (200 intervals of 100 substeps), an interval in segments of
     64, one interval a chunk and 20 a chunk give the same frames to the
-    bit.  The constant quartet exponentiates one substep pair in all when
-    an interval repeats the one before it; in segments of 64 and 36, each
-    segment differs in length from the one before it, so each exponentiates
-    one substep pair."""
+    bit.  The constant quartet exponentiates the substeps of its first
+    interval, and every later interval takes its product; in segments of
+    64 and 36, it exponentiates the first segment of each length."""
     q = CurvatureQuartet.from_strings(*quartet)
     calls, expm = [], kernel.expm_generator
     monkeypatch.setattr(kernel, "expm_generator", lambda w: calls.append(len(w)) or expm(w))
@@ -302,7 +286,7 @@ def test_chunk_size_does_not_change_the_frames(monkeypatch, quartet):
         assert model.step == 2e-3
         frames.append(model.frames.view(np.int64))
         if quartet[0] == "1":
-            assert calls == [1, 1] * (400 if chunk == 64 else 1), chunk
+            assert calls == ([64, 64, 36, 36] if chunk == 64 else [100, 100]), chunk
     assert all(np.array_equal(f, frames[0]) for f in frames[1:])
 
 
@@ -381,28 +365,88 @@ def test_constant_quartet_multiplies_out_one_interval(monkeypatch, chunk):
         assert sum(counted) == intervals, quartet
 
 
-@pytest.mark.parametrize("nsub, computed", [(50, 8), (48, 1)], ids=["partial", "whole"])
+@pytest.mark.parametrize("nsub, computed", [(50, [16, 2]), (48, [16])], ids=["partial", "whole"])
 def test_each_segment_of_a_long_interval_exponentiates_once(monkeypatch, nsub, computed):
-    """In segments of 16, a constant quartet's segment that repeats the one
-    before it, in length and bits, takes its product; every other segment
-    exponentiates its one run of substeps once.  Intervals of 50 substeps
-    (16, 16, 16, 2) compute their first and last segment, those of 48 only
-    the first segment of all.  A non-constant quartet computes every
-    segment, each with one call per exponential."""
+    """In segments of 16, a constant quartet's segment that repeats the last
+    segment of its length, in bits, takes its product; every other segment
+    exponentiates its substeps, once.  Intervals of 50 substeps (16, 16, 16,
+    2) compute the first segment of each length, those of 48 only the first
+    segment of all.  A non-constant quartet computes every segment, each
+    with one call per exponential."""
     counted = _counting_tree_product(monkeypatch)
     calls, expm = [], kernel.expm_generator
     monkeypatch.setattr(kernel, "expm_generator", lambda w: calls.append(len(w)) or expm(w))
     monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", 16)
-    for quartet, segments in ((CONSTANT_QUARTET, computed), (ROADMAP_QUARTET, 4 * -(-nsub // 16))):
+    for quartet, segments in ((CONSTANT_QUARTET, len(computed)),
+                              (ROADMAP_QUARTET, 4 * -(-nsub // 16))):
         node_vals, hs, _ = _node_data(quartet, 0.0, 40.0, 4, nsub)
         counted.clear()
         calls.clear()
         got = np.concatenate([p for _, p in kernel.chunk_propagators(node_vals, hs, nsub)])
         assert counted == [1] * segments and len(calls) == 2 * segments, quartet
         if quartet is CONSTANT_QUARTET:
-            assert calls == [1] * len(calls)
+            assert calls == [k for k in computed for _ in range(2)]
         want = next(chunk_propagators_without_reuse(node_vals, hs, nsub))[1]
         assert got.tobytes() == want.tobytes(), quartet
+
+
+def test_long_interval_constant_computes_two_segments(monkeypatch):
+    """The corpus spec long_interval_constant, 10 intervals of 2,500
+    substeps, each in segments of 2,048 and 452: the tree product runs on
+    the first segment of each length, two pieces per integration, and the
+    propagators are the no-reuse oracle's, bit for bit."""
+    counted = _counting_tree_product(monkeypatch)
+    model = integrate_frame(CurvatureQuartet.from_strings(*CONSTANT_QUARTET), (0.0, 50.0, 11))
+    assert model.step == 2e-3 and counted == [1, 1]
+    node_vals, hs, _ = _node_data(CONSTANT_QUARTET, 0.0, 50.0, 10, 2500)
+    counted.clear()
+    got = np.concatenate([p for _, p in kernel.chunk_propagators(node_vals, hs, 2500)])
+    assert counted == [1, 1]
+    want = next(chunk_propagators_without_reuse(node_vals, hs, 2500))[1]
+    assert got.tobytes() == want.tobytes()
+
+
+_CONSTANT_PIECES = st.builds("{:.3f}".format, st.floats(-2.0, 2.0))
+
+
+def _pieces(c):
+    """A curvature component: a constant, a polynomial, a trig piece or a
+    tanh that saturates to bit-constant values from about t = c + 0.5."""
+    return st.one_of(
+        _CONSTANT_PIECES,
+        st.builds("{:.2f}+{:.2f}*t+{:.2f}*t^2".format, *[st.floats(-1.0, 1.0)] * 3),
+        st.builds("{:.2f}*sin({:.1f}*t)+{:.2f}*cos(t)".format, st.floats(-1.0, 1.0),
+                  st.floats(0.5, 5.0), st.floats(-1.0, 1.0)),
+        st.just(f"2+tanh(40*(t-{c:.2f}))"))
+
+
+@st.composite
+def _reuse_cases(draw):
+    """(quartet, nint, chunk, nsub): a constant quartet or one of any
+    pieces, and nsub above the chunk, half the time a multiple of it."""
+    pieces = _CONSTANT_PIECES if draw(st.booleans()) else _pieces(draw(st.floats(0.0, 2.5)))
+    quartet = tuple(draw(pieces) for _ in range(4))
+    chunk = draw(st.integers(2, 12))
+    rest = draw(st.one_of(st.just(chunk), st.integers(1, chunk - 1)))
+    return quartet, draw(st.integers(1, 6)), chunk, draw(st.integers(1, 4)) * chunk + rest
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_reuse_cases())
+def test_reuse_keeps_the_bits_of_the_no_reuse_oracle(case):
+    """Whatever the quartet and the chunk, for intervals longer than a chunk
+    the propagators are the no-reuse oracle's, bit for bit, and a constant
+    quartet computes at most one piece of each length per integration."""
+    quartet, nint, chunk, nsub = case
+    node_vals, hs, _ = _node_data(quartet, 0.0, 3.0, nint, nsub)
+    with pytest.MonkeyPatch.context() as mp:
+        counted = _counting_tree_product(mp)
+        mp.setattr(kernel, "CHUNK_SUBSTEPS", chunk)
+        got = np.concatenate([p for _, p in kernel.chunk_propagators(node_vals, hs, nsub)])
+        want = next(chunk_propagators_without_reuse(node_vals, hs, nsub))[1]
+    assert got.tobytes() == want.tobytes()
+    if all("t" not in piece for piece in quartet):
+        assert counted == [1] * len({chunk, nsub % chunk} - {0})
 
 
 @pytest.mark.parametrize("chunk", [3, 7, 9, 18])

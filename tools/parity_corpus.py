@@ -43,8 +43,10 @@ Run it from the root of a hypframe checkout.  The corpus is
   an empty loci table, a constant quartet on 15 propagation chunks, whose
   interval propagators are reused across every chunk boundary, a
   non-constant quartet whose node values turn bit-constant from about
-  t = 1.5, partway through a chunk, and a domain that asks for 5e17
-  substeps, which the spec rejects;
+  t = 1.5, partway through a chunk, a domain that asks for 5e17
+  substeps, which the spec rejects, and swallowtail_family's quartet
+  with 1e12 theta samples and a mesh output, which every subcommand that
+  writes that mesh rejects before it runs a stage;
 * the large-grid spec (sin(t), 1+0.1*t^2, 2+0.5*cos(t), 0.2*t) on
   [-4, 4], 2,001 samples, 21 theta: about 6,000 loci records and
   several epsilon crossings.
@@ -104,6 +106,7 @@ QUARTETS = {
     "constant_many_chunks": (("0.2", "1", "2", "0"), (0.0, 60.0, 301)),
     "saturated_quartet": (("2+tanh(40*(t-1))", "1", "2", "0"), (0.0, 30.0, 301)),
     "huge_domain": (("1", "1", "2", "0"), (0.0, 1e15, 3)),
+    "huge_theta": (("0.5*t", "1", "2", "0"), (-1.5, 1.5, 201), (-1.0, 1.0, 10 ** 12)),
     "large_grid": (("sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), (-4.0, 4.0, 2001),
                    (-1.0, 1.0, 21)),
 }
@@ -121,6 +124,7 @@ EXTRA = {
     "frame_pairing": {"initial_frame": [1, 0, 0, 0, 0, 1, 0, 0, 0, 5e-11, 1, 0, 0, 0, 0, 1]},
     "frame_flipped": {"initial_frame": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1]},
     "swallowtail_coarse": {"tolerances": {"sing": 0.05}},
+    "huge_theta": {"outputs": ["report", "focal_h_obj"]},
 }
 
 
