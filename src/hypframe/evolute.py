@@ -18,8 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import FrameDegenerateError
 from .focal import (D, H, Side, _batch, _by_epsilon, _columns, _decide, _eps_columns, _fiber,
-                    _finite, _point, _raise_rows, _replayed, _rule, _scale, _undefined_at,
+                    _finite, _point, _raise_rows, _replayed, _rule, _scale, _undefined,
                     defined_runs, focal_d_point, focal_h_point)
 from .framedcurve import FramedCurveModel
 from .loci import TYPES, LociTable, SingularityType, SingularPointRecord, _code, _MutableRecord
@@ -369,7 +370,10 @@ def _leg(model, ts, runs, side: Side, focal_point) -> LegReport:
     side's public focal point function, passed in so that a rebound module
     attribute (a profiler's wrapper) is called."""
     if not runs:
-        reason = _undefined_at(model, float(ts[-1]), side, evolute=True) if len(ts) else None
+        try:  # why it is undefined at the last grid point
+            reason = _undefined(side, model.frenet_data_at(float(ts[-1])), model.tol, True)
+        except FrameDegenerateError as exc:
+            reason = str(exc)
         return LegReport(status="skipped",
                          reason=reason or "evolute undefined on the whole grid")
 

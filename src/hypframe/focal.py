@@ -128,15 +128,6 @@ def _undefined(side: Side, data: FrenetData, tol, evolute: bool = False):
     return None
 
 
-def _undefined_at(model: FramedCurveModel, t: float, side: Side, evolute: bool = False):
-    """_undefined at t, where a^2 + b^2 may vanish too."""
-    try:
-        data = model.frenet_data_at(t)
-    except FrameDegenerateError as exc:
-        return str(exc)
-    return _undefined(side, data, model.tol, evolute)
-
-
 def _require(side: Side, data: FrenetData, model: FramedCurveModel,
              evolute: bool = False) -> tuple:
     """The side's (disc, D, D', D''); raises where _undefined gives a reason."""
@@ -154,14 +145,13 @@ SURFACES = {H.focal: (H, False), D.focal: (D, False), H.evolute: (H, True),
 def defined_runs(model: FramedCurveModel) -> dict:
     """Each name of SURFACES -> the maximal index ranges of the model's
     grid on which that surface is defined: the rule on the columns of the
-    grid table, and on each of its suspect rows, in order, _undefined_at."""
+    grid table, whose suspect rows raise, in order, through _raise_rows;
+    where a^2 + b^2 vanishes, no surface is defined."""
     grid = model.grid
     with np.errstate(all="ignore"):
         ok = np.hstack([~np.logical_or(*_failing(side, grid.data, model.tol, evolute))
                         for side, evolute in SURFACES.values()])
-    for i in np.flatnonzero(grid.suspect):
-        ok[i] = [_undefined_at(model, float(model.ts[i]), *rule) is None
-                 for rule in SURFACES.values()]
+    ok[_raise_rows(model, grid.data, grid.suspect, [], (FrameDegenerateError,))] = False
     runs = {}
     for k, name in enumerate(SURFACES):
         # a run starts, and the next stops, where the column changes value
@@ -384,31 +374,33 @@ def singular_locus_d(model: FramedCurveModel, ts=None) -> LociTable:
     The circle fiber always meets the singular set when (W, Dd) does not
     vanish: the two roots of tan(theta) = W / Dd, normalized to [0, 2pi).
     Neighboring roots jumping by more than pi/2 trigger grid refinement,
-    keeping the reported branch continuous in t; a midpoint where the
-    surface is undefined is skipped.
+    keeping the reported branch continuous in t: one batch of midpoints a
+    level, over every interval that jumps, for REFINE_DEPTH levels at most.
+    A midpoint where the surface is undefined is skipped; an error at a
+    midpoint is raised level by level, in t order within a level.
     """
     ts, data, whole = _locus_rows(D, model, ts)
     cols = [c[:, 0] for c in _entries(D, data)]
     theta = np.where(whole, math.nan, _norm_circle(D.root(cols[0], cols[1])))
-    refined = []
-    # refine, one midpoint at a time, where the principal branch jumps
-    for j in np.flatnonzero(_circ_gap(theta[:-1], theta[1:]) > 0.5 * math.pi).tolist():
-        stack = [(*ts[j:j + 2].tolist(), *theta[j:j + 2].tolist(), 0)]
-        while stack:
-            ta, tb, tha, thb, depth = stack.pop()
-            if _circ_gap(tha, thb) <= 0.5 * math.pi or depth >= REFINE_DEPTH:
-                continue
-            tm = 0.5 * (ta + tb)
-            if _undefined_at(model, tm, D):
-                continue
-            data_m = model.frenet_data_at(tm)
-            thm = _norm_circle(float(D.root(data_m.W, data_m.Dd)))
-            refined.append((tm, thm, False, *_entries(D, data_m)))
-            stack += [(ta, tm, tha, thm, depth + 1), (tm, tb, thm, thb, depth + 1)]
+    refined = []  # per level, the columns of the midpoints kept, as (ts, theta, whole, *cols)
+    ends = (ts[:-1], ts[1:], theta[:-1], theta[1:])  # (ta, tb, theta_a, theta_b) per interval
+    for _ in range(REFINE_DEPTH):  # a level of midpoints, where the principal branch jumps
+        jump = _circ_gap(ends[2], ends[3]) > 0.5 * math.pi
+        if not np.count_nonzero(jump):
+            break
+        ta, tb, tha, thb = (e[jump] for e in ends)
+        tm = 0.5 * (ta + tb)
+        _, data_m, suspect = model.frenet_columns(tm, frames=False)
+        skip = _raise_rows(model, data_m, suspect, [], (FrameDegenerateError,))
+        cols_m = [c[:, 0] for c in _entries(D, data_m)]
+        with np.errstate(all="ignore"):
+            keep = ~skip & ~_failing(D, data_m, model.tol)[1][:, 0]
+            thm = np.where(keep, _norm_circle(D.root(cols_m[0], cols_m[1])), math.nan)
+        refined.append([c[keep] for c in (tm, thm, np.zeros_like(keep), *cols_m)])
+        ends = [np.column_stack(h).ravel() for h in ((ta, tm), (tm, tb), (tha, thm), (thm, thb))]
     if refined or np.any(ts[1:] < ts[:-1]):
         # the midpoints after the grid's entries, then all in t order (stable)
-        entries = [np.concatenate([a, b]).astype(a.dtype) for a, b in zip(
-            (ts, theta, whole, *cols), np.reshape(refined, (-1, 7)).T)]
+        entries = [np.concatenate(c) for c in zip((ts, theta, whole, *cols), *refined)]
         order = np.argsort(entries[0], kind="stable")
         ts, theta, whole, *cols = (c[order] for c in entries)
     pair = _norm_circle(theta + math.pi)

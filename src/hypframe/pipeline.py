@@ -52,6 +52,11 @@ OUTPUT_PRODUCTS = ("report", "loci_csv", "focal_h_obj", "focal_d_obj",
 # The most CF4 substeps a spec's domain may ask of integrate_frame: 50 times
 # the 200,000 of the finest spec run so far; (0, 1e15, 3) asks for 5e17.
 MAX_SUBSTEPS = 10_000_000
+# The most domain samples a spec may ask for: twice the 200,001 of the
+# finest grid measured so far.  `run` of the large-grid quartet with the
+# report and loci CSV peaked at 1,539 MB RSS at the limit (2-vCPU x86-64
+# Linux), about 3.85 kB a sample.
+MAX_SAMPLES = 400_001
 # The most points (domain samples x theta samples) a mesh may have: about
 # 20 times the 2001 x 101 of the finest grid run so far.  `run` with all six
 # products peaked at 434 MB RSS at 2000 x 2000 (2-vCPU x86-64 Linux).
@@ -156,6 +161,9 @@ def load_spec(path) -> CurveSpec:
             raise SpecValidationError(f"curvature.{fn}", str(exc)) from exc
 
     t0, t1, nsamp = _range(doc, "domain", "t0", "t1")
+    if nsamp > MAX_SAMPLES:
+        raise SpecValidationError(
+            "domain.samples", f"asks for {nsamp} samples, over the limit of {MAX_SAMPLES}")
     if (count := substep_count((t0, t1, nsamp))[0] * (nsamp - 1)) > MAX_SUBSTEPS:
         raise SpecValidationError(
             "domain", f"asks for {count} substeps, over the limit of {MAX_SUBSTEPS}")

@@ -400,7 +400,10 @@ def frenet_data(model, t):
 
 
 def undefined_at(model, t, side, evolute=False):
-    """`hypframe.focal._undefined_at` on frenet_data."""
+    """Why the side's focal surface (with `evolute`, its evolute) is
+    undefined at t, on frenet_data, where a^2 + b^2 may vanish too; None
+    where it is defined: the reason a skipped leg gives, and the rule
+    `hypframe.focal.defined_runs` decides on the grid's columns."""
     try:
         data = frenet_data(model, t)
     except FrameDegenerateError as exc:

@@ -71,8 +71,8 @@ def test_reports_compare_by_key_path():
 
 def test_every_parity_corpus_spec_loads(tmp_path):
     """Each corpus spec loads, but the three whose initial frame load_spec
-    must reject and the domain over its substep limit, each for its own
-    reason."""
+    must reject and the domains over the substep and sample limits, each
+    for its own reason."""
     from hypframe import load_spec
     from hypframe.pipeline import SpecValidationError
 
@@ -87,7 +87,8 @@ def test_every_parity_corpus_spec_loads(tmp_path):
                                  "exceeds 1e-12",
                 "frame_flipped": "initial_frame: initial frame orientation must satisfy",
                 "huge_domain": "domain: asks for 500000000000000000 substeps, over the "
-                               "limit of 10000000$"}
+                               "limit of 10000000$",
+                "huge_samples": "domain.samples: asks for 10000000 samples, over the limit"}
     names = set()
     for p in paths:
         reason = rejected.pop(os.path.basename(p)[:-len(".json")], None)

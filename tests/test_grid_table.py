@@ -70,6 +70,9 @@ MODELS = {
     "d_refinement": (("2+0.5*t", "0.7*(t-1)", "1", "0"), (0.05, 2.0, 4)),
     # (W, Dh) vanishes at t = 0: whole-fiber records
     "whole_fiber": (("1", "t", "2", "0"), (-0.5, 0.5, 101)),
+    # the d-locus branch jumps once on each of its two de Sitter runs: 12 midpoints
+    "silent_nan": (("2.41+1.45*sinh(2.96*t)", "-1.2-1.56*tanh(2.06*t)",
+                    "-0.61+0.05*t+1.44*t^2", "0"), (-1.6, 1.6, 81)),
 }
 
 
@@ -297,18 +300,38 @@ def test_loci_stage_holds_columns_not_records():
     assert peak < 10e6, peak
 
 
-def test_loci_query_no_grid_point_one_at_a_time(monkeypatch):
-    """Work-count guard: on a committed spec, the loci and their
-    classification read every grid row from the table's columns."""
-    spec = load_spec(os.path.join(SPEC_DIR, "swallowtail_family.json"))
-    model = integrate_frame(spec.quartet(), spec.domain)
-    runs = defined_runs(model)
+def _frenet_data_at_calls(monkeypatch):
+    """The ts of each FramedCurveModel.frenet_data_at call from now on."""
     queried, real = [], FramedCurveModel.frenet_data_at
     monkeypatch.setattr(FramedCurveModel, "frenet_data_at",
                         lambda self, t: queried.append(t) or real(self, t))
+    return queried
+
+
+@pytest.mark.parametrize("name, rows", [("swallowtail_family", 603), ("silent_nan", 261),
+                                        ("d_refinement", 14)])
+def test_loci_query_no_grid_point_one_at_a_time(monkeypatch, name, rows):
+    """Work-count guard: the loci and their classification read every grid
+    row from the table's columns, and the d-locus refinement evaluates each
+    level of its midpoints as columns; no t is queried on its own (24 and 2
+    frenet_data_at calls on silent_nan and d_refinement when the midpoints
+    were queried one at a time)."""
+    model = _model(name)[0]
+    runs = defined_runs(model)
+    queried = _frenet_data_at_calls(monkeypatch)
     records = pipeline.classified_loci(model, runs)
-    assert len(records) == 603
-    assert not set(queried) & set(model.ts.tolist())
+    assert len(records) == rows
+    assert queried == []
+
+
+def test_defined_runs_query_each_suspect_row_once(monkeypatch):
+    """Work-count guard: on the geodesic, a^2 + b^2 vanishes at each of the
+    11 grid points, so every row is suspect.  defined_runs queries each
+    once, not once per surface (66 calls), and no surface is defined."""
+    model = integrate_frame(CurvatureQuartet.from_strings("1", "0", "0", "0"), (0.0, 1.0, 11))
+    queried = _frenet_data_at_calls(monkeypatch)
+    assert defined_runs(model) == dict.fromkeys(focal.SURFACES, [])
+    assert queried == model.ts.tolist()
 
 
 def test_nan_frame_rows_replay_as_the_oracle():

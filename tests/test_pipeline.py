@@ -550,6 +550,36 @@ def test_substep_limit_is_the_integrators_count(tmp_path):
             MINIMAL, domain={"t0": 0, "t1": span + 1e-3, "samples": 2})))
 
 
+@pytest.mark.parametrize("sub", ["integrate", "run"])
+def test_cli_domain_over_the_sample_limit_exits_1(tmp_path, capsys, monkeypatch, sub):
+    """The large-grid quartet at 10^7 samples asks for fewer substeps than
+    MAX_SUBSTEPS, and used to die in NumPy's allocation error where the
+    frames are stored; it is a spec error on domain.samples that names its
+    count and the limit, raised before any stage runs."""
+    spec_path = _write_spec(tmp_path, dict(
+        MINIMAL, name="huge_samples", domain={"t0": -4, "t1": 4, "samples": 10 ** 7},
+        curvature={"m": "sin(t)", "n": "1+0.1*t^2", "a": "2+0.5*cos(t)", "b": "0.2*t"}))
+    monkeypatch.setattr(pipeline, "integrate_frame", None)  # a stage that ran would fail
+    assert cli_main([sub, "--spec", spec_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "spec error: domain.samples: asks for 10000000 samples, over the limit of "
+        f"{pipeline.MAX_SAMPLES}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sample_limit_admits_the_finest_measured_grid(tmp_path):
+    """A domain of exactly MAX_SAMPLES samples loads, one sample more does
+    not; the limit admits the 200,001 samples of the finest grid measured."""
+    limit = pipeline.MAX_SAMPLES
+    assert limit >= 200_001
+    domain = {"t0": -4, "t1": 4, "samples": limit}
+    spec = pipeline.load_spec(_write_spec(tmp_path, dict(MINIMAL, domain=domain)))
+    assert spec.domain[2] == limit
+    with pytest.raises(SpecValidationError, match=f"^domain.samples: asks for {limit + 1} samples"):
+        pipeline.load_spec(_write_spec(tmp_path, dict(
+            MINIMAL, domain=dict(domain, samples=limit + 1))))
+
+
 @pytest.mark.parametrize("sub", ["focal", "run"])
 def test_cli_mesh_over_the_point_limit_exits_1(tmp_path, capsys, monkeypatch, sub):
     """A mesh of 11 x 1e12 points used to reach export and end in NumPy's

@@ -252,21 +252,6 @@ def test_interval_longer_than_a_chunk(monkeypatch):
     assert _relative(frames, ref) <= 1e-12
 
 
-@pytest.mark.parametrize("nsub, chunk", [(7, 2048), (50, 16)], ids=["chunks", "segments"])
-def test_reused_substeps_give_the_bits_of_computed_ones(monkeypatch, nsub, chunk):
-    """A constant quartet, whose substeps all repeat, propagates to the same
-    bits as when every substep is exponentiated, through whole-interval
-    chunks and through the segments of an interval longer than a chunk."""
-    node_vals, hs, substeps = _node_data(CONSTANT_QUARTET, 0.0, 40.0, 20, nsub)
-    f0 = np.eye(4)
-    monkeypatch.setattr(kernel, "CHUNK_SUBSTEPS", chunk)
-    reused = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)
-    monkeypatch.setattr(kernel, "_substep_propagators", _every_substep)
-    computed = kernel.propagate(node_vals, hs, substeps, f0, 1e-10)
-    assert np.array_equal(reused[0].view(np.int64), computed[0].view(np.int64))
-    assert reused[1:] == computed[1:]
-
-
 @pytest.mark.parametrize("quartet", [("1", "1", "2", "0"), ROADMAP_QUARTET],
                          ids=["constant", "roadmap"])
 def test_chunk_size_does_not_change_the_frames(monkeypatch, quartet):
@@ -315,18 +300,20 @@ def test_gram_check_of_a_stack_has_the_bits_of_each_frame_alone():
 
 
 @pytest.mark.parametrize("nsub, chunk", [(7, 7 + 1), (7, 3 * 7 + 1), (7, 5 * 7 + 1),
-                                         (50, 16)],
-                         ids=["1_interval", "3_intervals", "5_intervals", "segments"])
+                                         (7, 2048), (50, 16)],
+                         ids=["1_interval", "3_intervals", "5_intervals", "all_intervals",
+                              "segments"])
 @pytest.mark.parametrize("quartet", [CONSTANT_QUARTET, ROADMAP_QUARTET, "runs"],
                          ids=["constant", "roadmap", "runs"])
 def test_reused_intervals_give_the_bits_of_the_no_reuse_oracle(monkeypatch, quartet, nsub,
                                                               chunk):
-    """Chunks of 1, 3 and 5 intervals (and one substep more), and the
-    segments of an interval longer than a chunk: the interval propagators,
-    and the frames and counts of propagate, are those of the oracle that
-    exponentiates every substep and reuses no product, bit for bit.  "runs"
-    holds node values constant over runs of 1 to 3 * nsub + 2 substeps, which
-    start anywhere in an interval."""
+    """Chunks of 1, 3 and 5 intervals (and one substep more), all 24
+    intervals in one chunk, and the segments of an interval longer than a
+    chunk: the interval propagators, and the frames and counts of
+    propagate, are those of the oracle that exponentiates every substep and
+    reuses no product, bit for bit.  "runs" holds node values constant over
+    runs of 1 to 3 * nsub + 2 substeps, which start anywhere in an
+    interval."""
     node_vals, hs, substeps = _node_data(CONSTANT_QUARTET if quartet == "runs" else quartet,
                                          0.0, 40.0, 24, nsub)
     if quartet == "runs":

@@ -46,7 +46,10 @@ Run it from the root of a hypframe checkout.  The corpus is
   t = 1.5, partway through a chunk, a domain that asks for 5e17
   substeps, which the spec rejects, and swallowtail_family's quartet
   with 1e12 theta samples and a mesh output, which every subcommand that
-  writes that mesh rejects before it runs a stage;
+  writes that mesh rejects before it runs a stage, the large-grid quartet
+  at 10^7 samples, which the spec rejects, and a quartet drawn by the
+  property test whose legs grow to 1e5 on a bounded frame, so that its
+  duality residual sits at the rounding floor;
 * the large-grid spec (sin(t), 1+0.1*t^2, 2+0.5*cos(t), 0.2*t) on
   [-4, 4], 2,001 samples, 21 theta: about 6,000 loci records and
   several epsilon crossings.
@@ -107,6 +110,9 @@ QUARTETS = {
     "saturated_quartet": (("2+tanh(40*(t-1))", "1", "2", "0"), (0.0, 30.0, 301)),
     "huge_domain": (("1", "1", "2", "0"), (0.0, 1e15, 3)),
     "huge_theta": (("0.5*t", "1", "2", "0"), (-1.5, 1.5, 201), (-1.0, 1.0, 10 ** 12)),
+    "huge_samples": (("sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), (-4.0, 4.0, 10 ** 7)),
+    "focal_edge_floor": (("(-1.66)+(log(2+sin(-1.45)))", "(exp(0.3*t))+((-0.79)*(t))",
+                          "1.83+-0.34", "t"), (-1.5, 1.5, 101)),
     "large_grid": (("sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), (-4.0, 4.0, 2001),
                    (-1.0, 1.0, 21)),
 }
