@@ -430,17 +430,19 @@ class FramedCurveModel:
             f[off] = props @ f[off]
         return f
 
-    def frenet_frame_at(self, t: float) -> np.ndarray:
-        """Rows (gamma, n1, n2, mu): the normals rotated to the Frenet pair."""
-        a, b, _ = eval_expr(self.frenet.ab_columns, t, name_t=True)
-        r2 = a * a + b * b
-        if r2 <= self.tol.zero:
+    def _require_frenet(self, t: float):
+        """Raise where the Frenet type frame is undefined at t: the located
+        ExprDomainError of a, b or a^2 + b^2, or a vanishing a^2 + b^2."""
+        ab2 = eval_expr(self.frenet.ab_columns, t, name_t=True)[2]
+        if ab2 <= self.tol.zero:
             raise FrameDegenerateError(
-                f"a^2+b^2 = {r2!r} at t={t!r}: Frenet type frame undefined")
-        r = math.sqrt(r2)
-        f = self.frame_at(t)
-        f[1], f[2] = (a * f[1] + b * f[2]) / r, (-b * f[1] + a * f[2]) / r
-        return f
+                f"a^2+b^2 = {ab2!r} at t={t!r}: Frenet type frame undefined")
+
+    def frenet_frame_at(self, t: float) -> np.ndarray:
+        """Rows (gamma, n1, n2, mu): the normals rotated to the Frenet pair,
+        as frenet_columns gives them (a copy, never a view of the grid table)."""
+        self._require_frenet(t)
+        return self.frenet_columns(np.array([t], dtype=float))[0][0].copy()
 
     def frenet_data_at(self, t: float) -> FrenetData:
         """The row of frenet_columns at t (FrenetData.row).  Where it is
@@ -448,11 +450,8 @@ class FramedCurveModel:
         a time raises there: a vanishing a^2 + b^2, an ExprDomainError at t."""
         _, data, suspect = self.frenet_columns(np.array([t], dtype=float), frames=False)
         if suspect[0]:
+            self._require_frenet(t)
             fe = self.frenet
-            ab2 = eval_expr(fe.ab_columns, t, name_t=True)[2]
-            if ab2 <= self.tol.zero:
-                raise FrameDegenerateError(
-                    f"a^2+b^2 = {ab2!r} at t={t!r}: Frenet type frame undefined")
             disc_h = eval_expr(fe.base_program, t, name_t=True)[0]
             for side, disc in ((fe.h, disc_h), (fe.d, -disc_h)):
                 if disc > 0.0:

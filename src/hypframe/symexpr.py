@@ -26,9 +26,9 @@ reported against the first offending sub-expression.
 from __future__ import annotations
 
 import math
+import re
 import struct
 import weakref
-from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -254,57 +254,29 @@ def fun(name: str, arg: Expr) -> Expr:
 # Tokenizer / parser
 
 
-_Token = namedtuple("_Token", "kind text column value is_int", defaults=(None, False))
+# kind -> (operator, precedence, constructor) of each binary node: the parser's and the printer's
+_BINARY = {"add": ("+", 1, add), "sub": ("-", 1, sub), "mul": ("*", 2, mul), "div": ("/", 2, div)}
+_PREC_NEG, _PREC_POW, _PREC_ATOM = 3, 4, 5
+_OPERATORS = {(op, prec): make for op, prec, make in _BINARY.values()}
+
+# whitespace, a NUMBER in ASCII digits (\d would take '²' and '٣'), a word (an identifier
+# if it starts with a letter or '_', as \w takes '²' too), an operator, or any other character
+_TOKEN = re.compile(r"(?P<space>\s+)"
+                    r"|(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<ident>\w+)|(?P<op>[-+*/^()])|.", re.S)
 
 
-_DIGITS = "0123456789"  # str.isdigit would also accept '²' and '٣'
-
-
-def _tokenize(source: str):
+def _tokenize(source: str) -> list:
+    """(kind, text, column) of each token, an operator's kind being its text, then the
+    end token, "end of input": the whole source, so a lexical error wins over any syntax error."""
     tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        col = i + 1
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token(c, c, col))
-            i += 1
-            continue
-        if c in _DIGITS or (c == "." and i + 1 < n and source[i + 1] in _DIGITS):
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            is_int = True
-            if j < n and source[j] == ".":
-                is_int = False
-                j += 1
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k] in _DIGITS:
-                    is_int = False
-                    j = k
-                    while j < n and source[j] in _DIGITS:
-                        j += 1
-            text = source[i:j]
-            tokens.append(_Token("number", text, col, float(text), is_int=is_int))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", source[i:j], col))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", col)
-    tokens.append(_Token("end", "", n + 1))
+    for m in _TOKEN.finditer(source):
+        kind, text, column = m.lastgroup, m.group(), m.start() + 1
+        if kind is None or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
+            raise ExprSyntaxError(f"unexpected character {text[0]!r}", column)
+        if kind != "space":
+            tokens.append((text if kind == "op" else kind, text, column))
+    tokens.append(("end", "end of input", len(source) + 1))
     return tokens
 
 
@@ -317,31 +289,32 @@ MAX_DEPTH = 40
 
 
 class _Parser:
+    """Recursive descent over the tokens of _tokenize, one method per rule of the
+    module docstring's grammar: binary(1) parses its expr, binary(2) its term."""
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
         self.level = 0  # parentheses and function calls open at pos
 
-    def peek(self):
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def accept(self, kind) -> bool:
+        """Advance past the next token if it is of `kind`, and say whether it was."""
+        found = self.peek()[0] == kind
+        self.pos += found
+        return found
 
     def expect(self, kind):
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.column)
-        return self.advance()
+        if not self.accept(kind):
+            _, text, column = self.peek()
+            raise ExprSyntaxError(f"expected {kind!r}, found {text!r}", column)
 
     def parse(self) -> Expr:
         e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.column)
+        kind, text, column = self.peek()
+        if kind != "end":
+            raise ExprSyntaxError(f"unexpected trailing input {text!r}", column)
         if _depth(e) > MAX_DEPTH:
             raise ExprSyntaxError(f"expression tree deeper than {MAX_DEPTH} levels", 1)
         return e
@@ -349,88 +322,67 @@ class _Parser:
     def expr(self) -> Expr:
         self.level += 1
         if self.level > MAX_DEPTH:
-            raise ExprSyntaxError(f"nesting deeper than {MAX_DEPTH} levels",
-                                  self.peek().column)
-        e = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
+            raise ExprSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", self.peek()[2])
+        e = self.binary(1)
         self.level -= 1
         return e
 
-    def term(self) -> Expr:
-        e = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.unary()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
+    def binary(self, prec: int) -> Expr:
+        """Operands of the next precedence joined left to right by those of prec."""
+        if prec == _PREC_NEG:
+            return self.unary()
+        e = self.binary(prec + 1)
+        while (make := _OPERATORS.get((self.peek()[0], prec))) is not None:
+            self.pos += 1
+            e = make(e, self.binary(prec + 1))
         return e
 
     def unary(self) -> Expr:
         signs = 0
-        while self.peek().kind == "-":
-            self.advance()
+        while self.accept("-"):
             signs += 1
         e = self.power()
-        for _ in range(signs):
-            e = neg(e)
-        return e
+        return neg(e) if signs % 2 else e  # neg(neg(e)) is e
 
     def power(self) -> Expr:
         e = self.atom()
-        while self.peek().kind == "^":
-            self.advance()
+        while self.accept("^"):
             e = pow_(e, self.exponent())
         return e
 
     def exponent(self) -> int:
-        tok = self.peek()
-        sign = 1
-        if tok.kind == "-":
-            self.advance()
-            sign = -1
-            tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            if not tok.is_int:
-                raise NonIntegerExponentError(
-                    f"exponent must be an integer, found {tok.text!r}", tok.column)
-            return sign * int(tok.value)
-        if tok.kind == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect(")")
+        sign = -1 if self.accept("-") else 1
+        _, text, column = self.peek()
+        if text.isdigit() and self.accept("number"):
+            return sign * int(float(text))  # read as a float, like every NUMBER
+        if self.accept("("):
+            inner = self.closed()
             if inner.kind == "num" and float(inner.a).is_integer():
                 return sign * int(inner.a)
             raise NonIntegerExponentError(
-                "exponent must fold to an integer literal", tok.column)
-        raise NonIntegerExponentError(
-            f"exponent must be an integer, found {tok.text or 'end of input'!r}",
-            tok.column)
+                "exponent must fold to an integer literal", column)
+        raise NonIntegerExponentError(f"exponent must be an integer, found {text!r}", column)
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return num(tok.value)
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "t":
+        _, text, column = self.peek()
+        if self.accept("number"):
+            return num(text)
+        if self.accept("ident"):
+            if text == "t":
                 return T
-            if tok.text in _TABLE:
+            if text in _TABLE:
                 self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return fun(tok.text, arg)
-            raise UnknownIdentifierError(f"unknown identifier {tok.text!r}", tok.column)
-        if tok.kind == "(":
-            self.advance()
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise ExprSyntaxError(
-            f"expected expression, found {tok.text or 'end of input'!r}", tok.column)
+                return fun(text, self.closed())
+            raise UnknownIdentifierError(f"unknown identifier {text!r}", column)
+        if self.accept("("):
+            return self.closed()
+        raise ExprSyntaxError(f"expected expression, found {text!r}", column)
+
+    def closed(self) -> Expr:
+        """An expr, and the ')' that closes its parenthesis or function call."""
+        e = self.expr()
+        self.expect(")")
+        return e
 
 
 def parse_expr(source: str) -> Expr:
@@ -670,10 +622,6 @@ def vectorized(e: Expr):
 # ---------------------------------------------------------------------------
 # Canonical printing (parse -> print -> parse is structurally idempotent)
 
-# kind -> (operator, precedence) of each binary node
-_BINARY = {"add": ("+", 1), "sub": ("-", 1), "mul": ("*", 2), "div": ("/", 2)}
-_PREC_NEG, _PREC_POW, _PREC_ATOM = 3, 4, 5
-
 
 def _prec(e: Expr) -> int:
     if e.kind in _BINARY:
@@ -702,7 +650,7 @@ def to_source(e: Expr) -> str:
 
     kind, x, y = e.kind, e.a, e.b
     if kind in _BINARY:
-        op, prec = _BINARY[kind]
+        op, prec, _ = _BINARY[kind]
         return f"{paren(x, prec)}{op}{paren(y, prec + 1)}"
     if kind == "num":
         return _fmt_num(x)

@@ -88,7 +88,9 @@ def test_every_parity_corpus_spec_loads(tmp_path):
                 "frame_flipped": "initial_frame: initial frame orientation must satisfy",
                 "huge_domain": "domain: asks for 500000000000000000 substeps, over the "
                                "limit of 10000000$",
-                "huge_samples": "domain.samples: asks for 10000000 samples, over the limit"}
+                "huge_samples": "domain.samples: asks for 10000000 samples, over the limit",
+                "bad_character": r"curvature\.m: unexpected character '\u00b2' \(column 7\)$",
+                "unclosed_call": r"curvature\.m: expected '\)', found 'end of input' \(column 6\)$"}
     names = set()
     for p in paths:
         reason = rejected.pop(os.path.basename(p)[:-len(".json")], None)

@@ -1,8 +1,12 @@
+import ast
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypframe.symexpr import (FUNCTIONS, ONE, T, Expr, ExprDomainError,
                               ExprSyntaxError, NonIntegerExponentError,
@@ -517,3 +521,33 @@ def test_folded_powers_have_the_replays_bits():
     assert compile([pow_(T, 2)]).at(1e200) == (math.inf,)
     assert pow_(num(1e-200), -2) is num(math.inf)
     assert compile([pow_(T, -2)]).at(1e-200) == (math.inf,)
+
+
+# DSL words, ASCII digits, operators and whitespace, and characters that
+# str.isdigit, str.isnumeric or str.isalpha accept but the DSL does not
+_PIECES = ("t", "sin", "exp", "log", "e", "E", *"0123456789", ".", *"+-*/^()",
+           " ", "\t", "\n", "\u00b2", "\u0663", "\u00bd", "\u00e9")
+# the messages that quote a token of the source, and the quoted token
+_QUOTED = re.compile(r"(?:unexpected character|unknown identifier|found|unexpected trailing input)"
+                     r" ('[^']*') \(column \d+\)$")
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=16).map("".join))
+def test_any_text_parses_back_or_is_located(source):
+    """Any text either parses to a tree that prints back to itself, or is
+    an ExprSyntaxError at a column of the source, or just past its end,
+    where the token its message quotes starts."""
+    try:
+        e = parse_expr(source)
+    except ExprSyntaxError as err:
+        assert 1 <= err.column <= len(source) + 1, (source, str(err))
+        quoted = _QUOTED.search(str(err))
+        if quoted:
+            token = ast.literal_eval(quoted[1])
+            if token == "end of input":
+                assert err.column == len(source) + 1, (source, str(err))
+            else:
+                assert source[err.column - 1:].startswith(token), (source, str(err))
+        return
+    assert parse_expr(to_source(e)) is e, source

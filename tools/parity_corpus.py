@@ -49,7 +49,11 @@ Run it from the root of a hypframe checkout.  The corpus is
   writes that mesh rejects before it runs a stage, the large-grid quartet
   at 10^7 samples, which the spec rejects, and a quartet drawn by the
   property test whose legs grow to 1e5 on a bounded frame, so that its
-  duality residual sits at the rounding floor;
+  duality residual sits at the rounding floor, a quartet written in every
+  lexical form of the DSL (a leading or trailing decimal point, an
+  exponent with either sign or letter case, a double minus, a tab and a
+  newline), and two curvatures the spec rejects: one with a superscript
+  two, which is not a digit of the DSL, and one with an unclosed call;
 * the large-grid spec (sin(t), 1+0.1*t^2, 2+0.5*cos(t), 0.2*t) on
   [-4, 4], 2,001 samples, 21 theta: about 6,000 loci records and
   several epsilon crossings.
@@ -113,6 +117,10 @@ QUARTETS = {
     "huge_samples": (("sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), (-4.0, 4.0, 10 ** 7)),
     "focal_edge_floor": (("(-1.66)+(log(2+sin(-1.45)))", "(exp(0.3*t))+((-0.79)*(t))",
                           "1.83+-0.34", "t"), (-1.5, 1.5, 101)),
+    "lexical_forms": ((".5*t - -1e-3*t^(3-1)", "1.", "2E+0 + 0*t^-2", "\t0.0e0\n"),
+                      (-1.5, 1.5, 41)),
+    "bad_character": (("0.5*t*\u00b2", "1", "2", "0"), (0.0, 1.0, 11)),
+    "unclosed_call": (("sin(t", "1", "2", "0"), (0.0, 1.0, 11)),
     "large_grid": (("sin(t)", "1+0.1*t^2", "2+0.5*cos(t)", "0.2*t"), (-4.0, 4.0, 2001),
                    (-1.0, 1.0, 21)),
 }
