@@ -24,6 +24,7 @@ from . import duality as _duality
 from . import evolute as _evolute
 from . import focal as _focal
 from . import loci as _loci
+from . import meshtext as _meshtext
 from .errors import HypframeError, InvalidInputError
 from .framedcurve import (CurvatureQuartet, FramedCurveModel, integrate_frame,
                           propagation_backend, substep_count, validate_initial_frame)
@@ -267,9 +268,12 @@ def export_obj(grids, projection, path) -> None:
     patch index only its own vertices.  projection is project_poincare or
     project_hollow_ball; each patch is charted as one array, and every
     patch is charted before the file is opened, so a bad vertex raises and
-    leaves no file.  The text is then written one grid row at a time, so
-    the memory it holds is one row, not the whole mesh.  Byte output is
-    deterministic for identical input.
+    leaves no file.  The text is then written meshtext.BLOCK vertex or
+    face lines at a time, each block assembled as one uint8 array, so the
+    memory it holds is one block, not the whole mesh.  A coordinate is the
+    repr of its float (meshtext.repr_fields, which takes repr itself for
+    a value outside 1e-4 <= |x| < 1) and an index is in decimal.  Byte
+    output is deterministic for identical input.
     """
     chart = _CHARTS.get(projection)
     if chart is None:
@@ -278,20 +282,23 @@ def export_obj(grids, projection, path) -> None:
         grids = [grids]
     patches = [chart(grid.reshape(-1, 4)).reshape(*grid.shape[:2], 3)
                for grid in (np.asarray(g, dtype=float) for g in grids) if grid.size]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# hypframe surface mesh\n")
-        offset = 0
+    with open(path, "wb") as fh:
+        fh.write(b"# hypframe surface mesh\n")
+        offset, block = 0, _meshtext.BLOCK
         for points in patches:
             rows, cols = points.shape[:2]
-            fh.write(f"# grid {rows} x {cols}\n")
-            # %r of Python floats is their repr, as the one-point writer prints them
-            vertices = "v %r %r %r\n" * cols
-            for row in points:
-                fh.write(vertices % tuple(row.ravel().tolist()))
-            faces = "f %d %d %d %d\n" * (cols - 1)
-            quads = np.arange(offset + 1, offset + cols)[:, None] + [0, 1, cols + 1, cols]
-            for i in range(rows - 1):
-                fh.write(faces % tuple((quads + i * cols).ravel().tolist()))
+            fh.write(b"# grid %d x %d\n" % (rows, cols))
+            vertices = points.reshape(-1, 3)
+            for i in range(0, len(vertices), block):
+                fh.write(_meshtext.lines("v", _meshtext.repr_fields(vertices[i:i + block]), 3))
+            # face k of the patch has the corners a, a + 1, a + cols + 1 and
+            # a + cols, with a = offset + 1 + k + (the grid row of k)
+            faces, width = (rows - 1) * (cols - 1), len(str(offset + rows * cols))
+            for i in range(0, faces, block):
+                k = np.arange(i, min(i + block, faces), dtype=float)
+                a = offset + 1.0 + k + np.floor(k / (cols - 1))
+                corners = a[:, None] + [0.0, 1.0, cols + 1.0, cols]
+                fh.write(_meshtext.lines("f", _meshtext.int_fields(corners, width), 4))
             offset += rows * cols
 
 

@@ -1,10 +1,13 @@
 """Column meshes and the array OBJ writer against their one-point oracles.
 
-`surface_grid` evaluates a mesh row by row over whole theta arrays and
-`export_obj` charts whole arrays and writes one grid row at a time;
+`surface_grid` evaluates a mesh row by row over whole theta arrays, and
+`export_obj` charts whole arrays and writes blocks of lines, each block
+one uint8 array: `meshtext.repr_fields` gives each coordinate's repr from
+exact float64 arithmetic, or from repr itself outside 1e-4 <= |x| < 1.
 `oracles.surface_grid_loop` and `oracles.export_obj_loop` do the same one
-point at a time.  Grids must agree bit for bit, OBJ files byte for byte,
-and errors word for word.
+point at a time, with repr and f-strings.  Grids must agree bit for bit,
+OBJ files byte for byte, and errors word for word; repr_fields must give
+repr's bytes on every float of a seeded differential draw.
 """
 
 import filecmp
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from hypframe import CurvatureQuartet, MinkVec, integrate_frame, load_spec, run_pipeline
-from hypframe import focal, pipeline
+from hypframe import focal, meshtext, pipeline
 from hypframe.errors import InvalidInputError, NumericError, SurfaceUndefinedError
 from hypframe.focal import defined_runs, surface_grid
 from hypframe.pipeline import export_obj, project_hollow_ball, project_poincare
@@ -150,11 +153,12 @@ def test_one_point_charts_match_the_scalar_oracle(chart):
         assert [type(y) for y in got] == [type(y) for y in want], p
 
 
-def _quadric_grid(rows, cols, chart):
+def _quadric_grid(rows, cols, chart, scale=1.0):
     """A rows x cols grid of points on the quadric that chart maps: H3 for
-    the Poincare ball, S31 for the hollow ball."""
+    the Poincare ball, S31 for the hollow ball.  scale shrinks an H3 grid
+    toward the chart's origin; S31 has no points near it."""
     i, j = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    v = np.stack([0.3 * i - 0.2, 0.1 * j + 0.05, 0.07 * (i - j)], axis=-1)
+    v = scale * np.stack([0.3 * i - 0.2, 0.1 * j + 0.05, 0.07 * (i - j)], axis=-1)
     if chart is project_poincare:
         return np.concatenate([np.sqrt(1.0 + (v * v).sum(axis=-1))[..., None], v], axis=-1)
     x0 = 0.4 * (i - j) + 0.1
@@ -164,11 +168,20 @@ def _quadric_grid(rows, cols, chart):
 
 @pytest.mark.parametrize("chart", [project_poincare, project_hollow_ball],
                          ids=["poincare", "hollow_ball"])
-@pytest.mark.parametrize("shapes", [[(1, 4)], [(5, 1)], [(3, 4), (0, 4), (2, 3)]],
-                         ids=["one_row", "one_column", "empty_between"])
+@pytest.mark.parametrize("shapes", [
+    [(1, 4)], [(5, 1)], [(3, 4), (0, 4), (2, 3)],
+    [(5, meshtext.BLOCK // 2 + 7)],
+    [(2, meshtext.BLOCK), (meshtext.BLOCK + 1, 2)],
+    [(4, 5, 1e-5)],
+], ids=["one_row", "one_column", "empty_between", "blocks_end_mid_block",
+        "blocks_end_on_a_boundary", "near_origin"])
 def test_edge_shapes_write_the_loop_bytes(tmp_path, chart, shapes):
-    # no faces, an empty face template, and face offsets across an empty patch
-    grids = [_quadric_grid(rows, cols, chart) for rows, cols in shapes]
+    # no faces, no face lines, and face offsets across an empty patch; a
+    # patch of 2.5 blocks of vertices and 2 blocks and a bit of faces; a
+    # patch of exactly 2 blocks of vertices, then one of exactly 1 block of
+    # faces; and (in the Poincare ball) coordinates below 1e-4 in magnitude,
+    # each of which takes repr itself
+    grids = [_quadric_grid(rows, cols, chart, *scale) for rows, cols, *scale in shapes]
     export_obj(grids, chart, tmp_path / "rows.obj")
     export_obj_loop(grids, chart, tmp_path / "loop.obj")
     assert (tmp_path / "rows.obj").read_bytes() == (tmp_path / "loop.obj").read_bytes()
@@ -187,6 +200,41 @@ def test_export_obj_holds_one_row_of_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= budget, (peak, budget)
+
+
+def _repr_draws(rng, n):
+    """Floats for the differential test of repr_fields, each sign: uniform
+    on (-1, 1) and on each decade of [1e-4, 1); the powers of ten from 1e-5
+    to 1 and their neighbours 1 and 2 ulps away; decimals of 1 to 17
+    significant digits and their neighbours (repr's 15-digit path, trailing
+    zeros and all); powers of two and multiples of 2^-20, some of them
+    midpoints of 16 or 17 digits; and floats that take repr itself: zeros,
+    subnormals, |x| < 1e-4, |x| >= 1, infinities and nan."""
+    tens = 10.0 ** np.arange(-5, 1)
+    up, down, near = tens, tens, [tens]
+    for _ in range(2):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    digits = rng.integers(1, 18, n)
+    mantissas = rng.integers(10 ** (digits - 1), 10 ** digits)
+    short = np.array([float(f"{m}e{e - k}") for m, k, e in
+                      zip(mantissas.tolist(), digits.tolist(), rng.integers(-3, 1, n).tolist())])
+    x = np.concatenate([
+        rng.uniform(-1.0, 1.0, n), 10.0 ** rng.integers(-4, 0, n) * rng.uniform(1.0, 10.0, n),
+        *near, short, np.nextafter(short, np.inf), np.nextafter(short, 0.0),
+        2.0 ** np.arange(-20, 1), rng.integers(1, 2 ** 20, n) * 2.0 ** -20,
+        [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 9.999999999999999e-05, 1.0, 1.5,
+         123.456, 1e16, 1.7976931348623157e308, np.inf, np.nan]])
+    return np.concatenate([x, -x])
+
+
+def test_repr_fields_match_repr():
+    x = _repr_draws(np.random.default_rng(20181), 100_000)
+    got = meshtext.lines("v", meshtext.repr_fields(x), 1).split(b"\n")[:-1]
+    want = [b"v " + repr(y).encode() for y in x.tolist()]
+    assert len(got) == len(want)
+    wrong = [(y, g) for y, g, w in zip(x.tolist(), got, want) if g != w]
+    assert not wrong, (len(wrong), wrong[:5])
 
 
 def test_export_obj_rejects_an_unknown_projection(tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import errno
+import importlib.util
 import json
 import math
 import os
@@ -1223,6 +1224,23 @@ def test_cli_runs_only_its_declared_stages(tmp_path, capsys, monkeypatch, sub):
             "wrote: tangency_focal_h.obj"]
         obj = (tmp_path / "out" / "tangency_focal_h.obj").read_text().splitlines()
         assert obj[1] == "# grid 41 x 5"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="reads /proc/self")
+def test_stage_rss_reports_each_stage_of_run(tmp_path, capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "stage_rss.py")
+    spec = importlib.util.spec_from_file_location("stage_rss", path)
+    stage_rss = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stage_rss)
+    stages = pipeline.STAGES
+    assert stage_rss.main([_write_spec(tmp_path, MINIMAL)]) == 0
+    assert pipeline.STAGES is stages
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()
+             if line.startswith(("before", "after"))]
+    assert [line[:2] for line in lines] == [
+        [when, name] for name in SUBCOMMAND_STAGES["run"] for when in ("before", "after")]
+    assert all(line[2::2] == ["VmHWM", "VmRSS", "_multiarray_umath"]
+               and int(line[5]) > 0 for line in lines)
 
 
 def test_cli_uses_no_private_name_of_another_module():
