@@ -79,9 +79,8 @@ class ExprDomainError(NumericError):
 
 class _Memo:
     # _d1 and _program memoize the derivative and the single-root program
-    # on the node itself, so they live exactly as long as the node does;
-    # _depth is the longest path to a leaf, in nodes
-    __slots__ = ("__weakref__", "_d1", "_program", "_depth")
+    # on the node itself, so they live exactly as long as the node does
+    __slots__ = ("__weakref__", "_d1", "_program")
 
 
 # A dataclass, not a tuple, which would equal any tuple of the same items:
@@ -153,13 +152,7 @@ def _intern(key, a, b=None):
     node = _INTERNED.get(key)
     if node is None:
         node = _INTERNED[key] = Expr(key[0], a, b)
-        depth = max((_depth(f) for f in (a, b) if isinstance(f, Expr)), default=0)
-        object.__setattr__(node, "_depth", depth + 1)
     return node
-
-
-def _depth(e: Expr) -> int:
-    return getattr(e, "_depth", 1)
 
 
 def num(v) -> Expr:
@@ -265,6 +258,12 @@ _TOKEN = re.compile(r"(?P<space>\s+)"
                     r"|(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
                     r"|(?P<ident>\w+)|(?P<op>[-+*/^()])|.", re.S)
 
+# The most tokens a source may hold.  Nothing recurses through a graph
+# (_walk keeps its own stack), so size costs only time and memory: at this
+# bound the costliest shape measured, a chain of 1,538 quotients, compiles
+# to 0.7 M ops and runs `verify` at 401 samples in about 7 s and 350 MB.
+MAX_TOKENS = 20_000
+
 
 def _tokenize(source: str) -> list:
     """(kind, text, column) of each token, an operator's kind being its text, then the
@@ -275,17 +274,18 @@ def _tokenize(source: str) -> list:
         if kind is None or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
             raise ExprSyntaxError(f"unexpected character {text[0]!r}", column)
         if kind != "space":
+            if len(tokens) == MAX_TOKENS:
+                raise ExprSyntaxError(f"expression longer than {MAX_TOKENS} tokens", column)
             tokens.append((text if kind == "op" else kind, text, column))
     tokens.append(("end", "end of input", len(source) + 1))
     return tokens
 
 
-# The deepest tree, and the deepest nesting of parentheses, that a source
-# may hold.  Differentiating, compiling and printing recurse through a
-# whole tree, and the Frenet expressions differentiate the input several
-# times: a nested quotient (t+3)/((t+3)/(...)) of depth 52 already passes
-# Python's recursion limit there, one of depth 40 runs.
-MAX_DEPTH = 40
+# The deepest nesting of parentheses and function calls that a source may
+# hold.  The parser recurses through 8 frames per level (expr down to
+# atom and closed), so 64 levels take 512 of Python's default 1000 and
+# leave the rest to its callers.
+MAX_DEPTH = 64
 
 
 class _Parser:
@@ -315,8 +315,6 @@ class _Parser:
         kind, text, column = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {text!r}", column)
-        if _depth(e) > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression tree deeper than {MAX_DEPTH} levels", 1)
         return e
 
     def expr(self) -> Expr:
@@ -390,38 +388,68 @@ def parse_expr(source: str) -> Expr:
     return _Parser(source).parse()
 
 
+def _walk(roots, done=None) -> tuple:
+    """(ops, outputs) of the roots, as Program holds them, by one walk of
+    their graph with an explicit stack (Knuth, TAOCP vol. 1, 2.3.1).  A node
+    where done(node) holds is not entered, and its op index is None."""
+    ops, index = [], {}  # id(node) -> index of its op
+    stack = list(reversed(roots))  # nodes to enter, and (kind, node) of ops to emit
+    while stack:
+        e = stack.pop()
+        if type(e) is tuple:  # its operands are done
+            kind, e = e
+            if kind == "den":
+                ops.append((kind, e, index[id(e.b)], None))
+                continue
+            index[id(e)] = len(ops)  # a live non-node operand's id is no key
+            ops.append((kind, e, index.get(id(e.a), e.a), index.get(id(e.b), e.b)))
+        elif id(e) not in index:
+            if done is not None and done(e):
+                index[id(e)] = None
+                continue
+            stack.append((e.kind, e))
+            if e.kind == "div":
+                stack += (e.a, ("den", e), e.b)
+                continue
+            for f in (e.b, e.a):
+                if isinstance(f, Expr) and id(f) not in index:
+                    stack.append(f)
+    return ops, [index[id(root)] for root in roots]
+
+
 # ---------------------------------------------------------------------------
 # Differentiation
 
 
 def _diff1(e: Expr) -> Expr:
-    d = getattr(e, "_d1", None)
-    if d is None:
-        d = _diff_rule(e)
-        object.__setattr__(e, "_d1", d)
-    return d
+    """d/dt of e, set as _d1 on each node of e's graph that lacks one, after its operands'."""
+    for kind, node, _, _ in _walk([e], lambda node: hasattr(node, "_d1"))[0]:
+        if kind != "den":
+            object.__setattr__(node, "_d1", _diff_rule(node))
+    return e._d1
 
 
 def _diff_rule(e: Expr) -> Expr:
+    """d/dt of e from the _d1 of its operands."""
     match e:
         case Expr("num"):
             return ZERO
         case Expr("var"):
             return ONE
         case Expr("neg", u):
-            return neg(_diff1(u))
+            return neg(u._d1)
         case Expr("add", x, y):
-            return add(_diff1(x), _diff1(y))
+            return add(x._d1, y._d1)
         case Expr("sub", x, y):
-            return sub(_diff1(x), _diff1(y))
+            return sub(x._d1, y._d1)
         case Expr("mul", x, y):
-            return add(mul(_diff1(x), y), mul(x, _diff1(y)))
+            return add(mul(x._d1, y), mul(x, y._d1))
         case Expr("div", x, y):
-            return div(sub(mul(_diff1(x), y), mul(x, _diff1(y))), pow_(y, 2))
+            return div(sub(mul(x._d1, y), mul(x, y._d1)), pow_(y, 2))
         case Expr("pow", u, k):
-            return mul(mul(num(k), pow_(u, k - 1)), _diff1(u))
+            return mul(mul(num(k), pow_(u, k - 1)), u._d1)
         case Expr("fun", u, name):
-            return mul(_TABLE[name].derivative(u), _diff1(u))
+            return mul(_TABLE[name].derivative(u), u._d1)
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -501,12 +529,13 @@ _RAISES = {
 class Program:
     """Straight-line code evaluating several roots together.
 
-    `ops` are (kind, node, a, b) in the order in which the recursive walk
-    of each root in turn first reaches a node: operands left to right,
-    except that a div evaluates and checks its denominator before its
-    numerator.  Replaying them over an array gives that walk's value at
-    each element, or NaN where it raises; at one t, the first op that
-    would raise is where the walk raises, with the same message.
+    `ops` are (kind, node, a, b), one per distinct node of the roots, each
+    root in turn: a node after its operands, left to right, except that a
+    div's denominator, then a den op that checks it, come before its
+    numerator.  An operand in a or b is its op's index, as is each output.
+    Replaying the ops over an array gives each root's value at each
+    element, or NaN where an op it reads would raise; at one t, the first
+    op that would raise gives the error.
     """
 
     def __init__(self, ops, outputs):
@@ -534,7 +563,7 @@ class Program:
 
     def array(self, t) -> tuple:
         """Values of the roots over the array t, each of t's shape: at each
-        element, the recursive walk's value at that t, bit for bit, or NaN
+        element, the value that `at` gives at that t, bit for bit, or NaN
         where an op that the root reads would raise there."""
         with np.errstate(all="ignore"):
             v = self._replay(t, free=True)
@@ -554,30 +583,9 @@ class Program:
 
 
 def compile(roots) -> Program:
-    """Compile the roots into one program: one op per distinct node."""
-    ops = []
-    index = {}  # id(node) -> index of the op computing it
-
-    def visit(e):
-        i = index.get(id(e))
-        if i is not None:
-            return i
-        if not isinstance(e, Expr):
-            raise TypeError(f"not an Expr: {e!r}")
-        a, b = e.a, e.b
-        if e.kind == "div":
-            b = visit(b)
-            ops.append(("den", e, b, None))
-        if isinstance(a, Expr):
-            a = visit(a)
-        if isinstance(b, Expr):
-            b = visit(b)
-        i = index[id(e)] = len(ops)
-        ops.append((e.kind, e, a, b))
-        return i
-
-    outputs = [visit(root) for root in roots]
-    return Program(ops, outputs)
+    """Compile the roots into one program: one op per distinct node, after its operands, each
+    root in turn, and a den op before each division's numerator (Program's op order)."""
+    return Program(*_walk(roots))
 
 
 def _single(e) -> Program:
@@ -623,14 +631,6 @@ def vectorized(e: Expr):
 # Canonical printing (parse -> print -> parse is structurally idempotent)
 
 
-def _prec(e: Expr) -> int:
-    if e.kind in _BINARY:
-        return _BINARY[e.kind][1]
-    if e.kind == "neg" or (e.kind == "num" and _fmt_num(e.a).startswith("-")):
-        return _PREC_NEG
-    return _PREC_POW if e.kind == "pow" else _PREC_ATOM
-
-
 def _fmt_num(v: float) -> str:
     if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return f"{v:.0f}"  # exact, and keeps the sign of -0
@@ -642,24 +642,23 @@ def _fmt_num(v: float) -> str:
 
 
 def to_source(e: Expr) -> str:
-    """Canonical DSL text for the tree."""
+    """Canonical DSL text for the tree, built op by op from its operands'."""
+    texts = []  # (text, precedence) of each op of the walk
 
-    def paren(child, minimum):
-        s = to_source(child)
-        return f"({s})" if _prec(child) < minimum else s
+    def paren(i, minimum):
+        return f"({texts[i][0]})" if texts[i][1] < minimum else texts[i][0]
 
-    kind, x, y = e.kind, e.a, e.b
-    if kind in _BINARY:
-        op, prec, _ = _BINARY[kind]
-        return f"{paren(x, prec)}{op}{paren(y, prec + 1)}"
-    if kind == "num":
-        return _fmt_num(x)
-    if kind == "var":
-        return "t"
-    if kind == "neg":
-        return "-" + paren(x, _PREC_NEG)
-    if kind == "pow":
-        return f"{paren(x, _PREC_ATOM)}^{y if y >= 0 else f'({y})'}"
-    if kind == "fun":
-        return f"{y}({to_source(x)})"
-    raise TypeError(f"not an Expr: {e!r}")
+    for kind, _, x, y in _walk([e])[0]:
+        if kind in _BINARY:
+            op, prec, _ = _BINARY[kind]
+            texts.append((f"{paren(x, prec)}{op}{paren(y, prec + 1)}", prec))
+        elif kind == "num":
+            text = _fmt_num(x)
+            texts.append((text, _PREC_NEG if text[0] == "-" else _PREC_ATOM))
+        elif kind == "neg":
+            texts.append(("-" + paren(x, _PREC_NEG), _PREC_NEG))
+        elif kind == "pow":
+            texts.append((f"{paren(x, _PREC_ATOM)}^{y if y >= 0 else f'({y})'}", _PREC_POW))
+        else:  # fun, var, or a den op, whose text no op reads
+            texts.append((f"{y}({texts[x][0]})" if kind == "fun" else "t", _PREC_ATOM))
+    return texts[-1][0]

@@ -5,9 +5,10 @@ a hand-rolled cofactor expansion, derivatives come from central
 differences, reference integrations from half-step Richardson comparison
 or scipy, expressions are evaluated in scalar arithmetic with their own
 domain checks, by walking the tree recursively or one compiled op at a
-time, epsilon crossings are bisected one midpoint at a time,
-frames are propagated one substep at a time with a scalar exponential,
-or one sample at a time with each Gram residual taken alone, interval
+time, and compiled by a recursive walk, epsilon crossings are bisected
+one midpoint at a time, frames are propagated one substep at a time
+with a scalar exponential, or one sample at a time with each Gram
+residual taken alone, interval
 propagators are multiplied out with no product reused, and continued to an off-grid t one t and one substep at a time, surface meshes are evaluated and
 written one point (or one row) at a time, loci tables are written
 through csv.writer, duality samples are built and judged one at a
@@ -146,6 +147,36 @@ def replay(program, t):
     for kind, node, a, b in program.ops:
         v.append(OP_RULES[kind](v, t, node, a, b))
     return tuple(v[i] for i in program.outputs)
+
+
+def compile_recursive(roots) -> Program:
+    """The program of the roots by a recursive walk of each root in turn:
+    one op per distinct node, the first time the walk reaches it, after
+    its operands left to right, except that a div visits and checks its
+    denominator before its numerator."""
+    ops = []
+    index = {}  # id(node) -> index of the op computing it
+
+    def visit(e):
+        i = index.get(id(e))
+        if i is not None:
+            return i
+        if not isinstance(e, Expr):
+            raise TypeError(f"not an Expr: {e!r}")
+        a, b = e.a, e.b
+        if e.kind == "div":
+            b = visit(b)
+            ops.append(("den", e, b, None))
+        if isinstance(a, Expr):
+            a = visit(a)
+        if isinstance(b, Expr):
+            b = visit(b)
+        i = index[id(e)] = len(ops)
+        ops.append((e.kind, e, a, b))
+        return i
+
+    outputs = [visit(root) for root in roots]
+    return Program(ops, outputs)
 
 
 def expm4(x):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from hypframe.focal import SURFACES, SingularityType, defined_runs
 from hypframe.framedcurve import FrenetExprs
 from hypframe.loci import LOCI_SURFACES, TYPES, LociTable
 from hypframe.pipeline import SpecParseError, SpecValidationError
-from hypframe.symexpr import FUNCTIONS, MAX_DEPTH
+from hypframe.symexpr import FUNCTIONS, MAX_DEPTH, MAX_TOKENS
 from hypframe.tolerances import DEFAULT
 
 from oracles import export_evolute_csv_writer, export_loci_csv_writer
@@ -1142,31 +1143,48 @@ def test_run_leaves_the_unread_side_unbuilt(monkeypatch):
 
 @pytest.mark.parametrize("field, source, text", [
     ("m", "(" * 200 + "t" + ")" * 200, f"nesting deeper than {MAX_DEPTH} levels"),
-    ("a", "+".join(["sin(t)"] * 1000), f"expression tree deeper than {MAX_DEPTH} levels"),
+    ("a", "+".join(["sin(t)"] * 10**5), f"expression longer than {MAX_TOKENS} tokens"),
 ], ids=["parentheses", "sum"])
 def test_cli_deep_expression_is_a_spec_error(tmp_path, capsys, field, source, text):
     """Both used to die inside the parser or the compiler with an untyped
-    RecursionError."""
+    RecursionError.  The sum is refused at its token MAX_TOKENS + 1, before
+    the rest of it is read."""
     doc = dict(MINIMAL, curvature=dict(MINIMAL["curvature"], **{field: source}))
-    assert cli_main(["run", "--spec", _write_spec(tmp_path, doc)]) == 1
+    spec = _write_spec(tmp_path, doc)
+    start = time.perf_counter()
+    assert cli_main(["run", "--spec", spec]) == 1
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith(f"spec error: curvature.{field}: {text}")
 
 
-# at the bound: the deepest quotient chain, sum and nesting that parse
-AT_BOUND = ["(t+3)/(" * (MAX_DEPTH - 2) + "t+3" + ")" * (MAX_DEPTH - 2),
-            "+".join(["sin(t)"] * (MAX_DEPTH - 1)),
-            "(" * (MAX_DEPTH - 1) + "2+0.1*t" + ")" * (MAX_DEPTH - 1)]
+# at the bounds: the deepest quotient chain and nesting that parse, the
+# quotient chain of tree depth 52 that once overflowed Python's stack, a
+# 300-term trig series, and log of a 300-term sum that turns negative
+# inside the grid, whose error must be the located domain error
+LOG_OF_SUM = "log(0.01*cos(t)+" + "+".join(f"0.01*cos({k}*t)" for k in range(2, 301)) + ")"
+AT_BOUND = {
+    "quotients": ("(t+3)/(" * (MAX_DEPTH - 1) + "t+3" + ")" * (MAX_DEPTH - 1), None),
+    "quotients_52": ("(t+3)/(" * 50 + "t+3" + ")" * 50, None),
+    "sum": ("2+" + "+".join(f"0.1*sin({k}*t)" for k in range(1, 301)), None),
+    "parentheses": ("(" * (MAX_DEPTH - 1) + "2+0.1*t" + ")" * (MAX_DEPTH - 1), None),
+    "log_of_sum": (LOG_OF_SUM, r"numeric failure: curvature function 2 at t=\S+: "
+                   rf"log of non-positive value -\S+ in {re.escape(repr(LOG_OF_SUM))}\n$"),
+}
 
 
-@pytest.mark.parametrize("source", AT_BOUND, ids=["quotients", "sum", "parentheses"])
-def test_cli_runs_a_curvature_at_the_depth_bound(tmp_path, capsys, source):
-    """The Frenet expressions nest deeper than their input; a tree at the
-    bound still runs through differentiation, compilation and every stage."""
+@pytest.mark.parametrize("source, error", AT_BOUND.values(), ids=AT_BOUND)
+def test_cli_runs_a_curvature_at_the_depth_bound(tmp_path, capsys, source, error):
+    """The Frenet expressions nest deeper and grow longer than their input;
+    a source at the bounds still runs through differentiation, compilation,
+    every stage and, where it raises, the printing of its error."""
     doc = dict(MINIMAL, curvature=dict(MINIMAL["curvature"], a=source),
                outputs=["report", "loci_csv", "focal_h_obj", "dual_eh_obj"])
     code = cli_main(["run", "--spec", _write_spec(tmp_path, doc), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    assert code == 0 or (code == 2 and err.startswith("numeric failure: ")), err
+    if error is None:
+        assert code == 0 or (code == 2 and err.startswith("numeric failure: ")), err
+    else:
+        assert code == 2 and re.match(error, err), err
 
 
 def test_cli_integrate_prints_the_relative_residual_of_large_frames(tmp_path, capsys):

@@ -13,9 +13,9 @@ from hypframe.symexpr import (FUNCTIONS, ONE, T, Expr, ExprDomainError,
                               UnknownIdentifierError, add, compile, diff_expr,
                               div, eval_expr, fun, mul, num, parse_expr, pow_, sub,
                               to_source, vectorized)
-from hypframe.symexpr import _TABLE, MAX_DEPTH
+from hypframe.symexpr import _TABLE, MAX_DEPTH, MAX_TOKENS
 
-from oracles import central_diff, tree_eval
+from oracles import central_diff, compile_recursive, tree_eval
 
 
 def test_parse_literal():
@@ -76,12 +76,16 @@ def test_syntax_error_columns():
 
 
 def test_depth_bound():
-    """Trees deeper than MAX_DEPTH, and deeper nesting of parentheses, are
-    syntax errors; at the bound they parse."""
-    chain = "+".join(["t"] * MAX_DEPTH)  # MAX_DEPTH - 1 additions over a leaf
-    assert parse_expr(chain) == parse_expr(f"({chain})")
-    with pytest.raises(ExprSyntaxError, match="expression tree deeper than"):
-        parse_expr(chain + "+t+t")
+    """Sources of more than MAX_TOKENS tokens, and nesting of parentheses
+    deeper than MAX_DEPTH, are syntax errors; at the bounds they parse."""
+    chain = "+".join(["t"] * (MAX_TOKENS // 2))  # MAX_TOKENS - 1 one-character tokens
+    assert to_source(parse_expr("-" + chain)) == "-" + chain
+    with pytest.raises(ExprSyntaxError, match=f"expression longer than {MAX_TOKENS} tokens") as err:
+        parse_expr("-" + chain + "+t")
+    assert err.value.column == MAX_TOKENS + 1  # the '+' after the last token that fits
+    with pytest.raises(ExprSyntaxError, match="longer than") as err:
+        parse_expr(" " + chain + " * -t")  # spaces are not tokens
+    assert err.value.column == MAX_TOKENS + 4  # the '-', token MAX_TOKENS + 1
     nested = "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1)
     assert parse_expr(nested) is T
     with pytest.raises(ExprSyntaxError, match="nesting deeper than") as err:
@@ -385,6 +389,11 @@ def test_compiled_replay_matches_tree_walk():
         except (ExprDomainError, OverflowError, ZeroDivisionError):
             continue
         program = compile(roots)
+        # the recursive walk's ops: the same kinds, node objects and operands
+        oracle = compile_recursive(roots)
+        assert [(k, id(node), a, b) for k, node, a, b in program.ops] == \
+            [(k, id(node), a, b) for k, node, a, b in oracle.ops], src
+        assert program.outputs == oracle.outputs, src
 
         for t in ts:
             want, want_exc = _outcome(lambda: [tree_eval(r, t) for r in roots])
